@@ -1,6 +1,7 @@
 """Variable-metric proximal ADMM with runtime convergence certification."""
 
 from .admm import (
+    CertifiedStep,
     KktResidualCertificate,
     SubproblemError,
     ThetaParams,
@@ -15,11 +16,8 @@ from .linalg import (
     BlockDiagOperator,
     PsdOperator,
     block_diag,
-    dual_seminorm_general,
-    dual_seminorm_of_image,
     identity,
     operator_leq,
-    seminorm,
     zero_operator,
 )
 from .problems import (
@@ -31,7 +29,6 @@ from .problems import (
     load_problem,
     plain_admm,
     reference_solve,
-    subgradient_sample,
 )
 from .schedule import (
     THETA_MAX,
@@ -48,6 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockDiagOperator",
+    "CertifiedStep",
     "FunctionDescriptor",
     "HpeIterate",
     "HpeState",
@@ -69,8 +67,6 @@ __all__ = [
     "compute_d0_admm",
     "compute_sigma_theta",
     "constant_schedule",
-    "dual_seminorm_general",
-    "dual_seminorm_of_image",
     "generate",
     "identity",
     "kkt_residual",
@@ -80,9 +76,7 @@ __all__ = [
     "plain_admm",
     "reference_solve",
     "schedule_from_dict",
-    "seminorm",
     "sigma_feasible",
-    "subgradient_sample",
     "tau_theta",
     "transportation_check",
     "zero_operator",

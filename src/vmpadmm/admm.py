@@ -5,7 +5,9 @@ under S_k, and an over-relaxed multiplier update with stepsize theta and
 penalty metric H_k.  Every iteration is embedded into the relative-error
 proximal-point driver (:mod:`vmpadmm.hpe`): the embedding constants
 (sigma, tau, eta_k) are computed here, and the pointwise / ergodic KKT
-residual certificates with their theoretical rate bounds are exposed per k.
+residual certificates with their theoretical rate bounds are exposed at the
+current k.  :meth:`VmPadmmRun.certified_steps` is the one solve loop: it steps,
+certifies and applies the stopping rules.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "ThetaParams",
     "AdmmIterate",
     "KktResidualCertificate",
+    "CertifiedStep",
     "SubproblemError",
     "compute_sigma_theta",
     "sigma_feasible",
@@ -33,6 +36,7 @@ __all__ = [
 
 _SQRT2 = np.sqrt(2.0)
 _MEMBERSHIP_TOL = 1e-8
+_MEMBERSHIP_SAMPLES = 200  # sampled points per block in the eps-subdifferential check
 _THETA_EXCLUSION = 1e-12
 
 
@@ -212,10 +216,7 @@ class AdmmIterate:
     hpe_check: object
     membership_x: float
     membership_y: float
-    H: PsdOperator
-    R: PsdOperator
-    S: PsdOperator
-    M: object
+    M: object  # M_k, the product-space metric of this iteration
 
     @property
     def dual_max(self) -> float:
@@ -294,6 +295,21 @@ def compute_d0_admm(
     )
 
 
+@dataclass
+class CertifiedStep:
+    """One iteration with its certificates and the stopping state after it.
+
+    ``first_k_pointwise`` / ``first_k_ergodic`` are the first k at which the
+    pointwise / ergodic stopping rule held, or None while it has not.
+    """
+
+    iterate: AdmmIterate
+    pointwise: KktResidualCertificate
+    ergodic: KktResidualCertificate
+    first_k_pointwise: int | None
+    first_k_ergodic: int | None
+
+
 class VmPadmmRun:
     """One solve: sequential state, embedding driver, running certificates."""
 
@@ -306,7 +322,6 @@ class VmPadmmRun:
         y0=None,
         gamma0=None,
         reference: ReferenceSolution | None = None,
-        hpe_tol: float = 1e-8,
     ):
         self.problem = problem
         self.schedule = schedule
@@ -315,10 +330,8 @@ class VmPadmmRun:
         self.x = np.zeros(n_x) if x0 is None else np.asarray(x0, float).copy()
         self.y = np.zeros(n_y) if y0 is None else np.asarray(y0, float).copy()
         self.gamma = np.zeros(m) if gamma0 is None else np.asarray(gamma0, float).copy()
-        self.hpe_tol = hpe_tol
 
         self.reference = reference if reference is not None else reference_solve(problem)
-        self.d0_warning = self.reference.kkt_residual > 1e-9
         H0, R0, S0 = schedule.realize(0)
         self.d0 = compute_d0_admm(
             problem,
@@ -334,15 +347,15 @@ class VmPadmmRun:
         self.eta0 = theta_params.tau * self.d0**2
         M0 = assemble_Mk(H0, R0, S0, problem.B, theta_params.theta)
         z0 = np.concatenate([self.x, self.y, self.gamma])
-        self.hpe = HpeState(z0, theta_params.sigma, self.eta0, M0=M0)
-        self.hpe.set_bounds(
-            RateBounds(self.d0, theta_params.sigma, schedule.C_S, schedule.C_P, eta0=self.eta0)
+        self.hpe = HpeState(
+            z0, theta_params.sigma, self.eta0, M0,
+            RateBounds(self.d0, theta_params.sigma, schedule.C_S, schedule.C_P, eta0=self.eta0),
         )
-        self.iterates: list[AdmmIterate] = []
-        # running pointwise best: smallest index achieving the min max-residual
-        self._best_index = 0
-        self._best_dual_max = np.inf
-        # per-block ergodic accumulators
+        self.k = 0
+        # running pointwise best: first iterate achieving the min max-residual
+        self._best: AdmmIterate | None = None
+        # per-block ergodic accumulators, kept apart from the HPE ones so the
+        # eps decomposition can be cross-checked against the full-space value
         self._sum_x = np.zeros(n_x)
         self._sum_y = np.zeros(n_y)
         self._sum_gt = np.zeros(m)
@@ -353,17 +366,8 @@ class VmPadmmRun:
         self._dot_sy = 0.0
 
     @property
-    def k(self) -> int:
-        return len(self.iterates)
-
-    @property
     def bounds(self) -> RateBounds:
         return self.hpe.bounds
-
-    def pointwise_bound_coef(self) -> float:
-        p, cp = self.params, self.schedule.C_P
-        num = 2.0 * (1.0 + p.sigma) * cp * (1.0 + p.tau) + 2.0 * (1.0 - p.sigma) * p.tau
-        return float(np.sqrt(num / (1.0 - p.sigma)))
 
     # -- one iteration -----------------------------------------------------
 
@@ -403,7 +407,7 @@ class VmPadmmRun:
             k=k, z=z_k, z_tilde=zt_k, r=np.concatenate([r_x, r_y, r_g]),
             preimage=preimage, eta=eta, M=M_k,
         )
-        check = self.hpe.add_iterate(hpe_it, tol=self.hpe_tol)
+        check = self.hpe.add_iterate(hpe_it)
 
         memb_x = problem.f.membership_distance(r_x + problem.A.T @ gamma_t, x_k)
         memb_y = problem.g.membership_distance(r_y + problem.B.T @ gamma_t, y_k)
@@ -412,12 +416,11 @@ class VmPadmmRun:
             k=k, x=x_k, y=y_k, gamma=gamma_k, gamma_tilde=gamma_t,
             dx=dx, dy=dy, dgamma=dg, r_x=r_x, r_y=r_y, r_gamma=r_g,
             dual_x=R_k.seminorm(dx), dual_y=mid_k.seminorm(dy), dual_gamma=gam_k.seminorm(dg),
-            eta=eta, hpe_check=check, membership_x=memb_x, membership_y=memb_y,
-            H=H_k, R=R_k, S=S_k, M=M_k,
+            eta=eta, hpe_check=check, membership_x=memb_x, membership_y=memb_y, M=M_k,
         )
-        self.iterates.append(it)
-        if it.dual_max < self._best_dual_max:
-            self._best_dual_max, self._best_index = it.dual_max, k
+        self.k = k
+        if self._best is None or it.dual_max < self._best.dual_max:
+            self._best = it
         self._sum_x += x_k
         self._sum_y += y_k
         self._sum_gt += gamma_t
@@ -429,20 +432,43 @@ class VmPadmmRun:
         self.x, self.y, self.gamma = x_k, y_k, gamma_k
         return it
 
-    # -- certificates -------------------------------------------------------
+    def certified_steps(self, max_iters: int, rho: float, eps: float, membership_seed: int | None = None):
+        """Step up to ``max_iters`` times, yielding a :class:`CertifiedStep`
+        per iteration.
 
-    def pointwise_kkt_certificate(self, k: int | None = None) -> KktResidualCertificate:
+        Stops after the first k by which both stopping rules have held: the
+        pointwise rule res_max <= rho, and the ergodic rule erg_res_max <= rho
+        with eps_sum <= eps.  The sampled eps-subdifferential check of
+        iteration k draws from ``default_rng(membership_seed * 100_003 + k)``;
+        ``membership_seed=None`` skips it.
+        """
+        first_pw = first_erg = None
+        for _ in range(max_iters):
+            it = self.step()
+            k = it.k
+            pw = self.pointwise_kkt_certificate()
+            rng = None if membership_seed is None else np.random.default_rng(membership_seed * 100_003 + k)
+            erg = self.ergodic_kkt_certificate(rng)
+            if first_pw is None and pw.dual_max <= rho:
+                first_pw = k
+            if first_erg is None and erg.dual_max <= rho and erg.eps_x + erg.eps_y <= eps:
+                first_erg = k
+            yield CertifiedStep(it, pw, erg, first_pw, first_erg)
+            if first_pw is not None and first_erg is not None:
+                return
+
+    # -- certificates at the current iteration k ---------------------------
+    # They come from running accumulators; no per-iteration history is kept.
+
+    def _require_iterate(self):
+        if self._best is None:
+            raise ValueError("no iterate yet: certificates start at k = 1")
+
+    def pointwise_kkt_certificate(self) -> KktResidualCertificate:
         """Best single iterate up to k against the O(1/sqrt(k)) bound."""
-        k = self.k if k is None else k
-        if k < 1 or k > self.k:
-            raise ValueError(f"no iterate at k={k}")
-        if k == self.k:
-            idx = self._best_index
-        else:
-            duals = [it.dual_max for it in self.iterates[:k]]
-            idx = int(np.argmin(duals)) + 1
-        it = self.iterates[idx - 1]
-        bound = self.d0 / np.sqrt(k) * self.pointwise_bound_coef()
+        self._require_iterate()
+        k, it = self.k, self._best
+        bound = self.bounds.pointwise_rhs(k)
         checks = {
             "pointwise_res": BoundCheck("pointwise_res", k, it.dual_max, bound),
         }
@@ -450,68 +476,41 @@ class VmPadmmRun:
         if not it.memberships_ok:
             detail = f"membership distances x={it.membership_x}, y={it.membership_y}"
         return KktResidualCertificate(
-            mode="pointwise", k=k, index=idx, x=it.x, y=it.y, gamma_tilde=it.gamma_tilde,
+            mode="pointwise", k=k, index=it.k, x=it.x, y=it.y, gamma_tilde=it.gamma_tilde,
             r_x=it.r_x, r_y=it.r_y, r_gamma=it.r_gamma,
             dual_x=it.dual_x, dual_y=it.dual_y, dual_gamma=it.dual_gamma,
             bound_residual=bound, checks=checks,
             membership_ok=it.memberships_ok, membership_detail=detail,
         )
 
-    def ergodic_averages(self, k: int | None = None):
+    def ergodic_averages(self):
         """((x^a, y^a, gamma~^a), (r^a_x, r^a_y, r^a_g), (eps_x, eps_y)) at k."""
-        k = self.k if k is None else k
-        if k < 1:
-            raise ValueError("ergodic averages require k >= 1")
-        if k == self.k:
-            sums = (
-                self._sum_x, self._sum_y, self._sum_gt,
-                self._sum_rx, self._sum_ry, self._sum_rg,
-                self._dot_sx, self._dot_sy,
-            )
-        else:
-            its = self.iterates[:k]
-            A, B = self.problem.A, self.problem.B
-            sums = (
-                sum(i.x for i in its), sum(i.y for i in its), sum(i.gamma_tilde for i in its),
-                sum(i.r_x for i in its), sum(i.r_y for i in its), sum(i.r_gamma for i in its),
-                sum(float((i.r_x + A.T @ i.gamma_tilde) @ i.x) for i in its),
-                sum(float((i.r_y + B.T @ i.gamma_tilde) @ i.y) for i in its),
-            )
-        sx, sy, sgt, srx, sry, srg, dsx, dsy = sums
-        x_a, y_a, gt_a = sx / k, sy / k, sgt / k
-        rx_a, ry_a, rg_a = srx / k, sry / k, srg / k
+        self._require_iterate()
+        k = self.k
+        x_a, y_a, gt_a = self._sum_x / k, self._sum_y / k, self._sum_gt / k
+        rx_a, ry_a, rg_a = self._sum_rx / k, self._sum_ry / k, self._sum_rg / k
         # eps = (1/k) sum <s_i, x_i> - <mean s, mean x>, s_i = r_{i,x} + A^T gamma~_i
         s_mean_x = rx_a + self.problem.A.T @ gt_a
         s_mean_y = ry_a + self.problem.B.T @ gt_a
-        eps_x = dsx / k - float(s_mean_x @ x_a)
-        eps_y = dsy / k - float(s_mean_y @ y_a)
+        eps_x = self._dot_sx / k - float(s_mean_x @ x_a)
+        eps_y = self._dot_sy / k - float(s_mean_y @ y_a)
         return (x_a, y_a, gt_a), (rx_a, ry_a, rg_a), (eps_x, eps_y)
 
-    def ergodic_kkt_certificate(
-        self,
-        k: int | None = None,
-        sample_count: int = 200,
-        rng: np.random.Generator | None = None,
-        check_memberships: bool = True,
-    ) -> KktResidualCertificate:
+    def ergodic_kkt_certificate(self, rng: np.random.Generator | None = None) -> KktResidualCertificate:
         """Ergodic triple at k with ergodic bounds, eps decomposition against
-        the full-space accumulator, and sampled eps-subdifferential checks."""
-        k = self.k if k is None else k
-        if k < 1 or k > self.k:
-            raise ValueError(f"no iterate at k={k}")
-        (x_a, y_a, gt_a), (rx_a, ry_a, rg_a), (eps_x, eps_y) = self.ergodic_averages(k)
-        it_k = self.iterates[k - 1]
-        R_k, mid_k, gam_k = it_k.M.blocks
+        the full-space accumulator, and, when ``rng`` is given, sampled
+        eps-subdifferential checks."""
+        (x_a, y_a, gt_a), (rx_a, ry_a, rg_a), (eps_x, eps_y) = self.ergodic_averages()
+        k = self.k
+        R_k, mid_k, gam_k = self.hpe.last.M.blocks
         dual_x = R_k.dual_seminorm_general(rx_a)
         dual_y = mid_k.dual_seminorm_general(ry_a)
         dual_g = gam_k.dual_seminorm_general(rg_a)
-        bounds = self.bounds
-        tau = self.params.tau
-        bound_res = float(np.sqrt(1.0 + tau) * bounds.E * self.d0 / k)
-        bound_eps = float((1.0 + tau) * bounds.E_hat * self.d0**2 / k)
+        bound_res = self.bounds.ergodic_res_rhs(k)
+        bound_eps = self.bounds.ergodic_eps_rhs(k)
         scale_x = 1.0 + abs(eps_x)
         scale_y = 1.0 + abs(eps_y)
-        _, _, eps_full = self.hpe.ergodic_point(k)
+        _, _, eps_full = self.hpe.ergodic_point()
         checks = {
             "ergodic_res": BoundCheck("ergodic_res", k, max(dual_x, dual_y, dual_g), bound_res),
             "ergodic_eps": BoundCheck("ergodic_eps", k, eps_x + eps_y, bound_eps),
@@ -528,10 +527,9 @@ class VmPadmmRun:
             ),
         }
         membership_ok, detail = True, ""
-        if check_memberships:
-            rng = np.random.default_rng(k) if rng is None else rng
+        if rng is not None:
             membership_ok, detail = self._eps_membership_check(
-                x_a, y_a, gt_a, rx_a, ry_a, eps_x, eps_y, sample_count, rng
+                x_a, y_a, gt_a, rx_a, ry_a, eps_x, eps_y, rng
             )
         return KktResidualCertificate(
             mode="ergodic", k=k, index=k, x=x_a, y=y_a, gamma_tilde=gt_a,
@@ -541,7 +539,7 @@ class VmPadmmRun:
             checks=checks, membership_ok=membership_ok, membership_detail=detail,
         )
 
-    def _eps_membership_check(self, x_a, y_a, gt_a, rx_a, ry_a, eps_x, eps_y, count, rng):
+    def _eps_membership_check(self, x_a, y_a, gt_a, rx_a, ry_a, eps_x, eps_y, rng):
         """Sampled eps-subdifferential inequality for both blocks:
         f(x') >= f(x^a) + <v, x' - x^a> - eps_x at sampled x' (mirror for g)."""
         problem = self.problem
@@ -550,7 +548,7 @@ class VmPadmmRun:
             (problem.f, x_a, rx_a + problem.A.T @ gt_a, eps_x, "f"),
             (problem.g, y_a, ry_a + problem.B.T @ gt_a, eps_y, "g"),
         ):
-            X = desc.sample_domain(count, point, rng)
+            X = desc.sample_domain(_MEMBERSHIP_SAMPLES, point, rng)
             fvals = desc.values(X)
             base = desc.value(point)
             if not np.isfinite(base):
@@ -561,23 +559,3 @@ class VmPadmmRun:
             if worst < -tol * scale:
                 return False, f"{name}: eps-subdifferential violated by {worst}"
         return True, ""
-
-    # -- driver -------------------------------------------------------------
-
-    def run(self, max_iters: int, rho: float | None = None, eps: float | None = None):
-        """Iterate until the pointwise stop (max dual residual <= rho) and,
-        when eps is given, additionally the ergodic eps-sum stop; returns
-        (first_k_pointwise, first_k_ergodic), either may be None."""
-        first_pw, first_erg = None, None
-        for _ in range(max_iters):
-            self.step()
-            k = self.k
-            if rho is not None and first_pw is None and self._best_dual_max <= rho:
-                first_pw = k
-            if rho is not None and eps is not None and first_erg is None:
-                cert = self.ergodic_kkt_certificate(k, check_memberships=False)
-                if cert.dual_max <= rho and cert.eps_x + cert.eps_y <= eps:
-                    first_erg = k
-            if first_pw is not None and (eps is None or first_erg is not None):
-                break
-        return first_pw, first_erg

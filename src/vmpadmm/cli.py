@@ -3,7 +3,8 @@
 ``solve`` runs one instance with per-iteration verification and writes a CSV
 iteration log plus a JSON verification report; ``batch`` sweeps a corpus of
 instances and writes an aggregate report.  Exit codes: 0 all enabled
-verifications pass, 2 verification failure, 1 I/O or configuration error.
+verifications pass, 2 verification failure, 1 I/O or configuration error or
+an input the solver does not support.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .admm import VmPadmmRun, compute_sigma_theta
+from .admm import SubproblemError, VmPadmmRun, compute_sigma_theta
 from .problems import ProblemSpec, generate, load_problem
 from .schedule import load_schedule
 
@@ -31,7 +32,8 @@ VERIFY_FLAGS = ("hpe", "bounds", "memberships", "fejer")
 
 
 class ConfigError(Exception):
-    """Bad configuration or unreadable/malformed input files (exit 1)."""
+    """Bad configuration, unreadable/malformed input files, or an input the
+    solver does not support (exit 1)."""
 
 
 def parse_generator_spec(spec: str, seed_override: int | None = None) -> ProblemSpec:
@@ -84,7 +86,7 @@ def run_solve(args) -> int:
         schedule = load_schedule(args.schedule, problem.dims, A=problem.A)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ConfigError(f"malformed schedule file {args.schedule}: {exc}") from exc
-    report = schedule.validate(admm_mode=True)
+    report = schedule.validate()
     if not report.ok_for_admm():
         bad = report.sandwich_failures[:3] or [(k, "c") for k in report.c_over_one[:3]]
         raise ConfigError(f"schedule validation failed at (k, family) = {bad}")
@@ -93,14 +95,22 @@ def run_solve(args) -> int:
     except (ValueError, RuntimeError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    iters = min(args.max_iters, schedule.k_max)
-    run = VmPadmmRun(problem, schedule, params)
-    rows, checks = _drive(run, iters, args.rho, args.eps, verify, seed)
-    first_pw = next((r["k"] for r in rows if r["res_max"] <= args.rho), None)
-    first_erg = next(
-        (r["k"] for r in rows if r["erg_res_max"] <= args.rho and r["eps_sum"] <= args.eps),
-        None,
-    )
+    if args.max_iters > schedule.k_max:
+        print(
+            f"warning: --max-iters {args.max_iters} exceeds the schedule horizon "
+            f"k_max={schedule.k_max}; running at most {schedule.k_max} iterations",
+            file=sys.stderr,
+        )
+    try:
+        run = VmPadmmRun(problem, schedule, params)
+    except ValueError as exc:  # the reference solve rejects the problem
+        raise ConfigError(f"reference solve: {exc}") from exc
+    try:
+        rows, checks, last = _drive(
+            run, min(args.max_iters, schedule.k_max), args.rho, args.eps, verify, seed
+        )
+    except SubproblemError as exc:
+        raise ConfigError(f"subproblem: {exc}") from exc
 
     failures = {
         name: [k for k, ok, _ in results if not ok]
@@ -129,8 +139,8 @@ def run_solve(args) -> int:
         "stopping": {
             "rho": args.rho,
             "eps": args.eps,
-            "first_k_pointwise": first_pw if first_pw is not None else "not reached",
-            "first_k_ergodic": first_erg if first_erg is not None else "not reached",
+            "first_k_pointwise": _first_k(last.first_k_pointwise),
+            "first_k_ergodic": _first_k(last.first_k_ergodic),
         },
     }
     _write_csv(args.log, rows)
@@ -138,20 +148,24 @@ def run_solve(args) -> int:
     return 0 if all_pass else 2
 
 
+def _first_k(k):
+    return k if k is not None else "not reached"
+
+
 def _drive(run: VmPadmmRun, iters: int, rho: float, eps: float, verify, seed):
-    """Step the solver, collecting CSV rows and per-k check outcomes."""
+    """Consume the solver's certified steps, collecting CSV rows and per-k
+    check outcomes; returns (rows, checks, last certified step)."""
     rows = []
     checks: dict[str, list] = {f: [] for f in verify}
-    membership_seed = 0 if seed is None else seed
-    stopped_pw = stopped_erg = False
-    for _ in range(iters):
-        it = run.step()
+    membership_seed = None
+    if "memberships" in verify:
+        membership_seed = 0 if seed is None else seed
+    ref = run.reference
+    z_star = np.concatenate([ref.x, ref.y, ref.gamma])
+    step = None
+    for step in run.certified_steps(iters, rho, eps, membership_seed):
+        it, pw, erg = step.iterate, step.pointwise, step.ergodic
         k = it.k
-        pw = run.pointwise_kkt_certificate(k)
-        rng = np.random.default_rng(membership_seed * 100_003 + k)
-        erg = run.ergodic_kkt_certificate(
-            k, rng=rng, check_memberships="memberships" in verify
-        )
         rows.append({
             "k": k,
             "res_x_dual": it.dual_x,
@@ -173,12 +187,7 @@ def _drive(run: VmPadmmRun, iters: int, rho: float, eps: float, verify, seed):
         if "hpe" in verify:
             checks["hpe"].append([k, it.hpe_check.ok, it.hpe_check.slack])
         if "bounds" in verify:
-            for name in ("pointwise_res",):
-                c = pw.checks[name]
-                checks.setdefault("bounds", []).append([k, c.ok, c.slack])
-            for name in ("ergodic_res", "ergodic_eps", "eps_x_nonneg",
-                         "eps_y_nonneg", "eps_decomposition"):
-                c = erg.checks[name]
+            for c in (*pw.checks.values(), *erg.checks.values()):
                 checks["bounds"].append([k, c.ok, c.slack])
         if "memberships" in verify:
             checks["memberships"].append(
@@ -186,15 +195,9 @@ def _drive(run: VmPadmmRun, iters: int, rho: float, eps: float, verify, seed):
                  pw.membership_detail or erg.membership_detail]
             )
         if "fejer" in verify:
-            ref = run.reference
-            z_star = np.concatenate([ref.x, ref.y, ref.gamma])
-            fc = run.hpe.fejer_check(z_star, k)
+            fc = run.hpe.fejer_check(z_star)
             checks["fejer"].append([k, fc.ok, fc.slack])
-        stopped_pw = stopped_pw or pw.dual_max <= rho
-        stopped_erg = stopped_erg or (erg.dual_max <= rho and erg.eps_x + erg.eps_y <= eps)
-        if stopped_pw and stopped_erg:
-            break
-    return rows, checks
+    return rows, checks, step
 
 
 def _write_csv(path, rows):

@@ -144,9 +144,13 @@ def check_error_condition(
 
 
 class HpeState:
-    """A single run: frozen inputs, iterate history, ergodic accumulators."""
+    """A single run: frozen inputs, the latest iterate, running accumulators.
 
-    def __init__(self, z0: np.ndarray, sigma: float, eta0: float, M0=None):
+    Certificates are available at the current iteration only; they are
+    computed from accumulators, so no per-iteration history is kept.
+    """
+
+    def __init__(self, z0: np.ndarray, sigma: float, eta0: float, M0, bounds: RateBounds):
         if not 0.0 <= sigma < 1.0:
             raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
         if eta0 < 0.0:
@@ -155,8 +159,9 @@ class HpeState:
         self.sigma = float(sigma)
         self.eta0 = float(eta0)
         self.M0 = M0
-        self.history: list[HpeIterate] = []
-        self.bounds: RateBounds | None = None
+        self.bounds = bounds
+        self.k = 0
+        self.last: HpeIterate | None = None
         # ergodic accumulators
         self._sum_ztilde = np.zeros_like(self.z0)
         self._sum_r = np.zeros_like(self.z0)
@@ -168,17 +173,10 @@ class HpeState:
         self._fejer_sum = 0.0
 
     @property
-    def k(self) -> int:
-        return len(self.history)
-
-    def set_bounds(self, bounds: RateBounds):
-        self.bounds = bounds
-
-    @property
     def last_eta(self) -> float:
-        return self.history[-1].eta if self.history else self.eta0
+        return self.eta0 if self.last is None else self.last.eta
 
-    def add_iterate(self, it: HpeIterate, tol: float = _ERROR_TOL) -> ErrorCheck:
+    def add_iterate(self, it: HpeIterate) -> ErrorCheck:
         """Validate and absorb one iteration; returns the error-condition check.
 
         Raises on structural defects (bad index, residual not matching its
@@ -191,8 +189,8 @@ class HpeState:
         recon = it.M.apply(it.preimage)
         if np.linalg.norm(recon - it.r) > _RECON_TOL * (1.0 + np.linalg.norm(it.r)):
             raise ValueError("residual does not equal M_k(z_{k-1} - z_k) within tolerance")
-        check = check_error_condition(it, self.sigma, self.last_eta, tol)
-        self.history.append(it)
+        check = check_error_condition(it, self.sigma, self.last_eta)
+        self.k, self.last = it.k, it
         self._sum_ztilde += it.z_tilde
         self._sum_r += it.r
         self._sum_r_dot_ztilde += float(it.r @ it.z_tilde)
@@ -202,45 +200,31 @@ class HpeState:
         self._fejer_sum += it.M.seminorm(it.z_prev - it.z_tilde) ** 2
         return check
 
-    # -- certificates ---------------------------------------------------
+    # -- certificates at the current iteration k -----------------------------
 
-    def pointwise_certificate(self, k: int | None = None):
+    def _require_iterate(self):
+        if self.last is None:
+            raise ValueError("no iterate yet: certificates start at k = 1")
+
+    def pointwise_certificate(self):
         """(best_i, best dual residual norm, theoretical bound at k).
 
         The best index is the argmin of ||r_i||*_{M_i} over i <= k, computed
         through the tracked preimage; smallest index wins ties.
         """
-        k = self.k if k is None else k
-        if k < 1 or k > self.k:
-            raise ValueError(f"no certificate available at k={k}")
-        if self.bounds is None:
-            raise ValueError("rate bounds not set for this run")
-        if k == self.k:
-            best_i, best = self._best_index, self._best_dual
-        else:
-            duals = [it.M.seminorm(it.preimage) for it in self.history[:k]]
-            best_i = int(np.argmin(duals)) + 1
-            best = float(duals[best_i - 1])
-        return best_i, best, self.bounds.pointwise_rhs(k)
+        self._require_iterate()
+        return self._best_index, self._best_dual, self.bounds.pointwise_rhs(self.k)
 
-    def ergodic_point(self, k: int | None = None):
+    def ergodic_point(self):
         """Ergodic averages (z~^a_k, r^a_k, eps^a_k) via the accumulators."""
-        k = self.k if k is None else k
-        if k < 1:
-            raise ValueError("ergodic point requires k >= 1")
-        if k == self.k:
-            zt_a = self._sum_ztilde / k
-            r_a = self._sum_r / k
-            dot = self._sum_r_dot_ztilde / k
-        else:
-            its = self.history[:k]
-            zt_a = sum(it.z_tilde for it in its) / k
-            r_a = sum(it.r for it in its) / k
-            dot = sum(float(it.r @ it.z_tilde) for it in its) / k
-        eps_a = dot - float(r_a @ zt_a)
+        self._require_iterate()
+        k = self.k
+        zt_a = self._sum_ztilde / k
+        r_a = self._sum_r / k
+        eps_a = self._sum_r_dot_ztilde / k - float(r_a @ zt_a)
         return zt_a, r_a, eps_a
 
-    def ergodic_certificate(self, k: int | None = None):
+    def ergodic_certificate(self):
         """Ergodic averages, their dual residual norm at M_k, and bound checks.
 
         Returns (z~^a, r^a, eps^a, dual_res, checks) where checks is a dict of
@@ -249,12 +233,9 @@ class HpeState:
         under different metrics and carries no single preimage; an off-range
         average is flagged as +inf, not fatal.
         """
-        k = self.k if k is None else k
-        if self.bounds is None:
-            raise ValueError("rate bounds not set for this run")
-        zt_a, r_a, eps_a = self.ergodic_point(k)
-        M_k = self.history[k - 1].M
-        dual_res = M_k.dual_seminorm_general(r_a)
+        zt_a, r_a, eps_a = self.ergodic_point()
+        k = self.k
+        dual_res = self.last.M.dual_seminorm_general(r_a)
         scale = 1.0 + abs(eps_a)
         checks = {
             "ergodic_res": BoundCheck("ergodic_res", k, dual_res, self.bounds.ergodic_res_rhs(k)),
@@ -265,40 +246,18 @@ class HpeState:
         }
         return zt_a, r_a, eps_a, dual_res, checks
 
-    def eps_direct(self, k: int | None = None) -> float:
-        """O(k) recomputation of eps^a_k; independent of the accumulators."""
-        k = self.k if k is None else k
-        zt_a = sum(it.z_tilde for it in self.history[:k]) / k
-        return sum(float(it.r @ (it.z_tilde - zt_a)) for it in self.history[:k]) / k
-
-    def fejer_check(
-        self,
-        z_star: np.ndarray,
-        k: int | None = None,
-        tol_abs: float = 1e-8,
-        tol_rel: float = 1e-6,
-    ) -> BoundCheck:
+    def fejer_check(self, z_star: np.ndarray) -> BoundCheck:
         """Metric-drift Fejer bound against a (near-)solution z_star:
 
             ||z*-z_k||^2_{M_k} + eta_k + (1-sigma) sum_i ||z_{i-1}-z~_i||^2_{M_i}
                 <= C_P (||z*-z_0||^2_{M_0} + eta_0).
         """
-        k = self.k if k is None else k
-        if self.bounds is None:
-            raise ValueError("rate bounds not set for this run")
-        if self.M0 is None:
-            raise ValueError("M0 required for the Fejer check")
+        self._require_iterate()
         z_star = np.asarray(z_star, dtype=float)
-        if k == self.k:
-            fsum = self._fejer_sum
-        else:
-            fsum = sum(
-                it.M.seminorm(it.z_prev - it.z_tilde) ** 2 for it in self.history[:k]
-            )
-        it_k = self.history[k - 1]
-        lhs = it_k.M.seminorm(z_star - it_k.z) ** 2 + it_k.eta + (1.0 - self.sigma) * fsum
+        it_k = self.last
+        lhs = it_k.M.seminorm(z_star - it_k.z) ** 2 + it_k.eta + (1.0 - self.sigma) * self._fejer_sum
         rhs = self.bounds.C_P * (self.M0.seminorm(z_star - self.z0) ** 2 + self.eta0)
-        return BoundCheck("fejer", k, lhs, rhs, tol_abs=tol_abs, tol_rel=tol_rel)
+        return BoundCheck("fejer", self.k, lhs, rhs, tol_abs=1e-8, tol_rel=1e-6)
 
 
 def transportation_check(

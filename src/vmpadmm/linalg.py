@@ -16,9 +16,6 @@ import numpy as np
 __all__ = [
     "PsdOperator",
     "BlockDiagOperator",
-    "seminorm",
-    "dual_seminorm_of_image",
-    "dual_seminorm_general",
     "operator_leq",
     "block_diag",
     "identity",
@@ -86,13 +83,6 @@ class PsdOperator:
         if q < -bound:
             raise ValueError(f"negative quadratic form {q}: operator is not PSD")
         return np.sqrt(max(q, 0.0))
-
-    def dual_seminorm_of_image(self, w: np.ndarray) -> float:
-        """Dual seminorm of ``M w`` given its preimage ``w``.
-
-        Equals ``||w||_M``; always finite because ``M w`` lies in range(M).
-        """
-        return self.seminorm(w)
 
     def dual_seminorm_general(self, r: np.ndarray, tol: float = _RANGE_TOL) -> float:
         """Dual seminorm of an arbitrary vector, +inf off range(M).
@@ -174,9 +164,6 @@ class BlockDiagOperator:
             np.sqrt(sum(b.seminorm(p) ** 2 for b, p in zip(self.blocks, parts)))
         )
 
-    def dual_seminorm_of_image(self, w: np.ndarray) -> float:
-        return self.seminorm(w)
-
     def dual_seminorm_general(self, r: np.ndarray, tol: float = _RANGE_TOL) -> float:
         parts = self.split(r)
         vals = [b.dual_seminorm_general(p, tol) for b, p in zip(self.blocks, parts)]
@@ -189,18 +176,6 @@ class BlockDiagOperator:
         if z.shape != (self.dim,):
             raise ValueError(f"vector of shape {z.shape} vs operator dim {self.dim}")
         return z
-
-
-def seminorm(M, z) -> float:
-    return M.seminorm(np.asarray(z, dtype=float))
-
-
-def dual_seminorm_of_image(M, w) -> float:
-    return M.dual_seminorm_of_image(np.asarray(w, dtype=float))
-
-
-def dual_seminorm_general(M, r, tol: float = _RANGE_TOL) -> float:
-    return M.dual_seminorm_general(np.asarray(r, dtype=float), tol)
 
 
 def operator_leq(M: PsdOperator, N: PsdOperator, slack_tol: float = _PSD_TOL) -> bool:

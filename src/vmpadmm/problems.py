@@ -21,13 +21,20 @@ __all__ = [
     "generate",
     "kkt_residual",
     "reference_solve",
-    "subgradient_sample",
     "plain_admm",
     "load_problem",
     "problem_from_dict",
 ]
 
 _KINDS = ("zero", "quadratic", "l1", "box")
+
+
+def _finite(name: str, value) -> np.ndarray:
+    """``value`` as a float array; rejects NaN and +-inf entries."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has non-finite entries")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -53,8 +60,8 @@ class FunctionDescriptor:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.kind == "quadratic":
-            Q = np.asarray(self.Q, dtype=float)
-            q = np.asarray(self.q, dtype=float)
+            Q = _finite("Q", self.Q)
+            q = _finite("q", self.q)
             if Q.shape != (self.dim, self.dim) or q.shape != (self.dim,):
                 raise ValueError("quadratic descriptor has inconsistent shapes")
             if np.abs(Q - Q.T).max(initial=0.0) > 1e-10 * max(1.0, np.abs(Q).max()):
@@ -64,11 +71,11 @@ class FunctionDescriptor:
             object.__setattr__(self, "Q", Q)
             object.__setattr__(self, "q", q)
         elif self.kind == "l1":
-            if self.lam is None or self.lam <= 0:
-                raise ValueError("l1 descriptor requires lam > 0")
+            if self.lam is None or not 0 < self.lam < np.inf:
+                raise ValueError("l1 descriptor requires a finite lambda > 0")
         elif self.kind == "box":
-            lo = np.asarray(self.lower, dtype=float)
-            hi = np.asarray(self.upper, dtype=float)
+            lo = _finite("l", self.lower)
+            hi = _finite("u", self.upper)
             if lo.shape != (self.dim,) or hi.shape != (self.dim,):
                 raise ValueError("box bounds have inconsistent shapes")
             if np.any(lo > hi):
@@ -206,9 +213,9 @@ class ProblemSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        A = _finite("A", self.A)
+        B = _finite("B", self.B)
+        b = _finite("b", self.b)
         m = b.shape[0]
         if A.shape != (m, self.f.dim) or B.shape != (m, self.g.dim):
             raise ValueError("A/B/b dimensions are inconsistent with f and g")
@@ -320,10 +327,6 @@ def kkt_residual(problem: ProblemSpec, x, y, gamma) -> tuple[float, float, float
     res_y = problem.g.membership_distance(problem.B.T @ gamma, y)
     res_g = float(np.linalg.norm(problem.A @ x + problem.B @ y - problem.b))
     return res_x, res_y, res_g
-
-
-def subgradient_sample(descriptor: FunctionDescriptor, x, rng=None) -> np.ndarray:
-    return descriptor.subgradient(x, rng=rng)
 
 
 def _prox_step(desc: FunctionDescriptor, G_diag: np.ndarray, q_lin: np.ndarray) -> np.ndarray:

@@ -180,16 +180,16 @@ class MetricSchedule:
             raise ValueError(f"iteration index {k} outside horizon [0, {self.k_max}]")
         return self._h[k], self._r[k], self._s[k]
 
-    def validate(self, admm_mode: bool = True) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         """Check the two-sided sandwich for every k and family, and the
-        drift-sum caps.  Failures are reported, not raised."""
+        drift-sum caps (the solver needs every c_k <= 1).  Failures are
+        reported, not raised."""
         rep = ValidationReport()
         rep.c_sum = float(self.c_seq.sum())
         rep.c_prod = float(np.prod(1.0 + self.c_seq))
         rep.C_S = self.C_S
         rep.C_P = self.C_P
-        if admm_mode:
-            rep.c_over_one = [int(k) for k in np.nonzero(self.c_seq > 1.0)[0]]
+        rep.c_over_one = [int(k) for k in np.nonzero(self.c_seq > 1.0)[0]]
         for k in range(self.k_max):
             c = float(self.c_seq[k])
             for name, fam in (("H", self._h), ("R", self._r), ("S", self._s)):

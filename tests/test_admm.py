@@ -152,77 +152,120 @@ class TestStandardAdmmReduction:
 
 
 class TestRunInternals:
+    """Certificates are read while stepping and checked at every k against
+    O(k) recomputations from the iterates recorded here."""
+
     def setup_method(self):
         self.p = generate("lasso", (10, 5), 7)
         self.sched = constant_schedule(self.p.dims, 60, h_scale=1.0)
         self.params = compute_sigma_theta(1.0)
         self.run = VmPadmmRun(self.p, self.sched, self.params)
-        for _ in range(50):
-            self.run.step()
+        self.iterates, self.pointwise, self.ergodic = [], [], []
+        self.averages, self.eps_full, self.hpe_eps_direct = [], [], []
+        z_tildes, residuals = [], []
+        for k in range(1, 51):
+            it = self.run.step()
+            self.iterates.append(it)
+            self.pointwise.append(self.run.pointwise_kkt_certificate())
+            self.ergodic.append(self.run.ergodic_kkt_certificate())
+            self.averages.append(self.run.ergodic_averages())
+            self.eps_full.append(self.run.hpe.ergodic_point()[2])
+            last = self.run.hpe.last
+            z_tildes.append(last.z_tilde)
+            residuals.append(last.r)
+            zt_a = sum(z_tildes) / k
+            self.hpe_eps_direct.append(sum(float(r @ (zt - zt_a)) for r, zt in zip(residuals, z_tildes)) / k)
 
     def test_eta_formula_recomputed(self):
         p = self.params
-        for it in self.run.iterates[:10]:
+        for it in self.iterates[:10]:
             gam = it.M.blocks[2]
+            S_k = self.sched.realize(it.k)[2]
             expected = (
                 (p.sigma - (p.theta - 1.0) ** 2) / p.theta**2 * gam.seminorm(it.dgamma) ** 2
-                + np.sqrt(2.0) * (p.sigma + p.theta - 1.0) / p.theta * it.S.seminorm(it.dy) ** 2
+                + np.sqrt(2.0) * (p.sigma + p.theta - 1.0) / p.theta * S_k.seminorm(it.dy) ** 2
             )
             assert it.eta == pytest.approx(expected, rel=1e-12)
 
     def test_gamma_residual_equals_primal_residual(self):
-        for it in self.run.iterates:
+        for it in self.iterates:
             primal = self.p.A @ it.x + self.p.B @ it.y - self.p.b
             np.testing.assert_allclose(it.r_gamma, primal, atol=1e-12)
 
     def test_metric_seminorm_decomposes_over_blocks(self):
-        for it in self.run.iterates[:5]:
+        for it in self.iterates[:5]:
             z = np.concatenate([it.dx, it.dy, it.dgamma])
             total = it.M.seminorm(z) ** 2
             parts = it.dual_x**2 + it.dual_y**2 + it.dual_gamma**2
             assert total == pytest.approx(parts, rel=1e-10, abs=1e-14)
 
     def test_hpe_condition_holds_throughout(self):
-        assert all(it.hpe_check.ok for it in self.run.iterates)
+        assert all(it.hpe_check.ok for it in self.iterates)
 
     def test_pointwise_certificate_monotone_best(self):
-        best = [self.run.pointwise_kkt_certificate(k).dual_max for k in (1, 10, 30, 50)]
+        best = [self.pointwise[k - 1].dual_max for k in (1, 10, 30, 50)]
         assert all(b <= a + 1e-15 for a, b in zip(best, best[1:]))
-        cert = self.run.pointwise_kkt_certificate()
+        for k, cert in enumerate(self.pointwise, start=1):
+            duals = [it.dual_max for it in self.iterates[:k]]
+            assert cert.index == int(np.argmin(duals)) + 1
+            assert cert.dual_max == min(duals)
+        cert = self.pointwise[-1]
         assert cert.dual_max <= cert.bound_residual
         assert cert.membership_ok
 
     def test_ergodic_eps_decomposition(self):
-        for k in (1, 7, 50):
-            cert = self.run.ergodic_kkt_certificate(k, check_memberships=False)
-            _, _, eps_full = self.run.hpe.ergodic_point(k)
+        for k in range(1, 51):
+            cert, eps_full = self.ergodic[k - 1], self.eps_full[k - 1]
             assert eps_full == pytest.approx(cert.eps_x + cert.eps_y, abs=1e-9 * (1 + abs(eps_full)))
             assert cert.checks["eps_decomposition"].ok
+            assert eps_full == pytest.approx(self.hpe_eps_direct[k - 1], abs=1e-12)
 
     def test_ergodic_accumulators_match_recomputation(self):
-        late = self.run.ergodic_averages(50)
-        direct = self.run.ergodic_averages(50 if self.run.k == 50 else None)
-        # force the O(k) path by asking for an interior k
-        interior = self.run.ergodic_averages(49)
-        its = self.run.iterates[:49]
-        np.testing.assert_allclose(interior[0][0], sum(i.x for i in its) / 49, atol=1e-12)
-        np.testing.assert_allclose(late[1][2], sum(i.r_gamma for i in self.run.iterates) / 50, atol=1e-12)
+        A, B = self.p.A, self.p.B
+        for k in range(1, 51):
+            its = self.iterates[:k]
+            (x_a, y_a, gt_a), (rx_a, ry_a, rg_a), (eps_x, eps_y) = self.averages[k - 1]
+            np.testing.assert_allclose(x_a, sum(i.x for i in its) / k, atol=1e-12)
+            np.testing.assert_allclose(y_a, sum(i.y for i in its) / k, atol=1e-12)
+            np.testing.assert_allclose(gt_a, sum(i.gamma_tilde for i in its) / k, atol=1e-12)
+            np.testing.assert_allclose(rx_a, sum(i.r_x for i in its) / k, atol=1e-12)
+            np.testing.assert_allclose(ry_a, sum(i.r_y for i in its) / k, atol=1e-12)
+            np.testing.assert_allclose(rg_a, sum(i.r_gamma for i in its) / k, atol=1e-12)
+            dsx = sum(float((i.r_x + A.T @ i.gamma_tilde) @ i.x) for i in its) / k
+            dsy = sum(float((i.r_y + B.T @ i.gamma_tilde) @ i.y) for i in its) / k
+            assert eps_x == pytest.approx(dsx - float((rx_a + A.T @ gt_a) @ x_a), abs=1e-12)
+            assert eps_y == pytest.approx(dsy - float((ry_a + B.T @ gt_a) @ y_a), abs=1e-12)
 
     def test_membership_certificates_sampled(self):
-        cert = self.run.ergodic_kkt_certificate(50, rng=np.random.default_rng(0))
+        cert = self.run.ergodic_kkt_certificate(rng=np.random.default_rng(0))
+        assert cert.k == 50
         assert cert.membership_ok, cert.membership_detail
 
     def test_run_stopping(self):
         run = VmPadmmRun(self.p, constant_schedule(self.p.dims, 400, h_scale=1.0), self.params)
-        first_pw, first_erg = run.run(max_iters=400, rho=1e-3, eps=1e-3)
+        steps = list(run.certified_steps(400, rho=1e-3, eps=1e-3))
+        last = steps[-1]
+        first_pw, first_erg = last.first_k_pointwise, last.first_k_ergodic
         assert first_pw is not None and first_pw <= 400
         assert first_erg is None or first_erg >= first_pw or first_erg > 0
+        # the rules as stated, recomputed from the yielded certificates
+        assert first_pw == next(s.iterate.k for s in steps if s.pointwise.dual_max <= 1e-3)
+        erg_ok = [s.iterate.k for s in steps
+                  if s.ergodic.dual_max <= 1e-3 and s.ergodic.eps_x + s.ergodic.eps_y <= 1e-3]
+        assert first_erg == (erg_ok[0] if erg_ok else None)
+        # the loop stops right after both rules have held, or at max_iters
+        assert last.iterate.k == (max(first_pw, first_erg) if first_erg else 400)
 
     def test_schedule_horizon_guard(self):
         run = VmPadmmRun(self.p, constant_schedule(self.p.dims, 2, h_scale=1.0), self.params)
         run.step(), run.step()
         with pytest.raises(ValueError, match="k_max"):
             run.step()
+
+    def test_certificates_need_an_iterate(self):
+        run = VmPadmmRun(self.p, self.sched, self.params)
+        with pytest.raises(ValueError, match="no iterate"):
+            run.pointwise_kkt_certificate()
 
 
 class TestD0:

@@ -67,6 +67,9 @@ class TestSolveCommand:
         assert report["iterations"] == 60
         for key in ("sigma_theta", "tau_theta", "C_S", "C_P", "E", "E_hat", "d0_upper_bound"):
             assert key in report["constants"]
+        # every check the certificates compute is recorded: one pointwise and
+        # six ergodic bound checks per k, primal_avg_identity included
+        assert len(report["checks"]["bounds"]) == 7 * 60
 
     def test_bounds_dominate_residuals(self, schedule_file, tmp_path):
         main(solve_args(schedule_file, tmp_path))
@@ -100,7 +103,78 @@ class TestSolveCommand:
         assert report["problem"].endswith("-s3")
 
 
+    def test_horizon_truncation_is_reported(self, tmp_path, capsys):
+        sched = tmp_path / "short.json"
+        sched.write_text(json.dumps(dict(CONSTANT_SCHEDULE, k_max=50)))
+        assert main(solve_args(str(sched), tmp_path, max_iters="2000")) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--max-iters 2000" in err and "k_max=50" in err
+        report = json.loads((tmp_path / "run.json").read_text())
+        assert report["iterations"] == 50 and report["max_iters"] == 2000
+        assert main(solve_args(str(sched), tmp_path, tag="fits", max_iters="50")) == 0
+        assert capsys.readouterr().err == ""
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def l1_problem(tmp_path):
+    """An l1 x-block: the solver needs a linearized R, and the reference
+    solve does not support a nonsmooth f."""
+    A = [[1.0, 0.5, 0.0, 0.2], [0.0, 1.0, 0.3, 0.0], [0.4, 0.0, 1.0, 0.1]]
+    doc = {
+        "A": A, "B": [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]], "b": [0.0, 0.0, 0.0],
+        "f": {"type": "l1", "lambda": 0.1},
+        "g": {"type": "quadratic", "Q": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+              "q": [1.0, -1.0, 0.5]},
+    }
+    return write_json(tmp_path / "l1.json", doc)
+
+
+def linearized_schedule(tmp_path):
+    cfg = dict(CONSTANT_SCHEDULE, R={"type": "linearized", "tau": 6.0})
+    return write_json(tmp_path / "linearized.json", cfg)
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("key,value", [
+        ("A", [[float("nan"), 0.0], [0.0, 1.0]]),
+        ("b", [1.0, float("inf")]),
+        ("f", {"type": "l1", "lambda": float("nan")}),
+        ("g", {"type": "box", "l": [float("-inf"), 0.0], "u": [1.0, 1.0]}),
+    ])
+    def test_non_finite_input_rejected(self, schedule_file, tmp_path, capsys, key, value):
+        doc = {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 1.0],
+               "f": {"type": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0]},
+               "g": {"type": "zero"}}
+        doc[key] = value
+        problem = write_json(tmp_path / "nan.json", doc)  # json writes NaN/Infinity literals
+        assert main(solve_args(schedule_file, tmp_path, problem=problem)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite" in err or "finite lambda" in err
+
+    def test_unsupported_reference_is_one_line(self, tmp_path, capsys):
+        args = solve_args(linearized_schedule(tmp_path), tmp_path, problem=l1_problem(tmp_path))
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "reference solve" in err and "quadratic/zero f only" in err
+
+    def test_unsupported_subproblem_is_one_line(self, tmp_path, capsys):
+        # a dense S makes the box y-subproblem non-separable
+        dense = [[1.0 if i == j else 0.1 for j in range(5)] for i in range(5)]
+        sched = write_json(tmp_path / "dense_s.json",
+                           dict(CONSTANT_SCHEDULE, S={"type": "dense", "matrix": dense}))
+        assert main(solve_args(sched, tmp_path, problem="gen:box_qp:10:2")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "subproblem" in err and "diagonal" in err
+
+
     def test_missing_problem_file(self, schedule_file, tmp_path, capsys):
         code = main(solve_args(schedule_file, tmp_path, problem=str(tmp_path / "nope.json")))
         assert code == 1
@@ -167,6 +241,18 @@ class TestBatchCommand:
         agg = json.loads((tmp_path / "batch2" / "aggregate.json").read_text())
         assert agg["instances"][0]["all_pass"] is True
         assert "error" in agg["instances"][1]
+
+    def test_unsupported_instance_recorded(self, tmp_path):
+        corpus = write_json(tmp_path / "corpus.json", [l1_problem(tmp_path), "gen:lasso:8x4:1"])
+        code = main([
+            "batch", "--corpus", corpus, "--schedule", linearized_schedule(tmp_path),
+            "--theta", "1.0", "--max-iters", "30", "--out-dir", str(tmp_path / "b4"),
+        ])
+        assert code == 2  # one instance errored; the other still ran
+        agg = json.loads((tmp_path / "b4" / "aggregate.json").read_text())
+        assert agg["instances"][0]["exit"] == 1
+        assert "reference solve" in agg["instances"][0]["error"]
+        assert agg["instances"][1]["all_pass"] is True
 
     def test_empty_corpus(self, schedule_file, tmp_path, capsys):
         corpus = tmp_path / "empty.json"

@@ -19,9 +19,14 @@ def affine_map(rng, dim):
     return G, c, np.linalg.solve(G, c)
 
 
-def exact_prox_run(G, c, M, z0, steps, sigma=0.0):
-    """Exact proximal-point iterations: M(z_{k-1} - z_k) = T(z_k), z~ = z."""
-    state = HpeState(z0, sigma, eta0=0.0, M0=M)
+def exact_prox_steps(G, c, M, z0, steps, sigma=0.0, bounds=None):
+    """Exact proximal-point iterations: M(z_{k-1} - z_k) = T(z_k), z~ = z.
+
+    Yields (state, iterate) after each accepted step, so certificates can be
+    read at every k.
+    """
+    bounds = RateBounds(d0=10.0, sigma=sigma, C_S=0.0, C_P=1.0) if bounds is None else bounds
+    state = HpeState(z0, sigma, 0.0, M, bounds)
     z = z0.copy()
     for k in range(1, steps + 1):
         z_new = np.linalg.solve(M.matrix + G, M.matrix @ z + c)
@@ -30,7 +35,21 @@ def exact_prox_run(G, c, M, z0, steps, sigma=0.0):
         check = state.add_iterate(it)
         assert check.ok
         z = z_new
+        yield state, it
+
+
+def exact_prox_run(G, c, M, z0, steps, sigma=0.0):
+    """The state after ``steps`` exact proximal-point iterations."""
+    for state, _ in exact_prox_steps(G, c, M, z0, steps, sigma):
+        pass
     return state
+
+
+def eps_direct(iterates):
+    """O(k) recomputation of eps^a_k, independent of the accumulators."""
+    k = len(iterates)
+    zt_a = sum(it.z_tilde for it in iterates) / k
+    return sum(float(it.r @ (it.z_tilde - zt_a)) for it in iterates) / k
 
 
 class TestErrorCondition:
@@ -72,7 +91,8 @@ class TestErrorCondition:
 class TestStateValidation:
     def setup_method(self):
         self.M = identity(2, 1.0)
-        self.state = HpeState(np.zeros(2), sigma=0.5, eta0=0.0, M0=self.M)
+        self.bounds = RateBounds(d0=1.0, sigma=0.5, C_S=0.0, C_P=1.0)
+        self.state = HpeState(np.zeros(2), 0.5, 0.0, self.M, self.bounds)
 
     def _iterate(self, k, eta=0.0, r=None):
         pre = np.ones(2)
@@ -94,7 +114,7 @@ class TestStateValidation:
 
     def test_bad_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
-            HpeState(np.zeros(2), sigma=1.0, eta0=0.0)
+            HpeState(np.zeros(2), 1.0, 0.0, self.M, self.bounds)
 
 
 class TestProximalPointReduction:
@@ -103,39 +123,45 @@ class TestProximalPointReduction:
         G, c, z_star = affine_map(rng, 5)
         M = identity(5, 3.0)
         z0 = z_star + rng.normal(size=5)
-        state = exact_prox_run(G, c, M, z0, steps=60)
         d0 = M.seminorm(z0 - z_star)
-        state.set_bounds(RateBounds(d0=d0, sigma=0.0, C_S=0.0, C_P=1.0))
-        dists = [M.seminorm(it.z - z_star) for it in state.history]
-        assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
-        for k in (1, 10, 60):
-            _, best, bound = state.pointwise_certificate(k)
+        bounds = RateBounds(d0=d0, sigma=0.0, C_S=0.0, C_P=1.0)
+        dists = []
+        for state, it in exact_prox_steps(G, c, M, z0, steps=60, bounds=bounds):
+            dists.append(M.seminorm(it.z - z_star))
+            _, best, bound = state.pointwise_certificate()
             assert best <= bound
-            _, _, eps_a, dual, checks = state.ergodic_certificate(k)
+            _, _, eps_a, dual, checks = state.ergodic_certificate()
             assert all(ch.ok for ch in checks.values())
             assert dual <= checks["ergodic_res"].rhs
-            assert state.fejer_check(z_star, k).ok
+            assert state.fejer_check(z_star).ok
+        assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
 
     def test_pointwise_best_index_is_argmin(self):
         rng = np.random.default_rng(9)
         G, c, _ = affine_map(rng, 3)
         M = identity(3, 1.0)
-        state = exact_prox_run(G, c, M, rng.normal(size=3), steps=15)
-        state.set_bounds(RateBounds(d0=10.0, sigma=0.0, C_S=0.0, C_P=1.0))
-        duals = [it.M.seminorm(it.preimage) for it in state.history]
-        best_i, best, _ = state.pointwise_certificate(15)
-        assert best_i == int(np.argmin(duals)) + 1
-        assert best == pytest.approx(min(duals))
+        duals = []
+        for state, it in exact_prox_steps(G, c, M, rng.normal(size=3), steps=15):
+            duals.append(it.M.seminorm(it.preimage))
+            best_i, best, _ = state.pointwise_certificate()
+            assert best_i == int(np.argmin(duals)) + 1
+            assert best == pytest.approx(min(duals))
+
+    def test_certificates_need_an_iterate(self):
+        state = HpeState(np.zeros(2), 0.5, 0.0, identity(2), RateBounds(1.0, 0.5, 0.0, 1.0))
+        with pytest.raises(ValueError, match="no iterate"):
+            state.ergodic_point()
 
 
 class TestErgodicAccumulators:
     def test_accumulator_matches_direct_eps(self):
         rng = np.random.default_rng(11)
         G, c, _ = affine_map(rng, 4)
-        state = exact_prox_run(G, c, identity(4, 1.0), rng.normal(size=4), steps=25)
-        for k in (1, 5, 25):
-            _, _, eps_a = state.ergodic_point(k)
-            assert eps_a == pytest.approx(state.eps_direct(k), abs=1e-12)
+        history = []
+        for state, it in exact_prox_steps(G, c, identity(4, 1.0), rng.normal(size=4), steps=25):
+            history.append(it)
+            _, _, eps_a = state.ergodic_point()
+            assert eps_a == pytest.approx(eps_direct(history), abs=1e-12)
 
     def test_eps_nonnegative_for_monotone_map(self):
         rng = np.random.default_rng(13)

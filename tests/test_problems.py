@@ -10,7 +10,6 @@ from vmpadmm.problems import (
     plain_admm,
     problem_from_dict,
     reference_solve,
-    subgradient_sample,
 )
 
 
@@ -113,20 +112,20 @@ class TestSubgradients:
     def test_quadratic_gradient(self):
         desc = FunctionDescriptor("quadratic", 2, Q=np.diag([2.0, 4.0]), q=np.array([1.0, 0.0]))
         np.testing.assert_allclose(
-            subgradient_sample(desc, np.array([1.0, 1.0])), [3.0, 4.0]
+            desc.subgradient(np.array([1.0, 1.0])), [3.0, 4.0]
         )
 
     def test_l1_sign_pattern(self):
         desc = FunctionDescriptor("l1", 3, lam=1.0)
         np.testing.assert_allclose(
-            subgradient_sample(desc, np.array([2.0, 0.0, -1.0])), [1.0, 0.0, -1.0]
+            desc.subgradient(np.array([2.0, 0.0, -1.0])), [1.0, 0.0, -1.0]
         )
 
     def test_box_interior_zero_and_outside_errors(self):
         desc = FunctionDescriptor("box", 2, lower=-np.ones(2), upper=np.ones(2))
-        np.testing.assert_array_equal(subgradient_sample(desc, np.zeros(2)), np.zeros(2))
+        np.testing.assert_array_equal(desc.subgradient(np.zeros(2)), np.zeros(2))
         with pytest.raises(ValueError, match="outside"):
-            subgradient_sample(desc, np.array([2.0, 0.0]))
+            desc.subgradient(np.array([2.0, 0.0]))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from(["zero", "quadratic", "l1", "box"]))

@@ -67,7 +67,7 @@ class TestDrift:
 
     def test_c_over_one_flagged(self):
         sched = drift_schedule((2, 2, 2), 5, c0=2.0)
-        rep = sched.validate(admm_mode=True)
+        rep = sched.validate()
         assert 0 in rep.c_over_one
         assert not rep.ok_for_admm()
 
