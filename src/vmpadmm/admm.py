@@ -149,36 +149,33 @@ def _solve_structured(desc, G: np.ndarray, q_lin: np.ndarray) -> np.ndarray:
     return np.clip(-q_lin / d, desc.lower, desc.upper)
 
 
-def solve_x_subproblem(problem, x_prev, y_prev, gamma_prev, H_k, R_k, tol=_MEMBERSHIP_TOL):
-    """Exact x-update; verifies first-order optimality via the f-oracle."""
-    A, B, b = problem.A, problem.B, problem.b
+def _solve_block(desc, N, shift, gamma_prev, H_k, P_k, prev, name):
+    """argmin desc(u) - <gamma_prev, N u> + 0.5||N u + shift||^2_{H_k}
+    + 0.5||u - prev||^2_{P_k}; verifies first-order optimality via the
+    oracle of ``desc``."""
     Hm = H_k.matrix
-    G = A.T @ Hm @ A + R_k.matrix
+    G = N.T @ Hm @ N + P_k.matrix
     G = 0.5 * (G + G.T)
-    q_lin = -A.T @ gamma_prev + A.T @ (Hm @ (B @ y_prev - b)) - R_k.matrix @ x_prev
-    x = _solve_structured(problem.f, G, q_lin)
-    v = -(G @ x + q_lin)
+    q_lin = -N.T @ gamma_prev + N.T @ (Hm @ shift) - P_k.matrix @ prev
+    u = _solve_structured(desc, G, q_lin)
+    v = -(G @ u + q_lin)
     scale = 1.0 + np.linalg.norm(v)
-    dist = problem.f.membership_distance(v, x)
-    if dist > tol * scale:
-        raise SubproblemError(f"x-subproblem optimality violated: distance {dist}")
-    return x
+    dist = desc.membership_distance(v, u)
+    if dist > _MEMBERSHIP_TOL * scale:
+        raise SubproblemError(f"{name}-subproblem optimality violated: distance {dist}")
+    return u
 
 
-def solve_y_subproblem(problem, x_k, y_prev, gamma_prev, H_k, S_k, tol=_MEMBERSHIP_TOL):
+def solve_x_subproblem(problem, x_prev, y_prev, gamma_prev, H_k, R_k):
+    """Exact x-update under (f, A, R_k)."""
+    A, B, b = problem.A, problem.B, problem.b
+    return _solve_block(problem.f, A, B @ y_prev - b, gamma_prev, H_k, R_k, x_prev, "x")
+
+
+def solve_y_subproblem(problem, x_k, y_prev, gamma_prev, H_k, S_k):
     """Exact y-update; mirror of the x-update with (g, B, S_k)."""
     A, B, b = problem.A, problem.B, problem.b
-    Hm = H_k.matrix
-    G = B.T @ Hm @ B + S_k.matrix
-    G = 0.5 * (G + G.T)
-    q_lin = -B.T @ gamma_prev + B.T @ (Hm @ (A @ x_k - b)) - S_k.matrix @ y_prev
-    y = _solve_structured(problem.g, G, q_lin)
-    v = -(G @ y + q_lin)
-    scale = 1.0 + np.linalg.norm(v)
-    dist = problem.g.membership_distance(v, y)
-    if dist > tol * scale:
-        raise SubproblemError(f"y-subproblem optimality violated: distance {dist}")
-    return y
+    return _solve_block(problem.g, B, A @ x_k - b, gamma_prev, H_k, S_k, y_prev, "y")
 
 
 def update_multiplier(problem, gamma_prev, H_k, theta, x_k, y_k, y_prev):

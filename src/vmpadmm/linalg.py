@@ -26,6 +26,7 @@ _SYMMETRY_TOL = 1e-12
 _PSD_TOL = 1e-10
 _DEFINITE_TOL = 1e-12
 _RANGE_TOL = 1e-8
+_COND_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,6 @@ class PsdOperator:
 
     matrix: np.ndarray
     definite: bool = False
-    symmetry_tol: float = _SYMMETRY_TOL
-    label: str = ""
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -46,7 +45,7 @@ class PsdOperator:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
         scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-        if np.abs(m - m.T).max(initial=0.0) > self.symmetry_tol * scale:
+        if np.abs(m - m.T).max(initial=0.0) > _SYMMETRY_TOL * scale:
             raise ValueError("operator matrix is not symmetric within tolerance")
         lo, hi = self._eig_extremes
         if lo < -_PSD_TOL * max(1.0, hi):
@@ -84,11 +83,11 @@ class PsdOperator:
             raise ValueError(f"negative quadratic form {q}: operator is not PSD")
         return np.sqrt(max(q, 0.0))
 
-    def dual_seminorm_general(self, r: np.ndarray, tol: float = _RANGE_TOL) -> float:
+    def dual_seminorm_general(self, r: np.ndarray) -> float:
         """Dual seminorm of an arbitrary vector, +inf off range(M).
 
         Projects onto the eigenbasis; if the component of ``r`` outside
-        range(M) exceeds ``tol * ||r||`` the dual seminorm is infinite.
+        range(M) exceeds ``1e-8 * ||r||`` the dual seminorm is infinite.
         """
         r = self._check_dim(r)
         rnorm = float(np.linalg.norm(r))
@@ -98,19 +97,19 @@ class PsdOperator:
         cutoff = max(float(w[-1]), 0.0) * self.dim * 1e-14
         pos = w > cutoff
         coeffs = v.T @ r
-        if float(np.linalg.norm(coeffs[~pos])) > tol * rnorm:
+        if float(np.linalg.norm(coeffs[~pos])) > _RANGE_TOL * rnorm:
             return np.inf
         return float(np.sqrt((coeffs[pos] ** 2 / w[pos]).sum()))
 
-    def inverse(self, cond_cap: float = 1e12) -> "PsdOperator":
+    def inverse(self) -> "PsdOperator":
         """Inverse via eigendecomposition; requires a definite operator."""
         w, v = self._eig
-        if w[0] <= 0.0 or w[-1] / w[0] > cond_cap:
+        if w[0] <= 0.0 or w[-1] / w[0] > _COND_CAP:
             raise ValueError(
                 f"operator is too ill-conditioned to invert (eigenvalues {w[0]}..{w[-1]})"
             )
         inv = (v / w) @ v.T
-        return PsdOperator(0.5 * (inv + inv.T), definite=True, label=self.label)
+        return PsdOperator(0.5 * (inv + inv.T), definite=True)
 
     def _check_dim(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -164,9 +163,9 @@ class BlockDiagOperator:
             np.sqrt(sum(b.seminorm(p) ** 2 for b, p in zip(self.blocks, parts)))
         )
 
-    def dual_seminorm_general(self, r: np.ndarray, tol: float = _RANGE_TOL) -> float:
+    def dual_seminorm_general(self, r: np.ndarray) -> float:
         parts = self.split(r)
-        vals = [b.dual_seminorm_general(p, tol) for b, p in zip(self.blocks, parts)]
+        vals = [b.dual_seminorm_general(p) for b, p in zip(self.blocks, parts)]
         if any(np.isinf(v) for v in vals):
             return np.inf
         return float(np.sqrt(sum(v**2 for v in vals)))
@@ -178,14 +177,15 @@ class BlockDiagOperator:
         return z
 
 
-def operator_leq(M: PsdOperator, N: PsdOperator, slack_tol: float = _PSD_TOL) -> bool:
-    """Partial order check M <= N, i.e. N - M is PSD up to roundoff slack."""
-    if M.dim != N.dim:
-        raise ValueError(f"operator dims differ: {M.dim} vs {N.dim}")
-    diff = N.matrix - M.matrix
+def operator_leq(M: np.ndarray, N: np.ndarray) -> bool:
+    """Partial order check M <= N for symmetric matrices, i.e. N - M is PSD
+    up to roundoff slack."""
+    if M.shape != N.shape:
+        raise ValueError(f"operator dims differ: {M.shape} vs {N.shape}")
+    diff = N - M
     w = np.linalg.eigvalsh(0.5 * (diff + diff.T))
     scale = max(abs(float(w[0])), abs(float(w[-1])))
-    return float(w[0]) >= -slack_tol * (1.0 + scale)
+    return float(w[0]) >= -_PSD_TOL * (1.0 + scale)
 
 
 def block_diag(blocks) -> BlockDiagOperator:

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _KINDS = ("zero", "quadratic", "l1", "box")
+_FEASIBILITY_TOL = 1e-8  # relative residual of the least-squares solve of [A B] w = b
 
 
 def _finite(name: str, value) -> np.ndarray:
@@ -430,6 +431,11 @@ def reference_solve(problem: ProblemSpec, accuracy: float = 1e-10) -> ReferenceS
         if res <= max(accuracy, 1e-10):
             return ReferenceSolution(x, y, gamma, res)
         # singular KKT system; fall through to the iterative path
+    # plain ADMM cannot converge when the constraint has no solution
+    AB = np.hstack([A, B])
+    gap = float(np.linalg.norm(AB @ np.linalg.lstsq(AB, b, rcond=None)[0] - b))
+    if gap > _FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(b))):
+        raise ValueError(f"Ax + By = b is infeasible: b is not in range([A B]) (residual {gap})")
     x, y, gamma, res = plain_admm(problem, beta=1.0, accuracy=accuracy)
     if res > accuracy:
         raise RuntimeError(

@@ -7,9 +7,11 @@ Successive operators of each family must satisfy the two-sided sandwich
 
     (1/(1+c_k)) Q_k <= Q_{k+1} <= (1+c_k) Q_k.
 
-The built-in nonconstant realization moves each family by exactly the
-allowed factor, alternating up and down, to stress the sandwich at its
-boundary.
+Every family moves through one scalar drift factor f_k: Q_k = f_k Q_0, or
+R_k = tau I - A^T H_k A for a linearized R.  The factor moves by exactly the
+allowed (1+c_k)^{+-1}, alternating up and down, to stress the sandwich at its
+boundary; under the zero law f_k = 1.  Operators are realized from f_k on
+demand, and equal factors give the same operator objects.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
 ]
 
 THETA_MAX = (np.sqrt(5.0) + 1.0) / 2.0
-_SANDWICH_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -41,29 +42,22 @@ class OperatorRule:
     """How one operator family evolves with k.
 
     kinds:
-      - ``constant``: Q_k = base for all k.
-      - ``scaled_identity_decay``: Q_k = base * prod_{i<k} (1+c_i)^{+-1},
-        alternating up/down (also applies to a dense base).
+      - ``scaled``: Q_k = f_k * base.
       - ``linearized``: R_k = tau*I - A^T H_k A (R family only).
-      - ``zero``: Q_k = 0.
-      - ``custom_list``: explicit operators per k.
+      - ``zero``: Q_k = base = 0.
     """
 
     kind: str
     base: PsdOperator | None = None
     tau: float | None = None
-    operators: tuple[PsdOperator, ...] | None = None
 
     def __post_init__(self):
-        kinds = {"constant", "scaled_identity_decay", "linearized", "zero", "custom_list"}
-        if self.kind not in kinds:
+        if self.kind not in ("scaled", "linearized", "zero"):
             raise ValueError(f"unknown operator rule kind {self.kind!r}")
-        if self.kind in ("constant", "scaled_identity_decay", "zero") and self.base is None:
+        if self.kind != "linearized" and self.base is None:
             raise ValueError(f"rule {self.kind!r} requires a base operator")
         if self.kind == "linearized" and self.tau is None:
             raise ValueError("linearized rule requires tau")
-        if self.kind == "custom_list" and not self.operators:
-            raise ValueError("custom_list rule requires operators")
 
 
 @dataclass(frozen=True)
@@ -107,32 +101,30 @@ def _drift_factors(c_seq: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ValidationReport:
-    """Per-k, per-family sandwich check results plus drift sums."""
+    """Sandwich failures as (k, family) and the k with c_k > 1."""
 
     sandwich_failures: list[tuple[int, str]] = field(default_factory=list)
-    c_sum: float = 0.0
-    c_prod: float = 1.0
     c_over_one: list[int] = field(default_factory=list)
-    C_S: float = 0.0
-    C_P: float = 1.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.sandwich_failures
 
     def ok_for_admm(self) -> bool:
-        return self.ok and not self.c_over_one
+        return not self.sandwich_failures and not self.c_over_one
 
 
 class MetricSchedule:
-    """Realized operator sequences up to a horizon k_max.
+    """Operator sequences up to a horizon k_max, realized on demand from the
+    drift factors f_k.
 
-    Deterministic: realizing the same rule twice yields identical operators.
+    Deterministic: realizing the same k twice yields identical operators, and
+    the most recent realization is reused while f_k does not change.
     """
 
     def __init__(self, rule: ScheduleRule, k_max: int, A: np.ndarray | None = None):
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
+        if rule.h_rule.kind == "zero":
+            raise ValueError("H family must be positive definite, got zero rule")
+        if rule.r_rule.kind == "linearized" and A is None:
+            raise ValueError("linearized R rule requires the constraint matrix A")
         self.rule = rule
         self.k_max = k_max
         self.A = None if A is None else np.asarray(A, dtype=float)
@@ -140,67 +132,50 @@ class MetricSchedule:
         self.C_S = float(self.c_seq.sum() + rule.c_tail_bound(k_max))
         self.C_P = float(np.prod(1.0 + self.c_seq) * np.exp(rule.c_tail_bound(k_max)))
         self._factors = _drift_factors(self.c_seq)
-        self._h = [self._realize_family(rule.h_rule, k, definite=True) for k in range(k_max + 1)]
-        self._r = [
-            self._realize_linearized(k) if rule.r_rule.kind == "linearized"
-            else self._realize_family(rule.r_rule, k)
-            for k in range(k_max + 1)
-        ]
-        self._s = [self._realize_family(rule.s_rule, k) for k in range(k_max + 1)]
+        self._last = None  # (f, (H, R, S)) of the most recent realization
+        self.realize(0)  # the anchor operators are checked at construction
 
-    def _realize_family(self, orule: OperatorRule, k: int, definite: bool = False) -> PsdOperator:
+    def _scaled(self, orule: OperatorRule, f: float, definite: bool = False) -> PsdOperator:
         if orule.kind == "zero":
-            if definite:
-                raise ValueError("H family must be positive definite, got zero rule")
             return orule.base
-        if orule.kind == "custom_list":
-            ops = orule.operators
-            op = ops[min(k, len(ops) - 1)]
-        elif orule.kind == "constant":
-            op = orule.base
-        elif orule.kind == "scaled_identity_decay":
-            op = PsdOperator(self._factors[k] * orule.base.matrix, definite=orule.base.definite)
-        else:
-            raise ValueError(f"cannot realize rule kind {orule.kind!r} here")
-        if definite and not op.definite:
-            # re-validate definiteness rather than trusting the flag
-            op = PsdOperator(op.matrix, definite=True)
-        return op
-
-    def _realize_linearized(self, k: int) -> PsdOperator:
-        if self.A is None:
-            raise ValueError("linearized R rule requires the constraint matrix A")
-        h = self._h[k].matrix
-        mat = self.rule.r_rule.tau * np.eye(self.A.shape[1]) - self.A.T @ h @ self.A
-        return PsdOperator(0.5 * (mat + mat.T))
+        return PsdOperator(f * orule.base.matrix, definite=definite or orule.base.definite)
 
     def realize(self, k: int) -> tuple[PsdOperator, PsdOperator, PsdOperator]:
         """Return (H_k, R_k, S_k); index 0 gives the anchor operators."""
         if k < 0 or k > self.k_max:
             raise ValueError(f"iteration index {k} outside horizon [0, {self.k_max}]")
-        return self._h[k], self._r[k], self._s[k]
+        f = float(self._factors[k])
+        if self._last is not None and self._last[0] == f:
+            return self._last[1]
+        rule = self.rule
+        H = self._scaled(rule.h_rule, f, definite=True)
+        if rule.r_rule.kind == "linearized":
+            mat = rule.r_rule.tau * np.eye(self.A.shape[1]) - self.A.T @ H.matrix @ self.A
+            R = PsdOperator(0.5 * (mat + mat.T))
+        else:
+            R = self._scaled(rule.r_rule, f)
+        ops = (H, R, self._scaled(rule.s_rule, f))
+        self._last = (f, ops)
+        return ops
 
     def validate(self) -> ValidationReport:
-        """Check the two-sided sandwich for every k and family, and the
-        drift-sum caps (the solver needs every c_k <= 1).  Failures are
-        reported, not raised."""
-        rep = ValidationReport()
-        rep.c_sum = float(self.c_seq.sum())
-        rep.c_prod = float(np.prod(1.0 + self.c_seq))
-        rep.C_S = self.C_S
-        rep.C_P = self.C_P
-        rep.c_over_one = [int(k) for k in np.nonzero(self.c_seq > 1.0)[0]]
+        """Check the two-sided sandwich for every k and family, and that
+        every c_k <= 1 (the solver needs it).  Sandwich failures are
+        reported, not raised; an operator that is not PSD (or an H_k that is
+        not definite) raises ``ValueError`` when it is realized."""
+        rep = ValidationReport(c_over_one=[int(k) for k in np.nonzero(self.c_seq > 1.0)[0]])
+        prev = self.realize(0)
         for k in range(self.k_max):
+            cur = self.realize(k + 1)
             c = float(self.c_seq[k])
-            for name, fam in (("H", self._h), ("R", self._r), ("S", self._s)):
-                q0, q1 = fam[k], fam[k + 1]
-                lower = PsdOperator(q0.matrix / (1.0 + c))
-                upper = PsdOperator((1.0 + c) * q0.matrix)
-                if not (
-                    operator_leq(lower, q1, _SANDWICH_TOL)
-                    and operator_leq(q1, upper, _SANDWICH_TOL)
+            for name, q0, q1 in zip("HRS", prev, cur):
+                # an operator sandwiches itself for any c >= 0
+                if q1 is not q0 and not (
+                    operator_leq(q0.matrix / (1.0 + c), q1.matrix)
+                    and operator_leq(q1.matrix, (1.0 + c) * q0.matrix)
                 ):
                     rep.sandwich_failures.append((k, name))
+            prev = cur
         return rep
 
 
@@ -227,11 +202,9 @@ def _operator_from_descriptor(desc: dict, dim: int, family: str) -> OperatorRule
     kind = desc.get("type")
     if kind == "scaled_identity":
         scale = float(desc["scale"])
-        base = PsdOperator(scale * np.eye(dim), definite=scale > 0)
-        return OperatorRule("scaled_identity_decay", base=base)
+        return OperatorRule("scaled", base=PsdOperator(scale * np.eye(dim), definite=scale > 0))
     if kind == "dense":
-        base = PsdOperator(np.asarray(desc["matrix"], dtype=float))
-        return OperatorRule("scaled_identity_decay", base=base)
+        return OperatorRule("scaled", base=PsdOperator(np.asarray(desc["matrix"], dtype=float)))
     if kind == "zero":
         return OperatorRule("zero", base=PsdOperator(np.zeros((dim, dim))))
     if kind == "linearized":
@@ -261,11 +234,6 @@ def schedule_from_dict(
     s = _operator_from_descriptor(cfg["S"], n_y, "S")
     law = c_cfg.get("law", "zero")
     c0 = float(c_cfg.get("c0", 0.0))
-    if law == "zero":
-        # constant operators under a zero drift law
-        h = OperatorRule("constant", base=h.base) if h.kind == "scaled_identity_decay" else h
-        r = OperatorRule("constant", base=r.base) if r.kind == "scaled_identity_decay" else r
-        s = OperatorRule("constant", base=s.base) if s.kind == "scaled_identity_decay" else s
     rule = ScheduleRule(h_rule=h, r_rule=r, s_rule=s, c0=c0, law=law)
     return MetricSchedule(rule, int(cfg["k_max"]), A=A)
 
@@ -289,7 +257,7 @@ def constant_schedule(
     def _rule(scale, dim):
         if scale == 0.0:
             return OperatorRule("zero", base=PsdOperator(np.zeros((dim, dim))))
-        return OperatorRule("constant", base=PsdOperator(scale * np.eye(dim), definite=True))
+        return OperatorRule("scaled", base=PsdOperator(scale * np.eye(dim), definite=True))
 
     rule = ScheduleRule(
         h_rule=_rule(h_scale, m), r_rule=_rule(r_scale, n_x), s_rule=_rule(s_scale, n_y)

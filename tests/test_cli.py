@@ -1,6 +1,8 @@
 import csv
 import json
+import time
 
+import numpy as np
 import pytest
 
 from vmpadmm.cli import CSV_COLUMNS, main, parse_generator_spec
@@ -134,6 +136,16 @@ def l1_problem(tmp_path):
     return write_json(tmp_path / "l1.json", doc)
 
 
+def infeasible_problem(tmp_path):
+    """A = B = 0, b = 1: no (x, y) satisfies Ax + By = b."""
+    doc = {
+        "A": [[0.0]], "B": [[0.0]], "b": [1.0],
+        "f": {"type": "quadratic", "Q": [[1.0]], "q": [0.0]},
+        "g": {"type": "quadratic", "Q": [[1.0]], "q": [0.0]},
+    }
+    return write_json(tmp_path / "infeasible.json", doc)
+
+
 def linearized_schedule(tmp_path):
     cfg = dict(CONSTANT_SCHEDULE, R={"type": "linearized", "tau": 6.0})
     return write_json(tmp_path / "linearized.json", cfg)
@@ -201,6 +213,45 @@ class TestErrorPaths:
         assert main(solve_args(schedule_file, tmp_path, verify="hpe,bogus")) == 1
         assert "bogus" in capsys.readouterr().err
 
+    def test_linearized_r_indefinite_under_drift(self, tmp_path, capsys):
+        # R_0 = tau I - A^T A is PSD, but H_1 = 1.5 H_0 makes R_1 indefinite
+        A = generate("lasso", (4, 2), 1).A
+        tau = 1.1 * float(np.linalg.eigvalsh(A.T @ A).max())
+        sched = write_json(tmp_path / "drift_lin.json", {
+            "H": {"type": "scaled_identity", "scale": 1.0},
+            "R": {"type": "linearized", "tau": tau},
+            "S": {"type": "zero"},
+            "c": {"c0": 0.5, "law": "inverse_square"},
+            "k_max": 20,
+        })
+        assert main(solve_args(sched, tmp_path, problem="gen:lasso:4x2:1")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not PSD" in err
+
+    def test_infeasible_problem_fails_fast(self, schedule_file, tmp_path, capsys):
+        problem = infeasible_problem(tmp_path)
+        t0 = time.perf_counter()
+        assert main(solve_args(schedule_file, tmp_path, problem=problem)) == 1
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "reference solve" in err and "infeasible" in err
+
+    def test_reference_iteration_cap_is_one_line(
+        self, schedule_file, tmp_path, capsys, monkeypatch
+    ):
+        import vmpadmm.admm
+
+        def capped(problem):
+            raise RuntimeError("reference solver hit the iteration cap with residual 1.0 > 1e-10")
+
+        monkeypatch.setattr(vmpadmm.admm, "reference_solve", capped)
+        assert main(solve_args(schedule_file, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "reference solve" in err and "iteration cap" in err
+
     def test_sandwich_violation_exits_one(self, tmp_path, capsys):
         # drift law forbids the schedule's c_k > 1 in solver mode
         cfg = dict(CONSTANT_SCHEDULE, c={"c0": 2.0, "law": "inverse_square"})
@@ -250,6 +301,19 @@ class TestBatchCommand:
         ])
         assert code == 2  # one instance errored; the other still ran
         agg = json.loads((tmp_path / "b4" / "aggregate.json").read_text())
+        assert agg["instances"][0]["exit"] == 1
+        assert "reference solve" in agg["instances"][0]["error"]
+        assert agg["instances"][1]["all_pass"] is True
+
+    def test_infeasible_instance_recorded(self, schedule_file, tmp_path):
+        entries = [infeasible_problem(tmp_path), "gen:lasso:8x4:1"]
+        corpus = write_json(tmp_path / "corpus.json", entries)
+        code = main([
+            "batch", "--corpus", corpus, "--schedule", schedule_file,
+            "--theta", "1.0", "--max-iters", "30", "--out-dir", str(tmp_path / "b5"),
+        ])
+        assert code == 2
+        agg = json.loads((tmp_path / "b5" / "aggregate.json").read_text())
         assert agg["instances"][0]["exit"] == 1
         assert "reference solve" in agg["instances"][0]["error"]
         assert agg["instances"][1]["all_pass"] is True

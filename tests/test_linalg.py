@@ -162,10 +162,10 @@ class TestOperatorOrder:
         rng = np.random.default_rng(1)
         M = random_psd(rng, 4)
         two = PsdOperator(2.0 * M.matrix)
-        assert operator_leq(M, M)
-        assert operator_leq(M, two)
-        assert not operator_leq(two, M)
+        assert operator_leq(M.matrix, M.matrix)
+        assert operator_leq(M.matrix, two.matrix)
+        assert not operator_leq(two.matrix, M.matrix)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dims differ"):
-            operator_leq(identity(2), identity(3))
+            operator_leq(identity(2).matrix, identity(3).matrix)

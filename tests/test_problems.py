@@ -101,6 +101,16 @@ class TestReferenceSolve:
         with pytest.raises(ValueError, match="accuracy"):
             reference_solve(p, accuracy=1e-13)
 
+    def test_infeasible_constraint_rejected(self):
+        # A = B = 0, b = 1: no (x, y) satisfies Ax + By = b
+        p = problem_from_dict({
+            "A": [[0.0]], "B": [[0.0]], "b": [1.0],
+            "f": {"type": "quadratic", "Q": [[1.0]], "q": [0.0]},
+            "g": {"type": "quadratic", "Q": [[1.0]], "q": [0.0]},
+        })
+        with pytest.raises(ValueError, match="infeasible"):
+            reference_solve(p)
+
     def test_deterministic(self):
         p = generate("box_qp", 10, 5)
         a, b = reference_solve(p), reference_solve(p)

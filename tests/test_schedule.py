@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vmpadmm.linalg import PsdOperator, identity, operator_leq, zero_operator
+from vmpadmm.linalg import identity, operator_leq, zero_operator
 from vmpadmm.schedule import (
     THETA_MAX,
     MetricSchedule,
@@ -16,7 +16,7 @@ from vmpadmm.schedule import (
 def drift_schedule(dims, k_max, c0=1.0, h_scale=2.0):
     n_x, n_y, m = dims
     rule = ScheduleRule(
-        h_rule=OperatorRule("scaled_identity_decay", base=identity(m, h_scale)),
+        h_rule=OperatorRule("scaled", base=identity(m, h_scale)),
         r_rule=OperatorRule("zero", base=zero_operator(n_x)),
         s_rule=OperatorRule("zero", base=zero_operator(n_y)),
         c0=c0,
@@ -72,16 +72,18 @@ class TestDrift:
         assert not rep.ok_for_admm()
 
     def test_sandwich_violation_detected(self):
-        ops = (identity(2, 1.0), identity(2, 10.0), identity(2, 10.0))
-        rule = ScheduleRule(
-            h_rule=OperatorRule("custom_list", operators=ops),
-            r_rule=OperatorRule("zero", base=zero_operator(2)),
-            s_rule=OperatorRule("zero", base=zero_operator(2)),
-            c0=0.5,
-            law="inverse_square",
-        )
-        rep = MetricSchedule(rule, 2).validate()
-        assert (0, "H") in rep.sandwich_failures
+        # H_1 = 1.5 H_0 moves R = 1.6 I - A^T H A from diag(0.6, 1.35) to
+        # diag(0.1, 1.225): below R_0 / (1 + c_0) = diag(0.4, 0.9)
+        cfg = {
+            "H": {"type": "scaled_identity", "scale": 1.0},
+            "R": {"type": "linearized", "tau": 1.6},
+            "S": {"type": "zero"},
+            "c": {"c0": 0.5, "law": "inverse_square"},
+            "k_max": 3,
+        }
+        rep = schedule_from_dict(cfg, (2, 2, 2), A=np.diag([1.0, 0.5])).validate()
+        assert (0, "R") in rep.sandwich_failures
+        assert not rep.ok_for_admm()
 
     def test_metric_dominated_by_drift_product(self):
         # M_j <= C_P * M_k for realized operators of one family
@@ -89,7 +91,7 @@ class TestDrift:
         cp = sched.C_P
         for j, k in ((0, 7), (3, 20), (15, 4)):
             Hj, Hk = sched.realize(j)[0], sched.realize(k)[0]
-            assert operator_leq(Hj, PsdOperator(cp * Hk.matrix))
+            assert operator_leq(Hj.matrix, cp * Hk.matrix)
 
 
 class TestLinearized:
@@ -100,7 +102,7 @@ class TestLinearized:
 
         def build(tau):
             rule = ScheduleRule(
-                h_rule=OperatorRule("constant", base=identity(3, 1.0)),
+                h_rule=OperatorRule("scaled", base=identity(3, 1.0)),
                 r_rule=OperatorRule("linearized", tau=tau),
                 s_rule=OperatorRule("zero", base=zero_operator(4)),
             )
@@ -112,9 +114,26 @@ class TestLinearized:
         with pytest.raises(ValueError, match="not PSD"):
             build(lam_max * 0.9)
 
+    def test_zero_law_realizes_once(self):
+        # equal drift factors share one operator, so the eigendecomposition
+        # of a linearized R is computed once per run
+        A = np.random.default_rng(6).normal(size=(3, 4))
+        tau = 1.1 * float(np.linalg.eigvalsh(A.T @ A).max())
+        cfg = {
+            "H": {"type": "scaled_identity", "scale": 1.0},
+            "R": {"type": "linearized", "tau": tau},
+            "S": {"type": "zero"},
+            "k_max": 25,
+        }
+        sched = schedule_from_dict(cfg, (4, 2, 3), A=A)
+        H0, R0, S0 = sched.realize(0)
+        H, R, S = sched.realize(sched.k_max)
+        assert R is R0 and H is H0 and S is S0
+        assert sched.validate().ok_for_admm()
+
     def test_requires_constraint_matrix(self):
         rule = ScheduleRule(
-            h_rule=OperatorRule("constant", base=identity(3, 1.0)),
+            h_rule=OperatorRule("scaled", base=identity(3, 1.0)),
             r_rule=OperatorRule("linearized", tau=5.0),
             s_rule=OperatorRule("zero", base=zero_operator(4)),
         )
@@ -197,7 +216,7 @@ class TestRuleValidation:
     def test_negative_c0_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ScheduleRule(
-                h_rule=OperatorRule("constant", base=identity(1, 1.0)),
+                h_rule=OperatorRule("scaled", base=identity(1, 1.0)),
                 r_rule=OperatorRule("zero", base=zero_operator(1)),
                 s_rule=OperatorRule("zero", base=zero_operator(1)),
                 c0=-0.1,
