@@ -11,7 +11,7 @@ from .admm import (
     sigma_feasible,
     tau_theta,
 )
-from .hpe import HpeIterate, HpeState, RateBounds, check_error_condition, transportation_check
+from .hpe import HpeIterate, HpeState, RateBounds, check_error_condition
 from .linalg import (
     BlockDiagOperator,
     PsdOperator,
@@ -78,7 +78,6 @@ __all__ = [
     "schedule_from_dict",
     "sigma_feasible",
     "tau_theta",
-    "transportation_check",
     "zero_operator",
     "__version__",
 ]

@@ -38,6 +38,7 @@ _SQRT2 = np.sqrt(2.0)
 _MEMBERSHIP_TOL = 1e-8
 _MEMBERSHIP_SAMPLES = 200  # sampled points per block in the eps-subdifferential check
 _THETA_EXCLUSION = 1e-12
+_SIGMA_GRID = 10_000  # points of the uniform scan in compute_sigma_theta
 
 
 class SubproblemError(RuntimeError):
@@ -90,7 +91,7 @@ class ThetaParams:
             raise ValueError("tau does not match its defining formula")
 
 
-def compute_sigma_theta(theta: float, margin: float = 1e-3, grid: int = 10_000) -> ThetaParams:
+def compute_sigma_theta(theta: float, margin: float = 1e-3) -> ThetaParams:
     """Minimal admissible sigma for a given theta, plus a safety margin.
 
     Scans a uniform grid over (0, 1) for the smallest feasible point, then
@@ -99,7 +100,7 @@ def compute_sigma_theta(theta: float, margin: float = 1e-3, grid: int = 10_000) 
     """
     if not (_THETA_EXCLUSION < theta < THETA_MAX - _THETA_EXCLUSION):
         raise ValueError(f"theta must lie strictly inside (0, {THETA_MAX}), got {theta}")
-    sigmas = np.arange(1, grid + 1) / (grid + 1.0)
+    sigmas = np.arange(1, _SIGMA_GRID + 1) / (_SIGMA_GRID + 1.0)
     feasible_idx = next((i for i, s in enumerate(sigmas) if sigma_feasible(theta, s)), None)
     if feasible_idx is None:
         raise RuntimeError(f"no admissible sigma found for theta={theta}")
@@ -342,23 +343,16 @@ class VmPadmmRun:
             gamma0=self.gamma,
         )
         self.eta0 = theta_params.tau * self.d0**2
-        M0 = assemble_Mk(H0, R0, S0, problem.B, theta_params.theta)
-        z0 = np.concatenate([self.x, self.y, self.gamma])
+        # the one run state: z~ and r sums, Fejer sum, sigma, eta_0 and bounds
         self.hpe = HpeState(
-            z0, theta_params.sigma, self.eta0, M0,
+            np.concatenate([self.x, self.y, self.gamma]),
             RateBounds(self.d0, theta_params.sigma, schedule.C_S, schedule.C_P, eta0=self.eta0),
         )
         self.k = 0
         # running pointwise best: first iterate achieving the min max-residual
         self._best: AdmmIterate | None = None
-        # per-block ergodic accumulators, kept apart from the HPE ones so the
-        # eps decomposition can be cross-checked against the full-space value
-        self._sum_x = np.zeros(n_x)
-        self._sum_y = np.zeros(n_y)
-        self._sum_gt = np.zeros(m)
-        self._sum_rx = np.zeros(n_x)
-        self._sum_ry = np.zeros(n_y)
-        self._sum_rg = np.zeros(m)
+        # block-wise eps sums, kept apart from the HPE accumulators so the eps
+        # decomposition can be cross-checked against the full-space value
         self._dot_sx = 0.0  # sum_i <r_{i,x} + A^T gamma~_i, x_i>
         self._dot_sy = 0.0
 
@@ -392,8 +386,9 @@ class VmPadmmRun:
         if np.linalg.norm(r_g - primal) > 1e-12 * (1.0 + np.linalg.norm(primal)) + 1e-13:
             raise RuntimeError("gamma residual identity violated beyond roundoff")
 
+        dual_x, dual_y, dual_g = R_k.seminorm(dx), mid_k.seminorm(dy), gam_k.seminorm(dg)
         eta = (
-            (p.sigma - (p.theta - 1.0) ** 2) / p.theta**2 * gam_k.seminorm(dg) ** 2
+            (p.sigma - (p.theta - 1.0) ** 2) / p.theta**2 * dual_g**2
             + _SQRT2 * (p.sigma + p.theta - 1.0) / p.theta * S_k.seminorm(dy) ** 2
         )
 
@@ -412,18 +407,12 @@ class VmPadmmRun:
         it = AdmmIterate(
             k=k, x=x_k, y=y_k, gamma=gamma_k, gamma_tilde=gamma_t,
             dx=dx, dy=dy, dgamma=dg, r_x=r_x, r_y=r_y, r_gamma=r_g,
-            dual_x=R_k.seminorm(dx), dual_y=mid_k.seminorm(dy), dual_gamma=gam_k.seminorm(dg),
+            dual_x=dual_x, dual_y=dual_y, dual_gamma=dual_g,
             eta=eta, hpe_check=check, membership_x=memb_x, membership_y=memb_y, M=M_k,
         )
         self.k = k
         if self._best is None or it.dual_max < self._best.dual_max:
             self._best = it
-        self._sum_x += x_k
-        self._sum_y += y_k
-        self._sum_gt += gamma_t
-        self._sum_rx += r_x
-        self._sum_ry += r_y
-        self._sum_rg += r_g
         self._dot_sx += float((r_x + problem.A.T @ gamma_t) @ x_k)
         self._dot_sy += float((r_y + problem.B.T @ gamma_t) @ y_k)
         self.x, self.y, self.gamma = x_k, y_k, gamma_k
@@ -482,10 +471,15 @@ class VmPadmmRun:
 
     def ergodic_averages(self):
         """((x^a, y^a, gamma~^a), (r^a_x, r^a_y, r^a_g), (eps_x, eps_y)) at k."""
-        self._require_iterate()
-        k = self.k
-        x_a, y_a, gt_a = self._sum_x / k, self._sum_y / k, self._sum_gt / k
-        rx_a, ry_a, rg_a = self._sum_rx / k, self._sum_ry / k, self._sum_rg / k
+        zt_a, r_a, _ = self.hpe.ergodic_point()
+        return self._block_averages(zt_a, r_a)
+
+    def _block_averages(self, zt_a, r_a):
+        """Split the HPE ergodic point at the block offsets and add the
+        block-wise eps from the independent dot sums."""
+        k, M_k = self.k, self.hpe.last.M
+        x_a, y_a, gt_a = M_k.split(zt_a)
+        rx_a, ry_a, rg_a = M_k.split(r_a)
         # eps = (1/k) sum <s_i, x_i> - <mean s, mean x>, s_i = r_{i,x} + A^T gamma~_i
         s_mean_x = rx_a + self.problem.A.T @ gt_a
         s_mean_y = ry_a + self.problem.B.T @ gt_a
@@ -497,7 +491,8 @@ class VmPadmmRun:
         """Ergodic triple at k with ergodic bounds, eps decomposition against
         the full-space accumulator, and, when ``rng`` is given, sampled
         eps-subdifferential checks."""
-        (x_a, y_a, gt_a), (rx_a, ry_a, rg_a), (eps_x, eps_y) = self.ergodic_averages()
+        zt_a, r_a, eps_full = self.hpe.ergodic_point()
+        (x_a, y_a, gt_a), (rx_a, ry_a, rg_a), (eps_x, eps_y) = self._block_averages(zt_a, r_a)
         k = self.k
         R_k, mid_k, gam_k = self.hpe.last.M.blocks
         dual_x = R_k.dual_seminorm_general(rx_a)
@@ -507,7 +502,6 @@ class VmPadmmRun:
         bound_eps = self.bounds.ergodic_eps_rhs(k)
         scale_x = 1.0 + abs(eps_x)
         scale_y = 1.0 + abs(eps_y)
-        _, _, eps_full = self.hpe.ergodic_point()
         checks = {
             "ergodic_res": BoundCheck("ergodic_res", k, max(dual_x, dual_y, dual_g), bound_res),
             "ergodic_eps": BoundCheck("ergodic_eps", k, eps_x + eps_y, bound_eps),

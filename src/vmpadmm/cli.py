@@ -72,8 +72,6 @@ def _fmt(v: float) -> str:
 
 def run_solve(args) -> int:
     """Run one certified solve; writes the CSV log and JSON report."""
-    seed_env = os.environ.get("VMPADMM_SEED")
-    seed = int(seed_env) if seed_env is not None else args.seed
     verify = [f.strip() for f in args.verify.split(",") if f.strip()]
     for f in verify:
         if f not in VERIFY_FLAGS:
@@ -81,7 +79,7 @@ def run_solve(args) -> int:
     if args.rho <= 0 or args.eps <= 0 or args.max_iters < 1:
         raise ConfigError("rho and eps must be positive and max_iters >= 1")
 
-    problem = _load_problem_arg(args.problem, seed)
+    problem = _load_problem_arg(args.problem, args.seed)
     try:
         schedule = load_schedule(args.schedule, problem.dims, A=problem.A)
         report = schedule.validate()  # realizes every k: an indefinite operator raises
@@ -107,7 +105,7 @@ def run_solve(args) -> int:
         raise ConfigError(f"reference solve: {exc}") from exc
     try:
         rows, checks, last = _drive(
-            run, min(args.max_iters, schedule.k_max), args.rho, args.eps, verify, seed
+            run, min(args.max_iters, schedule.k_max), args.rho, args.eps, verify, args.seed
         )
     except SubproblemError as exc:
         raise ConfigError(f"subproblem: {exc}") from exc

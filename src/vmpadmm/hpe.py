@@ -3,9 +3,8 @@
 This module does not compute steps for a monotone operator T: it certifies
 iteration triples handed to it by an instance (the proximal ADMM solver, or
 a test double).  For each accepted triple it checks the relative error
-condition in the iteration's seminorm, and it maintains the running
-pointwise and ergodic certificates together with their theoretical rate
-bounds.
+condition in the iteration's seminorm, and it keeps the running ergodic and
+Fejer accumulators of the run; the rate bounds come from :class:`RateBounds`.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ __all__ = [
     "RateBounds",
     "ErrorCheck",
     "BoundCheck",
-    "MembershipReport",
     "check_error_condition",
-    "transportation_check",
 ]
 
 _RECON_TOL = 1e-10
@@ -52,12 +49,16 @@ class HpeIterate:
 
 @dataclass
 class ErrorCheck:
-    """Outcome of the per-iteration relative error condition."""
+    """Outcome of the per-iteration relative error condition.
+
+    ``gap`` is ||z_{k-1} - z~_k||^2_{M_k}, the term the right-hand side
+    scales by sigma; it is also the k-th summand of the Fejer sum.
+    """
 
     k: int
     lhs: float
     rhs: float
-    tol: float = _ERROR_TOL
+    gap: float
 
     @property
     def slack(self) -> float:
@@ -65,7 +66,7 @@ class ErrorCheck:
 
     @property
     def ok(self) -> bool:
-        return self.slack >= -self.tol * (1.0 + self.rhs)
+        return self.slack >= -_ERROR_TOL * (1.0 + self.rhs)
 
 
 @dataclass
@@ -87,17 +88,6 @@ class BoundCheck:
 
 
 @dataclass
-class MembershipReport:
-    samples: int
-    violations: int
-    worst_margin: float
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
-
-
-@dataclass
 class RateBounds:
     """Theoretical bound constants and right-hand sides for one run.
 
@@ -115,6 +105,10 @@ class RateBounds:
     E_hat: float = field(init=False)
 
     def __post_init__(self):
+        if not 0.0 <= self.sigma < 1.0:
+            raise ValueError(f"sigma must lie in [0, 1), got {self.sigma}")
+        if self.eta0 < 0.0:
+            raise ValueError("eta0 must be nonnegative")
         cs, cp, sig = self.C_S, self.C_P, self.sigma
         self.E = (1.0 + cp) * (np.sqrt(cp) + cs * cp) + cs * cp**1.5
         self.E_hat = 2.0 * cp * (1.0 + cs) * (sig * cp / (1.0 - sig) + 2.0 * (1.0 + cp))
@@ -130,35 +124,33 @@ class RateBounds:
     def ergodic_eps_rhs(self, k: int) -> float:
         return float(self.E_hat * (self.d0**2 + self.eta0) / k)
 
+    def fejer_rhs(self) -> float:
+        """C_P (d0^2 + eta_0): the Fejer bound when d0 is the M_0-distance
+        from z_0 to the z* being checked."""
+        return float(self.C_P * (self.d0**2 + self.eta0))
 
-def check_error_condition(
-    it: HpeIterate, sigma: float, prev_eta: float, tol: float = _ERROR_TOL
-) -> ErrorCheck:
+
+def check_error_condition(it: HpeIterate, sigma: float, prev_eta: float) -> ErrorCheck:
     """Relative error condition in the iteration seminorm:
 
         ||z_k - z~_k||^2_{M_k} + eta_k <= sigma ||z_{k-1} - z~_k||^2_{M_k} + eta_{k-1}.
     """
     lhs = it.M.seminorm(it.z - it.z_tilde) ** 2 + it.eta
-    rhs = sigma * it.M.seminorm(it.z_prev - it.z_tilde) ** 2 + prev_eta
-    return ErrorCheck(k=it.k, lhs=lhs, rhs=rhs, tol=tol)
+    gap = it.M.seminorm(it.z_prev - it.z_tilde) ** 2
+    return ErrorCheck(k=it.k, lhs=lhs, rhs=sigma * gap + prev_eta, gap=gap)
 
 
 class HpeState:
-    """A single run: frozen inputs, the latest iterate, running accumulators.
+    """A single run: start point, rate bounds (which carry sigma and eta_0),
+    the latest iterate and the running accumulators.
 
-    Certificates are available at the current iteration only; they are
-    computed from accumulators, so no per-iteration history is kept.
+    The ergodic point and the Fejer check describe the current iteration
+    only; they are computed from accumulators, so no per-iteration history
+    is kept.
     """
 
-    def __init__(self, z0: np.ndarray, sigma: float, eta0: float, M0, bounds: RateBounds):
-        if not 0.0 <= sigma < 1.0:
-            raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-        if eta0 < 0.0:
-            raise ValueError("eta0 must be nonnegative")
+    def __init__(self, z0: np.ndarray, bounds: RateBounds):
         self.z0 = np.asarray(z0, dtype=float)
-        self.sigma = float(sigma)
-        self.eta0 = float(eta0)
-        self.M0 = M0
         self.bounds = bounds
         self.k = 0
         self.last: HpeIterate | None = None
@@ -166,15 +158,12 @@ class HpeState:
         self._sum_ztilde = np.zeros_like(self.z0)
         self._sum_r = np.zeros_like(self.z0)
         self._sum_r_dot_ztilde = 0.0
-        # pointwise best residual (dual norm) and its index
-        self._best_index = 0
-        self._best_dual = np.inf
         # Fejer accumulator: sum of ||z_{i-1} - z~_i||^2_{M_i}
         self._fejer_sum = 0.0
 
     @property
     def last_eta(self) -> float:
-        return self.eta0 if self.last is None else self.last.eta
+        return self.bounds.eta0 if self.last is None else self.last.eta
 
     def add_iterate(self, it: HpeIterate) -> ErrorCheck:
         """Validate and absorb one iteration; returns the error-condition check.
@@ -189,31 +178,19 @@ class HpeState:
         recon = it.M.apply(it.preimage)
         if np.linalg.norm(recon - it.r) > _RECON_TOL * (1.0 + np.linalg.norm(it.r)):
             raise ValueError("residual does not equal M_k(z_{k-1} - z_k) within tolerance")
-        check = check_error_condition(it, self.sigma, self.last_eta)
+        check = check_error_condition(it, self.bounds.sigma, self.last_eta)
         self.k, self.last = it.k, it
         self._sum_ztilde += it.z_tilde
         self._sum_r += it.r
         self._sum_r_dot_ztilde += float(it.r @ it.z_tilde)
-        dual = it.M.seminorm(it.preimage)
-        if dual < self._best_dual:
-            self._best_dual, self._best_index = dual, it.k
-        self._fejer_sum += it.M.seminorm(it.z_prev - it.z_tilde) ** 2
+        self._fejer_sum += check.gap
         return check
 
-    # -- certificates at the current iteration k -----------------------------
+    # -- at the current iteration k -------------------------------------------
 
     def _require_iterate(self):
         if self.last is None:
             raise ValueError("no iterate yet: certificates start at k = 1")
-
-    def pointwise_certificate(self):
-        """(best_i, best dual residual norm, theoretical bound at k).
-
-        The best index is the argmin of ||r_i||*_{M_i} over i <= k, computed
-        through the tracked preimage; smallest index wins ties.
-        """
-        self._require_iterate()
-        return self._best_index, self._best_dual, self.bounds.pointwise_rhs(self.k)
 
     def ergodic_point(self):
         """Ergodic averages (z~^a_k, r^a_k, eps^a_k) via the accumulators."""
@@ -224,64 +201,20 @@ class HpeState:
         eps_a = self._sum_r_dot_ztilde / k - float(r_a @ zt_a)
         return zt_a, r_a, eps_a
 
-    def ergodic_certificate(self):
-        """Ergodic averages, their dual residual norm at M_k, and bound checks.
-
-        Returns (z~^a, r^a, eps^a, dual_res, checks) where checks is a dict of
-        BoundCheck for the residual bound, the eps bound and eps nonnegativity.
-        The dual norm uses the pseudo-inverse path because r^a averages images
-        under different metrics and carries no single preimage; an off-range
-        average is flagged as +inf, not fatal.
-        """
-        zt_a, r_a, eps_a = self.ergodic_point()
-        k = self.k
-        dual_res = self.last.M.dual_seminorm_general(r_a)
-        scale = 1.0 + abs(eps_a)
-        checks = {
-            "ergodic_res": BoundCheck("ergodic_res", k, dual_res, self.bounds.ergodic_res_rhs(k)),
-            "ergodic_eps": BoundCheck("ergodic_eps", k, eps_a, self.bounds.ergodic_eps_rhs(k)),
-            "eps_nonneg": BoundCheck(
-                "eps_nonneg", k, -eps_a, 0.0, tol_abs=1e-10 * scale, tol_rel=0.0
-            ),
-        }
-        return zt_a, r_a, eps_a, dual_res, checks
-
     def fejer_check(self, z_star: np.ndarray) -> BoundCheck:
         """Metric-drift Fejer bound against a (near-)solution z_star:
 
             ||z*-z_k||^2_{M_k} + eta_k + (1-sigma) sum_i ||z_{i-1}-z~_i||^2_{M_i}
                 <= C_P (||z*-z_0||^2_{M_0} + eta_0).
+
+        The right-hand side is ``bounds.fejer_rhs()``, so ``bounds.d0`` must be
+        ||z*-z_0||_{M_0} for this z_star; on the ADMM path z_star is the
+        reference solution that d0 is computed from.
         """
         self._require_iterate()
-        z_star = np.asarray(z_star, dtype=float)
         it_k = self.last
-        lhs = it_k.M.seminorm(z_star - it_k.z) ** 2 + it_k.eta + (1.0 - self.sigma) * self._fejer_sum
-        rhs = self.bounds.C_P * (self.M0.seminorm(z_star - self.z0) ** 2 + self.eta0)
-        return BoundCheck("fejer", self.k, lhs, rhs, tol_abs=1e-8, tol_rel=1e-6)
-
-
-def transportation_check(
-    oracle,
-    z_tilde_a: np.ndarray,
-    r_a: np.ndarray,
-    eps_a: float,
-    sample_count: int = 1000,
-    rng: np.random.Generator | None = None,
-    tol: float = 1e-9,
-) -> MembershipReport:
-    """Sampled enlargement-membership check of (z~^a, r^a, eps^a).
-
-    ``oracle(rng)`` must return a graph pair (z', v') with v' in T(z').
-    Membership requires <r^a - v', z~^a - z'> >= -eps_a for every pair; we
-    verify this on ``sample_count`` sampled pairs and report the worst margin.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    worst = np.inf
-    violations = 0
-    for _ in range(sample_count):
-        z_p, v_p = oracle(rng)
-        margin = float((r_a - v_p) @ (z_tilde_a - z_p)) + eps_a
-        worst = min(worst, margin)
-        if margin < -tol * (1.0 + abs(eps_a)):
-            violations += 1
-    return MembershipReport(sample_count, violations, worst)
+        lhs = (
+            it_k.M.seminorm(np.asarray(z_star, dtype=float) - it_k.z) ** 2
+            + it_k.eta + (1.0 - self.bounds.sigma) * self._fejer_sum
+        )
+        return BoundCheck("fejer", self.k, lhs, self.bounds.fejer_rhs(), tol_abs=1e-8, tol_rel=1e-6)

@@ -70,13 +70,13 @@ class PsdOperator:
         return float(w[0]), float(w[-1])
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        z = self._check_dim(z)
+        z = _check_dim(z, self.dim)
         return self.matrix @ z
 
     def seminorm(self, z: np.ndarray) -> float:
         """``sqrt(<Mz, z>)``; raises if the quadratic form is negative
         beyond the PSD roundoff budget."""
-        z = self._check_dim(z)
+        z = _check_dim(z, self.dim)
         q = float(z @ (self.matrix @ z))
         bound = _PSD_TOL * max(1.0, self._eig_extremes[1]) * float(z @ z)
         if q < -bound:
@@ -89,7 +89,7 @@ class PsdOperator:
         Projects onto the eigenbasis; if the component of ``r`` outside
         range(M) exceeds ``1e-8 * ||r||`` the dual seminorm is infinite.
         """
-        r = self._check_dim(r)
+        r = _check_dim(r, self.dim)
         rnorm = float(np.linalg.norm(r))
         if rnorm == 0.0:
             return 0.0
@@ -110,12 +110,6 @@ class PsdOperator:
             )
         inv = (v / w) @ v.T
         return PsdOperator(0.5 * (inv + inv.T), definite=True)
-
-    def _check_dim(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim,):
-            raise ValueError(f"vector of shape {z.shape} vs operator dim {self.dim}")
-        return z
 
 
 @dataclass(frozen=True)
@@ -143,15 +137,8 @@ class BlockDiagOperator:
     def dim(self) -> int:
         return self.offsets[-1]
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        for b, o in zip(self.blocks, self.offsets):
-            out[o : o + b.dim, o : o + b.dim] = b.matrix
-        return out
-
     def split(self, z: np.ndarray) -> list[np.ndarray]:
-        z = self._check_dim(z)
+        z = _check_dim(z, self.dim)
         return [z[o : o + b.dim] for b, o in zip(self.blocks, self.offsets)]
 
     def apply(self, z: np.ndarray) -> np.ndarray:
@@ -170,11 +157,12 @@ class BlockDiagOperator:
             return np.inf
         return float(np.sqrt(sum(v**2 for v in vals)))
 
-    def _check_dim(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim,):
-            raise ValueError(f"vector of shape {z.shape} vs operator dim {self.dim}")
-        return z
+
+def _check_dim(z: np.ndarray, dim: int) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    if z.shape != (dim,):
+        raise ValueError(f"vector of shape {z.shape} vs operator dim {dim}")
+    return z
 
 
 def operator_leq(M: np.ndarray, N: np.ndarray) -> bool:

@@ -347,12 +347,9 @@ def plain_admm(
     beta: float = 1.0,
     max_iters: int = 1_000_000,
     accuracy: float = 1e-10,
-    x0=None,
-    y0=None,
-    gamma0=None,
     collect: int = 0,
 ):
-    """Textbook ADMM with penalty beta and unit dual stepsize.
+    """Textbook ADMM with penalty beta and unit dual stepsize, started at zero.
 
     Independent of the variable-metric solver: inline linear solves and
     soft-threshold / clip prox steps only.  Returns (x, y, gamma, residual)
@@ -362,9 +359,7 @@ def plain_admm(
     A, B, b = problem.A, problem.B, problem.b
     f, g = problem.f, problem.g
     n_x, n_y, m = problem.dims
-    x = np.zeros(n_x) if x0 is None else np.asarray(x0, float).copy()
-    y = np.zeros(n_y) if y0 is None else np.asarray(y0, float).copy()
-    gamma = np.zeros(m) if gamma0 is None else np.asarray(gamma0, float).copy()
+    x, y, gamma = np.zeros(n_x), np.zeros(n_y), np.zeros(m)
 
     AtA = A.T @ A
     BtB = B.T @ B

@@ -12,9 +12,9 @@ from vmpadmm.admm import (
     tau_theta,
     update_multiplier,
 )
-from vmpadmm.linalg import identity, zero_operator
+from vmpadmm.linalg import PsdOperator, identity, zero_operator
 from vmpadmm.problems import FunctionDescriptor, ProblemSpec, generate, reference_solve
-from vmpadmm.schedule import THETA_MAX, assemble_Mk, constant_schedule
+from vmpadmm.schedule import THETA_MAX, assemble_Mk, constant_schedule, schedule_from_dict
 
 
 def scalar_problem():
@@ -266,6 +266,56 @@ class TestRunInternals:
         run = VmPadmmRun(self.p, self.sched, self.params)
         with pytest.raises(ValueError, match="no iterate"):
             run.pointwise_kkt_certificate()
+
+
+class TestRunState:
+    """The HPE state is the run's one full-space state, on a drifting
+    schedule (C_P > 1) with nonzero R and S."""
+
+    DRIFT = {
+        "H": {"type": "scaled_identity", "scale": 1.0},
+        "R": {"type": "scaled_identity", "scale": 0.5},
+        "S": {"type": "scaled_identity", "scale": 0.3},
+        "c": {"c0": 0.5, "law": "inverse_square"},
+        "k_max": 30,
+    }
+
+    def setup_method(self):
+        self.p = generate("lasso", (10, 5), 7)
+        self.sched = schedule_from_dict(self.DRIFT, self.p.dims)
+        self.params = compute_sigma_theta(1.0)
+        x0 = np.random.default_rng(3).normal(size=self.p.dims[0])
+        self.run = VmPadmmRun(self.p, self.sched, self.params, x0=x0)
+        ref = self.run.reference
+        self.z_star = np.concatenate([ref.x, ref.y, ref.gamma])
+
+    def test_fejer_rhs_is_initial_metric_distance(self):
+        assert self.sched.C_P > 1.0
+        H0, R0, S0 = self.sched.realize(0)
+        M0 = assemble_Mk(H0, R0, S0, self.p.B, self.params.theta)
+        dist_sq = M0.seminorm(self.z_star - self.run.hpe.z0) ** 2
+        expected = self.sched.C_P * (dist_sq + self.run.eta0)
+        for _ in range(20):
+            self.run.step()
+            fejer = self.run.hpe.fejer_check(self.z_star)
+            assert fejer.rhs == expected
+            assert fejer.ok
+
+    def test_seminorm_calls_per_iteration(self, monkeypatch):
+        self.run.step()
+        calls = []
+        seminorm = PsdOperator.seminorm
+
+        def counting(op, z):
+            calls.append(op)
+            return seminorm(op, z)
+
+        monkeypatch.setattr(PsdOperator, "seminorm", counting)
+        self.run.step()
+        self.run.pointwise_kkt_certificate()
+        self.run.ergodic_kkt_certificate(np.random.default_rng(0))
+        self.run.hpe.fejer_check(self.z_star)
+        assert len(calls) <= 13
 
 
 class TestD0:

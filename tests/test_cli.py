@@ -98,10 +98,9 @@ class TestSolveCommand:
         assert report["stopping"]["first_k_pointwise"] == "not reached"
         assert code in (0, 2)
 
-    def test_seed_env_override(self, schedule_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("VMPADMM_SEED", "3")
-        main(solve_args(schedule_file, tmp_path, tag="env"))
-        report = json.loads((tmp_path / "env.json").read_text())
+    def test_seed_flag_overrides_spec_seed(self, schedule_file, tmp_path):
+        main(solve_args(schedule_file, tmp_path, tag="seed", seed="3"))
+        report = json.loads((tmp_path / "seed.json").read_text())
         assert report["problem"].endswith("-s3")
 
 

@@ -141,7 +141,11 @@ class TestBlockDiag:
 
     def test_matrix_assembly(self):
         M = block_diag([identity(1, 2.0), identity(2, 3.0)])
-        np.testing.assert_array_equal(M.matrix, np.diag([2.0, 3.0, 3.0]))
+        assert M.offsets == (0, 1, 3)
+        # column j of the assembled matrix is M applied to e_j
+        np.testing.assert_array_equal(np.column_stack([M.apply(e) for e in np.eye(3)]),
+                                      np.diag([2.0, 3.0, 3.0]))
+        assert [part.tolist() for part in M.split(np.arange(3.0))] == [[0.0], [1.0, 2.0]]
 
     def test_dual_seminorm_blockwise_inf(self):
         M = block_diag([identity(1, 1.0), zero_operator(1)])

@@ -147,7 +147,8 @@ class TestAssembleMk:
         M = assemble_Mk(
             identity(1, 2.0), identity(1, 1.0), identity(1, 1.0), np.array([[3.0]]), 1.0
         )
-        np.testing.assert_allclose(M.matrix, np.diag([1.0, 19.0, 0.5]))
+        dense = np.column_stack([M.apply(e) for e in np.eye(3)])
+        np.testing.assert_allclose(dense, np.diag([1.0, 19.0, 0.5]))
 
     def test_theta_range_enforced(self):
         H, R, S = identity(1, 1.0), identity(1, 1.0), identity(1, 1.0)
