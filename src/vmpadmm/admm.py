@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hpe import BoundCheck, HpeIterate, HpeState, RateBounds
-from .linalg import PsdOperator
+from .linalg import BlockDiagOperator
 from .problems import ProblemSpec, ReferenceSolution, reference_solve
-from .schedule import THETA_MAX, MetricSchedule, assemble_Mk
+from .schedule import THETA_MAX, MetricSchedule
 
 __all__ = [
     "ThetaParams",
@@ -27,6 +27,7 @@ __all__ = [
     "KktResidualCertificate",
     "CertifiedStep",
     "SubproblemError",
+    "BlockSystem",
     "compute_sigma_theta",
     "sigma_feasible",
     "tau_theta",
@@ -122,44 +123,124 @@ def compute_sigma_theta(theta: float, margin: float = 1e-3) -> ThetaParams:
 
 # -- subproblem machinery ------------------------------------------------------
 
-def _solve_structured(desc, G: np.ndarray, q_lin: np.ndarray) -> np.ndarray:
-    """argmin f(x) + 0.5 x^T G x + q_lin^T x for a structured f.
+_WHITEN_COND = 1e6  # largest condition number a whitening factor may have
+_EPS = np.finfo(float).eps
 
-    Nonsmooth kinds (l1, box) require G diagonal with positive entries.
+
+class BlockSystem:
+    """The quadratic part of one subproblem block of a run, paired with the
+    run's schedule so that H_k, P_k and the drift factor f_k come from one
+    place:
+
+        G_k = N^T H_k N + P_k = f_k K + tau I     (``MetricSchedule.system_base``)
+        T_k = G_k + Q                            (Q from a quadratic f or g, else 0)
+
+    Write T_k = f_k K + C with C = tau I + Q.  When C is definite and well
+    conditioned, whitening by it diagonalizes T_k for every f_k, so the run
+    decomposes the block once; otherwise T_k is decomposed once per distinct
+    f_k.  A solve is then two matrix-vector products.  K and Q stay formed:
+    the residual and optimality checks multiply by them, never by the factors.
+    An l1 or box block needs G_k diagonal and is solved in closed form.
     """
-    scale = max(1.0, float(np.abs(G).max(initial=0.0)))
-    if desc.kind in ("zero", "quadratic"):
-        total = G if desc.kind == "zero" else G + desc.Q
-        rhs = -q_lin if desc.kind == "zero" else -(q_lin + desc.q)
-        sol = np.linalg.lstsq(total, rhs, rcond=None)[0]
-        if np.linalg.norm(total @ sol - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
-            raise SubproblemError("subproblem quadratic part is singular")
-        return sol
-    offdiag = np.abs(G - np.diag(np.diag(G))).max(initial=0.0)
-    if offdiag > 1e-10 * scale:
-        raise SubproblemError(
-            f"{desc.kind} subproblem needs a diagonal quadratic part; "
-            f"off-diagonal magnitude {offdiag} (choose a linearizing metric)"
-        )
-    d = np.diag(G).copy()
-    if np.any(d <= 0):
-        raise SubproblemError(f"{desc.kind} subproblem needs positive diagonal curvature")
-    if desc.kind == "l1":
-        t = -q_lin
-        return np.sign(t) * np.maximum(np.abs(t) - desc.lam, 0.0) / d
-    return np.clip(-q_lin / d, desc.lower, desc.upper)
+
+    def __init__(self, desc, N: np.ndarray, schedule: MetricSchedule, family: str):
+        self.desc, self.N, self.schedule = desc, N, schedule
+        self._index = "HRS".index(family)
+        self.K, self.tau = schedule.system_base(N, family)
+        self.Q = desc.Q if desc.kind == "quadratic" else None
+        self._basis = None  # (f, W, a, b); f is None when the basis serves every f
+        if desc.kind in ("l1", "box") and self.K is not None:
+            K = self.K
+            scale = max(1.0, float(np.abs(K).max(initial=0.0)))
+            offdiag = np.abs(K - np.diag(np.diag(K))).max(initial=0.0)
+            if offdiag > 1e-10 * scale:
+                raise SubproblemError(
+                    f"{desc.kind} subproblem needs a diagonal quadratic part; "
+                    f"off-diagonal magnitude {offdiag} (choose a linearizing metric)"
+                )
+
+    def metrics(self, k: int):
+        """(H_k, P_k, f_k) from the schedule."""
+        ops = self.schedule.realize(k)
+        return ops[0], ops[self._index], self.schedule.factor(k)
+
+    def metric_apply(self, f: float, u: np.ndarray) -> np.ndarray:
+        """G_k u at f_k = f."""
+        if self.K is None:
+            return self.tau * u
+        Gu = f * (self.K @ u)
+        return Gu + self.tau * u if self.tau else Gu
+
+    def solve(self, f: float, q_lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """argmin desc(u) + 0.5 u^T G_k u + q_lin^T u at f_k = f, and G_k u."""
+        desc = self.desc
+        if desc.kind in ("zero", "quadratic"):
+            rhs = -q_lin if desc.kind == "zero" else -(q_lin + desc.q)
+            W, a, b = self._basis_at(f)
+            u = W @ ((W.T @ rhs) / (f * a + b))
+            Gu = self.metric_apply(f, u)
+            Tu = Gu if self.Q is None else Gu + self.Q @ u
+            if np.linalg.norm(Tu - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
+                raise SubproblemError("subproblem quadratic part is singular")
+            return u, Gu
+        d = np.full(len(q_lin), self.tau) if self.K is None else f * np.diag(self.K) + self.tau
+        if np.any(d <= 0):
+            raise SubproblemError(f"{desc.kind} subproblem needs positive diagonal curvature")
+        if desc.kind == "l1":
+            t = -q_lin
+            u = np.sign(t) * np.maximum(np.abs(t) - desc.lam, 0.0) / d
+        else:
+            u = np.clip(-q_lin / d, desc.lower, desc.upper)
+        return u, self.metric_apply(f, u)
+
+    def _matrix(self, f: float) -> np.ndarray:
+        """T_k = f K + tau I + Q, formed."""
+        n = self.desc.dim
+        T = np.zeros((n, n)) if self.K is None else f * self.K
+        if self.tau:
+            T = T + self.tau * np.eye(n)
+        return T if self.Q is None else T + self.Q
+
+    def _basis_at(self, f: float):
+        """(W, a, b) with W^T T_k W = diag(f a + b) and W spanning range T_k."""
+        if self._basis is None:  # the first solve: whiten by C = T_k at f = 0
+            T = _whitening(self._matrix(0.0))
+            if T is not None:  # T^T (f K + C) T = f T^T K T + I
+                n = self.desc.dim
+                if self.K is None:
+                    self._basis = (None, T, np.zeros(n), np.ones(n))
+                else:
+                    w, V = np.linalg.eigh(T.T @ self.K @ T)
+                    self._basis = (None, T @ V, w, np.ones(n))
+        if self._basis is None or self._basis[0] not in (None, f):
+            V, w = _range(self._matrix(f))
+            self._basis = (f, V, np.zeros_like(w), w)
+        return self._basis[1:]
 
 
-def _solve_block(desc, N, shift, gamma_prev, H_k, P_k, prev, name):
+def _range(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, w): the eigenpairs of a PSD S on its numerical range, with
+    ``lstsq``'s default cutoff, so V (V^T x / w) is the minimum-norm solve."""
+    w, V = np.linalg.eigh(S)
+    pos = w > _EPS * len(w) * max(float(w[-1]), 0.0)
+    return V[:, pos], w[pos]
+
+
+def _whitening(S: np.ndarray) -> np.ndarray | None:
+    """T with T^T S T = I when S is definite and well conditioned, else None."""
+    w, V = np.linalg.eigh(S)
+    return V / np.sqrt(w) if w[0] > 0.0 and w[-1] <= _WHITEN_COND * w[0] else None
+
+
+def _solve_block(system: BlockSystem, k: int, shift, gamma_prev, prev, name):
     """argmin desc(u) - <gamma_prev, N u> + 0.5||N u + shift||^2_{H_k}
-    + 0.5||u - prev||^2_{P_k}; verifies first-order optimality via the
-    oracle of ``desc``."""
-    Hm = H_k.matrix
-    G = N.T @ Hm @ N + P_k.matrix
-    G = 0.5 * (G + G.T)
-    q_lin = -N.T @ gamma_prev + N.T @ (Hm @ shift) - P_k.matrix @ prev
-    u = _solve_structured(desc, G, q_lin)
-    v = -(G @ u + q_lin)
+    + 0.5||u - prev||^2_{P_k} for the block ``system`` at iteration k;
+    verifies first-order optimality via the oracle of ``desc``."""
+    H_k, P_k, f = system.metrics(k)
+    N, desc = system.N, system.desc
+    q_lin = -N.T @ gamma_prev + N.T @ H_k.apply(shift) - P_k.apply(prev)
+    u, Gu = system.solve(f, q_lin)
+    v = -(Gu + q_lin)
     scale = 1.0 + np.linalg.norm(v)
     dist = desc.membership_distance(v, u)
     if dist > _MEMBERSHIP_TOL * scale:
@@ -167,16 +248,17 @@ def _solve_block(desc, N, shift, gamma_prev, H_k, P_k, prev, name):
     return u
 
 
-def solve_x_subproblem(problem, x_prev, y_prev, gamma_prev, H_k, R_k):
-    """Exact x-update under (f, A, R_k)."""
-    A, B, b = problem.A, problem.B, problem.b
-    return _solve_block(problem.f, A, B @ y_prev - b, gamma_prev, H_k, R_k, x_prev, "x")
+def solve_x_subproblem(problem, x_prev, y_prev, gamma_prev, system: BlockSystem, k: int):
+    """Exact x-update at iteration k under (f, A, R_k); ``system`` is the
+    x-block's :class:`BlockSystem`."""
+    B, b = problem.B, problem.b
+    return _solve_block(system, k, B @ y_prev - b, gamma_prev, x_prev, "x")
 
 
-def solve_y_subproblem(problem, x_k, y_prev, gamma_prev, H_k, S_k):
+def solve_y_subproblem(problem, x_k, y_prev, gamma_prev, system: BlockSystem, k: int):
     """Exact y-update; mirror of the x-update with (g, B, S_k)."""
-    A, B, b = problem.A, problem.B, problem.b
-    return _solve_block(problem.g, B, A @ x_k - b, gamma_prev, H_k, S_k, y_prev, "y")
+    A, b = problem.A, problem.b
+    return _solve_block(system, k, A @ x_k - b, gamma_prev, y_prev, "y")
 
 
 def update_multiplier(problem, gamma_prev, H_k, theta, x_k, y_k, y_prev):
@@ -186,9 +268,8 @@ def update_multiplier(problem, gamma_prev, H_k, theta, x_k, y_k, y_prev):
         gamma~_k = gamma_{k-1} - H_k (A x_k + B y_{k-1} - b)
     """
     A, B, b = problem.A, problem.B, problem.b
-    Hm = H_k.matrix
-    gamma_k = gamma_prev - theta * (Hm @ (A @ x_k + B @ y_k - b))
-    gamma_t = gamma_prev - Hm @ (A @ x_k + B @ y_prev - b)
+    gamma_k = gamma_prev - theta * H_k.apply(A @ x_k + B @ y_k - b)
+    gamma_t = gamma_prev - H_k.apply(A @ x_k + B @ y_prev - b)
     return gamma_k, gamma_t
 
 
@@ -264,15 +345,13 @@ class KktResidualCertificate:
 def compute_d0_admm(
     problem: ProblemSpec,
     z_star: tuple[np.ndarray, np.ndarray, np.ndarray],
-    H_0: PsdOperator,
-    R_0: PsdOperator,
-    S_0: PsdOperator,
-    theta: float,
+    M0: BlockDiagOperator,
     x0=None,
     y0=None,
     gamma0=None,
 ) -> float:
-    """Metric-weighted distance from the initial point to one solution.
+    """Distance in the metric M_0 (see :func:`assemble_Mk`) from the initial
+    point to one solution.
 
     Upper-bounds the infimum over the whole solution set; every rate bound
     is increasing in this quantity, so the bounds stay valid.
@@ -281,16 +360,7 @@ def compute_d0_admm(
     x0 = np.zeros(n_x) if x0 is None else np.asarray(x0, float)
     y0 = np.zeros(n_y) if y0 is None else np.asarray(y0, float)
     gamma0 = np.zeros(m) if gamma0 is None else np.asarray(gamma0, float)
-    xs, ys, gs = z_star
-    M0 = assemble_Mk(H_0, R_0, S_0, problem.B, theta)
-    r0, mid0, gam0 = M0.blocks
-    return float(
-        np.sqrt(
-            r0.seminorm(x0 - xs) ** 2
-            + mid0.seminorm(y0 - ys) ** 2
-            + gam0.seminorm(gamma0 - gs) ** 2
-        )
-    )
+    return M0.seminorm(np.concatenate([x0, y0, gamma0]) - np.concatenate(z_star))
 
 
 @dataclass
@@ -330,14 +400,11 @@ class VmPadmmRun:
         self.gamma = np.zeros(m) if gamma0 is None else np.asarray(gamma0, float).copy()
 
         self.reference = reference if reference is not None else reference_solve(problem)
-        H0, R0, S0 = schedule.realize(0)
+        self.M0 = schedule.metric(0, problem.B, theta_params.theta)
         self.d0 = compute_d0_admm(
             problem,
             (self.reference.x, self.reference.y, self.reference.gamma),
-            H0,
-            R0,
-            S0,
-            theta_params.theta,
+            self.M0,
             x0=self.x,
             y0=self.y,
             gamma0=self.gamma,
@@ -349,6 +416,7 @@ class VmPadmmRun:
             RateBounds(self.d0, theta_params.sigma, schedule.C_S, schedule.C_P, eta0=self.eta0),
         )
         self.k = 0
+        self._systems = None  # (x, y) BlockSystem, built on the first step
         # running pointwise best: first iterate achieving the min max-residual
         self._best: AdmmIterate | None = None
         # block-wise eps sums, kept apart from the HPE accumulators so the eps
@@ -366,18 +434,23 @@ class VmPadmmRun:
         k = self.k + 1
         if k > self.schedule.k_max:
             raise ValueError(f"schedule horizon k_max={self.schedule.k_max} exhausted")
-        problem, p = self.problem, self.params
-        H_k, R_k, S_k = self.schedule.realize(k)
+        problem, p, schedule = self.problem, self.params, self.schedule
+        if self._systems is None:
+            self._systems = (
+                BlockSystem(problem.f, problem.A, schedule, "R"),
+                BlockSystem(problem.g, problem.B, schedule, "S"),
+            )
         x_prev, y_prev, gamma_prev = self.x, self.y, self.gamma
 
-        x_k = solve_x_subproblem(problem, x_prev, y_prev, gamma_prev, H_k, R_k)
-        y_k = solve_y_subproblem(problem, x_k, y_prev, gamma_prev, H_k, S_k)
+        x_k = solve_x_subproblem(problem, x_prev, y_prev, gamma_prev, self._systems[0], k)
+        y_k = solve_y_subproblem(problem, x_k, y_prev, gamma_prev, self._systems[1], k)
+        H_k, _, S_k = schedule.realize(k)
         gamma_k, gamma_t = update_multiplier(
             problem, gamma_prev, H_k, p.theta, x_k, y_k, y_prev
         )
 
-        M_k = assemble_Mk(H_k, R_k, S_k, problem.B, p.theta)
-        _, mid_k, gam_k = M_k.blocks
+        M_k = schedule.metric(k, problem.B, p.theta)
+        R_k, mid_k, gam_k = M_k.blocks
         dx, dy, dg = x_prev - x_k, y_prev - y_k, gamma_prev - gamma_k
         r_x = R_k.apply(dx)
         r_y = mid_k.apply(dy)
@@ -401,8 +474,10 @@ class VmPadmmRun:
         )
         check = self.hpe.add_iterate(hpe_it)
 
-        memb_x = problem.f.membership_distance(r_x + problem.A.T @ gamma_t, x_k)
-        memb_y = problem.g.membership_distance(r_y + problem.B.T @ gamma_t, y_k)
+        s_x = r_x + problem.A.T @ gamma_t  # the subgradients the memberships test
+        s_y = r_y + problem.B.T @ gamma_t
+        memb_x = problem.f.membership_distance(s_x, x_k)
+        memb_y = problem.g.membership_distance(s_y, y_k)
 
         it = AdmmIterate(
             k=k, x=x_k, y=y_k, gamma=gamma_k, gamma_tilde=gamma_t,
@@ -413,8 +488,8 @@ class VmPadmmRun:
         self.k = k
         if self._best is None or it.dual_max < self._best.dual_max:
             self._best = it
-        self._dot_sx += float((r_x + problem.A.T @ gamma_t) @ x_k)
-        self._dot_sy += float((r_y + problem.B.T @ gamma_t) @ y_k)
+        self._dot_sx += float(s_x @ x_k)
+        self._dot_sy += float(s_y @ y_k)
         self.x, self.y, self.gamma = x_k, y_k, gamma_k
         return it
 
@@ -472,11 +547,12 @@ class VmPadmmRun:
     def ergodic_averages(self):
         """((x^a, y^a, gamma~^a), (r^a_x, r^a_y, r^a_g), (eps_x, eps_y)) at k."""
         zt_a, r_a, _ = self.hpe.ergodic_point()
-        return self._block_averages(zt_a, r_a)
+        return self._block_averages(zt_a, r_a)[:3]
 
     def _block_averages(self, zt_a, r_a):
         """Split the HPE ergodic point at the block offsets and add the
-        block-wise eps from the independent dot sums."""
+        block-wise eps from the independent dot sums; also returns the mean
+        subgradients (s^a_x, s^a_y)."""
         k, M_k = self.k, self.hpe.last.M
         x_a, y_a, gt_a = M_k.split(zt_a)
         rx_a, ry_a, rg_a = M_k.split(r_a)
@@ -485,14 +561,14 @@ class VmPadmmRun:
         s_mean_y = ry_a + self.problem.B.T @ gt_a
         eps_x = self._dot_sx / k - float(s_mean_x @ x_a)
         eps_y = self._dot_sy / k - float(s_mean_y @ y_a)
-        return (x_a, y_a, gt_a), (rx_a, ry_a, rg_a), (eps_x, eps_y)
+        return (x_a, y_a, gt_a), (rx_a, ry_a, rg_a), (eps_x, eps_y), (s_mean_x, s_mean_y)
 
     def ergodic_kkt_certificate(self, rng: np.random.Generator | None = None) -> KktResidualCertificate:
         """Ergodic triple at k with ergodic bounds, eps decomposition against
         the full-space accumulator, and, when ``rng`` is given, sampled
         eps-subdifferential checks."""
         zt_a, r_a, eps_full = self.hpe.ergodic_point()
-        (x_a, y_a, gt_a), (rx_a, ry_a, rg_a), (eps_x, eps_y) = self._block_averages(zt_a, r_a)
+        (x_a, y_a, gt_a), (rx_a, ry_a, rg_a), (eps_x, eps_y), s_a = self._block_averages(zt_a, r_a)
         k = self.k
         R_k, mid_k, gam_k = self.hpe.last.M.blocks
         dual_x = R_k.dual_seminorm_general(rx_a)
@@ -519,9 +595,7 @@ class VmPadmmRun:
         }
         membership_ok, detail = True, ""
         if rng is not None:
-            membership_ok, detail = self._eps_membership_check(
-                x_a, y_a, gt_a, rx_a, ry_a, eps_x, eps_y, rng
-            )
+            membership_ok, detail = self._eps_membership_check(x_a, y_a, s_a, eps_x, eps_y, rng)
         return KktResidualCertificate(
             mode="ergodic", k=k, index=k, x=x_a, y=y_a, gamma_tilde=gt_a,
             r_x=rx_a, r_y=ry_a, r_gamma=rg_a,
@@ -530,14 +604,15 @@ class VmPadmmRun:
             checks=checks, membership_ok=membership_ok, membership_detail=detail,
         )
 
-    def _eps_membership_check(self, x_a, y_a, gt_a, rx_a, ry_a, eps_x, eps_y, rng):
+    def _eps_membership_check(self, x_a, y_a, s_a, eps_x, eps_y, rng):
         """Sampled eps-subdifferential inequality for both blocks:
-        f(x') >= f(x^a) + <v, x' - x^a> - eps_x at sampled x' (mirror for g)."""
+        f(x') >= f(x^a) + <v, x' - x^a> - eps_x at sampled x' with
+        v = s^a_x = r^a_x + A^T gamma~^a (mirror for g)."""
         problem = self.problem
         tol = _MEMBERSHIP_TOL
         for desc, point, v, eps, name in (
-            (problem.f, x_a, rx_a + problem.A.T @ gt_a, eps_x, "f"),
-            (problem.g, y_a, ry_a + problem.B.T @ gt_a, eps_y, "g"),
+            (problem.f, x_a, s_a[0], eps_x, "f"),
+            (problem.g, y_a, s_a[1], eps_y, "g"),
         ):
             X = desc.sample_domain(_MEMBERSHIP_SAMPLES, point, rng)
             fvals = desc.values(X)

@@ -17,6 +17,7 @@ __all__ = [
     "PsdOperator",
     "BlockDiagOperator",
     "operator_leq",
+    "scaled_leq",
     "block_diag",
     "identity",
     "zero_operator",
@@ -33,7 +34,9 @@ _COND_CAP = 1e12
 class PsdOperator:
     """A selfadjoint positive (semi)definite operator given by a dense matrix.
 
-    Immutable; the eigendecomposition is computed lazily and cached.
+    Immutable; the eigendecomposition and the inverse are computed lazily
+    and cached.  :meth:`scaled` gives f times the operator as a view that
+    shares them.
     """
 
     matrix: np.ndarray
@@ -77,7 +80,7 @@ class PsdOperator:
         """``sqrt(<Mz, z>)``; raises if the quadratic form is negative
         beyond the PSD roundoff budget."""
         z = _check_dim(z, self.dim)
-        q = float(z @ (self.matrix @ z))
+        q = float(z @ self.apply(z))
         bound = _PSD_TOL * max(1.0, self._eig_extremes[1]) * float(z @ z)
         if q < -bound:
             raise ValueError(f"negative quadratic form {q}: operator is not PSD")
@@ -103,6 +106,10 @@ class PsdOperator:
 
     def inverse(self) -> "PsdOperator":
         """Inverse via eigendecomposition; requires a definite operator."""
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "PsdOperator":
         w, v = self._eig
         if w[0] <= 0.0 or w[-1] / w[0] > _COND_CAP:
             raise ValueError(
@@ -110,6 +117,51 @@ class PsdOperator:
             )
         inv = (v / w) @ v.T
         return PsdOperator(0.5 * (inv + inv.T), definite=True)
+
+    def scaled(self, f: float) -> "PsdOperator":
+        """``f * self`` for f > 0, as a view that runs no decomposition of
+        its own; ``scaled(1.0)`` is ``self``."""
+        if not f > 0.0:
+            raise ValueError(f"scale factor must be positive, got {f}")
+        return self if f == 1.0 else _ScaledOperator(self, float(f))
+
+
+class _ScaledOperator(PsdOperator):
+    """``factor * base``.  PSD, and definite when the base is, by
+    construction, so it skips the constructor's checks; its spectrum, eigenbasis
+    and inverse are read off the base's, whose eigenvectors it shares."""
+
+    def __init__(self, base: PsdOperator, factor: float):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "definite", base.definite)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.factor * self.base.matrix
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim
+
+    @cached_property
+    def _eig(self):
+        w, v = self.base._eig
+        return self.factor * w, v
+
+    @property
+    def _eig_extremes(self):
+        lo, hi = self.base._eig_extremes
+        return self.factor * lo, self.factor * hi
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        return self.factor * self.base.apply(z)
+
+    def inverse(self) -> PsdOperator:
+        return self.base.inverse().scaled(1.0 / self.factor)
+
+    def scaled(self, f: float) -> PsdOperator:
+        return self.base.scaled(self.factor * f)
 
 
 @dataclass(frozen=True)
@@ -174,6 +226,15 @@ def operator_leq(M: np.ndarray, N: np.ndarray) -> bool:
     w = np.linalg.eigvalsh(0.5 * (diff + diff.T))
     scale = max(abs(float(w[0])), abs(float(w[-1])))
     return float(w[0]) >= -_PSD_TOL * (1.0 + scale)
+
+
+def scaled_leq(a: float, b: float, Q: PsdOperator) -> bool:
+    """``operator_leq(a Q, b Q)`` for scalars a, b, decided without a
+    decomposition: the extreme eigenvalues of (b - a) Q are (b - a) times
+    Q's, which lie in [0, hi] up to the PSD roundoff that
+    ``operator_leq``'s slack absorbs."""
+    d, hi = b - a, Q._eig_extremes[1]
+    return d >= 0.0 or d * hi >= -_PSD_TOL * (1.0 + abs(d) * hi)
 
 
 def block_diag(blocks) -> BlockDiagOperator:

@@ -11,7 +11,12 @@ Every family moves through one scalar drift factor f_k: Q_k = f_k Q_0, or
 R_k = tau I - A^T H_k A for a linearized R.  The factor moves by exactly the
 allowed (1+c_k)^{+-1}, alternating up and down, to stress the sandwich at its
 boundary; under the zero law f_k = 1.  Operators are realized from f_k on
-demand, and equal factors give the same operator objects.
+demand, and equal factors give the same operator objects.  A ``scaled``
+operator is a view of its base (:meth:`PsdOperator.scaled`), so realizing it
+runs no decomposition, and its sandwich reduces to comparing f_{k+1}/f_k
+with (1+c_k)^{+-1}.  The same factor gives the product-space metric M_k from
+M_0 (:meth:`MetricSchedule.metric`) and each subproblem system from one base
+(:meth:`MetricSchedule.system_base`).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import BlockDiagOperator, PsdOperator, block_diag, operator_leq
+from .linalg import BlockDiagOperator, PsdOperator, block_diag, operator_leq, scaled_leq
 
 __all__ = [
     "OperatorRule",
@@ -35,6 +40,7 @@ __all__ = [
 ]
 
 THETA_MAX = (np.sqrt(5.0) + 1.0) / 2.0
+K_MAX_LIMIT = 1_000_000  # the schedule stores O(k_max) drift data
 
 
 @dataclass(frozen=True)
@@ -115,14 +121,15 @@ class MetricSchedule:
     drift factors f_k.
 
     Deterministic: realizing the same k twice yields identical operators, and
-    the most recent realization is reused while f_k does not change.
+    the most recent realization (with its M_k, see :meth:`metric`) is reused
+    while f_k does not change.
     """
 
     def __init__(self, rule: ScheduleRule, k_max: int, A: np.ndarray | None = None):
-        if k_max < 1:
-            raise ValueError("k_max must be >= 1")
-        if rule.h_rule.kind == "zero":
-            raise ValueError("H family must be positive definite, got zero rule")
+        if not 1 <= k_max <= K_MAX_LIMIT:
+            raise ValueError(f"k_max must lie in [1, {K_MAX_LIMIT}], got {k_max}")
+        if rule.h_rule.kind != "scaled" or not rule.h_rule.base.definite:
+            raise ValueError("H family must be a positive definite scaled operator")
         if rule.r_rule.kind == "linearized" and A is None:
             raise ValueError("linearized R rule requires the constraint matrix A")
         self.rule = rule
@@ -132,48 +139,93 @@ class MetricSchedule:
         self.C_S = float(self.c_seq.sum() + rule.c_tail_bound(k_max))
         self.C_P = float(np.prod(1.0 + self.c_seq) * np.exp(rule.c_tail_bound(k_max)))
         self._factors = _drift_factors(self.c_seq)
-        self._last = None  # (f, (H, R, S)) of the most recent realization
+        self._last = None  # (f, (H, R, S), M_k or None) of the latest realization
+        self._M0 = None  # (B, theta, M_0) of the latest metric() call
         self.realize(0)  # the anchor operators are checked at construction
 
-    def _scaled(self, orule: OperatorRule, f: float, definite: bool = False) -> PsdOperator:
-        if orule.kind == "zero":
-            return orule.base
-        return PsdOperator(f * orule.base.matrix, definite=definite or orule.base.definite)
+    def factor(self, k: int) -> float:
+        """The drift factor f_k shared by every family."""
+        return float(self._factors[k])
+
+    @staticmethod
+    def _scaled(orule: OperatorRule, f: float) -> PsdOperator:
+        return orule.base if orule.kind == "zero" else orule.base.scaled(f)
 
     def realize(self, k: int) -> tuple[PsdOperator, PsdOperator, PsdOperator]:
         """Return (H_k, R_k, S_k); index 0 gives the anchor operators."""
         if k < 0 or k > self.k_max:
             raise ValueError(f"iteration index {k} outside horizon [0, {self.k_max}]")
-        f = float(self._factors[k])
+        f = self.factor(k)
         if self._last is not None and self._last[0] == f:
             return self._last[1]
         rule = self.rule
-        H = self._scaled(rule.h_rule, f, definite=True)
+        H = self._scaled(rule.h_rule, f)
         if rule.r_rule.kind == "linearized":
             mat = rule.r_rule.tau * np.eye(self.A.shape[1]) - self.A.T @ H.matrix @ self.A
             R = PsdOperator(0.5 * (mat + mat.T))
         else:
             R = self._scaled(rule.r_rule, f)
         ops = (H, R, self._scaled(rule.s_rule, f))
-        self._last = (f, ops)
+        self._last = (f, ops, None)
         return ops
+
+    def metric(self, k: int, B: np.ndarray, theta: float) -> BlockDiagOperator:
+        """M_k = assemble_Mk(*realize(k), B, theta).
+
+        Every family moves by f_k, so M_k = blkdiag(R_k, f_k mid_0, gam_0 / f_k)
+        with M_0 = blkdiag(R_0, mid_0, gam_0) assembled once per (B, theta).
+        M_k is kept with the latest realization and reused while f_k does
+        not change."""
+        if self._M0 is None or self._M0[0] is not B or self._M0[1] != theta:
+            ops0 = self.realize(0)
+            M0 = assemble_Mk(*ops0, B, theta)
+            self._M0, self._last = (B, theta, M0), (self.factor(0), ops0, M0)
+        ops = self.realize(k)
+        f, _, M = self._last
+        if M is None:
+            _, mid0, gam0 = self._M0[2].blocks
+            M = block_diag([ops[1], mid0.scaled(f), gam0.scaled(1.0 / f)])
+            self._last = (f, ops, M)
+        return M
+
+    def system_base(self, N: np.ndarray, family: str) -> tuple[np.ndarray | None, float]:
+        """(K, tau) with N^T H_k N + P_k = f_k K + tau I, where P is the
+        family ``"R"`` (N = A) or ``"S"`` (N = B): K = N^T H_0 N + P_0 and
+        tau = 0 for a scaled or zero P, K = None for a linearized
+        P_k = tau I - N^T H_k N."""
+        p_rule = self.rule.r_rule if family == "R" else self.rule.s_rule
+        if p_rule.kind == "linearized":
+            return None, p_rule.tau
+        K = N.T @ self.rule.h_rule.base.matrix @ N + p_rule.base.matrix
+        return 0.5 * (K + K.T), 0.0
 
     def validate(self) -> ValidationReport:
         """Check the two-sided sandwich for every k and family, and that
         every c_k <= 1 (the solver needs it).  Sandwich failures are
-        reported, not raised; an operator that is not PSD (or an H_k that is
-        not definite) raises ``ValueError`` when it is realized."""
+        reported, not raised; an operator that is not PSD raises
+        ``ValueError`` when it is realized.
+
+        A ``scaled`` family is f_k times one base Q, so its sandwich is
+        decided by ``scaled_leq`` from Q's spectrum; a linearized R is
+        compared by ``operator_leq``."""
         rep = ValidationReport(c_over_one=[int(k) for k in np.nonzero(self.c_seq > 1.0)[0]])
+        rules = (self.rule.h_rule, self.rule.r_rule, self.rule.s_rule)
         prev = self.realize(0)
         for k in range(self.k_max):
             cur = self.realize(k + 1)
             c = float(self.c_seq[k])
-            for name, q0, q1 in zip("HRS", prev, cur):
-                # an operator sandwiches itself for any c >= 0
-                if q1 is not q0 and not (
-                    operator_leq(q0.matrix / (1.0 + c), q1.matrix)
-                    and operator_leq(q1.matrix, (1.0 + c) * q0.matrix)
-                ):
+            f0, f1 = self._factors[k], self._factors[k + 1]
+            for name, orule, q0, q1 in zip("HRS", rules, prev, cur):
+                if q1 is q0:  # an operator sandwiches itself for any c >= 0
+                    continue
+                if orule.kind == "scaled":
+                    Q = orule.base
+                    ok = scaled_leq(f0 / (1.0 + c), f1, Q) and scaled_leq(f1, (1.0 + c) * f0, Q)
+                else:
+                    ok = operator_leq(q0.matrix / (1.0 + c), q1.matrix) and operator_leq(
+                        q1.matrix, (1.0 + c) * q0.matrix
+                    )
+                if not ok:
                     rep.sandwich_failures.append((k, name))
             prev = cur
         return rep
@@ -192,8 +244,7 @@ def assemble_Mk(
     B = np.asarray(B, dtype=float)
     mid = B.T @ H_k.matrix @ B + S_k.matrix
     mid_op = PsdOperator(0.5 * (mid + mid.T))
-    gam = PsdOperator(H_k.inverse().matrix / theta, definite=True)
-    return block_diag([R_k, mid_op, gam])
+    return block_diag([R_k, mid_op, H_k.inverse().scaled(1.0 / theta)])
 
 
 # -- JSON configuration ------------------------------------------------------
@@ -204,7 +255,8 @@ def _operator_from_descriptor(desc: dict, dim: int, family: str) -> OperatorRule
         scale = float(desc["scale"])
         return OperatorRule("scaled", base=PsdOperator(scale * np.eye(dim), definite=scale > 0))
     if kind == "dense":
-        return OperatorRule("scaled", base=PsdOperator(np.asarray(desc["matrix"], dtype=float)))
+        matrix = np.asarray(desc["matrix"], dtype=float)
+        return OperatorRule("scaled", base=PsdOperator(matrix, definite=family == "H"))
     if kind == "zero":
         return OperatorRule("zero", base=PsdOperator(np.zeros((dim, dim))))
     if kind == "linearized":

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vmpadmm.admm import (
+    BlockSystem,
     SubproblemError,
     ThetaParams,
     VmPadmmRun,
@@ -70,15 +71,17 @@ class TestSubproblems:
             np.eye(4),
             np.zeros(4),
         )
+        sched = constant_schedule(dense.dims, 1)
         with pytest.raises(SubproblemError, match="diagonal"):
             solve_x_subproblem(
-                dense, np.zeros(4), np.zeros(4), np.zeros(4), identity(4), zero_operator(4)
+                dense, np.zeros(4), np.zeros(4), np.zeros(4), BlockSystem(dense.f, dense.A, sched, "R"), 1
             )
 
     def test_quadratic_solve_is_optimal(self):
         p = scalar_problem()
+        sched = constant_schedule(p.dims, 1, h_scale=2.0, r_scale=1.0)
         x = solve_x_subproblem(
-            p, np.zeros(1), np.zeros(1), np.zeros(1), identity(1, 2.0), identity(1, 1.0)
+            p, np.zeros(1), np.zeros(1), np.zeros(1), BlockSystem(p.f, p.A, sched, "R"), 1
         )
         # argmin 0.5x^2 + (H/2)(x - 1)^2 + (R/2)x^2 with H=2, R=1: x = 0.5
         assert x[0] == pytest.approx(0.5)
@@ -89,12 +92,110 @@ class TestSubproblems:
         f = FunctionDescriptor("zero", 2)
         g = FunctionDescriptor("zero", 1)
         p = ProblemSpec(f, g, np.array([[1.0, 1.0]]), np.eye(1), np.zeros(1))
+        sched = constant_schedule(p.dims, 1)
         x = solve_x_subproblem(
-            p, np.zeros(2), np.zeros(1), np.ones(1), identity(1), zero_operator(2)
+            p, np.zeros(2), np.zeros(1), np.ones(1), BlockSystem(p.f, p.A, sched, "R"), 1
         )
         G = p.A.T @ p.A
         q_lin = -p.A.T @ np.ones(1)
         assert np.linalg.norm(G @ x + q_lin) <= 1e-10
+
+
+class TestFactoredSubproblems:
+    """A run's x-solve from its factored system f_k K + tau I + Q against
+    ``np.linalg.lstsq`` on the system formed from the realized H_k and R_k."""
+
+    DRIFT = {"c0": 0.5, "law": "inverse_square"}
+
+    @staticmethod
+    def problem(f, A):
+        m, n_x = A.shape
+        g = FunctionDescriptor("zero", m)
+        return ProblemSpec(f, g, A, np.eye(m), np.zeros(m))
+
+    def check_run_solves(self, p, sched_cfg, steps=6):
+        sched = schedule_from_dict(dict(sched_cfg, k_max=steps), p.dims, A=p.A)
+        x_system = BlockSystem(p.f, p.A, sched, "R")
+        rng = np.random.default_rng(4)
+        factors = set()
+        for k in range(1, steps + 1):
+            H_k, R_k, _ = sched.realize(k)
+            f = sched.factor(k)
+            factors.add(f)
+            x_prev, y_prev, gamma = (rng.normal(size=d) for d in p.dims)
+            x = solve_x_subproblem(p, x_prev, y_prev, gamma, x_system, k)
+            G = p.A.T @ H_k.matrix @ p.A + R_k.matrix
+            q_lin = -p.A.T @ gamma + p.A.T @ (H_k.matrix @ (p.B @ y_prev - p.b)) - R_k.matrix @ x_prev
+            total, rhs = G, -q_lin
+            if p.f.kind == "quadratic":
+                total, rhs = G + p.f.Q, -(q_lin + p.f.q)
+            ref = np.linalg.lstsq(total, rhs, rcond=None)[0]
+            assert np.linalg.norm(total @ x - rhs) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
+            np.testing.assert_allclose(x, ref, rtol=1e-8, atol=1e-8 * np.linalg.norm(ref))
+        return factors
+
+    @staticmethod
+    def dummy_reference(p):
+        from vmpadmm.problems import ReferenceSolution
+
+        n_x, n_y, m = p.dims
+        return ReferenceSolution(np.zeros(n_x), np.zeros(n_y), np.zeros(m), 0.0)
+
+    def test_drifting_factor(self):
+        rng = np.random.default_rng(1)
+        L = rng.normal(size=(5, 5))
+        f = FunctionDescriptor("quadratic", 5, Q=L @ L.T + np.eye(5), q=rng.normal(size=5))
+        cfg = {"H": {"type": "scaled_identity", "scale": 1.5},
+               "R": {"type": "scaled_identity", "scale": 0.5}, "S": {"type": "zero"}, "c": self.DRIFT}
+        assert len(self.check_run_solves(self.problem(f, rng.normal(size=(3, 5))), cfg)) > 1
+
+    def test_zero_f_singular_but_consistent(self):
+        # n_x > m and R = 0: f K = f A^T H_0 A has rank m; its pseudo-inverse,
+        # formed per factor, gives lstsq's minimum-norm solution
+        rng = np.random.default_rng(2)
+        cfg = {"H": {"type": "scaled_identity", "scale": 1.0}, "R": {"type": "zero"},
+               "S": {"type": "zero"}, "c": self.DRIFT}
+        p = self.problem(FunctionDescriptor("zero", 6), rng.normal(size=(3, 6)))
+        self.check_run_solves(p, cfg)
+
+    def test_linearized_r(self):
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(4, 6))
+        tau = 1.2 * float(np.linalg.eigvalsh(A.T @ A).max())
+        f = FunctionDescriptor("quadratic", 6, Q=np.eye(6), q=rng.normal(size=6))
+        cfg = {"H": {"type": "scaled_identity", "scale": 1.0}, "R": {"type": "linearized", "tau": tau},
+               "S": {"type": "zero"}}
+        p = self.problem(f, A)
+        self.check_run_solves(p, cfg)
+        # the x-system is tau I + Q exactly: no K is formed
+        sched = schedule_from_dict(dict(cfg, k_max=2), p.dims, A=A)
+        assert BlockSystem(p.f, p.A, sched, "R").K is None
+
+    @pytest.mark.parametrize("n_x", [3, 5])
+    def test_psd_singular_q(self, n_x):
+        # Q is not definite, so f K + Q is decomposed per factor: definite
+        # for n_x = 3 <= m, singular for n_x = 5 > m (q = 0 keeps it consistent)
+        rng = np.random.default_rng(5)
+        Q = np.diag([1.0, 2.0] + [0.0] * (n_x - 2))
+        f = FunctionDescriptor("quadratic", n_x, Q=Q, q=np.zeros(n_x))
+        cfg = {"H": {"type": "scaled_identity", "scale": 1.0}, "R": {"type": "zero"},
+               "S": {"type": "zero"}, "c": self.DRIFT}
+        self.check_run_solves(self.problem(f, rng.normal(size=(4, n_x))), cfg)
+
+    def test_inconsistent_system_raises(self):
+        # f K + Q with K = A^T A = e1 e1^T and Q = e2 e2^T misses e3, where q lives
+        f = FunctionDescriptor("quadratic", 3, Q=np.diag([0.0, 1.0, 0.0]), q=np.array([0.0, 0.0, 1.0]))
+        p = self.problem(f, np.array([[1.0, 0.0, 0.0]]))
+        sched = constant_schedule(p.dims, 1)
+        args = (p, np.zeros(3), np.zeros(1), np.zeros(1), BlockSystem(p.f, p.A, sched, "R"), 1)
+        with pytest.raises(SubproblemError, match="singular"):
+            solve_x_subproblem(*args)
+        cfg = {"H": {"type": "scaled_identity", "scale": 1.0}, "R": {"type": "zero"},
+               "S": {"type": "zero"}, "c": self.DRIFT}
+        run = VmPadmmRun(p, schedule_from_dict(dict(cfg, k_max=3), p.dims), compute_sigma_theta(1.0),
+                         reference=self.dummy_reference(p))
+        with pytest.raises(SubproblemError, match="singular"):
+            run.step()
 
 
 class TestMultiplierUpdate:
@@ -318,21 +419,56 @@ class TestRunState:
         assert len(calls) <= 13
 
 
+class TestFactorOnce:
+    """After the first step, a certified iteration runs no eigh, eigvalsh or
+    lstsq: the metrics are views of the anchor operators and the subproblem
+    systems are decomposed once."""
+
+    LAPACK = ("eigh", "eigvalsh", "lstsq")
+
+    def count_decompositions(self, cfg, monkeypatch):
+        p = generate("lasso", (10, 5), 7)
+        sched = schedule_from_dict(cfg, p.dims, A=p.A)
+        run = VmPadmmRun(p, sched, compute_sigma_theta(1.0))
+        ref = run.reference
+        z_star = np.concatenate([ref.x, ref.y, ref.gamma])
+        steps = run.certified_steps(6, rho=0.0, eps=0.0, membership_seed=0)
+        next(steps)
+        run.hpe.fejer_check(z_star)
+        calls = []
+        for name in self.LAPACK:
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, _n=name, _fn=fn, **k: calls.append(_n) or _fn(*a, **k)
+            )
+        for step in steps:
+            run.hpe.fejer_check(z_star)
+            assert step.iterate.hpe_check.ok and step.pointwise.ok and step.ergodic.ok
+        assert run.k == 6
+        return calls
+
+    def test_zero_law_linearized(self, monkeypatch):
+        A = generate("lasso", (10, 5), 7).A
+        cfg = {"H": {"type": "scaled_identity", "scale": 1.0},
+               "R": {"type": "linearized", "tau": 1.1 * float(np.linalg.eigvalsh(A.T @ A).max())},
+               "S": {"type": "zero"}, "k_max": 10}
+        assert self.count_decompositions(cfg, monkeypatch) == []
+
+    def test_inverse_square_drift(self, monkeypatch):
+        assert self.count_decompositions(TestRunState.DRIFT, monkeypatch) == []
+
+
 class TestD0:
     def test_zero_at_solution(self):
         p = generate("consensus_ls", (4, 3, 2), 1)
         ref = reference_solve(p)
-        d0 = compute_d0_admm(
-            p, (ref.x, ref.y, ref.gamma), identity(2), zero_operator(4), zero_operator(3),
-            1.0, x0=ref.x, y0=ref.y, gamma0=ref.gamma,
-        )
+        M0 = assemble_Mk(identity(2), zero_operator(4), zero_operator(3), p.B, 1.0)
+        d0 = compute_d0_admm(p, (ref.x, ref.y, ref.gamma), M0, x0=ref.x, y0=ref.y, gamma0=ref.gamma)
         assert d0 == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_value(self):
         p = scalar_problem()
         # R=0, S=0, H=1, B=1, theta=1: d0^2 = (y0-y*)^2 * 1 + (g0-g*)^2
-        d0 = compute_d0_admm(
-            p, (np.array([0.5]), np.array([0.5]), np.array([0.5])),
-            identity(1), zero_operator(1), zero_operator(1), 1.0,
-        )
+        M0 = assemble_Mk(identity(1), zero_operator(1), zero_operator(1), p.B, 1.0)
+        d0 = compute_d0_admm(p, (np.array([0.5]), np.array([0.5]), np.array([0.5])), M0)
         assert d0 == pytest.approx(np.sqrt(0.25 + 0.25))

@@ -251,6 +251,15 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert "reference solve" in err and "iteration cap" in err
 
+    def test_huge_horizon_fails_fast(self, tmp_path, capsys):
+        sched = write_json(tmp_path / "huge.json", dict(CONSTANT_SCHEDULE, k_max=10**12))
+        t0 = time.perf_counter()
+        assert main(solve_args(sched, tmp_path)) == 1
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "k_max" in err
+
     def test_sandwich_violation_exits_one(self, tmp_path, capsys):
         # drift law forbids the schedule's c_k > 1 in solver mode
         cfg = dict(CONSTANT_SCHEDULE, c={"c0": 2.0, "law": "inverse_square"})

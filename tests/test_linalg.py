@@ -9,6 +9,7 @@ from vmpadmm.linalg import (
     block_diag,
     identity,
     operator_leq,
+    scaled_leq,
     zero_operator,
 )
 
@@ -173,3 +174,76 @@ class TestOperatorOrder:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dims differ"):
             operator_leq(identity(2).matrix, identity(3).matrix)
+
+    def test_scaled_leq_matches_eigenvalues(self):
+        rng = np.random.default_rng(2)
+        for Q in (random_psd(rng, 5), random_psd(rng, 5, 2), zero_operator(3)):
+            for a, b in ((1.0, 1.5), (1.5, 1.0), (0.7, 0.7), (1.0, 1.0 - 1e-14), (2.0, 0.0)):
+                assert scaled_leq(a, b, Q) == operator_leq(a * Q.matrix, b * Q.matrix)
+
+
+class TestScaledView:
+    """``PsdOperator.scaled(f)`` against a dense ``PsdOperator(f M)``."""
+
+    FACTORS = (0.3, 1.0, 2.5)
+
+    @staticmethod
+    def bases():
+        rng = np.random.default_rng(11)
+        return [random_psd(rng, 6), random_psd(rng, 6, 3), PsdOperator(np.diag([2.0, 1.0, 0.0]))]
+
+    @staticmethod
+    def assert_close(got, want, scale):
+        assert abs(got - want) <= 1e-12 * (abs(want) + scale)
+
+    @pytest.mark.parametrize("f", FACTORS)
+    def test_matches_dense(self, f):
+        for base in self.bases():
+            view, dense = base.scaled(f), PsdOperator(f * base.matrix)
+            scale = dense._eig_extremes[1]
+            for got, want in zip(view._eig_extremes, dense._eig_extremes):
+                self.assert_close(got, want, scale)
+            np.testing.assert_allclose(view.matrix, dense.matrix, rtol=1e-12, atol=1e-12 * scale)
+            rng = np.random.default_rng(0)
+            for _ in range(5):
+                z = rng.normal(size=base.dim)
+                self.assert_close(view.seminorm(z), dense.seminorm(z), np.sqrt(scale) * np.linalg.norm(z))
+                r = dense.apply(z)  # in the range: finite dual seminorm
+                self.assert_close(
+                    view.dual_seminorm_general(r), dense.dual_seminorm_general(r), np.linalg.norm(z)
+                )
+                off = rng.normal(size=base.dim)
+                assert (view.dual_seminorm_general(off) == np.inf) == (
+                    dense.dual_seminorm_general(off) == np.inf
+                )
+
+    @pytest.mark.parametrize("f", FACTORS)
+    def test_inverse(self, f):
+        definite, singular = self.bases()[0], self.bases()[1]
+        view, dense = definite.scaled(f), PsdOperator(f * definite.matrix)
+        want = dense.inverse().matrix
+        np.testing.assert_allclose(
+            view.inverse().matrix, want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+        )
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            singular.scaled(f).inverse()
+
+    def test_views_share_the_base_and_decompose_nothing(self, monkeypatch):
+        base = self.bases()[0]
+        base.dual_seminorm_general(np.ones(6))  # the base's eigh, once
+        base.inverse()
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+        assert base.scaled(1.0) is base
+        view = base.scaled(2.0).scaled(1.25)
+        assert view.base is base and view.factor == 2.5 and view.definite == base.definite
+        assert view._eig[1] is base._eig[1]
+        view.dual_seminorm_general(np.ones(6)), view.seminorm(np.ones(6)), view._eig_extremes
+        assert view.inverse().base is base.inverse()
+        assert calls == []
+
+    def test_nonpositive_factor_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            identity(2).scaled(0.0)

@@ -164,6 +164,65 @@ class TestAssembleMk:
         np.testing.assert_allclose(M.blocks[2].matrix, 0.5 * np.eye(2))
 
 
+class TestRunMetric:
+    """``metric`` derives M_k from M_0 and f_k; ``assemble_Mk`` on the
+    realized operators is the oracle."""
+
+    @staticmethod
+    def schedule(r_desc, seed=0):
+        rng = np.random.default_rng(seed)
+        n_x, n_y, m = 5, 4, 3
+        L, G = rng.normal(size=(m, m)), rng.normal(size=(n_y, n_y - 1))
+        A, B = rng.normal(size=(m, n_x)), rng.normal(size=(m, n_y))
+        H = L @ L.T + np.eye(m)
+        cfg = {
+            "H": {"type": "dense", "matrix": H.tolist()},
+            "R": r_desc(A.T @ H @ A),
+            "S": {"type": "dense", "matrix": (G @ G.T).tolist()},
+            "c": {"c0": 0.5, "law": "inverse_square"},
+            "k_max": 6,
+        }
+        return schedule_from_dict(cfg, (n_x, n_y, m), A=A), A, B
+
+    R_DESCS = {
+        "scaled": lambda AHA: {"type": "scaled_identity", "scale": 0.7},
+        # tau covers A^T H_k A for every f_k <= 2
+        "linearized": lambda AHA: {"type": "linearized", "tau": 2.5 * float(np.linalg.eigvalsh(AHA).max())},
+    }
+
+    @pytest.mark.parametrize("r_kind", sorted(R_DESCS))
+    def test_matches_assembled(self, r_kind, monkeypatch):
+        sched, _, B = self.schedule(self.R_DESCS[r_kind])
+        calls = []
+        monkeypatch.setattr(
+            "vmpadmm.schedule.assemble_Mk", lambda *a: calls.append(a) or assemble_Mk(*a)
+        )
+        for k in range(sched.k_max + 1):
+            M = sched.metric(k, B, 1.3)
+            assert sched.metric(k, B, 1.3) is M  # reused while f_k is unchanged
+            ref = assemble_Mk(*sched.realize(k), B, 1.3)
+            assert M.blocks[0] is sched.realize(k)[1]
+            for got, want in zip(M.blocks, ref.blocks):
+                np.testing.assert_allclose(got.matrix, want.matrix, rtol=1e-12, atol=1e-14)
+        assert len(calls) == 1  # M_0, once
+        sched.metric(2, B, 0.9)  # another theta assembles its own M_0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("r_kind", sorted(R_DESCS))
+    def test_system_base(self, r_kind):
+        sched, A, B = self.schedule(self.R_DESCS[r_kind], seed=1)
+        bases = {"R": (A, sched.system_base(A, "R")), "S": (B, sched.system_base(B, "S"))}
+        for k in range(sched.k_max + 1):
+            H, R, S = sched.realize(k)
+            f = sched.factor(k)
+            for family, P in (("R", R), ("S", S)):
+                N, (K, tau) = bases[family]
+                G = N.T @ H.matrix @ N + P.matrix
+                fK = 0.0 if K is None else f * K
+                np.testing.assert_allclose(fK + tau * np.eye(N.shape[1]), G, rtol=1e-12, atol=1e-12)
+        assert (bases["R"][1][0] is None) == (r_kind == "linearized")
+
+
 class TestJsonConfig:
     CFG = {
         "H": {"type": "scaled_identity", "scale": 2.0},
@@ -223,3 +282,75 @@ class TestRuleValidation:
                 c0=-0.1,
                 law="inverse_square",
             )
+
+
+class TestAnalyticValidate:
+    """``validate()`` decides a scaled family's sandwich from f_{k+1}/f_k;
+    the eigenvalue test of the realized matrices is the oracle."""
+
+    @staticmethod
+    def oracle(sched):
+        failures = []
+        for k in range(sched.k_max):
+            c = float(sched.c_seq[k])
+            for name, q0, q1 in zip("HRS", sched.realize(k), sched.realize(k + 1)):
+                if not (operator_leq(q0.matrix / (1.0 + c), q1.matrix)
+                        and operator_leq(q1.matrix, (1.0 + c) * q0.matrix)):
+                    failures.append((k, name))
+        return failures
+
+    @staticmethod
+    def random_schedule(seed):
+        rng = np.random.default_rng(seed)
+        n_x, n_y, m = (int(d) for d in rng.integers(1, 6, size=3))
+        L = rng.normal(size=(m, m))
+        G = rng.normal(size=(n_x, max(1, n_x - 1)))  # a singular R base
+        cfg = {
+            "H": {"type": "dense", "matrix": (L @ L.T + np.eye(m)).tolist()},
+            "R": {"type": "dense", "matrix": (G @ G.T).tolist()},
+            "S": {"type": "scaled_identity", "scale": float(rng.uniform(0.1, 3.0))},
+            "c": {"c0": float(rng.uniform(0.0, 1.0)), "law": "inverse_square"},
+            "k_max": 12,
+        }
+        return schedule_from_dict(cfg, (n_x, n_y, m))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_verdict_as_eigenvalues(self, seed, monkeypatch):
+        sched = self.random_schedule(seed)
+        calls = []
+        monkeypatch.setattr("vmpadmm.schedule.operator_leq", lambda *a: calls.append(a) or operator_leq(*a))
+        rep = sched.validate()
+        assert calls == []
+        assert rep.sandwich_failures == self.oracle(sched) == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_broken_factors_detected(self, seed):
+        sched = self.random_schedule(seed)
+        sched._factors[5] *= 1.0 + 2.0 * float(sched.c_seq[4]) + 0.01  # jump past (1 + c_4)
+        sched._last = None
+        expected = self.oracle(sched)
+        assert expected == [(4, "H"), (4, "R"), (4, "S"), (5, "H"), (5, "R"), (5, "S")]
+        assert sched.validate().sandwich_failures == expected
+
+
+class TestHorizonLimit:
+    def test_huge_k_max_rejected_before_allocation(self):
+        import tracemalloc
+
+        cfg = dict(TestJsonConfig.CFG, k_max=10**12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="k_max"):
+                schedule_from_dict(cfg, (4, 3, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_limit_is_inclusive(self):
+        from vmpadmm.schedule import K_MAX_LIMIT
+
+        with pytest.raises(ValueError, match="k_max"):
+            schedule_from_dict(dict(TestJsonConfig.CFG, k_max=K_MAX_LIMIT + 1), (4, 3, 2))
+        cfg = dict(TestJsonConfig.CFG, c={"c0": 0.0, "law": "zero"}, k_max=K_MAX_LIMIT)
+        assert schedule_from_dict(cfg, (4, 3, 2)).k_max == K_MAX_LIMIT
