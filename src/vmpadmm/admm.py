@@ -544,33 +544,20 @@ class VmPadmmRun:
             membership_ok=it.memberships_ok, membership_detail=detail,
         )
 
-    def ergodic_averages(self):
-        """((x^a, y^a, gamma~^a), (r^a_x, r^a_y, r^a_g), (eps_x, eps_y)) at k."""
-        zt_a, r_a, _ = self.hpe.ergodic_point()
-        return self._block_averages(zt_a, r_a)[:3]
-
-    def _block_averages(self, zt_a, r_a):
-        """Split the HPE ergodic point at the block offsets and add the
-        block-wise eps from the independent dot sums; also returns the mean
-        subgradients (s^a_x, s^a_y)."""
-        k, M_k = self.k, self.hpe.last.M
-        x_a, y_a, gt_a = M_k.split(zt_a)
-        rx_a, ry_a, rg_a = M_k.split(r_a)
-        # eps = (1/k) sum <s_i, x_i> - <mean s, mean x>, s_i = r_{i,x} + A^T gamma~_i
-        s_mean_x = rx_a + self.problem.A.T @ gt_a
-        s_mean_y = ry_a + self.problem.B.T @ gt_a
-        eps_x = self._dot_sx / k - float(s_mean_x @ x_a)
-        eps_y = self._dot_sy / k - float(s_mean_y @ y_a)
-        return (x_a, y_a, gt_a), (rx_a, ry_a, rg_a), (eps_x, eps_y), (s_mean_x, s_mean_y)
-
     def ergodic_kkt_certificate(self, rng: np.random.Generator | None = None) -> KktResidualCertificate:
         """Ergodic triple at k with ergodic bounds, eps decomposition against
         the full-space accumulator, and, when ``rng`` is given, sampled
         eps-subdifferential checks."""
         zt_a, r_a, eps_full = self.hpe.ergodic_point()
-        (x_a, y_a, gt_a), (rx_a, ry_a, rg_a), (eps_x, eps_y), s_a = self._block_averages(zt_a, r_a)
-        k = self.k
-        R_k, mid_k, gam_k = self.hpe.last.M.blocks
+        k, M_k = self.k, self.hpe.last.M
+        x_a, y_a, gt_a = M_k.split(zt_a)
+        rx_a, ry_a, rg_a = M_k.split(r_a)
+        # block-wise eps from the dot sums kept apart from the HPE accumulators:
+        # eps = (1/k) sum <s_i, x_i> - <mean s, mean x>, s_i = r_{i,x} + A^T gamma~_i
+        s_a = (rx_a + self.problem.A.T @ gt_a, ry_a + self.problem.B.T @ gt_a)
+        eps_x = self._dot_sx / k - float(s_a[0] @ x_a)
+        eps_y = self._dot_sy / k - float(s_a[1] @ y_a)
+        R_k, mid_k, gam_k = M_k.blocks
         dual_x = R_k.dual_seminorm_general(rx_a)
         dual_y = mid_k.dual_seminorm_general(ry_a)
         dual_g = gam_k.dual_seminorm_general(rg_a)

@@ -82,7 +82,7 @@ def run_solve(args) -> int:
     problem = _load_problem_arg(args.problem, args.seed)
     try:
         schedule = load_schedule(args.schedule, problem.dims, A=problem.A)
-        report = schedule.validate()  # realizes every k: an indefinite operator raises
+        report = schedule.validate()  # every k at once; an indefinite R_k raises
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ConfigError(f"malformed schedule file {args.schedule}: {exc}") from exc
     if not report.ok_for_admm():

@@ -3,7 +3,9 @@
 All operators here are selfadjoint positive semidefinite matrices on small
 finite-dimensional spaces.  A PSD operator M induces the seminorm
 ``||z||_M = sqrt(<Mz, z>)`` and an extended dual seminorm that is finite
-exactly on the range of M, where ``||M w||*_M = ||w||_M``.
+exactly on the range of M, where ``||M w||*_M = ||w||_M``.  Views
+a I + b M share M's eigendecomposition, and two of them are ordered
+(``affine_leq``) at M's two extreme eigenvalues.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ __all__ = [
     "PsdOperator",
     "BlockDiagOperator",
     "operator_leq",
-    "scaled_leq",
+    "affine_leq",
     "block_diag",
     "identity",
     "zero_operator",
@@ -35,8 +37,8 @@ class PsdOperator:
     """A selfadjoint positive (semi)definite operator given by a dense matrix.
 
     Immutable; the eigendecomposition and the inverse are computed lazily
-    and cached.  :meth:`scaled` gives f times the operator as a view that
-    shares them.
+    and cached.  :meth:`affine` gives a I + b times the operator, and
+    :meth:`scaled` f times it, as a view that shares them.
     """
 
     matrix: np.ndarray
@@ -123,22 +125,31 @@ class PsdOperator:
         its own; ``scaled(1.0)`` is ``self``."""
         if not f > 0.0:
             raise ValueError(f"scale factor must be positive, got {f}")
-        return self if f == 1.0 else _ScaledOperator(self, float(f))
+        return self.affine(0.0, float(f))
+
+    def affine(self, a: float, b: float) -> "PsdOperator":
+        """``a I + b * self`` as a view that runs no decomposition of its
+        own; raises if it is not PSD.  ``affine(0.0, 1.0)`` is ``self``."""
+        return self if (a, b) == (0.0, 1.0) else _ScaledOperator(self, float(a), float(b))
 
 
 class _ScaledOperator(PsdOperator):
-    """``factor * base``.  PSD, and definite when the base is, by
-    construction, so it skips the constructor's checks; its spectrum, eigenbasis
-    and inverse are read off the base's, whose eigenvectors it shares."""
+    """``shift * I + factor * base``: the base's eigenvectors with the
+    eigenvalues shift + factor * w, kept ascending (reversed when factor < 0).
+    PSD by construction when shift, factor >= 0; otherwise checked."""
 
-    def __init__(self, base: PsdOperator, factor: float):
+    def __init__(self, base: PsdOperator, shift: float, factor: float):
         object.__setattr__(self, "base", base)
+        object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "definite", base.definite)
+        object.__setattr__(self, "definite", base.definite and shift >= 0.0 and factor > 0.0)
+        if (shift < 0.0 or factor < 0.0) and not affine_leq(0.0, 0.0, shift, factor, base):
+            raise ValueError(f"operator is not PSD: smallest eigenvalue {self._eig_extremes[0]}")
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return self.factor * self.base.matrix
+        m = self.factor * self.base.matrix
+        return m + self.shift * np.eye(self.dim) if self.shift else m
 
     @property
     def dim(self) -> int:
@@ -147,21 +158,23 @@ class _ScaledOperator(PsdOperator):
     @cached_property
     def _eig(self):
         w, v = self.base._eig
-        return self.factor * w, v
+        w = self.factor * w + self.shift
+        return (w, v) if self.factor >= 0.0 else (w[::-1], v[:, ::-1])
 
     @property
     def _eig_extremes(self):
-        lo, hi = self.base._eig_extremes
-        return self.factor * lo, self.factor * hi
+        lo, hi = (self.factor * w + self.shift for w in self.base._eig_extremes)
+        return (lo, hi) if self.factor >= 0.0 else (hi, lo)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        return self.factor * self.base.apply(z)
+        # with a shift, one product with the formed matrix, as for a dense operator
+        return super().apply(z) if self.shift else self.factor * self.base.apply(z)
 
-    def inverse(self) -> PsdOperator:
-        return self.base.inverse().scaled(1.0 / self.factor)
+    def inverse(self) -> PsdOperator:  # with a shift, formed from the shared eigenbasis
+        return self._inverse if self.shift else self.base.inverse().scaled(1.0 / self.factor)
 
-    def scaled(self, f: float) -> PsdOperator:
-        return self.base.scaled(self.factor * f)
+    def affine(self, a: float, b: float) -> PsdOperator:
+        return self.base.affine(a + b * self.shift, b * self.factor)
 
 
 @dataclass(frozen=True)
@@ -228,13 +241,16 @@ def operator_leq(M: np.ndarray, N: np.ndarray) -> bool:
     return float(w[0]) >= -_PSD_TOL * (1.0 + scale)
 
 
-def scaled_leq(a: float, b: float, Q: PsdOperator) -> bool:
-    """``operator_leq(a Q, b Q)`` for scalars a, b, decided without a
-    decomposition: the extreme eigenvalues of (b - a) Q are (b - a) times
-    Q's, which lie in [0, hi] up to the PSD roundoff that
-    ``operator_leq``'s slack absorbs."""
-    d, hi = b - a, Q._eig_extremes[1]
-    return d >= 0.0 or d * hi >= -_PSD_TOL * (1.0 + abs(d) * hi)
+def affine_leq(a0, b0, a1, b1, Q: PsdOperator):
+    """``operator_leq(a0 I + b0 Q, a1 I + b1 Q)`` without a decomposition:
+    the difference has the eigenvalues (a1 - a0) + (b1 - b0) w over Q's
+    eigenvalues w, so its extremes lie at Q's.  Elementwise over arrays of
+    coefficients; ``affine_leq(0, 0, a, b, Q)`` tests that a I + b Q is PSD."""
+    lo, hi = Q._eig_extremes
+    da, db = a1 - a0, b1 - b0
+    at_lo, at_hi = db * lo + da, db * hi + da
+    scale = np.maximum(np.abs(at_lo), np.abs(at_hi))
+    return np.minimum(at_lo, at_hi) >= -_PSD_TOL * (1.0 + scale)
 
 
 def block_diag(blocks) -> BlockDiagOperator:

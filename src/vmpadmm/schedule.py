@@ -8,14 +8,16 @@ Successive operators of each family must satisfy the two-sided sandwich
     (1/(1+c_k)) Q_k <= Q_{k+1} <= (1+c_k) Q_k.
 
 Every family moves through one scalar drift factor f_k: Q_k = f_k Q_0, or
-R_k = tau I - A^T H_k A for a linearized R.  The factor moves by exactly the
-allowed (1+c_k)^{+-1}, alternating up and down, to stress the sandwich at its
-boundary; under the zero law f_k = 1.  Operators are realized from f_k on
-demand, and equal factors give the same operator objects.  A ``scaled``
-operator is a view of its base (:meth:`PsdOperator.scaled`), so realizing it
-runs no decomposition, and its sandwich reduces to comparing f_{k+1}/f_k
-with (1+c_k)^{+-1}.  The same factor gives the product-space metric M_k from
-M_0 (:meth:`MetricSchedule.metric`) and each subproblem system from one base
+R_k = tau I - f_k G with G = A^T H_0 A for a linearized R.  The factor moves
+by exactly the allowed (1+c_k)^{+-1}, alternating up and down, to stress the
+sandwich at its boundary; under the zero law f_k = 1.  Each family has one
+anchor (its base, or G), decomposed once, and every operator it realizes is
+an affine view a_k I + b_k anchor of it (:meth:`PsdOperator.affine`), so
+realizing runs no decomposition; equal factors give the same objects.  The
+PSD-ness and the sandwich of every k are then affine in the anchor's
+eigenvalue and are decided at its two extremes, for all k at once.  The same
+factor gives the product-space metric M_k from M_0
+(:meth:`MetricSchedule.metric`) and each subproblem system from one base
 (:meth:`MetricSchedule.system_base`).
 """
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import BlockDiagOperator, PsdOperator, block_diag, operator_leq, scaled_leq
+from .linalg import BlockDiagOperator, PsdOperator, affine_leq, block_diag
 
 __all__ = [
     "OperatorRule",
@@ -98,11 +100,9 @@ class ScheduleRule:
 
 def _drift_factors(c_seq: np.ndarray) -> np.ndarray:
     """Cumulative alternating scale factors: f_0 = 1, f_{k+1} = f_k*(1+c_k)^{+-1}."""
-    factors = np.ones(len(c_seq) + 1)
-    for k, c in enumerate(c_seq):
-        step = (1.0 + c) if k % 2 == 0 else 1.0 / (1.0 + c)
-        factors[k + 1] = factors[k] * step
-    return factors
+    up = 1.0 + c_seq
+    steps = np.where(np.arange(len(c_seq)) % 2 == 0, up, 1.0 / up)
+    return np.concatenate(([1.0], np.cumprod(steps)))
 
 
 @dataclass
@@ -139,6 +139,12 @@ class MetricSchedule:
         self.C_S = float(self.c_seq.sum() + rule.c_tail_bound(k_max))
         self.C_P = float(np.prod(1.0 + self.c_seq) * np.exp(rule.c_tail_bound(k_max)))
         self._factors = _drift_factors(self.c_seq)
+        # (anchor, a, s) per family: Q_k = a I + s f_k anchor; s = 0 for a zero family
+        rules = (rule.h_rule, rule.r_rule, rule.s_rule)
+        self._families = [(o.base, 0.0, float(o.kind == "scaled")) for o in rules]
+        if rule.r_rule.kind == "linearized":  # R_k = tau I - f_k G, G = A^T H_0 A
+            G = self.A.T @ rule.h_rule.base.matrix @ self.A
+            self._families[1] = (PsdOperator(0.5 * (G + G.T)), rule.r_rule.tau, -1.0)
         self._last = None  # (f, (H, R, S), M_k or None) of the latest realization
         self._M0 = None  # (B, theta, M_0) of the latest metric() call
         self.realize(0)  # the anchor operators are checked at construction
@@ -147,10 +153,6 @@ class MetricSchedule:
         """The drift factor f_k shared by every family."""
         return float(self._factors[k])
 
-    @staticmethod
-    def _scaled(orule: OperatorRule, f: float) -> PsdOperator:
-        return orule.base if orule.kind == "zero" else orule.base.scaled(f)
-
     def realize(self, k: int) -> tuple[PsdOperator, PsdOperator, PsdOperator]:
         """Return (H_k, R_k, S_k); index 0 gives the anchor operators."""
         if k < 0 or k > self.k_max:
@@ -158,14 +160,7 @@ class MetricSchedule:
         f = self.factor(k)
         if self._last is not None and self._last[0] == f:
             return self._last[1]
-        rule = self.rule
-        H = self._scaled(rule.h_rule, f)
-        if rule.r_rule.kind == "linearized":
-            mat = rule.r_rule.tau * np.eye(self.A.shape[1]) - self.A.T @ H.matrix @ self.A
-            R = PsdOperator(0.5 * (mat + mat.T))
-        else:
-            R = self._scaled(rule.r_rule, f)
-        ops = (H, R, self._scaled(rule.s_rule, f))
+        ops = tuple(Q.affine(a, s * f) if s else Q for Q, a, s in self._families)
         self._last = (f, ops, None)
         return ops
 
@@ -200,34 +195,23 @@ class MetricSchedule:
         return 0.5 * (K + K.T), 0.0
 
     def validate(self) -> ValidationReport:
-        """Check the two-sided sandwich for every k and family, and that
-        every c_k <= 1 (the solver needs it).  Sandwich failures are
-        reported, not raised; an operator that is not PSD raises
-        ``ValueError`` when it is realized.
-
-        A ``scaled`` family is f_k times one base Q, so its sandwich is
-        decided by ``scaled_leq`` from Q's spectrum; a linearized R is
-        compared by ``operator_leq``."""
+        """Check that every operator is PSD, the two-sided sandwich for every
+        k and family, and that every c_k <= 1 (the solver needs it).  Sandwich
+        failures are reported, not raised; an operator that is not PSD raises
+        ``ValueError`` naming the first such k.  Both checks are affine in the
+        anchor's eigenvalue, so ``affine_leq`` decides them for all k at once."""
         rep = ValidationReport(c_over_one=[int(k) for k in np.nonzero(self.c_seq > 1.0)[0]])
-        rules = (self.rule.h_rule, self.rule.r_rule, self.rule.s_rule)
-        prev = self.realize(0)
-        for k in range(self.k_max):
-            cur = self.realize(k + 1)
-            c = float(self.c_seq[k])
-            f0, f1 = self._factors[k], self._factors[k + 1]
-            for name, orule, q0, q1 in zip("HRS", rules, prev, cur):
-                if q1 is q0:  # an operator sandwiches itself for any c >= 0
-                    continue
-                if orule.kind == "scaled":
-                    Q = orule.base
-                    ok = scaled_leq(f0 / (1.0 + c), f1, Q) and scaled_leq(f1, (1.0 + c) * f0, Q)
-                else:
-                    ok = operator_leq(q0.matrix / (1.0 + c), q1.matrix) and operator_leq(
-                        q1.matrix, (1.0 + c) * q0.matrix
-                    )
-                if not ok:
-                    rep.sandwich_failures.append((k, name))
-            prev = cur
+        f, up = self._factors[: self.k_max + 1], 1.0 + self.c_seq[: self.k_max]
+        failures = []
+        for name, (Q, a, s) in zip("HRS", self._families):
+            b = s * f
+            psd = affine_leq(0.0, 0.0, a, b, Q)
+            if not psd.all():
+                raise ValueError(f"{name}_k is not PSD, first at k = {int(np.argmin(psd))}")
+            lower = affine_leq(a / up, b[:-1] / up, a, b[1:], Q)  # Q_k / (1 + c_k) <= Q_{k+1}
+            ok = lower & affine_leq(a, b[1:], up * a, up * b[:-1], Q)  # Q_{k+1} <= (1 + c_k) Q_k
+            failures += [(int(k), name) for k in np.flatnonzero(~ok)]
+        rep.sandwich_failures = sorted(failures)
         return rep
 
 
@@ -249,20 +233,28 @@ def assemble_Mk(
 
 # -- JSON configuration ------------------------------------------------------
 
+def _finite(value, name: str) -> np.ndarray:
+    """``value`` as a float array, raising unless every entry is finite."""
+    value = np.asarray(value, dtype=float)
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
 def _operator_from_descriptor(desc: dict, dim: int, family: str) -> OperatorRule:
     kind = desc.get("type")
     if kind == "scaled_identity":
-        scale = float(desc["scale"])
+        scale = float(_finite(desc["scale"], f"{family} scale"))
         return OperatorRule("scaled", base=PsdOperator(scale * np.eye(dim), definite=scale > 0))
     if kind == "dense":
-        matrix = np.asarray(desc["matrix"], dtype=float)
+        matrix = _finite(desc["matrix"], f"{family} matrix entries")
         return OperatorRule("scaled", base=PsdOperator(matrix, definite=family == "H"))
     if kind == "zero":
         return OperatorRule("zero", base=PsdOperator(np.zeros((dim, dim))))
     if kind == "linearized":
         if family != "R":
             raise ValueError("linearized descriptor is only valid for the R family")
-        return OperatorRule("linearized", tau=float(desc["tau"]))
+        return OperatorRule("linearized", tau=float(_finite(desc["tau"], "R tau")))
     raise ValueError(f"unknown operator descriptor type {kind!r}")
 
 
@@ -285,7 +277,7 @@ def schedule_from_dict(
     r = _operator_from_descriptor(cfg["R"], n_x, "R")
     s = _operator_from_descriptor(cfg["S"], n_y, "S")
     law = c_cfg.get("law", "zero")
-    c0 = float(c_cfg.get("c0", 0.0))
+    c0 = float(_finite(c_cfg.get("c0", 0.0), "c0"))
     rule = ScheduleRule(h_rule=h, r_rule=r, s_rule=s, c0=c0, law=law)
     return MetricSchedule(rule, int(cfg["k_max"]), A=A)
 

@@ -262,14 +262,13 @@ class TestRunInternals:
         self.params = compute_sigma_theta(1.0)
         self.run = VmPadmmRun(self.p, self.sched, self.params)
         self.iterates, self.pointwise, self.ergodic = [], [], []
-        self.averages, self.eps_full, self.hpe_eps_direct = [], [], []
+        self.eps_full, self.hpe_eps_direct = [], []
         z_tildes, residuals = [], []
         for k in range(1, 51):
             it = self.run.step()
             self.iterates.append(it)
             self.pointwise.append(self.run.pointwise_kkt_certificate())
             self.ergodic.append(self.run.ergodic_kkt_certificate())
-            self.averages.append(self.run.ergodic_averages())
             self.eps_full.append(self.run.hpe.ergodic_point()[2])
             last = self.run.hpe.last
             z_tildes.append(last.z_tilde)
@@ -325,7 +324,9 @@ class TestRunInternals:
         A, B = self.p.A, self.p.B
         for k in range(1, 51):
             its = self.iterates[:k]
-            (x_a, y_a, gt_a), (rx_a, ry_a, rg_a), (eps_x, eps_y) = self.averages[k - 1]
+            cert = self.ergodic[k - 1]
+            x_a, y_a, gt_a = cert.x, cert.y, cert.gamma_tilde
+            rx_a, ry_a, rg_a = cert.r_x, cert.r_y, cert.r_gamma
             np.testing.assert_allclose(x_a, sum(i.x for i in its) / k, atol=1e-12)
             np.testing.assert_allclose(y_a, sum(i.y for i in its) / k, atol=1e-12)
             np.testing.assert_allclose(gt_a, sum(i.gamma_tilde for i in its) / k, atol=1e-12)
@@ -334,8 +335,8 @@ class TestRunInternals:
             np.testing.assert_allclose(rg_a, sum(i.r_gamma for i in its) / k, atol=1e-12)
             dsx = sum(float((i.r_x + A.T @ i.gamma_tilde) @ i.x) for i in its) / k
             dsy = sum(float((i.r_y + B.T @ i.gamma_tilde) @ i.y) for i in its) / k
-            assert eps_x == pytest.approx(dsx - float((rx_a + A.T @ gt_a) @ x_a), abs=1e-12)
-            assert eps_y == pytest.approx(dsy - float((ry_a + B.T @ gt_a) @ y_a), abs=1e-12)
+            assert cert.eps_x == pytest.approx(dsx - float((rx_a + A.T @ gt_a) @ x_a), abs=1e-12)
+            assert cert.eps_y == pytest.approx(dsy - float((ry_a + B.T @ gt_a) @ y_a), abs=1e-12)
 
     def test_membership_certificates_sampled(self):
         cert = self.run.ergodic_kkt_certificate(rng=np.random.default_rng(0))
@@ -456,6 +457,13 @@ class TestFactorOnce:
 
     def test_inverse_square_drift(self, monkeypatch):
         assert self.count_decompositions(TestRunState.DRIFT, monkeypatch) == []
+
+    def test_inverse_square_linearized(self, monkeypatch):
+        # each R_k = tau I - f_k A^T H_0 A is a view of one decomposed anchor
+        A = generate("lasso", (10, 5), 7).A
+        tau = 3.0 * float(np.linalg.eigvalsh(A.T @ A).max())
+        cfg = dict(TestRunState.DRIFT, R={"type": "linearized", "tau": tau})
+        assert self.count_decompositions(cfg, monkeypatch) == []
 
 
 class TestD0:

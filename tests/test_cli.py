@@ -168,6 +168,22 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "non-finite" in err or "finite lambda" in err
 
+    @pytest.mark.parametrize("field,over", [
+        ("R tau", {"R": {"type": "linearized", "tau": float("inf")}}),
+        ("R tau", {"R": {"type": "linearized", "tau": float("nan")}}),
+        ("H scale", {"H": {"type": "scaled_identity", "scale": float("inf")}}),
+        ("S scale", {"S": {"type": "scaled_identity", "scale": float("nan")}}),
+        ("R matrix entries", {"R": {"type": "dense", "matrix": [[1.0, 0.0], [0.0, float("nan")]]}}),
+        ("c0", {"c": {"c0": float("inf"), "law": "inverse_square"}}),
+        ("c0", {"c": {"c0": float("nan"), "law": "inverse_square"}}),
+    ])
+    def test_non_finite_schedule_rejected(self, tmp_path, capsys, field, over):
+        sched = write_json(tmp_path / "nan_schedule.json", dict(CONSTANT_SCHEDULE, **over))
+        assert main(solve_args(sched, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{field} must be finite" in err
+
     def test_unsupported_reference_is_one_line(self, tmp_path, capsys):
         args = solve_args(linearized_schedule(tmp_path), tmp_path, problem=l1_problem(tmp_path))
         assert main(args) == 1
@@ -227,6 +243,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not PSD" in err
+
+    def test_linearized_sandwich_failure_at_full_horizon_is_fast(self, tmp_path, capsys):
+        # tau = 2 lambda_max(A^T A) keeps every R_k PSD but breaks the sandwich
+        # at k = 0; the verdict over 10^6 steps takes no walk over k
+        from vmpadmm.schedule import K_MAX_LIMIT
+
+        A = generate("lasso", (200, 100), 1).A
+        sched = write_json(tmp_path / "lin_fail.json", dict(
+            CONSTANT_SCHEDULE, k_max=K_MAX_LIMIT, c={"c0": 0.5, "law": "inverse_square"},
+            R={"type": "linearized", "tau": 2.0 * float(np.linalg.eigvalsh(A.T @ A)[-1])},
+        ))
+        t0 = time.perf_counter()
+        assert main(solve_args(sched, tmp_path, problem="gen:lasso:200x100:1")) == 1
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "schedule validation failed at (k, family) = [(0, 'R'), (1, 'R')" in err
 
     def test_infeasible_problem_fails_fast(self, schedule_file, tmp_path, capsys):
         problem = infeasible_problem(tmp_path)

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from vmpadmm.linalg import (
     BlockDiagOperator,
     PsdOperator,
+    affine_leq,
     block_diag,
     identity,
     operator_leq,
-    scaled_leq,
     zero_operator,
 )
 
@@ -175,11 +175,41 @@ class TestOperatorOrder:
         with pytest.raises(ValueError, match="dims differ"):
             operator_leq(identity(2).matrix, identity(3).matrix)
 
-    def test_scaled_leq_matches_eigenvalues(self):
+    # (a0, b0, a1, b1): a0 I + b0 Q <= a1 I + b1 Q, with b of both signs
+    AFFINE_PAIRS = (
+        (0.0, 1.0, 0.0, 1.5), (0.0, 1.5, 0.0, 1.0), (0.0, 0.7, 0.0, 0.7), (0.0, 1.0, 0.0, 1.0 - 1e-14),
+        (0.0, 2.0, 0.0, 0.0), (3.0, -1.0, 3.0, -1.5), (3.0, -1.5, 3.0, -1.0), (2.0, -1.0, 1.0, 0.0),
+        (0.5, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0), (5.0, -1.0, 4.0, -0.5), (4.0, -1.0, 4.0, -1.0),
+    )
+
+    def test_affine_leq_matches_eigenvalues(self):
         rng = np.random.default_rng(2)
-        for Q in (random_psd(rng, 5), random_psd(rng, 5, 2), zero_operator(3)):
-            for a, b in ((1.0, 1.5), (1.5, 1.0), (0.7, 0.7), (1.0, 1.0 - 1e-14), (2.0, 0.0)):
-                assert scaled_leq(a, b, Q) == operator_leq(a * Q.matrix, b * Q.matrix)
+        for Q in (random_psd(rng, 5), random_psd(rng, 5, 2), zero_operator(3), identity(2, 0.2)):
+            eye = np.eye(Q.dim)
+            verdicts = []
+            for a0, b0, a1, b1 in self.AFFINE_PAIRS:
+                want = operator_leq(a0 * eye + b0 * Q.matrix, a1 * eye + b1 * Q.matrix)
+                assert affine_leq(a0, b0, a1, b1, Q) == want
+                verdicts.append(want)
+            a0, b0, a1, b1 = (np.array(col) for col in zip(*self.AFFINE_PAIRS))
+            assert affine_leq(a0, b0, a1, b1, Q).tolist() == verdicts  # elementwise over arrays
+            assert len(set(verdicts)) == 2
+
+    def test_affine_psd_matches_constructor(self):
+        rng = np.random.default_rng(3)
+        Q = random_psd(rng, 5, 3)
+        hi = float(np.linalg.eigvalsh(Q.matrix)[-1])
+        verdicts = []
+        for a, b in ((0.0, 2.0), (1.1 * hi, -1.0), (0.9 * hi, -1.0), (-1.0, 0.5), (1.0, 0.0)):
+            try:  # the dense constructor's PSD check is the oracle
+                PsdOperator(a * np.eye(5) + b * Q.matrix)
+                want = True
+            except ValueError as exc:
+                assert "not PSD" in str(exc)
+                want = False
+            assert affine_leq(0.0, 0.0, a, b, Q) == want
+            verdicts.append(want)
+        assert verdicts == [True, True, False, False, True]
 
 
 class TestScaledView:
@@ -243,6 +273,41 @@ class TestScaledView:
         view.dual_seminorm_general(np.ones(6)), view.seminorm(np.ones(6)), view._eig_extremes
         assert view.inverse().base is base.inverse()
         assert calls == []
+
+    @pytest.mark.parametrize("a, b", [(1.5, -1.0), (2.0, -0.5), (0.5, 2.0)])
+    def test_affine_matches_dense(self, a, b):
+        # a and b < 0 are in units of the base's largest eigenvalue
+        for base in self.bases():
+            hi = base._eig_extremes[1]
+            shift = a * hi if b < 0 else a
+            view, dense = base.affine(shift, b), PsdOperator(shift * np.eye(base.dim) + b * base.matrix)
+            scale = dense._eig_extremes[1]
+            for got, want in zip(view._eig_extremes, dense._eig_extremes):
+                self.assert_close(got, want, scale)
+            w, v = view._eig
+            assert np.all(np.diff(w) >= 0.0)  # ascending also for b < 0
+            np.testing.assert_allclose((v * w) @ v.T, dense.matrix, atol=1e-12 * scale)
+            np.testing.assert_allclose(view.matrix, dense.matrix, rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(
+                view.inverse().matrix, dense.inverse().matrix, rtol=1e-10, atol=1e-12 * scale
+            )
+            rng = np.random.default_rng(1)
+            for _ in range(5):
+                z = rng.normal(size=base.dim)
+                znorm = np.linalg.norm(z)
+                np.testing.assert_allclose(view.apply(z), dense.apply(z), rtol=1e-12, atol=1e-12 * scale)
+                self.assert_close(view.seminorm(z), dense.seminorm(z), np.sqrt(scale) * znorm)
+                self.assert_close(view.dual_seminorm_general(z), dense.dual_seminorm_general(z), znorm)
+
+    def test_affine_views_compose_and_check_psd(self):
+        base = self.bases()[0]
+        hi = base._eig_extremes[1]
+        view = base.affine(2.0 * hi, -1.0)
+        assert base.affine(0.0, 1.0) is base
+        twice = view.scaled(2.0)
+        assert twice.base is base and (twice.shift, twice.factor) == (4.0 * hi, -2.0)
+        with pytest.raises(ValueError, match="not PSD"):
+            base.affine(0.5 * hi, -1.0)
 
     def test_nonpositive_factor_rejected(self):
         with pytest.raises(ValueError, match="positive"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vmpadmm.linalg import identity, operator_leq, zero_operator
+from vmpadmm.linalg import PsdOperator, identity, operator_leq, zero_operator
 from vmpadmm.schedule import (
     THETA_MAX,
     MetricSchedule,
@@ -59,6 +59,19 @@ class TestDrift:
         partial = float(sched.c_seq.sum())
         assert partial < exact < sched.C_S
         assert sched.C_S - exact < 1e-2
+
+    @pytest.mark.parametrize("law", ["zero", "inverse_square"])
+    @pytest.mark.parametrize("c0", [0.0, 0.1, 0.5, 1.0, 3.7])
+    def test_drift_factors_match_loop(self, law, c0):
+        from vmpadmm.schedule import _drift_factors
+
+        zero = OperatorRule("zero", base=zero_operator(1))
+        rule = ScheduleRule(OperatorRule("scaled", base=identity(1)), zero, zero, c0=c0, law=law)
+        c_seq = rule.c_seq(999)
+        factors = [1.0]  # f_{k+1} = f_k * (1 + c_k)^{+-1}, up at even k
+        for k, c in enumerate(c_seq):
+            factors.append(factors[-1] * ((1.0 + c) if k % 2 == 0 else 1.0 / (1.0 + c)))
+        np.testing.assert_array_equal(_drift_factors(c_seq), factors)
 
     def test_c_prod_matches_factors(self):
         sched = drift_schedule((2, 2, 2), 50, c0=0.3)
@@ -285,43 +298,109 @@ class TestRuleValidation:
 
 
 class TestAnalyticValidate:
-    """``validate()`` decides a scaled family's sandwich from f_{k+1}/f_k;
-    the eigenvalue test of the realized matrices is the oracle."""
+    """``validate()`` decides every family's PSD-ness and sandwich at its
+    anchor's two extreme eigenvalues, for all k at once; a walk over k that
+    forms each operator densely from the rule and f_k and compares with
+    ``operator_leq`` is the oracle."""
 
     @staticmethod
-    def oracle(sched):
+    def dense(sched, k):
+        """(H_k, R_k, S_k) formed from the rule and f_k, not from views."""
+        f, rule = sched.factor(k), sched.rule
+        H = f * rule.h_rule.base.matrix
+
+        def formed(orule):
+            if orule.kind == "linearized":
+                mat = orule.tau * np.eye(sched.A.shape[1]) - sched.A.T @ H @ sched.A
+                return 0.5 * (mat + mat.T)
+            return (f if orule.kind == "scaled" else 1.0) * orule.base.matrix
+
+        return H, formed(rule.r_rule), formed(rule.s_rule)
+
+    @classmethod
+    def oracle(cls, sched):
+        """The sandwich failures, or ("not PSD", k) for the first k at which
+        an operator fails the dense constructor's PSD check."""
+        mats = [cls.dense(sched, k) for k in range(sched.k_max + 1)]
+        for k, ops in enumerate(mats):
+            for m in ops:
+                try:
+                    PsdOperator(m)
+                except ValueError as exc:
+                    assert "not PSD" in str(exc)
+                    return "not PSD", k
         failures = []
         for k in range(sched.k_max):
             c = float(sched.c_seq[k])
-            for name, q0, q1 in zip("HRS", sched.realize(k), sched.realize(k + 1)):
-                if not (operator_leq(q0.matrix / (1.0 + c), q1.matrix)
-                        and operator_leq(q1.matrix, (1.0 + c) * q0.matrix)):
+            for name, q0, q1 in zip("HRS", mats[k], mats[k + 1]):
+                if not (operator_leq(q0 / (1.0 + c), q1) and operator_leq(q1, (1.0 + c) * q0)):
                     failures.append((k, name))
         return failures
 
     @staticmethod
-    def random_schedule(seed):
+    def random_schedule(seed, tau_factor=None):
+        """Dense H and S; a singular dense R, or for ``tau_factor`` a
+        linearized R with tau = tau_factor * lambda_max(A^T H_0 A)."""
         rng = np.random.default_rng(seed)
         n_x, n_y, m = (int(d) for d in rng.integers(1, 6, size=3))
         L = rng.normal(size=(m, m))
+        H = L @ L.T + np.eye(m)
         G = rng.normal(size=(n_x, max(1, n_x - 1)))  # a singular R base
+        A = rng.normal(size=(m, n_x))
+        R = {"type": "dense", "matrix": (G @ G.T).tolist()}
+        c0 = float(rng.uniform(0.0, 1.0))
+        if tau_factor is not None:
+            R = {"type": "linearized", "tau": tau_factor * float(np.linalg.eigvalsh(A.T @ H @ A)[-1])}
+            c0 = float(rng.uniform(0.1, 0.5))
         cfg = {
-            "H": {"type": "dense", "matrix": (L @ L.T + np.eye(m)).tolist()},
-            "R": {"type": "dense", "matrix": (G @ G.T).tolist()},
+            "H": {"type": "dense", "matrix": H.tolist()},
+            "R": R,
             "S": {"type": "scaled_identity", "scale": float(rng.uniform(0.1, 3.0))},
-            "c": {"c0": float(rng.uniform(0.0, 1.0)), "law": "inverse_square"},
+            "c": {"c0": c0, "law": "inverse_square"},
             "k_max": 12,
         }
-        return schedule_from_dict(cfg, (n_x, n_y, m))
+        return schedule_from_dict(cfg, (n_x, n_y, m), A=A)
+
+    @staticmethod
+    def validate_without_decompositions(sched, monkeypatch):
+        """``validate()``, asserting that it calls no ``operator_leq`` and
+        no eigendecomposition; returns its failures or ("not PSD", k)."""
+        calls = []
+        monkeypatch.setattr("vmpadmm.linalg.operator_leq", lambda *a: calls.append(a) or operator_leq(*a))
+        for name in ("eigh", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, **k: calls.append(a) or _fn(*a, **k))
+        try:
+            verdict = sched.validate().sandwich_failures
+        except ValueError as exc:
+            assert "not PSD, first at k = " in str(exc)
+            verdict = "not PSD", int(str(exc).split("first at k = ")[1])
+        monkeypatch.undo()
+        assert calls == []
+        return verdict
 
     @pytest.mark.parametrize("seed", range(8))
     def test_same_verdict_as_eigenvalues(self, seed, monkeypatch):
         sched = self.random_schedule(seed)
-        calls = []
-        monkeypatch.setattr("vmpadmm.schedule.operator_leq", lambda *a: calls.append(a) or operator_leq(*a))
-        rep = sched.validate()
-        assert calls == []
-        assert rep.sandwich_failures == self.oracle(sched) == []
+        assert self.validate_without_decompositions(sched, monkeypatch) == self.oracle(sched) == []
+
+    # tau / lambda_max(A^T H_0 A): every R_k PSD and sandwiched; PSD but the
+    # sandwich fails at k = 0 (it needs tau >= (2 + c_0) lambda_max); R_0 PSD
+    # but R_1 = tau I - (1 + c_0) A^T H_0 A indefinite
+    TAU_REGIMES = {"passes": 3.0, "sandwich_fails": 2.0, "indefinite_later": 1.05}
+
+    @pytest.mark.parametrize("regime", sorted(TAU_REGIMES))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_linearized_same_verdict_as_walk(self, regime, seed, monkeypatch):
+        sched = self.random_schedule(seed, self.TAU_REGIMES[regime])
+        expected = self.oracle(sched)
+        assert self.validate_without_decompositions(sched, monkeypatch) == expected
+        if regime == "passes":
+            assert expected == []
+        elif regime == "sandwich_fails":
+            assert expected and expected[0] == (0, "R") and {name for _, name in expected} == {"R"}
+        else:
+            assert expected == ("not PSD", 1)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_broken_factors_detected(self, seed):
