@@ -16,9 +16,7 @@ from .linalg import (
     BlockDiagOperator,
     PsdOperator,
     block_diag,
-    identity,
     operator_leq,
-    zero_operator,
 )
 from .problems import (
     FunctionDescriptor,
@@ -68,7 +66,6 @@ __all__ = [
     "compute_sigma_theta",
     "constant_schedule",
     "generate",
-    "identity",
     "kkt_residual",
     "load_problem",
     "load_schedule",
@@ -78,6 +75,5 @@ __all__ = [
     "schedule_from_dict",
     "sigma_feasible",
     "tau_theta",
-    "zero_operator",
     "__version__",
 ]

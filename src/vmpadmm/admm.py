@@ -32,12 +32,12 @@ __all__ = [
     "sigma_feasible",
     "tau_theta",
     "compute_d0_admm",
+    "eps_subdifferential_checks",
     "VmPadmmRun",
 ]
 
 _SQRT2 = np.sqrt(2.0)
 _MEMBERSHIP_TOL = 1e-8
-_MEMBERSHIP_SAMPLES = 200  # sampled points per block in the eps-subdifferential check
 _THETA_EXCLUSION = 1e-12
 _SIGMA_GRID = 10_000  # points of the uniform scan in compute_sigma_theta
 
@@ -293,20 +293,12 @@ class AdmmIterate:
     dual_gamma: float
     eta: float
     hpe_check: object
-    membership_x: float
-    membership_y: float
+    memberships: dict  # membership_x/_y: s_x in df(x_k), s_y in dg(y_k)
     M: object  # M_k, the product-space metric of this iteration
 
     @property
     def dual_max(self) -> float:
         return max(self.dual_x, self.dual_y, self.dual_gamma)
-
-    @property
-    def memberships_ok(self) -> bool:
-        return (
-            self.membership_x <= _MEMBERSHIP_TOL * (1.0 + np.linalg.norm(self.r_x))
-            and self.membership_y <= _MEMBERSHIP_TOL * (1.0 + np.linalg.norm(self.r_y))
-        )
 
 
 @dataclass
@@ -329,9 +321,8 @@ class KktResidualCertificate:
     eps_x: float = 0.0
     eps_y: float = 0.0
     bound_eps: float = 0.0
-    checks: dict = field(default_factory=dict)
-    membership_ok: bool = True
-    membership_detail: str = ""
+    checks: dict = field(default_factory=dict)  # rate bounds and identities
+    memberships: dict = field(default_factory=dict)  # (eps-)subdifferential memberships
 
     @property
     def dual_max(self) -> float:
@@ -339,7 +330,7 @@ class KktResidualCertificate:
 
     @property
     def ok(self) -> bool:
-        return self.membership_ok and all(c.ok for c in self.checks.values())
+        return all(c.ok for c in (*self.checks.values(), *self.memberships.values()))
 
 
 def compute_d0_admm(
@@ -361,6 +352,24 @@ def compute_d0_admm(
     y0 = np.zeros(n_y) if y0 is None else np.asarray(y0, float)
     gamma0 = np.zeros(m) if gamma0 is None else np.asarray(gamma0, float)
     return M0.seminorm(np.concatenate([x0, y0, gamma0]) - np.concatenate(z_star))
+
+
+def _membership(name: str, k: int, lhs: float, rhs: float, scale: float) -> BoundCheck:
+    """lhs <= rhs up to ``_MEMBERSHIP_TOL`` times the magnitude ``scale``."""
+    return BoundCheck(name, k, lhs, rhs, tol_abs=_MEMBERSHIP_TOL * scale, tol_rel=0.0)
+
+
+def eps_subdifferential_checks(desc, s, u, eps: float, k: int, block: str) -> dict:
+    """s in the eps-subdifferential of ``desc`` at u, decided exactly by
+    :meth:`FunctionDescriptor.fenchel_young`: ``eps_subdiff_<block>`` checks
+    gap <= eps, ``eps_domain_<block>`` that the distance from the domain is 0."""
+    gap, off = desc.fenchel_young(s, u)
+    return {
+        f"eps_subdiff_{block}": _membership(f"eps_subdiff_{block}", k, gap, eps, 1.0 + abs(eps) + abs(s @ u)),
+        f"eps_domain_{block}": _membership(
+            f"eps_domain_{block}", k, off, 0.0, 1.0 + np.linalg.norm(s) + np.linalg.norm(u)
+        ),
+    }
 
 
 @dataclass
@@ -476,14 +485,18 @@ class VmPadmmRun:
 
         s_x = r_x + problem.A.T @ gamma_t  # the subgradients the memberships test
         s_y = r_y + problem.B.T @ gamma_t
-        memb_x = problem.f.membership_distance(s_x, x_k)
-        memb_y = problem.g.membership_distance(s_y, y_k)
+        memberships = {
+            name: _membership(name, k, desc.membership_distance(v, u), 0.0, 1.0 + np.linalg.norm(r))
+            for name, desc, v, u, r in (
+                ("membership_x", problem.f, s_x, x_k, r_x), ("membership_y", problem.g, s_y, y_k, r_y)
+            )
+        }
 
         it = AdmmIterate(
             k=k, x=x_k, y=y_k, gamma=gamma_k, gamma_tilde=gamma_t,
             dx=dx, dy=dy, dgamma=dg, r_x=r_x, r_y=r_y, r_gamma=r_g,
             dual_x=dual_x, dual_y=dual_y, dual_gamma=dual_g,
-            eta=eta, hpe_check=check, membership_x=memb_x, membership_y=memb_y, M=M_k,
+            eta=eta, hpe_check=check, memberships=memberships, M=M_k,
         )
         self.k = k
         if self._best is None or it.dual_max < self._best.dual_max:
@@ -493,23 +506,20 @@ class VmPadmmRun:
         self.x, self.y, self.gamma = x_k, y_k, gamma_k
         return it
 
-    def certified_steps(self, max_iters: int, rho: float, eps: float, membership_seed: int | None = None):
+    def certified_steps(self, max_iters: int, rho: float, eps: float):
         """Step up to ``max_iters`` times, yielding a :class:`CertifiedStep`
         per iteration.
 
         Stops after the first k by which both stopping rules have held: the
         pointwise rule res_max <= rho, and the ergodic rule erg_res_max <= rho
-        with eps_sum <= eps.  The sampled eps-subdifferential check of
-        iteration k draws from ``default_rng(membership_seed * 100_003 + k)``;
-        ``membership_seed=None`` skips it.
+        with eps_sum <= eps.
         """
         first_pw = first_erg = None
         for _ in range(max_iters):
             it = self.step()
             k = it.k
             pw = self.pointwise_kkt_certificate()
-            rng = None if membership_seed is None else np.random.default_rng(membership_seed * 100_003 + k)
-            erg = self.ergodic_kkt_certificate(rng)
+            erg = self.ergodic_kkt_certificate()
             if first_pw is None and pw.dual_max <= rho:
                 first_pw = k
             if first_erg is None and erg.dual_max <= rho and erg.eps_x + erg.eps_y <= eps:
@@ -533,21 +543,19 @@ class VmPadmmRun:
         checks = {
             "pointwise_res": BoundCheck("pointwise_res", k, it.dual_max, bound),
         }
-        detail = ""
-        if not it.memberships_ok:
-            detail = f"membership distances x={it.membership_x}, y={it.membership_y}"
         return KktResidualCertificate(
             mode="pointwise", k=k, index=it.k, x=it.x, y=it.y, gamma_tilde=it.gamma_tilde,
             r_x=it.r_x, r_y=it.r_y, r_gamma=it.r_gamma,
             dual_x=it.dual_x, dual_y=it.dual_y, dual_gamma=it.dual_gamma,
-            bound_residual=bound, checks=checks,
-            membership_ok=it.memberships_ok, membership_detail=detail,
+            bound_residual=bound, checks=checks, memberships=it.memberships,
         )
 
-    def ergodic_kkt_certificate(self, rng: np.random.Generator | None = None) -> KktResidualCertificate:
+    def ergodic_kkt_certificate(self) -> KktResidualCertificate:
         """Ergodic triple at k with ergodic bounds, eps decomposition against
-        the full-space accumulator, and, when ``rng`` is given, sampled
-        eps-subdifferential checks."""
+        the full-space accumulator, and the exact eps-subdifferential
+        memberships s^a_x in d_{eps_x} f(x^a), s^a_y in d_{eps_y} g(y^a): a
+        Fenchel--Young gap at most eps (``eps_subdiff_*``) with s^a (x^a for
+        a box) in the domain of that closed form (``eps_domain_*``)."""
         zt_a, r_a, eps_full = self.hpe.ergodic_point()
         k, M_k = self.k, self.hpe.last.M
         x_a, y_a, gt_a = M_k.split(zt_a)
@@ -580,35 +588,14 @@ class VmPadmmRun:
                 1e-10 * (1.0 + float(np.linalg.norm(rg_a))), tol_rel=0.0,
             ),
         }
-        membership_ok, detail = True, ""
-        if rng is not None:
-            membership_ok, detail = self._eps_membership_check(x_a, y_a, s_a, eps_x, eps_y, rng)
+        memberships = {
+            **eps_subdifferential_checks(self.problem.f, s_a[0], x_a, eps_x, k, "x"),
+            **eps_subdifferential_checks(self.problem.g, s_a[1], y_a, eps_y, k, "y"),
+        }
         return KktResidualCertificate(
             mode="ergodic", k=k, index=k, x=x_a, y=y_a, gamma_tilde=gt_a,
             r_x=rx_a, r_y=ry_a, r_gamma=rg_a,
             dual_x=dual_x, dual_y=dual_y, dual_gamma=dual_g,
             bound_residual=bound_res, eps_x=eps_x, eps_y=eps_y, bound_eps=bound_eps,
-            checks=checks, membership_ok=membership_ok, membership_detail=detail,
+            checks=checks, memberships=memberships,
         )
-
-    def _eps_membership_check(self, x_a, y_a, s_a, eps_x, eps_y, rng):
-        """Sampled eps-subdifferential inequality for both blocks:
-        f(x') >= f(x^a) + <v, x' - x^a> - eps_x at sampled x' with
-        v = s^a_x = r^a_x + A^T gamma~^a (mirror for g)."""
-        problem = self.problem
-        tol = _MEMBERSHIP_TOL
-        for desc, point, v, eps, name in (
-            (problem.f, x_a, s_a[0], eps_x, "f"),
-            (problem.g, y_a, s_a[1], eps_y, "g"),
-        ):
-            X = desc.sample_domain(_MEMBERSHIP_SAMPLES, point, rng)
-            fvals = desc.values(X)
-            base = desc.value(point)
-            if not np.isfinite(base):
-                return False, f"{name}: ergodic point outside the domain"
-            lhs = fvals - base - (X - point) @ v + eps
-            scale = 1.0 + np.abs(fvals[np.isfinite(fvals)]).max(initial=0.0) + abs(eps)
-            worst = float(lhs[np.isfinite(lhs)].min(initial=np.inf))
-            if worst < -tol * scale:
-                return False, f"{name}: eps-subdifferential violated by {worst}"
-        return True, ""

@@ -21,8 +21,7 @@ __all__ = [
     "operator_leq",
     "affine_leq",
     "block_diag",
-    "identity",
-    "zero_operator",
+    "finite_array",
 ]
 
 _SYMMETRY_TOL = 1e-12
@@ -98,13 +97,17 @@ class PsdOperator:
         rnorm = float(np.linalg.norm(r))
         if rnorm == 0.0:
             return 0.0
+        dual, off = self.range_parts(r)
+        return np.inf if off > _RANGE_TOL * rnorm else dual
+
+    def range_parts(self, r: np.ndarray) -> tuple[float, float]:
+        """(dual seminorm of r's part on range(M), norm of r's part off it),
+        from the cached eigenbasis; range(M) is spanned by the eigenvectors
+        whose eigenvalues exceed ``dim * 1e-14`` times the largest."""
         w, v = self._eig
-        cutoff = max(float(w[-1]), 0.0) * self.dim * 1e-14
-        pos = w > cutoff
-        coeffs = v.T @ r
-        if float(np.linalg.norm(coeffs[~pos])) > _RANGE_TOL * rnorm:
-            return np.inf
-        return float(np.sqrt((coeffs[pos] ** 2 / w[pos]).sum()))
+        pos = w > max(float(w[-1]), 0.0) * self.dim * 1e-14
+        coeffs = v.T @ _check_dim(r, self.dim)
+        return float(np.sqrt((coeffs[pos] ** 2 / w[pos]).sum())), float(np.linalg.norm(coeffs[~pos]))
 
     def inverse(self) -> "PsdOperator":
         """Inverse via eigendecomposition; requires a definite operator."""
@@ -223,6 +226,24 @@ class BlockDiagOperator:
         return float(np.sqrt(sum(v**2 for v in vals)))
 
 
+_SHAPES = ("a number", "a vector", "a matrix")
+
+
+def finite_array(value, name: str, ndim: int | None = None) -> np.ndarray:
+    """``value`` as a float array (with ``ndim`` dimensions when given);
+    raises ``ValueError`` naming ``name`` when it is not numeric, has another
+    number of dimensions, or has a NaN or +-inf entry."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or (ndim is not None and arr.ndim != ndim):
+        raise ValueError(f"{name} must be {'numeric' if ndim is None else _SHAPES[ndim]}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite; it has non-finite entries")
+    return arr
+
+
 def _check_dim(z: np.ndarray, dim: int) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (dim,):
@@ -255,13 +276,3 @@ def affine_leq(a0, b0, a1, b1, Q: PsdOperator):
 
 def block_diag(blocks) -> BlockDiagOperator:
     return BlockDiagOperator(tuple(blocks))
-
-
-def identity(dim: int, scale: float = 1.0) -> PsdOperator:
-    if scale < 0:
-        raise ValueError("identity scale must be nonnegative")
-    return PsdOperator(scale * np.eye(dim), definite=scale > 0)
-
-
-def zero_operator(dim: int) -> PsdOperator:
-    return PsdOperator(np.zeros((dim, dim)))

@@ -1,8 +1,9 @@
 """Structured problem instances for `min f(x) + g(y)  s.t.  Ax + By = b`.
 
-Function descriptors carry closed-form subdifferential machinery (membership
-distance, subgradient sampling, function values) so that solver-side
-certificates can be verified independently of how the iterates were produced.
+Function descriptors carry closed-form subdifferential machinery (the
+distance to the subdifferential and the Fenchel--Young gap of the conjugate)
+so that solver-side certificates can be verified independently of how the
+iterates were produced.
 The reference solver is a standalone textbook ADMM (or a direct KKT solve
 when both blocks are quadratic) and shares no code with the main solver.
 """
@@ -11,8 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .linalg import PsdOperator, finite_array
 
 __all__ = [
     "FunctionDescriptor",
@@ -28,14 +32,6 @@ __all__ = [
 
 _KINDS = ("zero", "quadratic", "l1", "box")
 _FEASIBILITY_TOL = 1e-8  # relative residual of the least-squares solve of [A B] w = b
-
-
-def _finite(name: str, value) -> np.ndarray:
-    """``value`` as a float array; rejects NaN and +-inf entries."""
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite entries")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -61,8 +57,8 @@ class FunctionDescriptor:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.kind == "quadratic":
-            Q = _finite("Q", self.Q)
-            q = _finite("q", self.q)
+            Q = finite_array(self.Q, "Q")
+            q = finite_array(self.q, "q")
             if Q.shape != (self.dim, self.dim) or q.shape != (self.dim,):
                 raise ValueError("quadratic descriptor has inconsistent shapes")
             if np.abs(Q - Q.T).max(initial=0.0) > 1e-10 * max(1.0, np.abs(Q).max()):
@@ -75,8 +71,8 @@ class FunctionDescriptor:
             if self.lam is None or not 0 < self.lam < np.inf:
                 raise ValueError("l1 descriptor requires a finite lambda > 0")
         elif self.kind == "box":
-            lo = _finite("l", self.lower)
-            hi = _finite("u", self.upper)
+            lo = finite_array(self.lower, "l")
+            hi = finite_array(self.upper, "u")
             if lo.shape != (self.dim,) or hi.shape != (self.dim,):
                 raise ValueError("box bounds have inconsistent shapes")
             if np.any(lo > hi):
@@ -86,20 +82,8 @@ class FunctionDescriptor:
 
     # -- function values and subdifferential machinery -------------------
 
-    def value(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "quadratic":
-            return float(0.5 * x @ (self.Q @ x) + self.q @ x)
-        if self.kind == "l1":
-            return float(self.lam * np.abs(x).sum())
-        if np.any(x < self.lower - 1e-12) or np.any(x > self.upper + 1e-12):
-            return np.inf
-        return 0.0
-
     def values(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized values over rows of X (used by sampled eps-checks)."""
+        """Vectorized values over rows of X (used with :meth:`sample_domain`)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.kind == "zero":
             return np.zeros(X.shape[0])
@@ -145,28 +129,33 @@ class FunctionDescriptor:
         )
         return float(np.linalg.norm(d))
 
-    def subgradient(self, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-        """One valid subgradient at x (errors if x is outside the domain)."""
+    def fenchel_young(self, s: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+        """(gap, off): the Fenchel--Young gap f(x) + f*(s) - <s, x> from the
+        closed form of f*, and the distance of s (of x, for a box) from the
+        domain where that form holds.  s lies in the eps-subdifferential of
+        f at x exactly when off = 0 and gap <= eps."""
+        s = np.asarray(s, dtype=float)
         x = np.asarray(x, dtype=float)
         if self.kind == "zero":
-            return np.zeros(self.dim)
-        if self.kind == "quadratic":
-            return self.Q @ x + self.q
-        if self.kind == "l1":
-            return self.lam * np.sign(x)
-        span = 1.0 + np.abs(self.upper - self.lower).max(initial=0.0)
-        tol = 1e-10 * span
-        if np.any(x < self.lower - tol) or np.any(x > self.upper + tol):
-            raise ValueError("point outside the box domain has empty subdifferential")
-        g = np.zeros(self.dim)
-        if rng is not None:
-            t = rng.uniform(0.0, 1.0, size=self.dim)
-            g = np.where(x <= self.lower + tol, -t, np.where(x >= self.upper - tol, t, 0.0))
-            g = np.where((x <= self.lower + tol) & (x >= self.upper - tol), rng.normal(size=self.dim), g)
-        return g
+            return 0.0, float(np.linalg.norm(s))
+        if self.kind == "quadratic":  # 0.5 ||Qx + q - s||*^2_Q when s - q is in range(Q)
+            dual, off = self._Q_operator.range_parts(self.Q @ x + self.q - s)
+            return 0.5 * dual**2, off
+        if self.kind == "l1":  # f*(s) = 0 when ||s||_inf <= lam
+            gap = self.lam * float(np.abs(x).sum()) - float(s @ x)
+            return gap, max(float(np.abs(s).max(initial=0.0)) - self.lam, 0.0)
+        # box: f(x) = 0 when x is in [l, u], f*(s) = sum_i max(l_i s_i, u_i s_i)
+        gap = float(np.maximum(self.lower * s, self.upper * s).sum()) - float(s @ x)
+        return gap, float(np.linalg.norm(x - np.clip(x, self.lower, self.upper)))
+
+    @cached_property
+    def _Q_operator(self) -> PsdOperator:
+        """Q as a :class:`PsdOperator`, decomposed once per descriptor."""
+        return PsdOperator(0.5 * (self.Q + self.Q.T))
 
     def sample_domain(self, count: int, around: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Sample points in dom f near ``around`` (rows of the result)."""
+        """Sample points in dom f near ``around`` (rows of the result); a
+        reference the exact :meth:`fenchel_young` check is tested against."""
         around = np.asarray(around, dtype=float)
         scale = 1.0 + np.abs(around).max(initial=0.0)
         X = around + scale * rng.normal(size=(count, self.dim))
@@ -184,19 +173,24 @@ class FunctionDescriptor:
         return {"type": "box", "l": self.lower.tolist(), "u": self.upper.tolist()}
 
 
-def descriptor_from_dict(desc: dict, dim: int) -> FunctionDescriptor:
+def descriptor_from_dict(desc: dict, dim: int, name: str) -> FunctionDescriptor:
+    """The descriptor of the JSON object ``desc`` for the block ``name``."""
+    if not isinstance(desc, dict):
+        raise ValueError(f"{name} must be an object")
     kind = desc.get("type")
     if kind == "zero":
         return FunctionDescriptor("zero", dim)
     if kind == "quadratic":
         return FunctionDescriptor(
-            "quadratic", dim, Q=np.asarray(desc["Q"], float), q=np.asarray(desc["q"], float)
+            "quadratic", dim,
+            Q=finite_array(desc["Q"], f"{name} Q", 2), q=finite_array(desc["q"], f"{name} q", 1),
         )
     if kind == "l1":
-        return FunctionDescriptor("l1", dim, lam=float(desc["lambda"]))
+        return FunctionDescriptor("l1", dim, lam=float(finite_array(desc["lambda"], f"{name} lambda", 0)))
     if kind == "box":
         return FunctionDescriptor(
-            "box", dim, lower=np.asarray(desc["l"], float), upper=np.asarray(desc["u"], float)
+            "box", dim,
+            lower=finite_array(desc["l"], f"{name} l", 1), upper=finite_array(desc["u"], f"{name} u", 1),
         )
     raise ValueError(f"unknown function descriptor type {kind!r}")
 
@@ -214,9 +208,9 @@ class ProblemSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        A = _finite("A", self.A)
-        B = _finite("B", self.B)
-        b = _finite("b", self.b)
+        A = finite_array(self.A, "A")
+        B = finite_array(self.B, "B")
+        b = finite_array(self.b, "b")
         m = b.shape[0]
         if A.shape != (m, self.f.dim) or B.shape != (m, self.g.dim):
             raise ValueError("A/B/b dimensions are inconsistent with f and g")
@@ -240,15 +234,20 @@ class ProblemSpec:
 
 
 def problem_from_dict(data: dict) -> ProblemSpec:
-    A = np.asarray(data["A"], dtype=float)
-    B = np.asarray(data["B"], dtype=float)
+    """The problem of a JSON object; ``ValueError`` names a wrong-typed field."""
+    if not isinstance(data, dict):
+        raise ValueError("a problem must be a JSON object")
+    A, B = finite_array(data["A"], "A", 2), finite_array(data["B"], "B", 2)
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError("name must be a string")
     return ProblemSpec(
-        f=descriptor_from_dict(data["f"], A.shape[1]),
-        g=descriptor_from_dict(data["g"], B.shape[1]),
+        f=descriptor_from_dict(data["f"], A.shape[1], "f"),
+        g=descriptor_from_dict(data["g"], B.shape[1], "g"),
         A=A,
         B=B,
-        b=np.asarray(data["b"], dtype=float),
-        name=data.get("name", ""),
+        b=finite_array(data["b"], "b", 1),
+        name=name,
     )
 
 

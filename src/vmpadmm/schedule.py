@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import BlockDiagOperator, PsdOperator, affine_leq, block_diag
+from .linalg import BlockDiagOperator, PsdOperator, affine_leq, block_diag, finite_array
 
 __all__ = [
     "OperatorRule",
@@ -233,28 +233,26 @@ def assemble_Mk(
 
 # -- JSON configuration ------------------------------------------------------
 
-def _finite(value, name: str) -> np.ndarray:
-    """``value`` as a float array, raising unless every entry is finite."""
-    value = np.asarray(value, dtype=float)
-    if not np.isfinite(value).all():
-        raise ValueError(f"{name} must be finite")
-    return value
-
-
 def _operator_from_descriptor(desc: dict, dim: int, family: str) -> OperatorRule:
+    if not isinstance(desc, dict):
+        raise ValueError(f"{family} must be an object")
     kind = desc.get("type")
     if kind == "scaled_identity":
-        scale = float(_finite(desc["scale"], f"{family} scale"))
+        scale = float(finite_array(desc["scale"], f"{family} scale", 0))
         return OperatorRule("scaled", base=PsdOperator(scale * np.eye(dim), definite=scale > 0))
     if kind == "dense":
-        matrix = _finite(desc["matrix"], f"{family} matrix entries")
+        matrix = finite_array(desc["matrix"], f"{family} matrix entries", 2)
+        if matrix.shape != (dim, dim):
+            raise ValueError(
+                f"{family} dense matrix has shape {matrix.shape}, but {family} acts on dimension {dim}"
+            )
         return OperatorRule("scaled", base=PsdOperator(matrix, definite=family == "H"))
     if kind == "zero":
         return OperatorRule("zero", base=PsdOperator(np.zeros((dim, dim))))
     if kind == "linearized":
         if family != "R":
             raise ValueError("linearized descriptor is only valid for the R family")
-        return OperatorRule("linearized", tau=float(_finite(desc["tau"], "R tau")))
+        return OperatorRule("linearized", tau=float(finite_array(desc["tau"], "R tau", 0)))
     raise ValueError(f"unknown operator descriptor type {kind!r}")
 
 
@@ -269,17 +267,23 @@ def schedule_from_dict(
     dimension (scaled_identity, zero) take it from the matching space.
     """
     n_x, n_y, m = dims
+    if not isinstance(cfg, dict):
+        raise ValueError("a schedule must be a JSON object")
     for key in ("H", "R", "S", "k_max"):
         if key not in cfg:
             raise ValueError(f"schedule config missing field {key!r}")
     c_cfg = cfg.get("c", {"c0": 0.0, "law": "zero"})
+    if not isinstance(c_cfg, dict):
+        raise ValueError("c must be an object")
     h = _operator_from_descriptor(cfg["H"], m, "H")
     r = _operator_from_descriptor(cfg["R"], n_x, "R")
     s = _operator_from_descriptor(cfg["S"], n_y, "S")
     law = c_cfg.get("law", "zero")
-    c0 = float(_finite(c_cfg.get("c0", 0.0), "c0"))
+    c0 = float(finite_array(c_cfg.get("c0", 0.0), "c0", 0))
     rule = ScheduleRule(h_rule=h, r_rule=r, s_rule=s, c0=c0, law=law)
-    return MetricSchedule(rule, int(cfg["k_max"]), A=A)
+    if type(cfg["k_max"]) is not int:
+        raise ValueError("k_max must be an integer")
+    return MetricSchedule(rule, cfg["k_max"], A=A)
 
 
 def load_schedule(path, dims, A=None) -> MetricSchedule:

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import sampled_eps_check
 
 from vmpadmm.admm import VmPadmmRun, compute_sigma_theta, sigma_feasible
 from vmpadmm.linalg import PsdOperator
@@ -18,7 +19,7 @@ from vmpadmm.schedule import constant_schedule, schedule_from_dict
 
 K_MAX = 500
 THETAS = (0.5, 1.0, 1.5)
-MEMBERSHIP_KS = (1, 2, 5, 10, 20, 50, 100, 200, 350, 500)
+SAMPLED_KS = (1, 2, 5, 10, 20, 50, 100, 200, 350, 500)  # where the sampled oracle re-checks
 
 INSTANCES = [
     ("lasso", (10, 5), 1), ("lasso", (20, 10), 2), ("lasso", (30, 15), 3),
@@ -92,7 +93,7 @@ def sweep():
                     pw = run.pointwise_kkt_certificate()
                     if pw.dual_max > pw.bound_residual:
                         rec["pw_violations"] += 1
-                    if not it.memberships_ok:
+                    if not all(c.ok for c in it.memberships.values()):
                         rec["pw_membership_violations"] += 1
                     erg = run.ergodic_kkt_certificate()
                     ch = erg.checks
@@ -103,10 +104,17 @@ def sweep():
                     )
                     rec["eps_decomp_violations"] += not ch["eps_decomposition"].ok
                     rec["fejer_violations"] += not run.hpe.fejer_check(z_star).ok
-                    if k in MEMBERSHIP_KS:
-                        full = run.ergodic_kkt_certificate(rng=np.random.default_rng(1000 + k))
-                        if not full.membership_ok:
-                            rec["erg_membership_failures"].append((k, full.membership_detail))
+                    bad = [c.name for c in erg.memberships.values() if not c.ok]
+                    if k in SAMPLED_KS:
+                        rng = np.random.default_rng(1000 + k)
+                        blocks = (
+                            ("f", problem.f, erg.r_x + problem.A.T @ erg.gamma_tilde, erg.x, erg.eps_x),
+                            ("g", problem.g, erg.r_y + problem.B.T @ erg.gamma_tilde, erg.y, erg.eps_y),
+                        )
+                        bad += [f"sampled {name}" for name, desc, s, u, eps in blocks
+                                if not sampled_eps_check(desc, s, u, eps, rng)]
+                    if bad:
+                        rec["erg_membership_failures"].append((k, bad))
                 records.append(rec)
     return {"records": records, "elapsed": time.time() - t0}
 
@@ -144,7 +152,8 @@ class TestSweepCriteria:
         pw_bad = sum(r["pw_membership_violations"] for r in sweep["records"])
         erg_bad = [f for r in sweep["records"] for f in r["erg_membership_failures"]]
         report(
-            "pointwise inclusions (closed form) and ergodic eps-subdifferential samples",
+            "pointwise inclusions and exact ergodic eps-subdifferential memberships at every k, "
+            "with sampled cross-checks",
             pw_bad == 0 and not erg_bad,
             f"pointwise={pw_bad}, ergodic failures={erg_bad[:3]}",
         )

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from helpers import identity, sampled_eps_check, zero_operator
 
 from vmpadmm.admm import (
     BlockSystem,
@@ -13,7 +16,8 @@ from vmpadmm.admm import (
     tau_theta,
     update_multiplier,
 )
-from vmpadmm.linalg import PsdOperator, identity, zero_operator
+from vmpadmm.hpe import BoundCheck
+from vmpadmm.linalg import PsdOperator
 from vmpadmm.problems import FunctionDescriptor, ProblemSpec, generate, reference_solve
 from vmpadmm.schedule import THETA_MAX, assemble_Mk, constant_schedule, schedule_from_dict
 
@@ -311,7 +315,9 @@ class TestRunInternals:
             assert cert.dual_max == min(duals)
         cert = self.pointwise[-1]
         assert cert.dual_max <= cert.bound_residual
-        assert cert.membership_ok
+        assert list(cert.memberships) == ["membership_x", "membership_y"]
+        assert all(c.ok for c in cert.memberships.values())
+        assert cert.memberships is self.iterates[cert.index - 1].memberships
 
     def test_ergodic_eps_decomposition(self):
         for k in range(1, 51):
@@ -339,9 +345,21 @@ class TestRunInternals:
             assert cert.eps_y == pytest.approx(dsy - float((ry_a + B.T @ gt_a) @ y_a), abs=1e-12)
 
     def test_membership_certificates_sampled(self):
-        cert = self.run.ergodic_kkt_certificate(rng=np.random.default_rng(0))
+        # the exact eps-memberships hold at every k, and at k = 50 a sampled
+        # check of the same inequality finds no violation either
+        for cert in self.ergodic:
+            assert list(cert.memberships) == ["eps_subdiff_x", "eps_domain_x", "eps_subdiff_y", "eps_domain_y"]
+            assert all(c.ok for c in cert.memberships.values()), cert.memberships
+        cert = self.run.ergodic_kkt_certificate()
         assert cert.k == 50
-        assert cert.membership_ok, cert.membership_detail
+        assert cert.ok
+        failing = BoundCheck("eps_domain_x", 50, 1.0, 0.0, tol_rel=0.0)
+        assert not dataclasses.replace(cert, memberships={**cert.memberships, "eps_domain_x": failing}).ok
+        rng = np.random.default_rng(0)
+        s_x = cert.r_x + self.p.A.T @ cert.gamma_tilde
+        s_y = cert.r_y + self.p.B.T @ cert.gamma_tilde
+        assert sampled_eps_check(self.p.f, s_x, cert.x, cert.eps_x, rng)
+        assert sampled_eps_check(self.p.g, s_y, cert.y, cert.eps_y, rng)
 
     def test_run_stopping(self):
         run = VmPadmmRun(self.p, constant_schedule(self.p.dims, 400, h_scale=1.0), self.params)
@@ -415,7 +433,7 @@ class TestRunState:
         monkeypatch.setattr(PsdOperator, "seminorm", counting)
         self.run.step()
         self.run.pointwise_kkt_certificate()
-        self.run.ergodic_kkt_certificate(np.random.default_rng(0))
+        self.run.ergodic_kkt_certificate()
         self.run.hpe.fejer_check(self.z_star)
         assert len(calls) <= 13
 
@@ -433,7 +451,7 @@ class TestFactorOnce:
         run = VmPadmmRun(p, sched, compute_sigma_theta(1.0))
         ref = run.reference
         z_star = np.concatenate([ref.x, ref.y, ref.gamma])
-        steps = run.certified_steps(6, rho=0.0, eps=0.0, membership_seed=0)
+        steps = run.certified_steps(6, rho=0.0, eps=0.0)
         next(steps)
         run.hpe.fejer_check(z_star)
         calls = []

@@ -1,10 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vmpadmm.admm import VmPadmmRun
 from vmpadmm.cli import CSV_COLUMNS, main, parse_generator_spec
 from vmpadmm.problems import generate
 
@@ -103,6 +108,39 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "seed.json").read_text())
         assert report["problem"].endswith("-s3")
 
+    def test_every_check_row_is_k_ok_slack(self, schedule_file, tmp_path):
+        assert main(solve_args(schedule_file, tmp_path, problem="gen:box_qp:10:2", max_iters="20")) == 0
+        report = json.loads((tmp_path / "run.json").read_text())
+        # memberships: membership_x/_y of the pointwise best, eps_subdiff and
+        # eps_domain of both ergodic blocks
+        assert len(report["checks"]["memberships"]) == 6 * 20
+        for name, rows in report["checks"].items():
+            for k, ok, slack in rows:
+                assert isinstance(k, int) and ok is True and isinstance(slack, float), (name, k)
+
+    def test_json_problem_report_ignores_seed(self, schedule_file, tmp_path):
+        # --seed only overrides gen: seeds; certification draws no random numbers
+        problem = write_json(tmp_path / "box.json", generate("box_qp", 10, 3).to_dict())
+        for seed in ("1", "2"):
+            assert main(solve_args(schedule_file, tmp_path, tag=f"s{seed}", problem=problem, seed=seed)) == 0
+        assert (tmp_path / "s1.json").read_bytes() == (tmp_path / "s2.json").read_bytes()
+        assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
+
+    def test_certification_draws_no_random_numbers(self, schedule_file, tmp_path, monkeypatch):
+        init = VmPadmmRun.__init__
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("certification drew random numbers")
+
+        def init_then_forbid_rng(run, *args, **kwargs):
+            init(run, *args, **kwargs)
+            monkeypatch.setattr(np.random, "default_rng", no_rng)
+
+        monkeypatch.setattr(VmPadmmRun, "__init__", init_then_forbid_rng)
+        args = solve_args(schedule_file, tmp_path, problem="gen:box_qp:10:2", verify="hpe,bounds,memberships,fejer")
+        assert main(args) == 0
+        assert np.random.default_rng is no_rng
+
 
     def test_horizon_truncation_is_reported(self, tmp_path, capsys):
         sched = tmp_path / "short.json"
@@ -183,6 +221,41 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{field} must be finite" in err
+
+    @pytest.mark.parametrize("kind,field,over", [
+        ("schedule", "H scale", {"H": {"type": "scaled_identity", "scale": [1, 2]}}),
+        ("schedule", "k_max", {"k_max": None}),
+        ("schedule", "c", {"c": 5}),
+        ("problem", "g lambda", {"g": {"type": "l1", "lambda": [1, 2]}}),
+        ("problem", "f", {"f": 5}),
+        ("problem", "problem", None),
+        ("problem", "A", {"A": [1.0, 2.0]}),
+    ])
+    def test_wrong_typed_value_is_one_line(self, tmp_path, capsys, kind, field, over):
+        problem = generate("lasso", (2, 2), 1).to_dict()
+        schedule = dict(CONSTANT_SCHEDULE)
+        doc = problem if kind == "problem" else schedule
+        if over is None:
+            doc = [doc]  # a top-level list
+        else:
+            doc.update(over)
+        paths = {name: write_json(tmp_path / f"{name}.json", d)
+                 for name, d in (("problem", problem), ("schedule", schedule))}
+        paths[kind] = write_json(tmp_path / f"{kind}.json", doc)
+        assert main(solve_args(paths["schedule"], tmp_path, problem=paths["problem"])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"malformed {kind} file {paths[kind]}" in err and field in err
+
+    def test_dense_matrix_of_wrong_size_rejected_at_load(self, tmp_path, capsys):
+        # R acts on x, which has dimension 4 for gen:lasso:4x2
+        sched = write_json(tmp_path / "small_r.json",
+                           dict(CONSTANT_SCHEDULE, R={"type": "dense", "matrix": [[1.0, 0.0], [0.0, 1.0]]}))
+        assert main(solve_args(sched, tmp_path, problem="gen:lasso:4x2:1")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"malformed schedule file {sched}" in err
+        assert "R dense matrix has shape (2, 2)" in err and "dimension 4" in err
 
     def test_unsupported_reference_is_one_line(self, tmp_path, capsys):
         args = solve_args(linearized_schedule(tmp_path), tmp_path, problem=l1_problem(tmp_path))
@@ -368,3 +441,63 @@ class TestBatchCommand:
         ])
         assert code == 1
         assert "empty" in capsys.readouterr().err
+
+
+# -- malformed input: one field of a valid file replaced by a wrong-typed value
+
+VALID_PROBLEMS = {
+    "box": {"name": "tiny-box", "A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+            "b": [1.0, 0.5], "f": {"type": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0]},
+            "g": {"type": "box", "l": [-1.0, -1.0], "u": [1.0, 1.0]}},
+    "l1": {"name": "tiny-l1", "A": [[1.0, 0.0], [0.0, 1.0]], "B": [[-1.0, 0.0], [0.0, -1.0]],
+           "b": [0.0, 0.0], "f": {"type": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.0]], "q": [1.0, -0.5]},
+           "g": {"type": "l1", "lambda": 0.1}},
+}
+VALID_SCHEDULES = {
+    "dense": {"H": {"type": "scaled_identity", "scale": 1.0},
+              "R": {"type": "dense", "matrix": [[0.5, 0.0], [0.0, 0.5]]}, "S": {"type": "zero"},
+              "c": {"c0": 0.5, "law": "inverse_square"}, "k_max": 20},
+    "linearized": {"H": {"type": "scaled_identity", "scale": 1.0}, "R": {"type": "linearized", "tau": 2.0},
+                   "S": {"type": "zero"}, "c": {"c0": 0.0, "law": "zero"}, "k_max": 20},
+}
+
+
+def field_paths(doc, prefix=()):
+    """Every (nested) key path of a JSON object."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from field_paths(value, prefix + (key,))
+
+
+FIELDS = [("problem", name, path) for name, doc in VALID_PROBLEMS.items() for path in field_paths(doc)]
+FIELDS += [("schedule", name, path) for name, doc in VALID_SCHEDULES.items() for path in field_paths(doc)]
+WRONG_VALUES = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+    st.none(),
+    st.text(max_size=6),
+    st.integers(-5, 50),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), WRONG_VALUES)
+def test_malformed_field_exits_cleanly(tmp_path_factory, target, value):
+    kind, name, path = target
+    docs = {"problem": VALID_PROBLEMS["box"], "schedule": VALID_SCHEDULES["dense"]}
+    doc = docs[kind] = json.loads(json.dumps((VALID_PROBLEMS if kind == "problem" else VALID_SCHEDULES)[name]))
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+    work = tmp_path_factory.mktemp("malformed")
+    problem, schedule = (write_json(work / f"{k}.json", docs[k]) for k in ("problem", "schedule"))
+    args = ["solve", "--problem", problem, "--schedule", schedule, "--theta", "1.0", "--max-iters", "3",
+            "--log", str(work / "run.csv"), "--report", str(work / "run.json")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(args)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import identity
 
 from vmpadmm.hpe import (
     BoundCheck,
@@ -8,7 +9,7 @@ from vmpadmm.hpe import (
     RateBounds,
     check_error_condition,
 )
-from vmpadmm.linalg import PsdOperator, identity
+from vmpadmm.linalg import PsdOperator
 
 
 def affine_map(rng, dim):

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import identity, zero_operator
 
 from vmpadmm.linalg import (
     BlockDiagOperator,
     PsdOperator,
     affine_leq,
     block_diag,
-    identity,
     operator_leq,
-    zero_operator,
 )
 
 

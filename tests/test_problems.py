@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import sampled_eps_check, subgradient
 
+from vmpadmm.admm import eps_subdifferential_checks
 from vmpadmm.problems import (
     FunctionDescriptor,
     generate,
@@ -122,20 +124,20 @@ class TestSubgradients:
     def test_quadratic_gradient(self):
         desc = FunctionDescriptor("quadratic", 2, Q=np.diag([2.0, 4.0]), q=np.array([1.0, 0.0]))
         np.testing.assert_allclose(
-            desc.subgradient(np.array([1.0, 1.0])), [3.0, 4.0]
+            subgradient(desc, np.array([1.0, 1.0])), [3.0, 4.0]
         )
 
     def test_l1_sign_pattern(self):
         desc = FunctionDescriptor("l1", 3, lam=1.0)
         np.testing.assert_allclose(
-            desc.subgradient(np.array([2.0, 0.0, -1.0])), [1.0, 0.0, -1.0]
+            subgradient(desc, np.array([2.0, 0.0, -1.0])), [1.0, 0.0, -1.0]
         )
 
     def test_box_interior_zero_and_outside_errors(self):
         desc = FunctionDescriptor("box", 2, lower=-np.ones(2), upper=np.ones(2))
-        np.testing.assert_array_equal(desc.subgradient(np.zeros(2)), np.zeros(2))
+        np.testing.assert_array_equal(subgradient(desc, np.zeros(2)), np.zeros(2))
         with pytest.raises(ValueError, match="outside"):
-            desc.subgradient(np.array([2.0, 0.0]))
+            subgradient(desc, np.array([2.0, 0.0]))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from(["zero", "quadratic", "l1", "box"]))
@@ -155,8 +157,96 @@ class TestSubgradients:
         x = rng.normal(size=dim)
         if kind == "box":
             x = np.clip(x, desc.lower, desc.upper)
-        v = desc.subgradient(x, rng=rng)
+        v = subgradient(desc, x, rng=rng)
         assert desc.membership_distance(v, x) <= 1e-9
+
+
+def random_descriptor(rng, kind):
+    """A random descriptor of ``kind`` (a quadratic Q is singular about half
+    the time), a point x in its domain and an s in the domain of its
+    conjugate's closed form."""
+    dim = int(rng.integers(1, 7))
+    x = rng.normal(size=dim)
+    if kind == "quadratic":
+        L = rng.normal(size=(dim, int(rng.integers(1, dim + 1)) if rng.random() < 0.5 else dim))
+        desc = FunctionDescriptor(kind, dim, Q=L @ L.T, q=rng.normal(size=dim))
+        s = desc.q + desc.Q @ rng.normal(size=dim)
+    elif kind == "l1":
+        desc = FunctionDescriptor(kind, dim, lam=float(rng.uniform(0.1, 2.0)))
+        s = rng.uniform(-desc.lam, desc.lam, size=dim)
+    elif kind == "box":
+        lo = rng.normal(size=dim)
+        desc = FunctionDescriptor(kind, dim, lower=lo, upper=lo + rng.uniform(0, 2, dim))
+        x, s = np.clip(x, desc.lower, desc.upper), rng.normal(size=dim)
+    else:
+        desc, s = FunctionDescriptor(kind, dim), np.zeros(dim)
+    return desc, x, s
+
+
+def conjugate(desc, s):
+    """f*(s) on the domain of its closed form, computed independently of
+    ``fenchel_young``: a pseudo-inverse, or the support function of the box."""
+    if desc.kind == "quadratic":
+        return 0.5 * (s - desc.q) @ np.linalg.pinv(desc.Q) @ (s - desc.q)
+    if desc.kind == "box":
+        return sum(max(l * v, u * v) for l, u, v in zip(desc.lower, desc.upper, s))
+    return 0.0
+
+
+class TestFenchelYoung:
+    """The exact eps-subdifferential check against its definition and
+    against the sampled check it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(["zero", "quadratic", "l1", "box"]), st.floats(0.0, 2.0))
+    def test_exact_pass_implies_no_sampled_violation(self, seed, kind, eps_frac):
+        rng = np.random.default_rng(seed)
+        desc, x, s = random_descriptor(rng, kind)
+        gap, off = desc.fenchel_young(s, x)
+        assert off <= 1e-10 * (1.0 + np.linalg.norm(s))
+        fx = float(desc.values(x)[0])
+        expected = fx + conjugate(desc, s) - s @ x
+        scale = abs(fx) + abs(conjugate(desc, s)) + abs(s @ x)
+        assert gap == pytest.approx(expected, abs=1e-9 * (1.0 + scale))
+        eps = eps_frac * max(gap, 0.0)
+        checks = eps_subdifferential_checks(desc, s, x, eps, 1, "x")
+        if all(c.ok for c in checks.values()):
+            assert sampled_eps_check(desc, s, x, eps, rng)
+
+    def test_l1_outside_conjugate_domain_fails_where_sampler_passes(self):
+        # ||s||_inf = 0.101 > lam = 0.1: f*(s) = +inf, so s is in no
+        # eps-subdifferential at x = 0, but 200 Gaussian samples miss it
+        desc = FunctionDescriptor("l1", 50, lam=0.1)
+        x, s, eps = np.zeros(50), np.zeros(50), 0.01
+        s[4] = 0.101
+        checks = eps_subdifferential_checks(desc, s, x, eps, 1, "x")
+        assert checks["eps_subdiff_x"].ok
+        assert not checks["eps_domain_x"].ok
+        assert checks["eps_domain_x"].slack == pytest.approx(-0.001)
+        assert all(sampled_eps_check(desc, s, x, eps, np.random.default_rng(seed)) for seed in range(200))
+
+    def test_quadratic_off_range_fails_domain(self):
+        # Q = diag(1, 0): s - q must lie in range(Q) = span(e_1)
+        desc = FunctionDescriptor("quadratic", 2, Q=np.diag([1.0, 0.0]), q=np.array([0.5, -1.0]))
+        x = np.array([0.3, 2.0])
+        on = desc.Q @ x + desc.q
+        assert all(c.ok for c in eps_subdifferential_checks(desc, on, x, 0.0, 1, "x").values())
+        off = on + np.array([0.0, 1e-3])
+        gap, dist = desc.fenchel_young(off, x)
+        assert gap == pytest.approx(0.0, abs=1e-15) and dist == pytest.approx(1e-3)
+        checks = eps_subdifferential_checks(desc, off, x, 0.0, 1, "x")
+        assert checks["eps_subdiff_x"].ok and not checks["eps_domain_x"].ok
+
+    @pytest.mark.parametrize("desc,s,x,dist", [
+        (FunctionDescriptor("box", 2, lower=np.zeros(2), upper=np.ones(2)), [0.0, 0.0], [0.5, 1.2], 0.2),
+        (FunctionDescriptor("zero", 2), [3e-3, -4e-3], [1.0, 2.0], 5e-3),
+    ], ids=["box", "zero"])
+    def test_outside_domain_fails(self, desc, s, x, dist):
+        # a box point outside [l, u]; for the zero function, any s != 0
+        checks = eps_subdifferential_checks(desc, np.array(s), np.array(x), 1.0, 1, "y")
+        assert checks["eps_subdiff_y"].ok
+        assert checks["eps_domain_y"].slack == pytest.approx(-dist)
+        assert not checks["eps_domain_y"].ok
 
 
 class TestDescriptorValues:
@@ -165,7 +255,7 @@ class TestDescriptorValues:
         L = rng.normal(size=(3, 3))
         desc = FunctionDescriptor("quadratic", 3, Q=L @ L.T, q=rng.normal(size=3))
         X = rng.normal(size=(10, 3))
-        np.testing.assert_allclose(desc.values(X), [desc.value(x) for x in X])
+        np.testing.assert_allclose(desc.values(X), [0.5 * x @ desc.Q @ x + desc.q @ x for x in X])
 
     def test_box_values_infinite_outside(self):
         desc = FunctionDescriptor("box", 2, lower=np.zeros(2), upper=np.ones(2))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from helpers import identity, zero_operator
 
-from vmpadmm.linalg import PsdOperator, identity, operator_leq, zero_operator
+from vmpadmm.linalg import PsdOperator, operator_leq
 from vmpadmm.schedule import (
     THETA_MAX,
     MetricSchedule,
