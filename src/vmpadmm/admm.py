@@ -48,19 +48,19 @@ class SubproblemError(RuntimeError):
 
 # -- theta-dependent constants -----------------------------------------------
 
-def sigma_feasible(theta: float, sigma: float) -> bool:
+def sigma_feasible(theta: float, sigma: float | np.ndarray) -> bool | np.ndarray:
     """All four admissibility conditions for the error parameter sigma:
     the 2x2 comparison matrix is positive definite, and both strict scalar
-    inequalities hold."""
+    inequalities hold.  Elementwise over an array of sigma."""
     a = sigma * (1.0 + theta) - 1.0
     d = sigma - (1.0 - theta) ** 2
     off = (sigma + theta - 1.0) * (1.0 - theta)
     det = a * d - off * off
-    if not (a > 0.0 and det > 0.0):
-        return False
-    if sigma <= max((1.0 - theta) ** 2, 1.0 - theta, 1.0 / (1.0 + theta)):
-        return False
-    return (sigma + theta - 1.0) * (4.0 - 2.0 * _SQRT2) / (_SQRT2 * theta) < sigma
+    floor = max((1.0 - theta) ** 2, 1.0 - theta, 1.0 / (1.0 + theta))
+    return (
+        (a > 0.0) & (det > 0.0) & (sigma > floor)
+        & ((sigma + theta - 1.0) * (4.0 - 2.0 * _SQRT2) / (_SQRT2 * theta) < sigma)
+    )
 
 
 def tau_theta(theta: float, sigma: float) -> float:
@@ -102,9 +102,10 @@ def compute_sigma_theta(theta: float, margin: float = 1e-3) -> ThetaParams:
     if not (_THETA_EXCLUSION < theta < THETA_MAX - _THETA_EXCLUSION):
         raise ValueError(f"theta must lie strictly inside (0, {THETA_MAX}), got {theta}")
     sigmas = np.arange(1, _SIGMA_GRID + 1) / (_SIGMA_GRID + 1.0)
-    feasible_idx = next((i for i, s in enumerate(sigmas) if sigma_feasible(theta, s)), None)
-    if feasible_idx is None:
+    feasible = sigma_feasible(theta, sigmas)
+    if not feasible.any():
         raise RuntimeError(f"no admissible sigma found for theta={theta}")
+    feasible_idx = int(np.argmax(feasible))
     hi = float(sigmas[feasible_idx])
     lo = float(sigmas[feasible_idx - 1]) if feasible_idx > 0 else 0.0
     while hi - lo > 1e-10:

@@ -104,7 +104,7 @@ def run_solve(args) -> int:
     except (ValueError, RuntimeError) as exc:  # reference solve rejected the problem or hit its cap
         raise ConfigError(f"reference solve: {exc}") from exc
     try:
-        rows, checks, last = _drive(run, min(args.max_iters, schedule.k_max), args.rho, args.eps, verify)
+        rows, checks, worst, last = _drive(run, min(args.max_iters, schedule.k_max), args.rho, args.eps, verify)
     except SubproblemError as exc:
         raise ConfigError(f"subproblem: {exc}") from exc
 
@@ -141,6 +141,7 @@ def run_solve(args) -> int:
     }
     _write_csv(args.log, rows)
     _write_json(args.report, doc)
+    args.worst_slack = worst  # read by run_batch, which calls this per instance
     return 0 if all_pass else 2
 
 
@@ -150,10 +151,12 @@ def _first_k(k):
 
 def _drive(run: VmPadmmRun, iters: int, rho: float, eps: float, verify):
     """Consume the solver's certified steps, collecting CSV rows and per-k
-    check outcomes as ``[k, ok, slack]`` rows; returns (rows, checks, last
-    certified step)."""
+    check outcomes as ``[k, ok, slack]`` rows; returns (rows, checks, worst,
+    last certified step), where ``worst`` maps each check name to the
+    ``[k, slack]`` of its smallest slack."""
     rows = []
     checks: dict[str, list] = {f: [] for f in verify}
+    worst: dict[str, list] = {}
     ref = run.reference
     z_star = np.concatenate([ref.x, ref.y, ref.gamma])
     step = None
@@ -178,18 +181,21 @@ def _drive(run: VmPadmmRun, iters: int, rho: float, eps: float, verify):
             "hpe_rhs": it.hpe_check.rhs,
             "hpe_slack": it.hpe_check.slack,
         })
-        if "hpe" in verify:
-            checks["hpe"].append([k, it.hpe_check.ok, it.hpe_check.slack])
-        if "bounds" in verify:
-            for c in (*pw.checks.values(), *erg.checks.values()):
-                checks["bounds"].append([k, c.ok, c.slack])
-        if "memberships" in verify:
-            for c in (*pw.memberships.values(), *erg.memberships.values()):
-                checks["memberships"].append([k, c.ok, c.slack])
-        if "fejer" in verify:
-            fc = run.hpe.fejer_check(z_star)
-            checks["fejer"].append([k, fc.ok, fc.slack])
-    return rows, checks, step
+        for group, out in checks.items():
+            if group == "hpe":
+                found = [it.hpe_check]
+            elif group == "bounds":
+                found = [*pw.checks.values(), *erg.checks.values()]
+            elif group == "memberships":
+                found = [*pw.memberships.values(), *erg.memberships.values()]
+            else:
+                found = [run.hpe.fejer_check(z_star)]
+            for c in found:
+                slack, name = c.slack, group if group == "hpe" else c.name
+                out.append([k, c.ok, slack])
+                if name not in worst or slack < worst[name][1]:
+                    worst[name] = [k, slack]
+    return rows, checks, worst, step
 
 
 def _write_csv(path, rows):
@@ -231,16 +237,8 @@ def run_batch(args) -> int:
         sub.report = os.path.join(args.out_dir, f"{tag}.json")
         try:
             code = run_solve(sub)
-            with open(sub.report) as fh:
-                rep = json.load(fh)
-            worst = min(
-                (min((s for _, _, s in v), default=np.inf)
-                 for v in rep["checks"].values()),
-                default=np.inf,
-            )
             results.append({
-                "problem": entry, "exit": code, "all_pass": rep["all_pass"],
-                "worst_slack": None if np.isinf(worst) else worst,
+                "problem": entry, "exit": code, "all_pass": code == 0, "worst_slack": sub.worst_slack,
             })
         except ConfigError as exc:
             results.append({"problem": entry, "exit": 1, "error": str(exc)})

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "kkt_residual",
     "reference_solve",
     "plain_admm",
+    "plain_admm_iterates",
     "load_problem",
     "problem_from_dict",
 ]
@@ -341,60 +343,67 @@ def _prox_step(desc: FunctionDescriptor, G_diag: np.ndarray, q_lin: np.ndarray) 
     raise ValueError(f"no separable prox for kind {desc.kind!r}")
 
 
+def _factored_solver(M: np.ndarray):
+    """x -> M^{-1} x for a nonsingular M, factored once: the inverse from
+    one LU solve, then one step of iterative refinement against M per call.
+    An exactly singular M raises ``LinAlgError`` here."""
+    M_inv = np.linalg.solve(M, np.eye(M.shape[0]))
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        x = M_inv @ r
+        return x + M_inv @ (r - M @ x)
+
+    return solve
+
+
+def plain_admm_iterates(problem: ProblemSpec, beta: float = 1.0):
+    """Textbook ADMM with penalty beta and unit dual stepsize, started at zero:
+    an endless generator of the iterates (x_k, y_k, gamma_k), k = 1, 2, ...
+
+    Independent of the variable-metric solver: the x-system (and a quadratic
+    or zero g's y-system) is factored once before the first iterate, and
+    l1/box g take soft-threshold / clip prox steps.
+    """
+    A, B, b = problem.A, problem.B, problem.b
+    f, g = problem.f, problem.g
+    n_x, n_y, m = problem.dims
+    if f.kind not in ("quadratic", "zero"):
+        raise ValueError("plain ADMM reference supports quadratic/zero f only")
+    BtB = B.T @ B
+    if g.kind in ("l1", "box"):
+        G_diag = beta * np.diag(BtB)
+        if np.abs(BtB - np.diag(np.diag(BtB))).max(initial=0.0) > 1e-12:
+            raise ValueError("plain ADMM needs B^T B diagonal for l1/box g")
+    solve_x = _factored_solver(beta * (A.T @ A) + (f.Q if f.kind == "quadratic" else 0.0))
+    if g.kind in ("quadratic", "zero"):
+        solve_y = _factored_solver(beta * BtB + (g.Q if g.kind == "quadratic" else 0.0))
+    q_x = f.q if f.kind == "quadratic" else np.zeros(n_x)
+    q_y = g.q if g.kind == "quadratic" else np.zeros(n_y)
+    y, gamma = np.zeros(n_y), np.zeros(m)
+    while True:
+        x = solve_x(A.T @ gamma - beta * A.T @ (B @ y - b) - q_x)
+        q_lin = -B.T @ gamma + beta * B.T @ (A @ x - b)
+        y = _prox_step(g, G_diag, q_lin) if g.kind in ("l1", "box") else solve_y(-q_lin - q_y)
+        gamma = gamma - beta * (A @ x + B @ y - b)
+        yield x, y, gamma
+
+
 def plain_admm(
     problem: ProblemSpec,
     beta: float = 1.0,
     max_iters: int = 1_000_000,
     accuracy: float = 1e-10,
-    collect: int = 0,
 ):
-    """Textbook ADMM with penalty beta and unit dual stepsize, started at zero.
-
-    Independent of the variable-metric solver: inline linear solves and
-    soft-threshold / clip prox steps only.  Returns (x, y, gamma, residual)
-    or, when ``collect`` > 0, additionally the first ``collect`` iterate
-    triples for trajectory comparisons.
-    """
-    A, B, b = problem.A, problem.B, problem.b
-    f, g = problem.f, problem.g
-    n_x, n_y, m = problem.dims
-    x, y, gamma = np.zeros(n_x), np.zeros(n_y), np.zeros(m)
-
-    AtA = A.T @ A
-    BtB = B.T @ B
-    if f.kind == "quadratic":
-        x_mat = f.Q + beta * AtA
-    elif f.kind == "zero":
-        x_mat = beta * AtA
-    else:
-        raise ValueError("plain ADMM reference supports quadratic/zero f only")
-    if g.kind in ("l1", "box"):
-        G_diag = beta * np.diag(BtB)
-        if np.abs(BtB - np.diag(np.diag(BtB))).max(initial=0.0) > 1e-12:
-            raise ValueError("plain ADMM needs B^T B diagonal for l1/box g")
-    trajectory = []
+    """:func:`plain_admm_iterates` stopped at the first iterate whose KKT
+    residual is at most ``accuracy``, or after ``max_iters`` iterates.
+    Returns (x, y, gamma, best residual seen)."""
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     best = np.inf
-    for it in range(1, max_iters + 1):
-        rhs = A.T @ gamma - beta * A.T @ (B @ y - b)
-        if f.kind == "quadratic":
-            rhs = rhs - f.q
-        x = np.linalg.solve(x_mat, rhs)
-        q_lin = -B.T @ gamma + beta * B.T @ (A @ x - b)
-        if g.kind == "quadratic":
-            y = np.linalg.solve(g.Q + beta * BtB, -q_lin - g.q)
-        elif g.kind == "zero":
-            y = np.linalg.solve(beta * BtB, -q_lin)
-        else:
-            y = _prox_step(g, G_diag, q_lin)
-        gamma = gamma - beta * (A @ x + B @ y - b)
-        if collect and it <= collect:
-            trajectory.append((x.copy(), y.copy(), gamma.copy()))
-        res = max(kkt_residual(problem, x, y, gamma))
-        best = min(best, res)
-        if res <= accuracy:
+    for x, y, gamma in islice(plain_admm_iterates(problem, beta), max_iters):
+        best = min(best, max(kkt_residual(problem, x, y, gamma)))
+        if best <= accuracy:
             break
-    if collect:
-        return x, y, gamma, best, trajectory
     return x, y, gamma, best
 
 

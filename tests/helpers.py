@@ -3,8 +3,12 @@ compare the solver's closed-form checks with.
 
 ``subgradient`` draws valid subgradients for the ``membership_distance``
 oracle; ``sampled_eps_check`` is the sampled eps-subdifferential inequality
-that ``FunctionDescriptor.fenchel_young`` decides exactly.
+that ``FunctionDescriptor.fenchel_young`` decides exactly;
+``plain_admm_per_iteration_solve`` and ``sigma_feasible_scalar`` are the
+unfactored and unvectorized forms of the reference ADMM and the sigma scan.
 """
+
+import math
 
 import numpy as np
 
@@ -12,6 +16,7 @@ from vmpadmm.linalg import PsdOperator
 
 SAMPLES = 200
 TOL = 1e-8
+SQRT2 = math.sqrt(2.0)
 
 
 def identity(dim, scale=1.0):
@@ -58,3 +63,42 @@ def sampled_eps_check(desc, s, x, eps, rng, count=SAMPLES):
     lhs = fvals - base - (X - x) @ s + eps
     scale = 1.0 + np.abs(fvals[np.isfinite(fvals)]).max(initial=0.0) + abs(eps)
     return float(lhs[np.isfinite(lhs)].min(initial=np.inf)) >= -TOL * scale
+
+
+def plain_admm_per_iteration_solve(problem, beta, iters):
+    """The first ``iters`` textbook ADMM iterates (x, y, gamma) from zero,
+    solving each linear system afresh with ``np.linalg.solve`` in every
+    iteration: the oracle for the factored ``plain_admm_iterates``."""
+    A, B, b, f, g = problem.A, problem.B, problem.b, problem.f, problem.g
+    n_x, n_y, m = problem.dims
+    y, gamma = np.zeros(n_y), np.zeros(m)
+    x_mat = beta * A.T @ A + (f.Q if f.kind == "quadratic" else 0.0)
+    y_mat = beta * B.T @ B + (g.Q if g.kind == "quadratic" else 0.0)
+    out = []
+    for _ in range(iters):
+        rhs = A.T @ gamma - beta * A.T @ (B @ y - b) - (f.q if f.kind == "quadratic" else 0.0)
+        x = np.linalg.solve(x_mat, rhs)
+        q_lin = -B.T @ gamma + beta * B.T @ (A @ x - b)
+        if g.kind == "l1":
+            y = np.sign(-q_lin) * np.maximum(np.abs(q_lin) - g.lam, 0.0) / np.diag(y_mat)
+        elif g.kind == "box":
+            y = np.clip(-q_lin / np.diag(y_mat), g.lower, g.upper)
+        else:
+            y = np.linalg.solve(y_mat, -q_lin - (g.q if g.kind == "quadratic" else 0.0))
+        gamma = gamma - beta * (A @ x + B @ y - b)
+        out.append((x, y, gamma))
+    return out
+
+
+def sigma_feasible_scalar(theta, sigma):
+    """The admissibility test of ``sigma_feasible`` for one sigma, with the
+    early exits of a scalar implementation: the reference for the
+    vectorized scan."""
+    a = sigma * (1.0 + theta) - 1.0
+    d = sigma - (1.0 - theta) ** 2
+    off = (sigma + theta - 1.0) * (1.0 - theta)
+    if not (a > 0.0 and a * d - off * off > 0.0):
+        return False
+    if sigma <= max((1.0 - theta) ** 2, 1.0 - theta, 1.0 / (1.0 + theta)):
+        return False
+    return (sigma + theta - 1.0) * (4.0 - 2.0 * SQRT2) / (SQRT2 * theta) < sigma

@@ -1,8 +1,9 @@
 import dataclasses
+from itertools import islice
 
 import numpy as np
 import pytest
-from helpers import identity, sampled_eps_check, zero_operator
+from helpers import identity, sampled_eps_check, sigma_feasible_scalar, zero_operator
 
 from vmpadmm.admm import (
     BlockSystem,
@@ -42,6 +43,20 @@ class TestSigmaTheta:
             # minimal point: just below the pre-margin boundary is infeasible
             below = params.sigma - params.margin - 1e-6
             assert not sigma_feasible(float(theta), below)
+
+    def test_array_matches_scalar_over_grid(self):
+        grid = np.arange(1, 10_001) / 10_001.0  # the scan grid of compute_sigma_theta
+        for theta in np.linspace(0.005, THETA_MAX - 0.005, 200).tolist():
+            scalar = [sigma_feasible_scalar(theta, s) for s in grid.tolist()]
+            assert sigma_feasible(theta, grid).tolist() == scalar
+
+    @pytest.mark.parametrize("theta,sigma", [
+        (0.3, 0.7780211530940412), (0.5, 0.6801287848334613), (1.0, 0.501000000095358),
+        (1.5, 0.7181292729812101), (1.6, 0.9497268906356741),
+    ])
+    def test_sigma_values_unchanged(self, theta, sigma):
+        # recorded from the scalar grid scan that the vectorized one replaced
+        assert compute_sigma_theta(theta).sigma == sigma
 
     def test_tau_formula_example(self):
         # theta=1, sigma=0.501: tau = 8 * 0.501 * max(1, 1) / 1 = 4.008
@@ -241,16 +256,14 @@ class TestFixedPoint:
 class TestStandardAdmmReduction:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_matches_textbook_admm(self, beta):
-        from vmpadmm.problems import plain_admm
+        from vmpadmm.problems import plain_admm_iterates
 
         p = generate("lasso", (8, 4), 3)
         sched = constant_schedule(p.dims, 110, h_scale=beta)
         params = compute_sigma_theta(1.0)
         run = VmPadmmRun(p, sched, params)
-        *_, traj = plain_admm(p, beta=beta, max_iters=100, accuracy=0.0, collect=100)
-        for k in range(100):
+        for x_ref, y_ref, g_ref in islice(plain_admm_iterates(p, beta=beta), 100):
             it = run.step()
-            x_ref, y_ref, g_ref = traj[k]
             np.testing.assert_allclose(it.x, x_ref, atol=1e-10)
             np.testing.assert_allclose(it.y, y_ref, atol=1e-10)
             np.testing.assert_allclose(it.gamma, g_ref, atol=1e-10)

@@ -264,6 +264,17 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert "reference solve" in err and "quadratic/zero f only" in err
 
+    def test_singular_reference_system_is_one_line(self, schedule_file, tmp_path, capsys):
+        # Q = 0 and A = 0: the reference ADMM's x-system Q + A^T A is exactly singular
+        problem = write_json(tmp_path / "singular.json", {
+            "A": [[0.0]], "B": [[-1.0]], "b": [0.0],
+            "f": {"type": "quadratic", "Q": [[0.0]], "q": [1.0]}, "g": {"type": "l1", "lambda": 0.1},
+        })
+        assert main(solve_args(schedule_file, tmp_path, problem=problem)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: reference solve: ") and err.count("\n") == 1
+        assert "singular" in err.lower()
+
     def test_unsupported_subproblem_is_one_line(self, tmp_path, capsys):
         # a dense S makes the box y-subproblem non-separable
         dense = [[1.0 if i == j else 0.1 for j in range(5)] for i in range(5)]
@@ -390,6 +401,30 @@ class TestBatchCommand:
         assert agg["all_pass"] is True
         assert len(agg["instances"]) == 2
         assert (tmp_path / "batch" / "instance-000.csv").exists()
+
+    def test_worst_slack_per_check_matches_instance_csv(self, schedule_file, tmp_path):
+        out = tmp_path / "batch-worst"
+        code = main([
+            "batch", "--corpus", "gen:lasso:8x4:1,gen:box_qp:10:2", "--schedule", schedule_file,
+            "--theta", "0.5", "--max-iters", "40", "--out-dir", str(out),
+        ])
+        assert code == 0
+        agg = json.loads((out / "aggregate.json").read_text())
+        for i, inst in enumerate(agg["instances"]):
+            with open(out / f"instance-{i:03d}.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            worst = inst["worst_slack"]
+            for name, slack in (
+                ("pointwise_res", lambda r: float(r["bound_pointwise"]) - float(r["res_max"])),
+                ("ergodic_res", lambda r: float(r["bound_erg_res"]) - float(r["erg_res_max"])),
+                ("ergodic_eps", lambda r: float(r["bound_erg_eps"]) - float(r["eps_sum"])),
+                ("hpe", lambda r: float(r["hpe_slack"])),
+            ):
+                k, value = worst[name]
+                expected = min(rows, key=slack)
+                assert k == int(expected["k"])
+                assert value == pytest.approx(slack(expected), rel=1e-12, abs=1e-15)
+            assert {"fejer", "membership_x", "eps_subdiff_y", "primal_avg_identity"} <= set(worst)
 
     def test_corpus_file_and_isolation(self, schedule_file, tmp_path):
         corpus = tmp_path / "corpus.json"

@@ -1,15 +1,20 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import sampled_eps_check, subgradient
+from helpers import plain_admm_per_iteration_solve, sampled_eps_check, subgradient
 
 from vmpadmm.admm import eps_subdifferential_checks
 from vmpadmm.problems import (
     FunctionDescriptor,
+    ProblemSpec,
+    _factored_solver,
     generate,
     kkt_residual,
     plain_admm,
+    plain_admm_iterates,
     problem_from_dict,
     reference_solve,
 )
@@ -287,6 +292,91 @@ class TestPlainAdmm:
 
     def test_trajectory_collection(self):
         p = generate("lasso", (6, 3), 2)
-        *_, traj = plain_admm(p, beta=1.0, max_iters=10, accuracy=0.0, collect=10)
+        traj = list(islice(plain_admm_iterates(p, beta=1.0), 10))
         assert len(traj) == 10
         assert traj[0][0].shape == (6,)
+
+    @staticmethod
+    def quadratic_g_singular_kkt():
+        """Quadratic f and g under a repeated constraint row: [A B] has a
+        dependent row, so the KKT matrix is singular, and g's y-system is
+        factored and solved in every iteration."""
+        rng = np.random.default_rng(4)
+        A, B = rng.normal(size=(5, 6)), rng.normal(size=(5, 4))
+        A[-1], B[-1] = A[0], B[0]
+        L, G = rng.normal(size=(6, 6)), rng.normal(size=(4, 2))
+        f = FunctionDescriptor("quadratic", 6, Q=L @ L.T + np.eye(6), q=rng.normal(size=6))
+        g = FunctionDescriptor("quadratic", 4, Q=G @ G.T, q=rng.normal(size=4))
+        return ProblemSpec(f, g, A, B, A @ rng.normal(size=6) + B @ rng.normal(size=4))
+
+    @staticmethod
+    def ill_conditioned_x_system():
+        """A lasso whose x-system diag(1, ..., 1e8) + A^T A has condition
+        number about 1e8, graded along the axes.  (Under a random rotation of
+        Q any two backward-stable solvers differ by up to cond * eps: there
+        LU and the factored solve are each about 3e-10 off the exact
+        solution, so a 1e-12 comparison could not pass.)"""
+        rng = np.random.default_rng(5)
+        f = FunctionDescriptor("quadratic", 8, Q=np.diag(np.logspace(0, 8, 8)), q=rng.normal(size=8))
+        A = rng.normal(size=(4, 8)) / 2.0
+        return ProblemSpec(f, FunctionDescriptor("l1", 4, lam=0.1), A, -np.eye(4), np.zeros(4))
+
+    def problems(self):
+        return {
+            "lasso": generate("lasso", (20, 10), 3),
+            "box_qp": generate("box_qp", 20, 3),
+            "quadratic_g_singular_kkt": self.quadratic_g_singular_kkt(),
+            "cond_1e8": self.ill_conditioned_x_system(),
+        }
+
+    @pytest.mark.parametrize("name", ["lasso", "box_qp", "quadratic_g_singular_kkt", "cond_1e8"])
+    def test_factored_iterates_match_per_iteration_solve(self, name):
+        p = self.problems()[name]
+        if name == "quadratic_g_singular_kkt":
+            n_x, n_y, m = p.dims
+            K = np.block([
+                [p.f.Q, np.zeros((n_x, n_y)), -p.A.T], [np.zeros((n_y, n_x)), p.g.Q, -p.B.T],
+                [p.A, p.B, np.zeros((m, m))],
+            ])
+            assert np.linalg.matrix_rank(K) < K.shape[0]
+        if name == "cond_1e8":
+            assert 1e7 < np.linalg.cond(p.f.Q + p.A.T @ p.A) < 1e9
+        oracle = plain_admm_per_iteration_solve(p, 1.0, 100)
+        for k, (ours, ref) in enumerate(zip(islice(plain_admm_iterates(p, beta=1.0), 100), oracle)):
+            for u, v in zip(ours, ref):
+                np.testing.assert_allclose(u, v, rtol=0.0, atol=1e-12, err_msg=f"iterate {k + 1}")
+
+    def test_factored_solve_is_backward_stable(self):
+        """The refinement step gives the factored solve LU's residual on a
+        rotated system of condition 1e8, for a right-hand side along the top
+        eigenvector, where the inverse alone leaves a residual ~1e-10."""
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            U = np.linalg.qr(rng.normal(size=(8, 8)))[0]
+            M = U @ np.diag(np.logspace(-8, 0, 8)) @ U.T
+            M = 0.5 * (M + M.T)
+            r = M @ U[:, -1]
+            x = _factored_solver(M)(r)
+            assert np.linalg.norm(r - M @ x) <= 1e-15 * np.linalg.norm(M, 2) * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("name,systems", [("lasso", 1), ("box_qp", 1), ("quadratic_g_singular_kkt", 2)])
+    def test_each_block_system_factored_once(self, name, systems, monkeypatch):
+        """One LU solve per block system before the first iterate, then no
+        LAPACK call in the loop; the reference solve of a lasso or box QP
+        factors its x-system once (plus the least-squares feasibility check)."""
+        p, calls = self.problems()[name], []
+        for fn_name in ("solve", "lstsq", "eigh", "eigvalsh", "inv"):
+            fn = getattr(np.linalg, fn_name)
+            monkeypatch.setattr(
+                np.linalg, fn_name, lambda *a, _n=fn_name, _fn=fn, **k: calls.append(_n) or _fn(*a, **k)
+            )
+        iterates = plain_admm_iterates(p, beta=1.0)
+        next(iterates)
+        assert calls == ["solve"] * systems
+        del calls[:]
+        for _ in islice(iterates, 100):
+            pass
+        assert calls == []
+        if name != "quadratic_g_singular_kkt":  # a direct KKT solve handles quadratic g
+            reference_solve(p)
+            assert calls == ["lstsq", "solve"]

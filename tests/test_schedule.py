@@ -365,20 +365,29 @@ class TestAnalyticValidate:
     @staticmethod
     def validate_without_decompositions(sched, monkeypatch):
         """``validate()``, asserting that it calls no ``operator_leq`` and
-        no eigendecomposition; returns its failures or ("not PSD", k)."""
+        no eigendecomposition, and that validating in blocks of 5 k (the
+        last one partial at k_max = 12) gives the same verdict; returns its
+        failures or ("not PSD", k)."""
         calls = []
         monkeypatch.setattr("vmpadmm.linalg.operator_leq", lambda *a: calls.append(a) or operator_leq(*a))
         for name in ("eigh", "eigvalsh"):
             fn = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, **k: calls.append(a) or _fn(*a, **k))
-        try:
-            verdict = sched.validate().sandwich_failures
-        except ValueError as exc:
-            assert "not PSD, first at k = " in str(exc)
-            verdict = "not PSD", int(str(exc).split("first at k = ")[1])
+
+        def verdict():
+            try:
+                return sched.validate().sandwich_failures
+            except ValueError as exc:
+                assert "not PSD, first at k = " in str(exc)
+                return "not PSD", int(str(exc).split("first at k = ")[1])
+
+        whole = verdict()
+        monkeypatch.setattr("vmpadmm.schedule._VALIDATE_BLOCK", 5)
+        blocked = verdict()
         monkeypatch.undo()
         assert calls == []
-        return verdict
+        assert blocked == whole
+        return whole
 
     @pytest.mark.parametrize("seed", range(8))
     def test_same_verdict_as_eigenvalues(self, seed, monkeypatch):
@@ -404,13 +413,13 @@ class TestAnalyticValidate:
             assert expected == ("not PSD", 1)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_broken_factors_detected(self, seed):
+    def test_broken_factors_detected(self, seed, monkeypatch):
         sched = self.random_schedule(seed)
         sched._factors[5] *= 1.0 + 2.0 * float(sched.c_seq[4]) + 0.01  # jump past (1 + c_4)
         sched._last = None
         expected = self.oracle(sched)
         assert expected == [(4, "H"), (4, "R"), (4, "S"), (5, "H"), (5, "R"), (5, "S")]
-        assert sched.validate().sandwich_failures == expected
+        assert self.validate_without_decompositions(sched, monkeypatch) == expected
 
 
 class TestHorizonLimit:
