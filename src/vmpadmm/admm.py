@@ -101,6 +101,8 @@ def compute_sigma_theta(theta: float, margin: float = 1e-3) -> ThetaParams:
     """
     if not (_THETA_EXCLUSION < theta < THETA_MAX - _THETA_EXCLUSION):
         raise ValueError(f"theta must lie strictly inside (0, {THETA_MAX}), got {theta}")
+    if not (np.isfinite(margin) and margin >= 0.0):
+        raise ValueError(f"sigma margin must be finite and >= 0, got {margin}")
     sigmas = np.arange(1, _SIGMA_GRID + 1) / (_SIGMA_GRID + 1.0)
     feasible = sigma_feasible(theta, sigmas)
     if not feasible.any():
@@ -293,7 +295,7 @@ class AdmmIterate:
     dual_y: float
     dual_gamma: float
     eta: float
-    hpe_check: object
+    hpe_check: BoundCheck
     memberships: dict  # membership_x/_y: s_x in df(x_k), s_y in dg(y_k)
     M: object  # M_k, the product-space metric of this iteration
 
@@ -328,10 +330,6 @@ class KktResidualCertificate:
     @property
     def dual_max(self) -> float:
         return max(self.dual_x, self.dual_y, self.dual_gamma)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in (*self.checks.values(), *self.memberships.values()))
 
 
 def compute_d0_admm(
@@ -375,8 +373,9 @@ def eps_subdifferential_checks(desc, s, u, eps: float, k: int, block: str) -> di
 
 @dataclass
 class CertifiedStep:
-    """One iteration with its certificates and the stopping state after it.
+    """One iteration with every check of it and the stopping state after it.
 
+    ``fejer`` is the Fejer bound against the reference solution.
     ``first_k_pointwise`` / ``first_k_ergodic`` are the first k at which the
     pointwise / ergodic stopping rule held, or None while it has not.
     """
@@ -384,8 +383,26 @@ class CertifiedStep:
     iterate: AdmmIterate
     pointwise: KktResidualCertificate
     ergodic: KktResidualCertificate
+    fejer: BoundCheck
     first_k_pointwise: int | None
     first_k_ergodic: int | None
+
+    @property
+    def checks(self) -> dict[str, list[BoundCheck]]:
+        """Every check of this iteration, grouped and ordered as the report's
+        ``checks``: ``hpe``, ``bounds``, ``memberships`` and ``fejer``."""
+        pw, erg = self.pointwise, self.ergodic
+        return {
+            "hpe": [self.iterate.hpe_check],
+            "bounds": [*pw.checks.values(), *erg.checks.values()],
+            "memberships": [*pw.memberships.values(), *erg.memberships.values()],
+            "fejer": [self.fejer],
+        }
+
+    @property
+    def ok(self) -> bool:
+        """The iteration's one verdict: every check in every group holds."""
+        return all(c.ok for group in self.checks.values() for c in group)
 
 
 class VmPadmmRun:
@@ -409,11 +426,12 @@ class VmPadmmRun:
         self.y = np.zeros(n_y) if y0 is None else np.asarray(y0, float).copy()
         self.gamma = np.zeros(m) if gamma0 is None else np.asarray(gamma0, float).copy()
 
-        self.reference = reference if reference is not None else reference_solve(problem)
+        self.reference = ref = reference if reference is not None else reference_solve(problem)
+        self.z_star = np.concatenate([ref.x, ref.y, ref.gamma])  # the Fejer check's solution
         self.M0 = schedule.metric(0, problem.B, theta_params.theta)
         self.d0 = compute_d0_admm(
             problem,
-            (self.reference.x, self.reference.y, self.reference.gamma),
+            (ref.x, ref.y, ref.gamma),
             self.M0,
             x0=self.x,
             y0=self.y,
@@ -508,15 +526,15 @@ class VmPadmmRun:
         return it
 
     def certified_steps(self, max_iters: int, rho: float, eps: float):
-        """Step up to ``max_iters`` times, yielding a :class:`CertifiedStep`
-        per iteration.
+        """Step up to ``max_iters`` times, but not past the schedule horizon
+        k_max, yielding a :class:`CertifiedStep` per iteration.
 
         Stops after the first k by which both stopping rules have held: the
         pointwise rule res_max <= rho, and the ergodic rule erg_res_max <= rho
         with eps_sum <= eps.
         """
         first_pw = first_erg = None
-        for _ in range(max_iters):
+        for _ in range(min(max_iters, self.schedule.k_max - self.k)):
             it = self.step()
             k = it.k
             pw = self.pointwise_kkt_certificate()
@@ -525,20 +543,16 @@ class VmPadmmRun:
                 first_pw = k
             if first_erg is None and erg.dual_max <= rho and erg.eps_x + erg.eps_y <= eps:
                 first_erg = k
-            yield CertifiedStep(it, pw, erg, first_pw, first_erg)
+            yield CertifiedStep(it, pw, erg, self.hpe.fejer_check(self.z_star), first_pw, first_erg)
             if first_pw is not None and first_erg is not None:
                 return
 
     # -- certificates at the current iteration k ---------------------------
     # They come from running accumulators; no per-iteration history is kept.
 
-    def _require_iterate(self):
-        if self._best is None:
-            raise ValueError("no iterate yet: certificates start at k = 1")
-
     def pointwise_kkt_certificate(self) -> KktResidualCertificate:
         """Best single iterate up to k against the O(1/sqrt(k)) bound."""
-        self._require_iterate()
+        self.hpe.require_iterate()
         k, it = self.k, self._best
         bound = self.bounds.pointwise_rhs(k)
         checks = {

@@ -50,7 +50,7 @@ def parse_generator_spec(spec: str, seed_override: int | None = None) -> Problem
     if seed_override is not None:
         seed = seed_override
     try:
-        return generate(kind, dims if len(dims) > 1 else dims[0], seed)
+        return generate(kind, dims, seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -76,7 +76,7 @@ def run_solve(args) -> int:
     for f in verify:
         if f not in VERIFY_FLAGS:
             raise ConfigError(f"unknown verify flag {f!r}; choose from {VERIFY_FLAGS}")
-    if args.rho <= 0 or args.eps <= 0 or args.max_iters < 1:
+    if not (args.rho > 0 and args.eps > 0) or args.max_iters < 1:
         raise ConfigError("rho and eps must be positive and max_iters >= 1")
 
     problem = _load_problem_arg(args.problem, args.seed)
@@ -104,7 +104,7 @@ def run_solve(args) -> int:
     except (ValueError, RuntimeError) as exc:  # reference solve rejected the problem or hit its cap
         raise ConfigError(f"reference solve: {exc}") from exc
     try:
-        rows, checks, worst, last = _drive(run, min(args.max_iters, schedule.k_max), args.rho, args.eps, verify)
+        rows, checks, worst, last = _drive(run, args.max_iters, args.rho, args.eps, verify)
     except SubproblemError as exc:
         raise ConfigError(f"subproblem: {exc}") from exc
 
@@ -150,15 +150,13 @@ def _first_k(k):
 
 
 def _drive(run: VmPadmmRun, iters: int, rho: float, eps: float, verify):
-    """Consume the solver's certified steps, collecting CSV rows and per-k
-    check outcomes as ``[k, ok, slack]`` rows; returns (rows, checks, worst,
-    last certified step), where ``worst`` maps each check name to the
-    ``[k, slack]`` of its smallest slack."""
+    """Consume the solver's certified steps, collecting CSV rows and, for each
+    verified group of ``step.checks``, per-k outcomes as ``[k, ok, slack]``
+    rows; returns (rows, checks, worst, last certified step), where ``worst``
+    maps each check name to the ``[k, slack]`` of its smallest slack."""
     rows = []
     checks: dict[str, list] = {f: [] for f in verify}
     worst: dict[str, list] = {}
-    ref = run.reference
-    z_star = np.concatenate([ref.x, ref.y, ref.gamma])
     step = None
     for step in run.certified_steps(iters, rho, eps):
         it, pw, erg = step.iterate, step.pointwise, step.ergodic
@@ -181,20 +179,13 @@ def _drive(run: VmPadmmRun, iters: int, rho: float, eps: float, verify):
             "hpe_rhs": it.hpe_check.rhs,
             "hpe_slack": it.hpe_check.slack,
         })
+        step_checks = step.checks
         for group, out in checks.items():
-            if group == "hpe":
-                found = [it.hpe_check]
-            elif group == "bounds":
-                found = [*pw.checks.values(), *erg.checks.values()]
-            elif group == "memberships":
-                found = [*pw.memberships.values(), *erg.memberships.values()]
-            else:
-                found = [run.hpe.fejer_check(z_star)]
-            for c in found:
-                slack, name = c.slack, group if group == "hpe" else c.name
+            for c in step_checks[group]:
+                slack = c.slack
                 out.append([k, c.ok, slack])
-                if name not in worst or slack < worst[name][1]:
-                    worst[name] = [k, slack]
+                if c.name not in worst or slack < worst[c.name][1]:
+                    worst[c.name] = [k, slack]
     return rows, checks, worst, step
 
 

@@ -17,7 +17,6 @@ __all__ = [
     "HpeIterate",
     "HpeState",
     "RateBounds",
-    "ErrorCheck",
     "BoundCheck",
     "check_error_condition",
 ]
@@ -45,28 +44,6 @@ class HpeIterate:
     @property
     def z_prev(self) -> np.ndarray:
         return self.z + self.preimage
-
-
-@dataclass
-class ErrorCheck:
-    """Outcome of the per-iteration relative error condition.
-
-    ``gap`` is ||z_{k-1} - z~_k||^2_{M_k}, the term the right-hand side
-    scales by sigma; it is also the k-th summand of the Fejer sum.
-    """
-
-    k: int
-    lhs: float
-    rhs: float
-    gap: float
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
-    @property
-    def ok(self) -> bool:
-        return self.slack >= -_ERROR_TOL * (1.0 + self.rhs)
 
 
 @dataclass
@@ -130,14 +107,19 @@ class RateBounds:
         return float(self.C_P * (self.d0**2 + self.eta0))
 
 
-def check_error_condition(it: HpeIterate, sigma: float, prev_eta: float) -> ErrorCheck:
+def check_error_condition(it: HpeIterate, sigma: float, prev_eta: float) -> tuple[BoundCheck, float]:
     """Relative error condition in the iteration seminorm:
 
         ||z_k - z~_k||^2_{M_k} + eta_k <= sigma ||z_{k-1} - z~_k||^2_{M_k} + eta_{k-1}.
+
+    Returns the ``"hpe"`` check and ``gap`` = ||z_{k-1} - z~_k||^2_{M_k}, the
+    term the right-hand side scales by sigma and the k-th summand of the
+    Fejer sum.
     """
     lhs = it.M.seminorm(it.z - it.z_tilde) ** 2 + it.eta
     gap = it.M.seminorm(it.z_prev - it.z_tilde) ** 2
-    return ErrorCheck(k=it.k, lhs=lhs, rhs=sigma * gap + prev_eta, gap=gap)
+    check = BoundCheck("hpe", it.k, lhs, sigma * gap + prev_eta, tol_abs=_ERROR_TOL, tol_rel=_ERROR_TOL)
+    return check, gap
 
 
 class HpeState:
@@ -165,7 +147,7 @@ class HpeState:
     def last_eta(self) -> float:
         return self.bounds.eta0 if self.last is None else self.last.eta
 
-    def add_iterate(self, it: HpeIterate) -> ErrorCheck:
+    def add_iterate(self, it: HpeIterate) -> BoundCheck:
         """Validate and absorb one iteration; returns the error-condition check.
 
         Raises on structural defects (bad index, residual not matching its
@@ -178,23 +160,23 @@ class HpeState:
         recon = it.M.apply(it.preimage)
         if np.linalg.norm(recon - it.r) > _RECON_TOL * (1.0 + np.linalg.norm(it.r)):
             raise ValueError("residual does not equal M_k(z_{k-1} - z_k) within tolerance")
-        check = check_error_condition(it, self.bounds.sigma, self.last_eta)
+        check, gap = check_error_condition(it, self.bounds.sigma, self.last_eta)
         self.k, self.last = it.k, it
         self._sum_ztilde += it.z_tilde
         self._sum_r += it.r
         self._sum_r_dot_ztilde += float(it.r @ it.z_tilde)
-        self._fejer_sum += check.gap
+        self._fejer_sum += gap
         return check
 
     # -- at the current iteration k -------------------------------------------
 
-    def _require_iterate(self):
+    def require_iterate(self):
         if self.last is None:
             raise ValueError("no iterate yet: certificates start at k = 1")
 
     def ergodic_point(self):
         """Ergodic averages (z~^a_k, r^a_k, eps^a_k) via the accumulators."""
-        self._require_iterate()
+        self.require_iterate()
         k = self.k
         zt_a = self._sum_ztilde / k
         r_a = self._sum_r / k
@@ -211,7 +193,7 @@ class HpeState:
         ||z*-z_0||_{M_0} for this z_star; on the ADMM path z_star is the
         reference solution that d0 is computed from.
         """
-        self._require_iterate()
+        self.require_iterate()
         it_k = self.last
         lhs = (
             it_k.M.seminorm(np.asarray(z_star, dtype=float) - it_k.z) ** 2

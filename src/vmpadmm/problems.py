@@ -268,8 +268,18 @@ class ReferenceSolution:
 
 # -- generators --------------------------------------------------------------
 
+_GENERATOR_DIMS = {"lasso": "n x m", "box_qp": "n", "consensus_ls": "n_x x n_y x m"}
+
+
 def generate(kind: str, dims, seed: int) -> ProblemSpec:
-    """Seeded instance generators; b is always built from a feasible point."""
+    """Seeded instance generators; b is always built from a feasible point.
+    ``dims`` has the kind's form in ``_GENERATOR_DIMS``; a bare n is ``(n,)``."""
+    if kind not in _GENERATOR_DIMS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    dims = tuple(dims) if isinstance(dims, (tuple, list)) else (dims,)
+    form = _GENERATOR_DIMS[kind]
+    if len(dims) != form.count(" x ") + 1:
+        raise ValueError(f"{kind} dims must be {form}, got {'x'.join(map(str, dims))}")
     rng = np.random.default_rng(seed)
     if kind == "lasso":
         n, m = dims
@@ -280,7 +290,7 @@ def generate(kind: str, dims, seed: int) -> ProblemSpec:
         g = FunctionDescriptor("l1", m, lam=0.1)
         return ProblemSpec(f, g, A, -np.eye(m), np.zeros(m), name=f"lasso-{n}x{m}-s{seed}", seed=seed)
     if kind == "box_qp":
-        (n,) = dims if isinstance(dims, (tuple, list)) else (dims,)
+        (n,) = dims
         m = max(1, n // 2)
         _check_dims(n, m)
         L = rng.normal(size=(n, n)) / np.sqrt(n)
@@ -294,19 +304,17 @@ def generate(kind: str, dims, seed: int) -> ProblemSpec:
         y_hat = np.clip(rng.normal(size=m), lo, hi)
         b = A @ rng.normal(size=n) + y_hat
         return ProblemSpec(f, g, A, np.eye(m), b, name=f"box_qp-{n}-s{seed}", seed=seed)
-    if kind == "consensus_ls":
-        n_x, n_y, m = dims
-        _check_dims(n_x, m)
-        _check_dims(n_y, m)
-        L1 = rng.normal(size=(n_x, n_x)) / np.sqrt(n_x)
-        L2 = rng.normal(size=(n_y, n_y)) / np.sqrt(n_y)
-        f = FunctionDescriptor("quadratic", n_x, Q=L1 @ L1.T + np.eye(n_x), q=rng.normal(size=n_x))
-        g = FunctionDescriptor("quadratic", n_y, Q=L2 @ L2.T + np.eye(n_y), q=rng.normal(size=n_y))
-        A = rng.normal(size=(m, n_x)) / np.sqrt(n_x)
-        B = rng.normal(size=(m, n_y)) / np.sqrt(n_y)
-        b = A @ rng.normal(size=n_x) + B @ rng.normal(size=n_y)
-        return ProblemSpec(f, g, A, B, b, name=f"consensus_ls-{n_x}x{n_y}x{m}-s{seed}", seed=seed)
-    raise ValueError(f"unknown generator kind {kind!r}")
+    n_x, n_y, m = dims  # consensus_ls
+    _check_dims(n_x, m)
+    _check_dims(n_y, m)
+    L1 = rng.normal(size=(n_x, n_x)) / np.sqrt(n_x)
+    L2 = rng.normal(size=(n_y, n_y)) / np.sqrt(n_y)
+    f = FunctionDescriptor("quadratic", n_x, Q=L1 @ L1.T + np.eye(n_x), q=rng.normal(size=n_x))
+    g = FunctionDescriptor("quadratic", n_y, Q=L2 @ L2.T + np.eye(n_y), q=rng.normal(size=n_y))
+    A = rng.normal(size=(m, n_x)) / np.sqrt(n_x)
+    B = rng.normal(size=(m, n_y)) / np.sqrt(n_y)
+    b = A @ rng.normal(size=n_x) + B @ rng.normal(size=n_y)
+    return ProblemSpec(f, g, A, B, b, name=f"consensus_ls-{n_x}x{n_y}x{m}-s{seed}", seed=seed)
 
 
 def _check_dims(n: int, m: int):

@@ -81,22 +81,20 @@ def sweep():
                     "fejer_violations": 0,
                     "pw_membership_violations": 0,
                     "erg_membership_failures": [],
+                    "step_failures": 0,
                 }
-                ref = run.reference
-                z_star = np.concatenate([ref.x, ref.y, ref.gamma])
-                for _ in range(K_MAX):
-                    it = run.step()
+                # rho = eps = 0: short of an exact solution the loop never stops before K_MAX
+                for step in run.certified_steps(K_MAX, rho=0.0, eps=0.0):
+                    it, pw, erg = step.iterate, step.pointwise, step.ergodic
                     k = it.k
                     hc = it.hpe_check
                     rec["hpe_rel_slack"] = min(
                         rec["hpe_rel_slack"], hc.slack / (1.0 + hc.rhs)
                     )
-                    pw = run.pointwise_kkt_certificate()
                     if pw.dual_max > pw.bound_residual:
                         rec["pw_violations"] += 1
                     if not all(c.ok for c in it.memberships.values()):
                         rec["pw_membership_violations"] += 1
-                    erg = run.ergodic_kkt_certificate()
                     ch = erg.checks
                     rec["erg_res_violations"] += not ch["ergodic_res"].ok
                     rec["erg_eps_violations"] += not ch["ergodic_eps"].ok
@@ -104,7 +102,8 @@ def sweep():
                         ch["eps_x_nonneg"].ok and ch["eps_y_nonneg"].ok
                     )
                     rec["eps_decomp_violations"] += not ch["eps_decomposition"].ok
-                    rec["fejer_violations"] += not run.hpe.fejer_check(z_star).ok
+                    rec["fejer_violations"] += not step.fejer.ok
+                    rec["step_failures"] += not step.ok
                     bad = [c.name for c in erg.memberships.values() if not c.ok]
                     if k in SAMPLED_KS:
                         rng = np.random.default_rng(1000 + k)
@@ -116,6 +115,7 @@ def sweep():
                                 if not sampled_eps_check(desc, s, u, eps, rng)]
                     if bad:
                         rec["erg_membership_failures"].append((k, bad))
+                assert run.k == K_MAX
                 records.append(rec)
     return {"records": records, "elapsed": time.time() - t0}
 
@@ -148,6 +148,10 @@ class TestSweepCriteria:
     def test_fejer_bound(self, sweep):
         bad = sum(r["fejer_violations"] for r in sweep["records"])
         report("metric-drift Fejer bound against reference solution", bad == 0, f"{bad} violations")
+
+    def test_one_verdict_per_step(self, sweep):
+        bad = sum(r["step_failures"] for r in sweep["records"])
+        report("every certified step's one verdict (step.ok) passes", bad == 0, f"{bad} failing steps")
 
     def test_membership_certificates(self, sweep):
         pw_bad = sum(r["pw_membership_violations"] for r in sweep["records"])

@@ -23,6 +23,14 @@ from vmpadmm.problems import FunctionDescriptor, ProblemSpec, generate, referenc
 from vmpadmm.schedule import THETA_MAX, assemble_Mk, constant_schedule, schedule_from_dict
 
 
+def replaced(obj, path, value):
+    """A copy of ``obj`` with the dataclass field or dict key at ``path`` set
+    to ``value``, as ``dataclasses.replace`` one level at a time."""
+    head, *rest = path
+    new = replaced(obj[head] if isinstance(obj, dict) else getattr(obj, head), rest, value) if rest else value
+    return {**obj, head: new} if isinstance(obj, dict) else dataclasses.replace(obj, **{head: new})
+
+
 def scalar_problem():
     """min 0.5 x^2 + 0.5 y^2  s.t.  x + y = 1 (solution x=y=0.5, gamma=0.5)."""
     f = FunctionDescriptor("quadratic", 1, Q=np.eye(1), q=np.zeros(1))
@@ -76,6 +84,14 @@ class TestSigmaTheta:
     def test_margin_too_large_rejected(self):
         with pytest.raises(RuntimeError, match="leaves"):
             compute_sigma_theta(1.6, margin=0.2)
+
+    @pytest.mark.parametrize("margin", [-0.5, float("nan"), float("inf")])
+    def test_bad_margin_rejected(self, margin):
+        with pytest.raises(ValueError, match="sigma margin"):
+            compute_sigma_theta(1.0, margin=margin)
+
+    def test_zero_margin_is_valid(self):
+        assert sigma_feasible(1.0, compute_sigma_theta(1.0, margin=0.0).sigma)
 
 
 class TestSubproblems:
@@ -365,9 +381,7 @@ class TestRunInternals:
             assert all(c.ok for c in cert.memberships.values()), cert.memberships
         cert = self.run.ergodic_kkt_certificate()
         assert cert.k == 50
-        assert cert.ok
-        failing = BoundCheck("eps_domain_x", 50, 1.0, 0.0, tol_rel=0.0)
-        assert not dataclasses.replace(cert, memberships={**cert.memberships, "eps_domain_x": failing}).ok
+        assert all(c.ok for c in (*cert.checks.values(), *cert.memberships.values()))
         rng = np.random.default_rng(0)
         s_x = cert.r_x + self.p.A.T @ cert.gamma_tilde
         s_y = cert.r_y + self.p.B.T @ cert.gamma_tilde
@@ -395,6 +409,15 @@ class TestRunInternals:
         with pytest.raises(ValueError, match="k_max"):
             run.step()
 
+    def test_certified_steps_stop_at_horizon(self):
+        # max_iters beyond k_max: the loop ends at the horizon instead of raising
+        run = VmPadmmRun(self.p, constant_schedule(self.p.dims, 5, h_scale=1.0), self.params)
+        assert [s.iterate.k for s in run.certified_steps(50, rho=0.0, eps=0.0)] == [1, 2, 3, 4, 5]
+        assert list(run.certified_steps(50, rho=0.0, eps=0.0)) == []
+        run = VmPadmmRun(self.p, constant_schedule(self.p.dims, 5, h_scale=1.0), self.params)
+        assert len(list(run.certified_steps(2, rho=0.0, eps=0.0))) == 2
+        assert [s.iterate.k for s in run.certified_steps(50, rho=0.0, eps=0.0)] == [3, 4, 5]
+
     def test_certificates_need_an_iterate(self):
         run = VmPadmmRun(self.p, self.sched, self.params)
         with pytest.raises(ValueError, match="no iterate"):
@@ -419,23 +442,25 @@ class TestRunState:
         self.params = compute_sigma_theta(1.0)
         x0 = np.random.default_rng(3).normal(size=self.p.dims[0])
         self.run = VmPadmmRun(self.p, self.sched, self.params, x0=x0)
-        ref = self.run.reference
-        self.z_star = np.concatenate([ref.x, ref.y, ref.gamma])
 
     def test_fejer_rhs_is_initial_metric_distance(self):
         assert self.sched.C_P > 1.0
+        ref = self.run.reference
+        z_star = np.concatenate([ref.x, ref.y, ref.gamma])
         H0, R0, S0 = self.sched.realize(0)
         M0 = assemble_Mk(H0, R0, S0, self.p.B, self.params.theta)
-        dist_sq = M0.seminorm(self.z_star - self.run.hpe.z0) ** 2
+        dist_sq = M0.seminorm(z_star - self.run.hpe.z0) ** 2
         expected = self.sched.C_P * (dist_sq + self.run.eta0)
-        for _ in range(20):
-            self.run.step()
-            fejer = self.run.hpe.fejer_check(self.z_star)
-            assert fejer.rhs == expected
-            assert fejer.ok
+        ks = []
+        for step in self.run.certified_steps(20, rho=0.0, eps=0.0):
+            ks.append(step.fejer.k)
+            assert step.fejer.rhs == expected
+            assert step.fejer.ok and step.ok
+        assert ks == list(range(1, 21))  # a Fejer check at every k
 
     def test_seminorm_calls_per_iteration(self, monkeypatch):
-        self.run.step()
+        steps = self.run.certified_steps(2, rho=0.0, eps=0.0)
+        next(steps)
         calls = []
         seminorm = PsdOperator.seminorm
 
@@ -444,11 +469,27 @@ class TestRunState:
             return seminorm(op, z)
 
         monkeypatch.setattr(PsdOperator, "seminorm", counting)
-        self.run.step()
-        self.run.pointwise_kkt_certificate()
-        self.run.ergodic_kkt_certificate()
-        self.run.hpe.fejer_check(self.z_star)
+        next(steps)  # one step with its certificates and Fejer check
         assert len(calls) <= 13
+
+    @pytest.mark.parametrize("group,path", [
+        ("hpe", ("iterate", "hpe_check")),
+        ("bounds", ("pointwise", "checks", "pointwise_res")),
+        ("bounds", ("ergodic", "checks", "eps_decomposition")),
+        ("memberships", ("pointwise", "memberships", "membership_y")),
+        ("memberships", ("ergodic", "memberships", "eps_domain_x")),
+        ("fejer", ("fejer",)),
+    ])
+    def test_one_failing_check_fails_the_step(self, group, path):
+        steps = list(self.run.certified_steps(5, rho=0.0, eps=0.0))
+        assert all(s.ok for s in steps)
+        step = steps[-1]
+        assert list(step.checks) == ["hpe", "bounds", "memberships", "fejer"]
+        bad = BoundCheck("broken", step.iterate.k, 1.0, 0.0, tol_rel=0.0)
+        broken = replaced(step, path, bad)
+        assert bad in broken.checks[group]
+        assert not broken.ok
+        assert step.ok  # the original step is untouched
 
 
 class TestFactorOnce:
@@ -462,11 +503,8 @@ class TestFactorOnce:
         p = generate("lasso", (10, 5), 7)
         sched = schedule_from_dict(cfg, p.dims, A=p.A)
         run = VmPadmmRun(p, sched, compute_sigma_theta(1.0))
-        ref = run.reference
-        z_star = np.concatenate([ref.x, ref.y, ref.gamma])
         steps = run.certified_steps(6, rho=0.0, eps=0.0)
-        next(steps)
-        run.hpe.fejer_check(z_star)
+        assert next(steps).ok
         calls = []
         for name in self.LAPACK:
             fn = getattr(np.linalg, name)
@@ -474,8 +512,7 @@ class TestFactorOnce:
                 np.linalg, name, lambda *a, _n=name, _fn=fn, **k: calls.append(_n) or _fn(*a, **k)
             )
         for step in steps:
-            run.hpe.fejer_check(z_star)
-            assert step.iterate.hpe_check.ok and step.pointwise.ok and step.ergodic.ok
+            assert step.ok
         assert run.k == 6
         return calls
 

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vmpadmm.admm import VmPadmmRun
+from vmpadmm.admm import VmPadmmRun, compute_sigma_theta
 from vmpadmm.cli import CSV_COLUMNS, main, parse_generator_spec
 from vmpadmm.problems import generate
+from vmpadmm.schedule import schedule_from_dict
 
 CONSTANT_SCHEDULE = {
     "H": {"type": "scaled_identity", "scale": 1.0},
@@ -117,6 +118,25 @@ class TestSolveCommand:
         for name, rows in report["checks"].items():
             for k, ok, slack in rows:
                 assert isinstance(k, int) and ok is True and isinstance(slack, float), (name, k)
+
+    def test_report_rows_are_step_checks(self, tmp_path):
+        # a drift solve: the report's checks are, group by group and at every
+        # k, the [k, ok, slack] rows of the library's step.checks
+        drift = dict(CONSTANT_SCHEDULE, c={"c0": 0.5, "law": "inverse_square"}, k_max=30,
+                     R={"type": "scaled_identity", "scale": 0.5})
+        sched = write_json(tmp_path / "drift.json", drift)
+        assert main(solve_args(sched, tmp_path, max_iters="30")) == 0
+        report = json.loads((tmp_path / "run.json").read_text())
+        p = generate("lasso", (10, 5), 7)
+        run = VmPadmmRun(p, schedule_from_dict(drift, p.dims, A=p.A), compute_sigma_theta(1.0))
+        rows = {}
+        for step in run.certified_steps(30, rho=1e-6, eps=1e-6):
+            assert step.ok
+            for group, checks in step.checks.items():
+                rows.setdefault(group, []).extend([step.iterate.k, c.ok, c.slack] for c in checks)
+        assert run.k == report["iterations"] == 30
+        assert list(rows) == ["hpe", "bounds", "memberships", "fejer"]
+        assert rows == report["checks"]
 
     def test_json_problem_report_ignores_seed(self, schedule_file, tmp_path):
         # --seed only overrides gen: seeds; certification draws no random numbers
@@ -285,6 +305,30 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert "subproblem" in err and "diagonal" in err
 
+
+    @pytest.mark.parametrize("spec,form", [
+        ("gen:lasso:10:1", "lasso dims must be n x m"),
+        ("gen:consensus_ls:4:1", "consensus_ls dims must be n_x x n_y x m"),
+        ("gen:consensus_ls:4x3:1", "consensus_ls dims must be n_x x n_y x m"),
+        ("gen:box_qp:10x5:1", "box_qp dims must be n,"),
+    ])
+    def test_generator_dims_of_wrong_arity(self, schedule_file, tmp_path, capsys, spec, form):
+        assert main(solve_args(schedule_file, tmp_path, problem=spec)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert form in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("rho", "nan", "rho and eps must be positive"),
+        ("eps", "nan", "rho and eps must be positive"),
+        ("sigma-margin", "-0.5", "sigma margin must be finite and >= 0, got -0.5"),
+        ("sigma-margin", "nan", "sigma margin must be finite and >= 0, got nan"),
+    ])
+    def test_bad_number_flag_is_one_line(self, schedule_file, tmp_path, capsys, flag, value, message):
+        assert main(solve_args(schedule_file, tmp_path, **{flag: value})) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_missing_problem_file(self, schedule_file, tmp_path, capsys):
         code = main(solve_args(schedule_file, tmp_path, problem=str(tmp_path / "nope.json")))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from helpers import identity
@@ -66,7 +68,9 @@ class TestErrorCondition:
         z = np.array([0.5, 0.5])
         z_tilde = z + np.array([10.0, 0.0])  # far from both endpoints
         it = HpeIterate(1, z, z_tilde, M.apply(z_prev - z), z_prev - z, eta=0.0, M=M)
-        assert not check_error_condition(it, sigma=0.5, prev_eta=0.0).ok
+        check, _ = check_error_condition(it, sigma=0.5, prev_eta=0.0)
+        assert check.name == "hpe" and check.k == 1
+        assert not check.ok
 
     def test_eta_carries_between_iterations(self):
         # lhs uses eta_k, rhs uses eta_{k-1}: a large eta_0 can rescue step 1
@@ -74,11 +78,15 @@ class TestErrorCondition:
         it = HpeIterate(
             1, np.array([0.0]), np.array([0.6]), np.array([1.0]), np.array([1.0]), eta=0.0, M=M
         )
-        assert not check_error_condition(it, sigma=0.1, prev_eta=0.0).ok
-        assert check_error_condition(it, sigma=0.1, prev_eta=10.0).ok
+        check, gap = check_error_condition(it, sigma=0.1, prev_eta=0.0)
+        assert not check.ok
+        assert gap == pytest.approx(0.16)  # ||z_prev - z~||^2 = (1 - 0.6)^2
+        check, _ = check_error_condition(it, sigma=0.1, prev_eta=10.0)
+        assert check.ok
+        assert check.rhs == pytest.approx(0.1 * 0.16 + 10.0)
 
     def test_slack_tolerance_band(self):
-        check = check_error_condition(
+        check, _ = check_error_condition(
             HpeIterate(
                 1, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), eta=1e-9, M=identity(1)
             ),
@@ -86,6 +94,7 @@ class TestErrorCondition:
             prev_eta=0.0,
         )
         assert check.slack < 0.0 and check.ok  # inside the roundoff band
+        assert not dataclasses.replace(check, lhs=1e-7).ok  # outside it
 
 
 class TestStateValidation:

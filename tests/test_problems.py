@@ -65,6 +65,10 @@ class TestGenerators:
             generate("lasso", (500, 5), 0)
         with pytest.raises(ValueError, match="unknown generator"):
             generate("mystery", (5, 5), 0)
+        with pytest.raises(ValueError, match="lasso dims must be n x m"):
+            generate("lasso", 10, 0)
+        with pytest.raises(ValueError, match="box_qp dims must be n, got 10x5"):
+            generate("box_qp", (10, 5), 0)
 
 
 class TestKktResidual:
