@@ -31,8 +31,7 @@ from .problems import (
 from .schedule import (
     THETA_MAX,
     MetricSchedule,
-    OperatorRule,
-    ScheduleRule,
+    ScheduleError,
     assemble_Mk,
     constant_schedule,
     load_schedule,
@@ -49,12 +48,11 @@ __all__ = [
     "HpeState",
     "KktResidualCertificate",
     "MetricSchedule",
-    "OperatorRule",
     "ProblemSpec",
     "PsdOperator",
     "RateBounds",
     "ReferenceSolution",
-    "ScheduleRule",
+    "ScheduleError",
     "SubproblemError",
     "THETA_MAX",
     "ThetaParams",

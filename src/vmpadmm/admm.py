@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hpe import BoundCheck, HpeIterate, HpeState, RateBounds
-from .linalg import BlockDiagOperator
+from .linalg import BlockDiagOperator, block_diag
 from .problems import ProblemSpec, ReferenceSolution, reference_solve
-from .schedule import THETA_MAX, MetricSchedule
+from .schedule import THETA_MAX, MetricSchedule, ScheduleError, assemble_Mk
 
 __all__ = [
     "ThetaParams",
@@ -426,9 +426,13 @@ class VmPadmmRun:
         self.y = np.zeros(n_y) if y0 is None else np.asarray(y0, float).copy()
         self.gamma = np.zeros(m) if gamma0 is None else np.asarray(gamma0, float).copy()
 
+        report = schedule.validate()  # every k at once; an operator that is not PSD raises
+        if not report.ok_for_admm():
+            bad = report.sandwich_failures[:3] or [(k, "c") for k in report.c_over_one[:3]]
+            raise ScheduleError(f"schedule validation failed at (k, family) = {bad}")
         self.reference = ref = reference if reference is not None else reference_solve(problem)
         self.z_star = np.concatenate([ref.x, ref.y, ref.gamma])  # the Fejer check's solution
-        self.M0 = schedule.metric(0, problem.B, theta_params.theta)
+        self.M0 = assemble_Mk(*schedule.realize(0), problem.B, theta_params.theta)
         self.d0 = compute_d0_admm(
             problem,
             (ref.x, ref.y, ref.gamma),
@@ -472,12 +476,14 @@ class VmPadmmRun:
 
         x_k = solve_x_subproblem(problem, x_prev, y_prev, gamma_prev, self._systems[0], k)
         y_k = solve_y_subproblem(problem, x_k, y_prev, gamma_prev, self._systems[1], k)
-        H_k, _, S_k = schedule.realize(k)
+        H_k, R_k, S_k = schedule.realize(k)
         gamma_k, gamma_t = update_multiplier(
             problem, gamma_prev, H_k, p.theta, x_k, y_k, y_prev
         )
 
-        M_k = schedule.metric(k, problem.B, p.theta)
+        f = schedule.factor(k)  # every family moves by f_k: M_k = blkdiag(R_k, f_k mid_0, gam_0 / f_k)
+        _, mid0, gam0 = self.M0.blocks
+        M_k = self.M0 if f == 1.0 else block_diag([R_k, mid0.scaled(f), gam0.scaled(1.0 / f)])  # f_0 = 1
         R_k, mid_k, gam_k = M_k.blocks
         dx, dy, dg = x_prev - x_k, y_prev - y_k, gamma_prev - gamma_k
         r_x = R_k.apply(dx)

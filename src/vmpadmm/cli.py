@@ -19,7 +19,7 @@ import numpy as np
 
 from .admm import SubproblemError, VmPadmmRun, compute_sigma_theta
 from .problems import ProblemSpec, generate, load_problem
-from .schedule import load_schedule
+from .schedule import ScheduleError, load_schedule
 
 __all__ = ["main", "run_solve", "run_batch", "parse_generator_spec"]
 
@@ -49,6 +49,9 @@ def parse_generator_spec(spec: str, seed_override: int | None = None) -> Problem
         raise ConfigError(f"bad dims/seed in generator spec {spec!r}: {exc}") from exc
     if seed_override is not None:
         seed = seed_override
+    if seed < 0:
+        where = "--seed" if seed_override is not None else f"generator spec {spec!r}"
+        raise ConfigError(f"seed must be >= 0, got {seed} from {where}")
     try:
         return generate(kind, dims, seed)
     except ValueError as exc:
@@ -73,6 +76,8 @@ def _fmt(v: float) -> str:
 def run_solve(args) -> int:
     """Run one certified solve; writes the CSV log and JSON report."""
     verify = [f.strip() for f in args.verify.split(",") if f.strip()]
+    if not verify:
+        raise ConfigError(f"--verify names no check group; choose from {VERIFY_FLAGS}")
     for f in verify:
         if f not in VERIFY_FLAGS:
             raise ConfigError(f"unknown verify flag {f!r}; choose from {VERIFY_FLAGS}")
@@ -82,27 +87,25 @@ def run_solve(args) -> int:
     problem = _load_problem_arg(args.problem, args.seed)
     try:
         schedule = load_schedule(args.schedule, problem.dims, A=problem.A)
-        report = schedule.validate()  # every k at once; an indefinite R_k raises
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ConfigError(f"malformed schedule file {args.schedule}: {exc}") from exc
-    if not report.ok_for_admm():
-        bad = report.sandwich_failures[:3] or [(k, "c") for k in report.c_over_one[:3]]
-        raise ConfigError(f"schedule validation failed at (k, family) = {bad}")
     try:
         params = compute_sigma_theta(args.theta, margin=args.sigma_margin)
     except (ValueError, RuntimeError) as exc:
         raise ConfigError(str(exc)) from exc
-
+    try:
+        run = VmPadmmRun(problem, schedule, params)  # validates the schedule first
+    except ScheduleError as exc:  # a failed validation, or an operator not PSD at some k > 0
+        failed = str(exc).startswith("schedule validation failed")
+        raise ConfigError(str(exc) if failed else f"malformed schedule file {args.schedule}: {exc}") from exc
+    except (ValueError, RuntimeError) as exc:  # reference solve rejected the problem or hit its cap
+        raise ConfigError(f"reference solve: {exc}") from exc
     if args.max_iters > schedule.k_max:
         print(
             f"warning: --max-iters {args.max_iters} exceeds the schedule horizon "
             f"k_max={schedule.k_max}; running at most {schedule.k_max} iterations",
             file=sys.stderr,
         )
-    try:
-        run = VmPadmmRun(problem, schedule, params)
-    except (ValueError, RuntimeError) as exc:  # reference solve rejected the problem or hit its cap
-        raise ConfigError(f"reference solve: {exc}") from exc
     try:
         rows, checks, worst, last = _drive(run, args.max_iters, args.rho, args.eps, verify)
     except SubproblemError as exc:

@@ -7,18 +7,19 @@ Successive operators of each family must satisfy the two-sided sandwich
 
     (1/(1+c_k)) Q_k <= Q_{k+1} <= (1+c_k) Q_k.
 
-Every family moves through one scalar drift factor f_k: Q_k = f_k Q_0, or
-R_k = tau I - f_k G with G = A^T H_0 A for a linearized R.  The factor moves
-by exactly the allowed (1+c_k)^{+-1}, alternating up and down, to stress the
-sandwich at its boundary; under the zero law f_k = 1.  Each family has one
-anchor (its base, or G), decomposed once, and every operator it realizes is
-an affine view a_k I + b_k anchor of it (:meth:`PsdOperator.affine`), so
-realizing runs no decomposition; equal factors give the same objects.  The
-PSD-ness and the sandwich of every k are then affine in the anchor's
-eigenvalue and are decided at its two extremes, for all k at once.  The same
-factor gives the product-space metric M_k from M_0
-(:meth:`MetricSchedule.metric`) and each subproblem system from one base
-(:meth:`MetricSchedule.system_base`).
+Each family is one triple (anchor, a, s), and Q_k = a I + s f_k anchor for
+one scalar drift factor f_k shared by all families: s = 1, a = 0 for a
+scaled family (Q_k = f_k Q_0), s = 0 for a zero family, and s = -1, a = tau
+with anchor G = A^T H_0 A for a linearized R_k = tau I - f_k G.  The factor
+moves by exactly the allowed (1+c_k)^{+-1}, alternating up and down, to
+stress the sandwich at its boundary; under the zero law f_k = 1.  Each
+anchor is decomposed once and every realized operator is a view of it
+(:meth:`PsdOperator.affine`), so realizing runs no decomposition; equal
+factors give the same objects.  The PSD-ness and the sandwich of every k
+are then affine in the anchor's eigenvalue and are decided at its two
+extremes, for all k at once.  The same factor gives each subproblem system
+from one base (:meth:`MetricSchedule.system_base`), and the run derives the
+product-space metric M_k from M_0 (:func:`assemble_Mk`).
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ import numpy as np
 from .linalg import BlockDiagOperator, PsdOperator, affine_leq, block_diag, finite_array
 
 __all__ = [
-    "OperatorRule",
-    "ScheduleRule",
     "MetricSchedule",
+    "ScheduleError",
     "ValidationReport",
+    "drift_sequence",
     "assemble_Mk",
     "load_schedule",
     "schedule_from_dict",
@@ -47,57 +48,19 @@ K_MAX_LIMIT = 1_000_000  # the schedule stores O(k_max) drift data
 _VALIDATE_BLOCK = 1 << 14  # iterations validated per vectorized pass
 
 
-@dataclass(frozen=True)
-class OperatorRule:
-    """How one operator family evolves with k.
-
-    kinds:
-      - ``scaled``: Q_k = f_k * base.
-      - ``linearized``: R_k = tau*I - A^T H_k A (R family only).
-      - ``zero``: Q_k = base = 0.
-    """
-
-    kind: str
-    base: PsdOperator | None = None
-    tau: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("scaled", "linearized", "zero"):
-            raise ValueError(f"unknown operator rule kind {self.kind!r}")
-        if self.kind != "linearized" and self.base is None:
-            raise ValueError(f"rule {self.kind!r} requires a base operator")
-        if self.kind == "linearized" and self.tau is None:
-            raise ValueError("linearized rule requires tau")
-
-
-@dataclass(frozen=True)
-class ScheduleRule:
-    """Rules for the three families plus the drift-law parameters."""
-
-    h_rule: OperatorRule
-    r_rule: OperatorRule
-    s_rule: OperatorRule
-    c0: float = 0.0
-    law: str = "zero"  # "zero" | "inverse_square"
-
-    def __post_init__(self):
-        if self.law not in ("zero", "inverse_square"):
-            raise ValueError(f"unknown drift law {self.law!r}")
-        if self.c0 < 0:
-            raise ValueError("c0 must be nonnegative")
-
-    def c_seq(self, k_max: int) -> np.ndarray:
-        if self.law == "zero" or self.c0 == 0.0:
-            return np.zeros(k_max + 1)
-        k = np.arange(k_max + 1, dtype=float)
-        return self.c0 / (k + 1.0) ** 2
-
-    def c_tail_bound(self, k_max: int) -> float:
-        """Analytic bound on sum_{k > k_max} c_k."""
-        if self.law == "zero" or self.c0 == 0.0:
-            return 0.0
-        # sum_{k>k_max} c0/(k+1)^2 <= c0 * integral_{k_max+1}^inf dt/t^2
-        return self.c0 / (k_max + 1.0)
+def drift_sequence(c0: float, law: str, k_max: int) -> tuple[np.ndarray, float]:
+    """(c_0, ..., c_{k_max}) of a drift law and an analytic bound on
+    sum_{k > k_max} c_k: ``zero`` gives c_k = 0, ``inverse_square``
+    c_k = c0 / (k+1)^2."""
+    if law not in ("zero", "inverse_square"):
+        raise ValueError(f"unknown drift law {law!r}")
+    if c0 < 0:
+        raise ValueError("c0 must be nonnegative")
+    if law == "zero" or c0 == 0.0:
+        return np.zeros(k_max + 1), 0.0
+    k = np.arange(k_max + 1, dtype=float)
+    # sum_{k>k_max} c0/(k+1)^2 <= c0 * integral_{k_max+1}^inf dt/t^2
+    return c0 / (k + 1.0) ** 2, c0 / (k_max + 1.0)
 
 
 def _drift_factors(c_seq: np.ndarray) -> np.ndarray:
@@ -105,6 +68,10 @@ def _drift_factors(c_seq: np.ndarray) -> np.ndarray:
     steps = 1.0 + c_seq
     steps[1::2] = 1.0 / steps[1::2]
     return np.concatenate(([1.0], np.cumprod(steps)))
+
+
+class ScheduleError(ValueError):
+    """A schedule that fails :meth:`MetricSchedule.validate` (the solver must not run it)."""
 
 
 @dataclass
@@ -120,35 +87,25 @@ class ValidationReport:
 
 class MetricSchedule:
     """Operator sequences up to a horizon k_max, realized on demand from the
-    drift factors f_k.
+    drift factors f_k and one (anchor, a, s) triple per family.
 
     Deterministic: realizing the same k twice yields identical operators, and
-    the most recent realization (with its M_k, see :meth:`metric`) is reused
-    while f_k does not change.
+    the most recent realization is reused while f_k does not change.
     """
 
-    def __init__(self, rule: ScheduleRule, k_max: int, A: np.ndarray | None = None):
+    def __init__(self, families, k_max: int, c0: float = 0.0, law: str = "zero"):
         if not 1 <= k_max <= K_MAX_LIMIT:
             raise ValueError(f"k_max must lie in [1, {K_MAX_LIMIT}], got {k_max}")
-        if rule.h_rule.kind != "scaled" or not rule.h_rule.base.definite:
+        H, a_h, s_h = families[0]
+        if (a_h, s_h) != (0.0, 1.0) or not H.definite:
             raise ValueError("H family must be a positive definite scaled operator")
-        if rule.r_rule.kind == "linearized" and A is None:
-            raise ValueError("linearized R rule requires the constraint matrix A")
-        self.rule = rule
         self.k_max = k_max
-        self.A = None if A is None else np.asarray(A, dtype=float)
-        self.c_seq = rule.c_seq(k_max)
-        self.C_S = float(self.c_seq.sum() + rule.c_tail_bound(k_max))
-        self.C_P = float(np.prod(1.0 + self.c_seq) * np.exp(rule.c_tail_bound(k_max)))
+        self.c_seq, tail = drift_sequence(c0, law, k_max)
+        self.C_S = float(self.c_seq.sum() + tail)
+        self.C_P = float(np.prod(1.0 + self.c_seq) * np.exp(tail))
         self._factors = _drift_factors(self.c_seq)
-        # (anchor, a, s) per family: Q_k = a I + s f_k anchor; s = 0 for a zero family
-        rules = (rule.h_rule, rule.r_rule, rule.s_rule)
-        self._families = [(o.base, 0.0, float(o.kind == "scaled")) for o in rules]
-        if rule.r_rule.kind == "linearized":  # R_k = tau I - f_k G, G = A^T H_0 A
-            G = self.A.T @ rule.h_rule.base.matrix @ self.A
-            self._families[1] = (PsdOperator(0.5 * (G + G.T)), rule.r_rule.tau, -1.0)
-        self._last = None  # (f, (H, R, S), M_k or None) of the latest realization
-        self._M0 = None  # (B, theta, M_0) of the latest metric() call
+        self._families = tuple(families)  # (anchor, a, s) of H, R, S: Q_k = a I + s f_k anchor
+        self._last = None  # (f, (H, R, S)) of the latest realization
         self.realize(0)  # the anchor operators are checked at construction
 
     def factor(self, k: int) -> float:
@@ -163,44 +120,25 @@ class MetricSchedule:
         if self._last is not None and self._last[0] == f:
             return self._last[1]
         ops = tuple(Q.affine(a, s * f) if s else Q for Q, a, s in self._families)
-        self._last = (f, ops, None)
+        self._last = (f, ops)
         return ops
-
-    def metric(self, k: int, B: np.ndarray, theta: float) -> BlockDiagOperator:
-        """M_k = assemble_Mk(*realize(k), B, theta).
-
-        Every family moves by f_k, so M_k = blkdiag(R_k, f_k mid_0, gam_0 / f_k)
-        with M_0 = blkdiag(R_0, mid_0, gam_0) assembled once per (B, theta).
-        M_k is kept with the latest realization and reused while f_k does
-        not change."""
-        if self._M0 is None or self._M0[0] is not B or self._M0[1] != theta:
-            ops0 = self.realize(0)
-            M0 = assemble_Mk(*ops0, B, theta)
-            self._M0, self._last = (B, theta, M0), (self.factor(0), ops0, M0)
-        ops = self.realize(k)
-        f, _, M = self._last
-        if M is None:
-            _, mid0, gam0 = self._M0[2].blocks
-            M = block_diag([ops[1], mid0.scaled(f), gam0.scaled(1.0 / f)])
-            self._last = (f, ops, M)
-        return M
 
     def system_base(self, N: np.ndarray, family: str) -> tuple[np.ndarray | None, float]:
         """(K, tau) with N^T H_k N + P_k = f_k K + tau I, where P is the
         family ``"R"`` (N = A) or ``"S"`` (N = B): K = N^T H_0 N + P_0 and
         tau = 0 for a scaled or zero P, K = None for a linearized
-        P_k = tau I - N^T H_k N."""
-        p_rule = self.rule.r_rule if family == "R" else self.rule.s_rule
-        if p_rule.kind == "linearized":
-            return None, p_rule.tau
-        K = N.T @ self.rule.h_rule.base.matrix @ N + p_rule.base.matrix
-        return 0.5 * (K + K.T), 0.0
+        P_k = tau I - N^T H_k N (s < 0, a = tau)."""
+        P, a, s = self._families["HRS".index(family)]
+        if s < 0:
+            return None, a
+        K = N.T @ self._families[0][0].matrix @ N + P.matrix
+        return 0.5 * (K + K.T), a
 
     def validate(self) -> ValidationReport:
         """Check that every operator is PSD, the two-sided sandwich for every
         k and family, and that every c_k <= 1 (the solver needs it).  Sandwich
         failures are reported, not raised; an operator that is not PSD raises
-        ``ValueError`` naming the first such k.  Both checks are affine in the
+        :class:`ScheduleError` naming the first such k.  Both checks are affine in the
         anchor's eigenvalue, so ``affine_leq`` decides them for a block of k
         per vectorized pass; a zero family needs no pass."""
         rep = ValidationReport(c_over_one=[int(k) for k in np.nonzero(self.c_seq > 1.0)[0]])
@@ -213,7 +151,7 @@ class MetricSchedule:
                 up = 1.0 + self.c_seq[k0 : k0 + len(b) - 1]
                 psd = affine_leq(0.0, 0.0, a, b, Q)
                 if not psd.all():
-                    raise ValueError(f"{name}_k is not PSD, first at k = {k0 + int(np.argmin(psd))}")
+                    raise ScheduleError(f"{name}_k is not PSD, first at k = {k0 + int(np.argmin(psd))}")
                 lower = affine_leq(a / up, b[:-1] / up, a, b[1:], Q)  # Q_k / (1 + c_k) <= Q_{k+1}
                 ok = lower & affine_leq(a, b[1:], up * a, up * b[:-1], Q)  # Q_{k+1} <= (1 + c_k) Q_k
                 failures += zip((k0 + np.flatnonzero(~ok)).tolist(), repeat(name))
@@ -239,26 +177,37 @@ def assemble_Mk(
 
 # -- JSON configuration ------------------------------------------------------
 
-def _operator_from_descriptor(desc: dict, dim: int, family: str) -> OperatorRule:
+def _zero_family(dim: int):
+    return PsdOperator(np.zeros((dim, dim))), 0.0, 0.0
+
+
+def _family_from_descriptor(desc: dict, dim: int, family: str, H0=None, A=None):
+    """The (anchor, a, s) triple of one operator descriptor; a linearized R
+    reads its anchor G = A^T H_0 A from H's anchor ``H0`` and A."""
     if not isinstance(desc, dict):
         raise ValueError(f"{family} must be an object")
     kind = desc.get("type")
     if kind == "scaled_identity":
         scale = float(finite_array(desc["scale"], f"{family} scale", 0))
-        return OperatorRule("scaled", base=PsdOperator(scale * np.eye(dim), definite=scale > 0))
+        return PsdOperator(scale * np.eye(dim), definite=scale > 0), 0.0, 1.0
     if kind == "dense":
         matrix = finite_array(desc["matrix"], f"{family} matrix entries", 2)
         if matrix.shape != (dim, dim):
             raise ValueError(
                 f"{family} dense matrix has shape {matrix.shape}, but {family} acts on dimension {dim}"
             )
-        return OperatorRule("scaled", base=PsdOperator(matrix, definite=family == "H"))
+        return PsdOperator(matrix, definite=family == "H"), 0.0, 1.0
     if kind == "zero":
-        return OperatorRule("zero", base=PsdOperator(np.zeros((dim, dim))))
+        return _zero_family(dim)
     if kind == "linearized":
         if family != "R":
             raise ValueError("linearized descriptor is only valid for the R family")
-        return OperatorRule("linearized", tau=float(finite_array(desc["tau"], "R tau", 0)))
+        tau = float(finite_array(desc["tau"], "R tau", 0))
+        if A is None:
+            raise ValueError("linearized R rule requires the constraint matrix A")
+        A = np.asarray(A, dtype=float)
+        G = A.T @ H0.matrix @ A  # R_k = tau I - f_k G
+        return PsdOperator(0.5 * (G + G.T)), tau, -1.0
     raise ValueError(f"unknown operator descriptor type {kind!r}")
 
 
@@ -281,15 +230,13 @@ def schedule_from_dict(
     c_cfg = cfg.get("c", {"c0": 0.0, "law": "zero"})
     if not isinstance(c_cfg, dict):
         raise ValueError("c must be an object")
-    h = _operator_from_descriptor(cfg["H"], m, "H")
-    r = _operator_from_descriptor(cfg["R"], n_x, "R")
-    s = _operator_from_descriptor(cfg["S"], n_y, "S")
-    law = c_cfg.get("law", "zero")
+    h = _family_from_descriptor(cfg["H"], m, "H")
+    r = _family_from_descriptor(cfg["R"], n_x, "R", h[0], A)
+    s = _family_from_descriptor(cfg["S"], n_y, "S")
     c0 = float(finite_array(c_cfg.get("c0", 0.0), "c0", 0))
-    rule = ScheduleRule(h_rule=h, r_rule=r, s_rule=s, c0=c0, law=law)
     if type(cfg["k_max"]) is not int:
         raise ValueError("k_max must be an integer")
-    return MetricSchedule(rule, cfg["k_max"], A=A)
+    return MetricSchedule((h, r, s), cfg["k_max"], c0=c0, law=c_cfg.get("law", "zero"))
 
 
 def load_schedule(path, dims, A=None) -> MetricSchedule:
@@ -308,12 +255,7 @@ def constant_schedule(
     """Constant schedule H = h*I, R = r*I, S = s*I with c_k = 0."""
     n_x, n_y, m = dims
 
-    def _rule(scale, dim):
-        if scale == 0.0:
-            return OperatorRule("zero", base=PsdOperator(np.zeros((dim, dim))))
-        return OperatorRule("scaled", base=PsdOperator(scale * np.eye(dim), definite=True))
+    def family(scale, dim):
+        return (PsdOperator(scale * np.eye(dim), definite=True), 0.0, 1.0) if scale else _zero_family(dim)
 
-    rule = ScheduleRule(
-        h_rule=_rule(h_scale, m), r_rule=_rule(r_scale, n_x), s_rule=_rule(s_scale, n_y)
-    )
-    return MetricSchedule(rule, k_max)
+    return MetricSchedule((family(h_scale, m), family(r_scale, n_x), family(s_scale, n_y)), k_max)

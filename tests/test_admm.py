@@ -20,7 +20,7 @@ from vmpadmm.admm import (
 from vmpadmm.hpe import BoundCheck
 from vmpadmm.linalg import PsdOperator
 from vmpadmm.problems import FunctionDescriptor, ProblemSpec, generate, reference_solve
-from vmpadmm.schedule import THETA_MAX, assemble_Mk, constant_schedule, schedule_from_dict
+from vmpadmm.schedule import THETA_MAX, ScheduleError, assemble_Mk, constant_schedule, schedule_from_dict
 
 
 def replaced(obj, path, value):
@@ -532,6 +532,99 @@ class TestFactorOnce:
         tau = 3.0 * float(np.linalg.eigvalsh(A.T @ A).max())
         cfg = dict(TestRunState.DRIFT, R={"type": "linearized", "tau": tau})
         assert self.count_decompositions(cfg, monkeypatch) == []
+
+
+class TestRunMetric:
+    """The run assembles M_0 once and derives M_k from it and f_k;
+    ``assemble_Mk`` on the realized operators is the oracle."""
+
+    R_DESCS = {
+        "scaled": lambda AHA: {"type": "scaled_identity", "scale": 0.7},
+        # tau = 3 lambda_max(A^T H_0 A) keeps every R_k PSD and sandwiched for c_0 = 0.5
+        "linearized": lambda AHA: {"type": "linearized", "tau": 3.0 * float(np.linalg.eigvalsh(AHA).max())},
+    }
+
+    @staticmethod
+    def case(r_desc, law="inverse_square", seed=0):
+        """A quadratic problem with dense A, B, H and S, and its schedule."""
+        rng = np.random.default_rng(seed)
+        n_x, n_y, m = 5, 4, 3
+        L, G = rng.normal(size=(m, m)), rng.normal(size=(n_y, n_y - 1))
+        A, B = rng.normal(size=(m, n_x)), rng.normal(size=(m, n_y))
+        H = L @ L.T + np.eye(m)
+        cfg = {
+            "H": {"type": "dense", "matrix": H.tolist()},
+            "R": r_desc(A.T @ H @ A),
+            "S": {"type": "dense", "matrix": (G @ G.T).tolist()},
+            "c": {"c0": 0.5 if law == "inverse_square" else 0.0, "law": law},
+            "k_max": 6,
+        }
+        f = FunctionDescriptor("quadratic", n_x, Q=np.eye(n_x), q=rng.normal(size=n_x))
+        g = FunctionDescriptor("quadratic", n_y, Q=np.eye(n_y), q=rng.normal(size=n_y))
+        p = ProblemSpec(f, g, A, B, rng.normal(size=m))
+        return p, schedule_from_dict(cfg, p.dims, A=A)
+
+    @pytest.mark.parametrize("r_kind", sorted(R_DESCS))
+    def test_matches_assembled(self, r_kind, monkeypatch):
+        p, sched = self.case(self.R_DESCS[r_kind])
+        calls = []
+        monkeypatch.setattr("vmpadmm.admm.assemble_Mk", lambda *a: calls.append(a) or assemble_Mk(*a))
+        run = VmPadmmRun(p, sched, compute_sigma_theta(1.3))
+        metrics = [run.M0]
+        assert run.M0.blocks[0] is sched.realize(0)[1]
+        for step in run.certified_steps(sched.k_max, rho=0.0, eps=0.0):
+            assert step.ok
+            metrics.append(step.iterate.M)
+            assert step.iterate.M.blocks[0] is sched.realize(step.iterate.k)[1]
+        assert run.k == sched.k_max and len({sched.factor(k) for k in range(7)}) == 7  # f_k moves at every k
+        for k, M in enumerate(metrics):
+            ref = assemble_Mk(*sched.realize(k), p.B, 1.3)
+            for got, want in zip(M.blocks, ref.blocks):
+                np.testing.assert_allclose(got.matrix, want.matrix, rtol=1e-12, atol=1e-14)
+        assert len(calls) == 1  # M_0, once per run
+        VmPadmmRun(p, sched, compute_sigma_theta(0.9))  # another run assembles its own M_0
+        assert len(calls) == 2
+
+    def test_zero_law_uses_M0(self):
+        p, sched = self.case(self.R_DESCS["linearized"], law="zero")
+        run = VmPadmmRun(p, sched, compute_sigma_theta(1.3))
+        assert all(step.iterate.M is run.M0 for step in run.certified_steps(sched.k_max, rho=0.0, eps=0.0))
+        assert run.k == sched.k_max
+
+
+class TestRunValidatesSchedule:
+    """A run certifies only a schedule that passes ``validate()``: it raises
+    ``ScheduleError`` before the reference solve otherwise."""
+
+    @staticmethod
+    def schedule(p, R, c0):
+        cfg = {"H": {"type": "scaled_identity", "scale": 1.0}, "R": R, "S": {"type": "zero"},
+               "c": {"c0": c0, "law": "inverse_square"}, "k_max": 200}
+        return schedule_from_dict(cfg, p.dims, A=p.A)
+
+    def test_failing_schedule_rejected(self, monkeypatch):
+        # tau = 2 lambda_max(A^T A) keeps every R_k PSD but breaks the sandwich at every k
+        p = generate("lasso", (10, 5), 1)
+        tau = 2.0 * float(np.linalg.eigvalsh(p.A.T @ p.A)[-1])
+        sched = self.schedule(p, {"type": "linearized", "tau": tau}, 0.5)
+        assert sched.validate().sandwich_failures[:3] == [(0, "R"), (1, "R"), (2, "R")]
+
+        def no_reference(problem):
+            raise AssertionError("reference solve before validation")
+
+        monkeypatch.setattr("vmpadmm.admm.reference_solve", no_reference)
+        failed = r"schedule validation failed at \(k, family\) = \[\(0, 'R'\), \(1, 'R'\), \(2, 'R'\)\]"
+        with pytest.raises(ScheduleError, match=failed):
+            VmPadmmRun(p, sched, compute_sigma_theta(1.0))
+
+    def test_c_over_one_and_indefinite_rejected(self):
+        p = generate("lasso", (10, 5), 1)
+        with pytest.raises(ScheduleError, match=r"= \[\(0, 'c'\)\]$"):  # c_0 = 4 > 1, c_1 = 1
+            VmPadmmRun(p, self.schedule(p, {"type": "zero"}, 4.0), compute_sigma_theta(1.0))
+        # R_0 = tau I - A^T A is PSD, but H_1 = 1.5 H_0 makes R_1 indefinite
+        tau = 1.1 * float(np.linalg.eigvalsh(p.A.T @ p.A)[-1])
+        with pytest.raises(ScheduleError, match="R_k is not PSD, first at k = 1"):
+            VmPadmmRun(p, self.schedule(p, {"type": "linearized", "tau": tau}, 0.5), compute_sigma_theta(1.0))
 
 
 class TestD0:

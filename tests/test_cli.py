@@ -356,6 +356,24 @@ class TestErrorPaths:
         assert main(solve_args(schedule_file, tmp_path, verify="hpe,bogus")) == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verify", ["", ","])
+    def test_empty_verify_list_is_one_line(self, schedule_file, tmp_path, capsys, verify):
+        # a certifying run that verifies no group would report all_pass vacuously
+        assert main(solve_args(schedule_file, tmp_path, verify=verify)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--verify names no check group" in err and "('hpe', 'bounds', 'memberships', 'fejer')" in err
+        assert not (tmp_path / "run.json").exists()
+
+    @pytest.mark.parametrize("over,where", [
+        ({"seed": "-3"}, "--seed"),
+        ({"problem": "gen:lasso:10x5:-3"}, "generator spec 'gen:lasso:10x5:-3'"),
+    ])
+    def test_negative_seed_is_named(self, schedule_file, tmp_path, capsys, over, where):
+        assert main(solve_args(schedule_file, tmp_path, **over)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: seed must be >= 0, got -3 from {where}\n"
+
     def test_linearized_r_indefinite_under_drift(self, tmp_path, capsys):
         # R_0 = tau I - A^T A is PSD, but H_1 = 1.5 H_0 makes R_1 indefinite
         A = generate("lasso", (4, 2), 1).A

@@ -5,25 +5,34 @@ from helpers import identity, zero_operator
 from vmpadmm.linalg import PsdOperator, operator_leq
 from vmpadmm.schedule import (
     THETA_MAX,
-    MetricSchedule,
-    OperatorRule,
-    ScheduleRule,
+    ScheduleError,
     assemble_Mk,
     constant_schedule,
+    drift_sequence,
     schedule_from_dict,
 )
 
 
 def drift_schedule(dims, k_max, c0=1.0, h_scale=2.0):
-    n_x, n_y, m = dims
-    rule = ScheduleRule(
-        h_rule=OperatorRule("scaled", base=identity(m, h_scale)),
-        r_rule=OperatorRule("zero", base=zero_operator(n_x)),
-        s_rule=OperatorRule("zero", base=zero_operator(n_y)),
-        c0=c0,
-        law="inverse_square",
-    )
-    return MetricSchedule(rule, k_max)
+    cfg = {
+        "H": {"type": "scaled_identity", "scale": h_scale},
+        "R": {"type": "zero"},
+        "S": {"type": "zero"},
+        "c": {"c0": c0, "law": "inverse_square"},
+        "k_max": k_max,
+    }
+    return schedule_from_dict(cfg, dims)
+
+
+def linearized_cfg(tau, c0=0.0, law="zero", k_max=3):
+    """H = I, a linearized R with ``tau`` and S = 0."""
+    return {
+        "H": {"type": "scaled_identity", "scale": 1.0},
+        "R": {"type": "linearized", "tau": tau},
+        "S": {"type": "zero"},
+        "c": {"c0": c0, "law": law},
+        "k_max": k_max,
+    }
 
 
 class TestConstantSchedule:
@@ -66,9 +75,7 @@ class TestDrift:
     def test_drift_factors_match_loop(self, law, c0):
         from vmpadmm.schedule import _drift_factors
 
-        zero = OperatorRule("zero", base=zero_operator(1))
-        rule = ScheduleRule(OperatorRule("scaled", base=identity(1)), zero, zero, c0=c0, law=law)
-        c_seq = rule.c_seq(999)
+        c_seq, _ = drift_sequence(c0, law, 999)
         factors = [1.0]  # f_{k+1} = f_k * (1 + c_k)^{+-1}, up at even k
         for k, c in enumerate(c_seq):
             factors.append(factors[-1] * ((1.0 + c) if k % 2 == 0 else 1.0 / (1.0 + c)))
@@ -88,13 +95,7 @@ class TestDrift:
     def test_sandwich_violation_detected(self):
         # H_1 = 1.5 H_0 moves R = 1.6 I - A^T H A from diag(0.6, 1.35) to
         # diag(0.1, 1.225): below R_0 / (1 + c_0) = diag(0.4, 0.9)
-        cfg = {
-            "H": {"type": "scaled_identity", "scale": 1.0},
-            "R": {"type": "linearized", "tau": 1.6},
-            "S": {"type": "zero"},
-            "c": {"c0": 0.5, "law": "inverse_square"},
-            "k_max": 3,
-        }
+        cfg = linearized_cfg(1.6, c0=0.5, law="inverse_square")
         rep = schedule_from_dict(cfg, (2, 2, 2), A=np.diag([1.0, 0.5])).validate()
         assert (0, "R") in rep.sandwich_failures
         assert not rep.ok_for_admm()
@@ -115,12 +116,7 @@ class TestLinearized:
         lam_max = float(np.linalg.eigvalsh(A.T @ A).max())
 
         def build(tau):
-            rule = ScheduleRule(
-                h_rule=OperatorRule("scaled", base=identity(3, 1.0)),
-                r_rule=OperatorRule("linearized", tau=tau),
-                s_rule=OperatorRule("zero", base=zero_operator(4)),
-            )
-            return MetricSchedule(rule, 3, A=A)
+            return schedule_from_dict(linearized_cfg(tau), (4, 4, 3), A=A)
 
         sched = build(lam_max * 1.01)
         R = sched.realize(1)[1]
@@ -133,26 +129,15 @@ class TestLinearized:
         # of a linearized R is computed once per run
         A = np.random.default_rng(6).normal(size=(3, 4))
         tau = 1.1 * float(np.linalg.eigvalsh(A.T @ A).max())
-        cfg = {
-            "H": {"type": "scaled_identity", "scale": 1.0},
-            "R": {"type": "linearized", "tau": tau},
-            "S": {"type": "zero"},
-            "k_max": 25,
-        }
-        sched = schedule_from_dict(cfg, (4, 2, 3), A=A)
+        sched = schedule_from_dict(linearized_cfg(tau, k_max=25), (4, 2, 3), A=A)
         H0, R0, S0 = sched.realize(0)
         H, R, S = sched.realize(sched.k_max)
         assert R is R0 and H is H0 and S is S0
         assert sched.validate().ok_for_admm()
 
     def test_requires_constraint_matrix(self):
-        rule = ScheduleRule(
-            h_rule=OperatorRule("scaled", base=identity(3, 1.0)),
-            r_rule=OperatorRule("linearized", tau=5.0),
-            s_rule=OperatorRule("zero", base=zero_operator(4)),
-        )
         with pytest.raises(ValueError, match="requires the constraint matrix"):
-            MetricSchedule(rule, 3)
+            schedule_from_dict(linearized_cfg(5.0), (4, 4, 3))
 
 
 class TestAssembleMk:
@@ -179,8 +164,8 @@ class TestAssembleMk:
 
 
 class TestRunMetric:
-    """``metric`` derives M_k from M_0 and f_k; ``assemble_Mk`` on the
-    realized operators is the oracle."""
+    """``system_base`` gives each subproblem system of a run from one base
+    and f_k; the system formed from the realized operators is the oracle."""
 
     @staticmethod
     def schedule(r_desc, seed=0):
@@ -203,24 +188,6 @@ class TestRunMetric:
         # tau covers A^T H_k A for every f_k <= 2
         "linearized": lambda AHA: {"type": "linearized", "tau": 2.5 * float(np.linalg.eigvalsh(AHA).max())},
     }
-
-    @pytest.mark.parametrize("r_kind", sorted(R_DESCS))
-    def test_matches_assembled(self, r_kind, monkeypatch):
-        sched, _, B = self.schedule(self.R_DESCS[r_kind])
-        calls = []
-        monkeypatch.setattr(
-            "vmpadmm.schedule.assemble_Mk", lambda *a: calls.append(a) or assemble_Mk(*a)
-        )
-        for k in range(sched.k_max + 1):
-            M = sched.metric(k, B, 1.3)
-            assert sched.metric(k, B, 1.3) is M  # reused while f_k is unchanged
-            ref = assemble_Mk(*sched.realize(k), B, 1.3)
-            assert M.blocks[0] is sched.realize(k)[1]
-            for got, want in zip(M.blocks, ref.blocks):
-                np.testing.assert_allclose(got.matrix, want.matrix, rtol=1e-12, atol=1e-14)
-        assert len(calls) == 1  # M_0, once
-        sched.metric(2, B, 0.9)  # another theta assembles its own M_0
-        assert len(calls) == 2
 
     @pytest.mark.parametrize("r_kind", sorted(R_DESCS))
     def test_system_base(self, r_kind):
@@ -274,55 +241,50 @@ class TestJsonConfig:
 
 
 class TestRuleValidation:
+    CFG = {"H": {"type": "scaled_identity", "scale": 1.0}, "R": {"type": "zero"}, "S": {"type": "zero"},
+           "k_max": 3}
+
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown operator rule"):
-            OperatorRule("bogus")
+        with pytest.raises(ValueError, match="unknown operator descriptor type 'bogus'"):
+            schedule_from_dict(dict(self.CFG, R={"type": "bogus"}), (2, 2, 2))
+        with pytest.raises(ValueError, match="unknown drift law 'bogus'"):
+            schedule_from_dict(dict(self.CFG, c={"c0": 0.5, "law": "bogus"}), (2, 2, 2))
 
     def test_zero_h_family_rejected(self):
-        rule = ScheduleRule(
-            h_rule=OperatorRule("zero", base=zero_operator(2)),
-            r_rule=OperatorRule("zero", base=zero_operator(2)),
-            s_rule=OperatorRule("zero", base=zero_operator(2)),
-        )
-        with pytest.raises(ValueError, match="positive definite"):
-            MetricSchedule(rule, 3)
+        for h in ({"type": "zero"}, {"type": "scaled_identity", "scale": 0.0}):
+            with pytest.raises(ValueError, match="positive definite"):
+                schedule_from_dict(dict(self.CFG, H=h), (2, 2, 2))
 
     def test_negative_c0_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            ScheduleRule(
-                h_rule=OperatorRule("scaled", base=identity(1, 1.0)),
-                r_rule=OperatorRule("zero", base=zero_operator(1)),
-                s_rule=OperatorRule("zero", base=zero_operator(1)),
-                c0=-0.1,
-                law="inverse_square",
-            )
+            schedule_from_dict(dict(self.CFG, c={"c0": -0.1, "law": "inverse_square"}), (1, 1, 1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            drift_sequence(-0.1, "inverse_square", 3)
 
 
 class TestAnalyticValidate:
     """``validate()`` decides every family's PSD-ness and sandwich at its
     anchor's two extreme eigenvalues, for all k at once; a walk over k that
-    forms each operator densely from the rule and f_k and compares with
-    ``operator_leq`` is the oracle."""
+    forms each operator densely from the JSON config, A and f_k and compares
+    with ``operator_leq`` is the oracle."""
 
     @staticmethod
-    def dense(sched, k):
-        """(H_k, R_k, S_k) formed from the rule and f_k, not from views."""
-        f, rule = sched.factor(k), sched.rule
-        H = f * rule.h_rule.base.matrix
-
-        def formed(orule):
-            if orule.kind == "linearized":
-                mat = orule.tau * np.eye(sched.A.shape[1]) - sched.A.T @ H @ sched.A
-                return 0.5 * (mat + mat.T)
-            return (f if orule.kind == "scaled" else 1.0) * orule.base.matrix
-
-        return H, formed(rule.r_rule), formed(rule.s_rule)
+    def dense(cfg, A, f):
+        """(H_k, R_k, S_k) at f_k = f, formed from the config's dense H, its
+        dense or linearized R and its scaled-identity S, not from the schedule."""
+        H = f * np.array(cfg["H"]["matrix"])
+        if cfg["R"]["type"] == "linearized":
+            R = cfg["R"]["tau"] * np.eye(A.shape[1]) - A.T @ H @ A
+            R = 0.5 * (R + R.T)
+        else:
+            R = f * np.array(cfg["R"]["matrix"])
+        return H, R, f * (cfg["S"]["scale"] * np.eye(cfg["n_y"]))
 
     @classmethod
-    def oracle(cls, sched):
+    def oracle(cls, sched, cfg, A):
         """The sandwich failures, or ("not PSD", k) for the first k at which
         an operator fails the dense constructor's PSD check."""
-        mats = [cls.dense(sched, k) for k in range(sched.k_max + 1)]
+        mats = [cls.dense(cfg, A, sched.factor(k)) for k in range(sched.k_max + 1)]
         for k, ops in enumerate(mats):
             for m in ops:
                 try:
@@ -341,7 +303,8 @@ class TestAnalyticValidate:
     @staticmethod
     def random_schedule(seed, tau_factor=None):
         """Dense H and S; a singular dense R, or for ``tau_factor`` a
-        linearized R with tau = tau_factor * lambda_max(A^T H_0 A)."""
+        linearized R with tau = tau_factor * lambda_max(A^T H_0 A).  Returns
+        the schedule, its config (with n_y) and A."""
         rng = np.random.default_rng(seed)
         n_x, n_y, m = (int(d) for d in rng.integers(1, 6, size=3))
         L = rng.normal(size=(m, m))
@@ -360,7 +323,7 @@ class TestAnalyticValidate:
             "c": {"c0": c0, "law": "inverse_square"},
             "k_max": 12,
         }
-        return schedule_from_dict(cfg, (n_x, n_y, m), A=A)
+        return schedule_from_dict(cfg, (n_x, n_y, m), A=A), dict(cfg, n_y=n_y), A
 
     @staticmethod
     def validate_without_decompositions(sched, monkeypatch):
@@ -377,7 +340,7 @@ class TestAnalyticValidate:
         def verdict():
             try:
                 return sched.validate().sandwich_failures
-            except ValueError as exc:
+            except ScheduleError as exc:
                 assert "not PSD, first at k = " in str(exc)
                 return "not PSD", int(str(exc).split("first at k = ")[1])
 
@@ -391,8 +354,8 @@ class TestAnalyticValidate:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_same_verdict_as_eigenvalues(self, seed, monkeypatch):
-        sched = self.random_schedule(seed)
-        assert self.validate_without_decompositions(sched, monkeypatch) == self.oracle(sched) == []
+        sched, cfg, A = self.random_schedule(seed)
+        assert self.validate_without_decompositions(sched, monkeypatch) == self.oracle(sched, cfg, A) == []
 
     # tau / lambda_max(A^T H_0 A): every R_k PSD and sandwiched; PSD but the
     # sandwich fails at k = 0 (it needs tau >= (2 + c_0) lambda_max); R_0 PSD
@@ -402,8 +365,8 @@ class TestAnalyticValidate:
     @pytest.mark.parametrize("regime", sorted(TAU_REGIMES))
     @pytest.mark.parametrize("seed", range(6))
     def test_linearized_same_verdict_as_walk(self, regime, seed, monkeypatch):
-        sched = self.random_schedule(seed, self.TAU_REGIMES[regime])
-        expected = self.oracle(sched)
+        sched, cfg, A = self.random_schedule(seed, self.TAU_REGIMES[regime])
+        expected = self.oracle(sched, cfg, A)
         assert self.validate_without_decompositions(sched, monkeypatch) == expected
         if regime == "passes":
             assert expected == []
@@ -414,10 +377,10 @@ class TestAnalyticValidate:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_broken_factors_detected(self, seed, monkeypatch):
-        sched = self.random_schedule(seed)
+        sched, cfg, A = self.random_schedule(seed)
         sched._factors[5] *= 1.0 + 2.0 * float(sched.c_seq[4]) + 0.01  # jump past (1 + c_4)
         sched._last = None
-        expected = self.oracle(sched)
+        expected = self.oracle(sched, cfg, A)
         assert expected == [(4, "H"), (4, "R"), (4, "S"), (5, "H"), (5, "R"), (5, "S")]
         assert self.validate_without_decompositions(sched, monkeypatch) == expected
 
