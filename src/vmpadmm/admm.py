@@ -126,7 +126,6 @@ def compute_sigma_theta(theta: float, margin: float = 1e-3) -> ThetaParams:
 
 # -- subproblem machinery ------------------------------------------------------
 
-_WHITEN_COND = 1e6  # largest condition number a whitening factor may have
 _EPS = np.finfo(float).eps
 
 
@@ -138,20 +137,27 @@ class BlockSystem:
         G_k = N^T H_k N + P_k = f_k K + tau I     (``MetricSchedule.system_base``)
         T_k = G_k + Q                            (Q from a quadratic f or g, else 0)
 
-    Write T_k = f_k K + C with C = tau I + Q.  When C is definite and well
-    conditioned, whitening by it diagonalizes T_k for every f_k, so the run
-    decomposes the block once; otherwise T_k is decomposed once per distinct
-    f_k.  A solve is then two matrix-vector products.  K and Q stay formed:
-    the residual and optimality checks multiply by them, never by the factors.
-    An l1 or box block needs G_k diagonal and is solved in closed form.
+    Write T_k = f_k K + C with C = tau I + Q.  K and C are PSD, so every T_k
+    with f_k > 0 has the range of T_1 = K + C.  A basis W of that range with
+    W^T T_1 W = I and W^T K W = diag(a), a in [0, 1], gives
+    W^T T_k W = diag(1 + (f_k - 1) a) for every f_k: the pencil (K, T_1) is
+    diagonalized once per run, whatever C is.  A solve is two matrix-vector
+    products and a division, and gives the minimum-norm solution when T_k is
+    singular.  K and Q stay formed: the residual and optimality checks
+    multiply by them, never by the basis.  An l1 or box block needs G_k
+    diagonal and is solved in closed form.
     """
 
     def __init__(self, desc, N: np.ndarray, schedule: MetricSchedule, family: str):
         self.desc, self.N, self.schedule = desc, N, schedule
         self._index = "HRS".index(family)
-        self.K, self.tau = schedule.system_base(N, family)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.K, self.tau = schedule.system_base(N, family)
+        if self.K is not None and not np.isfinite(self.K).all():
+            block, M = ("x", "A") if family == "R" else ("y", "B")
+            raise SubproblemError(f"{block}-subproblem system {M}^T H_0 {M} + {family}_0 overflows")
         self.Q = desc.Q if desc.kind == "quadratic" else None
-        self._basis = None  # (f, W, a, b); f is None when the basis serves every f
+        self._basis = None  # (W, a), formed on the first solve
         if desc.kind in ("l1", "box") and self.K is not None:
             K = self.K
             scale = max(1.0, float(np.abs(K).max(initial=0.0)))
@@ -179,8 +185,10 @@ class BlockSystem:
         desc = self.desc
         if desc.kind in ("zero", "quadratic"):
             rhs = -q_lin if desc.kind == "zero" else -(q_lin + desc.q)
-            W, a, b = self._basis_at(f)
-            u = W @ ((W.T @ rhs) / (f * a + b))
+            if self._basis is None:
+                self._basis = self._factor()
+            W, a = self._basis
+            u = W @ ((W.T @ rhs) / (1.0 + (f - 1.0) * a))
             Gu = self.metric_apply(f, u)
             Tu = Gu if self.Q is None else Gu + self.Q @ u
             if np.linalg.norm(Tu - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
@@ -196,43 +204,20 @@ class BlockSystem:
             u = np.clip(-q_lin / d, desc.lower, desc.upper)
         return u, self.metric_apply(f, u)
 
-    def _matrix(self, f: float) -> np.ndarray:
-        """T_k = f K + tau I + Q, formed."""
+    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W, a): W whitens T_1 = K + tau I + Q on its numerical range, cut
+        off as by ``lstsq``, and W^T K W = diag(a)."""
         n = self.desc.dim
-        T = np.zeros((n, n)) if self.K is None else f * self.K
+        T = np.zeros((n, n)) if self.K is None else self.K
         if self.tau:
             T = T + self.tau * np.eye(n)
-        return T if self.Q is None else T + self.Q
-
-    def _basis_at(self, f: float):
-        """(W, a, b) with W^T T_k W = diag(f a + b) and W spanning range T_k."""
-        if self._basis is None:  # the first solve: whiten by C = T_k at f = 0
-            T = _whitening(self._matrix(0.0))
-            if T is not None:  # T^T (f K + C) T = f T^T K T + I
-                n = self.desc.dim
-                if self.K is None:
-                    self._basis = (None, T, np.zeros(n), np.ones(n))
-                else:
-                    w, V = np.linalg.eigh(T.T @ self.K @ T)
-                    self._basis = (None, T @ V, w, np.ones(n))
-        if self._basis is None or self._basis[0] not in (None, f):
-            V, w = _range(self._matrix(f))
-            self._basis = (f, V, np.zeros_like(w), w)
-        return self._basis[1:]
-
-
-def _range(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(V, w): the eigenpairs of a PSD S on its numerical range, with
-    ``lstsq``'s default cutoff, so V (V^T x / w) is the minimum-norm solve."""
-    w, V = np.linalg.eigh(S)
-    pos = w > _EPS * len(w) * max(float(w[-1]), 0.0)
-    return V[:, pos], w[pos]
-
-
-def _whitening(S: np.ndarray) -> np.ndarray | None:
-    """T with T^T S T = I when S is definite and well conditioned, else None."""
-    w, V = np.linalg.eigh(S)
-    return V / np.sqrt(w) if w[0] > 0.0 and w[-1] <= _WHITEN_COND * w[0] else None
+        w, V = np.linalg.eigh(T if self.Q is None else T + self.Q)
+        i = int(np.searchsorted(w, _EPS * n * max(float(w[-1]), 0.0), side="right"))
+        W = V[:, i:] / np.sqrt(w[i:])  # eigh sorts w ascending: the range is the trailing columns
+        if self.K is None:
+            return W, np.zeros(n - i)
+        a, U = np.linalg.eigh(W.T @ self.K @ W)
+        return W @ U, a
 
 
 def _solve_block(system: BlockSystem, k: int, shift, gamma_prev, prev, name):
@@ -432,7 +417,11 @@ class VmPadmmRun:
             raise ScheduleError(f"schedule validation failed at (k, family) = {bad}")
         self.reference = ref = reference if reference is not None else reference_solve(problem)
         self.z_star = np.concatenate([ref.x, ref.y, ref.gamma])  # the Fejer check's solution
-        self.M0 = assemble_Mk(*schedule.realize(0), problem.B, theta_params.theta)
+        try:
+            self.M0 = assemble_Mk(*schedule.realize(0), problem.B, theta_params.theta)
+        except ValueError as exc:
+            msg = f"schedule H_0 gives no metric M_0, which holds H_0^-1 / theta: {exc}"
+            raise ScheduleError(msg) from exc
         self.d0 = compute_d0_admm(
             problem,
             (ref.x, ref.y, ref.gamma),

@@ -95,9 +95,9 @@ def run_solve(args) -> int:
         raise ConfigError(str(exc)) from exc
     try:
         run = VmPadmmRun(problem, schedule, params)  # validates the schedule first
-    except ScheduleError as exc:  # a failed validation, or an operator not PSD at some k > 0
-        failed = str(exc).startswith("schedule validation failed")
-        raise ConfigError(str(exc) if failed else f"malformed schedule file {args.schedule}: {exc}") from exc
+    except ScheduleError as exc:  # a failed validation or M_0, or an operator not PSD at some k > 0
+        named = str(exc).startswith("schedule ")
+        raise ConfigError(str(exc) if named else f"malformed schedule file {args.schedule}: {exc}") from exc
     except (ValueError, RuntimeError) as exc:  # reference solve rejected the problem or hit its cap
         raise ConfigError(f"reference solve: {exc}") from exc
     if args.max_iters > schedule.k_max:

@@ -138,7 +138,8 @@ class TestSubproblems:
 
 class TestFactoredSubproblems:
     """A run's x-solve from its factored system f_k K + tau I + Q against
-    ``np.linalg.lstsq`` on the system formed from the realized H_k and R_k."""
+    ``np.linalg.lstsq`` on the system formed from the realized H_k and R_k;
+    the block is decomposed by at most two ``eigh`` over all factors."""
 
     DRIFT = {"c0": 0.5, "law": "inverse_square"}
 
@@ -148,10 +149,13 @@ class TestFactoredSubproblems:
         g = FunctionDescriptor("zero", m)
         return ProblemSpec(f, g, A, np.eye(m), np.zeros(m))
 
-    def check_run_solves(self, p, sched_cfg, steps=6):
+    def check_run_solves(self, p, sched_cfg, monkeypatch, steps=6):
         sched = schedule_from_dict(dict(sched_cfg, k_max=steps), p.dims, A=p.A)
         x_system = BlockSystem(p.f, p.A, sched, "R")
         rng = np.random.default_rng(4)
+        eighs = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
         factors = set()
         for k in range(1, steps + 1):
             H_k, R_k, _ = sched.realize(k)
@@ -167,6 +171,7 @@ class TestFactoredSubproblems:
             ref = np.linalg.lstsq(total, rhs, rcond=None)[0]
             assert np.linalg.norm(total @ x - rhs) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
             np.testing.assert_allclose(x, ref, rtol=1e-8, atol=1e-8 * np.linalg.norm(ref))
+        assert len(eighs) <= 2
         return factors
 
     @staticmethod
@@ -176,24 +181,24 @@ class TestFactoredSubproblems:
         n_x, n_y, m = p.dims
         return ReferenceSolution(np.zeros(n_x), np.zeros(n_y), np.zeros(m), 0.0)
 
-    def test_drifting_factor(self):
+    def test_drifting_factor(self, monkeypatch):
         rng = np.random.default_rng(1)
         L = rng.normal(size=(5, 5))
         f = FunctionDescriptor("quadratic", 5, Q=L @ L.T + np.eye(5), q=rng.normal(size=5))
         cfg = {"H": {"type": "scaled_identity", "scale": 1.5},
                "R": {"type": "scaled_identity", "scale": 0.5}, "S": {"type": "zero"}, "c": self.DRIFT}
-        assert len(self.check_run_solves(self.problem(f, rng.normal(size=(3, 5))), cfg)) > 1
+        assert len(self.check_run_solves(self.problem(f, rng.normal(size=(3, 5))), cfg, monkeypatch)) > 1
 
-    def test_zero_f_singular_but_consistent(self):
-        # n_x > m and R = 0: f K = f A^T H_0 A has rank m; its pseudo-inverse,
-        # formed per factor, gives lstsq's minimum-norm solution
+    def test_zero_f_singular_but_consistent(self, monkeypatch):
+        # n_x > m and R = 0: f K = f A^T H_0 A has rank m; the basis of its
+        # range, whitened once, gives lstsq's minimum-norm solution at every f
         rng = np.random.default_rng(2)
         cfg = {"H": {"type": "scaled_identity", "scale": 1.0}, "R": {"type": "zero"},
                "S": {"type": "zero"}, "c": self.DRIFT}
         p = self.problem(FunctionDescriptor("zero", 6), rng.normal(size=(3, 6)))
-        self.check_run_solves(p, cfg)
+        self.check_run_solves(p, cfg, monkeypatch)
 
-    def test_linearized_r(self):
+    def test_linearized_r(self, monkeypatch):
         rng = np.random.default_rng(3)
         A = rng.normal(size=(4, 6))
         tau = 1.2 * float(np.linalg.eigvalsh(A.T @ A).max())
@@ -201,21 +206,31 @@ class TestFactoredSubproblems:
         cfg = {"H": {"type": "scaled_identity", "scale": 1.0}, "R": {"type": "linearized", "tau": tau},
                "S": {"type": "zero"}}
         p = self.problem(f, A)
-        self.check_run_solves(p, cfg)
+        self.check_run_solves(p, cfg, monkeypatch)
         # the x-system is tau I + Q exactly: no K is formed
         sched = schedule_from_dict(dict(cfg, k_max=2), p.dims, A=A)
         assert BlockSystem(p.f, p.A, sched, "R").K is None
 
     @pytest.mark.parametrize("n_x", [3, 5])
-    def test_psd_singular_q(self, n_x):
-        # Q is not definite, so f K + Q is decomposed per factor: definite
-        # for n_x = 3 <= m, singular for n_x = 5 > m (q = 0 keeps it consistent)
+    def test_psd_singular_q(self, n_x, monkeypatch):
+        # C = Q is singular, so the basis whitens K + Q, not C; one basis
+        # serves every factor (q = 0 keeps the system consistent)
         rng = np.random.default_rng(5)
         Q = np.diag([1.0, 2.0] + [0.0] * (n_x - 2))
         f = FunctionDescriptor("quadratic", n_x, Q=Q, q=np.zeros(n_x))
         cfg = {"H": {"type": "scaled_identity", "scale": 1.0}, "R": {"type": "zero"},
                "S": {"type": "zero"}, "c": self.DRIFT}
-        self.check_run_solves(self.problem(f, rng.normal(size=(4, n_x))), cfg)
+        self.check_run_solves(self.problem(f, rng.normal(size=(4, n_x))), cfg, monkeypatch)
+
+    def test_ill_conditioned_c(self, monkeypatch):
+        # cond(C) = cond(Q) = 1e8: whitening by K + Q needs no cap on C's conditioning
+        rng = np.random.default_rng(6)
+        U = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        Q = (U * np.logspace(0, -8, 6)) @ U.T
+        f = FunctionDescriptor("quadratic", 6, Q=0.5 * (Q + Q.T), q=rng.normal(size=6))
+        cfg = {"H": {"type": "scaled_identity", "scale": 1.0}, "R": {"type": "zero"},
+               "S": {"type": "zero"}, "c": self.DRIFT}
+        assert len(self.check_run_solves(self.problem(f, rng.normal(size=(4, 6))), cfg, monkeypatch)) > 1
 
     def test_inconsistent_system_raises(self):
         # f K + Q with K = A^T A = e1 e1^T and Q = e2 e2^T misses e3, where q lives
@@ -499,8 +514,8 @@ class TestFactorOnce:
 
     LAPACK = ("eigh", "eigvalsh", "lstsq")
 
-    def count_decompositions(self, cfg, monkeypatch):
-        p = generate("lasso", (10, 5), 7)
+    def count_decompositions(self, cfg, monkeypatch, p=None):
+        p = p or generate("lasso", (10, 5), 7)
         sched = schedule_from_dict(cfg, p.dims, A=p.A)
         run = VmPadmmRun(p, sched, compute_sigma_theta(1.0))
         steps = run.certified_steps(6, rho=0.0, eps=0.0)
@@ -532,6 +547,19 @@ class TestFactorOnce:
         tau = 3.0 * float(np.linalg.eigvalsh(A.T @ A).max())
         cfg = dict(TestRunState.DRIFT, R={"type": "linearized", "tau": tau})
         assert self.count_decompositions(cfg, monkeypatch) == []
+
+    @pytest.mark.parametrize("f,m", [
+        (FunctionDescriptor("zero", 6), 3),  # n_x > m: every T_k = f_k A^T H_0 A has rank 3
+        (FunctionDescriptor("quadratic", 5, Q=np.diag([1.0, 2.0, 0.0, 0.0, 0.0]), q=np.zeros(5)), 2),
+    ], ids=["zero_f", "psd_singular_q"])
+    def test_inverse_square_singular_c(self, f, m, monkeypatch):
+        # R = 0 leaves the x-block's C = Q (or 0) singular; g = 0.5||y||^2 + q^T y, B = I
+        rng = np.random.default_rng(8)
+        g = FunctionDescriptor("quadratic", m, Q=np.eye(m), q=rng.normal(size=m))
+        p = ProblemSpec(f, g, rng.normal(size=(m, f.dim)), np.eye(m), rng.normal(size=m))
+        cfg = {"H": {"type": "scaled_identity", "scale": 1.0}, "R": {"type": "zero"},
+               "S": {"type": "zero"}, "c": {"c0": 0.5, "law": "inverse_square"}, "k_max": 10}
+        assert self.count_decompositions(cfg, monkeypatch, p) == []
 
 
 class TestRunMetric:

@@ -430,6 +430,30 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert "reference solve" in err and "iteration cap" in err
 
+    def test_uninvertible_h0_names_the_schedule(self, tmp_path, capsys):
+        # H_0 = 2e12 I passes the reference solve, but H_0^-1 = 5e-13 I in M_0
+        # fails the definite check: the line names the schedule's H
+        sched = write_json(tmp_path / "big_h.json",
+                           dict(CONSTANT_SCHEDULE, H={"type": "scaled_identity", "scale": 2e12}))
+        assert main(solve_args(sched, tmp_path, problem="gen:lasso:10x5:1")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: schedule H_0 ") and err.count("\n") == 1
+        assert "reference solve" not in err and "smallest eigenvalue is 5e-13" in err
+
+    @pytest.mark.filterwarnings("error")  # no RuntimeWarning on the way to the error line
+    def test_overflowing_block_system_is_one_line(self, tmp_path, capsys):
+        # every entry is finite, but A^T H_0 A overflows to inf
+        problem = write_json(tmp_path / "overflow.json", {
+            "A": [[1e200, 1.0]], "B": [[1.0]], "b": [1.0],
+            "f": {"type": "quadratic", "Q": [[1e200, 0.0], [0.0, 1.0]], "q": [0.0, 0.0]},
+            "g": {"type": "zero"},
+        })
+        sched = write_json(tmp_path / "drift.json",
+                           dict(CONSTANT_SCHEDULE, c={"c0": 0.5, "law": "inverse_square"}))
+        assert main(solve_args(sched, tmp_path, problem=problem)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: subproblem: x-subproblem system A^T H_0 A + R_0 overflows\n"
+
     def test_huge_horizon_fails_fast(self, tmp_path, capsys):
         sched = write_json(tmp_path / "huge.json", dict(CONSTANT_SCHEDULE, k_max=10**12))
         t0 = time.perf_counter()
