@@ -12,12 +12,7 @@ from .admm import (
     tau_theta,
 )
 from .hpe import HpeIterate, HpeState, RateBounds, check_error_condition
-from .linalg import (
-    BlockDiagOperator,
-    PsdOperator,
-    block_diag,
-    operator_leq,
-)
+from .linalg import BlockDiagOperator, PsdOperator, block_diag
 from .problems import (
     FunctionDescriptor,
     ProblemSpec,
@@ -25,7 +20,6 @@ from .problems import (
     generate,
     kkt_residual,
     load_problem,
-    plain_admm,
     reference_solve,
 )
 from .schedule import (
@@ -67,8 +61,6 @@ __all__ = [
     "kkt_residual",
     "load_problem",
     "load_schedule",
-    "operator_leq",
-    "plain_admm",
     "reference_solve",
     "schedule_from_dict",
     "sigma_feasible",

@@ -95,9 +95,8 @@ def run_solve(args) -> int:
         raise ConfigError(str(exc)) from exc
     try:
         run = VmPadmmRun(problem, schedule, params)  # validates the schedule first
-    except ScheduleError as exc:  # a failed validation or M_0, or an operator not PSD at some k > 0
-        named = str(exc).startswith("schedule ")
-        raise ConfigError(str(exc) if named else f"malformed schedule file {args.schedule}: {exc}") from exc
+    except ScheduleError as exc:  # a failed validation, or H_0 gives no M_0
+        raise ConfigError(str(exc)) from exc
     except (ValueError, RuntimeError) as exc:  # reference solve rejected the problem or hit its cap
         raise ConfigError(f"reference solve: {exc}") from exc
     if args.max_iters > schedule.k_max:
@@ -110,6 +109,8 @@ def run_solve(args) -> int:
         rows, checks, worst, last = _drive(run, args.max_iters, args.rho, args.eps, verify)
     except SubproblemError as exc:
         raise ConfigError(f"subproblem: {exc}") from exc
+    except FloatingPointError as exc:  # the gamma residual identity fails beyond roundoff
+        raise ConfigError(str(exc)) from exc
 
     failures = {
         name: [k for k, ok, _ in results if not ok]

@@ -32,17 +32,19 @@ __all__ = [
     "problem_from_dict",
 ]
 
-_KINDS = ("zero", "quadratic", "l1", "box")
+_KINDS = ("quadratic", "l1", "box")
 _FEASIBILITY_TOL = 1e-8  # relative residual of the least-squares solve of [A B] w = b
 
 
 @dataclass(frozen=True)
 class FunctionDescriptor:
-    """A proper closed convex function of one of four structured kinds.
+    """A proper closed convex function of one of three structured kinds.
 
     quadratic: f(x) = 0.5 x^T Q x + q^T x  (Q PSD)
     l1:        f(x) = lam * ||x||_1
     box:       indicator of [l, u]
+
+    ``"zero"`` is read as the quadratic with Q = 0 and q = 0.
     """
 
     kind: str
@@ -54,10 +56,14 @@ class FunctionDescriptor:
     upper: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown function kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        if self.kind == "zero":
+            object.__setattr__(self, "kind", "quadratic")
+            object.__setattr__(self, "Q", np.zeros((self.dim, self.dim)))
+            object.__setattr__(self, "q", np.zeros(self.dim))
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown function kind {self.kind!r}")
         if self.kind == "quadratic":
             Q = finite_array(self.Q, "Q")
             q = finite_array(self.q, "q")
@@ -87,8 +93,6 @@ class FunctionDescriptor:
     def values(self, X: np.ndarray) -> np.ndarray:
         """Vectorized values over rows of X (used with :meth:`sample_domain`)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.kind == "zero":
-            return np.zeros(X.shape[0])
         if self.kind == "quadratic":
             return 0.5 * np.einsum("ij,ij->i", X @ self.Q, X) + X @ self.q
         if self.kind == "l1":
@@ -105,8 +109,6 @@ class FunctionDescriptor:
         """
         v = np.asarray(v, dtype=float)
         x = np.asarray(x, dtype=float)
-        if self.kind == "zero":
-            return float(np.linalg.norm(v))
         if self.kind == "quadratic":
             return float(np.linalg.norm(v - (self.Q @ x + self.q)))
         if self.kind == "l1":
@@ -138,8 +140,6 @@ class FunctionDescriptor:
         f at x exactly when off = 0 and gap <= eps."""
         s = np.asarray(s, dtype=float)
         x = np.asarray(x, dtype=float)
-        if self.kind == "zero":
-            return 0.0, float(np.linalg.norm(s))
         if self.kind == "quadratic":  # 0.5 ||Qx + q - s||*^2_Q when s - q is in range(Q)
             dual, off = self._Q_operator.range_parts(self.Q @ x + self.q - s)
             return 0.5 * dual**2, off
@@ -166,8 +166,6 @@ class FunctionDescriptor:
         return X
 
     def to_dict(self) -> dict:
-        if self.kind == "zero":
-            return {"type": "zero"}
         if self.kind == "quadratic":
             return {"type": "quadratic", "Q": self.Q.tolist(), "q": self.q.tolist()}
         if self.kind == "l1":
@@ -369,29 +367,26 @@ def plain_admm_iterates(problem: ProblemSpec, beta: float = 1.0):
     an endless generator of the iterates (x_k, y_k, gamma_k), k = 1, 2, ...
 
     Independent of the variable-metric solver: the x-system (and a quadratic
-    or zero g's y-system) is factored once before the first iterate, and
-    l1/box g take soft-threshold / clip prox steps.
+    g's y-system) is factored once before the first iterate, and l1/box g
+    take soft-threshold / clip prox steps.
     """
     A, B, b = problem.A, problem.B, problem.b
     f, g = problem.f, problem.g
-    n_x, n_y, m = problem.dims
-    if f.kind not in ("quadratic", "zero"):
+    if f.kind != "quadratic":
         raise ValueError("plain ADMM reference supports quadratic/zero f only")
     BtB = B.T @ B
     if g.kind in ("l1", "box"):
         G_diag = beta * np.diag(BtB)
         if np.abs(BtB - np.diag(np.diag(BtB))).max(initial=0.0) > 1e-12:
             raise ValueError("plain ADMM needs B^T B diagonal for l1/box g")
-    solve_x = _factored_solver(beta * (A.T @ A) + (f.Q if f.kind == "quadratic" else 0.0))
-    if g.kind in ("quadratic", "zero"):
-        solve_y = _factored_solver(beta * BtB + (g.Q if g.kind == "quadratic" else 0.0))
-    q_x = f.q if f.kind == "quadratic" else np.zeros(n_x)
-    q_y = g.q if g.kind == "quadratic" else np.zeros(n_y)
-    y, gamma = np.zeros(n_y), np.zeros(m)
+    solve_x = _factored_solver(beta * (A.T @ A) + f.Q)
+    if g.kind == "quadratic":
+        solve_y = _factored_solver(beta * BtB + g.Q)
+    y, gamma = np.zeros(g.dim), np.zeros(len(b))
     while True:
-        x = solve_x(A.T @ gamma - beta * A.T @ (B @ y - b) - q_x)
+        x = solve_x(A.T @ gamma - beta * A.T @ (B @ y - b) - f.q)
         q_lin = -B.T @ gamma + beta * B.T @ (A @ x - b)
-        y = _prox_step(g, G_diag, q_lin) if g.kind in ("l1", "box") else solve_y(-q_lin - q_y)
+        y = _prox_step(g, G_diag, q_lin) if g.kind in ("l1", "box") else solve_y(-q_lin - g.q)
         gamma = gamma - beta * (A @ x + B @ y - b)
         yield x, y, gamma
 
@@ -423,19 +418,15 @@ def reference_solve(problem: ProblemSpec, accuracy: float = 1e-10) -> ReferenceS
     f, g = problem.f, problem.g
     A, B, b = problem.A, problem.B, problem.b
     n_x, n_y, m = problem.dims
-    if f.kind in ("quadratic", "zero") and g.kind in ("quadratic", "zero"):
-        Qf = f.Q if f.kind == "quadratic" else np.zeros((n_x, n_x))
-        qf = f.q if f.kind == "quadratic" else np.zeros(n_x)
-        Qg = g.Q if g.kind == "quadratic" else np.zeros((n_y, n_y))
-        qg = g.q if g.kind == "quadratic" else np.zeros(n_y)
+    if f.kind == g.kind == "quadratic":
         K = np.block(
             [
-                [Qf, np.zeros((n_x, n_y)), -A.T],
-                [np.zeros((n_y, n_x)), Qg, -B.T],
+                [f.Q, np.zeros((n_x, n_y)), -A.T],
+                [np.zeros((n_y, n_x)), g.Q, -B.T],
                 [A, B, np.zeros((m, m))],
             ]
         )
-        rhs = np.concatenate([-qf, -qg, b])
+        rhs = np.concatenate([-f.q, -g.q, b])
         sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
         x, y, gamma = sol[:n_x], sol[n_x : n_x + n_y], sol[n_x + n_y :]
         res = max(kkt_residual(problem, x, y, gamma))

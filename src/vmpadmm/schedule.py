@@ -9,10 +9,11 @@ Successive operators of each family must satisfy the two-sided sandwich
 
 Each family is one triple (anchor, a, s), and Q_k = a I + s f_k anchor for
 one scalar drift factor f_k shared by all families: s = 1, a = 0 for a
-scaled family (Q_k = f_k Q_0), s = 0 for a zero family, and s = -1, a = tau
-with anchor G = A^T H_0 A for a linearized R_k = tau I - f_k G.  The factor
-moves by exactly the allowed (1+c_k)^{+-1}, alternating up and down, to
-stress the sandwich at its boundary; under the zero law f_k = 1.  Each
+scaled family (Q_k = f_k Q_0; a zero family is the scaled zero operator),
+and s = -1, a = tau with anchor G = A^T H_0 A for a linearized
+R_k = tau I - f_k G.  The factor moves by exactly the allowed
+(1+c_k)^{+-1}, alternating up and down, to stress the sandwich at its
+boundary; under the zero law f_k = 1.  Each
 anchor is decomposed once and every realized operator is a view of it
 (:meth:`PsdOperator.affine`), so realizing runs no decomposition; equal
 factors give the same objects.  The PSD-ness and the sandwich of every k
@@ -25,7 +26,6 @@ product-space metric M_k from M_0 (:func:`assemble_Mk`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -35,7 +35,6 @@ from .linalg import BlockDiagOperator, PsdOperator, affine_leq, block_diag, fini
 __all__ = [
     "MetricSchedule",
     "ScheduleError",
-    "ValidationReport",
     "drift_sequence",
     "assemble_Mk",
     "load_schedule",
@@ -74,17 +73,6 @@ class ScheduleError(ValueError):
     """A schedule that fails :meth:`MetricSchedule.validate` (the solver must not run it)."""
 
 
-@dataclass
-class ValidationReport:
-    """Sandwich failures as (k, family) and the k with c_k > 1."""
-
-    sandwich_failures: list[tuple[int, str]] = field(default_factory=list)
-    c_over_one: list[int] = field(default_factory=list)
-
-    def ok_for_admm(self) -> bool:
-        return not self.sandwich_failures and not self.c_over_one
-
-
 class MetricSchedule:
     """Operator sequences up to a horizon k_max, realized on demand from the
     drift factors f_k and one (anchor, a, s) triple per family.
@@ -119,14 +107,14 @@ class MetricSchedule:
         f = self.factor(k)
         if self._last is not None and self._last[0] == f:
             return self._last[1]
-        ops = tuple(Q.affine(a, s * f) if s else Q for Q, a, s in self._families)
+        ops = tuple(Q.affine(a, s * f) for Q, a, s in self._families)
         self._last = (f, ops)
         return ops
 
     def system_base(self, N: np.ndarray, family: str) -> tuple[np.ndarray | None, float]:
         """(K, tau) with N^T H_k N + P_k = f_k K + tau I, where P is the
         family ``"R"`` (N = A) or ``"S"`` (N = B): K = N^T H_0 N + P_0 and
-        tau = 0 for a scaled or zero P, K = None for a linearized
+        tau = 0 for a scaled P, K = None for a linearized
         P_k = tau I - N^T H_k N (s < 0, a = tau)."""
         P, a, s = self._families["HRS".index(family)]
         if s < 0:
@@ -134,29 +122,34 @@ class MetricSchedule:
         K = N.T @ self._families[0][0].matrix @ N + P.matrix
         return 0.5 * (K + K.T), a
 
-    def validate(self) -> ValidationReport:
+    def validate(self) -> None:
         """Check that every operator is PSD, the two-sided sandwich for every
-        k and family, and that every c_k <= 1 (the solver needs it).  Sandwich
-        failures are reported, not raised; an operator that is not PSD raises
-        :class:`ScheduleError` naming the first such k.  Both checks are affine in the
-        anchor's eigenvalue, so ``affine_leq`` decides them for a block of k
-        per vectorized pass; a zero family needs no pass."""
-        rep = ValidationReport(c_over_one=[int(k) for k in np.nonzero(self.c_seq > 1.0)[0]])
+        k and family, and that every c_k <= 1 (the solver needs it); raise
+        :class:`ScheduleError` on the first failing check, naming an operator
+        that is not PSD at its first k, else the first three sandwich
+        failures as (k, family), else the first three k with c_k > 1."""
+        c_over_one = np.flatnonzero(self.c_seq > 1.0)[:3]
+        bad = self._sandwich_failures()[:3] or [(int(k), "c") for k in c_over_one]
+        if bad:
+            raise ScheduleError(f"schedule validation failed at (k, family) = {bad}")
+
+    def _sandwich_failures(self) -> list[tuple[int, str]]:
+        """Every (k, family) whose sandwich fails, sorted.  Both checks are
+        affine in the anchor's eigenvalue, so ``affine_leq`` decides them for
+        a block of k per vectorized pass."""
         failures = []
         for name, (Q, a, s) in zip("HRS", self._families):
-            if not s:  # a zero family: one PSD operator at every k, sandwiched for any c_k >= 0
-                continue
             for k0 in range(0, self.k_max, _VALIDATE_BLOCK):  # blocks of k keep temporaries in cache
                 b = s * self._factors[k0 : min(k0 + _VALIDATE_BLOCK, self.k_max) + 1]
                 up = 1.0 + self.c_seq[k0 : k0 + len(b) - 1]
                 psd = affine_leq(0.0, 0.0, a, b, Q)
                 if not psd.all():
-                    raise ScheduleError(f"{name}_k is not PSD, first at k = {k0 + int(np.argmin(psd))}")
+                    k = k0 + int(np.argmin(psd))
+                    raise ScheduleError(f"schedule validation failed: {name}_k is not PSD, first at k = {k}")
                 lower = affine_leq(a / up, b[:-1] / up, a, b[1:], Q)  # Q_k / (1 + c_k) <= Q_{k+1}
                 ok = lower & affine_leq(a, b[1:], up * a, up * b[:-1], Q)  # Q_{k+1} <= (1 + c_k) Q_k
                 failures += zip((k0 + np.flatnonzero(~ok)).tolist(), repeat(name))
-        rep.sandwich_failures = sorted(failures)
-        return rep
+        return sorted(failures)
 
 
 def assemble_Mk(
@@ -177,8 +170,8 @@ def assemble_Mk(
 
 # -- JSON configuration ------------------------------------------------------
 
-def _zero_family(dim: int):
-    return PsdOperator(np.zeros((dim, dim))), 0.0, 0.0
+def _scaled_identity(scale: float, dim: int):
+    return PsdOperator(scale * np.eye(dim), definite=scale > 0), 0.0, 1.0
 
 
 def _family_from_descriptor(desc: dict, dim: int, family: str, H0=None, A=None):
@@ -188,8 +181,9 @@ def _family_from_descriptor(desc: dict, dim: int, family: str, H0=None, A=None):
         raise ValueError(f"{family} must be an object")
     kind = desc.get("type")
     if kind == "scaled_identity":
-        scale = float(finite_array(desc["scale"], f"{family} scale", 0))
-        return PsdOperator(scale * np.eye(dim), definite=scale > 0), 0.0, 1.0
+        return _scaled_identity(float(finite_array(desc["scale"], f"{family} scale", 0)), dim)
+    if kind == "zero":
+        return _scaled_identity(0.0, dim)
     if kind == "dense":
         matrix = finite_array(desc["matrix"], f"{family} matrix entries", 2)
         if matrix.shape != (dim, dim):
@@ -197,8 +191,6 @@ def _family_from_descriptor(desc: dict, dim: int, family: str, H0=None, A=None):
                 f"{family} dense matrix has shape {matrix.shape}, but {family} acts on dimension {dim}"
             )
         return PsdOperator(matrix, definite=family == "H"), 0.0, 1.0
-    if kind == "zero":
-        return _zero_family(dim)
     if kind == "linearized":
         if family != "R":
             raise ValueError("linearized descriptor is only valid for the R family")
@@ -254,8 +246,5 @@ def constant_schedule(
 ) -> MetricSchedule:
     """Constant schedule H = h*I, R = r*I, S = s*I with c_k = 0."""
     n_x, n_y, m = dims
-
-    def family(scale, dim):
-        return (PsdOperator(scale * np.eye(dim), definite=True), 0.0, 1.0) if scale else _zero_family(dim)
-
-    return MetricSchedule((family(h_scale, m), family(r_scale, n_x), family(s_scale, n_y)), k_max)
+    families = (_scaled_identity(h_scale, m), _scaled_identity(r_scale, n_x), _scaled_identity(s_scale, n_y))
+    return MetricSchedule(families, k_max)

@@ -635,13 +635,14 @@ class TestRunValidatesSchedule:
         p = generate("lasso", (10, 5), 1)
         tau = 2.0 * float(np.linalg.eigvalsh(p.A.T @ p.A)[-1])
         sched = self.schedule(p, {"type": "linearized", "tau": tau}, 0.5)
-        assert sched.validate().sandwich_failures[:3] == [(0, "R"), (1, "R"), (2, "R")]
+        failed = r"schedule validation failed at \(k, family\) = \[\(0, 'R'\), \(1, 'R'\), \(2, 'R'\)\]$"
+        with pytest.raises(ScheduleError, match=failed):
+            sched.validate()
 
         def no_reference(problem):
             raise AssertionError("reference solve before validation")
 
         monkeypatch.setattr("vmpadmm.admm.reference_solve", no_reference)
-        failed = r"schedule validation failed at \(k, family\) = \[\(0, 'R'\), \(1, 'R'\), \(2, 'R'\)\]"
         with pytest.raises(ScheduleError, match=failed):
             VmPadmmRun(p, sched, compute_sigma_theta(1.0))
 
@@ -651,7 +652,8 @@ class TestRunValidatesSchedule:
             VmPadmmRun(p, self.schedule(p, {"type": "zero"}, 4.0), compute_sigma_theta(1.0))
         # R_0 = tau I - A^T A is PSD, but H_1 = 1.5 H_0 makes R_1 indefinite
         tau = 1.1 * float(np.linalg.eigvalsh(p.A.T @ p.A)[-1])
-        with pytest.raises(ScheduleError, match="R_k is not PSD, first at k = 1"):
+        not_psd = "^schedule validation failed: R_k is not PSD, first at k = 1$"
+        with pytest.raises(ScheduleError, match=not_psd):
             VmPadmmRun(p, self.schedule(p, {"type": "linearized", "tau": tau}, 0.5), compute_sigma_theta(1.0))
 
 

@@ -463,6 +463,18 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "k_max" in err
 
+    def test_broken_gamma_identity_is_one_line(self, tmp_path, capsys):
+        # cond(H) = 1e5 passes the inversion cap, but r_gamma = H^-1 H r / theta
+        # drifts from the primal residual beyond the identity's roundoff budget
+        U = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
+        H = (U * np.logspace(0, 5, 4)) @ U.T
+        sched = write_json(tmp_path / "ill_h.json",
+                           dict(CONSTANT_SCHEDULE, H={"type": "dense", "matrix": H.tolist()}, k_max=50))
+        assert main(solve_args(sched, tmp_path, problem="gen:consensus_ls:6x5x4:1", max_iters="50")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma residual identity violated beyond roundoff at k = ")
+        assert err.count("\n") == 1
+
     def test_sandwich_violation_exits_one(self, tmp_path, capsys):
         # drift law forbids the schedule's c_k > 1 in solver mode
         cfg = dict(CONSTANT_SCHEDULE, c={"c0": 2.0, "law": "inverse_square"})
@@ -470,6 +482,46 @@ class TestErrorPaths:
         bad.write_text(json.dumps(cfg))
         assert main(solve_args(str(bad), tmp_path)) == 1
         assert "validation" in capsys.readouterr().err
+
+
+ZERO_F_PROBLEM = {  # n_x > m: a singular x-system
+    "A": [[1.0, 0.5, 0.0, 0.2], [0.0, 1.0, 0.3, 0.4]], "B": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, -1.0],
+    "f": {"type": "zero"}, "g": {"type": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.5, -0.5]},
+}
+ZERO_G_PROBLEM = dict(
+    ZERO_F_PROBLEM, g={"type": "zero"},
+    f={"type": "quadratic", "Q": np.diag([1.0, 2.0, 0.5, 1.0]).tolist(), "q": [0.5, -0.5, 0.0, 1.0]},
+)
+
+
+class TestZeroIsQuadratic:
+    """A ``zero`` function is the quadratic with Q = 0, q = 0: the explicit
+    form writes the same CSV and report, apart from the problem's name."""
+
+    @staticmethod
+    def explicit(doc):
+        """``doc`` with each zero function written as Q = 0, q = 0."""
+        dims = {"f": len(doc["A"][0]), "g": len(doc["B"][0])}
+        return dict(doc, **{
+            key: {"type": "quadratic", "Q": np.zeros((n, n)).tolist(), "q": [0.0] * n}
+            for key, n in dims.items() if doc[key]["type"] == "zero"
+        })
+
+    @pytest.mark.parametrize("law", ["zero", "inverse_square"])
+    @pytest.mark.parametrize("problem", [ZERO_F_PROBLEM, ZERO_G_PROBLEM], ids=["zero_f", "zero_g"])
+    def test_same_run_as_explicit_quadratic(self, tmp_path, problem, law):
+        sched = write_json(tmp_path / "schedule.json",
+                           dict(CONSTANT_SCHEDULE, c={"c0": 0.5 if law == "inverse_square" else 0.0, "law": law}))
+        explicit = self.explicit(problem)
+        assert explicit != problem
+        outputs = []
+        for tag, doc in (("zero", problem), ("explicit", explicit)):
+            path = write_json(tmp_path / f"{tag}_problem.json", doc)
+            assert main(solve_args(sched, tmp_path, tag=tag, problem=path)) == 0
+            report = json.loads((tmp_path / f"{tag}.json").read_text())
+            assert report.pop("problem") == path
+            outputs.append(((tmp_path / f"{tag}.csv").read_bytes(), report))
+        assert outputs[0] == outputs[1]
 
 
 class TestBatchCommand:

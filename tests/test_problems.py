@@ -278,6 +278,15 @@ class TestDescriptorValues:
         np.testing.assert_array_equal(p.g.lower, q.g.lower)
         assert q.f.kind == "quadratic"
 
+    def test_zero_is_the_zero_quadratic(self):
+        desc = FunctionDescriptor("zero", 3)
+        assert desc.kind == "quadratic"
+        np.testing.assert_array_equal(desc.Q, np.zeros((3, 3)))
+        np.testing.assert_array_equal(desc.q, np.zeros(3))
+        assert desc.to_dict() == {"type": "quadratic", "Q": np.zeros((3, 3)).tolist(), "q": [0.0] * 3}
+        with pytest.raises(ValueError, match="dim"):
+            FunctionDescriptor("zero", 0)
+
     def test_validation_catches_bad_descriptors(self):
         with pytest.raises(ValueError, match="lam"):
             FunctionDescriptor("l1", 2, lam=-1.0)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from helpers import identity, zero_operator
@@ -44,7 +46,7 @@ class TestConstantSchedule:
         H5, R5, S5 = sched.realize(5)
         np.testing.assert_array_equal(H0.matrix, H5.matrix)
         np.testing.assert_array_equal(R0.matrix, R5.matrix)
-        assert sched.validate().ok_for_admm()
+        sched.validate()
 
     def test_horizon_enforced(self):
         sched = constant_schedule((2, 2, 2), 5)
@@ -84,21 +86,22 @@ class TestDrift:
     def test_c_prod_matches_factors(self):
         sched = drift_schedule((2, 2, 2), 50, c0=0.3)
         assert sched.C_P >= float(np.prod(1.0 + sched.c_seq))
-        assert sched.validate().ok_for_admm()
+        sched.validate()
 
     def test_c_over_one_flagged(self):
         sched = drift_schedule((2, 2, 2), 5, c0=2.0)
-        rep = sched.validate()
-        assert 0 in rep.c_over_one
-        assert not rep.ok_for_admm()
+        failed = r"^schedule validation failed at \(k, family\) = \[\(0, 'c'\)\]$"
+        with pytest.raises(ScheduleError, match=failed):
+            sched.validate()
 
     def test_sandwich_violation_detected(self):
         # H_1 = 1.5 H_0 moves R = 1.6 I - A^T H A from diag(0.6, 1.35) to
         # diag(0.1, 1.225): below R_0 / (1 + c_0) = diag(0.4, 0.9)
         cfg = linearized_cfg(1.6, c0=0.5, law="inverse_square")
-        rep = schedule_from_dict(cfg, (2, 2, 2), A=np.diag([1.0, 0.5])).validate()
-        assert (0, "R") in rep.sandwich_failures
-        assert not rep.ok_for_admm()
+        sched = schedule_from_dict(cfg, (2, 2, 2), A=np.diag([1.0, 0.5]))
+        failed = r"^schedule validation failed at \(k, family\) = \[\(0, 'R'\)"
+        with pytest.raises(ScheduleError, match=failed):
+            sched.validate()
 
     def test_metric_dominated_by_drift_product(self):
         # M_j <= C_P * M_k for realized operators of one family
@@ -133,7 +136,7 @@ class TestLinearized:
         H0, R0, S0 = sched.realize(0)
         H, R, S = sched.realize(sched.k_max)
         assert R is R0 and H is H0 and S is S0
-        assert sched.validate().ok_for_admm()
+        sched.validate()
 
     def test_requires_constraint_matrix(self):
         with pytest.raises(ValueError, match="requires the constraint matrix"):
@@ -223,6 +226,26 @@ class TestJsonConfig:
         cfg = dict(self.CFG, c={"c0": 0.0, "law": "zero"})
         sched = schedule_from_dict(cfg, (4, 3, 2))
         np.testing.assert_array_equal(sched.realize(0)[0].matrix, sched.realize(9)[0].matrix)
+
+    def test_zero_family_is_the_scaled_zero_operator(self):
+        # R = S = 0 under drift: (anchor 0, a = 0, s = 1), as scaled_identity
+        # with scale 0 builds it, realizes the zero operator at every k
+        zero = schedule_from_dict(self.CFG, (4, 3, 2))
+        scaled = schedule_from_dict(dict(self.CFG, S={"type": "scaled_identity", "scale": 0.0}), (4, 3, 2))
+        assert [(a, s) for _, a, s in zero._families] == [(0.0, 1.0)] * 3
+        assert len({zero.factor(k) for k in range(zero.k_max + 1)}) == zero.k_max + 1
+        for k in range(zero.k_max + 1):
+            _, R, S = zero.realize(k)
+            assert not R.matrix.any() and not S.matrix.any()
+            np.testing.assert_array_equal(S.matrix, scaled.realize(k)[2].matrix)
+
+    def test_zero_families_validate_fast_at_full_horizon(self):
+        from vmpadmm.schedule import K_MAX_LIMIT
+
+        sched = schedule_from_dict(dict(self.CFG, k_max=K_MAX_LIMIT), (4, 3, 2))
+        t0 = time.perf_counter()
+        sched.validate()
+        assert time.perf_counter() - t0 < 1.0
 
     def test_missing_field_rejected(self):
         cfg = {k: v for k, v in self.CFG.items() if k != "H"}
@@ -329,8 +352,9 @@ class TestAnalyticValidate:
     def validate_without_decompositions(sched, monkeypatch):
         """``validate()``, asserting that it calls no ``operator_leq`` and
         no eigendecomposition, and that validating in blocks of 5 k (the
-        last one partial at k_max = 12) gives the same verdict; returns its
-        failures or ("not PSD", k)."""
+        last one partial at k_max = 12) gives the same verdict; returns every
+        sandwich failure (``validate()`` names the first three) or
+        ("not PSD", k)."""
         calls = []
         monkeypatch.setattr("vmpadmm.linalg.operator_leq", lambda *a: calls.append(a) or operator_leq(*a))
         for name in ("eigh", "eigvalsh"):
@@ -339,10 +363,16 @@ class TestAnalyticValidate:
 
         def verdict():
             try:
-                return sched.validate().sandwich_failures
+                sched.validate()
             except ScheduleError as exc:
-                assert "not PSD, first at k = " in str(exc)
-                return "not PSD", int(str(exc).split("first at k = ")[1])
+                if "not PSD" in str(exc):
+                    assert str(exc).startswith("schedule validation failed: ")
+                    assert "_k is not PSD, first at k = " in str(exc)
+                    return "not PSD", int(str(exc).split("first at k = ")[1])
+                failures = sched._sandwich_failures()
+                assert str(exc) == f"schedule validation failed at (k, family) = {failures[:3]}"
+                return failures
+            return []
 
         whole = verdict()
         monkeypatch.setattr("vmpadmm.schedule._VALIDATE_BLOCK", 5)
