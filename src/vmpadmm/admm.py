@@ -189,11 +189,12 @@ class BlockSystem:
             W, a = self._basis
             u = W @ ((W.T @ rhs) / (1.0 + (f - 1.0) * a))
             Gu = self.metric_apply(f, u)
-            if np.linalg.norm(Gu + desc.Q @ u - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
+            miss = Gu + desc.Q @ u - rhs
+            if np.sqrt(miss @ miss) > 1e-8 * (1.0 + np.sqrt(rhs @ rhs)):
                 raise SubproblemError("subproblem quadratic part is singular")
             return u, Gu
         d = np.full(len(q_lin), self.tau) if self.K is None else f * np.diag(self.K) + self.tau
-        if np.any(d <= 0):
+        if (d <= 0).any():
             raise SubproblemError(f"{desc.kind} subproblem needs positive diagonal curvature")
         if desc.kind == "l1":
             t = -q_lin
@@ -227,36 +228,34 @@ def _solve_block(system: BlockSystem, k: int, shift, gamma_prev, prev, name):
     q_lin = -N.T @ gamma_prev + N.T @ H_k.apply(shift) - P_k.apply(prev)
     u, Gu = system.solve(f, q_lin)
     v = -(Gu + q_lin)
-    scale = 1.0 + np.linalg.norm(v)
+    scale = 1.0 + np.sqrt(v @ v)
     dist = desc.membership_distance(v, u)
     if dist > _MEMBERSHIP_TOL * scale:
         raise SubproblemError(f"{name}-subproblem optimality violated: distance {dist}")
     return u
 
 
-def solve_x_subproblem(problem, x_prev, y_prev, gamma_prev, system: BlockSystem, k: int):
-    """Exact x-update at iteration k under (f, A, R_k); ``system`` is the
-    x-block's :class:`BlockSystem`."""
-    B, b = problem.B, problem.b
-    return _solve_block(system, k, B @ y_prev - b, gamma_prev, x_prev, "x")
+def solve_x_subproblem(problem, x_prev, By_prev, gamma_prev, system: BlockSystem, k: int):
+    """Exact x-update at iteration k under (f, A, R_k), given the product
+    ``By_prev`` = B y_{k-1}; ``system`` is the x-block's :class:`BlockSystem`."""
+    return _solve_block(system, k, By_prev - problem.b, gamma_prev, x_prev, "x")
 
 
-def solve_y_subproblem(problem, x_k, y_prev, gamma_prev, system: BlockSystem, k: int):
-    """Exact y-update; mirror of the x-update with (g, B, S_k)."""
-    A, b = problem.A, problem.b
-    return _solve_block(system, k, A @ x_k - b, gamma_prev, y_prev, "y")
+def solve_y_subproblem(problem, Ax_k, y_prev, gamma_prev, system: BlockSystem, k: int):
+    """Exact y-update given ``Ax_k`` = A x_k; mirror of the x-update with
+    (g, B, S_k)."""
+    return _solve_block(system, k, Ax_k - problem.b, gamma_prev, y_prev, "y")
 
 
-def update_multiplier(problem, gamma_prev, H_k, theta, x_k, y_k, y_prev):
-    """Over-relaxed multiplier update and the extragradient multiplier:
+def update_multiplier(gamma_prev, H_k, theta, primal, primal_t):
+    """Over-relaxed multiplier update and the extragradient multiplier, from
+    the residuals ``primal`` = A x_k + B y_k - b and ``primal_t`` =
+    A x_k + B y_{k-1} - b:
 
         gamma_k = gamma_{k-1} - theta H_k (A x_k + B y_k - b)
         gamma~_k = gamma_{k-1} - H_k (A x_k + B y_{k-1} - b)
     """
-    A, B, b = problem.A, problem.B, problem.b
-    gamma_k = gamma_prev - theta * H_k.apply(A @ x_k + B @ y_k - b)
-    gamma_t = gamma_prev - H_k.apply(A @ x_k + B @ y_prev - b)
-    return gamma_k, gamma_t
+    return gamma_prev - theta * H_k.apply(primal), gamma_prev - H_k.apply(primal_t)
 
 
 @dataclass
@@ -349,7 +348,7 @@ def eps_subdifferential_checks(desc, s, u, eps: float, k: int, block: str) -> di
     return {
         f"eps_subdiff_{block}": _membership(f"eps_subdiff_{block}", k, gap, eps, 1.0 + abs(eps) + abs(s @ u)),
         f"eps_domain_{block}": _membership(
-            f"eps_domain_{block}", k, off, 0.0, 1.0 + np.linalg.norm(s) + np.linalg.norm(u)
+            f"eps_domain_{block}", k, off, 0.0, 1.0 + np.sqrt(s @ s) + np.sqrt(u @ u)
         ),
     }
 
@@ -408,6 +407,7 @@ class VmPadmmRun:
         self.x = np.zeros(n_x) if x0 is None else np.asarray(x0, float).copy()
         self.y = np.zeros(n_y) if y0 is None else np.asarray(y0, float).copy()
         self.gamma = np.zeros(m) if gamma0 is None else np.asarray(gamma0, float).copy()
+        self._By = problem.B @ self.y  # B y_{k-1}, which step k reuses
 
         schedule.validate()  # every k at once; raises ScheduleError before the reference solve
         self.reference = ref = reference if reference is not None else reference_solve(problem)
@@ -456,14 +456,17 @@ class VmPadmmRun:
                 BlockSystem(problem.f, problem.A, schedule, "R"),
                 BlockSystem(problem.g, problem.B, schedule, "S"),
             )
-        x_prev, y_prev, gamma_prev = self.x, self.y, self.gamma
+        A, B, b = problem.A, problem.B, problem.b
+        x_prev, y_prev, gamma_prev, By_prev = self.x, self.y, self.gamma, self._By
 
-        x_k = solve_x_subproblem(problem, x_prev, y_prev, gamma_prev, self._systems[0], k)
-        y_k = solve_y_subproblem(problem, x_k, y_prev, gamma_prev, self._systems[1], k)
+        # each product with A, B and H_k is formed once
+        x_k = solve_x_subproblem(problem, x_prev, By_prev, gamma_prev, self._systems[0], k)
+        Ax = A @ x_k
+        y_k = solve_y_subproblem(problem, Ax, y_prev, gamma_prev, self._systems[1], k)
+        By = B @ y_k
+        primal = Ax + By - b
         H_k, R_k, S_k = schedule.realize(k)
-        gamma_k, gamma_t = update_multiplier(
-            problem, gamma_prev, H_k, p.theta, x_k, y_k, y_prev
-        )
+        gamma_k, gamma_t = update_multiplier(gamma_prev, H_k, p.theta, primal, Ax + By_prev - b)
 
         f = schedule.factor(k)  # every family moves by f_k: M_k = blkdiag(R_k, f_k mid_0, gam_0 / f_k)
         _, mid0, gam0 = self.M0.blocks
@@ -473,13 +476,16 @@ class VmPadmmRun:
         r_x = R_k.apply(dx)
         r_y = mid_k.apply(dy)
         r_g = gam_k.apply(dg)
-        primal = problem.A @ x_k + problem.B @ y_k - problem.b
-        gap, tol = np.linalg.norm(r_g - primal), 1e-12 * (1.0 + np.linalg.norm(primal)) + 1e-13
+        miss = r_g - primal
+        gap, tol = np.sqrt(miss @ miss), 1e-12 * (1.0 + np.sqrt(primal @ primal)) + 1e-13
         if gap > tol:  # r_gamma = (theta H_k)^-1 (gamma_{k-1} - gamma_k) = A x_k + B y_k - b
             msg = f"gamma residual identity violated beyond roundoff at k = {k}: {gap:.3g} > {tol:.3g}"
             raise FloatingPointError(msg)
 
-        dual_x, dual_y, dual_g = R_k.seminorm(dx), mid_k.seminorm(dy), gam_k.seminorm(dg)
+        # the dual seminorms ||d||_Q = sqrt(<d, Q d>) from the residuals r = Q d just formed
+        dual_x = R_k._seminorm_from(dx, r_x)
+        dual_y = mid_k._seminorm_from(dy, r_y)
+        dual_g = gam_k._seminorm_from(dg, r_g)
         eta = (
             (p.sigma - (p.theta - 1.0) ** 2) / p.theta**2 * dual_g**2
             + _SQRT2 * (p.sigma + p.theta - 1.0) / p.theta * S_k.seminorm(dy) ** 2
@@ -494,10 +500,10 @@ class VmPadmmRun:
         )
         check = self.hpe.add_iterate(hpe_it)
 
-        s_x = r_x + problem.A.T @ gamma_t  # the subgradients the memberships test
-        s_y = r_y + problem.B.T @ gamma_t
+        s_x = r_x + A.T @ gamma_t  # the subgradients the memberships test
+        s_y = r_y + B.T @ gamma_t
         memberships = {
-            name: _membership(name, k, desc.membership_distance(v, u), 0.0, 1.0 + np.linalg.norm(r))
+            name: _membership(name, k, desc.membership_distance(v, u), 0.0, 1.0 + np.sqrt(r @ r))
             for name, desc, v, u, r in (
                 ("membership_x", problem.f, s_x, x_k, r_x), ("membership_y", problem.g, s_y, y_k, r_y)
             )
@@ -514,7 +520,7 @@ class VmPadmmRun:
             self._best = it
         self._dot_sx += float(s_x @ x_k)
         self._dot_sy += float(s_y @ y_k)
-        self.x, self.y, self.gamma = x_k, y_k, gamma_k
+        self.x, self.y, self.gamma, self._By = x_k, y_k, gamma_k, By
         return it
 
     def certified_steps(self, max_iters: int, rho: float, eps: float):
@@ -580,6 +586,8 @@ class VmPadmmRun:
         bound_eps = self.bounds.ergodic_eps_rhs(k)
         scale_x = 1.0 + abs(eps_x)
         scale_y = 1.0 + abs(eps_y)
+        # r^a_gamma is the primal residual A x^a + B y^a - b of the ergodic point
+        miss = self.problem.A @ x_a + self.problem.B @ y_a - self.problem.b - rg_a
         checks = {
             "ergodic_res": BoundCheck("ergodic_res", k, max(dual_x, dual_y, dual_g), bound_res),
             "ergodic_eps": BoundCheck("ergodic_eps", k, eps_x + eps_y, bound_eps),
@@ -591,8 +599,7 @@ class VmPadmmRun:
             ),
             "primal_avg_identity": BoundCheck(
                 "primal_avg_identity", k,
-                float(np.linalg.norm(self.problem.A @ x_a + self.problem.B @ y_a - self.problem.b - rg_a)),
-                1e-10 * (1.0 + float(np.linalg.norm(rg_a))), tol_rel=0.0,
+                float(np.sqrt(miss @ miss)), 1e-10 * (1.0 + float(np.sqrt(rg_a @ rg_a))), tol_rel=0.0,
             ),
         }
         memberships = {

@@ -186,10 +186,10 @@ def _drive(run: VmPadmmRun, iters: int, rho: float, eps: float, verify):
         step_checks = step.checks
         for group, out in checks.items():
             for c in step_checks[group]:
-                slack = c.slack
+                name, slack = c.name, c.slack
                 out.append([k, c.ok, slack])
-                if c.name not in worst or slack < worst[c.name][1]:
-                    worst[c.name] = [k, slack]
+                if name not in worst or slack < worst[name][1]:
+                    worst[name] = [k, slack]
     return rows, checks, worst, step
 
 
@@ -212,8 +212,11 @@ def _json_default(o):
 
 
 def _write_json(path, doc):
+    """One line of compact JSON with sorted keys.  ``json.dumps`` without
+    ``indent`` runs the C encoder; ``json.dump`` never does."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_default)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write(text)
         fh.write("\n")
 
 

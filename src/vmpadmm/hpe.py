@@ -25,12 +25,13 @@ _RECON_TOL = 1e-10
 _ERROR_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HpeIterate:
     """One accepted iteration: points, residual with tracked preimage, slack.
 
     ``preimage`` is z_{k-1} - z_k, so the residual is r_k = M_k(preimage)
-    and its dual seminorm equals the seminorm of the preimage.
+    and its dual seminorm equals the seminorm of the preimage.  The four
+    vectors must have M's dimension.
     """
 
     k: int
@@ -41,27 +42,33 @@ class HpeIterate:
     eta: float
     M: object  # PsdOperator or BlockDiagOperator
 
+    def __post_init__(self):
+        shape = (self.M.dim,)
+        if not self.z.shape == self.z_tilde.shape == self.r.shape == self.preimage.shape == shape:
+            raise ValueError(f"iterate vectors must have shape {shape}, the dimension of M_k")
+
     @property
     def z_prev(self) -> np.ndarray:
         return self.z + self.preimage
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundCheck:
+    """``lhs <= rhs`` up to ``tol_abs + tol_rel |rhs|``; ``slack`` and the
+    verdict ``ok`` are fixed when the check is made."""
+
     name: str
     k: int
     lhs: float
     rhs: float
     tol_abs: float = 0.0
     tol_rel: float = 1e-6
+    slack: float = field(init=False)
+    ok: bool = field(init=False)
 
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
-    @property
-    def ok(self) -> bool:
-        return self.slack >= -self.tol_abs - self.tol_rel * abs(self.rhs)
+    def __post_init__(self):
+        self.slack = slack = self.rhs - self.lhs
+        self.ok = bool(slack >= -self.tol_abs - self.tol_rel * abs(self.rhs))
 
 
 @dataclass
@@ -157,8 +164,8 @@ class HpeState:
             raise ValueError(f"iterate index {it.k} is not contiguous (expected {self.k + 1})")
         if it.eta < 0.0:
             raise ValueError("eta must be nonnegative")
-        recon = it.M.apply(it.preimage)
-        if np.linalg.norm(recon - it.r) > _RECON_TOL * (1.0 + np.linalg.norm(it.r)):
+        miss = it.M.apply(it.preimage) - it.r  # M_k (z_{k-1} - z_k), formed independently of r
+        if np.sqrt(miss @ miss) > _RECON_TOL * (1.0 + np.sqrt(it.r @ it.r)):
             raise ValueError("residual does not equal M_k(z_{k-1} - z_k) within tolerance")
         check, gap = check_error_condition(it, self.bounds.sigma, self.last_eta)
         self.k, self.last = it.k, it

@@ -73,17 +73,26 @@ class PsdOperator:
         w = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))
         return float(w[0]), float(w[-1])
 
+    @cached_property
+    def _psd_scale(self) -> float:
+        """The PSD roundoff budget of a quadratic form, per unit ``<z, z>``."""
+        return _PSD_TOL * max(1.0, self._eig_extremes[1])
+
     def apply(self, z: np.ndarray) -> np.ndarray:
-        z = _check_dim(z, self.dim)
+        """``M z``; numpy raises ``ValueError`` when z has another length."""
         return self.matrix @ z
 
     def seminorm(self, z: np.ndarray) -> float:
         """``sqrt(<Mz, z>)``; raises if the quadratic form is negative
         beyond the PSD roundoff budget."""
         z = _check_dim(z, self.dim)
-        q = float(z @ self.apply(z))
-        bound = _PSD_TOL * max(1.0, self._eig_extremes[1]) * float(z @ z)
-        if q < -bound:
+        return self._seminorm_from(z, self.apply(z))
+
+    def _seminorm_from(self, z: np.ndarray, Mz: np.ndarray) -> float:
+        """:meth:`seminorm` of z from the product ``Mz = self.apply(z)``
+        formed by the caller, with the same negative-form guard."""
+        q = float(z @ Mz)
+        if q < 0.0 and q < -self._psd_scale * float(z @ z):
             raise ValueError(f"negative quadratic form {q}: operator is not PSD")
         return np.sqrt(max(q, 0.0))
 
@@ -94,7 +103,7 @@ class PsdOperator:
         range(M) exceeds ``1e-8 * ||r||`` the dual seminorm is infinite.
         """
         r = _check_dim(r, self.dim)
-        rnorm = float(np.linalg.norm(r))
+        rnorm = float(np.sqrt(r @ r))
         if rnorm == 0.0:
             return 0.0
         dual, off = self.range_parts(r)
@@ -106,8 +115,9 @@ class PsdOperator:
         whose eigenvalues exceed ``dim * 1e-14`` times the largest."""
         w, v = self._eig
         pos = w > max(float(w[-1]), 0.0) * self.dim * 1e-14
-        coeffs = v.T @ _check_dim(r, self.dim)
-        return float(np.sqrt((coeffs[pos] ** 2 / w[pos]).sum())), float(np.linalg.norm(coeffs[~pos]))
+        coeffs = v.T @ r
+        off = coeffs[~pos]
+        return float(np.sqrt((coeffs[pos] ** 2 / w[pos]).sum())), float(np.sqrt(off @ off))
 
     def inverse(self) -> "PsdOperator":
         """Inverse via eigendecomposition; requires a definite operator."""
@@ -185,10 +195,13 @@ class BlockDiagOperator:
     """Block-diagonal PSD operator on a product space.
 
     The seminorm decomposes as the root-sum-of-squares of block seminorms.
+    Each block's slice of the product space is formed once, at construction.
     """
 
     blocks: tuple[PsdOperator, ...]
     offsets: tuple[int, ...] = field(init=False)
+    dim: int = field(init=False)
+    _parts: tuple[tuple[PsdOperator, slice], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.blocks:
@@ -200,23 +213,25 @@ class BlockDiagOperator:
             at += b.dim
         offs.append(at)
         object.__setattr__(self, "offsets", tuple(offs))
-
-    @property
-    def dim(self) -> int:
-        return self.offsets[-1]
+        object.__setattr__(self, "dim", at)
+        parts = tuple((b, slice(o, o + b.dim)) for b, o in zip(self.blocks, offs))
+        object.__setattr__(self, "_parts", parts)
 
     def split(self, z: np.ndarray) -> list[np.ndarray]:
         z = _check_dim(z, self.dim)
-        return [z[o : o + b.dim] for b, o in zip(self.blocks, self.offsets)]
+        return [z[s] for _, s in self._parts]
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        return np.concatenate([b.apply(p) for b, p in zip(self.blocks, self.split(z))])
+        """``M z``, block by block; z must have length ``dim``."""
+        return np.concatenate([b.apply(z[s]) for b, s in self._parts])
 
     def seminorm(self, z: np.ndarray) -> float:
-        parts = self.split(z)
-        return float(
-            np.sqrt(sum(b.seminorm(p) ** 2 for b, p in zip(self.blocks, parts)))
-        )
+        z = _check_dim(z, self.dim)
+        total = 0
+        for b, s in self._parts:
+            p = z[s]
+            total += b._seminorm_from(p, b.apply(p)) ** 2
+        return float(np.sqrt(total))
 
     def dual_seminorm_general(self, r: np.ndarray) -> float:
         parts = self.split(r)

@@ -83,7 +83,7 @@ class FunctionDescriptor:
             hi = finite_array(self.upper, "u")
             if lo.shape != (self.dim,) or hi.shape != (self.dim,):
                 raise ValueError("box bounds have inconsistent shapes")
-            if np.any(lo > hi):
+            if (lo > hi).any():
                 raise ValueError("box requires l <= u componentwise")
             object.__setattr__(self, "lower", lo)
             object.__setattr__(self, "upper", hi)
@@ -98,7 +98,7 @@ class FunctionDescriptor:
         if self.kind == "l1":
             return self.lam * np.abs(X).sum(axis=1)
         out = np.zeros(X.shape[0])
-        bad = np.any(X < self.lower - 1e-12, axis=1) | np.any(X > self.upper + 1e-12, axis=1)
+        bad = (X < self.lower - 1e-12).any(axis=1) | (X > self.upper + 1e-12).any(axis=1)
         out[bad] = np.inf
         return out
 
@@ -110,7 +110,8 @@ class FunctionDescriptor:
         v = np.asarray(v, dtype=float)
         x = np.asarray(x, dtype=float)
         if self.kind == "quadratic":
-            return float(np.linalg.norm(v - (self.Q @ x + self.q)))
+            d = v - (self.Q @ x + self.q)
+            return float(np.sqrt(d @ d))
         if self.kind == "l1":
             tol = 1e-12 * (1.0 + np.abs(x).max(initial=0.0))
             d = np.where(
@@ -118,11 +119,11 @@ class FunctionDescriptor:
                 np.abs(v - self.lam),
                 np.where(x < -tol, np.abs(v + self.lam), np.maximum(np.abs(v) - self.lam, 0.0)),
             )
-            return float(np.linalg.norm(d))
+            return float(np.sqrt(d @ d))
         # box: normal cone of [l, u]
         span = 1.0 + np.abs(self.upper - self.lower).max(initial=0.0)
         tol = 1e-10 * span
-        if np.any(x < self.lower - tol) or np.any(x > self.upper + tol):
+        if (x < self.lower - tol).any() or (x > self.upper + tol).any():
             return np.inf
         at_lo = x <= self.lower + tol
         at_hi = x >= self.upper - tol
@@ -131,7 +132,7 @@ class FunctionDescriptor:
             0.0,  # pinned coordinate: normal cone is the whole line
             np.where(at_lo, np.maximum(v, 0.0), np.where(at_hi, np.maximum(-v, 0.0), np.abs(v))),
         )
-        return float(np.linalg.norm(d))
+        return float(np.sqrt(d @ d))
 
     def fenchel_young(self, s: np.ndarray, x: np.ndarray) -> tuple[float, float]:
         """(gap, off): the Fenchel--Young gap f(x) + f*(s) - <s, x> from the
@@ -148,7 +149,8 @@ class FunctionDescriptor:
             return gap, max(float(np.abs(s).max(initial=0.0)) - self.lam, 0.0)
         # box: f(x) = 0 when x is in [l, u], f*(s) = sum_i max(l_i s_i, u_i s_i)
         gap = float(np.maximum(self.lower * s, self.upper * s).sum()) - float(s @ x)
-        return gap, float(np.linalg.norm(x - np.clip(x, self.lower, self.upper)))
+        out = x - np.clip(x, self.lower, self.upper)
+        return gap, float(np.sqrt(out @ out))
 
     @cached_property
     def _Q_operator(self) -> PsdOperator:
@@ -333,13 +335,14 @@ def kkt_residual(problem: ProblemSpec, x, y, gamma) -> tuple[float, float, float
     gamma = np.asarray(gamma, float)
     res_x = problem.f.membership_distance(problem.A.T @ gamma, x)
     res_y = problem.g.membership_distance(problem.B.T @ gamma, y)
-    res_g = float(np.linalg.norm(problem.A @ x + problem.B @ y - problem.b))
+    primal = problem.A @ x + problem.B @ y - problem.b
+    res_g = float(np.sqrt(primal @ primal))
     return res_x, res_y, res_g
 
 
 def _prox_step(desc: FunctionDescriptor, G_diag: np.ndarray, q_lin: np.ndarray) -> np.ndarray:
     """argmin f(y) + 0.5 y^T diag(G) y + q^T y for a separable quadratic part."""
-    if np.any(G_diag <= 0):
+    if (G_diag <= 0).any():
         raise ValueError("separable prox step requires a positive diagonal")
     if desc.kind == "l1":
         t = -q_lin
@@ -435,8 +438,9 @@ def reference_solve(problem: ProblemSpec, accuracy: float = 1e-10) -> ReferenceS
         # singular KKT system; fall through to the iterative path
     # plain ADMM cannot converge when the constraint has no solution
     AB = np.hstack([A, B])
-    gap = float(np.linalg.norm(AB @ np.linalg.lstsq(AB, b, rcond=None)[0] - b))
-    if gap > _FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(b))):
+    miss = AB @ np.linalg.lstsq(AB, b, rcond=None)[0] - b
+    gap = float(np.sqrt(miss @ miss))
+    if gap > _FEASIBILITY_TOL * (1.0 + float(np.sqrt(b @ b))):
         raise ValueError(f"Ax + By = b is infeasible: b is not in range([A B]) (residual {gap})")
     x, y, gamma, res = plain_admm(problem, beta=1.0, accuracy=accuracy)
     if res > accuracy:

@@ -109,14 +109,15 @@ class TestSubproblems:
         sched = constant_schedule(dense.dims, 1)
         with pytest.raises(SubproblemError, match="diagonal"):
             solve_x_subproblem(
-                dense, np.zeros(4), np.zeros(4), np.zeros(4), BlockSystem(dense.f, dense.A, sched, "R"), 1
+                dense, np.zeros(4), dense.B @ np.zeros(4), np.zeros(4),
+                BlockSystem(dense.f, dense.A, sched, "R"), 1,
             )
 
     def test_quadratic_solve_is_optimal(self):
         p = scalar_problem()
         sched = constant_schedule(p.dims, 1, h_scale=2.0, r_scale=1.0)
         x = solve_x_subproblem(
-            p, np.zeros(1), np.zeros(1), np.zeros(1), BlockSystem(p.f, p.A, sched, "R"), 1
+            p, np.zeros(1), p.B @ np.zeros(1), np.zeros(1), BlockSystem(p.f, p.A, sched, "R"), 1
         )
         # argmin 0.5x^2 + (H/2)(x - 1)^2 + (R/2)x^2 with H=2, R=1: x = 0.5
         assert x[0] == pytest.approx(0.5)
@@ -129,7 +130,7 @@ class TestSubproblems:
         p = ProblemSpec(f, g, np.array([[1.0, 1.0]]), np.eye(1), np.zeros(1))
         sched = constant_schedule(p.dims, 1)
         x = solve_x_subproblem(
-            p, np.zeros(2), np.zeros(1), np.ones(1), BlockSystem(p.f, p.A, sched, "R"), 1
+            p, np.zeros(2), p.B @ np.zeros(1), np.ones(1), BlockSystem(p.f, p.A, sched, "R"), 1
         )
         G = p.A.T @ p.A
         q_lin = -p.A.T @ np.ones(1)
@@ -162,7 +163,7 @@ class TestFactoredSubproblems:
             f = sched.factor(k)
             factors.add(f)
             x_prev, y_prev, gamma = (rng.normal(size=d) for d in p.dims)
-            x = solve_x_subproblem(p, x_prev, y_prev, gamma, x_system, k)
+            x = solve_x_subproblem(p, x_prev, p.B @ y_prev, gamma, x_system, k)
             G = p.A.T @ H_k.matrix @ p.A + R_k.matrix
             q_lin = -p.A.T @ gamma + p.A.T @ (H_k.matrix @ (p.B @ y_prev - p.b)) - R_k.matrix @ x_prev
             total, rhs = G, -q_lin
@@ -237,7 +238,7 @@ class TestFactoredSubproblems:
         f = FunctionDescriptor("quadratic", 3, Q=np.diag([0.0, 1.0, 0.0]), q=np.array([0.0, 0.0, 1.0]))
         p = self.problem(f, np.array([[1.0, 0.0, 0.0]]))
         sched = constant_schedule(p.dims, 1)
-        args = (p, np.zeros(3), np.zeros(1), np.zeros(1), BlockSystem(p.f, p.A, sched, "R"), 1)
+        args = (p, np.zeros(3), p.B @ np.zeros(1), np.zeros(1), BlockSystem(p.f, p.A, sched, "R"), 1)
         with pytest.raises(SubproblemError, match="singular"):
             solve_x_subproblem(*args)
         cfg = {"H": {"type": "scaled_identity", "scale": 1.0}, "R": {"type": "zero"},
@@ -252,8 +253,9 @@ class TestMultiplierUpdate:
     def test_hand_example(self):
         # 1-dim, H=2, theta=0.5, primal residual 3: gamma drops by 0.5*2*3
         p = scalar_problem()
+        x, y, y_prev = np.array([2.0]), np.array([2.0]), np.array([1.0])
         gamma, gamma_t = update_multiplier(
-            p, np.zeros(1), identity(1, 2.0), 0.5, np.array([2.0]), np.array([2.0]), np.array([1.0])
+            np.zeros(1), identity(1, 2.0), 0.5, p.A @ x + p.B @ y - p.b, p.A @ x + p.B @ y_prev - p.b
         )
         assert gamma[0] == pytest.approx(-3.0)
         # extragradient multiplier uses y_prev and full stepsize: -(2*(2+1-1))
@@ -266,7 +268,7 @@ class TestMultiplierUpdate:
         H = identity(2, 1.7)
         theta = 1.3
         gp, x, y, ypr = rng.normal(size=2), rng.normal(size=4), rng.normal(size=3), rng.normal(size=3)
-        gamma, gamma_t = update_multiplier(p, gp, H, theta, x, y, ypr)
+        gamma, gamma_t = update_multiplier(gp, H, theta, p.A @ x + p.B @ y - p.b, p.A @ x + p.B @ ypr - p.b)
         expected = gamma + (1.0 - theta) / theta * (gamma - gp) + H.matrix @ (p.B @ (y - ypr))
         np.testing.assert_allclose(gamma_t, expected, atol=1e-12)
 
@@ -485,7 +487,18 @@ class TestRunState:
 
         monkeypatch.setattr(PsdOperator, "seminorm", counting)
         next(steps)  # one step with its certificates and Fejer check
-        assert len(calls) <= 13
+        assert len(calls) <= 1  # eta's ||y_{k-1} - y_k||_{S_k}; M_k's blocks reuse formed products
+
+    def test_duals_from_formed_residuals(self):
+        # ||d||_Q = sqrt(<d, r>) from the residual r = Q d the step forms, bit
+        # for bit the seminorm, on drifting (scaled) metrics
+        for step in self.run.certified_steps(10, rho=0.0, eps=0.0):
+            it = step.iterate
+            R_k, mid_k, gam_k = it.M.blocks
+            assert it.M is not self.run.M0
+            assert it.dual_x == R_k.seminorm(it.dx)
+            assert it.dual_y == mid_k.seminorm(it.dy)
+            assert it.dual_gamma == gam_k.seminorm(it.dgamma)
 
     @pytest.mark.parametrize("group,path", [
         ("hpe", ("iterate", "hpe_check")),

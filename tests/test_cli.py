@@ -93,6 +93,25 @@ class TestSolveCommand:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_report_is_one_compact_line(self, schedule_file, tmp_path, monkeypatch):
+        import vmpadmm.cli as cli
+
+        docs = []
+        write_json = cli._write_json
+        monkeypatch.setattr(cli, "_write_json", lambda path, doc: docs.append(doc) or write_json(path, doc))
+        assert main(solve_args(schedule_file, tmp_path)) == 0
+        text = (tmp_path / "run.json").read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1 and ", " not in text and ": " not in text
+
+        def sorted_keys(pairs):
+            assert [key for key, _ in pairs] == sorted(key for key, _ in pairs)
+            return dict(pairs)
+
+        report = json.loads(text, object_pairs_hook=sorted_keys)
+        # the same document as the indented encoding writes it
+        indented = json.dumps(docs[0], indent=2, sort_keys=True, default=cli._json_default)
+        assert json.dumps(report, sort_keys=True) == json.dumps(json.loads(indented), sort_keys=True)
+
     def test_stopping_summary(self, schedule_file, tmp_path):
         main(solve_args(schedule_file, tmp_path, rho="1e-3", eps="1e-1", max_iters="200"))
         report = json.loads((tmp_path / "run.json").read_text())

@@ -73,6 +73,14 @@ class TestPsdOperator:
         with pytest.raises(ValueError, match="dim"):
             identity(3).seminorm(np.ones(4))
 
+    def test_seminorm_from_formed_product_keeps_the_psd_guard(self):
+        M = PsdOperator(np.diag([2.0, 0.0]))
+        z = np.array([3.0, 4.0])
+        assert M._seminorm_from(z, M.apply(z)) == M.seminorm(z)
+        with pytest.raises(ValueError, match="negative quadratic form"):
+            M._seminorm_from(z, np.diag([2.0, -2.0]) @ z)  # a product with an indefinite matrix
+        assert M._seminorm_from(z, np.array([0.0, -1e-12])) == 0.0  # roundoff-sized: clipped to 0
+
 
 class TestDualNormIdentity:
     """||Mw||*_M == ||w||_M on range(M), full-rank and rank-deficient."""
