@@ -79,7 +79,8 @@ class PsdOperator:
         return _PSD_TOL * max(1.0, self._eig_extremes[1])
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        """``M z``; numpy raises ``ValueError`` when z has another length."""
+        """``M z``.  The length of z is not checked here but where data
+        enters; numpy raises ``ValueError`` for a vector of another length."""
         return self.matrix @ z
 
     def seminorm(self, z: np.ndarray) -> float:
@@ -222,16 +223,13 @@ class BlockDiagOperator:
         return [z[s] for _, s in self._parts]
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        """``M z``, block by block; z must have length ``dim``."""
+        """``M z``, block by block."""
+        z = _check_dim(z, self.dim)
         return np.concatenate([b.apply(z[s]) for b, s in self._parts])
 
     def seminorm(self, z: np.ndarray) -> float:
         z = _check_dim(z, self.dim)
-        total = 0
-        for b, s in self._parts:
-            p = z[s]
-            total += b._seminorm_from(p, b.apply(p)) ** 2
-        return float(np.sqrt(total))
+        return float(np.sqrt(sum(b.seminorm(z[s]) ** 2 for b, s in self._parts)))
 
     def dual_seminorm_general(self, r: np.ndarray) -> float:
         parts = self.split(r)

@@ -136,15 +136,9 @@ class MetricSchedule:
     def _sandwich_failures(self) -> list[tuple[int, str]]:
         """Every (k, family) whose sandwich fails, sorted.  Both checks are
         affine in the anchor's eigenvalue, so ``affine_leq`` decides them for
-        a block of k per vectorized pass.  A family with the zero anchor is
-        Q_k = a I at every k, so it is decided once: PSD-ness at k = 0, and
-        a sandwich that c_k >= 0 makes hold at every k."""
+        a block of k per vectorized pass."""
         failures = []
         for name, (Q, a, s) in zip("HRS", self._families):
-            if Q._eig_extremes == (0.0, 0.0):
-                if not affine_leq(0.0, 0.0, a, 0.0, Q):
-                    raise ScheduleError(f"schedule validation failed: {name}_k is not PSD, first at k = 0")
-                continue
             for k0 in range(0, self.k_max, _VALIDATE_BLOCK):  # blocks of k keep temporaries in cache
                 b = s * self._factors[k0 : min(k0 + _VALIDATE_BLOCK, self.k_max) + 1]
                 up = 1.0 + self.c_seq[k0 : k0 + len(b) - 1]

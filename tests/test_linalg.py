@@ -164,6 +164,15 @@ class TestBlockDiag:
         M = block_diag([identity(2, 2.0), identity(1, 3.0)])
         np.testing.assert_allclose(M.apply(np.ones(3)), [2.0, 2.0, 3.0])
 
+    def test_apply_rejects_another_length(self):
+        # slicing by the block slices alone would cut a longer vector short
+        M = block_diag([identity(2), identity(3)])
+        for n in (4, 6):
+            with pytest.raises(ValueError, match="dim"):
+                M.apply(np.ones(n))
+            with pytest.raises(ValueError):
+                identity(5).apply(np.ones(n))
+
     def test_empty_blocks_rejected(self):
         with pytest.raises(ValueError):
             BlockDiagOperator(())

@@ -247,20 +247,6 @@ class TestJsonConfig:
         sched.validate()
         assert time.perf_counter() - t0 < 1.0
 
-    def test_zero_families_are_decided_once(self, monkeypatch):
-        # R = S = 0 realize Q_k = 0 at every k: one scalar affine_leq call
-        # each, while H takes three per block of k (PSD, both sandwich sides)
-        from vmpadmm import schedule as schedule_module
-
-        blocks = 4
-        sched = schedule_from_dict(dict(self.CFG, k_max=blocks * schedule_module._VALIDATE_BLOCK), (4, 3, 2))
-        calls = []
-        affine_leq = schedule_module.affine_leq
-        monkeypatch.setattr(schedule_module, "affine_leq", lambda *a: calls.append(a) or affine_leq(*a))
-        sched.validate()
-        assert len(calls) == 3 * blocks + 2
-        assert sum(np.ndim(a[3]) == 0 for a in calls) == 2
-
     def test_missing_field_rejected(self):
         cfg = {k: v for k, v in self.CFG.items() if k != "H"}
         with pytest.raises(ValueError, match="'H'"):
