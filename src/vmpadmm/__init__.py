@@ -1,6 +1,7 @@
 """Variable-metric proximal ADMM with runtime convergence certification."""
 
 from .admm import (
+    CertifiedBlock,
     CertifiedStep,
     KktResidualCertificate,
     SubproblemError,
@@ -36,6 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockDiagOperator",
+    "CertifiedBlock",
     "CertifiedStep",
     "FunctionDescriptor",
     "HpeIterate",

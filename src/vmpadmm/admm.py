@@ -6,18 +6,20 @@ penalty metric H_k.  Every iteration is embedded into the relative-error
 proximal-point driver (:mod:`vmpadmm.hpe`): the embedding constants
 (sigma, tau, eta_k) are computed here, and the pointwise / ergodic KKT
 residual certificates with their theoretical rate bounds are exposed at the
-current k.  :meth:`VmPadmmRun.certified_steps` is the one solve loop: it steps,
-certifies and applies the stopping rules.
+current k.  :meth:`VmPadmmRun.certified_blocks` is the one solve loop: it
+steps, certifies up to ``_BLOCK`` steps at a time in one pass over their
+stacked rows, and applies the stopping rules; :meth:`VmPadmmRun.certified_steps`
+reads it out one iteration at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .hpe import BoundCheck, HpeIterate, HpeState, RateBounds
-from .linalg import BlockDiagOperator, block_diag
+from .hpe import BoundCheck, HpeIterate, HpeState, RateBounds, _take, running_sums
+from .linalg import BlockDiagOperator, block_diag, row_dot
 from .problems import ProblemSpec, ReferenceSolution, reference_solve
 from .schedule import THETA_MAX, MetricSchedule, ScheduleError, assemble_Mk
 
@@ -26,6 +28,7 @@ __all__ = [
     "AdmmIterate",
     "KktResidualCertificate",
     "CertifiedStep",
+    "CertifiedBlock",
     "SubproblemError",
     "BlockSystem",
     "compute_sigma_theta",
@@ -40,6 +43,14 @@ _SQRT2 = np.sqrt(2.0)
 _MEMBERSHIP_TOL = 1e-8
 _THETA_EXCLUSION = 1e-12
 _SIGMA_GRID = 10_000  # points of the uniform scan in compute_sigma_theta
+# Steps taken before they are certified, and the floats of a stacked array that
+# one certification pass covers (16 rows up to a product-space dimension of
+# 128).  At the largest generator dimension, n = 450 (consensus_ls
+# 200x150x100), a block is certified in passes of 4 rows: passes of 16 rows
+# there took about 1 MB and raised the benchmark process's peak RSS by 5-6%,
+# because the allocator keeps the heap they grow.
+_BLOCK = 16
+_PASS_FLOATS = 2048
 
 
 class SubproblemError(RuntimeError):
@@ -258,9 +269,13 @@ def update_multiplier(gamma_prev, H_k, theta, primal, primal_t):
     return gamma_prev - theta * H_k.apply(primal), gamma_prev - H_k.apply(primal_t)
 
 
-@dataclass
+@dataclass(slots=True)
 class AdmmIterate:
-    """One iteration with its residual triple and seminorm bookkeeping."""
+    """One iteration with its residual triple; a block of iterations is the
+    same record with every vector a stack of rows, ``k`` the column of the
+    iterations and ``M`` the stack of their metrics.  The dual seminorms come
+    from the formed residuals r = M_k d; ``eta`` is set when the iteration is
+    certified."""
 
     k: int
     x: np.ndarray
@@ -273,22 +288,43 @@ class AdmmIterate:
     r_x: np.ndarray
     r_y: np.ndarray
     r_gamma: np.ndarray
-    dual_x: float
-    dual_y: float
-    dual_gamma: float
-    eta: float
-    hpe_check: BoundCheck
-    memberships: dict  # membership_x/_y: s_x in df(x_k), s_y in dg(y_k)
     M: object  # M_k, the product-space metric of this iteration
+    eta: float | None = None
+
+    @property
+    def dual_x(self) -> float:
+        return self.M.blocks[0]._seminorm_from(self.dx, self.r_x)
+
+    @property
+    def dual_y(self) -> float:
+        return self.M.blocks[1]._seminorm_from(self.dy, self.r_y)
+
+    @property
+    def dual_gamma(self) -> float:
+        return self.M.blocks[2]._seminorm_from(self.dgamma, self.r_gamma)
 
     @property
     def dual_max(self) -> float:
-        return max(self.dual_x, self.dual_y, self.dual_gamma)
+        return np.maximum(np.maximum(self.dual_x, self.dual_y), self.dual_gamma)
+
+    def take(self, i) -> "AdmmIterate":
+        """Row i of a block, or the rows of a slice."""
+        return AdmmIterate(
+            *(getattr(self, name)[i] for name in _ITERATE_ROWS), M=self.M.row(i), eta=_take(self.eta, i)
+        )
+
+
+_ITERATE_ROWS = ("k", "x", "y", "gamma", "gamma_tilde", "dx", "dy", "dgamma", "r_x", "r_y", "r_gamma")
+# the blocks of z, z~, z_{k-1} - z_k and r in the product space
+_STACKED = (("x", "y", "gamma"), ("x", "y", "gamma_tilde"), ("dx", "dy", "dgamma"), ("r_x", "r_y", "r_gamma"))
 
 
 @dataclass
 class KktResidualCertificate:
-    """A pointwise or ergodic KKT residual certificate at iteration k."""
+    """A pointwise or ergodic KKT residual certificate at iteration k, or at
+    each iteration of a block (every value then a column or a stack of rows).
+    ``eps`` is the ergodic eps^a_k of the HPE accumulators, which
+    ``eps_x + eps_y`` decomposes."""
 
     mode: str
     k: int
@@ -306,12 +342,24 @@ class KktResidualCertificate:
     eps_x: float = 0.0
     eps_y: float = 0.0
     bound_eps: float = 0.0
+    eps: float = 0.0
     checks: dict = field(default_factory=dict)  # rate bounds and identities
     memberships: dict = field(default_factory=dict)  # (eps-)subdifferential memberships
 
     @property
     def dual_max(self) -> float:
-        return max(self.dual_x, self.dual_y, self.dual_gamma)
+        return np.maximum(np.maximum(self.dual_x, self.dual_y), self.dual_gamma)
+
+    def take(self, i) -> "KktResidualCertificate":
+        """The certificate at row i of a block, or at the rows of a slice."""
+        return KktResidualCertificate(**{
+            f.name: _take_checks(v, i) if isinstance(v := getattr(self, f.name), dict) else _take(v, i)
+            for f in fields(self)
+        })
+
+
+def _take_checks(checks: dict, i) -> dict:
+    return {name: c.take(i) for name, c in checks.items()}
 
 
 def compute_d0_admm(
@@ -343,12 +391,15 @@ def _membership(name: str, k: int, lhs: float, rhs: float, scale: float) -> Boun
 def eps_subdifferential_checks(desc, s, u, eps: float, k: int, block: str) -> dict:
     """s in the eps-subdifferential of ``desc`` at u, decided exactly by
     :meth:`FunctionDescriptor.fenchel_young`: ``eps_subdiff_<block>`` checks
-    gap <= eps, ``eps_domain_<block>`` that the distance from the domain is 0."""
+    gap <= eps, ``eps_domain_<block>`` that the distance from the domain is 0.
+    Row by row for stacks of points and a column of eps."""
     gap, off = desc.fenchel_young(s, u)
     return {
-        f"eps_subdiff_{block}": _membership(f"eps_subdiff_{block}", k, gap, eps, 1.0 + abs(eps) + abs(s @ u)),
+        f"eps_subdiff_{block}": _membership(
+            f"eps_subdiff_{block}", k, gap, eps, 1.0 + np.abs(eps) + np.abs(row_dot(s, u))
+        ),
         f"eps_domain_{block}": _membership(
-            f"eps_domain_{block}", k, off, 0.0, 1.0 + np.sqrt(s @ s) + np.sqrt(u @ u)
+            f"eps_domain_{block}", k, off, 0.0, 1.0 + np.sqrt(row_dot(s, s)) + np.sqrt(row_dot(u, u))
         ),
     }
 
@@ -357,12 +408,16 @@ def eps_subdifferential_checks(desc, s, u, eps: float, k: int, block: str) -> di
 class CertifiedStep:
     """One iteration with every check of it and the stopping state after it.
 
-    ``fejer`` is the Fejer bound against the reference solution.
+    ``hpe_check`` is the relative-error condition, ``memberships`` the
+    inclusions of the iterate's subgradients s_x in df(x_k), s_y in dg(y_k),
+    and ``fejer`` the Fejer bound against the reference solution.
     ``first_k_pointwise`` / ``first_k_ergodic`` are the first k at which the
     pointwise / ergodic stopping rule held, or None while it has not.
     """
 
     iterate: AdmmIterate
+    hpe_check: BoundCheck
+    memberships: dict  # membership_x/_y of this iterate
     pointwise: KktResidualCertificate
     ergodic: KktResidualCertificate
     fejer: BoundCheck
@@ -372,10 +427,11 @@ class CertifiedStep:
     @property
     def checks(self) -> dict[str, list[BoundCheck]]:
         """Every check of this iteration, grouped and ordered as the report's
-        ``checks``: ``hpe``, ``bounds``, ``memberships`` and ``fejer``."""
+        ``checks``: ``hpe``, ``bounds``, ``memberships`` (those of the
+        pointwise best and the ergodic eps-memberships) and ``fejer``."""
         pw, erg = self.pointwise, self.ergodic
         return {
-            "hpe": [self.iterate.hpe_check],
+            "hpe": [self.hpe_check],
             "bounds": [*pw.checks.values(), *erg.checks.values()],
             "memberships": [*pw.memberships.values(), *erg.memberships.values()],
             "fejer": [self.fejer],
@@ -383,8 +439,41 @@ class CertifiedStep:
 
     @property
     def ok(self) -> bool:
-        """The iteration's one verdict: every check in every group holds."""
-        return all(c.ok for group in self.checks.values() for c in group)
+        """The one verdict: every check in every group holds."""
+        return all(np.all(c.ok) for group in self.checks.values() for c in group)
+
+
+@dataclass
+class CertifiedBlock(CertifiedStep):
+    """Consecutive certified iterations: the fields of a :class:`CertifiedStep`
+    with every check a column (one entry per iteration), ``iterate`` the
+    stacked rows of ``iterates``, and ``first_k_*`` the stopping state after
+    the last iteration.  :meth:`step` is the view of one iteration."""
+
+    iterates: list = field(default_factory=list)  # one AdmmIterate per iteration
+
+    def __len__(self) -> int:
+        return len(self.iterates)
+
+    def _checks_at(self, i) -> tuple:
+        return (
+            self.hpe_check.take(i), _take_checks(self.memberships, i),
+            self.pointwise.take(i), self.ergodic.take(i), self.fejer.take(i),
+        )
+
+    def step(self, i: int) -> CertifiedStep:
+        """Iteration i of the block, with the stopping state after it."""
+        it = self.iterates[i]
+        first = (f if f is not None and f <= it.k else None for f in (self.first_k_pointwise, self.first_k_ergodic))
+        return CertifiedStep(it, *self._checks_at(i), *first)
+
+    def head(self, n: int) -> "CertifiedBlock":
+        """The block's first n iterations."""
+        rows = slice(0, n)
+        return CertifiedBlock(
+            self.iterate.take(rows), *self._checks_at(rows),
+            self.first_k_pointwise, self.first_k_ergodic, self.iterates[:n],
+        )
 
 
 class VmPadmmRun:
@@ -433,20 +522,40 @@ class VmPadmmRun:
         )
         self.k = 0
         self._systems = None  # (x, y) BlockSystem, built on the first step
-        # running pointwise best: first iterate achieving the min max-residual
-        self._best: AdmmIterate | None = None
+        # running pointwise best, the first iterate achieving the min max-residual:
+        # (candidates, index into them, table row: k, the three dual seminorms
+        # and the distance and scale of membership_x and membership_y, and the
+        # stacked rows of the candidates), with an index and a row per
+        # iteration while a block is certified
+        self._best = None
         # block-wise eps sums, kept apart from the HPE accumulators so the eps
-        # decomposition can be cross-checked against the full-space value
-        self._dot_sx = 0.0  # sum_i <r_{i,x} + A^T gamma~_i, x_i>
-        self._dot_sy = 0.0
+        # decomposition can be cross-checked against the full-space value:
+        # sum_i <r_{i,x} + A^T gamma~_i, x_i> and the same for y
+        self._dot_s = [0.0, 0.0]
 
     @property
     def bounds(self) -> RateBounds:
         return self.hpe.bounds
 
+    @property
+    def bounds(self) -> RateBounds:
+        return self.hpe.bounds
+
+    def _metric(self, R, f):
+        """M_k = blkdiag(R_k, f_k mid_0, gam_0 / f_k) from M_0 (f_0 = 1); for a
+        column of factors and the stacked rows of R, the stack of the rows'
+        metrics."""
+        _, mid0, gam0 = self.M0.blocks
+        return block_diag([R, mid0.affine(0.0, f), gam0.affine(0.0, 1.0 / f)])
+
     # -- one iteration -----------------------------------------------------
 
     def step(self) -> AdmmIterate:
+        """One iteration: the two subproblem solves, each checked by its
+        optimality oracle, and the multiplier update, checked by the gamma
+        residual identity; these fail fast.  Every check against the paper's
+        guarantees is made when the step is certified
+        (:meth:`certified_blocks`)."""
         k = self.k + 1
         if k > self.schedule.k_max:
             raise ValueError(f"schedule horizon k_max={self.schedule.k_max} exhausted")
@@ -465,103 +574,178 @@ class VmPadmmRun:
         y_k = solve_y_subproblem(problem, Ax, y_prev, gamma_prev, self._systems[1], k)
         By = B @ y_k
         primal = Ax + By - b
-        H_k, R_k, S_k = schedule.realize(k)
+        H_k, R_k, _ = schedule.realize(k)
         gamma_k, gamma_t = update_multiplier(gamma_prev, H_k, p.theta, primal, Ax + By_prev - b)
 
-        f = schedule.factor(k)  # every family moves by f_k: M_k = blkdiag(R_k, f_k mid_0, gam_0 / f_k)
-        _, mid0, gam0 = self.M0.blocks
-        M_k = self.M0 if f == 1.0 else block_diag([R_k, mid0.scaled(f), gam0.scaled(1.0 / f)])  # f_0 = 1
+        f = schedule.factor(k)  # every family moves by f_k
+        M_k = self.M0 if f == 1.0 else self._metric(R_k, f)
         R_k, mid_k, gam_k = M_k.blocks
         dx, dy, dg = x_prev - x_k, y_prev - y_k, gamma_prev - gamma_k
-        r_x = R_k.apply(dx)
-        r_y = mid_k.apply(dy)
         r_g = gam_k.apply(dg)
         miss = r_g - primal
         gap, tol = np.sqrt(miss @ miss), 1e-12 * (1.0 + np.sqrt(primal @ primal)) + 1e-13
         if gap > tol:  # r_gamma = (theta H_k)^-1 (gamma_{k-1} - gamma_k) = A x_k + B y_k - b
             msg = f"gamma residual identity violated beyond roundoff at k = {k}: {gap:.3g} > {tol:.3g}"
             raise FloatingPointError(msg)
-
-        # the dual seminorms ||d||_Q = sqrt(<d, Q d>) from the residuals r = Q d just formed
-        dual_x = R_k._seminorm_from(dx, r_x)
-        dual_y = mid_k._seminorm_from(dy, r_y)
-        dual_g = gam_k._seminorm_from(dg, r_g)
-        eta = (
-            (p.sigma - (p.theta - 1.0) ** 2) / p.theta**2 * dual_g**2
-            + _SQRT2 * (p.sigma + p.theta - 1.0) / p.theta * S_k.seminorm(dy) ** 2
-        )
-
-        z_k = np.concatenate([x_k, y_k, gamma_k])
-        zt_k = np.concatenate([x_k, y_k, gamma_t])
-        preimage = np.concatenate([dx, dy, dg])
-        hpe_it = HpeIterate(
-            k=k, z=z_k, z_tilde=zt_k, r=np.concatenate([r_x, r_y, r_g]),
-            preimage=preimage, eta=eta, M=M_k,
-        )
-        check = self.hpe.add_iterate(hpe_it)
-
-        s_x = r_x + A.T @ gamma_t  # the subgradients the memberships test
-        s_y = r_y + B.T @ gamma_t
-        memberships = {
-            name: _membership(name, k, desc.membership_distance(v, u), 0.0, 1.0 + np.sqrt(r @ r))
-            for name, desc, v, u, r in (
-                ("membership_x", problem.f, s_x, x_k, r_x), ("membership_y", problem.g, s_y, y_k, r_y)
-            )
-        }
-
         it = AdmmIterate(
-            k=k, x=x_k, y=y_k, gamma=gamma_k, gamma_tilde=gamma_t,
-            dx=dx, dy=dy, dgamma=dg, r_x=r_x, r_y=r_y, r_gamma=r_g,
-            dual_x=dual_x, dual_y=dual_y, dual_gamma=dual_g,
-            eta=eta, hpe_check=check, memberships=memberships, M=M_k,
+            k, x_k, y_k, gamma_k, gamma_t, dx, dy, dg, R_k.apply(dx), mid_k.apply(dy), r_g, M_k,
         )
         self.k = k
-        if self._best is None or it.dual_max < self._best.dual_max:
-            self._best = it
-        self._dot_sx += float(s_x @ x_k)
-        self._dot_sy += float(s_y @ y_k)
         self.x, self.y, self.gamma, self._By = x_k, y_k, gamma_k, By
         return it
 
     def certified_steps(self, max_iters: int, rho: float, eps: float):
+        """:meth:`certified_blocks`, one :class:`CertifiedStep` per iteration."""
+        for blk in self.certified_blocks(max_iters, rho, eps):
+            for i in range(len(blk)):
+                yield blk.step(i)
+
+    def certified_blocks(self, max_iters: int, rho: float, eps: float):
         """Step up to ``max_iters`` times, but not past the schedule horizon
-        k_max, yielding a :class:`CertifiedStep` per iteration.
+        k_max, and certify the steps ``_BLOCK`` at a time: every check of a
+        block's iterations is made in one pass over their stacked rows (in
+        passes of fewer rows when the dimension is large, see
+        ``_PASS_FLOATS``).  Yields a :class:`CertifiedBlock` per pass.
 
         Stops after the first k by which both stopping rules have held: the
         pointwise rule res_max <= rho, and the ergodic rule erg_res_max <= rho
-        with eps_sum <= eps.
+        with eps_sum <= eps.  The block of that k ends at it: the run's state
+        is the one after k, as if the steps past it had not been taken.  A
+        step that raises does so after the steps before it are certified, and
+        not at all when the rules held among those.
         """
-        first_pw = first_erg = None
-        for _ in range(min(max_iters, self.schedule.k_max - self.k)):
-            it = self.step()
-            k = it.k
-            pw = self.pointwise_kkt_certificate()
-            erg = self.ergodic_kkt_certificate()
-            if first_pw is None and pw.dual_max <= rho:
-                first_pw = k
-            if first_erg is None and erg.dual_max <= rho and erg.eps_x + erg.eps_y <= eps:
-                first_erg = k
-            yield CertifiedStep(it, pw, erg, self.hpe.fejer_check(self.z_star), first_pw, first_erg)
-            if first_pw is not None and first_erg is not None:
-                return
+        first = (None, None)
+        left = min(max_iters, self.schedule.k_max - self.k)
+        per_pass = max(1, min(_BLOCK, _PASS_FLOATS // self.M0.dim))  # iterations per certification pass
+        while left > 0:
+            its, error = [], None
+            # z_k, z~_k, z_{k-1} - z_k and r_k of each step as a row; a step's
+            # vectors move in here as it is taken, so none outlives it elsewhere
+            stacks = np.empty((4, min(_BLOCK, left), self.M0.dim))
+            columns = [(col, name) for stack, names in zip(stacks, _STACKED)
+                       for col, name in zip(self.M0.split(stack), names)]
+            try:
+                for i in range(len(stacks[0])):
+                    it = self.step()
+                    for col, name in columns:
+                        col[i] = getattr(it, name)
+                        setattr(it, name, col[i])
+                    its.append(it)
+            except Exception as exc:  # raised below, once the steps before it are certified
+                error = exc
+            left -= len(its)
+            for j in range(0, len(its), per_pass):
+                part = its[j:j + per_pass]
+                blk = self._certify(part, stacks[:, j:j + len(part)], rho, eps, *first)
+                first = (blk.first_k_pointwise, blk.first_k_ergodic)
+                yield blk
+                if None not in first:
+                    return
+                del blk, part  # the next pass's arrays do not sit beside this one's
+            if error is not None:
+                raise error
+            del its, stacks, columns  # nor the next block's beside this one's
+
+    def _certify(self, its: list, stacks: np.ndarray, rho: float, eps: float, first_pw, first_erg) -> CertifiedBlock:
+        """Every check of the consecutive iterations ``its``, just stepped, in
+        one pass over their ``stacks`` of rows (z, z~, z_{k-1} - z_k and r),
+        and the stopping rules on top of the first k at which each held so
+        far; commits the run's state through the last iteration, or through
+        the first k by which both rules held."""
+        problem, p = self.problem, self.params
+        k0, n = its[0].k, len(its)
+        ks = np.arange(k0, k0 + n)
+        Z, Zt, P, R = stacks
+        _, R_rows, S_rows = self.schedule.realize(ks)
+        M = self._metric(R_rows, self.schedule.factor(ks))
+        rows = AdmmIterate(ks, *M.split(Z), M.split(Zt)[2], *M.split(P), *M.split(R), M)
+        duals = (rows.dual_x, rows.dual_y, rows.dual_gamma)
+        rows.eta = eta = (
+            (p.sigma - (p.theta - 1.0) ** 2) / p.theta**2 * duals[2] ** 2
+            + _SQRT2 * (p.sigma + p.theta - 1.0) / p.theta * S_rows.seminorm(rows.dy) ** 2
+        )
+        for it, e in zip(its, eta.tolist()):
+            it.eta = e
+        hpe_check = self.hpe.add_iterate(HpeIterate(k0, Z, Zt, R, P, eta, M))
+
+        s_x = rows.r_x + rows.gamma_tilde @ problem.A  # the subgradients the memberships test
+        s_y = rows.r_y + rows.gamma_tilde @ problem.B
+        memberships, table = {}, [ks, *duals]
+        for name, desc, s, u, r in (
+            ("membership_x", problem.f, s_x, rows.x, rows.r_x), ("membership_y", problem.g, s_y, rows.y, rows.r_y)
+        ):
+            dist, scale = desc.membership_distance(s, u), 1.0 + np.sqrt(row_dot(r, r))
+            memberships[name] = _membership(name, ks, dist, 0.0, scale)
+            table += [dist, scale]
+        self._dot_s = [running_sums(tot, row_dot(s, u)) for tot, s, u in zip(self._dot_s, (s_x, s_y), (rows.x, rows.y))]
+        del s_x, s_y, s  # s views one of them
+
+        # the running pointwise best: at each k, the first iterate of least dual_max
+        table = np.column_stack(table)
+        if self._best is None:
+            prev, before = (None, np.full(table.shape[1], np.nan)), np.inf
+        else:
+            prev = (self._best[0][0], self._best[2])
+            before = np.max(prev[1][1:4])
+        dual_max = np.maximum(np.maximum(*duals[:2]), duals[2])
+        better = dual_max < np.minimum.accumulate(np.concatenate(([before], dual_max)))[:-1]
+        better[0] |= self._best is None
+        best = np.maximum.accumulate(np.where(better, np.arange(1, n + 1), 0))  # 0: the best before
+        self._best = ([prev[0], *its], best, np.vstack([prev[1], table])[best], rows)
+
+        pw, erg = self.pointwise_kkt_certificate(), self.ergodic_kkt_certificate()
+        fejer = self.hpe.fejer_check(self.z_star)
+        held_pw = pw.dual_max <= rho
+        held_erg = (erg.dual_max <= rho) & (erg.eps_x + erg.eps_y <= eps)
+        if first_pw is None and held_pw.any():
+            first_pw = int(ks[held_pw.argmax()])
+        if first_erg is None and held_erg.any():
+            first_erg = int(ks[held_erg.argmax()])
+        end = n if None in (first_pw, first_erg) else max(first_pw, first_erg) - k0 + 1
+        blk = CertifiedBlock(rows, hpe_check, memberships, pw, erg, fejer, first_pw, first_erg, its)
+
+        # commit the state after iteration end - 1 of the block
+        i = end - 1
+        self.hpe.keep(end)
+        it = its[i]
+        if it.k != self.k:  # steps past it were taken: its B y_k again, as its step formed it
+            self._By = problem.B @ it.y
+        self.k, self.x, self.y, self.gamma = it.k, it.x, it.y, it.gamma
+        self._dot_s = [d[i] for d in self._dot_s]
+        cands, best, table, _ = self._best
+        self._best = ([cands[best[i]]], 0, table[i], None)
+        return blk if end == n else blk.head(end)
 
     # -- certificates at the current iteration k ---------------------------
     # They come from running accumulators; no per-iteration history is kept.
+    # While a block is certified, each is a column over the block's iterations.
 
     def pointwise_kkt_certificate(self) -> KktResidualCertificate:
         """Best single iterate up to k against the O(1/sqrt(k)) bound."""
         self.hpe.require_iterate()
-        k, it = self.k, self._best
-        bound = self.bounds.pointwise_rhs(k)
-        checks = {
-            "pointwise_res": BoundCheck("pointwise_res", k, it.dual_max, bound),
-        }
-        return KktResidualCertificate(
-            mode="pointwise", k=k, index=it.k, x=it.x, y=it.y, gamma_tilde=it.gamma_tilde,
-            r_x=it.r_x, r_y=it.r_y, r_gamma=it.r_gamma,
-            dual_x=it.dual_x, dual_y=it.dual_y, dual_gamma=it.dual_gamma,
-            bound_residual=bound, checks=checks, memberships=it.memberships,
+        k, (cands, best, table, rows) = self.hpe.last.ks, self._best
+        if not np.ndim(best):
+            def pick(name):
+                return getattr(cands[best], name)
+        elif (best == np.arange(1, len(best) + 1)).all():  # each iterate of the block is the best so far
+            def pick(name):
+                return getattr(rows, name)
+        else:
+            def pick(name):
+                return np.array([getattr(cands[i], name) for i in best])
+        _, dual_x, dual_y, dual_g, dist_x, scale_x, dist_y, scale_y = table.T
+        bound, index = self.bounds.pointwise_rhs(k), pick("k")
+        cert = KktResidualCertificate(
+            mode="pointwise", k=k, index=index, x=pick("x"), y=pick("y"), gamma_tilde=pick("gamma_tilde"),
+            r_x=pick("r_x"), r_y=pick("r_y"), r_gamma=pick("r_gamma"),
+            dual_x=dual_x, dual_y=dual_y, dual_gamma=dual_g, bound_residual=bound,
+            memberships={  # the best iterate's own
+                "membership_x": _membership("membership_x", index, dist_x, 0.0, scale_x),
+                "membership_y": _membership("membership_y", index, dist_y, 0.0, scale_y),
+            },
         )
+        cert.checks["pointwise_res"] = BoundCheck("pointwise_res", k, cert.dual_max, bound)
+        return cert
 
     def ergodic_kkt_certificate(self) -> KktResidualCertificate:
         """Ergodic triple at k with ergodic bounds, eps decomposition against
@@ -570,46 +754,47 @@ class VmPadmmRun:
         Fenchel--Young gap at most eps (``eps_subdiff_*``) with s^a (x^a for
         a box) in the domain of that closed form (``eps_domain_*``)."""
         zt_a, r_a, eps_full = self.hpe.ergodic_point()
-        k, M_k = self.k, self.hpe.last.M
+        k, M_k = self.hpe.last.ks, self.hpe.last.M
+        A, B = self.problem.A, self.problem.B
         x_a, y_a, gt_a = M_k.split(zt_a)
         rx_a, ry_a, rg_a = M_k.split(r_a)
         # block-wise eps from the dot sums kept apart from the HPE accumulators:
         # eps = (1/k) sum <s_i, x_i> - <mean s, mean x>, s_i = r_{i,x} + A^T gamma~_i
-        s_a = (rx_a + self.problem.A.T @ gt_a, ry_a + self.problem.B.T @ gt_a)
-        eps_x = self._dot_sx / k - float(s_a[0] @ x_a)
-        eps_y = self._dot_sy / k - float(s_a[1] @ y_a)
+        s_a = (rx_a + gt_a @ A, ry_a + gt_a @ B)
+        eps_x = self._dot_s[0] / k - row_dot(s_a[0], x_a)
+        eps_y = self._dot_s[1] / k - row_dot(s_a[1], y_a)
         R_k, mid_k, gam_k = M_k.blocks
         dual_x = R_k.dual_seminorm_general(rx_a)
         dual_y = mid_k.dual_seminorm_general(ry_a)
         dual_g = gam_k.dual_seminorm_general(rg_a)
         bound_res = self.bounds.ergodic_res_rhs(k)
         bound_eps = self.bounds.ergodic_eps_rhs(k)
-        scale_x = 1.0 + abs(eps_x)
-        scale_y = 1.0 + abs(eps_y)
+        scale_x = 1.0 + np.abs(eps_x)
+        scale_y = 1.0 + np.abs(eps_y)
         # r^a_gamma is the primal residual A x^a + B y^a - b of the ergodic point
-        miss = self.problem.A @ x_a + self.problem.B @ y_a - self.problem.b - rg_a
-        checks = {
-            "ergodic_res": BoundCheck("ergodic_res", k, max(dual_x, dual_y, dual_g), bound_res),
+        miss = x_a @ A.T + y_a @ B.T - self.problem.b - rg_a
+        cert = KktResidualCertificate(
+            mode="ergodic", k=k, index=k, x=x_a, y=y_a, gamma_tilde=gt_a,
+            r_x=rx_a, r_y=ry_a, r_gamma=rg_a,
+            dual_x=dual_x, dual_y=dual_y, dual_gamma=dual_g,
+            bound_residual=bound_res, eps_x=eps_x, eps_y=eps_y, bound_eps=bound_eps, eps=eps_full,
+            memberships={
+                **eps_subdifferential_checks(self.problem.f, s_a[0], x_a, eps_x, k, "x"),
+                **eps_subdifferential_checks(self.problem.g, s_a[1], y_a, eps_y, k, "y"),
+            },
+        )
+        cert.checks.update({
+            "ergodic_res": BoundCheck("ergodic_res", k, cert.dual_max, bound_res),
             "ergodic_eps": BoundCheck("ergodic_eps", k, eps_x + eps_y, bound_eps),
             "eps_x_nonneg": BoundCheck("eps_x_nonneg", k, -eps_x, 0.0, tol_abs=1e-10 * scale_x, tol_rel=0.0),
             "eps_y_nonneg": BoundCheck("eps_y_nonneg", k, -eps_y, 0.0, tol_abs=1e-10 * scale_y, tol_rel=0.0),
             "eps_decomposition": BoundCheck(
-                "eps_decomposition", k, abs(eps_full - (eps_x + eps_y)),
-                1e-9 * (1.0 + abs(eps_full)), tol_rel=0.0,
+                "eps_decomposition", k, np.abs(eps_full - (eps_x + eps_y)),
+                1e-9 * (1.0 + np.abs(eps_full)), tol_rel=0.0,
             ),
             "primal_avg_identity": BoundCheck(
                 "primal_avg_identity", k,
-                float(np.sqrt(miss @ miss)), 1e-10 * (1.0 + float(np.sqrt(rg_a @ rg_a))), tol_rel=0.0,
+                np.sqrt(row_dot(miss, miss)), 1e-10 * (1.0 + np.sqrt(row_dot(rg_a, rg_a))), tol_rel=0.0,
             ),
-        }
-        memberships = {
-            **eps_subdifferential_checks(self.problem.f, s_a[0], x_a, eps_x, k, "x"),
-            **eps_subdifferential_checks(self.problem.g, s_a[1], y_a, eps_y, k, "y"),
-        }
-        return KktResidualCertificate(
-            mode="ergodic", k=k, index=k, x=x_a, y=y_a, gamma_tilde=gt_a,
-            r_x=rx_a, r_y=ry_a, r_gamma=rg_a,
-            dual_x=dual_x, dual_y=dual_y, dual_gamma=dual_g,
-            bound_residual=bound_res, eps_x=eps_x, eps_y=eps_y, bound_eps=bound_eps,
-            checks=checks, memberships=memberships,
-        )
+        })
+        return cert

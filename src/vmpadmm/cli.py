@@ -69,10 +69,6 @@ def _load_problem_arg(arg: str, seed_override: int | None) -> ProblemSpec:
         raise ConfigError(f"malformed problem file {arg}: {exc}") from exc
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def run_solve(args) -> int:
     """Run one certified solve; writes the CSV log and JSON report."""
     verify = [f.strip() for f in args.verify.split(",") if f.strip()]
@@ -106,7 +102,7 @@ def run_solve(args) -> int:
             file=sys.stderr,
         )
     try:
-        rows, checks, worst, last = _drive(run, args.max_iters, args.rho, args.eps, verify)
+        columns, checks, worst, (first_pw, first_erg) = _drive(run, args.max_iters, args.rho, args.eps, verify)
     except SubproblemError as exc:
         raise ConfigError(f"subproblem: {exc}") from exc
     except FloatingPointError as exc:  # the gamma residual identity fails beyond roundoff
@@ -131,7 +127,7 @@ def run_solve(args) -> int:
             "d0_upper_bound": run.d0,
             "eta0": run.eta0,
         },
-        "iterations": len(rows),
+        "iterations": len(columns["k"]),
         "max_iters": args.max_iters,
         "checks": checks,
         "failures": failures,
@@ -139,11 +135,11 @@ def run_solve(args) -> int:
         "stopping": {
             "rho": args.rho,
             "eps": args.eps,
-            "first_k_pointwise": _first_k(last.first_k_pointwise),
-            "first_k_ergodic": _first_k(last.first_k_ergodic),
+            "first_k_pointwise": _first_k(first_pw),
+            "first_k_ergodic": _first_k(first_erg),
         },
     }
-    _write_csv(args.log, rows)
+    _write_csv(args.log, columns)
     _write_json(args.report, doc)
     args.worst_slack = worst  # read by run_batch, which calls this per instance
     return 0 if all_pass else 2
@@ -154,51 +150,48 @@ def _first_k(k):
 
 
 def _drive(run: VmPadmmRun, iters: int, rho: float, eps: float, verify):
-    """Consume the solver's certified steps, collecting CSV rows and, for each
-    verified group of ``step.checks``, per-k outcomes as ``[k, ok, slack]``
-    rows; returns (rows, checks, worst, last certified step), where ``worst``
-    maps each check name to the ``[k, slack]`` of its smallest slack."""
-    rows = []
+    """Consume the solver's certified blocks, collecting the CSV columns and,
+    for each verified group of ``block.checks``, per-k outcomes as
+    ``[k, ok, slack]`` rows; returns (columns, checks, worst, first_k),
+    where ``worst`` maps each check name to the ``[k, slack]`` of its
+    smallest slack (the first such k) and ``first_k`` is the pair of first k
+    at which the pointwise and the ergodic stopping rule held (or None)."""
+    columns: dict[str, list] = {c: [] for c in CSV_COLUMNS}
     checks: dict[str, list] = {f: [] for f in verify}
     worst: dict[str, list] = {}
-    step = None
-    for step in run.certified_steps(iters, rho, eps):
-        it, pw, erg = step.iterate, step.pointwise, step.ergodic
-        k = it.k
-        rows.append({
-            "k": k,
-            "res_x_dual": it.dual_x,
-            "res_y_dual": it.dual_y,
-            "res_gamma_dual": it.dual_gamma,
-            "res_max": pw.dual_max,
-            "bound_pointwise": pw.bound_residual,
-            "erg_res_max": erg.dual_max,
-            "bound_erg_res": erg.bound_residual,
-            "eps_x_a": erg.eps_x,
-            "eps_y_a": erg.eps_y,
-            "eps_sum": erg.eps_x + erg.eps_y,
-            "bound_erg_eps": erg.bound_eps,
-            "eta_k": it.eta,
-            "hpe_lhs": it.hpe_check.lhs,
-            "hpe_rhs": it.hpe_check.rhs,
-            "hpe_slack": it.hpe_check.slack,
-        })
-        step_checks = step.checks
+    first_k = (None, None)
+    for blk in run.certified_blocks(iters, rho, eps):
+        it, pw, erg, hc = blk.iterate, blk.pointwise, blk.ergodic, blk.hpe_check
+        values = (
+            it.k, it.dual_x, it.dual_y, it.dual_gamma, pw.dual_max, pw.bound_residual,
+            erg.dual_max, erg.bound_residual, erg.eps_x, erg.eps_y, erg.eps_x + erg.eps_y, erg.bound_eps,
+            it.eta, hc.lhs, hc.rhs, hc.slack,
+        )
+        for name, column in zip(CSV_COLUMNS, values):
+            columns[name] += column.tolist()
+        ks = it.k.tolist()
+        block_checks = blk.checks
         for group, out in checks.items():
-            for c in step_checks[group]:
-                name, slack = c.name, c.slack
-                out.append([k, c.ok, slack])
-                if name not in worst or slack < worst[name][1]:
-                    worst[name] = [k, slack]
-    return rows, checks, worst, step
+            group_checks = block_checks[group]
+            oks = [c.ok.tolist() for c in group_checks]
+            slacks = [c.slack.tolist() for c in group_checks]
+            for i, k in enumerate(ks):
+                out += ([k, ok[i], slack[i]] for ok, slack in zip(oks, slacks))
+            for c, slack in zip(group_checks, slacks):
+                i = int(np.argmin(c.slack))
+                if c.name not in worst or slack[i] < worst[c.name][1]:
+                    worst[c.name] = [ks[i], slack[i]]
+        first_k = (blk.first_k_pointwise, blk.first_k_ergodic)
+        del blk  # not kept while the next block is certified
+    return columns, checks, worst, first_k
 
 
-def _write_csv(path, rows):
+def _write_csv(path, columns):
+    """One row per iteration; each float as its shortest round-trip repr."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
-        for r in rows:
-            w.writerow([r["k"]] + [_fmt(r[c]) for c in CSV_COLUMNS[1:]])
+        w.writerows(zip(*(columns[c] for c in CSV_COLUMNS)))
 
 
 def _json_default(o):

@@ -5,6 +5,8 @@ iteration triples handed to it by an instance (the proximal ADMM solver, or
 a test double).  For each accepted triple it checks the relative error
 condition in the iteration's seminorm, and it keeps the running ergodic and
 Fejer accumulators of the run; the rate bounds come from :class:`RateBounds`.
+A block of consecutive iterations is handed over as stacked rows and checked
+in one pass; one iteration is the block of one row.
 """
 
 from __future__ import annotations
@@ -13,12 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import row_dot
+
 __all__ = [
     "HpeIterate",
     "HpeState",
     "RateBounds",
     "BoundCheck",
     "check_error_condition",
+    "running_sums",
 ]
 
 _RECON_TOL = 1e-10
@@ -31,7 +36,9 @@ class HpeIterate:
 
     ``preimage`` is z_{k-1} - z_k, so the residual is r_k = M_k(preimage)
     and its dual seminorm equals the seminorm of the preimage.  The four
-    vectors must have M's dimension.
+    vectors must have M's dimension.  A block of the iterations k, k + 1, ...
+    is the same record with the four vectors as stacked rows, eta a column
+    and M a stack of views acting on row i by M_{k+i}.
     """
 
     k: int
@@ -43,19 +50,35 @@ class HpeIterate:
     M: object  # PsdOperator or BlockDiagOperator
 
     def __post_init__(self):
-        shape = (self.M.dim,)
-        if not self.z.shape == self.z_tilde.shape == self.r.shape == self.preimage.shape == shape:
-            raise ValueError(f"iterate vectors must have shape {shape}, the dimension of M_k")
+        shape = self.z.shape
+        if not (
+            self.z_tilde.shape == self.r.shape == self.preimage.shape == shape
+            and len(shape) in (1, 2) and shape[-1] == self.M.dim and np.shape(self.eta) == shape[:-1]
+        ):
+            raise ValueError(f"iterate vectors must have length {self.M.dim}, the dimension of M_k")
 
     @property
     def z_prev(self) -> np.ndarray:
         return self.z + self.preimage
 
+    @property
+    def ks(self):
+        """k, or the column of the iterations of a block."""
+        return self.k + np.arange(len(self.z)) if self.z.ndim == 2 else self.k
+
+    def take(self, i: int) -> "HpeIterate":
+        """Iteration k + i of a block, as one iterate with its own copy of the
+        rows (the block's arrays are not kept alive by it)."""
+        z, z_tilde, r, preimage = (v[i].copy() for v in (self.z, self.z_tilde, self.r, self.preimage))
+        return HpeIterate(self.k + i, z, z_tilde, r, preimage, self.eta[i], self.M.row(i))
+
 
 @dataclass(slots=True)
 class BoundCheck:
     """``lhs <= rhs`` up to ``tol_abs + tol_rel |rhs|``; ``slack`` and the
-    verdict ``ok`` are fixed when the check is made."""
+    verdict ``ok`` are fixed when the check is made.  For a block of
+    iterations ``k``, ``lhs`` and any of ``rhs`` and ``tol_abs`` are columns
+    with one entry per iteration, and so are ``slack`` and ``ok``."""
 
     name: str
     k: int
@@ -68,7 +91,18 @@ class BoundCheck:
 
     def __post_init__(self):
         self.slack = slack = self.rhs - self.lhs
-        self.ok = bool(slack >= -self.tol_abs - self.tol_rel * abs(self.rhs))
+        ok = slack >= -self.tol_abs - self.tol_rel * abs(self.rhs)
+        self.ok = ok if isinstance(ok, np.ndarray) else bool(ok)
+
+    def take(self, i) -> "BoundCheck":
+        """The check at row i of a block, or at the rows of a slice."""
+        return BoundCheck(self.name, *(_take(v, i) for v in (self.k, self.lhs, self.rhs, self.tol_abs)), self.tol_rel)
+
+
+def _take(v, i):
+    """Row i (or the rows of a slice) of a column; a value shared by every
+    row is itself."""
+    return v[i] if isinstance(v, np.ndarray) else v
 
 
 @dataclass
@@ -97,16 +131,18 @@ class RateBounds:
         self.E = (1.0 + cp) * (np.sqrt(cp) + cs * cp) + cs * cp**1.5
         self.E_hat = 2.0 * cp * (1.0 + cs) * (sig * cp / (1.0 - sig) + 2.0 * (1.0 + cp))
 
+    # each right-hand side at k, or elementwise over a column of k
+
     def pointwise_rhs(self, k: int) -> float:
         num = 2.0 * (1.0 + self.sigma) * self.C_P * (self.d0**2 + self.eta0)
         num += 2.0 * (1.0 - self.sigma) * self.eta0
-        return float(np.sqrt(num / ((1.0 - self.sigma) * k)))
+        return np.sqrt(num / ((1.0 - self.sigma) * k))
 
     def ergodic_res_rhs(self, k: int) -> float:
-        return float(self.E * np.sqrt(self.d0**2 + self.eta0) / k)
+        return self.E * np.sqrt(self.d0**2 + self.eta0) / k
 
     def ergodic_eps_rhs(self, k: int) -> float:
-        return float(self.E_hat * (self.d0**2 + self.eta0) / k)
+        return self.E_hat * (self.d0**2 + self.eta0) / k
 
     def fejer_rhs(self) -> float:
         """C_P (d0^2 + eta_0): the Fejer bound when d0 is the M_0-distance
@@ -121,21 +157,31 @@ def check_error_condition(it: HpeIterate, sigma: float, prev_eta: float) -> tupl
 
     Returns the ``"hpe"`` check and ``gap`` = ||z_{k-1} - z~_k||^2_{M_k}, the
     term the right-hand side scales by sigma and the k-th summand of the
-    Fejer sum.
+    Fejer sum; for a block, columns of them (``prev_eta`` then is the column
+    eta_{k-1}, eta_k, ...).
     """
     lhs = it.M.seminorm(it.z - it.z_tilde) ** 2 + it.eta
     gap = it.M.seminorm(it.z_prev - it.z_tilde) ** 2
-    check = BoundCheck("hpe", it.k, lhs, sigma * gap + prev_eta, tol_abs=_ERROR_TOL, tol_rel=_ERROR_TOL)
+    check = BoundCheck("hpe", it.ks, lhs, sigma * gap + prev_eta, tol_abs=_ERROR_TOL, tol_rel=_ERROR_TOL)
     return check, gap
+
+
+def running_sums(total, rows):
+    """The running sums total + rows[0], total + rows[0] + rows[1], ...:
+    ``np.cumsum`` adds in order, so each is bit for bit the sum that adding
+    one row at a time gives."""
+    sums = np.empty((len(rows) + 1, *np.shape(total)))
+    sums[0], sums[1:] = total, rows
+    return np.cumsum(sums, axis=0, out=sums)[1:]
 
 
 class HpeState:
     """A single run: start point, rate bounds (which carry sigma and eta_0),
-    the latest iterate and the running accumulators.
+    the latest iterate (or block of iterates) and the running accumulators.
 
-    The ergodic point and the Fejer check describe the current iteration
-    only; they are computed from accumulators, so no per-iteration history
-    is kept.
+    The ergodic point and the Fejer check describe the iterations of the
+    latest :meth:`add_iterate` only, from the accumulators, so no history is
+    kept: the memory a run holds is bounded by one block, not by k.
     """
 
     def __init__(self, z0: np.ndarray, bounds: RateBounds):
@@ -143,7 +189,8 @@ class HpeState:
         self.bounds = bounds
         self.k = 0
         self.last: HpeIterate | None = None
-        # ergodic accumulators
+        # the accumulators after the latest iterate, or one row of them per
+        # iterate of the latest block; ergodic accumulators
         self._sum_ztilde = np.zeros_like(self.z0)
         self._sum_r = np.zeros_like(self.z0)
         self._sum_r_dot_ztilde = 0.0
@@ -152,30 +199,53 @@ class HpeState:
 
     @property
     def last_eta(self) -> float:
-        return self.bounds.eta0 if self.last is None else self.last.eta
+        if self.last is None:
+            return self.bounds.eta0
+        eta = self.last.eta
+        return eta[-1] if np.ndim(eta) else eta
 
     def add_iterate(self, it: HpeIterate) -> BoundCheck:
-        """Validate and absorb one iteration; returns the error-condition check.
+        """Validate and absorb one iteration, or a block of them as stacked
+        rows; returns the error-condition check (a column of them for a block).
 
         Raises on structural defects (bad index, residual not matching its
         preimage); the relative error check itself is reported, not raised.
         """
         if it.k != self.k + 1:
             raise ValueError(f"iterate index {it.k} is not contiguous (expected {self.k + 1})")
-        if it.eta < 0.0:
+        if (np.asarray(it.eta) < 0.0).any():
             raise ValueError("eta must be nonnegative")
         miss = it.M.apply(it.preimage) - it.r  # M_k (z_{k-1} - z_k), formed independently of r
-        if np.sqrt(miss @ miss) > _RECON_TOL * (1.0 + np.sqrt(it.r @ it.r)):
+        if (np.sqrt(row_dot(miss, miss)) > _RECON_TOL * (1.0 + np.sqrt(row_dot(it.r, it.r)))).any():
             raise ValueError("residual does not equal M_k(z_{k-1} - z_k) within tolerance")
-        check, gap = check_error_condition(it, self.bounds.sigma, self.last_eta)
-        self.k, self.last = it.k, it
-        self._sum_ztilde += it.z_tilde
-        self._sum_r += it.r
-        self._sum_r_dot_ztilde += float(it.r @ it.z_tilde)
-        self._fejer_sum += gap
+        block = it.z.ndim == 2
+        prev_eta = np.concatenate(([self.last_eta], it.eta[:-1])) if block else self.last_eta
+        check, gap = check_error_condition(it, self.bounds.sigma, prev_eta)
+        rows = (it.z_tilde, it.r, row_dot(it.r, it.z_tilde), gap)
+        sums = (self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum)
+        if self.last is not None and self.last.z.ndim == 2:
+            sums = [s[-1] for s in sums]  # the totals after the previous block
+        sums = [running_sums(s, r if block else np.asarray(r)[None]) for s, r in zip(sums, rows)]
+        self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum = (
+            sums if block else [s[0] for s in sums]
+        )
+        self.last = it
+        self.k = it.k + len(it.z) - 1 if block else it.k
         return check
 
-    # -- at the current iteration k -------------------------------------------
+    def keep(self, n: int):
+        """Keep only the first n iterations of the latest block: the state
+        becomes the one after its iteration n - 1, as if the rest had never
+        been added."""
+        if self.last.z.ndim == 2:
+            i = n - 1
+            self.last = self.last.take(i)
+            self.k = self.last.k
+            self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum = (
+                s[i].copy() for s in (self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum)
+            )
+
+    # -- at the current iteration k (each iteration of the latest block) ------
 
     def require_iterate(self):
         if self.last is None:
@@ -184,10 +254,11 @@ class HpeState:
     def ergodic_point(self):
         """Ergodic averages (z~^a_k, r^a_k, eps^a_k) via the accumulators."""
         self.require_iterate()
-        k = self.k
-        zt_a = self._sum_ztilde / k
-        r_a = self._sum_r / k
-        eps_a = self._sum_r_dot_ztilde / k - float(r_a @ zt_a)
+        k = self.last.ks
+        kc = np.asarray(k)[..., None]  # divides each row by its k
+        zt_a = self._sum_ztilde / kc
+        r_a = self._sum_r / kc
+        eps_a = self._sum_r_dot_ztilde / k - row_dot(r_a, zt_a)
         return zt_a, r_a, eps_a
 
     def fejer_check(self, z_star: np.ndarray) -> BoundCheck:
@@ -206,4 +277,4 @@ class HpeState:
             it_k.M.seminorm(np.asarray(z_star, dtype=float) - it_k.z) ** 2
             + it_k.eta + (1.0 - self.bounds.sigma) * self._fejer_sum
         )
-        return BoundCheck("fejer", self.k, lhs, self.bounds.fejer_rhs(), tol_abs=1e-8, tol_rel=1e-6)
+        return BoundCheck("fejer", it_k.ks, lhs, self.bounds.fejer_rhs(), tol_abs=1e-8, tol_rel=1e-6)

@@ -6,6 +6,12 @@ finite-dimensional spaces.  A PSD operator M induces the seminorm
 exactly on the range of M, where ``||M w||*_M = ||w||_M``.  Views
 a I + b M share M's eigendecomposition, and two of them are ordered
 (``affine_leq``) at M's two extreme eigenvalues.
+
+Every operator acts along the last axis: a vector is one point, and a
+``(L, n)`` array is a stack of L points whose seminorms, dual seminorms and
+products come out row by row.  ``M.affine(a, b)`` with a column of factors b
+is a stack of views, row i acted on by a I + b_i M, so that one product with M
+serves a whole block of iterations whose metrics differ only in their factor.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ __all__ = [
     "affine_leq",
     "block_diag",
     "finite_array",
+    "row_dot",
 ]
 
 _SYMMETRY_TOL = 1e-12
@@ -79,46 +86,65 @@ class PsdOperator:
         return _PSD_TOL * max(1.0, self._eig_extremes[1])
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        """``M z``.  The length of z is not checked here but where data
-        enters; numpy raises ``ValueError`` for a vector of another length."""
-        return self.matrix @ z
+        """``M z``, row by row for a stack.  The length of z is not checked
+        here but where data enters; numpy raises ``ValueError`` for a vector
+        of another length."""
+        return self.matrix @ z if z.ndim == 1 else z @ self._rows_matrix
+
+    @cached_property
+    def _rows_matrix(self) -> np.ndarray:
+        """M^T in C order, by which a stack of rows is multiplied: M itself
+        when it is exactly symmetric (numpy multiplies by a transposed view
+        at a slower pace)."""
+        m = self.matrix
+        return m if (m == m.T).all() else np.ascontiguousarray(m.T)
+
+    def row(self, i: int) -> "PsdOperator":
+        """The operator that acts on row i of a stack (on the rows of a
+        slice): this one, for every row."""
+        return self
 
     def seminorm(self, z: np.ndarray) -> float:
-        """``sqrt(<Mz, z>)``; raises if the quadratic form is negative
-        beyond the PSD roundoff budget."""
+        """``sqrt(<Mz, z>)``, row by row for a stack; raises if a quadratic
+        form is negative beyond the PSD roundoff budget."""
         z = _check_dim(z, self.dim)
         return self._seminorm_from(z, self.apply(z))
 
     def _seminorm_from(self, z: np.ndarray, Mz: np.ndarray) -> float:
         """:meth:`seminorm` of z from the product ``Mz = self.apply(z)``
         formed by the caller, with the same negative-form guard."""
-        q = float(z @ Mz)
-        if q < 0.0 and q < -self._psd_scale * float(z @ z):
-            raise ValueError(f"negative quadratic form {q}: operator is not PSD")
-        return np.sqrt(max(q, 0.0))
+        q = row_dot(z, Mz)
+        if (q < 0.0).any() and (q < -self._psd_scale * row_dot(z, z)).any():
+            raise ValueError(f"negative quadratic form {np.min(q)}: operator is not PSD")
+        return np.sqrt(np.maximum(q, 0.0))
 
     def dual_seminorm_general(self, r: np.ndarray) -> float:
-        """Dual seminorm of an arbitrary vector, +inf off range(M).
+        """Dual seminorm of an arbitrary vector (row by row for a stack),
+        +inf off range(M).
 
         Projects onto the eigenbasis; if the component of ``r`` outside
         range(M) exceeds ``1e-8 * ||r||`` the dual seminorm is infinite.
         """
         r = _check_dim(r, self.dim)
-        rnorm = float(np.sqrt(r @ r))
-        if rnorm == 0.0:
-            return 0.0
+        if not r.any():  # zero without the eigenbasis (M = 0 gives r = 0 on the solver's path)
+            return np.zeros(r.shape[:-1])[()]
         dual, off = self.range_parts(r)
-        return np.inf if off > _RANGE_TOL * rnorm else dual
+        return np.where(off > _RANGE_TOL * np.sqrt(row_dot(r, r)), np.inf, dual)[()]
+
+    @cached_property
+    def _range_split(self):
+        """(V, w, off): the eigenbasis V and eigenvalues w with which
+        :meth:`range_parts` splits a vector, w set to +inf off range(M), and
+        ``off`` the mask of those eigenvalues, or None when M is definite."""
+        return _range_split(*self._eig, self.dim)
 
     def range_parts(self, r: np.ndarray) -> tuple[float, float]:
         """(dual seminorm of r's part on range(M), norm of r's part off it),
-        from the cached eigenbasis; range(M) is spanned by the eigenvectors
-        whose eigenvalues exceed ``dim * 1e-14`` times the largest."""
-        w, v = self._eig
-        pos = w > max(float(w[-1]), 0.0) * self.dim * 1e-14
-        coeffs = v.T @ r
-        off = coeffs[~pos]
-        return float(np.sqrt((coeffs[pos] ** 2 / w[pos]).sum())), float(np.sqrt(off @ off))
+        row by row for a stack, from the split cached once per operator."""
+        v, w, off = self._range_split
+        c2 = np.square(r @ v)
+        dual = np.sqrt((c2 / w).sum(axis=-1))
+        return dual, (np.zeros(np.shape(dual))[()] if off is None else np.sqrt((c2 * off).sum(axis=-1)))
 
     def inverse(self) -> "PsdOperator":
         """Inverse via eigendecomposition; requires a definite operator."""
@@ -141,9 +167,12 @@ class PsdOperator:
             raise ValueError(f"scale factor must be positive, got {f}")
         return self.affine(0.0, float(f))
 
-    def affine(self, a: float, b: float) -> "PsdOperator":
+    def affine(self, a: float, b) -> "PsdOperator":
         """``a I + b * self`` as a view that runs no decomposition of its
-        own; raises if it is not PSD.  ``affine(0.0, 1.0)`` is ``self``."""
+        own; raises if it is not PSD.  ``affine(0.0, 1.0)`` is ``self``.
+        For an array b, the stack of views whose row i is a I + b_i self."""
+        if isinstance(b, np.ndarray):
+            return _RowViews(self, float(a), b)
         return self if (a, b) == (0.0, 1.0) else _ScaledOperator(self, float(a), float(b))
 
 
@@ -184,11 +213,58 @@ class _ScaledOperator(PsdOperator):
         # with a shift, one product with the formed matrix, as for a dense operator
         return super().apply(z) if self.shift else self.factor * self.base.apply(z)
 
+    @cached_property
+    def _range_split(self):  # a positive multiple of the base has the base's range
+        if self.shift or self.factor < 0.0:
+            return _range_split(*self._eig, self.dim)
+        v, w, off = self.base._range_split
+        return v, self.factor * w, off
+
     def inverse(self) -> PsdOperator:  # with a shift, formed from the shared eigenbasis
         return self._inverse if self.shift else self.base.inverse().scaled(1.0 / self.factor)
 
     def affine(self, a: float, b: float) -> PsdOperator:
-        return self.base.affine(a + b * self.shift, b * self.factor)
+        return self.base.affine(a + b * self.shift if self.shift else a, b * self.factor)
+
+
+class _RowViews(PsdOperator):
+    """A stack of views ``shift * I + factors[i] * base``, row i of a stack
+    acted on by the i-th: the metrics of a block of iterations that differ
+    only in their drift factor.  Each product is one product of the whole
+    stack with the base, and the range split is the base's, row-wise."""
+
+    def __init__(self, base: PsdOperator, shift: float, factors: np.ndarray):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "definite", base.definite and shift >= 0.0 and bool((factors > 0.0).all()))
+        if (shift < 0.0 or (factors < 0.0).any()) and not affine_leq(0.0, 0.0, shift, factors, base).all():
+            raise ValueError("operator is not PSD in some row of the stack")
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim
+
+    def row(self, i: int) -> PsdOperator:  # with a slice, the stack of its rows
+        return self.base.affine(self.shift, self.factors[i])
+
+    @cached_property
+    def _psd_scale(self) -> np.ndarray:
+        hi = np.maximum(*(self.factors * w + self.shift for w in self.base._eig_extremes))
+        return _PSD_TOL * np.maximum(1.0, hi)
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        Mz = self.factors[:, None] * self.base.apply(z)
+        return Mz + self.shift * z if self.shift else Mz
+
+    @cached_property
+    def _range_split(self):
+        f = self.factors[:, None]
+        if not self.shift and (f > 0.0).all():  # every row has the base's range
+            v, w, off = self.base._range_split
+            return v, f * w, off
+        w, v = self.base._eig
+        return _range_split(self.shift + f * w, v, self.dim)
 
 
 @dataclass(frozen=True)
@@ -218,25 +294,42 @@ class BlockDiagOperator:
         parts = tuple((b, slice(o, o + b.dim)) for b, o in zip(self.blocks, offs))
         object.__setattr__(self, "_parts", parts)
 
+    def row(self, i: int) -> "BlockDiagOperator":
+        """The operator that acts on row i of a stack."""
+        return block_diag([b.row(i) for b in self.blocks])
+
     def split(self, z: np.ndarray) -> list[np.ndarray]:
         z = _check_dim(z, self.dim)
-        return [z[s] for _, s in self._parts]
+        return [z[..., s] for _, s in self._parts]
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """``M z``, block by block."""
         z = _check_dim(z, self.dim)
-        return np.concatenate([b.apply(z[s]) for b, s in self._parts])
+        return np.concatenate([b.apply(z[..., s]) for b, s in self._parts], axis=-1)
 
     def seminorm(self, z: np.ndarray) -> float:
+        """Root sum of the blocks' squared seminorms; a block that is zero in
+        every row adds exactly 0 and is not multiplied."""
         z = _check_dim(z, self.dim)
-        return float(np.sqrt(sum(b.seminorm(z[s]) ** 2 for b, s in self._parts)))
+        q = np.zeros(z.shape[:-1])
+        for b, s in self._parts:
+            zb = z[..., s]
+            if zb.any():
+                q = q + b.seminorm(zb) ** 2
+        return np.sqrt(q)[()]
 
     def dual_seminorm_general(self, r: np.ndarray) -> float:
-        parts = self.split(r)
-        vals = [b.dual_seminorm_general(p) for b, p in zip(self.blocks, parts)]
-        if any(np.isinf(v) for v in vals):
-            return np.inf
-        return float(np.sqrt(sum(v**2 for v in vals)))
+        """Root sum of the blocks' squared dual seminorms: +inf when one is."""
+        return np.sqrt(sum(b.dual_seminorm_general(p) ** 2 for b, p in zip(self.blocks, self.split(r))))
+
+
+def _range_split(w, v, dim):
+    """The split of :meth:`PsdOperator._range_split` from eigenvalues w (one
+    row of them per operator of a stack) and eigenvectors v: range(M) is
+    spanned by the eigenvectors whose eigenvalues exceed ``dim * 1e-14``
+    times the largest."""
+    pos = w > np.maximum(w.max(axis=-1, keepdims=True), 0.0) * dim * 1e-14
+    return (v, w, None) if pos.all() else (v, np.where(pos, w, np.inf), ~pos)
 
 
 _SHAPES = ("a number", "a vector", "a matrix")
@@ -258,10 +351,21 @@ def finite_array(value, name: str, ndim: int | None = None) -> np.ndarray:
 
 
 def _check_dim(z: np.ndarray, dim: int) -> np.ndarray:
+    """z as a float vector of length dim, or a stack of them."""
     z = np.asarray(z, dtype=float)
-    if z.shape != (dim,):
+    if z.ndim not in (1, 2) or z.shape[-1] != dim:
         raise ValueError(f"vector of shape {z.shape} vs operator dim {dim}")
     return z
+
+
+def row_dot(a: np.ndarray, b: np.ndarray):
+    """``<a, b>`` along the last axis: one number for two vectors, a column
+    for two stacks, each by the same BLAS dot as ``a @ b``."""
+    return a @ b if a.ndim == 1 else _vecdot(a, b)
+
+
+# numpy >= 2 runs the BLAS dot per row; older numpy has no vecdot
+_vecdot = getattr(np, "vecdot", lambda a, b: np.einsum("...i,...i->...", a, b))
 
 
 def operator_leq(M: np.ndarray, N: np.ndarray) -> bool:

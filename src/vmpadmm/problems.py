@@ -17,7 +17,7 @@ from itertools import islice
 
 import numpy as np
 
-from .linalg import PsdOperator, finite_array
+from .linalg import PsdOperator, finite_array, row_dot
 
 __all__ = [
     "FunctionDescriptor",
@@ -103,54 +103,61 @@ class FunctionDescriptor:
         return out
 
     def membership_distance(self, v: np.ndarray, x: np.ndarray) -> float:
-        """Euclidean distance from v to the subdifferential at x.
+        """Euclidean distance from v to the subdifferential at x, row by row
+        for stacks of points.
 
         +inf when x is outside the effective domain (box only).
         """
         v = np.asarray(v, dtype=float)
         x = np.asarray(x, dtype=float)
         if self.kind == "quadratic":
-            d = v - (self.Q @ x + self.q)
-            return float(np.sqrt(d @ d))
+            d = v - (x @ self.Q.T + self.q)
+            return np.sqrt(row_dot(d, d))
         if self.kind == "l1":
-            tol = 1e-12 * (1.0 + np.abs(x).max(initial=0.0))
+            tol = 1e-12 * (1.0 + np.abs(x).max(axis=-1, initial=0.0))[..., None]
             d = np.where(
                 x > tol,
                 np.abs(v - self.lam),
                 np.where(x < -tol, np.abs(v + self.lam), np.maximum(np.abs(v) - self.lam, 0.0)),
             )
-            return float(np.sqrt(d @ d))
+            return np.sqrt(row_dot(d, d))
         # box: normal cone of [l, u]
-        span = 1.0 + np.abs(self.upper - self.lower).max(initial=0.0)
-        tol = 1e-10 * span
-        if (x < self.lower - tol).any() or (x > self.upper + tol).any():
-            return np.inf
-        at_lo = x <= self.lower + tol
-        at_hi = x >= self.upper - tol
+        below, above, low, high = self._box_bands
+        at_lo, at_hi = x <= low, x >= high
         d = np.where(
             at_lo & at_hi,
             0.0,  # pinned coordinate: normal cone is the whole line
             np.where(at_lo, np.maximum(v, 0.0), np.where(at_hi, np.maximum(-v, 0.0), np.abs(v))),
         )
-        return float(np.sqrt(d @ d))
+        outside = ((x < below) | (x > above)).any(axis=-1)
+        return np.where(outside, np.inf, np.sqrt(row_dot(d, d)))[()]
+
+    @cached_property
+    def _box_bands(self):
+        """(l - tol, u + tol, l + tol, u - tol) with tol = 1e-10 (1 + max(u - l)):
+        a point is outside the box below the first two and at a bound within
+        the last two."""
+        tol = 1e-10 * (1.0 + np.abs(self.upper - self.lower).max(initial=0.0))
+        return self.lower - tol, self.upper + tol, self.lower + tol, self.upper - tol
 
     def fenchel_young(self, s: np.ndarray, x: np.ndarray) -> tuple[float, float]:
         """(gap, off): the Fenchel--Young gap f(x) + f*(s) - <s, x> from the
         closed form of f*, and the distance of s (of x, for a box) from the
-        domain where that form holds.  s lies in the eps-subdifferential of
-        f at x exactly when off = 0 and gap <= eps."""
+        domain where that form holds, row by row for stacks of points.  s
+        lies in the eps-subdifferential of f at x exactly when off = 0 and
+        gap <= eps."""
         s = np.asarray(s, dtype=float)
         x = np.asarray(x, dtype=float)
         if self.kind == "quadratic":  # 0.5 ||Qx + q - s||*^2_Q when s - q is in range(Q)
-            dual, off = self._Q_operator.range_parts(self.Q @ x + self.q - s)
+            dual, off = self._Q_operator.range_parts(x @ self.Q.T + self.q - s)
             return 0.5 * dual**2, off
         if self.kind == "l1":  # f*(s) = 0 when ||s||_inf <= lam
-            gap = self.lam * float(np.abs(x).sum()) - float(s @ x)
-            return gap, max(float(np.abs(s).max(initial=0.0)) - self.lam, 0.0)
+            gap = self.lam * np.abs(x).sum(axis=-1) - row_dot(s, x)
+            return gap, np.maximum(np.abs(s).max(axis=-1, initial=0.0) - self.lam, 0.0)
         # box: f(x) = 0 when x is in [l, u], f*(s) = sum_i max(l_i s_i, u_i s_i)
-        gap = float(np.maximum(self.lower * s, self.upper * s).sum()) - float(s @ x)
+        gap = np.maximum(self.lower * s, self.upper * s).sum(axis=-1) - row_dot(s, x)
         out = x - np.clip(x, self.lower, self.upper)
-        return gap, float(np.sqrt(out @ out))
+        return gap, np.sqrt(row_dot(out, out))
 
     @cached_property
     def _Q_operator(self) -> PsdOperator:

@@ -97,11 +97,19 @@ class MetricSchedule:
         self.realize(0)  # the anchor operators are checked at construction
 
     def factor(self, k: int) -> float:
-        """The drift factor f_k shared by every family."""
-        return float(self._factors[k])
+        """The drift factor f_k shared by every family; for an array of k,
+        the array of their factors."""
+        return self._factors[k] if isinstance(k, np.ndarray) else float(self._factors[k])
 
     def realize(self, k: int) -> tuple[PsdOperator, PsdOperator, PsdOperator]:
-        """Return (H_k, R_k, S_k); index 0 gives the anchor operators."""
+        """Return (H_k, R_k, S_k); index 0 gives the anchor operators.  For
+        an array of k, each is the stack of views whose row i is the
+        operator at k[i] (:meth:`PsdOperator.affine` with a column)."""
+        if isinstance(k, np.ndarray):
+            if k.min() < 0 or k.max() > self.k_max:
+                raise ValueError(f"iteration indices outside horizon [0, {self.k_max}]")
+            f = self._factors[k]
+            return tuple(Q.affine(a, s * f) for Q, a, s in self._families)
         if k < 0 or k > self.k_max:
             raise ValueError(f"iteration index {k} outside horizon [0, {self.k_max}]")
         f = self.factor(k)

@@ -87,13 +87,13 @@ def sweep():
                 for step in run.certified_steps(K_MAX, rho=0.0, eps=0.0):
                     it, pw, erg = step.iterate, step.pointwise, step.ergodic
                     k = it.k
-                    hc = it.hpe_check
+                    hc = step.hpe_check
                     rec["hpe_rel_slack"] = min(
                         rec["hpe_rel_slack"], hc.slack / (1.0 + hc.rhs)
                     )
                     if pw.dual_max > pw.bound_residual:
                         rec["pw_violations"] += 1
-                    if not all(c.ok for c in it.memberships.values()):
+                    if not all(c.ok for c in step.memberships.values()):
                         rec["pw_membership_violations"] += 1
                     ch = erg.checks
                     rec["erg_res_violations"] += not ch["ergodic_res"].ok

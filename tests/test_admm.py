@@ -311,18 +311,18 @@ class TestRunInternals:
         self.sched = constant_schedule(self.p.dims, 60, h_scale=1.0)
         self.params = compute_sigma_theta(1.0)
         self.run = VmPadmmRun(self.p, self.sched, self.params)
-        self.iterates, self.pointwise, self.ergodic = [], [], []
+        self.steps, self.iterates, self.pointwise, self.ergodic = [], [], [], []
         self.eps_full, self.hpe_eps_direct = [], []
         z_tildes, residuals = [], []
-        for k in range(1, 51):
-            it = self.run.step()
+        for k, step in enumerate(self.run.certified_steps(50, rho=0.0, eps=0.0), start=1):
+            it = step.iterate
+            self.steps.append(step)
             self.iterates.append(it)
-            self.pointwise.append(self.run.pointwise_kkt_certificate())
-            self.ergodic.append(self.run.ergodic_kkt_certificate())
-            self.eps_full.append(self.run.hpe.ergodic_point()[2])
-            last = self.run.hpe.last
-            z_tildes.append(last.z_tilde)
-            residuals.append(last.r)
+            self.pointwise.append(step.pointwise)
+            self.ergodic.append(step.ergodic)
+            self.eps_full.append(step.ergodic.eps)
+            z_tildes.append(np.concatenate([it.x, it.y, it.gamma_tilde]))
+            residuals.append(np.concatenate([it.r_x, it.r_y, it.r_gamma]))
             zt_a = sum(z_tildes) / k
             self.hpe_eps_direct.append(sum(float(r @ (zt - zt_a)) for r, zt in zip(residuals, z_tildes)) / k)
 
@@ -350,7 +350,7 @@ class TestRunInternals:
             assert total == pytest.approx(parts, rel=1e-10, abs=1e-14)
 
     def test_hpe_condition_holds_throughout(self):
-        assert all(it.hpe_check.ok for it in self.iterates)
+        assert all(step.hpe_check.ok for step in self.steps)
 
     def test_pointwise_certificate_monotone_best(self):
         best = [self.pointwise[k - 1].dual_max for k in (1, 10, 30, 50)]
@@ -363,7 +363,7 @@ class TestRunInternals:
         assert cert.dual_max <= cert.bound_residual
         assert list(cert.memberships) == ["membership_x", "membership_y"]
         assert all(c.ok for c in cert.memberships.values())
-        assert cert.memberships is self.iterates[cert.index - 1].memberships
+        assert cert.memberships == self.steps[cert.index - 1].memberships
 
     def test_ergodic_eps_decomposition(self):
         for k in range(1, 51):
@@ -476,8 +476,8 @@ class TestRunState:
         assert ks == list(range(1, 21))  # a Fejer check at every k
 
     def test_seminorm_calls_per_iteration(self, monkeypatch):
-        steps = self.run.certified_steps(2, rho=0.0, eps=0.0)
-        next(steps)
+        blocks = self.run.certified_blocks(30, rho=0.0, eps=0.0)
+        next(blocks)
         calls = []
         seminorm = PsdOperator.seminorm
 
@@ -486,10 +486,13 @@ class TestRunState:
             return seminorm(op, z)
 
         monkeypatch.setattr(PsdOperator, "seminorm", counting)
-        next(steps)  # one step with its certificates and Fejer check
-        # eta's ||y_{k-1} - y_k||_{S_k} and three M_k seminorms of three blocks
-        # each; the dual seminorms reuse the formed residuals
-        assert len(calls) <= 10
+        blk = next(blocks)  # the second block's steps, certificates and Fejer checks
+        # once for the whole block: eta's ||y_{k-1} - y_k||_{S_k}, the gamma
+        # block of ||z_k - z~_k||_{M_k} (its x and y blocks are zero), and the
+        # three blocks of ||z_{k-1} - z~_k||_{M_k} and of ||z* - z_k||_{M_k};
+        # the dual seminorms reuse the formed residuals
+        assert len(blk) == 14
+        assert len(calls) <= 8
 
     def test_duals_from_formed_residuals(self):
         # ||d||_Q = sqrt(<d, r>) from the residual r = Q d the step forms, bit
@@ -503,7 +506,7 @@ class TestRunState:
             assert it.dual_gamma == gam_k.seminorm(it.dgamma)
 
     @pytest.mark.parametrize("group,path", [
-        ("hpe", ("iterate", "hpe_check")),
+        ("hpe", ("hpe_check",)),
         ("bounds", ("pointwise", "checks", "pointwise_res")),
         ("bounds", ("ergodic", "checks", "eps_decomposition")),
         ("memberships", ("pointwise", "memberships", "membership_y")),
@@ -522,6 +525,65 @@ class TestRunState:
         assert step.ok  # the original step is untouched
 
 
+class TestBlockStop:
+    """The stopping rules can hold inside a block: the run then stands after
+    that k, as if it had been certified one iteration at a time."""
+
+    @staticmethod
+    def two_calls(p, sched):
+        run = VmPadmmRun(p, sched, compute_sigma_theta(1.0))
+        first = list(run.certified_steps(40, rho=0.1, eps=0.1))
+        k = run.k
+        return first, k, list(run.certified_steps(5, rho=0.0, eps=0.0))
+
+    @pytest.mark.parametrize("pass_floats", [2048, 40], ids=["one_pass", "passes_of_two"])
+    def test_stop_inside_a_block(self, pass_floats, monkeypatch):
+        # with passes of two rows (dim 20), k = 22 ends a pass inside the block
+        monkeypatch.setattr("vmpadmm.admm._PASS_FLOATS", pass_floats)
+        p = generate("lasso", (10, 5), 3)
+        sched = constant_schedule(p.dims, 40, h_scale=1.0)
+        first, k, more = self.two_calls(p, sched)
+        assert k == 22 and [s.iterate.k for s in first] == list(range(1, 23))
+        stop = (first[-1].first_k_pointwise, first[-1].first_k_ergodic)
+        assert max(stop) == 22
+        assert [s.iterate.k for s in more] == [23, 24, 25, 26, 27]
+        monkeypatch.setattr("vmpadmm.admm._BLOCK", 1)
+        one_first, one_k, one_more = self.two_calls(p, sched)
+        assert one_k == 22 and len(one_first) == 22
+        assert (one_first[-1].first_k_pointwise, one_first[-1].first_k_ergodic) == stop
+        for got, want in zip(more, one_more):
+            for name in ("k", "x", "y", "gamma", "gamma_tilde"):  # the same steps from the same state
+                assert np.array_equal(getattr(got.iterate, name), getattr(want.iterate, name)), name
+            assert got.first_k_pointwise == want.first_k_pointwise
+            assert got.first_k_ergodic == want.first_k_ergodic
+            for group, checks in got.checks.items():
+                assert [c.ok for c in checks] == [c.ok for c in want.checks[group]]
+                np.testing.assert_allclose([c.slack for c in checks], [c.slack for c in want.checks[group]],
+                                           rtol=1e-9, atol=1e-12)
+            for cert, want_cert in ((got.pointwise, want.pointwise), (got.ergodic, want.ergodic)):
+                assert cert.index == want_cert.index
+                np.testing.assert_allclose(
+                    [cert.dual_max, cert.eps_x, cert.eps_y], [want_cert.dual_max, want_cert.eps_x, want_cert.eps_y],
+                    rtol=1e-9, atol=1e-12,
+                )
+            assert got.iterate.eta == pytest.approx(want.iterate.eta, rel=1e-9, abs=1e-12)
+
+
+    def test_failing_step_after_the_certified_ones(self):
+        # cond(H) = 1e5: the gamma residual identity fails at k = 3, inside the
+        # first block; the iterations before it are certified and yielded first
+        U = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
+        cfg = {"H": {"type": "dense", "matrix": ((U * np.logspace(0, 5, 4)) @ U.T).tolist()},
+               "R": {"type": "zero"}, "S": {"type": "zero"}, "k_max": 50}
+        p = generate("consensus_ls", (6, 5, 4), 1)
+        run = VmPadmmRun(p, schedule_from_dict(cfg, p.dims), compute_sigma_theta(1.0))
+        certified = []
+        with pytest.raises(FloatingPointError, match="at k = 3"):
+            for step in run.certified_steps(50, rho=0.0, eps=0.0):
+                certified.append(step.iterate.k)
+        assert certified == [1, 2] and run.k == 2
+
+
 class TestFactorOnce:
     """After the first step, a certified iteration runs no eigh, eigvalsh or
     lstsq: the metrics are views of the anchor operators and the subproblem
@@ -530,6 +592,9 @@ class TestFactorOnce:
     LAPACK = ("eigh", "eigvalsh", "lstsq")
 
     def count_decompositions(self, cfg, monkeypatch, p=None):
+        # blocks of two: the iterations after the first block are stepped and
+        # certified while the decompositions are counted
+        monkeypatch.setattr("vmpadmm.admm._BLOCK", 2)
         p = p or generate("lasso", (10, 5), 7)
         sched = schedule_from_dict(cfg, p.dims, A=p.A)
         run = VmPadmmRun(p, sched, compute_sigma_theta(1.0))
@@ -615,10 +680,18 @@ class TestRunMetric:
         run = VmPadmmRun(p, sched, compute_sigma_theta(1.3))
         metrics = [run.M0]
         assert run.M0.blocks[0] is sched.realize(0)[1]
+        realized, step_once = {}, VmPadmmRun.step
+
+        def step_and_realize(run):  # R_k as the schedule realizes it when step k runs
+            it = step_once(run)
+            realized[it.k] = sched.realize(it.k)[1]
+            return it
+
+        monkeypatch.setattr(VmPadmmRun, "step", step_and_realize)
         for step in run.certified_steps(sched.k_max, rho=0.0, eps=0.0):
             assert step.ok
             metrics.append(step.iterate.M)
-            assert step.iterate.M.blocks[0] is sched.realize(step.iterate.k)[1]
+            assert step.iterate.M.blocks[0] is realized[step.iterate.k]
         assert run.k == sched.k_max and len({sched.factor(k) for k in range(7)}) == 7  # f_k moves at every k
         for k, M in enumerate(metrics):
             ref = assemble_Mk(*sched.realize(k), p.B, 1.3)

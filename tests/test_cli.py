@@ -693,3 +693,60 @@ def test_malformed_field_exits_cleanly(tmp_path_factory, target, value):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+
+
+class TestBlockCertification:
+    """A block of iterations certified in one pass gives every verdict, the
+    stopping iterations and the CSV of certifying one iteration at a time."""
+
+    @staticmethod
+    def linearized_drift():
+        A = generate("lasso", (10, 5), 3).A
+        tau = 3.0 * float(np.linalg.eigvalsh(A.T @ A)[-1])  # sandwiched for c_0 = 0.5
+        return dict(CONSTANT_SCHEDULE, R={"type": "linearized", "tau": tau},
+                    c={"c0": 0.5, "law": "inverse_square"}, k_max=40)
+
+    @staticmethod
+    def solve(tmp_path, tag, problem, schedule, rho):
+        sched = tmp_path / f"{tag}-schedule.json"
+        sched.write_text(json.dumps(schedule))
+        args = solve_args(str(sched), tmp_path, tag=tag, problem=problem, max_iters="40", rho=rho, eps=rho)
+        main(args)
+        with open(tmp_path / f"{tag}.csv") as fh:
+            rows = list(csv.reader(fh))
+        return rows, json.loads((tmp_path / f"{tag}.json").read_text())
+
+    CASES = [
+        *[(spec, name, "0.1") for spec in ("gen:lasso:10x5:3", "gen:consensus_ls:6x5x4:5")
+          for name in ("constant", "inverse_square")],  # the golden corpus
+        ("gen:lasso:10x5:3", "linearized_drift", "1e-6"),
+    ]
+
+    @pytest.mark.parametrize("problem,schedule,rho", CASES)
+    def test_blocks_match_one_iteration_at_a_time(self, problem, schedule, rho, tmp_path, monkeypatch):
+        from test_golden import SCHEDULES
+
+        cfg = self.linearized_drift() if schedule == "linearized_drift" else SCHEDULES[schedule]
+        rows, report = self.solve(tmp_path, "block", problem, cfg, rho)
+        monkeypatch.setattr("vmpadmm.admm._BLOCK", 1)
+        one_rows, one = self.solve(tmp_path, "one", problem, cfg, rho)
+        for key in ("iterations", "all_pass", "failures", "stopping"):
+            assert report[key] == one[key], key
+        assert list(report["checks"]) == list(one["checks"])
+        for group, checks in report["checks"].items():
+            assert [c[:2] for c in checks] == [c[:2] for c in one["checks"][group]], group
+            np.testing.assert_allclose([c[2] for c in checks], [c[2] for c in one["checks"][group]],
+                                       rtol=1e-9, atol=1e-12, err_msg=group)
+        assert rows[0] == one_rows[0] and len(rows) == len(one_rows) == report["iterations"] + 1
+        assert [r[0] for r in rows] == [r[0] for r in one_rows]
+        np.testing.assert_allclose(np.array([r[1:] for r in rows[1:]], float),
+                                   np.array([r[1:] for r in one_rows[1:]], float), rtol=1e-9, atol=1e-12)
+
+    def test_stop_inside_a_block_keeps_its_rows(self, tmp_path):
+        # gen:lasso:10x5:3 under the constant schedule stops at k = 22, inside
+        # the second block: the log ends there
+        from test_golden import SCHEDULES
+
+        rows, report = self.solve(tmp_path, "stop", "gen:lasso:10x5:3", SCHEDULES["constant"], "0.1")
+        assert len(rows) == 1 + 22 and report["iterations"] == 22
+        assert max(report["stopping"].values()) == 22
