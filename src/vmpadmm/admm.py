@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .hpe import BoundCheck, HpeIterate, HpeState, RateBounds, _take, running_sums
+from .hpe import BoundCheck, HpeIterate, HpeState, RateBounds, row_of, running_sums
 from .linalg import BlockDiagOperator, block_diag, row_dot
 from .problems import ProblemSpec, ReferenceSolution, reference_solve
 from .schedule import THETA_MAX, MetricSchedule, ScheduleError, assemble_Mk
@@ -273,9 +273,9 @@ def update_multiplier(gamma_prev, H_k, theta, primal, primal_t):
 class AdmmIterate:
     """One iteration with its residual triple; a block of iterations is the
     same record with every vector a stack of rows, ``k`` the column of the
-    iterations and ``M`` the stack of their metrics.  The dual seminorms come
-    from the formed residuals r = M_k d; ``eta`` is set when the iteration is
-    certified."""
+    iterations and ``M`` the stack of their metrics.  ``M``, ``eta`` and the
+    dual seminorms ||d||_Q = sqrt(<d, r>), from the formed residuals r = Q d,
+    are set when the block is certified; a step's own iterate has none."""
 
     k: int
     x: np.ndarray
@@ -288,35 +288,19 @@ class AdmmIterate:
     r_x: np.ndarray
     r_y: np.ndarray
     r_gamma: np.ndarray
-    M: object  # M_k, the product-space metric of this iteration
+    M: object = None  # M_k, the product-space metric of this iteration
     eta: float | None = None
-
-    @property
-    def dual_x(self) -> float:
-        return self.M.blocks[0]._seminorm_from(self.dx, self.r_x)
-
-    @property
-    def dual_y(self) -> float:
-        return self.M.blocks[1]._seminorm_from(self.dy, self.r_y)
-
-    @property
-    def dual_gamma(self) -> float:
-        return self.M.blocks[2]._seminorm_from(self.dgamma, self.r_gamma)
+    dual_x: float | None = None
+    dual_y: float | None = None
+    dual_gamma: float | None = None
 
     @property
     def dual_max(self) -> float:
         return np.maximum(np.maximum(self.dual_x, self.dual_y), self.dual_gamma)
 
-    def take(self, i) -> "AdmmIterate":
-        """Row i of a block, or the rows of a slice."""
-        return AdmmIterate(
-            *(getattr(self, name)[i] for name in _ITERATE_ROWS), M=self.M.row(i), eta=_take(self.eta, i)
-        )
 
-
-_ITERATE_ROWS = ("k", "x", "y", "gamma", "gamma_tilde", "dx", "dy", "dgamma", "r_x", "r_y", "r_gamma")
-# the blocks of z, z~, z_{k-1} - z_k and r in the product space
-_STACKED = (("x", "y", "gamma"), ("x", "y", "gamma_tilde"), ("dx", "dy", "dgamma"), ("r_x", "r_y", "r_gamma"))
+# the fields that fill the blocks of z, z~, z_{k-1} - z_k and r, the stacked rows of a block
+_STACKED = ("x", "y", "gamma", "x", "y", "gamma_tilde", "dx", "dy", "dgamma", "r_x", "r_y", "r_gamma")
 
 
 @dataclass
@@ -346,20 +330,7 @@ class KktResidualCertificate:
     checks: dict = field(default_factory=dict)  # rate bounds and identities
     memberships: dict = field(default_factory=dict)  # (eps-)subdifferential memberships
 
-    @property
-    def dual_max(self) -> float:
-        return np.maximum(np.maximum(self.dual_x, self.dual_y), self.dual_gamma)
-
-    def take(self, i) -> "KktResidualCertificate":
-        """The certificate at row i of a block, or at the rows of a slice."""
-        return KktResidualCertificate(**{
-            f.name: _take_checks(v, i) if isinstance(v := getattr(self, f.name), dict) else _take(v, i)
-            for f in fields(self)
-        })
-
-
-def _take_checks(checks: dict, i) -> dict:
-    return {name: c.take(i) for name, c in checks.items()}
+    dual_max = AdmmIterate.dual_max
 
 
 def compute_d0_admm(
@@ -446,34 +417,23 @@ class CertifiedStep:
 @dataclass
 class CertifiedBlock(CertifiedStep):
     """Consecutive certified iterations: the fields of a :class:`CertifiedStep`
-    with every check a column (one entry per iteration), ``iterate`` the
-    stacked rows of ``iterates``, and ``first_k_*`` the stopping state after
-    the last iteration.  :meth:`step` is the view of one iteration."""
-
-    iterates: list = field(default_factory=list)  # one AdmmIterate per iteration
+    with ``iterate`` the stacked rows of the iterations, every check a column
+    (one entry per iteration), and ``first_k_*`` the stopping state after the
+    last iteration.  :meth:`step` is row i of every record."""
 
     def __len__(self) -> int:
-        return len(self.iterates)
-
-    def _checks_at(self, i) -> tuple:
-        return (
-            self.hpe_check.take(i), _take_checks(self.memberships, i),
-            self.pointwise.take(i), self.ergodic.take(i), self.fejer.take(i),
-        )
+        return len(self.iterate.k)
 
     def step(self, i: int) -> CertifiedStep:
         """Iteration i of the block, with the stopping state after it."""
-        it = self.iterates[i]
-        first = (f if f is not None and f <= it.k else None for f in (self.first_k_pointwise, self.first_k_ergodic))
-        return CertifiedStep(it, *self._checks_at(i), *first)
+        k = self.iterate.k[i]
+        first = (f if f is not None and f <= k else None for f in (self.first_k_pointwise, self.first_k_ergodic))
+        records = (row_of(getattr(self, f.name), i) for f in fields(CertifiedStep)[:-2])  # all but first_k_*
+        return CertifiedStep(*records, *first)
 
     def head(self, n: int) -> "CertifiedBlock":
         """The block's first n iterations."""
-        rows = slice(0, n)
-        return CertifiedBlock(
-            self.iterate.take(rows), *self._checks_at(rows),
-            self.first_k_pointwise, self.first_k_ergodic, self.iterates[:n],
-        )
+        return row_of(self, slice(0, n))
 
 
 class VmPadmmRun:
@@ -523,10 +483,9 @@ class VmPadmmRun:
         self.k = 0
         self._systems = None  # (x, y) BlockSystem, built on the first step
         # running pointwise best, the first iterate achieving the min max-residual:
-        # (candidates, index into them, table row: k, the three dual seminorms
-        # and the distance and scale of membership_x and membership_y, and the
-        # stacked rows of the candidates), with an index and a row per
-        # iteration while a block is certified
+        # its z~ and r and its table row (k, the three dual seminorms and the
+        # distance and scale of membership_x and membership_y), with a row of
+        # each per iteration while a block is certified
         self._best = None
         # block-wise eps sums, kept apart from the HPE accumulators so the eps
         # decomposition can be cross-checked against the full-space value:
@@ -536,17 +495,6 @@ class VmPadmmRun:
     @property
     def bounds(self) -> RateBounds:
         return self.hpe.bounds
-
-    @property
-    def bounds(self) -> RateBounds:
-        return self.hpe.bounds
-
-    def _metric(self, R, f):
-        """M_k = blkdiag(R_k, f_k mid_0, gam_0 / f_k) from M_0 (f_0 = 1); for a
-        column of factors and the stacked rows of R, the stack of the rows'
-        metrics."""
-        _, mid0, gam0 = self.M0.blocks
-        return block_diag([R, mid0.affine(0.0, f), gam0.affine(0.0, 1.0 / f)])
 
     # -- one iteration -----------------------------------------------------
 
@@ -577,22 +525,19 @@ class VmPadmmRun:
         H_k, R_k, _ = schedule.realize(k)
         gamma_k, gamma_t = update_multiplier(gamma_prev, H_k, p.theta, primal, Ax + By_prev - b)
 
-        f = schedule.factor(k)  # every family moves by f_k
-        M_k = self.M0 if f == 1.0 else self._metric(R_k, f)
-        R_k, mid_k, gam_k = M_k.blocks
+        # every family moves by f_k: M_k = blkdiag(R_k, f_k mid_0, gam_0 / f_k) from M_0
+        f, (_, mid0, gam0) = schedule.factor(k), self.M0.blocks
         dx, dy, dg = x_prev - x_k, y_prev - y_k, gamma_prev - gamma_k
-        r_g = gam_k.apply(dg)
+        r_g = gam0.affine(0.0, 1.0 / f).apply(dg)
         miss = r_g - primal
         gap, tol = np.sqrt(miss @ miss), 1e-12 * (1.0 + np.sqrt(primal @ primal)) + 1e-13
         if gap > tol:  # r_gamma = (theta H_k)^-1 (gamma_{k-1} - gamma_k) = A x_k + B y_k - b
             msg = f"gamma residual identity violated beyond roundoff at k = {k}: {gap:.3g} > {tol:.3g}"
             raise FloatingPointError(msg)
-        it = AdmmIterate(
-            k, x_k, y_k, gamma_k, gamma_t, dx, dy, dg, R_k.apply(dx), mid_k.apply(dy), r_g, M_k,
-        )
+        r_x, r_y = R_k.apply(dx), mid0.affine(0.0, f).apply(dy)
         self.k = k
         self.x, self.y, self.gamma, self._By = x_k, y_k, gamma_k, By
-        return it
+        return AdmmIterate(k, x_k, y_k, gamma_k, gamma_t, dx, dy, dg, r_x, r_y, r_g)
 
     def certified_steps(self, max_iters: int, rho: float, eps: float):
         """:meth:`certified_blocks`, one :class:`CertifiedStep` per iteration."""
@@ -618,54 +563,51 @@ class VmPadmmRun:
         left = min(max_iters, self.schedule.k_max - self.k)
         per_pass = max(1, min(_BLOCK, _PASS_FLOATS // self.M0.dim))  # iterations per certification pass
         while left > 0:
-            its, error = [], None
+            n, error = 0, None
             # z_k, z~_k, z_{k-1} - z_k and r_k of each step as a row; a step's
-            # vectors move in here as it is taken, so none outlives it elsewhere
+            # vectors are copied in here as it is taken and not kept elsewhere
             stacks = np.empty((4, min(_BLOCK, left), self.M0.dim))
-            columns = [(col, name) for stack, names in zip(stacks, _STACKED)
-                       for col, name in zip(self.M0.split(stack), names)]
+            columns = [col for stack in stacks for col in self.M0.split(stack)]
             try:
                 for i in range(len(stacks[0])):
                     it = self.step()
-                    for col, name in columns:
+                    for col, name in zip(columns, _STACKED):
                         col[i] = getattr(it, name)
-                        setattr(it, name, col[i])
-                    its.append(it)
+                    n, it = i + 1, None
             except Exception as exc:  # raised below, once the steps before it are certified
                 error = exc
-            left -= len(its)
-            for j in range(0, len(its), per_pass):
-                part = its[j:j + per_pass]
-                blk = self._certify(part, stacks[:, j:j + len(part)], rho, eps, *first)
+            left -= n
+            for j in range(0, n, per_pass):
+                blk = self._certify(stacks[:, j:min(j + per_pass, n)], rho, eps, *first)
                 first = (blk.first_k_pointwise, blk.first_k_ergodic)
                 yield blk
                 if None not in first:
                     return
-                del blk, part  # the next pass's arrays do not sit beside this one's
+                del blk  # the next pass's arrays do not sit beside this one's
             if error is not None:
                 raise error
-            del its, stacks, columns  # nor the next block's beside this one's
+            del stacks, columns  # nor the next block's beside this one's
 
-    def _certify(self, its: list, stacks: np.ndarray, rho: float, eps: float, first_pw, first_erg) -> CertifiedBlock:
-        """Every check of the consecutive iterations ``its``, just stepped, in
-        one pass over their ``stacks`` of rows (z, z~, z_{k-1} - z_k and r),
-        and the stopping rules on top of the first k at which each held so
-        far; commits the run's state through the last iteration, or through
-        the first k by which both rules held."""
+    def _certify(self, stacks: np.ndarray, rho: float, eps: float, first_pw, first_erg) -> CertifiedBlock:
+        """Every check of the consecutive iterations after the last certified
+        one, just stepped, in one pass over their ``stacks`` of rows (z, z~,
+        z_{k-1} - z_k and r), and the stopping rules on top of the first k at
+        which each held so far; commits the run's state through the last
+        iteration, or through the first k by which both rules held."""
         problem, p = self.problem, self.params
-        k0, n = its[0].k, len(its)
+        k0, n = self.hpe.k + 1, stacks.shape[1]
         ks = np.arange(k0, k0 + n)
         Z, Zt, P, R = stacks
         _, R_rows, S_rows = self.schedule.realize(ks)
-        M = self._metric(R_rows, self.schedule.factor(ks))
-        rows = AdmmIterate(ks, *M.split(Z), M.split(Zt)[2], *M.split(P), *M.split(R), M)
-        duals = (rows.dual_x, rows.dual_y, rows.dual_gamma)
-        rows.eta = eta = (
+        f, (_, mid0, gam0) = self.schedule.factor(ks), self.M0.blocks
+        M = block_diag([R_rows, mid0.affine(0.0, f), gam0.affine(0.0, 1.0 / f)])  # each row's M_k, as in step
+        dz, rz = M.split(P), M.split(R)
+        duals = [Q._seminorm_from(d, r) for Q, d, r in zip(M.blocks, dz, rz)]
+        eta = (
             (p.sigma - (p.theta - 1.0) ** 2) / p.theta**2 * duals[2] ** 2
-            + _SQRT2 * (p.sigma + p.theta - 1.0) / p.theta * S_rows.seminorm(rows.dy) ** 2
+            + _SQRT2 * (p.sigma + p.theta - 1.0) / p.theta * S_rows.seminorm(dz[1]) ** 2
         )
-        for it, e in zip(its, eta.tolist()):
-            it.eta = e
+        rows = AdmmIterate(ks, *M.split(Z), M.split(Zt)[2], *dz, *rz, M, eta, *duals)
         hpe_check = self.hpe.add_iterate(HpeIterate(k0, Z, Zt, R, P, eta, M))
 
         s_x = rows.r_x + rows.gamma_tilde @ problem.A  # the subgradients the memberships test
@@ -681,17 +623,15 @@ class VmPadmmRun:
         del s_x, s_y, s  # s views one of them
 
         # the running pointwise best: at each k, the first iterate of least dual_max
-        table = np.column_stack(table)
-        if self._best is None:
-            prev, before = (None, np.full(table.shape[1], np.nan)), np.inf
-        else:
-            prev = (self._best[0][0], self._best[2])
-            before = np.max(prev[1][1:4])
-        dual_max = np.maximum(np.maximum(*duals[:2]), duals[2])
+        cands = (Zt, R, np.column_stack(table))
+        none_yet = self._best is None
+        before = np.inf if none_yet else self._best[2][1:4].max()
+        dual_max = rows.dual_max
         better = dual_max < np.minimum.accumulate(np.concatenate(([before], dual_max)))[:-1]
-        better[0] |= self._best is None
+        better[0] |= none_yet
         best = np.maximum.accumulate(np.where(better, np.arange(1, n + 1), 0))  # 0: the best before
-        self._best = ([prev[0], *its], best, np.vstack([prev[1], table])[best], rows)
+        prev = [c[0] for c in cands] if none_yet else self._best  # never picked when none_yet
+        self._best = tuple(np.concatenate(([b], c))[best] for b, c in zip(prev, cands))
 
         pw, erg = self.pointwise_kkt_certificate(), self.ergodic_kkt_certificate()
         fejer = self.hpe.fejer_check(self.z_star)
@@ -702,18 +642,17 @@ class VmPadmmRun:
         if first_erg is None and held_erg.any():
             first_erg = int(ks[held_erg.argmax()])
         end = n if None in (first_pw, first_erg) else max(first_pw, first_erg) - k0 + 1
-        blk = CertifiedBlock(rows, hpe_check, memberships, pw, erg, fejer, first_pw, first_erg, its)
+        blk = CertifiedBlock(rows, hpe_check, memberships, pw, erg, fejer, first_pw, first_erg)
 
-        # commit the state after iteration end - 1 of the block
+        # commit the state after iteration end - 1 of the block, each kept row a copy
         i = end - 1
         self.hpe.keep(end)
-        it = its[i]
-        if it.k != self.k:  # steps past it were taken: its B y_k again, as its step formed it
-            self._By = problem.B @ it.y
-        self.k, self.x, self.y, self.gamma = it.k, it.x, it.y, it.gamma
         self._dot_s = [d[i] for d in self._dot_s]
-        cands, best, table, _ = self._best
-        self._best = ([cands[best[i]]], 0, table[i], None)
+        self._best = tuple(b[i].copy() for b in self._best)
+        if ks[i] != self.k:  # steps past it were taken: its state, and its B y_k again as its step formed it
+            self.k = int(ks[i])
+            self.x, self.y, self.gamma = (v[i].copy() for v in M.split(Z))
+            self._By = problem.B @ self.y
         return blk if end == n else blk.head(end)
 
     # -- certificates at the current iteration k ---------------------------
@@ -723,21 +662,11 @@ class VmPadmmRun:
     def pointwise_kkt_certificate(self) -> KktResidualCertificate:
         """Best single iterate up to k against the O(1/sqrt(k)) bound."""
         self.hpe.require_iterate()
-        k, (cands, best, table, rows) = self.hpe.last.ks, self._best
-        if not np.ndim(best):
-            def pick(name):
-                return getattr(cands[best], name)
-        elif (best == np.arange(1, len(best) + 1)).all():  # each iterate of the block is the best so far
-            def pick(name):
-                return getattr(rows, name)
-        else:
-            def pick(name):
-                return np.array([getattr(cands[i], name) for i in best])
-        _, dual_x, dual_y, dual_g, dist_x, scale_x, dist_y, scale_y = table.T
-        bound, index = self.bounds.pointwise_rhs(k), pick("k")
+        k, (z_tilde, r, table) = self.hpe.last.ks, self._best
+        k_best, dual_x, dual_y, dual_g, dist_x, scale_x, dist_y, scale_y = table.T
+        bound, index = self.bounds.pointwise_rhs(k), k_best.astype(int)
         cert = KktResidualCertificate(
-            mode="pointwise", k=k, index=index, x=pick("x"), y=pick("y"), gamma_tilde=pick("gamma_tilde"),
-            r_x=pick("r_x"), r_y=pick("r_y"), r_gamma=pick("r_gamma"),
+            "pointwise", k, index, *self.M0.split(z_tilde), *self.M0.split(r),
             dual_x=dual_x, dual_y=dual_y, dual_gamma=dual_g, bound_residual=bound,
             memberships={  # the best iterate's own
                 "membership_x": _membership("membership_x", index, dist_x, 0.0, scale_x),

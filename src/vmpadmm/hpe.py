@@ -23,6 +23,7 @@ __all__ = [
     "RateBounds",
     "BoundCheck",
     "check_error_condition",
+    "row_of",
     "running_sums",
 ]
 
@@ -66,12 +67,6 @@ class HpeIterate:
         """k, or the column of the iterations of a block."""
         return self.k + np.arange(len(self.z)) if self.z.ndim == 2 else self.k
 
-    def take(self, i: int) -> "HpeIterate":
-        """Iteration k + i of a block, as one iterate with its own copy of the
-        rows (the block's arrays are not kept alive by it)."""
-        z, z_tilde, r, preimage = (v[i].copy() for v in (self.z, self.z_tilde, self.r, self.preimage))
-        return HpeIterate(self.k + i, z, z_tilde, r, preimage, self.eta[i], self.M.row(i))
-
 
 @dataclass(slots=True)
 class BoundCheck:
@@ -94,15 +89,22 @@ class BoundCheck:
         ok = slack >= -self.tol_abs - self.tol_rel * abs(self.rhs)
         self.ok = ok if isinstance(ok, np.ndarray) else bool(ok)
 
-    def take(self, i) -> "BoundCheck":
-        """The check at row i of a block, or at the rows of a slice."""
-        return BoundCheck(self.name, *(_take(v, i) for v in (self.k, self.lhs, self.rhs, self.tol_abs)), self.tol_rel)
 
-
-def _take(v, i):
-    """Row i (or the rows of a slice) of a column; a value shared by every
-    row is itself."""
-    return v[i] if isinstance(v, np.ndarray) else v
+def row_of(record, i):
+    """Row i (or the rows of a slice) of a block's record: of a column or a
+    stack of rows, of each value of a dict or each field of a dataclass, and
+    the operator that acts on that row of a stacked operator.  A value shared
+    by every row is itself."""
+    if isinstance(record, np.ndarray):
+        return record[i]
+    if isinstance(record, dict):
+        return {name: row_of(v, i) for name, v in record.items()}
+    if hasattr(record, "row"):
+        return record.row(i)
+    spec = getattr(record, "__dataclass_fields__", None)
+    if spec is None:
+        return record
+    return type(record)(**{name: row_of(getattr(record, name), i) for name, f in spec.items() if f.init})
 
 
 @dataclass
@@ -237,9 +239,12 @@ class HpeState:
         """Keep only the first n iterations of the latest block: the state
         becomes the one after its iteration n - 1, as if the rest had never
         been added."""
-        if self.last.z.ndim == 2:
+        it = self.last
+        if it.z.ndim == 2:
             i = n - 1
-            self.last = self.last.take(i)
+            # with its own copy of the rows: the block's arrays are not kept alive by it
+            rows = (v[i].copy() for v in (it.z, it.z_tilde, it.r, it.preimage))
+            self.last = HpeIterate(it.k + i, *rows, it.eta[i], it.M.row(i))
             self.k = self.last.k
             self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum = (
                 s[i].copy() for s in (self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum)

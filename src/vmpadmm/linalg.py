@@ -360,12 +360,9 @@ def _check_dim(z: np.ndarray, dim: int) -> np.ndarray:
 
 def row_dot(a: np.ndarray, b: np.ndarray):
     """``<a, b>`` along the last axis: one number for two vectors, a column
-    for two stacks, each by the same BLAS dot as ``a @ b``."""
-    return a @ b if a.ndim == 1 else _vecdot(a, b)
-
-
-# numpy >= 2 runs the BLAS dot per row; older numpy has no vecdot
-_vecdot = getattr(np, "vecdot", lambda a, b: np.einsum("...i,...i->...", a, b))
+    for two stacks, each by the same BLAS dot as ``a @ b`` (``np.vecdot``,
+    numpy >= 2)."""
+    return a @ b if a.ndim == 1 else np.vecdot(a, b)
 
 
 def operator_leq(M: np.ndarray, N: np.ndarray) -> bool:

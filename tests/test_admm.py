@@ -18,7 +18,7 @@ from vmpadmm.admm import (
     update_multiplier,
 )
 from vmpadmm.hpe import BoundCheck
-from vmpadmm.linalg import PsdOperator
+from vmpadmm.linalg import BlockDiagOperator, PsdOperator
 from vmpadmm.problems import FunctionDescriptor, ProblemSpec, generate, reference_solve
 from vmpadmm.schedule import THETA_MAX, ScheduleError, assemble_Mk, constant_schedule, schedule_from_dict
 
@@ -280,7 +280,7 @@ class TestFixedPoint:
         sched = constant_schedule(p.dims, 10, h_scale=1.0, r_scale=0.5, s_scale=0.5)
         params = compute_sigma_theta(1.0)
         run = VmPadmmRun(p, sched, params, x0=ref.x, y0=ref.y, gamma0=ref.gamma, reference=ref)
-        it = run.step()
+        it = next(run.certified_steps(1, rho=0.0, eps=0.0)).iterate
         assert it.dual_max <= 1e-8
         np.testing.assert_allclose(it.x, ref.x, atol=1e-8)
         np.testing.assert_allclose(it.gamma, ref.gamma, atol=1e-8)
@@ -494,6 +494,16 @@ class TestRunState:
         assert len(blk) == 14
         assert len(calls) <= 8
 
+    def test_metrics_built_per_pass(self, monkeypatch):
+        # a step builds no M_k of its own: a pass builds its rows' stacked M_k,
+        # and its commit the M_k of the iteration it keeps
+        calls = []
+        post_init = BlockDiagOperator.__post_init__
+        monkeypatch.setattr(BlockDiagOperator, "__post_init__", lambda op: calls.append(op) or post_init(op))
+        blocks = list(self.run.certified_blocks(30, rho=0.0, eps=0.0))
+        assert [len(blk) for blk in blocks] == [16, 14]
+        assert len(calls) <= 2 * len(blocks)
+
     def test_duals_from_formed_residuals(self):
         # ||d||_Q = sqrt(<d, r>) from the residual r = Q d the step forms, bit
         # for bit the seminorm, on drifting (scaled) metrics
@@ -568,6 +578,39 @@ class TestBlockStop:
                 )
             assert got.iterate.eta == pytest.approx(want.iterate.eta, rel=1e-9, abs=1e-12)
 
+
+    @staticmethod
+    def assert_same_certificate(got, want):
+        assert (got.mode, got.k, got.index) == (want.mode, want.k, want.index)
+        for group in ("checks", "memberships"):
+            got_checks, want_checks = getattr(got, group).values(), getattr(want, group).values()
+            assert [c.name for c in got_checks] == [c.name for c in want_checks]
+            assert [c.ok for c in got_checks] == [c.ok for c in want_checks]
+            np.testing.assert_allclose([c.slack for c in got_checks], [c.slack for c in want_checks],
+                                       rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose([got.dual_max, got.eps_x, got.eps_y], [want.dual_max, want.eps_x, want.eps_y],
+                                   rtol=1e-9, atol=1e-12)
+
+    def test_certificates_read_after_the_stop(self, monkeypatch):
+        # read after a stop inside a block, the run's certificates are the last
+        # yielded step's; to roundoff only, because the pass forms them from
+        # stacked products and the re-read from 1-D ones
+        p = generate("lasso", (10, 5), 3)
+        sched = constant_schedule(p.dims, 40, h_scale=1.0)
+
+        def stop_and_read():
+            run = VmPadmmRun(p, sched, compute_sigma_theta(1.0))
+            last = list(run.certified_steps(40, rho=0.1, eps=0.1))[-1]
+            assert run.k == last.iterate.k == 22
+            return (last.pointwise, last.ergodic), (run.pointwise_kkt_certificate(), run.ergodic_kkt_certificate())
+
+        yielded, read = stop_and_read()
+        monkeypatch.setattr("vmpadmm.admm._BLOCK", 1)
+        one_yielded, one_read = stop_and_read()
+        for got, want, one, one_want in zip(read, yielded, one_read, one_yielded):
+            self.assert_same_certificate(got, want)
+            self.assert_same_certificate(one, one_want)
+            self.assert_same_certificate(got, one)
 
     def test_failing_step_after_the_certified_ones(self):
         # cond(H) = 1e5: the gamma residual identity fails at k = 3, inside the
@@ -680,18 +723,11 @@ class TestRunMetric:
         run = VmPadmmRun(p, sched, compute_sigma_theta(1.3))
         metrics = [run.M0]
         assert run.M0.blocks[0] is sched.realize(0)[1]
-        realized, step_once = {}, VmPadmmRun.step
-
-        def step_and_realize(run):  # R_k as the schedule realizes it when step k runs
-            it = step_once(run)
-            realized[it.k] = sched.realize(it.k)[1]
-            return it
-
-        monkeypatch.setattr(VmPadmmRun, "step", step_and_realize)
         for step in run.certified_steps(sched.k_max, rho=0.0, eps=0.0):
             assert step.ok
             metrics.append(step.iterate.M)
-            assert step.iterate.M.blocks[0] is realized[step.iterate.k]
+            # R_k of the certified record is R_k as the schedule realizes it
+            np.testing.assert_array_equal(step.iterate.M.blocks[0].matrix, sched.realize(step.iterate.k)[1].matrix)
         assert run.k == sched.k_max and len({sched.factor(k) for k in range(7)}) == 7  # f_k moves at every k
         for k, M in enumerate(metrics):
             ref = assemble_Mk(*sched.realize(k), p.B, 1.3)
@@ -704,7 +740,9 @@ class TestRunMetric:
     def test_zero_law_uses_M0(self):
         p, sched = self.case(self.R_DESCS["linearized"], law="zero")
         run = VmPadmmRun(p, sched, compute_sigma_theta(1.3))
-        assert all(step.iterate.M is run.M0 for step in run.certified_steps(sched.k_max, rho=0.0, eps=0.0))
+        for step in run.certified_steps(sched.k_max, rho=0.0, eps=0.0):
+            for got, want in zip(step.iterate.M.blocks, run.M0.blocks, strict=True):
+                np.testing.assert_array_equal(got.matrix, want.matrix)
         assert run.k == sched.k_max
 
 
