@@ -7,9 +7,9 @@ proximal-point driver (:mod:`vmpadmm.hpe`): the embedding constants
 (sigma, tau, eta_k) are computed here, and the pointwise / ergodic KKT
 residual certificates with their theoretical rate bounds are exposed at the
 current k.  :meth:`VmPadmmRun.certified_blocks` is the one solve loop: it
-steps, certifies up to ``_BLOCK`` steps at a time in one pass over their
-stacked rows, and applies the stopping rules; :meth:`VmPadmmRun.certified_steps`
-reads it out one iteration at a time.
+steps, certifies each block of up to ``_BLOCK`` steps in one pass over its
+stacked rows at every dimension, and applies the stopping rules;
+:meth:`VmPadmmRun.certified_steps` reads it out one iteration at a time.
 """
 
 from __future__ import annotations
@@ -43,14 +43,10 @@ _SQRT2 = np.sqrt(2.0)
 _MEMBERSHIP_TOL = 1e-8
 _THETA_EXCLUSION = 1e-12
 _SIGMA_GRID = 10_000  # points of the uniform scan in compute_sigma_theta
-# Steps taken before they are certified, and the floats of a stacked array that
-# one certification pass covers (16 rows up to a product-space dimension of
-# 128).  At the largest generator dimension, n = 450 (consensus_ls
-# 200x150x100), a block is certified in passes of 4 rows: passes of 16 rows
-# there took about 1 MB and raised the benchmark process's peak RSS by 5-6%,
-# because the allocator keeps the heap they grow.
-_BLOCK = 16
-_PASS_FLOATS = 2048
+# Steps taken before they are certified, all of them in one pass at every
+# dimension.  Blocks of 64 rows raised the benchmark's peak RSS by 6.6% at
+# n = 400 (lasso 200x100), because the allocator keeps the heap they grow.
+_BLOCK = 32
 
 
 class SubproblemError(RuntimeError):
@@ -548,9 +544,8 @@ class VmPadmmRun:
     def certified_blocks(self, max_iters: int, rho: float, eps: float):
         """Step up to ``max_iters`` times, but not past the schedule horizon
         k_max, and certify the steps ``_BLOCK`` at a time: every check of a
-        block's iterations is made in one pass over their stacked rows (in
-        passes of fewer rows when the dimension is large, see
-        ``_PASS_FLOATS``).  Yields a :class:`CertifiedBlock` per pass.
+        block's iterations is made in one pass over their stacked rows.
+        Yields a :class:`CertifiedBlock` per block.
 
         Stops after the first k by which both stopping rules have held: the
         pointwise rule res_max <= rho, and the ergodic rule erg_res_max <= rho
@@ -561,7 +556,6 @@ class VmPadmmRun:
         """
         first = (None, None)
         left = min(max_iters, self.schedule.k_max - self.k)
-        per_pass = max(1, min(_BLOCK, _PASS_FLOATS // self.M0.dim))  # iterations per certification pass
         while left > 0:
             n, error = 0, None
             # z_k, z~_k, z_{k-1} - z_k and r_k of each step as a row; a step's
@@ -577,16 +571,15 @@ class VmPadmmRun:
             except Exception as exc:  # raised below, once the steps before it are certified
                 error = exc
             left -= n
-            for j in range(0, n, per_pass):
-                blk = self._certify(stacks[:, j:min(j + per_pass, n)], rho, eps, *first)
+            if n:
+                blk = self._certify(stacks[:, :n], rho, eps, *first)
                 first = (blk.first_k_pointwise, blk.first_k_ergodic)
                 yield blk
                 if None not in first:
                     return
-                del blk  # the next pass's arrays do not sit beside this one's
             if error is not None:
                 raise error
-            del stacks, columns  # nor the next block's beside this one's
+            del stacks, columns, blk  # the next block's arrays do not sit beside this one's
 
     def _certify(self, stacks: np.ndarray, rho: float, eps: float, first_pw, first_erg) -> CertifiedBlock:
         """Every check of the consecutive iterations after the last certified

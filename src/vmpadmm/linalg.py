@@ -49,12 +49,14 @@ class PsdOperator:
 
     matrix: np.ndarray
     definite: bool = False
+    _zero = False  # the matrix is all zeros (set at construction; a view applies through its base)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_zero", not m.any())
         scale = max(1.0, float(np.abs(m).max(initial=0.0)))
         if np.abs(m - m.T).max(initial=0.0) > _SYMMETRY_TOL * scale:
             raise ValueError("operator matrix is not symmetric within tolerance")
@@ -86,9 +88,12 @@ class PsdOperator:
         return _PSD_TOL * max(1.0, self._eig_extremes[1])
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        """``M z``, row by row for a stack.  The length of z is not checked
-        here but where data enters; numpy raises ``ValueError`` for a vector
-        of another length."""
+        """``M z``, row by row for a stack; an all-zero M gives the same +0.0
+        entries without a product.  The length of z is not checked here but
+        where data enters; numpy raises ``ValueError`` for a vector of another
+        length (except for an all-zero M)."""
+        if self._zero:
+            return np.zeros(z.shape)
         return self.matrix @ z if z.ndim == 1 else z @ self._rows_matrix
 
     @cached_property

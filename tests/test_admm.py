@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from helpers import identity, sampled_eps_check, sigma_feasible_scalar, zero_operator
 
+from vmpadmm import admm
 from vmpadmm.admm import (
     BlockSystem,
     SubproblemError,
@@ -476,6 +477,7 @@ class TestRunState:
         assert ks == list(range(1, 21))  # a Fejer check at every k
 
     def test_seminorm_calls_per_iteration(self, monkeypatch):
+        monkeypatch.setattr("vmpadmm.admm._BLOCK", 16)
         blocks = self.run.certified_blocks(30, rho=0.0, eps=0.0)
         next(blocks)
         calls = []
@@ -497,6 +499,7 @@ class TestRunState:
     def test_metrics_built_per_pass(self, monkeypatch):
         # a step builds no M_k of its own: a pass builds its rows' stacked M_k,
         # and its commit the M_k of the iteration it keeps
+        monkeypatch.setattr("vmpadmm.admm._BLOCK", 16)
         calls = []
         post_init = BlockDiagOperator.__post_init__
         monkeypatch.setattr(BlockDiagOperator, "__post_init__", lambda op: calls.append(op) or post_init(op))
@@ -546,10 +549,10 @@ class TestBlockStop:
         k = run.k
         return first, k, list(run.certified_steps(5, rho=0.0, eps=0.0))
 
-    @pytest.mark.parametrize("pass_floats", [2048, 40], ids=["one_pass", "passes_of_two"])
-    def test_stop_inside_a_block(self, pass_floats, monkeypatch):
-        # with passes of two rows (dim 20), k = 22 ends a pass inside the block
-        monkeypatch.setattr("vmpadmm.admm._PASS_FLOATS", pass_floats)
+    @pytest.mark.parametrize("block", [admm._BLOCK, 2], ids=["one_pass", "passes_of_two"])
+    def test_stop_inside_a_block(self, block, monkeypatch):
+        # k = 22 lies inside the first default block, and ends a block of two
+        monkeypatch.setattr("vmpadmm.admm._BLOCK", block)
         p = generate("lasso", (10, 5), 3)
         sched = constant_schedule(p.dims, 40, h_scale=1.0)
         first, k, more = self.two_calls(p, sched)

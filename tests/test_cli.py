@@ -707,10 +707,10 @@ class TestBlockCertification:
                     c={"c0": 0.5, "law": "inverse_square"}, k_max=40)
 
     @staticmethod
-    def solve(tmp_path, tag, problem, schedule, rho):
+    def solve(tmp_path, tag, problem, schedule, rho, max_iters="40"):
         sched = tmp_path / f"{tag}-schedule.json"
         sched.write_text(json.dumps(schedule))
-        args = solve_args(str(sched), tmp_path, tag=tag, problem=problem, max_iters="40", rho=rho, eps=rho)
+        args = solve_args(str(sched), tmp_path, tag=tag, problem=problem, max_iters=max_iters, rho=rho, eps=rho)
         main(args)
         with open(tmp_path / f"{tag}.csv") as fh:
             rows = list(csv.reader(fh))
@@ -729,7 +729,25 @@ class TestBlockCertification:
         cfg = self.linearized_drift() if schedule == "linearized_drift" else SCHEDULES[schedule]
         rows, report = self.solve(tmp_path, "block", problem, cfg, rho)
         monkeypatch.setattr("vmpadmm.admm._BLOCK", 1)
-        one_rows, one = self.solve(tmp_path, "one", problem, cfg, rho)
+        self.assert_same_solve(rows, report, *self.solve(tmp_path, "one", problem, cfg, rho))
+
+    def test_one_pass_per_block_above_dimension_128(self, tmp_path, monkeypatch):
+        # lasso 200x100 has the product-space dimension 400; its 45 iterations
+        # under drift are certified in two blocks, each in one pass
+        lengths = []
+        blocks = VmPadmmRun.certified_blocks
+        monkeypatch.setattr(VmPadmmRun, "certified_blocks",
+                            lambda run, *a: (lengths.append(len(b)) or b for b in blocks(run, *a)))
+        cfg = dict(CONSTANT_SCHEDULE, c={"c0": 0.5, "law": "inverse_square"})
+        rows, report = self.solve(tmp_path, "block", "gen:lasso:200x100:1", cfg, "1e-6", max_iters="45")
+        assert lengths == [32, 13] and report["iterations"] == 45
+        monkeypatch.setattr("vmpadmm.admm._BLOCK", 1)
+        self.assert_same_solve(rows, report, *self.solve(tmp_path, "one", "gen:lasso:200x100:1", cfg, "1e-6",
+                                                          max_iters="45"))
+        assert lengths[2:] == [1] * 45
+
+    @staticmethod
+    def assert_same_solve(rows, report, one_rows, one):
         for key in ("iterations", "all_pass", "failures", "stopping"):
             assert report[key] == one[key], key
         assert list(report["checks"]) == list(one["checks"])
@@ -744,7 +762,7 @@ class TestBlockCertification:
 
     def test_stop_inside_a_block_keeps_its_rows(self, tmp_path):
         # gen:lasso:10x5:3 under the constant schedule stops at k = 22, inside
-        # the second block: the log ends there
+        # the first block: the log ends there
         from test_golden import SCHEDULES
 
         rows, report = self.solve(tmp_path, "stop", "gen:lasso:10x5:3", SCHEDULES["constant"], "0.1")

@@ -50,6 +50,20 @@ class TestPsdOperator:
         M = zero_operator(4)
         assert M.seminorm(np.ones(4)) == 0.0
 
+    @pytest.mark.parametrize("matrix", [np.zeros((4, 4)), -np.zeros((4, 4))], ids=["zeros", "negative_zeros"])
+    def test_zero_matrix_applies_as_its_product(self, matrix):
+        # an all-zero matrix forms no product, and gives the product's bits
+        # (sign bits included) for negative and -0.0 entries, also through the
+        # scaled and stacked views, which apply their base
+        M = PsdOperator(matrix)
+        z = np.array([-1.5, -0.0, 0.0, 2.0])
+        Z = np.array([z, -z, np.full(4, -0.0)])
+        f = np.array([1.0, 0.5, 3.0])
+        for got, want in ((M.apply(z), matrix @ z), (M.apply(Z), Z @ matrix.T),
+                          (M.scaled(2.0).apply(z), 2.0 * (matrix @ z)),
+                          (M.affine(0.0, f).apply(Z), f[:, None] * (Z @ matrix.T))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_inverse(self):
         rng = np.random.default_rng(0)
         M = random_psd(rng, 5)
