@@ -9,7 +9,10 @@ residual certificates with their theoretical rate bounds are exposed at the
 current k.  :meth:`VmPadmmRun.certified_blocks` is the one solve loop: it
 steps, certifies each block of up to ``_BLOCK`` steps in one pass over its
 stacked rows at every dimension, and applies the stopping rules;
-:meth:`VmPadmmRun.certified_steps` reads it out one iteration at a time.
+:meth:`VmPadmmRun.certified_steps` reads it out one iteration at a time.  A
+step forms only the next iterate; the pass checks first that each step of
+the block is exact (the subproblems' optimality oracles and the gamma
+residual identity), then the paper's guarantees.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .schedule import THETA_MAX, MetricSchedule, ScheduleError, assemble_Mk
 
 __all__ = [
     "ThetaParams",
+    "AdmmStep",
     "AdmmIterate",
     "KktResidualCertificate",
     "CertifiedStep",
@@ -226,32 +230,42 @@ class BlockSystem:
         return W @ U, a
 
 
-def _solve_block(system: BlockSystem, k: int, shift, gamma_prev, prev, name):
+def _solve_block(system: BlockSystem, k: int, shift, gamma_prev, prev):
     """argmin desc(u) - <gamma_prev, N u> + 0.5||N u + shift||^2_{H_k}
-    + 0.5||u - prev||^2_{P_k} for the block ``system`` at iteration k;
-    verifies first-order optimality via the oracle of ``desc``."""
+    + 0.5||u - prev||^2_{P_k} for the block ``system`` at iteration k, and
+    the solve's own residual v = -(G_k u + q_lin), which lies in d desc(u)
+    exactly when u is optimal: :func:`_oracle` checks that."""
     H_k, P_k, f = system.metrics(k)
-    N, desc = system.N, system.desc
+    N = system.N
     q_lin = -N.T @ gamma_prev + N.T @ H_k.apply(shift) - P_k.apply(prev)
     u, Gu = system.solve(f, q_lin)
-    v = -(Gu + q_lin)
-    scale = 1.0 + np.sqrt(v @ v)
+    return u, -(Gu + q_lin)
+
+
+def _oracle(desc, v, u):
+    """The subproblem optimality oracle: the distance of the solve's residual
+    v from d desc(u), and whether it exceeds ``_MEMBERSHIP_TOL`` (1 + ||v||);
+    row by row for stacks."""
     dist = desc.membership_distance(v, u)
-    if dist > _MEMBERSHIP_TOL * scale:
-        raise SubproblemError(f"{name}-subproblem optimality violated: distance {dist}")
-    return u
+    return dist, dist > _MEMBERSHIP_TOL * (1.0 + np.sqrt(row_dot(v, v)))
+
+
+def _oracle_error(block: str, k: int, dist: float) -> SubproblemError:
+    return SubproblemError(f"{block}-subproblem optimality violated at k = {k}: distance {dist}")
 
 
 def solve_x_subproblem(problem, x_prev, By_prev, gamma_prev, system: BlockSystem, k: int):
     """Exact x-update at iteration k under (f, A, R_k), given the product
-    ``By_prev`` = B y_{k-1}; ``system`` is the x-block's :class:`BlockSystem`."""
-    return _solve_block(system, k, By_prev - problem.b, gamma_prev, x_prev, "x")
+    ``By_prev`` = B y_{k-1}; ``system`` is the x-block's :class:`BlockSystem`.
+    Returns x_k and its residual v (see :func:`_solve_block`), which the
+    optimality oracle checks when the step is certified."""
+    return _solve_block(system, k, By_prev - problem.b, gamma_prev, x_prev)
 
 
 def solve_y_subproblem(problem, Ax_k, y_prev, gamma_prev, system: BlockSystem, k: int):
     """Exact y-update given ``Ax_k`` = A x_k; mirror of the x-update with
     (g, B, S_k)."""
-    return _solve_block(system, k, Ax_k - problem.b, gamma_prev, y_prev, "y")
+    return _solve_block(system, k, Ax_k - problem.b, gamma_prev, y_prev)
 
 
 def update_multiplier(gamma_prev, H_k, theta, primal, primal_t):
@@ -266,12 +280,29 @@ def update_multiplier(gamma_prev, H_k, theta, primal, primal_t):
 
 
 @dataclass(slots=True)
+class AdmmStep:
+    """What step k hands to its block: z_k = (x_k, y_k, gamma_k), gamma~_k,
+    each solve's residual v = -(G_k u + q_lin) and the primal residual
+    A x_k + B y_k - b, which the block's pass checks the optimality oracles
+    and the gamma residual identity with."""
+
+    k: int
+    x: np.ndarray
+    y: np.ndarray
+    gamma: np.ndarray
+    gamma_tilde: np.ndarray
+    v_x: np.ndarray
+    v_y: np.ndarray
+    primal: np.ndarray
+
+
+@dataclass(slots=True)
 class AdmmIterate:
     """One iteration with its residual triple; a block of iterations is the
     same record with every vector a stack of rows, ``k`` the column of the
-    iterations and ``M`` the stack of their metrics.  ``M``, ``eta`` and the
-    dual seminorms ||d||_Q = sqrt(<d, r>), from the formed residuals r = Q d,
-    are set when the block is certified; a step's own iterate has none."""
+    iterations and ``M`` the stack of their metrics.  It is formed when the
+    block is certified, with ``M``, ``eta`` and the dual seminorms
+    ||d||_Q = sqrt(<d, r>) from the formed residuals r = Q d."""
 
     k: int
     x: np.ndarray
@@ -295,8 +326,9 @@ class AdmmIterate:
         return np.maximum(np.maximum(self.dual_x, self.dual_y), self.dual_gamma)
 
 
-# the fields that fill the blocks of z, z~, z_{k-1} - z_k and r, the stacked rows of a block
-_STACKED = ("x", "y", "gamma", "x", "y", "gamma_tilde", "dx", "dy", "dgamma", "r_x", "r_y", "r_gamma")
+# the fields of a step that fill the blocks of z, of z~ (its x and y are z's) and of
+# (v_x, v_y, primal), the stacked rows of a block
+_STACKED = ("x", "y", "gamma", "gamma_tilde", "v_x", "v_y", "primal")
 
 
 @dataclass
@@ -494,16 +526,18 @@ class VmPadmmRun:
 
     # -- one iteration -----------------------------------------------------
 
-    def step(self) -> AdmmIterate:
-        """One iteration: the two subproblem solves, each checked by its
-        optimality oracle, and the multiplier update, checked by the gamma
-        residual identity; these fail fast.  Every check against the paper's
-        guarantees is made when the step is certified
-        (:meth:`certified_blocks`)."""
+    def step(self) -> AdmmStep:
+        """One iteration, forming only what the next one depends on: the two
+        subproblem solves, which raise at once when a system is singular or
+        unsupported, and the multiplier update.  Each solve's optimality
+        oracle and the gamma residual identity are checked in the pass of the
+        block the step is certified in (:meth:`certified_blocks`), with every
+        check against the paper's guarantees; only when the y-solve raises is
+        the x oracle checked here, since it comes first in the step."""
         k = self.k + 1
         if k > self.schedule.k_max:
             raise ValueError(f"schedule horizon k_max={self.schedule.k_max} exhausted")
-        problem, p, schedule = self.problem, self.params, self.schedule
+        problem, schedule = self.problem, self.schedule
         if self._systems is None:
             self._systems = (
                 BlockSystem(problem.f, problem.A, schedule, "R"),
@@ -513,27 +547,22 @@ class VmPadmmRun:
         x_prev, y_prev, gamma_prev, By_prev = self.x, self.y, self.gamma, self._By
 
         # each product with A, B and H_k is formed once
-        x_k = solve_x_subproblem(problem, x_prev, By_prev, gamma_prev, self._systems[0], k)
+        x_k, v_x = solve_x_subproblem(problem, x_prev, By_prev, gamma_prev, self._systems[0], k)
         Ax = A @ x_k
-        y_k = solve_y_subproblem(problem, Ax, y_prev, gamma_prev, self._systems[1], k)
+        try:
+            y_k, v_y = solve_y_subproblem(problem, Ax, y_prev, gamma_prev, self._systems[1], k)
+        except Exception:  # whatever it raises, the x oracle comes first in the step
+            dist, failed = _oracle(problem.f, v_x, x_k)
+            if failed:
+                raise _oracle_error("x", k, dist) from None
+            raise
         By = B @ y_k
         primal = Ax + By - b
-        H_k, R_k, _ = schedule.realize(k)
-        gamma_k, gamma_t = update_multiplier(gamma_prev, H_k, p.theta, primal, Ax + By_prev - b)
-
-        # every family moves by f_k: M_k = blkdiag(R_k, f_k mid_0, gam_0 / f_k) from M_0
-        f, (_, mid0, gam0) = schedule.factor(k), self.M0.blocks
-        dx, dy, dg = x_prev - x_k, y_prev - y_k, gamma_prev - gamma_k
-        r_g = gam0.affine(0.0, 1.0 / f).apply(dg)
-        miss = r_g - primal
-        gap, tol = np.sqrt(miss @ miss), 1e-12 * (1.0 + np.sqrt(primal @ primal)) + 1e-13
-        if gap > tol:  # r_gamma = (theta H_k)^-1 (gamma_{k-1} - gamma_k) = A x_k + B y_k - b
-            msg = f"gamma residual identity violated beyond roundoff at k = {k}: {gap:.3g} > {tol:.3g}"
-            raise FloatingPointError(msg)
-        r_x, r_y = R_k.apply(dx), mid0.affine(0.0, f).apply(dy)
+        gamma_k, gamma_t = update_multiplier(gamma_prev, schedule.realize(k)[0], self.params.theta, primal,
+                                             Ax + By_prev - b)
         self.k = k
         self.x, self.y, self.gamma, self._By = x_k, y_k, gamma_k, By
-        return AdmmIterate(k, x_k, y_k, gamma_k, gamma_t, dx, dy, dg, r_x, r_y, r_g)
+        return AdmmStep(k, x_k, y_k, gamma_k, gamma_t, v_x, v_y, primal)
 
     def certified_steps(self, max_iters: int, rho: float, eps: float):
         """:meth:`certified_blocks`, one :class:`CertifiedStep` per iteration."""
@@ -543,58 +572,105 @@ class VmPadmmRun:
 
     def certified_blocks(self, max_iters: int, rho: float, eps: float):
         """Step up to ``max_iters`` times, but not past the schedule horizon
-        k_max, and certify the steps ``_BLOCK`` at a time: every check of a
-        block's iterations is made in one pass over their stacked rows.
-        Yields a :class:`CertifiedBlock` per block.
+        k_max, and certify the steps ``_BLOCK`` at a time: the checks that
+        each step is exact (its solves' optimality oracles and its gamma
+        residual identity) and every check of the paper's guarantees are made
+        in one pass over the block's stacked rows.  Yields a
+        :class:`CertifiedBlock` per block.
 
         Stops after the first k by which both stopping rules have held: the
         pointwise rule res_max <= rho, and the ergodic rule erg_res_max <= rho
         with eps_sum <= eps.  The block of that k ends at it: the run's state
         is the one after k, as if the steps past it had not been taken.  A
-        step that raises does so after the steps before it are certified, and
-        not at all when the rules held among those.
+        step that raises, or whose oracle or identity fails, does so after
+        the steps before it are certified, and not at all when the rules held
+        among those; the run's state is then the one after the last certified
+        step, and the steps taken past the failing one are discarded.
         """
         first = (None, None)
         left = min(max_iters, self.schedule.k_max - self.k)
         while left > 0:
             n, error = 0, None
-            # z_k, z~_k, z_{k-1} - z_k and r_k of each step as a row; a step's
-            # vectors are copied in here as it is taken and not kept elsewhere
-            stacks = np.empty((4, min(_BLOCK, left), self.M0.dim))
-            columns = [col for stack in stacks for col in self.M0.split(stack)]
+            # z_k, z~_k, z_{k-1} - z_k, r_k and (v_x, v_y, A x_k + B y_k - b) of each
+            # step as a row; a step's vectors are copied in here as it is taken
+            # and not kept elsewhere
+            stacks = np.empty((5, min(_BLOCK, left), self.M0.dim))
+            columns = [*self.M0.split(stacks[0]), self.M0.split(stacks[1])[2], *self.M0.split(stacks[4])]
+            before = (self.k, self.x, self.y, self.gamma, self._By)
             try:
                 for i in range(len(stacks[0])):
-                    it = self.step()
+                    row = self.step()
                     for col, name in zip(columns, _STACKED):
-                        col[i] = getattr(it, name)
-                    n, it = i + 1, None
+                        col[i] = getattr(row, name)
+                    n, row = i + 1, None
             except Exception as exc:  # raised below, once the steps before it are certified
                 error = exc
+            n, error = self._exact_steps(stacks[:, :n], np.concatenate(before[1:4]), error)
             left -= n
-            if n:
-                blk = self._certify(stacks[:, :n], rho, eps, *first)
-                first = (blk.first_k_pointwise, blk.first_k_ergodic)
-                yield blk
-                if None not in first:
-                    return
+            if not n:  # no step of the block is certified: the run stands where it did before it
+                self.k, self.x, self.y, self.gamma, self._By = before
+                raise error
+            blk = self._certify(stacks[:, :n], rho, eps, *first)
+            first = (blk.first_k_pointwise, blk.first_k_ergodic)
+            yield blk
+            if None not in first:
+                return
             if error is not None:
                 raise error
             del stacks, columns, blk  # the next block's arrays do not sit beside this one's
 
+    def _exact_steps(self, stacks: np.ndarray, z_prev: np.ndarray, error):
+        """Form z_{k-1} - z_k and r_gamma of the stepped ``stacks`` of rows
+        (``z_prev`` is z before the first) and check that each step is exact,
+        in the order a step makes the checks: the x- and the y-solve's
+        optimality oracles, then the gamma residual identity
+        r_gamma = (theta H_k)^-1 (gamma_{k-1} - gamma_k) = A x_k + B y_k - b
+        within 1e-12 (1 + ||A x_k + B y_k - b||) + 1e-13.  Returns the number
+        of rows before the first failing one and its error, or of all rows
+        and ``error``, the error of the step after them."""
+        Z, _, P, R, V = stacks
+        n = len(Z)
+        if not n:
+            return 0, error
+        ks = np.arange(self.hpe.k + 1, self.hpe.k + 1 + n)
+        P[0] = z_prev - Z[0]
+        np.subtract(Z[:-1], Z[1:], out=P[1:])
+        (x, y, _), (v_x, v_y, primal) = self.M0.split(Z), self.M0.split(V)
+        dg, r_g = self.M0.split(P)[2], self.M0.split(R)[2]
+        r_g[...] = self.M0.blocks[2].affine(0.0, 1.0 / self.schedule.factor(ks)).apply(dg)  # gam_0 / f_k
+        dist_x, failed_x = _oracle(self.problem.f, v_x, x)
+        dist_y, failed_y = _oracle(self.problem.g, v_y, y)
+        miss = r_g - primal
+        gap, tol = np.sqrt(row_dot(miss, miss)), 1e-12 * (1.0 + np.sqrt(row_dot(primal, primal))) + 1e-13
+        failed = np.column_stack((failed_x, failed_y, gap > tol))
+        if not failed.any():
+            return n, error
+        i, check = divmod(int(failed.argmax()), 3)  # the first row's first failing check
+        k = int(ks[i])
+        if check == 2:
+            msg = f"gamma residual identity violated beyond roundoff at k = {k}: {gap[i]:.3g} > {tol[i]:.3g}"
+            return i, FloatingPointError(msg)
+        return i, _oracle_error("xy"[check], k, (dist_x, dist_y)[check][i])
+
     def _certify(self, stacks: np.ndarray, rho: float, eps: float, first_pw, first_erg) -> CertifiedBlock:
         """Every check of the consecutive iterations after the last certified
-        one, just stepped, in one pass over their ``stacks`` of rows (z, z~,
-        z_{k-1} - z_k and r), and the stopping rules on top of the first k at
-        which each held so far; commits the run's state through the last
-        iteration, or through the first k by which both rules held."""
+        one, just stepped and found exact, in one pass over their ``stacks``
+        of rows (z, z~, z_{k-1} - z_k, r and the steps' own residuals), and
+        the stopping rules on top of the first k at which each held so far;
+        commits the run's state through the last iteration, or through the
+        first k by which both rules held."""
         problem, p = self.problem, self.params
         k0, n = self.hpe.k + 1, stacks.shape[1]
         ks = np.arange(k0, k0 + n)
-        Z, Zt, P, R = stacks
+        Z, Zt, P, R, _ = stacks
+        Zt[:, : self.M0.offsets[2]] = Z[:, : self.M0.offsets[2]]  # z~_k = (x_k, y_k, gamma~_k)
         _, R_rows, S_rows = self.schedule.realize(ks)
+        # every family moves by f_k: M_k = blkdiag(R_k, f_k mid_0, gam_0 / f_k) from M_0
         f, (_, mid0, gam0) = self.schedule.factor(ks), self.M0.blocks
-        M = block_diag([R_rows, mid0.affine(0.0, f), gam0.affine(0.0, 1.0 / f)])  # each row's M_k, as in step
+        M = block_diag([R_rows, mid0.affine(0.0, f), gam0.affine(0.0, 1.0 / f)])
         dz, rz = M.split(P), M.split(R)
+        for Q, d, r in zip(M.blocks[:2], dz, rz):  # r_x and r_y; r_gamma is formed with the steps' checks
+            r[...] = Q.apply(d)
         duals = [Q._seminorm_from(d, r) for Q, d, r in zip(M.blocks, dz, rz)]
         eta = (
             (p.sigma - (p.theta - 1.0) ** 2) / p.theta**2 * duals[2] ** 2

@@ -79,6 +79,8 @@ class PsdOperator:
 
     @cached_property
     def _eig_extremes(self):
+        if self._zero:  # eigvalsh of zeros gives +0.0 too
+            return 0.0, 0.0
         w = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))
         return float(w[0]), float(w[-1])
 

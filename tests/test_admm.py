@@ -117,11 +117,13 @@ class TestSubproblems:
     def test_quadratic_solve_is_optimal(self):
         p = scalar_problem()
         sched = constant_schedule(p.dims, 1, h_scale=2.0, r_scale=1.0)
-        x = solve_x_subproblem(
+        x, v = solve_x_subproblem(
             p, np.zeros(1), p.B @ np.zeros(1), np.zeros(1), BlockSystem(p.f, p.A, sched, "R"), 1
         )
         # argmin 0.5x^2 + (H/2)(x - 1)^2 + (R/2)x^2 with H=2, R=1: x = 0.5
         assert x[0] == pytest.approx(0.5)
+        # v = -(G x + q_lin) is the gradient of f at the optimal x
+        assert v[0] == pytest.approx(0.5) and p.f.membership_distance(v, x) <= 1e-12
 
     def test_singular_but_consistent_solve_is_still_optimal(self):
         # zero f with rank-one A^T H A: the right-hand side stays in the
@@ -130,9 +132,10 @@ class TestSubproblems:
         g = FunctionDescriptor("zero", 1)
         p = ProblemSpec(f, g, np.array([[1.0, 1.0]]), np.eye(1), np.zeros(1))
         sched = constant_schedule(p.dims, 1)
-        x = solve_x_subproblem(
+        x, v = solve_x_subproblem(
             p, np.zeros(2), p.B @ np.zeros(1), np.ones(1), BlockSystem(p.f, p.A, sched, "R"), 1
         )
+        assert np.linalg.norm(v) <= 1e-10  # the zero f's only subgradient
         G = p.A.T @ p.A
         q_lin = -p.A.T @ np.ones(1)
         assert np.linalg.norm(G @ x + q_lin) <= 1e-10
@@ -164,7 +167,7 @@ class TestFactoredSubproblems:
             f = sched.factor(k)
             factors.add(f)
             x_prev, y_prev, gamma = (rng.normal(size=d) for d in p.dims)
-            x = solve_x_subproblem(p, x_prev, p.B @ y_prev, gamma, x_system, k)
+            x, _ = solve_x_subproblem(p, x_prev, p.B @ y_prev, gamma, x_system, k)
             G = p.A.T @ H_k.matrix @ p.A + R_k.matrix
             q_lin = -p.A.T @ gamma + p.A.T @ (H_k.matrix @ (p.B @ y_prev - p.b)) - R_k.matrix @ x_prev
             total, rhs = G, -q_lin
@@ -628,6 +631,104 @@ class TestBlockStop:
             for step in run.certified_steps(50, rho=0.0, eps=0.0):
                 certified.append(step.iterate.k)
         assert certified == [1, 2] and run.k == 2
+
+
+_SOLVE = BlockSystem.solve
+
+
+class TestFailFast:
+    """Each step's optimality oracles and gamma residual identity are checked
+    in its block's pass.  The first failing k raises after the rows before it
+    are certified and yielded, and the run stands after the last of them: the
+    same error, rows and state as when each step is certified on its own."""
+
+    @staticmethod
+    def drive(run, max_iters=60, rho=0.0):
+        """(the yielded ks, the error raised or None, the run's state after it)."""
+        ks, error = [], None
+        try:
+            for step in run.certified_steps(max_iters, rho=rho, eps=rho):
+                ks.append(int(step.iterate.k))
+        except Exception as exc:
+            error = exc
+        return ks, error, (run.k, run.x, run.y, run.gamma, run._By)
+
+    @staticmethod
+    def sabotage(monkeypatch, block=None, at=None, y_raises_at=None):
+        """``BlockSystem.solve`` with the u of each solve named in ``block``
+        ("x", "y" or both) at k = ``at`` moved off its optimum (and G_k u
+        with it), and the y-solve at k = ``y_raises_at`` raising; one solve
+        per block and step counts k."""
+        calls = {"x": 0, "y": 0}
+
+        def solve(system, f, q_lin):
+            name = "xy"[system._index - 1]  # the family of R_k or of S_k
+            calls[name] += 1
+            if name == "y" and calls["y"] == y_raises_at:
+                raise SubproblemError(f"y-solve raised at k = {y_raises_at}")
+            u, Gu = _SOLVE(system, f, q_lin)
+            if block and name in block and calls[name] == at:
+                u = u + 1e-3 * (1.0 + np.abs(u))
+                Gu = system.metric_apply(f, u)
+            return u, Gu
+
+        monkeypatch.setattr(BlockSystem, "solve", solve)
+
+    @staticmethod
+    def run(p):
+        return VmPadmmRun(p, constant_schedule(p.dims, 60, h_scale=1.0), compute_sigma_theta(1.0))
+
+    @pytest.mark.parametrize("kind,dims", [("box_qp", (40,)), ("consensus_ls", (20, 15, 10))])
+    def test_large_penalty_fails_the_first_x_oracle(self, kind, dims):
+        # H = 1e8 I: the x-solve's residual misses d f(x_1) beyond the oracle's
+        # tolerance at k = 1, so no row is certified and the run stays at z_0
+        p = generate(kind, dims, 1)
+        cfg = {"H": {"type": "scaled_identity", "scale": 1e8}, "R": {"type": "zero"}, "S": {"type": "zero"},
+               "c": {"c0": 0.0, "law": "zero"}, "k_max": 300}
+        run = VmPadmmRun(p, schedule_from_dict(cfg, p.dims, A=p.A), compute_sigma_theta(1.0))
+        ks, error, (k, *z) = self.drive(run, 300)
+        assert type(error) is SubproblemError
+        assert str(error).startswith("x-subproblem optimality violated at k = 1: distance ")
+        assert ks == [] and k == 0 and run.hpe.k == 0
+        assert not any(v.any() for v in z)  # x, y, gamma and B y of z_0 = 0
+
+    @pytest.mark.parametrize("block,at,rho,last", [
+        ("x", 5, 0.0, 4),  # inside the first block
+        ("y", 40, 0.0, 39),  # inside the second
+        ("x", 33, 0.0, 32),  # the second block's first row
+        ("y", 33, 0.0, 32),
+        ("xy", 9, 0.0, 8),  # both oracles fail at k = 9: the x oracle's comes first
+        ("x", 25, 0.1, 22),  # past the stop at k = 22: never raised
+    ])
+    def test_sabotaged_solve_as_one_step_at_a_time(self, block, at, rho, last, monkeypatch):
+        p = generate("lasso", (10, 5), 3)
+        results = []
+        for size in (admm._BLOCK, 1):
+            monkeypatch.setattr("vmpadmm.admm._BLOCK", size)
+            self.sabotage(monkeypatch, block, at)
+            results.append(self.drive(self.run(p), rho=rho))
+        (ks, error, state), (one_ks, one_error, one_state) = results
+        assert ks == one_ks == list(range(1, last + 1))
+        assert state[0] == one_state[0] == last
+        for got, want in zip(state[1:], one_state[1:]):  # x, y, gamma and B y of the last certified step
+            assert np.array_equal(got, want)
+        if rho:
+            assert error is None and one_error is None
+            return
+        assert type(error) is type(one_error) is SubproblemError
+        head = f"{block[0]}-subproblem optimality violated at k = {at}: distance "
+        assert str(error).startswith(head) and str(one_error).startswith(head)
+        assert float(str(error)[len(head):]) == pytest.approx(float(str(one_error)[len(head):]), rel=1e-9)
+
+    def test_x_oracle_before_a_raising_y_solve(self, monkeypatch):
+        # in one step the x oracle comes before the y-solve: when both fail,
+        # the oracle's error is raised, and the y-solve's one without it
+        p = generate("lasso", (10, 5), 3)
+        for x_at, want in ((7, "x-subproblem optimality violated at k = 7: "), (None, "y-solve raised at k = 7")):
+            self.sabotage(monkeypatch, "x", x_at, y_raises_at=7)
+            ks, error, (k, *_) = self.drive(self.run(p))
+            assert type(error) is SubproblemError and str(error).startswith(want)
+            assert ks == list(range(1, 7)) and k == 6
 
 
 class TestFactorOnce:

@@ -494,6 +494,18 @@ class TestErrorPaths:
         assert err.startswith("error: gamma residual identity violated beyond roundoff at k = ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("spec", ["gen:box_qp:40:1", "gen:consensus_ls:20x15x10:1"])
+    def test_large_penalty_oracle_failure_is_one_line(self, spec, tmp_path, capsys):
+        # H = 1e8 I: the x-subproblem oracle fails at k = 1, before any row is
+        # certified, and neither the log nor the report is written
+        cfg = dict(CONSTANT_SCHEDULE, H={"type": "scaled_identity", "scale": 1e8})
+        sched = write_json(tmp_path / "h8.json", cfg)
+        assert main(solve_args(sched, tmp_path, problem=spec, max_iters="200")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: subproblem: x-subproblem optimality violated at k = 1: distance ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run.csv").exists() and not (tmp_path / "run.json").exists()
+
     def test_sandwich_violation_exits_one(self, tmp_path, capsys):
         # drift law forbids the schedule's c_k > 1 in solver mode
         cfg = dict(CONSTANT_SCHEDULE, c={"c0": 2.0, "law": "inverse_square"})

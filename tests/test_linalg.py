@@ -11,6 +11,7 @@ from vmpadmm.linalg import (
     block_diag,
     operator_leq,
 )
+from vmpadmm.schedule import constant_schedule
 
 
 def random_psd(rng, dim, rank=None):
@@ -63,6 +64,18 @@ class TestPsdOperator:
                           (M.scaled(2.0).apply(z), 2.0 * (matrix @ z)),
                           (M.affine(0.0, f).apply(Z), f[:, None] * (Z @ matrix.T))):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_zero_matrix_runs_no_eigvalsh(self, monkeypatch):
+        # an all-zero anchor (a zero R or S) has the extremes eigvalsh gives,
+        # +0.0 bit for bit, without the decomposition; H's anchor still runs it
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        w = eigvalsh(np.zeros((200, 200)))
+        assert np.array(PsdOperator(np.zeros((200, 200)))._eig_extremes).tobytes() == w[[0, -1]].tobytes()
+        assert calls == []
+        constant_schedule((200, 100, 100), 10).validate()  # H = I, R = S = 0
+        assert calls == [(100, 100)]
 
     def test_inverse(self):
         rng = np.random.default_rng(0)
