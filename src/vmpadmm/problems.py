@@ -4,8 +4,13 @@ Function descriptors carry closed-form subdifferential machinery (the
 distance to the subdifferential and the Fenchel--Young gap of the conjugate)
 so that solver-side certificates can be verified independently of how the
 iterates were produced.
-The reference solver is a standalone textbook ADMM (or a direct KKT solve
-when both blocks are quadratic) and shares no code with the main solver.
+The reference solver shares no code with the main solver.  When both blocks
+are quadratic it solves the KKT system directly, by LU (least squares on the
+same matrix when that system is singular).  Otherwise it runs a standalone
+textbook ADMM and, for an l1 or box g, polishes its tail: once y's active set
+has held for a few iterates, the reduced KKT system of that set is solved by
+LU and its point kept if its KKT residual meets the accuracy (the solution
+polishing of OSQP, Stellato et al., Math. Prog. Comp. 2020).
 """
 
 from __future__ import annotations
@@ -359,11 +364,14 @@ def _prox_step(desc: FunctionDescriptor, G_diag: np.ndarray, q_lin: np.ndarray) 
     raise ValueError(f"no separable prox for kind {desc.kind!r}")
 
 
-def _factored_solver(M: np.ndarray):
+def _factored_solver(M: np.ndarray, name: str):
     """x -> M^{-1} x for a nonsingular M, factored once: the inverse from
     one LU solve, then one step of iterative refinement against M per call.
-    An exactly singular M raises ``LinAlgError`` here."""
-    M_inv = np.linalg.solve(M, np.eye(M.shape[0]))
+    An exactly singular M raises ``ValueError`` naming the system ``name``."""
+    try:
+        M_inv = np.linalg.solve(M, np.eye(M.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"plain ADMM {name} is singular") from exc
 
     def solve(r: np.ndarray) -> np.ndarray:
         x = M_inv @ r
@@ -372,13 +380,71 @@ def _factored_solver(M: np.ndarray):
     return solve
 
 
+def _active_set(g: FunctionDescriptor, y: np.ndarray) -> np.ndarray:
+    """Where the l1/box y sits: sign(y) for l1 (0 at an exact zero); for a
+    box -1 at (or below) the lower bound, +1 at the upper and 0 inside."""
+    if g.kind == "l1":
+        return np.sign(y).astype(np.int8)
+    return np.where(y <= g.lower, -1, np.where(y >= g.upper, 1, 0)).astype(np.int8)
+
+
+def _kkt_solve(
+    problem: ProblemSpec, active: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, ReferenceSolution | None]:
+    """The KKT system K w = rhs of ``problem`` in w = (x, y, gamma), formed
+    once and solved by LU: (K, rhs, point), where point is the
+    :class:`ReferenceSolution` of the solution, or None when LU finds K
+    singular.
+
+    f's rows are Q_f x - A^T gamma = -q_f and the constraint rows
+    Ax + By = b.  A quadratic g's rows are Q_g y - B^T gamma = -q_g.  For an
+    l1 or box g the rows come from an ``active`` set (:func:`_active_set`):
+    a coordinate at 0 (l1) or at a bound (box) is pinned there, and every
+    other one has (B^T gamma)_i = lam sign(y_i) (l1) or 0 (box).  That is
+    the solution polishing of OSQP (Stellato et al., Math. Prog. Comp.
+    2020), and the caller accepts the point only on its KKT residual.
+    """
+    f, g = problem.f, problem.g
+    A, B, b = problem.A, problem.B, problem.b
+    n_x, n_y, m = problem.dims
+    K = np.zeros((n_x + n_y + m,) * 2)
+    xs, ys, gs = slice(0, n_x), slice(n_x, n_x + n_y), slice(n_x + n_y, None)
+    K[xs, xs], K[xs, gs] = f.Q, -A.T
+    K[gs, xs], K[gs, ys] = A, B
+    rhs = np.concatenate([-f.q, np.zeros(n_y), b])
+    if g.kind == "quadratic":
+        K[ys, ys], K[ys, gs], rhs[ys] = g.Q, -B.T, -g.q
+    else:
+        pinned = active == 0 if g.kind == "l1" else active != 0
+        rows = np.arange(n_x, n_x + n_y)
+        K[rows[pinned], rows[pinned]] = 1.0
+        K[rows[~pinned], gs] = -B.T[~pinned]
+        if g.kind == "l1":
+            rhs[ys] = -g.lam * active
+        else:
+            rhs[ys] = np.where(active < 0, g.lower, g.upper) * pinned
+    try:
+        w = np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError:
+        return K, rhs, None
+    return K, rhs, _kkt_point(problem, w)
+
+
+def _kkt_point(problem: ProblemSpec, w: np.ndarray) -> ReferenceSolution:
+    """The point w = (x, y, gamma) with its KKT residual."""
+    n_x, n_y, _ = problem.dims
+    x, y, gamma = np.split(w, [n_x, n_x + n_y])
+    return ReferenceSolution(x, y, gamma, max(kkt_residual(problem, x, y, gamma)))
+
+
 def plain_admm_iterates(problem: ProblemSpec, beta: float = 1.0):
     """Textbook ADMM with penalty beta and unit dual stepsize, started at zero:
     an endless generator of the iterates (x_k, y_k, gamma_k), k = 1, 2, ...
 
     Independent of the variable-metric solver: the x-system (and a quadratic
     g's y-system) is factored once before the first iterate, and l1/box g
-    take soft-threshold / clip prox steps.
+    take soft-threshold / clip prox steps.  A singular x- or y-system
+    raises ``ValueError`` naming it.
     """
     A, B, b = problem.A, problem.B, problem.b
     f, g = problem.f, problem.g
@@ -389,9 +455,9 @@ def plain_admm_iterates(problem: ProblemSpec, beta: float = 1.0):
         G_diag = beta * np.diag(BtB)
         if np.abs(BtB - np.diag(np.diag(BtB))).max(initial=0.0) > 1e-12:
             raise ValueError("plain ADMM needs B^T B diagonal for l1/box g")
-    solve_x = _factored_solver(beta * (A.T @ A) + f.Q)
+    solve_x = _factored_solver(beta * (A.T @ A) + f.Q, "x-system Q_f + beta A^T A")
     if g.kind == "quadratic":
-        solve_y = _factored_solver(beta * BtB + g.Q)
+        solve_y = _factored_solver(beta * BtB + g.Q, "y-system Q_g + beta B^T B")
     y, gamma = np.zeros(g.dim), np.zeros(len(b))
     while True:
         x = solve_x(A.T @ gamma - beta * A.T @ (B @ y - b) - f.q)
@@ -399,6 +465,9 @@ def plain_admm_iterates(problem: ProblemSpec, beta: float = 1.0):
         y = _prox_step(g, G_diag, q_lin) if g.kind in ("l1", "box") else solve_y(-q_lin - g.q)
         gamma = gamma - beta * (A @ x + B @ y - b)
         yield x, y, gamma
+
+
+_POLISH_STREAK = 5  # iterates an l1/box active set must hold before it is polished
 
 
 def plain_admm(
@@ -409,40 +478,56 @@ def plain_admm(
 ):
     """:func:`plain_admm_iterates` stopped at the first iterate whose KKT
     residual is at most ``accuracy``, or after ``max_iters`` iterates.
-    Returns (x, y, gamma, best residual seen)."""
+    Returns (x, y, gamma, best residual seen).
+
+    For an l1 or box g the loop also polishes: once y's active set
+    (:func:`_active_set`) has held for ``_POLISH_STREAK`` consecutive
+    iterates and was not tried before, it solves the reduced KKT system of
+    that set directly (:func:`_kkt_solve`, the solution polishing of OSQP)
+    and returns the polished point if its KKT residual is at most
+    ``accuracy``.  A wrong guess fails that test and the loop goes on."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    best = np.inf
+    polish = problem.g.kind in ("l1", "box")
+    best, held, previous, tried = np.inf, 0, None, set()
     for x, y, gamma in islice(plain_admm_iterates(problem, beta), max_iters):
         best = min(best, max(kkt_residual(problem, x, y, gamma)))
         if best <= accuracy:
             break
+        if not polish:
+            continue
+        active = _active_set(problem.g, y)
+        held = held + 1 if np.array_equal(active, previous) else 1
+        previous, key = active, active.tobytes()
+        if held >= _POLISH_STREAK and key not in tried:
+            tried.add(key)
+            point = _kkt_solve(problem, active)[2]
+            if point is not None and point.kkt_residual <= accuracy:
+                return point.x, point.y, point.gamma, point.kkt_residual
     return x, y, gamma, best
 
 
 def reference_solve(problem: ProblemSpec, accuracy: float = 1e-10) -> ReferenceSolution:
-    """High-accuracy KKT point: direct solve for quadratic/quadratic,
-    long plain ADMM otherwise.  Deterministic per problem."""
+    """High-accuracy KKT point, deterministic per problem.
+
+    Both blocks quadratic: the KKT system solved directly by LU
+    (:func:`_kkt_solve`), by least squares on the same matrix when it is
+    singular.  Otherwise, or when that point misses the accuracy: plain
+    ADMM (:func:`plain_admm`), whose l1/box tail is polished by a direct
+    solve of the reduced KKT system of y's active set, as in OSQP
+    (Stellato et al., Math. Prog. Comp. 2020).  Only a point whose KKT
+    residual meets the accuracy is returned."""
     if accuracy < 1e-12:
         raise ValueError("requested accuracy below 1e-12 is not supported")
     f, g = problem.f, problem.g
     A, B, b = problem.A, problem.B, problem.b
-    n_x, n_y, m = problem.dims
     if f.kind == g.kind == "quadratic":
-        K = np.block(
-            [
-                [f.Q, np.zeros((n_x, n_y)), -A.T],
-                [np.zeros((n_y, n_x)), g.Q, -B.T],
-                [A, B, np.zeros((m, m))],
-            ]
-        )
-        rhs = np.concatenate([-f.q, -g.q, b])
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-        x, y, gamma = sol[:n_x], sol[n_x : n_x + n_y], sol[n_x + n_y :]
-        res = max(kkt_residual(problem, x, y, gamma))
-        if res <= max(accuracy, 1e-10):
-            return ReferenceSolution(x, y, gamma, res)
-        # singular KKT system; fall through to the iterative path
+        K, rhs, point = _kkt_solve(problem)
+        if point is None or point.kkt_residual > accuracy:  # a singular KKT system
+            point = _kkt_point(problem, np.linalg.lstsq(K, rhs, rcond=None)[0])
+        if point.kkt_residual <= accuracy:
+            return point
+        # still singular; fall through to the iterative path
     # plain ADMM cannot converge when the constraint has no solution
     AB = np.hstack([A, B])
     miss = AB @ np.linalg.lstsq(AB, b, rcond=None)[0] - b

@@ -6,6 +6,7 @@ oracle; ``sampled_eps_check`` is the sampled eps-subdifferential inequality
 that ``FunctionDescriptor.fenchel_young`` decides exactly;
 ``plain_admm_per_iteration_solve`` and ``sigma_feasible_scalar`` are the
 unfactored and unvectorized forms of the reference ADMM and the sigma scan.
+``ZERO_F_PROBLEM`` is a problem JSON with a zero f and n_x > m.
 """
 
 import math
@@ -17,6 +18,11 @@ from vmpadmm.linalg import PsdOperator
 SAMPLES = 200
 TOL = 1e-8
 SQRT2 = math.sqrt(2.0)
+
+ZERO_F_PROBLEM = {  # n_x > m: a singular x-system, and a singular KKT system
+    "A": [[1.0, 0.5, 0.0, 0.2], [0.0, 1.0, 0.3, 0.4]], "B": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, -1.0],
+    "f": {"type": "zero"}, "g": {"type": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.5, -0.5]},
+}
 
 
 def identity(dim, scale=1.0):

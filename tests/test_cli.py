@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import ZERO_F_PROBLEM
 
 from vmpadmm.admm import VmPadmmRun, compute_sigma_theta
 from vmpadmm.cli import CSV_COLUMNS, main, parse_generator_spec
@@ -304,15 +305,24 @@ class TestErrorPaths:
         assert "reference solve" in err and "quadratic/zero f only" in err
 
     def test_singular_reference_system_is_one_line(self, schedule_file, tmp_path, capsys):
-        # Q = 0 and A = 0: the reference ADMM's x-system Q + A^T A is exactly singular
-        problem = write_json(tmp_path / "singular.json", {
-            "A": [[0.0]], "B": [[-1.0]], "b": [0.0],
-            "f": {"type": "quadratic", "Q": [[0.0]], "q": [1.0]}, "g": {"type": "l1", "lambda": 0.1},
-        })
-        assert main(solve_args(schedule_file, tmp_path, problem=problem)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: reference solve: ") and err.count("\n") == 1
-        assert "singular" in err.lower()
+        # the reference ADMM's x-system Q + A^T A is exactly singular
+        docs = {
+            "zero_a": {  # Q = 0 and A = 0
+                "A": [[0.0]], "B": [[-1.0]], "b": [0.0],
+                "f": {"type": "quadratic", "Q": [[0.0]], "q": [1.0]}, "g": {"type": "l1", "lambda": 0.1},
+            },
+            "unbounded_below": {  # f = x_2 on a free x_2; the KKT system is singular too
+                "A": [[1.0, 0.0]], "B": [[1.0]], "b": [0.0],
+                "f": {"type": "quadratic", "Q": [[0.0, 0.0], [0.0, 0.0]], "q": [0.0, 1.0]},
+                "g": {"type": "quadratic", "Q": [[1.0]], "q": [0.0]},
+            },
+        }
+        for name, doc in docs.items():
+            problem = write_json(tmp_path / f"{name}.json", doc)
+            assert main(solve_args(schedule_file, tmp_path, problem=problem)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: reference solve: ") and err.count("\n") == 1
+            assert "x-system Q_f + beta A^T A is singular" in err
 
     def test_unsupported_subproblem_is_one_line(self, tmp_path, capsys):
         # a dense S makes the box y-subproblem non-separable
@@ -515,10 +525,6 @@ class TestErrorPaths:
         assert "validation" in capsys.readouterr().err
 
 
-ZERO_F_PROBLEM = {  # n_x > m: a singular x-system
-    "A": [[1.0, 0.5, 0.0, 0.2], [0.0, 1.0, 0.3, 0.4]], "B": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, -1.0],
-    "f": {"type": "zero"}, "g": {"type": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.5, -0.5]},
-}
 ZERO_G_PROBLEM = dict(
     ZERO_F_PROBLEM, g={"type": "zero"},
     f={"type": "quadratic", "Q": np.diag([1.0, 2.0, 0.5, 1.0]).tolist(), "q": [0.5, -0.5, 0.0, 1.0]},

@@ -1,16 +1,21 @@
+import re
 from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import plain_admm_per_iteration_solve, sampled_eps_check, subgradient
+from helpers import ZERO_F_PROBLEM, plain_admm_per_iteration_solve, sampled_eps_check, subgradient
 
+import vmpadmm.problems
 from vmpadmm.admm import eps_subdifferential_checks
 from vmpadmm.problems import (
     FunctionDescriptor,
     ProblemSpec,
+    _active_set,
     _factored_solver,
+    _kkt_point,
+    _kkt_solve,
     generate,
     kkt_residual,
     plain_admm,
@@ -369,14 +374,28 @@ class TestPlainAdmm:
             M = U @ np.diag(np.logspace(-8, 0, 8)) @ U.T
             M = 0.5 * (M + M.T)
             r = M @ U[:, -1]
-            x = _factored_solver(M)(r)
+            x = _factored_solver(M, "M")(r)
             assert np.linalg.norm(r - M @ x) <= 1e-15 * np.linalg.norm(M, 2) * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("block,system", [
+        ("x", "x-system Q_f + beta A^T A"), ("y", "y-system Q_g + beta B^T B"),
+    ])
+    def test_singular_system_is_named(self, block, system):
+        # one block's function is linear and its column of [A B] is zero
+        linear = FunctionDescriptor("quadratic", 1, Q=np.zeros((1, 1)), q=np.ones(1))
+        strong = FunctionDescriptor("quadratic", 1, Q=np.eye(1), q=np.ones(1))
+        zero, one, b = np.zeros((1, 1)), np.ones((1, 1)), np.zeros(1)
+        p = ProblemSpec(linear, strong, zero, one, b) if block == "x" else ProblemSpec(strong, linear, one, zero, b)
+        with pytest.raises(ValueError, match=f"^plain ADMM {re.escape(system)} is singular$"):
+            next(plain_admm_iterates(p))
 
     @pytest.mark.parametrize("name,systems", [("lasso", 1), ("box_qp", 1), ("quadratic_g_singular_kkt", 2)])
     def test_each_block_system_factored_once(self, name, systems, monkeypatch):
         """One LU solve per block system before the first iterate, then no
         LAPACK call in the loop; the reference solve of a lasso or box QP
-        factors its x-system once (plus the least-squares feasibility check)."""
+        makes the least-squares feasibility check, factors its x-system once
+        and solves one KKT system per polished active set (three active
+        sets are tried on this lasso, the first one held on this box QP)."""
         p, calls = self.problems()[name], []
         for fn_name in ("solve", "lstsq", "eigh", "eigvalsh", "inv"):
             fn = getattr(np.linalg, fn_name)
@@ -392,4 +411,78 @@ class TestPlainAdmm:
         assert calls == []
         if name != "quadratic_g_singular_kkt":  # a direct KKT solve handles quadratic g
             reference_solve(p)
-            assert calls == ["lstsq", "solve"]
+            polishes = {"lasso": 3, "box_qp": 1}[name]
+            assert calls == ["lstsq", "solve"] + ["solve"] * polishes
+
+
+def unpolished_stop(problem, accuracy=1e-10):
+    """The first plain ADMM iterate whose KKT residual is at most
+    ``accuracy``: where the loop stops without polishing."""
+    for x, y, gamma in plain_admm_iterates(problem, beta=1.0):
+        if max(kkt_residual(problem, x, y, gamma)) <= accuracy:
+            return x, y, gamma
+
+
+class TestPolish:
+    """The direct KKT solves of the reference: the polished tail of an l1 or
+    box g, and the LU solve of a quadratic/quadratic problem."""
+
+    @pytest.mark.parametrize("seed", [*range(8), 7919])
+    @pytest.mark.parametrize("kind,dims", [
+        ("lasso", (10, 5)), ("box_qp", 40), ("lasso", (200, 100)), ("box_qp", 200),
+    ], ids=["lasso10x5", "box_qp40", "lasso200x100", "box_qp200"])
+    def test_polished_reference_is_the_admm_point(self, kind, dims, seed):
+        p = generate(kind, dims, seed)
+        ref = reference_solve(p)
+        assert ref.kkt_residual == max(kkt_residual(p, ref.x, ref.y, ref.gamma)) <= 1e-10
+        for ours, admm in zip((ref.x, ref.y, ref.gamma), unpolished_stop(p)):
+            np.testing.assert_allclose(ours, admm, rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("kind,dims", [("lasso", (10, 5)), ("box_qp", 40)], ids=["lasso10x5", "box_qp40"])
+    def test_wrong_guess_is_rejected(self, kind, dims, monkeypatch):
+        """One sign flipped (l1) or one bound freed (box) on the coordinate
+        with the largest multiplier: the KKT check rejects the solution, and
+        a polish that only ever sees such guesses returns the ADMM point."""
+        p = generate(kind, dims, 1)
+        ref = reference_solve(p)
+        active = _active_set(p.g, ref.y)
+        at = int(np.argmax(np.where(active != 0, np.abs(p.B.T @ ref.gamma), -1.0)))
+        assert active[at] != 0
+        tried, solve = [], _kkt_solve
+
+        def wrong_solve(problem, guess):
+            guess = guess.copy()
+            guess[at] = -active[at] if kind == "lasso" else 0
+            tried.append(solve(problem, guess)[2])
+            return None, None, tried[-1]
+
+        monkeypatch.setattr(vmpadmm.problems, "_kkt_solve", wrong_solve)
+        assert wrong_solve(p, active)[2] is None or tried[0].kkt_residual > 1e-10
+        got = reference_solve(p)
+        assert len(tried) > 1 and all(pt is None or pt.kkt_residual > 1e-10 for pt in tried)
+        for ours, admm in zip((got.x, got.y, got.gamma), unpolished_stop(p)):
+            np.testing.assert_array_equal(ours, admm)
+
+    @pytest.mark.parametrize("dims", [(6, 5, 4), (20, 15, 10), (200, 150, 100)])
+    def test_lu_point_is_the_lstsq_point(self, dims):
+        p = generate("consensus_ls", dims, 1)
+        K, rhs, lu = _kkt_solve(p)
+        ls = _kkt_point(p, np.linalg.lstsq(K, rhs, rcond=None)[0])
+        for u, v in zip((lu.x, lu.y, lu.gamma), (ls.x, ls.y, ls.gamma)):
+            np.testing.assert_allclose(u, v, rtol=0.0, atol=1e-12)
+        ref = reference_solve(p)
+        np.testing.assert_array_equal(np.r_[ref.x, ref.y, ref.gamma], np.r_[lu.x, lu.y, lu.gamma])
+
+    @pytest.mark.parametrize("problem", [
+        problem_from_dict(ZERO_F_PROBLEM), TestPlainAdmm.quadratic_g_singular_kkt(),
+    ], ids=["zero_f", "quadratic_g_singular_kkt"])
+    def test_singular_kkt_falls_back_to_lstsq(self, problem, monkeypatch):
+        """LU finds the KKT system singular; least squares on the same
+        matrix gives the reference, and plain ADMM never runs."""
+        assert _kkt_solve(problem)[2] is None
+        lstsq, shapes = np.linalg.lstsq, []
+        monkeypatch.setattr(np.linalg, "lstsq", lambda K, *a, **k: shapes.append(K.shape) or lstsq(K, *a, **k))
+        monkeypatch.setattr(vmpadmm.problems, "plain_admm", None)
+        ref = reference_solve(problem)
+        assert ref.kkt_residual <= 1e-10
+        assert shapes == [(sum(problem.dims),) * 2]
