@@ -156,7 +156,13 @@ class BlockSystem:
     products and a division, and gives the minimum-norm solution when T_k is
     singular.  K and Q stay formed: the residual and optimality checks
     multiply by them, never by the basis.  An l1 or box block needs G_k
-    diagonal and is solved in closed form.
+    diagonal and is solved in closed form from diag(K).
+
+    H_0's matrix ``H0``, the anchor ``P0`` of a scaled proximal family
+    (None when it is all zero) and diag(K) are kept from construction, so a
+    step builds no operator (:func:`_solve_block`).  Only a P_k that is not
+    a multiple f_k P_0, i.e. a linearized R_k = tau I - f_k G, is the
+    operator the schedule realizes, which keeps it formed while f_k holds.
     """
 
     def __init__(self, desc, N: np.ndarray, schedule: MetricSchedule, family: str):
@@ -167,21 +173,21 @@ class BlockSystem:
         if self.K is not None and not np.isfinite(self.K).all():
             block, M = ("x", "A") if family == "R" else ("y", "B")
             raise SubproblemError(f"{block}-subproblem system {M}^T H_0 {M} + {family}_0 overflows")
+        self.H0 = schedule.family("H")[0].matrix
+        P, a, s = schedule.family(family)
+        self._realize_P = (a, s) != (0.0, 1.0)  # not a scaled family: P_k is realized
+        self.P0 = None if self._realize_P or not P.matrix.any() else P.matrix
         self._basis = None  # (W, a), formed on the first solve
+        self._diag = None if self.K is None else np.diag(self.K)
         if desc.kind in ("l1", "box") and self.K is not None:
             K = self.K
             scale = max(1.0, float(np.abs(K).max(initial=0.0)))
-            offdiag = np.abs(K - np.diag(np.diag(K))).max(initial=0.0)
+            offdiag = np.abs(K - np.diag(self._diag)).max(initial=0.0)
             if offdiag > 1e-10 * scale:
                 raise SubproblemError(
                     f"{desc.kind} subproblem needs a diagonal quadratic part; "
                     f"off-diagonal magnitude {offdiag} (choose a linearizing metric)"
                 )
-
-    def metrics(self, k: int):
-        """(H_k, P_k, f_k) from the schedule."""
-        ops = self.schedule.realize(k)
-        return ops[0], ops[self._index], self.schedule.factor(k)
 
     def metric_apply(self, f: float, u: np.ndarray) -> np.ndarray:
         """G_k u at f_k = f."""
@@ -204,7 +210,7 @@ class BlockSystem:
             if np.sqrt(miss @ miss) > 1e-8 * (1.0 + np.sqrt(rhs @ rhs)):
                 raise SubproblemError("subproblem quadratic part is singular")
             return u, Gu
-        d = np.full(len(q_lin), self.tau) if self.K is None else f * np.diag(self.K) + self.tau
+        d = np.full(len(q_lin), self.tau) if self.K is None else f * self._diag + self.tau
         if (d <= 0).any():
             raise SubproblemError(f"{desc.kind} subproblem needs positive diagonal curvature")
         if desc.kind == "l1":
@@ -234,10 +240,17 @@ def _solve_block(system: BlockSystem, k: int, shift, gamma_prev, prev):
     """argmin desc(u) - <gamma_prev, N u> + 0.5||N u + shift||^2_{H_k}
     + 0.5||u - prev||^2_{P_k} for the block ``system`` at iteration k, and
     the solve's own residual v = -(G_k u + q_lin), which lies in d desc(u)
-    exactly when u is optimal: :func:`_oracle` checks that."""
-    H_k, P_k, f = system.metrics(k)
+    exactly when u is optimal: :func:`_oracle` checks that.  H_k u is formed
+    as f_k (H_0 u), a scaled P_k u as f_k (P_0 u) and a zero P_k u not at
+    all: the products and roundings of the realized views, from the
+    system's run constants and f_k alone."""
+    f = system.schedule.factor(k)
     N = system.N
-    q_lin = -N.T @ gamma_prev + N.T @ H_k.apply(shift) - P_k.apply(prev)
+    q_lin = -N.T @ gamma_prev + N.T @ (f * (system.H0 @ shift))
+    if system.P0 is not None:
+        q_lin = q_lin - f * (system.P0 @ prev)
+    elif system._realize_P:  # a linearized R_k, kept formed by the schedule while f_k holds
+        q_lin = q_lin - system.schedule.realize(k)[system._index].apply(prev)
     u, Gu = system.solve(f, q_lin)
     return u, -(Gu + q_lin)
 
@@ -268,15 +281,15 @@ def solve_y_subproblem(problem, Ax_k, y_prev, gamma_prev, system: BlockSystem, k
     return _solve_block(system, k, Ax_k - problem.b, gamma_prev, y_prev)
 
 
-def update_multiplier(gamma_prev, H_k, theta, primal, primal_t):
-    """Over-relaxed multiplier update and the extragradient multiplier, from
-    the residuals ``primal`` = A x_k + B y_k - b and ``primal_t`` =
-    A x_k + B y_{k-1} - b:
+def update_multiplier(gamma_prev, H0, f, theta, primal, primal_t):
+    """Over-relaxed multiplier update and the extragradient multiplier under
+    H_k = f_k H_0, given H_0's matrix ``H0`` and f = f_k, from the residuals
+    ``primal`` = A x_k + B y_k - b and ``primal_t`` = A x_k + B y_{k-1} - b:
 
         gamma_k = gamma_{k-1} - theta H_k (A x_k + B y_k - b)
         gamma~_k = gamma_{k-1} - H_k (A x_k + B y_{k-1} - b)
     """
-    return gamma_prev - theta * H_k.apply(primal), gamma_prev - H_k.apply(primal_t)
+    return gamma_prev - theta * (f * (H0 @ primal)), gamma_prev - f * (H0 @ primal_t)
 
 
 @dataclass(slots=True)
@@ -558,8 +571,8 @@ class VmPadmmRun:
             raise
         By = B @ y_k
         primal = Ax + By - b
-        gamma_k, gamma_t = update_multiplier(gamma_prev, schedule.realize(k)[0], self.params.theta, primal,
-                                             Ax + By_prev - b)
+        gamma_k, gamma_t = update_multiplier(gamma_prev, self._systems[0].H0, schedule.factor(k), self.params.theta,
+                                             primal, Ax + By_prev - b)
         self.k = k
         self.x, self.y, self.gamma, self._By = x_k, y_k, gamma_k, By
         return AdmmStep(k, x_k, y_k, gamma_k, gamma_t, v_x, v_y, primal)

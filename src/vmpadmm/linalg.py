@@ -50,6 +50,7 @@ class PsdOperator:
     matrix: np.ndarray
     definite: bool = False
     _zero = False  # the matrix is all zeros (set at construction; a view applies through its base)
+    _symmetric = False  # the matrix equals its transpose exactly (set at construction)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -57,8 +58,9 @@ class PsdOperator:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_zero", not m.any())
+        object.__setattr__(self, "_symmetric", bool((m == m.T).all()))
         scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-        if np.abs(m - m.T).max(initial=0.0) > _SYMMETRY_TOL * scale:
+        if not self._symmetric and np.abs(m - m.T).max(initial=0.0) > _SYMMETRY_TOL * scale:
             raise ValueError("operator matrix is not symmetric within tolerance")
         lo, hi = self._eig_extremes
         if lo < -_PSD_TOL * max(1.0, hi):
@@ -72,16 +74,23 @@ class PsdOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def _symmetric_part(self) -> np.ndarray:
+        """0.5 (M + M^T), which the decompositions read: M itself when it is
+        exactly symmetric, since then that sum and halving are exact."""
+        m = self.matrix
+        return m if self._symmetric else 0.5 * (m + m.T)
+
     @cached_property
     def _eig(self):
-        w, v = np.linalg.eigh(0.5 * (self.matrix + self.matrix.T))
+        w, v = np.linalg.eigh(self._symmetric_part)
         return w, v
 
     @cached_property
     def _eig_extremes(self):
         if self._zero:  # eigvalsh of zeros gives +0.0 too
             return 0.0, 0.0
-        w = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))
+        w = np.linalg.eigvalsh(self._symmetric_part)
         return float(w[0]), float(w[-1])
 
     @cached_property

@@ -16,7 +16,7 @@ polishing of OSQP, Stellato et al., Math. Prog. Comp. 2020).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 
@@ -59,6 +59,9 @@ class FunctionDescriptor:
     lam: float | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
+    # Q as a PsdOperator, decomposed once: its extremes give the PSD verdict at
+    # construction and its eigenbasis the Fenchel--Young gap
+    _Q_operator: PsdOperator | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -74,11 +77,17 @@ class FunctionDescriptor:
             q = finite_array(self.q, "q")
             if Q.shape != (self.dim, self.dim) or q.shape != (self.dim,):
                 raise ValueError("quadratic descriptor has inconsistent shapes")
-            if np.abs(Q - Q.T).max(initial=0.0) > 1e-10 * max(1.0, np.abs(Q).max()):
+            symmetric = (Q == Q.T).all()
+            if not symmetric and np.abs(Q - Q.T).max(initial=0.0) > 1e-10 * max(1.0, np.abs(Q).max()):
                 raise ValueError("quadratic Q must be symmetric")
-            if np.linalg.eigvalsh(Q).min() < -1e-10 * max(1.0, np.abs(Q).max()):
+            try:  # 0.5 (Q + Q^T) is Q itself when Q is exactly symmetric
+                Q_op = PsdOperator(Q if symmetric else 0.5 * (Q + Q.T))
+            except ValueError:  # rejected under the operator's PSD bound, which is looser than this one
+                Q_op = None
+            if Q_op is None or Q_op._eig_extremes[0] < -1e-10 * max(1.0, np.abs(Q).max()):
                 raise ValueError("quadratic Q must be PSD")
             object.__setattr__(self, "Q", Q)
+            object.__setattr__(self, "_Q_operator", Q_op)
             object.__setattr__(self, "q", q)
         elif self.kind == "l1":
             if self.lam is None or not 0 < self.lam < np.inf:
@@ -163,11 +172,6 @@ class FunctionDescriptor:
         gap = np.maximum(self.lower * s, self.upper * s).sum(axis=-1) - row_dot(s, x)
         out = x - np.clip(x, self.lower, self.upper)
         return gap, np.sqrt(row_dot(out, out))
-
-    @cached_property
-    def _Q_operator(self) -> PsdOperator:
-        """Q as a :class:`PsdOperator`, decomposed once per descriptor."""
-        return PsdOperator(0.5 * (self.Q + self.Q.T))
 
     def sample_domain(self, count: int, around: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Sample points in dom f near ``around`` (rows of the result); a

@@ -119,15 +119,20 @@ class MetricSchedule:
         self._last = (f, ops)
         return ops
 
+    def family(self, name: str) -> tuple[PsdOperator, float, float]:
+        """The (anchor, a, s) triple of the family ``"H"``, ``"R"`` or ``"S"``:
+        its operator at k is a I + s f_k anchor."""
+        return self._families["HRS".index(name)]
+
     def system_base(self, N: np.ndarray, family: str) -> tuple[np.ndarray | None, float]:
         """(K, tau) with N^T H_k N + P_k = f_k K + tau I, where P is the
         family ``"R"`` (N = A) or ``"S"`` (N = B): K = N^T H_0 N + P_0 and
         tau = 0 for a scaled P, K = None for a linearized
         P_k = tau I - N^T H_k N (s < 0, a = tau)."""
-        P, a, s = self._families["HRS".index(family)]
+        P, a, s = self.family(family)
         if s < 0:
             return None, a
-        K = N.T @ self._families[0][0].matrix @ N + P.matrix
+        K = N.T @ self.family("H")[0].matrix @ N + P.matrix
         return 0.5 * (K + K.T), a
 
     def validate(self) -> None:

@@ -6,13 +6,15 @@ oracle; ``sampled_eps_check`` is the sampled eps-subdifferential inequality
 that ``FunctionDescriptor.fenchel_young`` decides exactly;
 ``plain_admm_per_iteration_solve`` and ``sigma_feasible_scalar`` are the
 unfactored and unvectorized forms of the reference ADMM and the sigma scan.
-``ZERO_F_PROBLEM`` is a problem JSON with a zero f and n_x > m.
+``realized_step`` forms a solver step through the schedule's realized
+operators.  ``ZERO_F_PROBLEM`` is a problem JSON with a zero f and n_x > m.
 """
 
 import math
 
 import numpy as np
 
+from vmpadmm.admm import AdmmStep
 from vmpadmm.linalg import PsdOperator
 
 SAMPLES = 200
@@ -108,3 +110,29 @@ def sigma_feasible_scalar(theta, sigma):
     if sigma <= max((1.0 - theta) ** 2, 1.0 - theta, 1.0 / (1.0 + theta)):
         return False
     return (sigma + theta - 1.0) * (4.0 - 2.0 * SQRT2) / (SQRT2 * theta) < sigma
+
+
+def realized_step(run, x_prev, y_prev, gamma_prev, k):
+    """Step k of ``run`` from (x_prev, y_prev, gamma_prev), formed through the
+    operators ``schedule.realize(k)`` returns: H_k, R_k and S_k applied as
+    views, and each P_k's product subtracted, a zero one's too.  The oracle a
+    step from H_0, P_0 and f_k alone must equal bit for bit; it solves with
+    the run's own block systems, so the subproblems' factors are shared."""
+    problem, schedule, theta = run.problem, run.schedule, run.params.theta
+    A, B, b = problem.A, problem.B, problem.b
+    H_k, R_k, S_k = schedule.realize(k)
+    f = schedule.factor(k)
+
+    def solve(system, P_k, shift, prev):
+        N = system.N
+        q_lin = -N.T @ gamma_prev + N.T @ H_k.apply(shift) - P_k.apply(prev)
+        u, Gu = system.solve(f, q_lin)
+        return u, -(Gu + q_lin)
+
+    By_prev = B @ y_prev
+    x, v_x = solve(run._systems[0], R_k, By_prev - b, x_prev)
+    Ax = A @ x
+    y, v_y = solve(run._systems[1], S_k, Ax - b, y_prev)
+    primal = Ax + B @ y - b
+    gamma, gamma_t = gamma_prev - theta * H_k.apply(primal), gamma_prev - H_k.apply(Ax + By_prev - b)
+    return AdmmStep(k, x, y, gamma, gamma_t, v_x, v_y, primal)

@@ -3,10 +3,11 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from helpers import identity, sampled_eps_check, sigma_feasible_scalar, zero_operator
+from helpers import identity, realized_step, sampled_eps_check, sigma_feasible_scalar, zero_operator
 
 from vmpadmm import admm
 from vmpadmm.admm import (
+    AdmmStep,
     BlockSystem,
     SubproblemError,
     ThetaParams,
@@ -255,11 +256,11 @@ class TestFactoredSubproblems:
 
 class TestMultiplierUpdate:
     def test_hand_example(self):
-        # 1-dim, H=2, theta=0.5, primal residual 3: gamma drops by 0.5*2*3
+        # 1-dim, H = f_k H_0 = 2 * 1, theta=0.5, primal residual 3: gamma drops by 0.5*2*3
         p = scalar_problem()
         x, y, y_prev = np.array([2.0]), np.array([2.0]), np.array([1.0])
         gamma, gamma_t = update_multiplier(
-            np.zeros(1), identity(1, 2.0), 0.5, p.A @ x + p.B @ y - p.b, p.A @ x + p.B @ y_prev - p.b
+            np.zeros(1), np.eye(1), 2.0, 0.5, p.A @ x + p.B @ y - p.b, p.A @ x + p.B @ y_prev - p.b
         )
         assert gamma[0] == pytest.approx(-3.0)
         # extragradient multiplier uses y_prev and full stepsize: -(2*(2+1-1))
@@ -269,12 +270,71 @@ class TestMultiplierUpdate:
         # gamma~ - gamma = ((1-theta)/theta)(gamma - gamma_prev) + H B (y - y_prev)
         p = generate("consensus_ls", (4, 3, 2), 5)
         rng = np.random.default_rng(0)
-        H = identity(2, 1.7)
+        H0, f = identity(2, 1.7).matrix, 0.8  # H_k = f H_0
         theta = 1.3
         gp, x, y, ypr = rng.normal(size=2), rng.normal(size=4), rng.normal(size=3), rng.normal(size=3)
-        gamma, gamma_t = update_multiplier(gp, H, theta, p.A @ x + p.B @ y - p.b, p.A @ x + p.B @ ypr - p.b)
-        expected = gamma + (1.0 - theta) / theta * (gamma - gp) + H.matrix @ (p.B @ (y - ypr))
+        gamma, gamma_t = update_multiplier(gp, H0, f, theta, p.A @ x + p.B @ y - p.b, p.A @ x + p.B @ ypr - p.b)
+        expected = gamma + (1.0 - theta) / theta * (gamma - gp) + f * H0 @ (p.B @ (y - ypr))
         np.testing.assert_allclose(gamma_t, expected, atol=1e-12)
+
+
+def _dense_h(m):
+    """A dense, well-conditioned H_0 of dimension m."""
+    L = np.random.default_rng(11).normal(size=(m, m))
+    return {"type": "dense", "matrix": (0.2 * L @ L.T + np.eye(m)).tolist()}
+
+
+_SCALED_H = {"type": "scaled_identity", "scale": 1.3}
+_ZERO = {"type": "zero"}
+_INVERSE_SQUARE = {"c0": 0.5, "law": "inverse_square"}
+# (generator, dims, H, R, S) under inverse_square drift: dense and scaled H;
+# zero, scaled and linearized R; zero and scaled S
+_STEP_CASES = {
+    "dense_h_scaled_r_scaled_s": ("consensus_ls", (6, 5, 4), _dense_h(4), {"type": "scaled_identity", "scale": 0.5},
+                                  {"type": "dense", "matrix": (0.3 * np.eye(5)).tolist()}),
+    "zero_r_zero_s": ("lasso", (10, 5), _SCALED_H, _ZERO, _ZERO),
+    "zero_r_scaled_s": ("box_qp", (12,), _SCALED_H, _ZERO, {"type": "scaled_identity", "scale": 0.4}),
+    "linearized_r": ("lasso", (10, 5), _SCALED_H, "linearized", _ZERO),
+    "dense_h_linearized_r": ("consensus_ls", (6, 5, 4), _dense_h(4), "linearized", {"type": "scaled_identity", "scale": 0.3}),
+}
+
+
+def _step_run(case):
+    kind, dims, H, R, S = _STEP_CASES[case]
+    p = generate(kind, dims, 1)
+    if R == "linearized":  # tau = 3 lambda_max(A^T H_0 A) keeps every R_k PSD and sandwiched for c_0 = 0.5
+        H0 = np.asarray(H["matrix"]) if H["type"] == "dense" else H["scale"] * np.eye(p.dims[2])
+        R = {"type": "linearized", "tau": 3.0 * float(np.linalg.eigvalsh(p.A.T @ H0 @ p.A)[-1])}
+    cfg = {"H": H, "R": R, "S": S, "c": _INVERSE_SQUARE, "k_max": 40}
+    return VmPadmmRun(p, schedule_from_dict(cfg, p.dims, A=p.A), compute_sigma_theta(1.3))
+
+
+class TestStepArithmetic:
+    """A step forms H_k u as f_k (H_0 u), a scaled P_k u as f_k (P_0 u) and no
+    zero P_k u, from the run's constants and f_k: the products and roundings
+    of the realized operators, so every field of every step is the one that
+    the step through ``schedule.realize(k)`` forms, bit for bit."""
+
+    @pytest.mark.parametrize("case", list(_STEP_CASES))
+    def test_bitwise_equal_to_the_realized_operators(self, case):
+        run = _step_run(case)
+        assert len({run.schedule.factor(k) for k in range(41)}) > 2  # the factor drifts
+        for k in range(1, 41):
+            before = (run.x, run.y, run.gamma)
+            got = run.step()
+            want = realized_step(run, *before, k)
+            for name in (f.name for f in dataclasses.fields(AdmmStep)):
+                assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes(), (k, name)
+
+    @pytest.mark.parametrize("case", [c for c in _STEP_CASES if "linearized" not in c])
+    def test_no_operator_per_step(self, case, monkeypatch):
+        run = _step_run(case)
+        run.step()  # the first step builds the block systems
+        views, affine = [], PsdOperator.affine
+        monkeypatch.setattr(PsdOperator, "affine", lambda self, a, b: views.append(b) or affine(self, a, b))
+        for _ in range(2, 41):
+            run.step()
+        assert run.k == 40 and views == []
 
 
 class TestFixedPoint:
@@ -757,6 +817,20 @@ class TestFactorOnce:
             assert step.ok
         assert run.k == 6
         return calls
+
+    @pytest.mark.parametrize("kind,dims", [("lasso", (10, 5)), ("box_qp", (12,)), ("consensus_ls", (6, 5, 4))])
+    def test_one_eigvalsh_per_quadratic_q(self, kind, dims, monkeypatch):
+        # the descriptor's PSD verdict and the Fenchel-Young gap read one decomposed Q
+        args, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *r, **k: args.append(np.array(a)) or eigvalsh(a, *r, **k))
+        p = generate(kind, dims, 1)
+        run = VmPadmmRun(p, schedule_from_dict(TestRunState.DRIFT, p.dims, A=p.A), compute_sigma_theta(1.0))
+        assert next(run.certified_blocks(40, rho=0.0, eps=0.0)).ok
+        quadratics = [d for d in (p.f, p.g) if d.kind == "quadratic"]
+        assert quadratics and all(d.Q.any() for d in quadratics)
+        for d in quadratics:
+            forms = (d.Q, 0.5 * (d.Q + d.Q.T))
+            assert sum(any(a.shape == Q.shape and (a == Q).all() for Q in forms) for a in args) == 1
 
     def test_zero_law_linearized(self, monkeypatch):
         A = generate("lasso", (10, 5), 7).A

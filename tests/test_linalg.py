@@ -77,6 +77,22 @@ class TestPsdOperator:
         constant_schedule((200, 100, 100), 10).validate()  # H = I, R = S = 0
         assert calls == [(100, 100)]
 
+    def test_decompositions_read_the_symmetric_part(self):
+        # an exactly symmetric matrix is decomposed as it is, since 0.5 (M + M^T) is M
+        # bit for bit; a matrix symmetric only within tolerance through 0.5 (M + M^T)
+        rng = np.random.default_rng(3)
+        L = rng.normal(size=(6, 6))
+        sym = L @ L.T
+        for m in (sym, sym + np.triu(np.full((6, 6), 1e-14), 1)):
+            op, part = PsdOperator(m), 0.5 * (m + m.T)
+            assert op._symmetric == (m == m.T).all()
+            w, v = np.linalg.eigh(part)
+            assert op._eig[0].tobytes() == w.tobytes() and op._eig[1].tobytes() == v.tobytes()
+            w = np.linalg.eigvalsh(part)
+            assert np.array(op._eig_extremes).tobytes() == w[[0, -1]].tobytes()
+        with pytest.raises(ValueError, match="not symmetric"):
+            PsdOperator(sym + np.triu(np.full((6, 6), 1e-6), 1))
+
     def test_inverse(self):
         rng = np.random.default_rng(0)
         M = random_psd(rng, 5)

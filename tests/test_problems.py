@@ -300,6 +300,17 @@ class TestDescriptorValues:
         with pytest.raises(ValueError, match="PSD"):
             FunctionDescriptor("quadratic", 1, Q=-np.eye(1), q=np.zeros(1))
 
+    @pytest.mark.parametrize("low,ok", [(-1.5e-10, True), (-3e-10, False), (-1.0, False)])
+    def test_psd_verdict_tolerance(self, low, ok):
+        # eigenvalues 4 and low, max |Q_ij| about 2: Q passes when low >= -1e-10 max(1, max |Q_ij|),
+        # a bound tighter than the PsdOperator's -1e-10 max(1, 4)
+        Q = 2.0 * np.ones((2, 2)) + 0.5 * low * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        if ok:
+            assert FunctionDescriptor("quadratic", 2, Q=Q, q=np.zeros(2))._Q_operator.dim == 2
+        else:
+            with pytest.raises(ValueError, match="^quadratic Q must be PSD$"):
+                FunctionDescriptor("quadratic", 2, Q=Q, q=np.zeros(2))
+
 
 class TestPlainAdmm:
     def test_converges_on_lasso(self):
