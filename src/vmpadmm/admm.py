@@ -10,9 +10,10 @@ current k.  :meth:`VmPadmmRun.certified_blocks` is the one solve loop: it
 steps, certifies each block of up to ``_BLOCK`` steps in one pass over its
 stacked rows at every dimension, and applies the stopping rules;
 :meth:`VmPadmmRun.certified_steps` reads it out one iteration at a time.  A
-step forms only the next iterate; the pass checks first that each step of
-the block is exact (the subproblems' optimality oracles and the gamma
-residual identity), then the paper's guarantees.
+step forms only the next iterate, keeping each solve's linear term; the pass
+checks first that each step of the block is exact (each solve's system test
+and optimality oracle, by one product per block for all its rows, and the
+gamma residual identity), then the paper's guarantees.
 """
 
 from __future__ import annotations
@@ -154,15 +155,16 @@ class BlockSystem:
     W^T T_k W = diag(1 + (f_k - 1) a) for every f_k: the pencil (K, T_1) is
     diagonalized once per run, whatever C is.  A solve is two matrix-vector
     products and a division, and gives the minimum-norm solution when T_k is
-    singular.  K and Q stay formed: the residual and optimality checks
-    multiply by them, never by the basis.  An l1 or box block needs G_k
-    diagonal and is solved in closed form from diag(K).
+    singular.  An l1 or box block needs G_k diagonal and is solved in closed
+    form from diag(K).  A solve forms u alone; K and Q stay formed for
+    :meth:`residuals`, which multiplies a block's stacked solves by them,
+    never by the basis, when the block is certified.
 
     H_0's matrix ``H0``, the anchor ``P0`` of a scaled proximal family
     (None when it is all zero) and diag(K) are kept from construction, so a
     step builds no operator (:func:`_solve_block`).  Only a P_k that is not
-    a multiple f_k P_0, i.e. a linearized R_k = tau I - f_k G, is the
-    operator the schedule realizes, which keeps it formed while f_k holds.
+    a multiple f_k P_0, i.e. a linearized R_k = tau I - f_k G, is the view
+    the schedule realizes, which applies it without forming its matrix.
     """
 
     def __init__(self, desc, N: np.ndarray, schedule: MetricSchedule, family: str):
@@ -189,36 +191,51 @@ class BlockSystem:
                     f"off-diagonal magnitude {offdiag} (choose a linearizing metric)"
                 )
 
-    def metric_apply(self, f: float, u: np.ndarray) -> np.ndarray:
-        """G_k u at f_k = f."""
+    def metric_apply(self, f: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """G_k u for each row u of the stack U, at the column f of its f_k:
+        f_k (u K) + tau u."""
         if self.K is None:
-            return self.tau * u
-        Gu = f * (self.K @ u)
-        return Gu + self.tau * u if self.tau else Gu
+            return self.tau * U
+        GU = f * (U @ self.K)
+        return GU + self.tau * U if self.tau else GU
 
-    def solve(self, f: float, q_lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """argmin desc(u) + 0.5 u^T G_k u + q_lin^T u at f_k = f, and G_k u."""
+    def solve(self, f: float, q_lin: np.ndarray) -> np.ndarray:
+        """argmin desc(u) + 0.5 u^T G_k u + q_lin^T u at f_k = f.  A
+        quadratic solve is checked against its system by :meth:`residuals`
+        when its step is certified; an l1 or box solve raises here when a
+        diagonal curvature it divides by is not positive."""
         desc = self.desc
         if desc.kind == "quadratic":
             rhs = -(q_lin + desc.q)
             if self._basis is None:
                 self._basis = self._factor()
             W, a = self._basis
-            u = W @ ((W.T @ rhs) / (1.0 + (f - 1.0) * a))
-            Gu = self.metric_apply(f, u)
-            miss = Gu + desc.Q @ u - rhs
-            if np.sqrt(miss @ miss) > 1e-8 * (1.0 + np.sqrt(rhs @ rhs)):
-                raise SubproblemError("subproblem quadratic part is singular")
-            return u, Gu
+            return W @ ((W.T @ rhs) / (1.0 + (f - 1.0) * a))
         d = np.full(len(q_lin), self.tau) if self.K is None else f * self._diag + self.tau
         if (d <= 0).any():
             raise SubproblemError(f"{desc.kind} subproblem needs positive diagonal curvature")
         if desc.kind == "l1":
             t = -q_lin
-            u = np.sign(t) * np.maximum(np.abs(t) - desc.lam, 0.0) / d
-        else:
-            u = np.clip(-q_lin / d, desc.lower, desc.upper)
-        return u, self.metric_apply(f, u)
+            return np.sign(t) * np.maximum(np.abs(t) - desc.lam, 0.0) / d
+        return np.clip(-q_lin / d, desc.lower, desc.upper)
+
+    def residuals(self, ks: np.ndarray, U: np.ndarray, Q_lin: np.ndarray):
+        """(V, test) of the solves U (a stack of rows) at the iterations ks
+        with their linear terms Q_lin, by one product with K (and one with Q)
+        for the whole stack.  V = -(G_k u + q_lin) is each solve's residual,
+        which lies in d desc(u) exactly when u is optimal (:func:`_oracle`).
+        ``test`` is, for a quadratic block, the column of system residuals
+        ||G_k u + Q u - rhs|| with rhs = -(q_lin + q) and the column of their
+        tolerances 1e-8 (1 + ||rhs||); None for an l1 or box block, whose
+        closed form meets its system exactly."""
+        GU = self.metric_apply(self.schedule.factor(ks)[:, None], U)
+        V = -(GU + Q_lin)
+        desc = self.desc
+        if desc.kind != "quadratic":
+            return V, None
+        rhs = -(Q_lin + desc.q)
+        miss = GU + U @ desc.Q.T - rhs
+        return V, (np.sqrt(row_dot(miss, miss)), 1e-8 * (1.0 + np.sqrt(row_dot(rhs, rhs))))
 
     def _factor(self) -> tuple[np.ndarray, np.ndarray]:
         """(W, a): W whitens T_1 = K + tau I + Q on its numerical range, cut
@@ -239,20 +256,20 @@ class BlockSystem:
 def _solve_block(system: BlockSystem, k: int, shift, gamma_prev, prev):
     """argmin desc(u) - <gamma_prev, N u> + 0.5||N u + shift||^2_{H_k}
     + 0.5||u - prev||^2_{P_k} for the block ``system`` at iteration k, and
-    the solve's own residual v = -(G_k u + q_lin), which lies in d desc(u)
-    exactly when u is optimal: :func:`_oracle` checks that.  H_k u is formed
-    as f_k (H_0 u), a scaled P_k u as f_k (P_0 u) and a zero P_k u not at
-    all: the products and roundings of the realized views, from the
-    system's run constants and f_k alone."""
+    its linear term q_lin = -N^T gamma_prev + N^T H_k shift - P_k prev, from
+    which the block's pass forms the solve's residual and system test
+    (:meth:`BlockSystem.residuals`).  H_k u is formed as f_k (H_0 u), a
+    scaled P_k u as f_k (P_0 u) and a zero P_k u not at all: the products
+    and roundings of the realized views, from the system's run constants and
+    f_k alone."""
     f = system.schedule.factor(k)
     N = system.N
     q_lin = -N.T @ gamma_prev + N.T @ (f * (system.H0 @ shift))
     if system.P0 is not None:
         q_lin = q_lin - f * (system.P0 @ prev)
-    elif system._realize_P:  # a linearized R_k, kept formed by the schedule while f_k holds
+    elif system._realize_P:  # a linearized R_k, a view the schedule realizes
         q_lin = q_lin - system.schedule.realize(k)[system._index].apply(prev)
-    u, Gu = system.solve(f, q_lin)
-    return u, -(Gu + q_lin)
+    return system.solve(f, q_lin), q_lin
 
 
 def _oracle(desc, v, u):
@@ -263,15 +280,30 @@ def _oracle(desc, v, u):
     return dist, dist > _MEMBERSHIP_TOL * (1.0 + np.sqrt(row_dot(v, v)))
 
 
-def _oracle_error(block: str, k: int, dist: float) -> SubproblemError:
-    return SubproblemError(f"{block}-subproblem optimality violated at k = {k}: distance {dist}")
+def _solve_checks(system: BlockSystem, block: str, ks: np.ndarray, U: np.ndarray, Q_lin: np.ndarray) -> list:
+    """The checks of the stacked solves U of the ``block`` ("x" or "y") at
+    the iterations ks, in a step's order: the system test of a quadratic
+    block, then the optimality oracle.  Each is (the column of failures, the
+    error of row i)."""
+    V, test = system.residuals(ks, U, Q_lin)
+    checks = []
+    if test is not None:
+        r, tol = test
+        checks.append((r > tol, lambda i: SubproblemError(
+            f"{block}-subproblem quadratic part is singular at k = {ks[i]}: residual {r[i]:.3g} > {tol[i]:.3g}"
+        )))
+    dist, failed = _oracle(system.desc, V, U)
+    checks.append((failed, lambda i: SubproblemError(
+        f"{block}-subproblem optimality violated at k = {ks[i]}: distance {dist[i]}"
+    )))
+    return checks
 
 
 def solve_x_subproblem(problem, x_prev, By_prev, gamma_prev, system: BlockSystem, k: int):
     """Exact x-update at iteration k under (f, A, R_k), given the product
     ``By_prev`` = B y_{k-1}; ``system`` is the x-block's :class:`BlockSystem`.
-    Returns x_k and its residual v (see :func:`_solve_block`), which the
-    optimality oracle checks when the step is certified."""
+    Returns x_k and its linear term q_lin (see :func:`_solve_block`), from
+    which the block's pass checks the solve when the step is certified."""
     return _solve_block(system, k, By_prev - problem.b, gamma_prev, x_prev)
 
 
@@ -295,17 +327,17 @@ def update_multiplier(gamma_prev, H0, f, theta, primal, primal_t):
 @dataclass(slots=True)
 class AdmmStep:
     """What step k hands to its block: z_k = (x_k, y_k, gamma_k), gamma~_k,
-    each solve's residual v = -(G_k u + q_lin) and the primal residual
-    A x_k + B y_k - b, which the block's pass checks the optimality oracles
-    and the gamma residual identity with."""
+    each solve's linear term q_lin and the primal residual A x_k + B y_k - b,
+    from which the block's pass checks each solve's system and optimality
+    oracle and the gamma residual identity."""
 
     k: int
     x: np.ndarray
     y: np.ndarray
     gamma: np.ndarray
     gamma_tilde: np.ndarray
-    v_x: np.ndarray
-    v_y: np.ndarray
+    q_x: np.ndarray
+    q_y: np.ndarray
     primal: np.ndarray
 
 
@@ -340,8 +372,8 @@ class AdmmIterate:
 
 
 # the fields of a step that fill the blocks of z, of z~ (its x and y are z's) and of
-# (v_x, v_y, primal), the stacked rows of a block
-_STACKED = ("x", "y", "gamma", "gamma_tilde", "v_x", "v_y", "primal")
+# (q_x, q_y, primal), the stacked rows of a block
+_STACKED = ("x", "y", "gamma", "gamma_tilde", "q_x", "q_y", "primal")
 
 
 @dataclass
@@ -541,12 +573,14 @@ class VmPadmmRun:
 
     def step(self) -> AdmmStep:
         """One iteration, forming only what the next one depends on: the two
-        subproblem solves, which raise at once when a system is singular or
-        unsupported, and the multiplier update.  Each solve's optimality
-        oracle and the gamma residual identity are checked in the pass of the
-        block the step is certified in (:meth:`certified_blocks`), with every
-        check against the paper's guarantees; only when the y-solve raises is
-        the x oracle checked here, since it comes first in the step."""
+        subproblem solves and the multiplier update.  Each solve's system
+        test and optimality oracle and the gamma residual identity are checked
+        in the pass of the block the step is certified in
+        (:meth:`certified_blocks`), with every check against the paper's
+        guarantees.  A solve raises here only when it cannot be formed (an l1
+        or box curvature that is not positive); when the y-solve raises, the
+        x-solve's checks are made here first, on this step's row alone, since
+        they come first in the step."""
         k = self.k + 1
         if k > self.schedule.k_max:
             raise ValueError(f"schedule horizon k_max={self.schedule.k_max} exhausted")
@@ -560,14 +594,14 @@ class VmPadmmRun:
         x_prev, y_prev, gamma_prev, By_prev = self.x, self.y, self.gamma, self._By
 
         # each product with A, B and H_k is formed once
-        x_k, v_x = solve_x_subproblem(problem, x_prev, By_prev, gamma_prev, self._systems[0], k)
+        x_k, q_x = solve_x_subproblem(problem, x_prev, By_prev, gamma_prev, self._systems[0], k)
         Ax = A @ x_k
         try:
-            y_k, v_y = solve_y_subproblem(problem, Ax, y_prev, gamma_prev, self._systems[1], k)
-        except Exception:  # whatever it raises, the x oracle comes first in the step
-            dist, failed = _oracle(problem.f, v_x, x_k)
-            if failed:
-                raise _oracle_error("x", k, dist) from None
+            y_k, q_y = solve_y_subproblem(problem, Ax, y_prev, gamma_prev, self._systems[1], k)
+        except Exception:  # whatever it raises, the x-solve's checks come first in the step
+            for failed, error in _solve_checks(self._systems[0], "x", np.array([k]), x_k[None], q_x[None]):
+                if failed[0]:
+                    raise error(0) from None
             raise
         By = B @ y_k
         primal = Ax + By - b
@@ -575,7 +609,7 @@ class VmPadmmRun:
                                              primal, Ax + By_prev - b)
         self.k = k
         self.x, self.y, self.gamma, self._By = x_k, y_k, gamma_k, By
-        return AdmmStep(k, x_k, y_k, gamma_k, gamma_t, v_x, v_y, primal)
+        return AdmmStep(k, x_k, y_k, gamma_k, gamma_t, q_x, q_y, primal)
 
     def certified_steps(self, max_iters: int, rho: float, eps: float):
         """:meth:`certified_blocks`, one :class:`CertifiedStep` per iteration."""
@@ -586,8 +620,9 @@ class VmPadmmRun:
     def certified_blocks(self, max_iters: int, rho: float, eps: float):
         """Step up to ``max_iters`` times, but not past the schedule horizon
         k_max, and certify the steps ``_BLOCK`` at a time: the checks that
-        each step is exact (its solves' optimality oracles and its gamma
-        residual identity) and every check of the paper's guarantees are made
+        each step is exact (its solves' system tests and optimality oracles
+        and its gamma residual identity) and every check of the paper's
+        guarantees are made
         in one pass over the block's stacked rows.  Yields a
         :class:`CertifiedBlock` per block.
 
@@ -604,7 +639,7 @@ class VmPadmmRun:
         left = min(max_iters, self.schedule.k_max - self.k)
         while left > 0:
             n, error = 0, None
-            # z_k, z~_k, z_{k-1} - z_k, r_k and (v_x, v_y, A x_k + B y_k - b) of each
+            # z_k, z~_k, z_{k-1} - z_k, r_k and (q_x, q_y, A x_k + B y_k - b) of each
             # step as a row; a step's vectors are copied in here as it is taken
             # and not kept elsewhere
             stacks = np.empty((5, min(_BLOCK, left), self.M0.dim))
@@ -635,35 +670,37 @@ class VmPadmmRun:
     def _exact_steps(self, stacks: np.ndarray, z_prev: np.ndarray, error):
         """Form z_{k-1} - z_k and r_gamma of the stepped ``stacks`` of rows
         (``z_prev`` is z before the first) and check that each step is exact,
-        in the order a step makes the checks: the x- and the y-solve's
-        optimality oracles, then the gamma residual identity
+        in the order of a step: the x-solve's system test and optimality
+        oracle, the y-solve's (:func:`_solve_checks`, one product per block
+        for all rows), then the gamma residual identity
         r_gamma = (theta H_k)^-1 (gamma_{k-1} - gamma_k) = A x_k + B y_k - b
         within 1e-12 (1 + ||A x_k + B y_k - b||) + 1e-13.  Returns the number
         of rows before the first failing one and its error, or of all rows
         and ``error``, the error of the step after them."""
-        Z, _, P, R, V = stacks
+        Z, _, P, R, L = stacks
         n = len(Z)
         if not n:
             return 0, error
         ks = np.arange(self.hpe.k + 1, self.hpe.k + 1 + n)
         P[0] = z_prev - Z[0]
         np.subtract(Z[:-1], Z[1:], out=P[1:])
-        (x, y, _), (v_x, v_y, primal) = self.M0.split(Z), self.M0.split(V)
+        (x, y, _), (q_x, q_y, primal) = self.M0.split(Z), self.M0.split(L)
         dg, r_g = self.M0.split(P)[2], self.M0.split(R)[2]
         r_g[...] = self.M0.blocks[2].affine(0.0, 1.0 / self.schedule.factor(ks)).apply(dg)  # gam_0 / f_k
-        dist_x, failed_x = _oracle(self.problem.f, v_x, x)
-        dist_y, failed_y = _oracle(self.problem.g, v_y, y)
         miss = r_g - primal
         gap, tol = np.sqrt(row_dot(miss, miss)), 1e-12 * (1.0 + np.sqrt(row_dot(primal, primal))) + 1e-13
-        failed = np.column_stack((failed_x, failed_y, gap > tol))
+        checks = [
+            *_solve_checks(self._systems[0], "x", ks, x, q_x),
+            *_solve_checks(self._systems[1], "y", ks, y, q_y),
+            (gap > tol, lambda i: FloatingPointError(
+                f"gamma residual identity violated beyond roundoff at k = {ks[i]}: {gap[i]:.3g} > {tol[i]:.3g}"
+            )),
+        ]
+        failed = np.column_stack([c[0] for c in checks])
         if not failed.any():
             return n, error
-        i, check = divmod(int(failed.argmax()), 3)  # the first row's first failing check
-        k = int(ks[i])
-        if check == 2:
-            msg = f"gamma residual identity violated beyond roundoff at k = {k}: {gap[i]:.3g} > {tol[i]:.3g}"
-            return i, FloatingPointError(msg)
-        return i, _oracle_error("xy"[check], k, (dist_x, dist_y)[check][i])
+        i, check = divmod(int(failed.argmax()), len(checks))  # the first row's first failing check
+        return i, checks[check][1](i)
 
     def _certify(self, stacks: np.ndarray, rho: float, eps: float, first_pw, first_erg) -> CertifiedBlock:
         """Every check of the consecutive iterations after the last certified

@@ -226,8 +226,9 @@ class _ScaledOperator(PsdOperator):
         return (lo, hi) if self.factor >= 0.0 else (hi, lo)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        # with a shift, one product with the formed matrix, as for a dense operator
-        return super().apply(z) if self.shift else self.factor * self.base.apply(z)
+        # the formula of a stack of views: no matrix of its own is formed
+        Mz = self.factor * self.base.apply(z)
+        return Mz + self.shift * z if self.shift else Mz
 
     @cached_property
     def _range_split(self):  # a positive multiple of the base has the base's range

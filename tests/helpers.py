@@ -126,13 +126,12 @@ def realized_step(run, x_prev, y_prev, gamma_prev, k):
     def solve(system, P_k, shift, prev):
         N = system.N
         q_lin = -N.T @ gamma_prev + N.T @ H_k.apply(shift) - P_k.apply(prev)
-        u, Gu = system.solve(f, q_lin)
-        return u, -(Gu + q_lin)
+        return system.solve(f, q_lin), q_lin
 
     By_prev = B @ y_prev
-    x, v_x = solve(run._systems[0], R_k, By_prev - b, x_prev)
+    x, q_x = solve(run._systems[0], R_k, By_prev - b, x_prev)
     Ax = A @ x
-    y, v_y = solve(run._systems[1], S_k, Ax - b, y_prev)
+    y, q_y = solve(run._systems[1], S_k, Ax - b, y_prev)
     primal = Ax + B @ y - b
     gamma, gamma_t = gamma_prev - theta * H_k.apply(primal), gamma_prev - H_k.apply(Ax + By_prev - b)
-    return AdmmStep(k, x, y, gamma, gamma_t, v_x, v_y, primal)
+    return AdmmStep(k, x, y, gamma, gamma_t, q_x, q_y, primal)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from helpers import identity, realized_step, sampled_eps_check, sigma_feasible_scalar, zero_operator
 
-from vmpadmm import admm
+from vmpadmm import admm, linalg
 from vmpadmm.admm import (
     AdmmStep,
     BlockSystem,
@@ -118,13 +118,14 @@ class TestSubproblems:
     def test_quadratic_solve_is_optimal(self):
         p = scalar_problem()
         sched = constant_schedule(p.dims, 1, h_scale=2.0, r_scale=1.0)
-        x, v = solve_x_subproblem(
-            p, np.zeros(1), p.B @ np.zeros(1), np.zeros(1), BlockSystem(p.f, p.A, sched, "R"), 1
-        )
+        system = BlockSystem(p.f, p.A, sched, "R")
+        x, q_lin = solve_x_subproblem(p, np.zeros(1), p.B @ np.zeros(1), np.zeros(1), system, 1)
         # argmin 0.5x^2 + (H/2)(x - 1)^2 + (R/2)x^2 with H=2, R=1: x = 0.5
         assert x[0] == pytest.approx(0.5)
-        # v = -(G x + q_lin) is the gradient of f at the optimal x
+        # v = -(G x + q_lin), as the block's pass forms it, is the gradient of f at the optimal x
+        (v,), (miss, tol) = system.residuals(np.array([1]), x[None], q_lin[None])
         assert v[0] == pytest.approx(0.5) and p.f.membership_distance(v, x) <= 1e-12
+        assert miss[0] <= tol[0]  # the system test holds
 
     def test_singular_but_consistent_solve_is_still_optimal(self):
         # zero f with rank-one A^T H A: the right-hand side stays in the
@@ -133,10 +134,11 @@ class TestSubproblems:
         g = FunctionDescriptor("zero", 1)
         p = ProblemSpec(f, g, np.array([[1.0, 1.0]]), np.eye(1), np.zeros(1))
         sched = constant_schedule(p.dims, 1)
-        x, v = solve_x_subproblem(
-            p, np.zeros(2), p.B @ np.zeros(1), np.ones(1), BlockSystem(p.f, p.A, sched, "R"), 1
-        )
+        system = BlockSystem(p.f, p.A, sched, "R")
+        x, q_lin = solve_x_subproblem(p, np.zeros(2), p.B @ np.zeros(1), np.ones(1), system, 1)
+        (v,), (miss, tol) = system.residuals(np.array([1]), x[None], q_lin[None])  # as the block's pass forms them
         assert np.linalg.norm(v) <= 1e-10  # the zero f's only subgradient
+        assert miss[0] <= tol[0]  # the system test holds
         G = p.A.T @ p.A
         q_lin = -p.A.T @ np.ones(1)
         assert np.linalg.norm(G @ x + q_lin) <= 1e-10
@@ -238,20 +240,25 @@ class TestFactoredSubproblems:
                "S": {"type": "zero"}, "c": self.DRIFT}
         assert len(self.check_run_solves(self.problem(f, rng.normal(size=(4, 6))), cfg, monkeypatch)) > 1
 
-    def test_inconsistent_system_raises(self):
+    def test_inconsistent_system_raises(self, monkeypatch):
         # f K + Q with K = A^T A = e1 e1^T and Q = e2 e2^T misses e3, where q lives
         f = FunctionDescriptor("quadratic", 3, Q=np.diag([0.0, 1.0, 0.0]), q=np.array([0.0, 0.0, 1.0]))
         p = self.problem(f, np.array([[1.0, 0.0, 0.0]]))
         sched = constant_schedule(p.dims, 1)
-        args = (p, np.zeros(3), p.B @ np.zeros(1), np.zeros(1), BlockSystem(p.f, p.A, sched, "R"), 1)
-        with pytest.raises(SubproblemError, match="singular"):
-            solve_x_subproblem(*args)
+        system = BlockSystem(p.f, p.A, sched, "R")
+        x, q_lin = solve_x_subproblem(p, np.zeros(3), p.B @ np.zeros(1), np.zeros(1), system, 1)
+        _, (miss, tol) = system.residuals(np.array([1]), x[None], q_lin[None])
+        assert miss[0] > tol[0]  # the solve misses its system; the block's pass raises for it
         cfg = {"H": {"type": "scaled_identity", "scale": 1.0}, "R": {"type": "zero"},
                "S": {"type": "zero"}, "c": self.DRIFT}
-        run = VmPadmmRun(p, schedule_from_dict(dict(cfg, k_max=3), p.dims), compute_sigma_theta(1.0),
-                         reference=self.dummy_reference(p))
-        with pytest.raises(SubproblemError, match="singular"):
-            run.step()
+        for size in (admm._BLOCK, 1):
+            monkeypatch.setattr("vmpadmm.admm._BLOCK", size)
+            run = VmPadmmRun(p, schedule_from_dict(dict(cfg, k_max=3), p.dims), compute_sigma_theta(1.0),
+                             reference=self.dummy_reference(p))
+            with pytest.raises(SubproblemError, match="^x-subproblem quadratic part is singular at k = 1: residual "):
+                next(run.certified_blocks(3, rho=0.0, eps=0.0))
+            assert run.k == run.hpe.k == 0  # no row certified: the run stands at z_0
+            assert not any(v.any() for v in (run.x, run.y, run.gamma, run._By))
 
 
 class TestMultiplierUpdate:
@@ -335,6 +342,39 @@ class TestStepArithmetic:
         for _ in range(2, 41):
             run.step()
         assert run.k == 40 and views == []
+
+    @pytest.mark.parametrize("case", list(_STEP_CASES))
+    def test_no_residual_work_per_step(self, case, monkeypatch):
+        # a step multiplies by neither K nor Q: a solve's G_k u, residual v and
+        # system test are formed in the block's pass, once per system for all rows
+        calls = []
+        for name in ("metric_apply", "residuals"):
+            fn = getattr(BlockSystem, name)
+            monkeypatch.setattr(BlockSystem, name, lambda system, *a, _n=name, _fn=fn: calls.append(
+                (_n, system._index)) or _fn(system, *a))
+        run = _step_run(case)
+        run.step()  # the first step builds the block systems
+        for _ in range(2, 41):
+            run.step()
+        assert run.k == 40 and calls == []
+        blocks = list(_step_run(case).certified_blocks(40, rho=0.0, eps=0.0))
+        assert [len(blk) for blk in blocks] == [32, 8]
+        per_pass = [(name, index) for index in (1, 2) for name in ("residuals", "metric_apply")]
+        assert calls == per_pass * len(blocks)
+
+    @pytest.mark.parametrize("case", [c for c in _STEP_CASES if "linearized" in c])
+    def test_drifting_linearized_r_forms_no_matrix(self, case, monkeypatch):
+        # R_k = tau I - f_k G is applied as tau u - f_k (G u): the realized view
+        # forms no n x n matrix for a new f_k
+        run = _step_run(case)
+        run.step()
+        formed, matrix = [], linalg._ScaledOperator.matrix.func
+        monkeypatch.setattr(linalg._ScaledOperator, "matrix", property(lambda op: formed.append(op) or matrix(op)))
+        factors = set()
+        for k in range(2, 41):
+            run.step()
+            factors.add(run.schedule.factor(k))
+        assert run.k == 40 and len(factors) > 2 and formed == []
 
 
 class TestFixedPoint:
@@ -693,14 +733,15 @@ class TestBlockStop:
         assert certified == [1, 2] and run.k == 2
 
 
-_SOLVE = BlockSystem.solve
+_SOLVE, _RESIDUALS = BlockSystem.solve, BlockSystem.residuals
 
 
 class TestFailFast:
-    """Each step's optimality oracles and gamma residual identity are checked
-    in its block's pass.  The first failing k raises after the rows before it
-    are certified and yielded, and the run stands after the last of them: the
-    same error, rows and state as when each step is certified on its own."""
+    """Each step's system tests, optimality oracles and gamma residual
+    identity are checked in its block's pass.  The first failing k raises
+    after the rows before it are certified and yielded, and the run stands
+    after the last of them: the same error, rows and state as when each step
+    is certified on its own."""
 
     @staticmethod
     def drive(run, max_iters=60, rho=0.0):
@@ -715,24 +756,27 @@ class TestFailFast:
 
     @staticmethod
     def sabotage(monkeypatch, block=None, at=None, y_raises_at=None):
-        """``BlockSystem.solve`` with the u of each solve named in ``block``
-        ("x", "y" or both) at k = ``at`` moved off its optimum (and G_k u
-        with it), and the y-solve at k = ``y_raises_at`` raising; one solve
-        per block and step counts k."""
-        calls = {"x": 0, "y": 0}
+        """The residual v = -(G_k u + q_lin) that the pass forms for the row
+        of k = ``at`` of each solve named in ``block`` ("x", "y" or both)
+        moved off d desc(u) (by at least 1 in every entry), and the y-solve
+        at k = ``y_raises_at`` raising; one y-solve per step counts k."""
+        calls = {"y": 0}
 
         def solve(system, f, q_lin):
-            name = "xy"[system._index - 1]  # the family of R_k or of S_k
-            calls[name] += 1
-            if name == "y" and calls["y"] == y_raises_at:
-                raise SubproblemError(f"y-solve raised at k = {y_raises_at}")
-            u, Gu = _SOLVE(system, f, q_lin)
-            if block and name in block and calls[name] == at:
-                u = u + 1e-3 * (1.0 + np.abs(u))
-                Gu = system.metric_apply(f, u)
-            return u, Gu
+            if system._index == 2:  # the family of S_k: the y-solve
+                calls["y"] += 1
+                if calls["y"] == y_raises_at:
+                    raise SubproblemError(f"y-solve raised at k = {y_raises_at}")
+            return _SOLVE(system, f, q_lin)
+
+        def residuals(system, ks, U, Q_lin):
+            V, test = _RESIDUALS(system, ks, U, Q_lin)
+            if block and "xy"[system._index - 1] in block:
+                V = V + (ks == at)[:, None] * (1.0 + np.abs(V))
+            return V, test
 
         monkeypatch.setattr(BlockSystem, "solve", solve)
+        monkeypatch.setattr(BlockSystem, "residuals", residuals)
 
     @staticmethod
     def run(p):
@@ -779,6 +823,35 @@ class TestFailFast:
         head = f"{block[0]}-subproblem optimality violated at k = {at}: distance "
         assert str(error).startswith(head) and str(one_error).startswith(head)
         assert float(str(error)[len(head):]) == pytest.approx(float(str(one_error)[len(head):]), rel=1e-9)
+
+    @pytest.mark.parametrize("at", [5, 33])  # inside the first block, and the second block's first row
+    def test_solve_off_its_system(self, at, monkeypatch):
+        # the x-solve's u moved off its system at k = at: the pass's system
+        # test, which comes before the oracle, raises there
+        p = generate("lasso", (10, 5), 3)
+        results = []
+        for size in (admm._BLOCK, 1):
+            monkeypatch.setattr("vmpadmm.admm._BLOCK", size)
+            calls = {"x": 0}
+
+            def solve(system, f, q_lin):
+                u = _SOLVE(system, f, q_lin)
+                if system._index == 1:  # the family of R_k: the x-solve
+                    calls["x"] += 1
+                    if calls["x"] == at:
+                        u = u + 1e-3 * (1.0 + np.abs(u))
+                return u
+
+            monkeypatch.setattr(BlockSystem, "solve", solve)
+            results.append(self.drive(self.run(p)))
+        (ks, error, state), (one_ks, one_error, one_state) = results
+        assert ks == one_ks == list(range(1, at))
+        assert state[0] == one_state[0] == at - 1
+        for got, want in zip(state[1:], one_state[1:]):  # x, y, gamma and B y of the last certified step
+            assert np.array_equal(got, want)
+        assert type(error) is type(one_error) is SubproblemError
+        head = f"x-subproblem quadratic part is singular at k = {at}: residual "
+        assert str(error).startswith(head) and str(one_error).startswith(head)
 
     def test_x_oracle_before_a_raising_y_solve(self, monkeypatch):
         # in one step the x oracle comes before the y-solve: when both fail,
