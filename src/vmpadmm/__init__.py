@@ -2,7 +2,6 @@
 
 from .admm import (
     CertifiedBlock,
-    CertifiedStep,
     KktResidualCertificate,
     SubproblemError,
     ThetaParams,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockDiagOperator",
     "CertifiedBlock",
-    "CertifiedStep",
     "FunctionDescriptor",
     "HpeIterate",
     "HpeState",

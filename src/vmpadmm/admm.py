@@ -8,8 +8,8 @@ proximal-point driver (:mod:`vmpadmm.hpe`): the embedding constants
 residual certificates with their theoretical rate bounds are exposed at the
 current k.  :meth:`VmPadmmRun.certified_blocks` is the one solve loop: it
 steps, certifies each block of up to ``_BLOCK`` steps in one pass over its
-stacked rows at every dimension, and applies the stopping rules;
-:meth:`VmPadmmRun.certified_steps` reads it out one iteration at a time.  A
+stacked rows at every dimension, and applies the stopping rules; one
+iteration is a block of one row, and so is the state after a run.  A
 step forms only the next iterate, keeping each solve's linear term; the pass
 checks first that each step of the block is exact (each solve's system test
 and optimality oracle, by one product per block for all its rows, and the
@@ -18,7 +18,7 @@ gamma residual identity), then the paper's guarantees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "AdmmStep",
     "AdmmIterate",
     "KktResidualCertificate",
-    "CertifiedStep",
     "CertifiedBlock",
     "SubproblemError",
     "BlockSystem",
@@ -160,16 +159,14 @@ class BlockSystem:
     :meth:`residuals`, which multiplies a block's stacked solves by them,
     never by the basis, when the block is certified.
 
-    H_0's matrix ``H0``, the anchor ``P0`` of a scaled proximal family
-    (None when it is all zero) and diag(K) are kept from construction, so a
-    step builds no operator (:func:`_solve_block`).  Only a P_k that is not
-    a multiple f_k P_0, i.e. a linearized R_k = tau I - f_k G, is the view
-    the schedule realizes, which applies it without forming its matrix.
+    H_0's matrix ``H0``, the proximal family's (P_0, a, s) with
+    P_k = a I + s f_k P_0 (``P``, None when it is zero at every k) and
+    diag(K) are kept from construction, so a step builds no operator
+    (:func:`_solve_block`).
     """
 
     def __init__(self, desc, N: np.ndarray, schedule: MetricSchedule, family: str):
         self.desc, self.N, self.schedule = desc, N, schedule
-        self._index = "HRS".index(family)
         with np.errstate(over="ignore", invalid="ignore"):
             self.K, self.tau = schedule.system_base(N, family)
         if self.K is not None and not np.isfinite(self.K).all():
@@ -177,8 +174,7 @@ class BlockSystem:
             raise SubproblemError(f"{block}-subproblem system {M}^T H_0 {M} + {family}_0 overflows")
         self.H0 = schedule.family("H")[0].matrix
         P, a, s = schedule.family(family)
-        self._realize_P = (a, s) != (0.0, 1.0)  # not a scaled family: P_k is realized
-        self.P0 = None if self._realize_P or not P.matrix.any() else P.matrix
+        self.P = (P.matrix, a, s) if a or P.matrix.any() else None
         self._basis = None  # (W, a), formed on the first solve
         self._diag = None if self.K is None else np.diag(self.K)
         if desc.kind in ("l1", "box") and self.K is not None:
@@ -258,17 +254,17 @@ def _solve_block(system: BlockSystem, k: int, shift, gamma_prev, prev):
     + 0.5||u - prev||^2_{P_k} for the block ``system`` at iteration k, and
     its linear term q_lin = -N^T gamma_prev + N^T H_k shift - P_k prev, from
     which the block's pass forms the solve's residual and system test
-    (:meth:`BlockSystem.residuals`).  H_k u is formed as f_k (H_0 u), a
-    scaled P_k u as f_k (P_0 u) and a zero P_k u not at all: the products
-    and roundings of the realized views, from the system's run constants and
-    f_k alone."""
+    (:meth:`BlockSystem.residuals`).  H_k u is formed as f_k (H_0 u), every
+    P_k u as (s f_k) (P_0 u) + a u (s f_k is f_k for a scaled family) and a
+    zero P_k u not at all: the products and roundings of the realized views,
+    from the system's run constants and f_k alone."""
     f = system.schedule.factor(k)
     N = system.N
     q_lin = -N.T @ gamma_prev + N.T @ (f * (system.H0 @ shift))
-    if system.P0 is not None:
-        q_lin = q_lin - f * (system.P0 @ prev)
-    elif system._realize_P:  # a linearized R_k, a view the schedule realizes
-        q_lin = q_lin - system.schedule.realize(k)[system._index].apply(prev)
+    if system.P is not None:
+        P0, a, s = system.P
+        Pu = (s * f) * (P0 @ prev)
+        q_lin = q_lin - (Pu + a * prev if a else Pu)
     return system.solve(f, q_lin), q_lin
 
 
@@ -343,11 +339,10 @@ class AdmmStep:
 
 @dataclass(slots=True)
 class AdmmIterate:
-    """One iteration with its residual triple; a block of iterations is the
-    same record with every vector a stack of rows, ``k`` the column of the
-    iterations and ``M`` the stack of their metrics.  It is formed when the
-    block is certified, with ``M``, ``eta`` and the dual seminorms
-    ||d||_Q = sqrt(<d, r>) from the formed residuals r = Q d."""
+    """A block of iterations with their residual triples: every vector a
+    stack of rows, ``k`` the column of the iterations and ``M`` the stack of
+    their metrics, formed when the block is certified, with ``eta`` and the
+    dual seminorms ||d||_Q = sqrt(<d, r>) from the formed residuals r = Q d."""
 
     k: int
     x: np.ndarray
@@ -378,10 +373,9 @@ _STACKED = ("x", "y", "gamma", "gamma_tilde", "q_x", "q_y", "primal")
 
 @dataclass
 class KktResidualCertificate:
-    """A pointwise or ergodic KKT residual certificate at iteration k, or at
-    each iteration of a block (every value then a column or a stack of rows).
-    ``eps`` is the ergodic eps^a_k of the HPE accumulators, which
-    ``eps_x + eps_y`` decomposes."""
+    """A pointwise or ergodic KKT residual certificate at each iteration k of
+    a block, every value a column or a stack of rows.  ``eps`` is the ergodic
+    eps^a_k of the HPE accumulators, which ``eps_x + eps_y`` decomposes."""
 
     mode: str
     k: int
@@ -449,28 +443,32 @@ def eps_subdifferential_checks(desc, s, u, eps: float, k: int, block: str) -> di
 
 
 @dataclass
-class CertifiedStep:
-    """One iteration with every check of it and the stopping state after it.
-
-    ``hpe_check`` is the relative-error condition, ``memberships`` the
-    inclusions of the iterate's subgradients s_x in df(x_k), s_y in dg(y_k),
+class CertifiedBlock:
+    """Consecutive iterations with every check of them and the stopping
+    state after the last: ``iterate`` their stacked rows and every check a
+    column, ``hpe_check`` the relative-error condition, ``memberships`` the
+    inclusions of each iterate's subgradients s_x in df(x_k), s_y in dg(y_k),
     and ``fejer`` the Fejer bound against the reference solution.
     ``first_k_pointwise`` / ``first_k_ergodic`` are the first k at which the
     pointwise / ergodic stopping rule held, or None while it has not.
+    Iteration i is ``row_of(blk, slice(i, i + 1))``, a block of one row.
     """
 
     iterate: AdmmIterate
     hpe_check: BoundCheck
-    memberships: dict  # membership_x/_y of this iterate
+    memberships: dict  # membership_x/_y of each iterate
     pointwise: KktResidualCertificate
     ergodic: KktResidualCertificate
     fejer: BoundCheck
     first_k_pointwise: int | None
     first_k_ergodic: int | None
 
+    def __len__(self) -> int:
+        return len(self.iterate.k)
+
     @property
     def checks(self) -> dict[str, list[BoundCheck]]:
-        """Every check of this iteration, grouped and ordered as the report's
+        """Every check of the block, grouped and ordered as the report's
         ``checks``: ``hpe``, ``bounds``, ``memberships`` (those of the
         pointwise best and the ergodic eps-memberships) and ``fejer``."""
         pw, erg = self.pointwise, self.ergodic
@@ -483,26 +481,9 @@ class CertifiedStep:
 
     @property
     def ok(self) -> bool:
-        """The one verdict: every check in every group holds."""
+        """The one verdict: every check in every group holds at every
+        iteration of the block."""
         return all(np.all(c.ok) for group in self.checks.values() for c in group)
-
-
-@dataclass
-class CertifiedBlock(CertifiedStep):
-    """Consecutive certified iterations: the fields of a :class:`CertifiedStep`
-    with ``iterate`` the stacked rows of the iterations, every check a column
-    (one entry per iteration), and ``first_k_*`` the stopping state after the
-    last iteration.  :meth:`step` is row i of every record."""
-
-    def __len__(self) -> int:
-        return len(self.iterate.k)
-
-    def step(self, i: int) -> CertifiedStep:
-        """Iteration i of the block, with the stopping state after it."""
-        k = self.iterate.k[i]
-        first = (f if f is not None and f <= k else None for f in (self.first_k_pointwise, self.first_k_ergodic))
-        records = (row_of(getattr(self, f.name), i) for f in fields(CertifiedStep)[:-2])  # all but first_k_*
-        return CertifiedStep(*records, *first)
 
     def head(self, n: int) -> "CertifiedBlock":
         """The block's first n iterations."""
@@ -534,8 +515,9 @@ class VmPadmmRun:
         schedule.validate()  # every k at once; raises ScheduleError before the reference solve
         self.reference = ref = reference if reference is not None else reference_solve(problem)
         self.z_star = np.concatenate([ref.x, ref.y, ref.gamma])  # the Fejer check's solution
-        try:
-            self.M0 = assemble_Mk(*schedule.realize(0), problem.B, theta_params.theta)
+        try:  # H_0 and S_0 are their (scaled) families' anchors, as f_0 = 1
+            H0, S0 = schedule.family("H")[0], schedule.family("S")[0]
+            self.M0 = assemble_Mk(H0, schedule.realize(0)[1], S0, problem.B, theta_params.theta)
         except ValueError as exc:
             msg = f"schedule H_0 gives no metric M_0, which holds H_0^-1 / theta: {exc}"
             raise ScheduleError(msg) from exc
@@ -557,8 +539,8 @@ class VmPadmmRun:
         self._systems = None  # (x, y) BlockSystem, built on the first step
         # running pointwise best, the first iterate achieving the min max-residual:
         # its z~ and r and its table row (k, the three dual seminorms and the
-        # distance and scale of membership_x and membership_y), with a row of
-        # each per iteration while a block is certified
+        # distance and scale of membership_x and membership_y), one row of each
+        # per iteration of the latest block
         self._best = None
         # block-wise eps sums, kept apart from the HPE accumulators so the eps
         # decomposition can be cross-checked against the full-space value:
@@ -610,12 +592,6 @@ class VmPadmmRun:
         self.k = k
         self.x, self.y, self.gamma, self._By = x_k, y_k, gamma_k, By
         return AdmmStep(k, x_k, y_k, gamma_k, gamma_t, q_x, q_y, primal)
-
-    def certified_steps(self, max_iters: int, rho: float, eps: float):
-        """:meth:`certified_blocks`, one :class:`CertifiedStep` per iteration."""
-        for blk in self.certified_blocks(max_iters, rho, eps):
-            for i in range(len(blk)):
-                yield blk.step(i)
 
     def certified_blocks(self, max_iters: int, rho: float, eps: float):
         """Step up to ``max_iters`` times, but not past the schedule horizon
@@ -744,13 +720,13 @@ class VmPadmmRun:
         # the running pointwise best: at each k, the first iterate of least dual_max
         cands = (Zt, R, np.column_stack(table))
         none_yet = self._best is None
-        before = np.inf if none_yet else self._best[2][1:4].max()
+        before = np.inf if none_yet else self._best[2][0, 1:4].max()
         dual_max = rows.dual_max
         better = dual_max < np.minimum.accumulate(np.concatenate(([before], dual_max)))[:-1]
         better[0] |= none_yet
         best = np.maximum.accumulate(np.where(better, np.arange(1, n + 1), 0))  # 0: the best before
-        prev = [c[0] for c in cands] if none_yet else self._best  # never picked when none_yet
-        self._best = tuple(np.concatenate(([b], c))[best] for b, c in zip(prev, cands))
+        prev = [c[:1] for c in cands] if none_yet else self._best  # never picked when none_yet
+        self._best = tuple(np.concatenate((b, c))[best] for b, c in zip(prev, cands))
 
         pw, erg = self.pointwise_kkt_certificate(), self.ergodic_kkt_certificate()
         fejer = self.hpe.fejer_check(self.z_star)
@@ -767,7 +743,7 @@ class VmPadmmRun:
         i = end - 1
         self.hpe.keep(end)
         self._dot_s = [d[i] for d in self._dot_s]
-        self._best = tuple(b[i].copy() for b in self._best)
+        self._best = tuple(b[i : i + 1].copy() for b in self._best)
         if ks[i] != self.k:  # steps past it were taken: its state, and its B y_k again as its step formed it
             self.k = int(ks[i])
             self.x, self.y, self.gamma = (v[i].copy() for v in M.split(Z))
@@ -776,7 +752,8 @@ class VmPadmmRun:
 
     # -- certificates at the current iteration k ---------------------------
     # They come from running accumulators; no per-iteration history is kept.
-    # While a block is certified, each is a column over the block's iterations.
+    # Each is a column over the iterations of the latest block: while a block
+    # is certified, its rows; after it, the one row the run stands at.
 
     def pointwise_kkt_certificate(self) -> KktResidualCertificate:
         """Best single iterate up to k against the O(1/sqrt(k)) bound."""

@@ -33,13 +33,14 @@ _ERROR_TOL = 1e-8
 
 @dataclass(frozen=True, slots=True)
 class HpeIterate:
-    """One accepted iteration: points, residual with tracked preimage, slack.
+    """Accepted iterations k, k + 1, ...: points, residuals with tracked
+    preimages, slacks.
 
+    The four vectors are stacked rows of M's dimension, one per iteration,
+    eta a column and M a stack of views acting on row i by M_{k+i}.
     ``preimage`` is z_{k-1} - z_k, so the residual is r_k = M_k(preimage)
-    and its dual seminorm equals the seminorm of the preimage.  The four
-    vectors must have M's dimension.  A block of the iterations k, k + 1, ...
-    is the same record with the four vectors as stacked rows, eta a column
-    and M a stack of views acting on row i by M_{k+i}.
+    and its dual seminorm equals the seminorm of the preimage.  One iteration
+    is a block of one row.
     """
 
     k: int
@@ -54,18 +55,18 @@ class HpeIterate:
         shape = self.z.shape
         if not (
             self.z_tilde.shape == self.r.shape == self.preimage.shape == shape
-            and len(shape) in (1, 2) and shape[-1] == self.M.dim and np.shape(self.eta) == shape[:-1]
+            and len(shape) == 2 and shape[1] == self.M.dim and np.shape(self.eta) == shape[:1]
         ):
-            raise ValueError(f"iterate vectors must have length {self.M.dim}, the dimension of M_k")
+            raise ValueError(f"iterate vectors must be stacked rows of shape (rows, {self.M.dim}), got {shape}")
 
     @property
     def z_prev(self) -> np.ndarray:
         return self.z + self.preimage
 
     @property
-    def ks(self):
-        """k, or the column of the iterations of a block."""
-        return self.k + np.arange(len(self.z)) if self.z.ndim == 2 else self.k
+    def ks(self) -> np.ndarray:
+        """The column of the iterations."""
+        return self.k + np.arange(len(self.z))
 
 
 @dataclass(slots=True)
@@ -159,8 +160,8 @@ def check_error_condition(it: HpeIterate, sigma: float, prev_eta: float) -> tupl
 
     Returns the ``"hpe"`` check and ``gap`` = ||z_{k-1} - z~_k||^2_{M_k}, the
     term the right-hand side scales by sigma and the k-th summand of the
-    Fejer sum; for a block, columns of them (``prev_eta`` then is the column
-    eta_{k-1}, eta_k, ...).
+    Fejer sum, as columns over the iterations of ``it``, from the column
+    ``prev_eta`` of eta_{k-1}, eta_k, ....
     """
     lhs = it.M.seminorm(it.z - it.z_tilde) ** 2 + it.eta
     gap = it.M.seminorm(it.z_prev - it.z_tilde) ** 2
@@ -179,7 +180,7 @@ def running_sums(total, rows):
 
 class HpeState:
     """A single run: start point, rate bounds (which carry sigma and eta_0),
-    the latest iterate (or block of iterates) and the running accumulators.
+    the latest block of iterates and the running accumulators.
 
     The ergodic point and the Fejer check describe the iterations of the
     latest :meth:`add_iterate` only, from the accumulators, so no history is
@@ -191,24 +192,17 @@ class HpeState:
         self.bounds = bounds
         self.k = 0
         self.last: HpeIterate | None = None
-        # the accumulators after the latest iterate, or one row of them per
-        # iterate of the latest block; ergodic accumulators
-        self._sum_ztilde = np.zeros_like(self.z0)
-        self._sum_r = np.zeros_like(self.z0)
-        self._sum_r_dot_ztilde = 0.0
+        # the accumulators, one row of them per iterate of the latest block
+        # (one row of zeros before the first); ergodic accumulators
+        self._sum_ztilde = np.zeros((1, *self.z0.shape))
+        self._sum_r = np.zeros((1, *self.z0.shape))
+        self._sum_r_dot_ztilde = np.zeros(1)
         # Fejer accumulator: sum of ||z_{i-1} - z~_i||^2_{M_i}
-        self._fejer_sum = 0.0
-
-    @property
-    def last_eta(self) -> float:
-        if self.last is None:
-            return self.bounds.eta0
-        eta = self.last.eta
-        return eta[-1] if np.ndim(eta) else eta
+        self._fejer_sum = np.zeros(1)
 
     def add_iterate(self, it: HpeIterate) -> BoundCheck:
-        """Validate and absorb one iteration, or a block of them as stacked
-        rows; returns the error-condition check (a column of them for a block).
+        """Validate and absorb a block of iterations; returns the column of
+        their error-condition checks.
 
         Raises on structural defects (bad index, residual not matching its
         preimage); the relative error check itself is reported, not raised.
@@ -220,35 +214,30 @@ class HpeState:
         miss = it.M.apply(it.preimage) - it.r  # M_k (z_{k-1} - z_k), formed independently of r
         if (np.sqrt(row_dot(miss, miss)) > _RECON_TOL * (1.0 + np.sqrt(row_dot(it.r, it.r)))).any():
             raise ValueError("residual does not equal M_k(z_{k-1} - z_k) within tolerance")
-        block = it.z.ndim == 2
-        prev_eta = np.concatenate(([self.last_eta], it.eta[:-1])) if block else self.last_eta
+        prev_eta = np.concatenate(([self.bounds.eta0] if self.last is None else self.last.eta[-1:], it.eta[:-1]))
         check, gap = check_error_condition(it, self.bounds.sigma, prev_eta)
         rows = (it.z_tilde, it.r, row_dot(it.r, it.z_tilde), gap)
         sums = (self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum)
-        if self.last is not None and self.last.z.ndim == 2:
-            sums = [s[-1] for s in sums]  # the totals after the previous block
-        sums = [running_sums(s, r if block else np.asarray(r)[None]) for s, r in zip(sums, rows)]
+        # from the totals after the previous block
         self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum = (
-            sums if block else [s[0] for s in sums]
+            running_sums(s[-1], r) for s, r in zip(sums, rows)
         )
         self.last = it
-        self.k = it.k + len(it.z) - 1 if block else it.k
+        self.k = it.k + len(it.z) - 1
         return check
 
     def keep(self, n: int):
         """Keep only the first n iterations of the latest block: the state
         becomes the one after its iteration n - 1, as if the rest had never
-        been added."""
-        it = self.last
-        if it.z.ndim == 2:
-            i = n - 1
-            # with its own copy of the rows: the block's arrays are not kept alive by it
-            rows = (v[i].copy() for v in (it.z, it.z_tilde, it.r, it.preimage))
-            self.last = HpeIterate(it.k + i, *rows, it.eta[i], it.M.row(i))
-            self.k = self.last.k
-            self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum = (
-                s[i].copy() for s in (self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum)
-            )
+        been added, with that iteration as a block of one row."""
+        it, i = self.last, slice(n - 1, n)
+        # with its own copy of the row: the block's arrays are not kept alive by it
+        rows = (v[i].copy() for v in (it.z, it.z_tilde, it.r, it.preimage, it.eta))
+        self.last = HpeIterate(it.k + n - 1, *rows, it.M.row(i))
+        self.k = self.last.k
+        self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum = (
+            s[i].copy() for s in (self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum)
+        )
 
     # -- at the current iteration k (each iteration of the latest block) ------
 
@@ -260,7 +249,7 @@ class HpeState:
         """Ergodic averages (z~^a_k, r^a_k, eps^a_k) via the accumulators."""
         self.require_iterate()
         k = self.last.ks
-        kc = np.asarray(k)[..., None]  # divides each row by its k
+        kc = k[:, None]  # divides each row by its k
         zt_a = self._sum_ztilde / kc
         r_a = self._sum_r / kc
         eps_a = self._sum_r_dot_ztilde / k - row_dot(r_a, zt_a)

@@ -11,7 +11,8 @@ Every operator acts along the last axis: a vector is one point, and a
 ``(L, n)`` array is a stack of L points whose seminorms, dual seminorms and
 products come out row by row.  ``M.affine(a, b)`` with a column of factors b
 is a stack of views, row i acted on by a I + b_i M, so that one product with M
-serves a whole block of iterations whose metrics differ only in their factor.
+serves a whole block of iterations whose metrics differ only in their factor;
+with a number b it is the one view a I + b M.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class PsdOperator:
     """A selfadjoint positive (semi)definite operator given by a dense matrix.
 
     Immutable; the eigendecomposition and the inverse are computed lazily
-    and cached.  :meth:`affine` gives a I + b times the operator, and
-    :meth:`scaled` f times it, as a view that shares them.
+    and cached.  :meth:`affine` gives a I + b times the operator as a view
+    that shares them.
     """
 
     matrix: np.ndarray
@@ -113,12 +114,7 @@ class PsdOperator:
         when it is exactly symmetric (numpy multiplies by a transposed view
         at a slower pace)."""
         m = self.matrix
-        return m if (m == m.T).all() else np.ascontiguousarray(m.T)
-
-    def row(self, i: int) -> "PsdOperator":
-        """The operator that acts on row i of a stack (on the rows of a
-        slice): this one, for every row."""
-        return self
+        return m if self._symmetric else np.ascontiguousarray(m.T)
 
     def seminorm(self, z: np.ndarray) -> float:
         """``sqrt(<Mz, z>)``, row by row for a stack; raises if a quadratic
@@ -176,94 +172,37 @@ class PsdOperator:
         inv = (v / w) @ v.T
         return PsdOperator(0.5 * (inv + inv.T), definite=True)
 
-    def scaled(self, f: float) -> "PsdOperator":
-        """``f * self`` for f > 0, as a view that runs no decomposition of
-        its own; ``scaled(1.0)`` is ``self``."""
-        if not f > 0.0:
-            raise ValueError(f"scale factor must be positive, got {f}")
-        return self.affine(0.0, float(f))
-
     def affine(self, a: float, b) -> "PsdOperator":
         """``a I + b * self`` as a view that runs no decomposition of its
-        own; raises if it is not PSD.  ``affine(0.0, 1.0)`` is ``self``.
-        For an array b, the stack of views whose row i is a I + b_i self."""
-        if isinstance(b, np.ndarray):
-            return _RowViews(self, float(a), b)
-        return self if (a, b) == (0.0, 1.0) else _ScaledOperator(self, float(a), float(b))
-
-
-class _ScaledOperator(PsdOperator):
-    """``shift * I + factor * base``: the base's eigenvectors with the
-    eigenvalues shift + factor * w, kept ascending (reversed when factor < 0).
-    PSD by construction when shift, factor >= 0; otherwise checked."""
-
-    def __init__(self, base: PsdOperator, shift: float, factor: float):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "definite", base.definite and shift >= 0.0 and factor > 0.0)
-        if (shift < 0.0 or factor < 0.0) and not affine_leq(0.0, 0.0, shift, factor, base):
-            raise ValueError(f"operator is not PSD: smallest eigenvalue {self._eig_extremes[0]}")
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        m = self.factor * self.base.matrix
-        return m + self.shift * np.eye(self.dim) if self.shift else m
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @cached_property
-    def _eig(self):
-        w, v = self.base._eig
-        w = self.factor * w + self.shift
-        return (w, v) if self.factor >= 0.0 else (w[::-1], v[:, ::-1])
-
-    @property
-    def _eig_extremes(self):
-        lo, hi = (self.factor * w + self.shift for w in self.base._eig_extremes)
-        return (lo, hi) if self.factor >= 0.0 else (hi, lo)
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        # the formula of a stack of views: no matrix of its own is formed
-        Mz = self.factor * self.base.apply(z)
-        return Mz + self.shift * z if self.shift else Mz
-
-    @cached_property
-    def _range_split(self):  # a positive multiple of the base has the base's range
-        if self.shift or self.factor < 0.0:
-            return _range_split(*self._eig, self.dim)
-        v, w, off = self.base._range_split
-        return v, self.factor * w, off
-
-    def inverse(self) -> PsdOperator:  # with a shift, formed from the shared eigenbasis
-        return self._inverse if self.shift else self.base.inverse().scaled(1.0 / self.factor)
-
-    def affine(self, a: float, b: float) -> PsdOperator:
-        return self.base.affine(a + b * self.shift if self.shift else a, b * self.factor)
+        own; raises if it is not PSD.  For a column b, the stack of views
+        whose row i is a I + b_i self; for a number b, one view, which acts on
+        a vector and on every row of a stack alike."""
+        return _RowViews(self, float(a), np.asarray(b, dtype=float))
 
 
 class _RowViews(PsdOperator):
     """A stack of views ``shift * I + factors[i] * base``, row i of a stack
     acted on by the i-th: the metrics of a block of iterations that differ
-    only in their drift factor.  Each product is one product of the whole
-    stack with the base, and the range split is the base's, row-wise."""
+    only in their drift factor.  A 0-d array of factors is one view.  Each
+    product is one product of the whole stack with the base, and the range
+    split is the base's, row-wise."""
 
     def __init__(self, base: PsdOperator, shift: float, factors: np.ndarray):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "definite", base.definite and shift >= 0.0 and bool((factors > 0.0).all()))
-        if (shift < 0.0 or (factors < 0.0).any()) and not affine_leq(0.0, 0.0, shift, factors, base).all():
-            raise ValueError("operator is not PSD in some row of the stack")
+        low = factors.min(initial=np.inf)  # one reduction: views are built per block and per kept row
+        object.__setattr__(self, "definite", base.definite and shift >= 0.0 and bool(low > 0.0))
+        if (shift < 0.0 or low < 0.0) and not affine_leq(0.0, 0.0, shift, factors, base).all():
+            smallest = np.min([factors * w + shift for w in base._eig_extremes])
+            raise ValueError(f"operator is not PSD: smallest eigenvalue {float(smallest)}")
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
-    def row(self, i: int) -> PsdOperator:  # with a slice, the stack of its rows
-        return self.base.affine(self.shift, self.factors[i])
+    def row(self, i) -> PsdOperator:  # with a slice, the stack of its rows, with their own factors
+        return self.base.affine(self.shift, self.factors[i].copy())
 
     @cached_property
     def _psd_scale(self) -> np.ndarray:
@@ -271,17 +210,20 @@ class _RowViews(PsdOperator):
         return _PSD_TOL * np.maximum(1.0, hi)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        Mz = self.factors[:, None] * self.base.apply(z)
+        Mz = self.factors[..., None] * self.base.apply(z)
         return Mz + self.shift * z if self.shift else Mz
 
     @cached_property
     def _range_split(self):
-        f = self.factors[:, None]
+        f = self.factors[..., None]
         if not self.shift and (f > 0.0).all():  # every row has the base's range
             v, w, off = self.base._range_split
             return v, f * w, off
         w, v = self.base._eig
         return _range_split(self.shift + f * w, v, self.dim)
+
+    def affine(self, a: float, b) -> PsdOperator:  # a view of the base, not of this view
+        return self.base.affine(a + b * self.shift if self.shift else a, b * self.factors)
 
 
 @dataclass(frozen=True)

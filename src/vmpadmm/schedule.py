@@ -15,12 +15,13 @@ R_k = tau I - f_k G.  The factor moves by exactly the allowed
 (1+c_k)^{+-1}, alternating up and down, to stress the sandwich at its
 boundary; under the zero law f_k = 1.  Each
 anchor is decomposed once and every realized operator is a view of it
-(:meth:`PsdOperator.affine`), so realizing runs no decomposition; equal
-factors give the same objects.  The PSD-ness and the sandwich of every k
-are then affine in the anchor's eigenvalue and are decided at its two
-extremes, for all k at once.  The same factor gives each subproblem system
-from one base (:meth:`MetricSchedule.system_base`), and the run derives the
-product-space metric M_k from M_0 (:func:`assemble_Mk`).
+(:meth:`PsdOperator.affine`), so realizing runs no decomposition: the
+operators of a block of k are one stack of views, and those of one k a single
+view.  The PSD-ness and the sandwich of every k are then affine in the
+anchor's eigenvalue and are decided at its two extremes, for all k at once.
+The same factor gives each subproblem system from one base
+(:meth:`MetricSchedule.system_base`), and the run derives the product-space
+metric M_k from M_0 (:func:`assemble_Mk`).
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ class MetricSchedule:
     """Operator sequences up to a horizon k_max, realized on demand from the
     drift factors f_k and one (anchor, a, s) triple per family.
 
-    Deterministic: realizing the same k twice yields identical operators, and
-    the most recent realization is reused while f_k does not change.
+    Deterministic: realizing the same k twice yields views with the same
+    factors.
     """
 
     def __init__(self, families, k_max: int, c0: float = 0.0, law: str = "zero"):
@@ -93,7 +94,6 @@ class MetricSchedule:
         self.C_P = float(np.prod(1.0 + self.c_seq) * np.exp(tail))
         self._factors = _drift_factors(self.c_seq)
         self._families = tuple(families)  # (anchor, a, s) of H, R, S: Q_k = a I + s f_k anchor
-        self._last = None  # (f, (H, R, S)) of the latest realization
         self.realize(0)  # the anchor operators are checked at construction
 
     def factor(self, k: int) -> float:
@@ -101,23 +101,15 @@ class MetricSchedule:
         the array of their factors."""
         return self._factors[k] if isinstance(k, np.ndarray) else float(self._factors[k])
 
-    def realize(self, k: int) -> tuple[PsdOperator, PsdOperator, PsdOperator]:
-        """Return (H_k, R_k, S_k); index 0 gives the anchor operators.  For
-        an array of k, each is the stack of views whose row i is the
-        operator at k[i] (:meth:`PsdOperator.affine` with a column)."""
-        if isinstance(k, np.ndarray):
-            if k.min() < 0 or k.max() > self.k_max:
-                raise ValueError(f"iteration indices outside horizon [0, {self.k_max}]")
-            f = self._factors[k]
-            return tuple(Q.affine(a, s * f) for Q, a, s in self._families)
-        if k < 0 or k > self.k_max:
-            raise ValueError(f"iteration index {k} outside horizon [0, {self.k_max}]")
-        f = self.factor(k)
-        if self._last is not None and self._last[0] == f:
-            return self._last[1]
-        ops = tuple(Q.affine(a, s * f) for Q, a, s in self._families)
-        self._last = (f, ops)
-        return ops
+    def realize(self, k) -> tuple[PsdOperator, PsdOperator, PsdOperator]:
+        """Return (H_k, R_k, S_k), each a view of its family's anchor
+        (:meth:`PsdOperator.affine`): for an array of k, the stack of views
+        whose row i is the operator at k[i]; for one k, the view at k."""
+        k = np.asarray(k)
+        if k.min() < 0 or k.max() > self.k_max:
+            raise ValueError(f"iteration indices outside horizon [0, {self.k_max}]")
+        f = self._factors[k]
+        return tuple(Q.affine(a, s * f) for Q, a, s in self._families)
 
     def family(self, name: str) -> tuple[PsdOperator, float, float]:
         """The (anchor, a, s) triple of the family ``"H"``, ``"R"`` or ``"S"``:
@@ -172,13 +164,14 @@ def assemble_Mk(
     B: np.ndarray,
     theta: float,
 ) -> BlockDiagOperator:
-    """Product-space metric blkdiag(R_k, B^T H_k B + S_k, theta^{-1} H_k^{-1})."""
+    """Product-space metric blkdiag(R_k, B^T H_k B + S_k, theta^{-1} H_k^{-1}),
+    from H_k and S_k given by their matrices; R_k may be a view."""
     if not (0.0 < theta < THETA_MAX):
         raise ValueError(f"theta must lie in (0, {THETA_MAX}), got {theta}")
     B = np.asarray(B, dtype=float)
     mid = B.T @ H_k.matrix @ B + S_k.matrix
     mid_op = PsdOperator(0.5 * (mid + mid.T))
-    return block_diag([R_k, mid_op, H_k.inverse().scaled(1.0 / theta)])
+    return block_diag([R_k, mid_op, H_k.inverse().affine(0.0, 1.0 / theta)])
 
 
 # -- JSON configuration ------------------------------------------------------

@@ -6,8 +6,10 @@ oracle; ``sampled_eps_check`` is the sampled eps-subdifferential inequality
 that ``FunctionDescriptor.fenchel_young`` decides exactly;
 ``plain_admm_per_iteration_solve`` and ``sigma_feasible_scalar`` are the
 unfactored and unvectorized forms of the reference ADMM and the sigma scan.
-``realized_step`` forms a solver step through the schedule's realized
-operators.  ``ZERO_F_PROBLEM`` is a problem JSON with a zero f and n_x > m.
+``realized_step`` forms a solver step from each family's (anchor, a, s)
+formula, ``dense_realized`` the operators of a schedule at k as dense
+matrices, and ``applied`` the matrix an operator or a view applies.
+``ZERO_F_PROBLEM`` is a problem JSON with a zero f and n_x > m.
 """
 
 import math
@@ -113,25 +115,45 @@ def sigma_feasible_scalar(theta, sigma):
 
 
 def realized_step(run, x_prev, y_prev, gamma_prev, k):
-    """Step k of ``run`` from (x_prev, y_prev, gamma_prev), formed through the
-    operators ``schedule.realize(k)`` returns: H_k, R_k and S_k applied as
-    views, and each P_k's product subtracted, a zero one's too.  The oracle a
-    step from H_0, P_0 and f_k alone must equal bit for bit; it solves with
-    the run's own block systems, so the subproblems' factors are shared."""
+    """Step k of ``run`` from (x_prev, y_prev, gamma_prev), with each family
+    applied by its formula Q_k u = (s f_k) (Q_0 u) + a u from the schedule's
+    (anchor, a, s) triples (the a u term only for a != 0), and each P_k's
+    product subtracted, a zero one's too.  The oracle the solver's step must
+    equal bit for bit; it solves with the run's own block systems, so the
+    subproblems' factors are shared."""
     problem, schedule, theta = run.problem, run.schedule, run.params.theta
     A, B, b = problem.A, problem.B, problem.b
-    H_k, R_k, S_k = schedule.realize(k)
     f = schedule.factor(k)
 
-    def solve(system, P_k, shift, prev):
+    def family_apply(name, u):
+        Q, a, s = schedule.family(name)
+        Qu = (s * f) * (Q.matrix @ u)
+        return Qu + a * u if a else Qu
+
+    def solve(system, name, shift, prev):
         N = system.N
-        q_lin = -N.T @ gamma_prev + N.T @ H_k.apply(shift) - P_k.apply(prev)
+        q_lin = -N.T @ gamma_prev + N.T @ family_apply("H", shift) - family_apply(name, prev)
         return system.solve(f, q_lin), q_lin
 
     By_prev = B @ y_prev
-    x, q_x = solve(run._systems[0], R_k, By_prev - b, x_prev)
+    x, q_x = solve(run._systems[0], "R", By_prev - b, x_prev)
     Ax = A @ x
-    y, q_y = solve(run._systems[1], S_k, Ax - b, y_prev)
+    y, q_y = solve(run._systems[1], "S", Ax - b, y_prev)
     primal = Ax + B @ y - b
-    gamma, gamma_t = gamma_prev - theta * H_k.apply(primal), gamma_prev - H_k.apply(Ax + By_prev - b)
+    gamma, gamma_t = gamma_prev - theta * family_apply("H", primal), gamma_prev - family_apply("H", Ax + By_prev - b)
     return AdmmStep(k, x, y, gamma, gamma_t, q_x, q_y, primal)
+
+
+def dense_realized(schedule, k):
+    """(H_k, R_k, S_k) as dense operators a I + s f_k anchor, formed here from
+    each family's (anchor, a, s) and f_k, not as views of the anchor."""
+    f = schedule.factor(k)
+    return tuple(
+        PsdOperator(a * np.eye(Q.dim) + (s * f) * Q.matrix) for Q, a, s in map(schedule.family, "HRS")
+    )
+
+
+def applied(op):
+    """The matrix that an operator or a single view applies (its transpose,
+    row by row, which is the matrix itself for a symmetric one)."""
+    return op.apply(np.eye(op.dim))

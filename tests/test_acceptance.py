@@ -83,38 +83,39 @@ def sweep():
                     "erg_membership_failures": [],
                     "step_failures": 0,
                 }
-                # rho = eps = 0: short of an exact solution the loop never stops before K_MAX
-                for step in run.certified_steps(K_MAX, rho=0.0, eps=0.0):
-                    it, pw, erg = step.iterate, step.pointwise, step.ergodic
-                    k = it.k
-                    hc = step.hpe_check
-                    rec["hpe_rel_slack"] = min(
-                        rec["hpe_rel_slack"], hc.slack / (1.0 + hc.rhs)
+                # rho = eps = 0: short of an exact solution the loop never stops before K_MAX;
+                # each check is a column over the block's iterations, its failures counted
+                for blk in run.certified_blocks(K_MAX, rho=0.0, eps=0.0):
+                    it, pw, erg, hc = blk.iterate, blk.pointwise, blk.ergodic, blk.hpe_check
+                    rec["hpe_rel_slack"] = min(rec["hpe_rel_slack"], float(np.min(hc.slack / (1.0 + hc.rhs))))
+                    rec["pw_violations"] += np.count_nonzero(pw.dual_max > pw.bound_residual)
+                    rec["pw_membership_violations"] += np.count_nonzero(
+                        ~np.logical_and.reduce([c.ok for c in blk.memberships.values()])
                     )
-                    if pw.dual_max > pw.bound_residual:
-                        rec["pw_violations"] += 1
-                    if not all(c.ok for c in step.memberships.values()):
-                        rec["pw_membership_violations"] += 1
                     ch = erg.checks
-                    rec["erg_res_violations"] += not ch["ergodic_res"].ok
-                    rec["erg_eps_violations"] += not ch["ergodic_eps"].ok
-                    rec["eps_neg_violations"] += not (
-                        ch["eps_x_nonneg"].ok and ch["eps_y_nonneg"].ok
-                    )
-                    rec["eps_decomp_violations"] += not ch["eps_decomposition"].ok
-                    rec["fejer_violations"] += not step.fejer.ok
-                    rec["step_failures"] += not step.ok
-                    bad = [c.name for c in erg.memberships.values() if not c.ok]
-                    if k in SAMPLED_KS:
-                        rng = np.random.default_rng(1000 + k)
-                        blocks = (
-                            ("f", problem.f, erg.r_x + problem.A.T @ erg.gamma_tilde, erg.x, erg.eps_x),
-                            ("g", problem.g, erg.r_y + problem.B.T @ erg.gamma_tilde, erg.y, erg.eps_y),
-                        )
-                        bad += [f"sampled {name}" for name, desc, s, u, eps in blocks
-                                if not sampled_eps_check(desc, s, u, eps, rng)]
-                    if bad:
-                        rec["erg_membership_failures"].append((k, bad))
+                    rec["erg_res_violations"] += np.count_nonzero(~ch["ergodic_res"].ok)
+                    rec["erg_eps_violations"] += np.count_nonzero(~ch["ergodic_eps"].ok)
+                    rec["eps_neg_violations"] += np.count_nonzero(~(ch["eps_x_nonneg"].ok & ch["eps_y_nonneg"].ok))
+                    rec["eps_decomp_violations"] += np.count_nonzero(~ch["eps_decomposition"].ok)
+                    rec["fejer_violations"] += np.count_nonzero(~blk.fejer.ok)
+                    step_ok = np.logical_and.reduce([c.ok for group in blk.checks.values() for c in group])
+                    rec["step_failures"] += np.count_nonzero(~step_ok)
+                    erg_ok = {c.name: c.ok for c in erg.memberships.values()}
+                    rows = ~np.logical_and.reduce(list(erg_ok.values())) | np.isin(it.k, SAMPLED_KS)
+                    for i in np.flatnonzero(rows):  # the failing rows and the sampled ks
+                        k = int(it.k[i])
+                        bad = [name for name, ok in erg_ok.items() if not ok[i]]
+                        if k in SAMPLED_KS:
+                            rng = np.random.default_rng(1000 + k)
+                            gt = erg.gamma_tilde[i]
+                            blocks = (
+                                ("f", problem.f, erg.r_x[i] + problem.A.T @ gt, erg.x[i], erg.eps_x[i]),
+                                ("g", problem.g, erg.r_y[i] + problem.B.T @ gt, erg.y[i], erg.eps_y[i]),
+                            )
+                            bad += [f"sampled {name}" for name, desc, s, u, eps in blocks
+                                    if not sampled_eps_check(desc, s, u, eps, rng)]
+                        if bad:
+                            rec["erg_membership_failures"].append((k, bad))
                 assert run.k == K_MAX
                 records.append(rec)
     return {"records": records, "elapsed": time.time() - t0}
@@ -235,7 +236,7 @@ class TestStoppingSanity:
         sched = constant_schedule(problem.dims, 5000, h_scale=1.0)
         run = VmPadmmRun(problem, sched, params)
         first_k = next(
-            (s.first_k_pointwise for s in run.certified_steps(5000, rho, rho) if s.first_k_pointwise),
+            (blk.first_k_pointwise for blk in run.certified_blocks(5000, rho, rho) if blk.first_k_pointwise),
             None,
         )
         # the pointwise bound is C / sqrt(k), so it reaches rho at k = (C / rho)^2

@@ -3,9 +3,17 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from helpers import identity, realized_step, sampled_eps_check, sigma_feasible_scalar, zero_operator
+from helpers import (
+    applied,
+    dense_realized,
+    identity,
+    realized_step,
+    sampled_eps_check,
+    sigma_feasible_scalar,
+    zero_operator,
+)
 
-from vmpadmm import admm, linalg
+from vmpadmm import admm
 from vmpadmm.admm import (
     AdmmStep,
     BlockSystem,
@@ -19,10 +27,27 @@ from vmpadmm.admm import (
     tau_theta,
     update_multiplier,
 )
-from vmpadmm.hpe import BoundCheck
+from vmpadmm.hpe import BoundCheck, row_of
 from vmpadmm.linalg import BlockDiagOperator, PsdOperator
 from vmpadmm.problems import FunctionDescriptor, ProblemSpec, generate, reference_solve
-from vmpadmm.schedule import THETA_MAX, ScheduleError, assemble_Mk, constant_schedule, schedule_from_dict
+from vmpadmm.schedule import (
+    THETA_MAX,
+    MetricSchedule,
+    ScheduleError,
+    assemble_Mk,
+    constant_schedule,
+    schedule_from_dict,
+)
+
+
+def one_row_blocks(blocks):
+    """Each iteration of the certified ``blocks`` as the block of its row."""
+    return [row_of(blk, slice(i, i + 1)) for blk in blocks for i in range(len(blk))]
+
+
+def block_ks(blocks):
+    """The iterations of the certified ``blocks``, read from their k column."""
+    return [k for blk in blocks for k in blk.iterate.k.tolist()]
 
 
 def replaced(obj, path, value):
@@ -166,7 +191,7 @@ class TestFactoredSubproblems:
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
         factors = set()
         for k in range(1, steps + 1):
-            H_k, R_k, _ = sched.realize(k)
+            H_k, R_k, _ = dense_realized(sched, k)
             f = sched.factor(k)
             factors.add(f)
             x_prev, y_prev, gamma = (rng.normal(size=d) for d in p.dims)
@@ -317,10 +342,11 @@ def _step_run(case):
 
 
 class TestStepArithmetic:
-    """A step forms H_k u as f_k (H_0 u), a scaled P_k u as f_k (P_0 u) and no
-    zero P_k u, from the run's constants and f_k: the products and roundings
-    of the realized operators, so every field of every step is the one that
-    the step through ``schedule.realize(k)`` forms, bit for bit."""
+    """A step forms H_k u as f_k (H_0 u), every P_k u as (s f_k) (P_0 u) + a u
+    and no zero P_k u, from the run's constants and f_k: the products and
+    roundings of the realized views, so every field of every step is the one
+    that applying each family by its (anchor, a, s) formula forms, bit for
+    bit."""
 
     @pytest.mark.parametrize("case", list(_STEP_CASES))
     def test_bitwise_equal_to_the_realized_operators(self, case):
@@ -351,30 +377,32 @@ class TestStepArithmetic:
         for name in ("metric_apply", "residuals"):
             fn = getattr(BlockSystem, name)
             monkeypatch.setattr(BlockSystem, name, lambda system, *a, _n=name, _fn=fn: calls.append(
-                (_n, system._index)) or _fn(system, *a))
+                (_n, system)) or _fn(system, *a))
         run = _step_run(case)
         run.step()  # the first step builds the block systems
         for _ in range(2, 41):
             run.step()
         assert run.k == 40 and calls == []
-        blocks = list(_step_run(case).certified_blocks(40, rho=0.0, eps=0.0))
+        run = _step_run(case)
+        blocks = list(run.certified_blocks(40, rho=0.0, eps=0.0))
         assert [len(blk) for blk in blocks] == [32, 8]
-        per_pass = [(name, index) for index in (1, 2) for name in ("residuals", "metric_apply")]
+        per_pass = [(name, system) for system in run._systems for name in ("residuals", "metric_apply")]
         assert calls == per_pass * len(blocks)
 
     @pytest.mark.parametrize("case", [c for c in _STEP_CASES if "linearized" in c])
     def test_drifting_linearized_r_forms_no_matrix(self, case, monkeypatch):
-        # R_k = tau I - f_k G is applied as tau u - f_k (G u): the realized view
-        # forms no n x n matrix for a new f_k
+        # R_k = tau I - f_k G is applied as tau u - f_k (G u) from the run's
+        # constants: a step realizes no operator, so it forms no n x n matrix
+        # for a new f_k
         run = _step_run(case)
         run.step()
-        formed, matrix = [], linalg._ScaledOperator.matrix.func
-        monkeypatch.setattr(linalg._ScaledOperator, "matrix", property(lambda op: formed.append(op) or matrix(op)))
+        realized, realize = [], MetricSchedule.realize
+        monkeypatch.setattr(MetricSchedule, "realize", lambda sched, k: realized.append(k) or realize(sched, k))
         factors = set()
         for k in range(2, 41):
             run.step()
             factors.add(run.schedule.factor(k))
-        assert run.k == 40 and len(factors) > 2 and formed == []
+        assert run.k == 40 and len(factors) > 2 and realized == []
 
 
 class TestFixedPoint:
@@ -384,10 +412,10 @@ class TestFixedPoint:
         sched = constant_schedule(p.dims, 10, h_scale=1.0, r_scale=0.5, s_scale=0.5)
         params = compute_sigma_theta(1.0)
         run = VmPadmmRun(p, sched, params, x0=ref.x, y0=ref.y, gamma0=ref.gamma, reference=ref)
-        it = next(run.certified_steps(1, rho=0.0, eps=0.0)).iterate
+        it = next(run.certified_blocks(1, rho=0.0, eps=0.0)).iterate
         assert it.dual_max <= 1e-8
-        np.testing.assert_allclose(it.x, ref.x, atol=1e-8)
-        np.testing.assert_allclose(it.gamma, ref.gamma, atol=1e-8)
+        np.testing.assert_allclose(it.x[0], ref.x, atol=1e-8)
+        np.testing.assert_allclose(it.gamma[0], ref.gamma, atol=1e-8)
 
 
 class TestStandardAdmmReduction:
@@ -418,17 +446,17 @@ class TestRunInternals:
         self.steps, self.iterates, self.pointwise, self.ergodic = [], [], [], []
         self.eps_full, self.hpe_eps_direct = [], []
         z_tildes, residuals = [], []
-        for k, step in enumerate(self.run.certified_steps(50, rho=0.0, eps=0.0), start=1):
+        for k, step in enumerate(one_row_blocks(self.run.certified_blocks(50, rho=0.0, eps=0.0)), start=1):
             it = step.iterate
             self.steps.append(step)
             self.iterates.append(it)
             self.pointwise.append(step.pointwise)
             self.ergodic.append(step.ergodic)
             self.eps_full.append(step.ergodic.eps)
-            z_tildes.append(np.concatenate([it.x, it.y, it.gamma_tilde]))
-            residuals.append(np.concatenate([it.r_x, it.r_y, it.r_gamma]))
+            z_tildes.append(np.concatenate([it.x, it.y, it.gamma_tilde], axis=-1))
+            residuals.append(np.concatenate([it.r_x, it.r_y, it.r_gamma], axis=-1))
             zt_a = sum(z_tildes) / k
-            self.hpe_eps_direct.append(sum(float(r @ (zt - zt_a)) for r, zt in zip(residuals, z_tildes)) / k)
+            self.hpe_eps_direct.append(sum(float(np.vdot(r, zt - zt_a)) for r, zt in zip(residuals, z_tildes)) / k)
 
     def test_eta_formula_recomputed(self):
         p = self.params
@@ -443,12 +471,12 @@ class TestRunInternals:
 
     def test_gamma_residual_equals_primal_residual(self):
         for it in self.iterates:
-            primal = self.p.A @ it.x + self.p.B @ it.y - self.p.b
+            primal = it.x @ self.p.A.T + it.y @ self.p.B.T - self.p.b
             np.testing.assert_allclose(it.r_gamma, primal, atol=1e-12)
 
     def test_metric_seminorm_decomposes_over_blocks(self):
         for it in self.iterates[:5]:
-            z = np.concatenate([it.dx, it.dy, it.dgamma])
+            z = np.concatenate([it.dx, it.dy, it.dgamma], axis=-1)
             total = it.M.seminorm(z) ** 2
             parts = it.dual_x**2 + it.dual_y**2 + it.dual_gamma**2
             assert total == pytest.approx(parts, rel=1e-10, abs=1e-14)
@@ -467,12 +495,12 @@ class TestRunInternals:
         assert cert.dual_max <= cert.bound_residual
         assert list(cert.memberships) == ["membership_x", "membership_y"]
         assert all(c.ok for c in cert.memberships.values())
-        assert cert.memberships == self.steps[cert.index - 1].memberships
+        assert cert.memberships == self.steps[int(cert.index[0]) - 1].memberships
 
     def test_ergodic_eps_decomposition(self):
         for k in range(1, 51):
             cert, eps_full = self.ergodic[k - 1], self.eps_full[k - 1]
-            assert eps_full == pytest.approx(cert.eps_x + cert.eps_y, abs=1e-9 * (1 + abs(eps_full)))
+            assert eps_full == pytest.approx(cert.eps_x + cert.eps_y, abs=1e-9 * (1 + abs(eps_full[0])))
             assert cert.checks["eps_decomposition"].ok
             assert eps_full == pytest.approx(self.hpe_eps_direct[k - 1], abs=1e-12)
 
@@ -489,14 +517,15 @@ class TestRunInternals:
             np.testing.assert_allclose(rx_a, sum(i.r_x for i in its) / k, atol=1e-12)
             np.testing.assert_allclose(ry_a, sum(i.r_y for i in its) / k, atol=1e-12)
             np.testing.assert_allclose(rg_a, sum(i.r_gamma for i in its) / k, atol=1e-12)
-            dsx = sum(float((i.r_x + A.T @ i.gamma_tilde) @ i.x) for i in its) / k
-            dsy = sum(float((i.r_y + B.T @ i.gamma_tilde) @ i.y) for i in its) / k
-            assert cert.eps_x == pytest.approx(dsx - float((rx_a + A.T @ gt_a) @ x_a), abs=1e-12)
-            assert cert.eps_y == pytest.approx(dsy - float((ry_a + B.T @ gt_a) @ y_a), abs=1e-12)
+            dsx = sum(float(np.vdot(i.r_x + i.gamma_tilde @ A, i.x)) for i in its) / k
+            dsy = sum(float(np.vdot(i.r_y + i.gamma_tilde @ B, i.y)) for i in its) / k
+            assert cert.eps_x == pytest.approx(dsx - float(np.vdot(rx_a + gt_a @ A, x_a)), abs=1e-12)
+            assert cert.eps_y == pytest.approx(dsy - float(np.vdot(ry_a + gt_a @ B, y_a)), abs=1e-12)
 
     def test_membership_certificates_sampled(self):
-        # the exact eps-memberships hold at every k, and at k = 50 a sampled
-        # check of the same inequality finds no violation either
+        # the exact eps-memberships hold at every k, and at k = 50 (read after
+        # the run, a one-row column) a sampled check of the same inequality
+        # finds no violation either
         for cert in self.ergodic:
             assert list(cert.memberships) == ["eps_subdiff_x", "eps_domain_x", "eps_subdiff_y", "eps_domain_y"]
             assert all(c.ok for c in cert.memberships.values()), cert.memberships
@@ -504,14 +533,15 @@ class TestRunInternals:
         assert cert.k == 50
         assert all(c.ok for c in (*cert.checks.values(), *cert.memberships.values()))
         rng = np.random.default_rng(0)
-        s_x = cert.r_x + self.p.A.T @ cert.gamma_tilde
-        s_y = cert.r_y + self.p.B.T @ cert.gamma_tilde
-        assert sampled_eps_check(self.p.f, s_x, cert.x, cert.eps_x, rng)
-        assert sampled_eps_check(self.p.g, s_y, cert.y, cert.eps_y, rng)
+        x, y, gt, r_x, r_y = (v[0] for v in (cert.x, cert.y, cert.gamma_tilde, cert.r_x, cert.r_y))
+        s_x = r_x + self.p.A.T @ gt
+        s_y = r_y + self.p.B.T @ gt
+        assert sampled_eps_check(self.p.f, s_x, x, float(cert.eps_x[0]), rng)
+        assert sampled_eps_check(self.p.g, s_y, y, float(cert.eps_y[0]), rng)
 
     def test_run_stopping(self):
         run = VmPadmmRun(self.p, constant_schedule(self.p.dims, 400, h_scale=1.0), self.params)
-        steps = list(run.certified_steps(400, rho=1e-3, eps=1e-3))
+        steps = one_row_blocks(run.certified_blocks(400, rho=1e-3, eps=1e-3))
         last = steps[-1]
         first_pw, first_erg = last.first_k_pointwise, last.first_k_ergodic
         assert first_pw is not None and first_pw <= 400
@@ -533,11 +563,11 @@ class TestRunInternals:
     def test_certified_steps_stop_at_horizon(self):
         # max_iters beyond k_max: the loop ends at the horizon instead of raising
         run = VmPadmmRun(self.p, constant_schedule(self.p.dims, 5, h_scale=1.0), self.params)
-        assert [s.iterate.k for s in run.certified_steps(50, rho=0.0, eps=0.0)] == [1, 2, 3, 4, 5]
-        assert list(run.certified_steps(50, rho=0.0, eps=0.0)) == []
+        assert block_ks(run.certified_blocks(50, rho=0.0, eps=0.0)) == [1, 2, 3, 4, 5]
+        assert list(run.certified_blocks(50, rho=0.0, eps=0.0)) == []
         run = VmPadmmRun(self.p, constant_schedule(self.p.dims, 5, h_scale=1.0), self.params)
-        assert len(list(run.certified_steps(2, rho=0.0, eps=0.0))) == 2
-        assert [s.iterate.k for s in run.certified_steps(50, rho=0.0, eps=0.0)] == [3, 4, 5]
+        assert len(block_ks(run.certified_blocks(2, rho=0.0, eps=0.0))) == 2
+        assert block_ks(run.certified_blocks(50, rho=0.0, eps=0.0)) == [3, 4, 5]
 
     def test_certificates_need_an_iterate(self):
         run = VmPadmmRun(self.p, self.sched, self.params)
@@ -568,13 +598,12 @@ class TestRunState:
         assert self.sched.C_P > 1.0
         ref = self.run.reference
         z_star = np.concatenate([ref.x, ref.y, ref.gamma])
-        H0, R0, S0 = self.sched.realize(0)
-        M0 = assemble_Mk(H0, R0, S0, self.p.B, self.params.theta)
+        M0 = assemble_Mk(*dense_realized(self.sched, 0), self.p.B, self.params.theta)
         dist_sq = M0.seminorm(z_star - self.run.hpe.z0) ** 2
         expected = self.sched.C_P * (dist_sq + self.run.eta0)
         ks = []
-        for step in self.run.certified_steps(20, rho=0.0, eps=0.0):
-            ks.append(step.fejer.k)
+        for step in one_row_blocks(self.run.certified_blocks(20, rho=0.0, eps=0.0)):
+            ks.append(int(step.fejer.k[0]))
             assert step.fejer.rhs == expected
             assert step.fejer.ok and step.ok
         assert ks == list(range(1, 21))  # a Fejer check at every k
@@ -613,7 +642,7 @@ class TestRunState:
     def test_duals_from_formed_residuals(self):
         # ||d||_Q = sqrt(<d, r>) from the residual r = Q d the step forms, bit
         # for bit the seminorm, on drifting (scaled) metrics
-        for step in self.run.certified_steps(10, rho=0.0, eps=0.0):
+        for step in one_row_blocks(self.run.certified_blocks(10, rho=0.0, eps=0.0)):
             it = step.iterate
             R_k, mid_k, gam_k = it.M.blocks
             assert it.M is not self.run.M0
@@ -630,7 +659,7 @@ class TestRunState:
         ("fejer", ("fejer",)),
     ])
     def test_one_failing_check_fails_the_step(self, group, path):
-        steps = list(self.run.certified_steps(5, rho=0.0, eps=0.0))
+        steps = one_row_blocks(self.run.certified_blocks(5, rho=0.0, eps=0.0))
         assert all(s.ok for s in steps)
         step = steps[-1]
         assert list(step.checks) == ["hpe", "bounds", "memberships", "fejer"]
@@ -648,9 +677,9 @@ class TestBlockStop:
     @staticmethod
     def two_calls(p, sched):
         run = VmPadmmRun(p, sched, compute_sigma_theta(1.0))
-        first = list(run.certified_steps(40, rho=0.1, eps=0.1))
+        first = one_row_blocks(run.certified_blocks(40, rho=0.1, eps=0.1))
         k = run.k
-        return first, k, list(run.certified_steps(5, rho=0.0, eps=0.0))
+        return first, k, one_row_blocks(run.certified_blocks(5, rho=0.0, eps=0.0))
 
     @pytest.mark.parametrize("block", [admm._BLOCK, 2], ids=["one_pass", "passes_of_two"])
     def test_stop_inside_a_block(self, block, monkeypatch):
@@ -659,10 +688,10 @@ class TestBlockStop:
         p = generate("lasso", (10, 5), 3)
         sched = constant_schedule(p.dims, 40, h_scale=1.0)
         first, k, more = self.two_calls(p, sched)
-        assert k == 22 and [s.iterate.k for s in first] == list(range(1, 23))
+        assert k == 22 and [int(s.iterate.k[0]) for s in first] == list(range(1, 23))
         stop = (first[-1].first_k_pointwise, first[-1].first_k_ergodic)
         assert max(stop) == 22
-        assert [s.iterate.k for s in more] == [23, 24, 25, 26, 27]
+        assert [int(s.iterate.k[0]) for s in more] == [23, 24, 25, 26, 27]
         monkeypatch.setattr("vmpadmm.admm._BLOCK", 1)
         one_first, one_k, one_more = self.two_calls(p, sched)
         assert one_k == 22 and len(one_first) == 22
@@ -679,7 +708,8 @@ class TestBlockStop:
             for cert, want_cert in ((got.pointwise, want.pointwise), (got.ergodic, want.ergodic)):
                 assert cert.index == want_cert.index
                 np.testing.assert_allclose(
-                    [cert.dual_max, cert.eps_x, cert.eps_y], [want_cert.dual_max, want_cert.eps_x, want_cert.eps_y],
+                    np.hstack([cert.dual_max, cert.eps_x, cert.eps_y]),
+                    np.hstack([want_cert.dual_max, want_cert.eps_x, want_cert.eps_y]),
                     rtol=1e-9, atol=1e-12,
                 )
             assert got.iterate.eta == pytest.approx(want.iterate.eta, rel=1e-9, abs=1e-12)
@@ -694,19 +724,20 @@ class TestBlockStop:
             assert [c.ok for c in got_checks] == [c.ok for c in want_checks]
             np.testing.assert_allclose([c.slack for c in got_checks], [c.slack for c in want_checks],
                                        rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose([got.dual_max, got.eps_x, got.eps_y], [want.dual_max, want.eps_x, want.eps_y],
-                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(np.hstack([got.dual_max, got.eps_x, got.eps_y]),
+                                   np.hstack([want.dual_max, want.eps_x, want.eps_y]), rtol=1e-9, atol=1e-12)
 
     def test_certificates_read_after_the_stop(self, monkeypatch):
         # read after a stop inside a block, the run's certificates are the last
-        # yielded step's; to roundoff only, because the pass forms them from
-        # stacked products and the re-read from 1-D ones
+        # yielded row's, as one-row columns; to roundoff only, because the
+        # pass forms them from the block's stacked products and the re-read
+        # from one row's
         p = generate("lasso", (10, 5), 3)
         sched = constant_schedule(p.dims, 40, h_scale=1.0)
 
         def stop_and_read():
             run = VmPadmmRun(p, sched, compute_sigma_theta(1.0))
-            last = list(run.certified_steps(40, rho=0.1, eps=0.1))[-1]
+            last = one_row_blocks(run.certified_blocks(40, rho=0.1, eps=0.1))[-1]
             assert run.k == last.iterate.k == 22
             return (last.pointwise, last.ergodic), (run.pointwise_kkt_certificate(), run.ergodic_kkt_certificate())
 
@@ -728,8 +759,8 @@ class TestBlockStop:
         run = VmPadmmRun(p, schedule_from_dict(cfg, p.dims), compute_sigma_theta(1.0))
         certified = []
         with pytest.raises(FloatingPointError, match="at k = 3"):
-            for step in run.certified_steps(50, rho=0.0, eps=0.0):
-                certified.append(step.iterate.k)
+            for blk in run.certified_blocks(50, rho=0.0, eps=0.0):
+                certified += blk.iterate.k.tolist()
         assert certified == [1, 2] and run.k == 2
 
 
@@ -748,22 +779,23 @@ class TestFailFast:
         """(the yielded ks, the error raised or None, the run's state after it)."""
         ks, error = [], None
         try:
-            for step in run.certified_steps(max_iters, rho=rho, eps=rho):
-                ks.append(int(step.iterate.k))
+            for blk in run.certified_blocks(max_iters, rho=rho, eps=rho):
+                ks += blk.iterate.k.tolist()
         except Exception as exc:
             error = exc
         return ks, error, (run.k, run.x, run.y, run.gamma, run._By)
 
     @staticmethod
-    def sabotage(monkeypatch, block=None, at=None, y_raises_at=None):
+    def sabotage(monkeypatch, p, block=None, at=None, y_raises_at=None):
         """The residual v = -(G_k u + q_lin) that the pass forms for the row
-        of k = ``at`` of each solve named in ``block`` ("x", "y" or both)
-        moved off d desc(u) (by at least 1 in every entry), and the y-solve
-        at k = ``y_raises_at`` raising; one y-solve per step counts k."""
+        of k = ``at`` of each solve of the problem ``p`` named in ``block``
+        ("x", "y" or both) moved off d desc(u) (by at least 1 in every entry),
+        and the y-solve at k = ``y_raises_at`` raising; one y-solve per step
+        counts k."""
         calls = {"y": 0}
 
         def solve(system, f, q_lin):
-            if system._index == 2:  # the family of S_k: the y-solve
+            if system.N is p.B:  # the y-solve
                 calls["y"] += 1
                 if calls["y"] == y_raises_at:
                     raise SubproblemError(f"y-solve raised at k = {y_raises_at}")
@@ -771,7 +803,7 @@ class TestFailFast:
 
         def residuals(system, ks, U, Q_lin):
             V, test = _RESIDUALS(system, ks, U, Q_lin)
-            if block and "xy"[system._index - 1] in block:
+            if block and ("x" if system.N is p.A else "y") in block:
                 V = V + (ks == at)[:, None] * (1.0 + np.abs(V))
             return V, test
 
@@ -809,7 +841,7 @@ class TestFailFast:
         results = []
         for size in (admm._BLOCK, 1):
             monkeypatch.setattr("vmpadmm.admm._BLOCK", size)
-            self.sabotage(monkeypatch, block, at)
+            self.sabotage(monkeypatch, p, block, at)
             results.append(self.drive(self.run(p), rho=rho))
         (ks, error, state), (one_ks, one_error, one_state) = results
         assert ks == one_ks == list(range(1, last + 1))
@@ -836,7 +868,7 @@ class TestFailFast:
 
             def solve(system, f, q_lin):
                 u = _SOLVE(system, f, q_lin)
-                if system._index == 1:  # the family of R_k: the x-solve
+                if system.N is p.A:  # the x-solve
                     calls["x"] += 1
                     if calls["x"] == at:
                         u = u + 1e-3 * (1.0 + np.abs(u))
@@ -858,7 +890,7 @@ class TestFailFast:
         # the oracle's error is raised, and the y-solve's one without it
         p = generate("lasso", (10, 5), 3)
         for x_at, want in ((7, "x-subproblem optimality violated at k = 7: "), (None, "y-solve raised at k = 7")):
-            self.sabotage(monkeypatch, "x", x_at, y_raises_at=7)
+            self.sabotage(monkeypatch, p, "x", x_at, y_raises_at=7)
             ks, error, (k, *_) = self.drive(self.run(p))
             assert type(error) is SubproblemError and str(error).startswith(want)
             assert ks == list(range(1, 7)) and k == 6
@@ -878,16 +910,16 @@ class TestFactorOnce:
         p = p or generate("lasso", (10, 5), 7)
         sched = schedule_from_dict(cfg, p.dims, A=p.A)
         run = VmPadmmRun(p, sched, compute_sigma_theta(1.0))
-        steps = run.certified_steps(6, rho=0.0, eps=0.0)
-        assert next(steps).ok
+        blocks = run.certified_blocks(6, rho=0.0, eps=0.0)
+        assert next(blocks).ok
         calls = []
         for name in self.LAPACK:
             fn = getattr(np.linalg, name)
             monkeypatch.setattr(
                 np.linalg, name, lambda *a, _n=name, _fn=fn, **k: calls.append(_n) or _fn(*a, **k)
             )
-        for step in steps:
-            assert step.ok
+        for blk in blocks:
+            assert blk.ok
         assert run.k == 6
         return calls
 
@@ -973,17 +1005,20 @@ class TestRunMetric:
         monkeypatch.setattr("vmpadmm.admm.assemble_Mk", lambda *a: calls.append(a) or assemble_Mk(*a))
         run = VmPadmmRun(p, sched, compute_sigma_theta(1.3))
         metrics = [run.M0]
-        assert run.M0.blocks[0] is sched.realize(0)[1]
-        for step in run.certified_steps(sched.k_max, rho=0.0, eps=0.0):
+        # R_0 of M_0 is R_0 as the schedule realizes it
+        np.testing.assert_array_equal(applied(run.M0.blocks[0]), applied(sched.realize(0)[1]))
+        for step in one_row_blocks(run.certified_blocks(sched.k_max, rho=0.0, eps=0.0)):
             assert step.ok
             metrics.append(step.iterate.M)
             # R_k of the certified record is R_k as the schedule realizes it
-            np.testing.assert_array_equal(step.iterate.M.blocks[0].matrix, sched.realize(step.iterate.k)[1].matrix)
+            np.testing.assert_array_equal(applied(step.iterate.M.blocks[0]),
+                                          applied(sched.realize(int(step.iterate.k[0]))[1]))
         assert run.k == sched.k_max and len({sched.factor(k) for k in range(7)}) == 7  # f_k moves at every k
         for k, M in enumerate(metrics):
-            ref = assemble_Mk(*sched.realize(k), p.B, 1.3)
+            # the oracle: M_k assembled from dense a I + s f_k anchor operators
+            ref = assemble_Mk(*dense_realized(sched, k), p.B, 1.3)
             for got, want in zip(M.blocks, ref.blocks):
-                np.testing.assert_allclose(got.matrix, want.matrix, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(applied(got), applied(want), rtol=1e-12, atol=1e-14)
         assert len(calls) == 1  # M_0, once per run
         VmPadmmRun(p, sched, compute_sigma_theta(0.9))  # another run assembles its own M_0
         assert len(calls) == 2
@@ -991,9 +1026,9 @@ class TestRunMetric:
     def test_zero_law_uses_M0(self):
         p, sched = self.case(self.R_DESCS["linearized"], law="zero")
         run = VmPadmmRun(p, sched, compute_sigma_theta(1.3))
-        for step in run.certified_steps(sched.k_max, rho=0.0, eps=0.0):
+        for step in one_row_blocks(run.certified_blocks(sched.k_max, rho=0.0, eps=0.0)):
             for got, want in zip(step.iterate.M.blocks, run.M0.blocks, strict=True):
-                np.testing.assert_array_equal(got.matrix, want.matrix)
+                np.testing.assert_array_equal(applied(got), applied(want))
         assert run.k == sched.k_max
 
 

@@ -141,7 +141,7 @@ class TestSolveCommand:
 
     def test_report_rows_are_step_checks(self, tmp_path):
         # a drift solve: the report's checks are, group by group and at every
-        # k, the [k, ok, slack] rows of the library's step.checks
+        # k, the [k, ok, slack] rows of the library's block.checks, column by column
         drift = dict(CONSTANT_SCHEDULE, c={"c0": 0.5, "law": "inverse_square"}, k_max=30,
                      R={"type": "scaled_identity", "scale": 0.5})
         sched = write_json(tmp_path / "drift.json", drift)
@@ -150,10 +150,12 @@ class TestSolveCommand:
         p = generate("lasso", (10, 5), 7)
         run = VmPadmmRun(p, schedule_from_dict(drift, p.dims, A=p.A), compute_sigma_theta(1.0))
         rows = {}
-        for step in run.certified_steps(30, rho=1e-6, eps=1e-6):
-            assert step.ok
-            for group, checks in step.checks.items():
-                rows.setdefault(group, []).extend([step.iterate.k, c.ok, c.slack] for c in checks)
+        for blk in run.certified_blocks(30, rho=1e-6, eps=1e-6):
+            assert blk.ok
+            for group, checks in blk.checks.items():
+                rows.setdefault(group, []).extend(
+                    [k, c.ok[i], c.slack[i]] for i, k in enumerate(blk.iterate.k) for c in checks
+                )
         assert run.k == report["iterations"] == 30
         assert list(rows) == ["hpe", "bounds", "memberships", "fejer"]
         assert rows == report["checks"]

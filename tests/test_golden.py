@@ -37,6 +37,15 @@ SCHEDULES = {
         "c": {"c0": 0.5, "law": "inverse_square"},
         "k_max": 40,
     },
+    # R_k = tau I - f_k A^T A with tau >= 3 lambda_max(A^T A) on both problems
+    # (5.68 for lasso, 1.68 for consensus_ls), so R_k stays PSD under the drift
+    "linearized": {
+        "H": {"type": "scaled_identity", "scale": 1.0},
+        "R": {"type": "linearized", "tau": 18.0},
+        "S": {"type": "zero"},
+        "c": {"c0": 0.5, "law": "inverse_square"},
+        "k_max": 40,
+    },
 }
 PROBLEMS = {"lasso": "gen:lasso:10x5:3", "consensus_ls": "gen:consensus_ls:6x5x4:5"}
 CASES = [(p, s) for p in PROBLEMS for s in SCHEDULES]

@@ -22,11 +22,16 @@ def affine_map(rng, dim):
     return G, c, np.linalg.solve(G, c)
 
 
+def one_row(k, z, z_tilde, r, preimage, eta, M):
+    """The iterate k as a block of one row."""
+    return HpeIterate(k, *(np.asarray(v, dtype=float)[None] for v in (z, z_tilde, r, preimage, eta)), M)
+
+
 def exact_prox_steps(G, c, M, z0, steps, sigma=0.0, bounds=None):
     """Exact proximal-point iterations: M(z_{k-1} - z_k) = T(z_k), z~ = z.
 
-    Yields (state, iterate) after each accepted step, so certificates can be
-    read at every k.
+    Yields (state, iterate) after each accepted step, each a block of one
+    row, so certificates can be read at every k.
     """
     bounds = RateBounds(d0=10.0, sigma=sigma, C_S=0.0, C_P=1.0) if bounds is None else bounds
     state = HpeState(z0, bounds)
@@ -34,7 +39,7 @@ def exact_prox_steps(G, c, M, z0, steps, sigma=0.0, bounds=None):
     for k in range(1, steps + 1):
         z_new = np.linalg.solve(M.matrix + G, M.matrix @ z + c)
         pre = z - z_new
-        it = HpeIterate(k=k, z=z_new, z_tilde=z_new, r=M.apply(pre), preimage=pre, eta=0.0, M=M)
+        it = one_row(k=k, z=z_new, z_tilde=z_new, r=M.apply(pre), preimage=pre, eta=0.0, M=M)
         check = state.add_iterate(it)
         assert check.ok
         z = z_new
@@ -52,7 +57,7 @@ def eps_direct(iterates):
     """O(k) recomputation of eps^a_k, independent of the accumulators."""
     k = len(iterates)
     zt_a = sum(it.z_tilde for it in iterates) / k
-    return sum(float(it.r @ (it.z_tilde - zt_a)) for it in iterates) / k
+    return sum(float(np.vdot(it.r, it.z_tilde - zt_a)) for it in iterates) / k
 
 
 class TestErrorCondition:
@@ -67,7 +72,7 @@ class TestErrorCondition:
         z_prev = np.array([1.0, 1.0])
         z = np.array([0.5, 0.5])
         z_tilde = z + np.array([10.0, 0.0])  # far from both endpoints
-        it = HpeIterate(1, z, z_tilde, M.apply(z_prev - z), z_prev - z, eta=0.0, M=M)
+        it = one_row(1, z, z_tilde, M.apply(z_prev - z), z_prev - z, eta=0.0, M=M)
         check, _ = check_error_condition(it, sigma=0.5, prev_eta=0.0)
         assert check.name == "hpe" and check.k == 1
         assert not check.ok
@@ -75,7 +80,7 @@ class TestErrorCondition:
     def test_eta_carries_between_iterations(self):
         # lhs uses eta_k, rhs uses eta_{k-1}: a large eta_0 can rescue step 1
         M = identity(1, 1.0)
-        it = HpeIterate(
+        it = one_row(
             1, np.array([0.0]), np.array([0.6]), np.array([1.0]), np.array([1.0]), eta=0.0, M=M
         )
         check, gap = check_error_condition(it, sigma=0.1, prev_eta=0.0)
@@ -87,7 +92,7 @@ class TestErrorCondition:
 
     def test_slack_tolerance_band(self):
         check, _ = check_error_condition(
-            HpeIterate(
+            one_row(
                 1, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), eta=1e-9, M=identity(1)
             ),
             sigma=0.5,
@@ -105,13 +110,19 @@ class TestStateValidation:
 
     def _iterate(self, k, eta=0.0, r=None):
         pre = np.ones(2)
-        return HpeIterate(
+        return one_row(
             k, -pre * k, -pre * k + pre, self.M.apply(pre) if r is None else r, pre, eta, self.M
         )
 
     def test_noncontiguous_index_rejected(self):
         with pytest.raises(ValueError, match="contiguous"):
             self.state.add_iterate(self._iterate(2))
+
+    def test_vector_iterate_rejected(self):
+        # an iterate is a block of rows: vectors fail fast, naming the shape
+        pre = np.ones(2)
+        with pytest.raises(ValueError, match=r"^iterate vectors must be stacked rows of shape \(rows, 2\)"):
+            HpeIterate(1, -pre, np.zeros(2), self.M.apply(pre), pre, 0.0, self.M)
 
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError, match="eta"):

@@ -54,14 +54,14 @@ class TestPsdOperator:
     @pytest.mark.parametrize("matrix", [np.zeros((4, 4)), -np.zeros((4, 4))], ids=["zeros", "negative_zeros"])
     def test_zero_matrix_applies_as_its_product(self, matrix):
         # an all-zero matrix forms no product, and gives the product's bits
-        # (sign bits included) for negative and -0.0 entries, also through the
-        # scaled and stacked views, which apply their base
+        # (sign bits included) for negative and -0.0 entries, also through a
+        # view and a stack of views, which apply their base
         M = PsdOperator(matrix)
         z = np.array([-1.5, -0.0, 0.0, 2.0])
         Z = np.array([z, -z, np.full(4, -0.0)])
         f = np.array([1.0, 0.5, 3.0])
         for got, want in ((M.apply(z), matrix @ z), (M.apply(Z), Z @ matrix.T),
-                          (M.scaled(2.0).apply(z), 2.0 * (matrix @ z)),
+                          (M.affine(0.0, 2.0).apply(z), 2.0 * (matrix @ z)),
                           (M.affine(0.0, f).apply(Z), f[:, None] * (Z @ matrix.T))):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -272,7 +272,9 @@ class TestOperatorOrder:
 
 
 class TestScaledView:
-    """``PsdOperator.scaled(f)`` against a dense ``PsdOperator(f M)``."""
+    """``PsdOperator.affine(a, b)`` against a dense ``PsdOperator(a I + b M)``:
+    one view (a number b, a 0-d factor) acting on vectors, and a stack of
+    one row (a column b of length 1) acting on a one-row stack."""
 
     FACTORS = (0.3, 1.0, 2.5)
 
@@ -283,91 +285,75 @@ class TestScaledView:
 
     @staticmethod
     def assert_close(got, want, scale):
-        assert abs(got - want) <= 1e-12 * (abs(want) + scale)
+        """Equal within roundoff, and +inf exactly where ``want`` is."""
+        got, want = np.broadcast_arrays(got, want)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * (np.abs(want[finite]) + scale))
+
+    def assert_matches_dense(self, base, a, b, seed):
+        """apply, seminorm and dual seminorm of both views of a I + b base
+        against the dense operator, and +inf dual seminorms off its range
+        exactly where the dense one has them."""
+        dense = PsdOperator(a * np.eye(base.dim) + b * base.matrix)
+        scale = float(np.linalg.eigvalsh(dense.matrix)[-1])
+        rng = np.random.default_rng(seed)
+        for view, shape in ((base.affine(a, b), lambda v: v), (base.affine(a, np.array([b])), lambda v: v[None])):
+            for _ in range(5):
+                z = rng.normal(size=base.dim)
+                znorm = np.linalg.norm(z)
+                got = view.apply(shape(z))
+                assert got.shape == shape(z).shape
+                np.testing.assert_allclose(got, shape(dense.apply(z)), rtol=1e-12, atol=1e-12 * scale)
+                self.assert_close(view.seminorm(shape(z)), dense.seminorm(z), np.sqrt(scale) * znorm)
+                r = dense.apply(z)  # in the range: finite dual seminorm
+                self.assert_close(view.dual_seminorm_general(shape(r)), dense.dual_seminorm_general(r), znorm)
+                self.assert_close(view.dual_seminorm_general(shape(z)), dense.dual_seminorm_general(z), znorm)
+                off = rng.normal(size=base.dim)
+                assert np.all((view.dual_seminorm_general(shape(off)) == np.inf)
+                              == (dense.dual_seminorm_general(off) == np.inf))
 
     @pytest.mark.parametrize("f", FACTORS)
     def test_matches_dense(self, f):
         for base in self.bases():
-            view, dense = base.scaled(f), PsdOperator(f * base.matrix)
-            scale = dense._eig_extremes[1]
-            for got, want in zip(view._eig_extremes, dense._eig_extremes):
-                self.assert_close(got, want, scale)
-            np.testing.assert_allclose(view.matrix, dense.matrix, rtol=1e-12, atol=1e-12 * scale)
-            rng = np.random.default_rng(0)
-            for _ in range(5):
-                z = rng.normal(size=base.dim)
-                self.assert_close(view.seminorm(z), dense.seminorm(z), np.sqrt(scale) * np.linalg.norm(z))
-                r = dense.apply(z)  # in the range: finite dual seminorm
-                self.assert_close(
-                    view.dual_seminorm_general(r), dense.dual_seminorm_general(r), np.linalg.norm(z)
-                )
-                off = rng.normal(size=base.dim)
-                assert (view.dual_seminorm_general(off) == np.inf) == (
-                    dense.dual_seminorm_general(off) == np.inf
-                )
-
-    @pytest.mark.parametrize("f", FACTORS)
-    def test_inverse(self, f):
-        definite, singular = self.bases()[0], self.bases()[1]
-        view, dense = definite.scaled(f), PsdOperator(f * definite.matrix)
-        want = dense.inverse().matrix
-        np.testing.assert_allclose(
-            view.inverse().matrix, want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
-        )
-        with pytest.raises(ValueError, match="ill-conditioned"):
-            singular.scaled(f).inverse()
-
-    def test_views_share_the_base_and_decompose_nothing(self, monkeypatch):
-        base = self.bases()[0]
-        base.dual_seminorm_general(np.ones(6))  # the base's eigh, once
-        base.inverse()
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            fn = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
-        assert base.scaled(1.0) is base
-        view = base.scaled(2.0).scaled(1.25)
-        assert view.base is base and view.factor == 2.5 and view.definite == base.definite
-        assert view._eig[1] is base._eig[1]
-        view.dual_seminorm_general(np.ones(6)), view.seminorm(np.ones(6)), view._eig_extremes
-        assert view.inverse().base is base.inverse()
-        assert calls == []
+            self.assert_matches_dense(base, 0.0, f, seed=0)
 
     @pytest.mark.parametrize("a, b", [(1.5, -1.0), (2.0, -0.5), (0.5, 2.0)])
     def test_affine_matches_dense(self, a, b):
         # a and b < 0 are in units of the base's largest eigenvalue
         for base in self.bases():
             hi = base._eig_extremes[1]
-            shift = a * hi if b < 0 else a
-            view, dense = base.affine(shift, b), PsdOperator(shift * np.eye(base.dim) + b * base.matrix)
-            scale = dense._eig_extremes[1]
-            for got, want in zip(view._eig_extremes, dense._eig_extremes):
-                self.assert_close(got, want, scale)
-            w, v = view._eig
-            assert np.all(np.diff(w) >= 0.0)  # ascending also for b < 0
-            np.testing.assert_allclose((v * w) @ v.T, dense.matrix, atol=1e-12 * scale)
-            np.testing.assert_allclose(view.matrix, dense.matrix, rtol=1e-12, atol=1e-12 * scale)
-            np.testing.assert_allclose(
-                view.inverse().matrix, dense.inverse().matrix, rtol=1e-10, atol=1e-12 * scale
-            )
-            rng = np.random.default_rng(1)
-            for _ in range(5):
-                z = rng.normal(size=base.dim)
-                znorm = np.linalg.norm(z)
-                np.testing.assert_allclose(view.apply(z), dense.apply(z), rtol=1e-12, atol=1e-12 * scale)
-                self.assert_close(view.seminorm(z), dense.seminorm(z), np.sqrt(scale) * znorm)
-                self.assert_close(view.dual_seminorm_general(z), dense.dual_seminorm_general(z), znorm)
+            self.assert_matches_dense(base, a * hi if b < 0 else a, b, seed=1)
+
+    def test_views_share_the_base_and_decompose_nothing(self, monkeypatch):
+        base = self.bases()[0]
+        base.dual_seminorm_general(np.ones(6))  # the base's eigh, once
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+        view = base.affine(0.0, 2.0).affine(0.0, 1.25)
+        assert view.base is base and view.factors == 2.5 and view.definite == base.definite
+        view.dual_seminorm_general(np.ones(6)), view.seminorm(np.ones(6))
+        rows = base.affine(0.0, np.array([2.5]))
+        rows.dual_seminorm_general(np.ones((1, 6))), rows.seminorm(np.ones((1, 6)))
+        assert calls == []
 
     def test_affine_views_compose_and_check_psd(self):
         base = self.bases()[0]
         hi = base._eig_extremes[1]
         view = base.affine(2.0 * hi, -1.0)
-        assert base.affine(0.0, 1.0) is base
-        twice = view.scaled(2.0)
-        assert twice.base is base and (twice.shift, twice.factor) == (4.0 * hi, -2.0)
+        twice = view.affine(0.0, 2.0)
+        assert twice.base is base and (twice.shift, twice.factors) == (4.0 * hi, -2.0)
         with pytest.raises(ValueError, match="not PSD"):
             base.affine(0.5 * hi, -1.0)
+        with pytest.raises(ValueError, match="not PSD"):
+            base.affine(0.5 * hi, np.array([-1.0]))
 
     def test_nonpositive_factor_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            identity(2).scaled(0.0)
+        # a negative factor of a definite base is not PSD; a zero factor gives
+        # the zero operator, which is not definite
+        with pytest.raises(ValueError, match="not PSD"):
+            identity(2).affine(0.0, -1.0)
+        zero = identity(2).affine(0.0, 0.0)
+        assert not zero.definite and zero.seminorm(np.ones(2)) == 0.0

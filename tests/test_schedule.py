@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import identity, zero_operator
+from helpers import applied, dense_realized, identity, zero_operator
 
 from vmpadmm.linalg import PsdOperator, operator_leq
 from vmpadmm.schedule import (
@@ -44,8 +44,8 @@ class TestConstantSchedule:
         assert sched.C_P == 1.0
         H0, R0, S0 = sched.realize(0)
         H5, R5, S5 = sched.realize(5)
-        np.testing.assert_array_equal(H0.matrix, H5.matrix)
-        np.testing.assert_array_equal(R0.matrix, R5.matrix)
+        np.testing.assert_array_equal(applied(H0), applied(H5))
+        np.testing.assert_array_equal(applied(R0), applied(R5))
         sched.validate()
 
     def test_horizon_enforced(self):
@@ -60,8 +60,8 @@ class TestDrift:
         sched = drift_schedule((2, 2, 3), 10, c0=1.0, h_scale=2.0)
         H0 = sched.realize(0)[0]
         H1 = sched.realize(1)[0]
-        np.testing.assert_allclose(H0.matrix, 2.0 * np.eye(3))
-        np.testing.assert_allclose(H1.matrix, 4.0 * np.eye(3))
+        np.testing.assert_allclose(applied(H0), 2.0 * np.eye(3))
+        np.testing.assert_allclose(applied(H1), 4.0 * np.eye(3))
 
     def test_drift_sums_bracket_basel(self):
         # sum c0/(k+1)^2 over all k equals c0 * pi^2/6; realized sum plus the
@@ -109,7 +109,7 @@ class TestDrift:
         cp = sched.C_P
         for j, k in ((0, 7), (3, 20), (15, 4)):
             Hj, Hk = sched.realize(j)[0], sched.realize(k)[0]
-            assert operator_leq(Hj.matrix, cp * Hk.matrix)
+            assert operator_leq(applied(Hj), cp * applied(Hk))
 
 
 class TestLinearized:
@@ -123,20 +123,28 @@ class TestLinearized:
 
         sched = build(lam_max * 1.01)
         R = sched.realize(1)[1]
-        assert np.linalg.eigvalsh(R.matrix).min() >= -1e-10
+        assert np.linalg.eigvalsh(applied(R)).min() >= -1e-10
         with pytest.raises(ValueError, match="not PSD"):
             build(lam_max * 0.9)
 
-    def test_zero_law_realizes_once(self):
-        # equal drift factors share one operator, so the eigendecomposition
-        # of a linearized R is computed once per run
+    def test_zero_law_realizes_once(self, monkeypatch):
+        # equal drift factors give views of one anchor with equal factors, so
+        # the eigendecomposition of a linearized R is computed once per run
         A = np.random.default_rng(6).normal(size=(3, 4))
         tau = 1.1 * float(np.linalg.eigvalsh(A.T @ A).max())
         sched = schedule_from_dict(linearized_cfg(tau, k_max=25), (4, 2, 3), A=A)
-        H0, R0, S0 = sched.realize(0)
-        H, R, S = sched.realize(sched.k_max)
-        assert R is R0 and H is H0 and S is S0
+        first = sched.realize(0)
+        for Q in first:
+            Q.dual_seminorm_general(np.ones(Q.dim))  # each anchor's decomposition, once
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+        for Q0, Q in zip(first, sched.realize(sched.k_max)):
+            assert Q.base is Q0.base and (Q.shift, Q.factors) == (Q0.shift, Q0.factors)
+            Q.dual_seminorm_general(np.ones(Q.dim))
         sched.validate()
+        assert calls == []
 
     def test_requires_constraint_matrix(self):
         with pytest.raises(ValueError, match="requires the constraint matrix"):
@@ -163,7 +171,7 @@ class TestAssembleMk:
         M = assemble_Mk(
             identity(2, 4.0), zero_operator(3), zero_operator(2), np.zeros((2, 2)), 0.5
         )
-        np.testing.assert_allclose(M.blocks[2].matrix, 0.5 * np.eye(2))
+        np.testing.assert_allclose(applied(M.blocks[2]), 0.5 * np.eye(2))
 
 
 class TestRunMetric:
@@ -197,7 +205,7 @@ class TestRunMetric:
         sched, A, B = self.schedule(self.R_DESCS[r_kind], seed=1)
         bases = {"R": (A, sched.system_base(A, "R")), "S": (B, sched.system_base(B, "S"))}
         for k in range(sched.k_max + 1):
-            H, R, S = sched.realize(k)
+            H, R, S = dense_realized(sched, k)
             f = sched.factor(k)
             for family, P in (("R", R), ("S", S)):
                 N, (K, tau) = bases[family]
@@ -220,12 +228,12 @@ class TestJsonConfig:
         sched = schedule_from_dict(self.CFG, (4, 3, 2))
         H, R, S = sched.realize(0)
         assert H.dim == 2 and R.dim == 4 and S.dim == 3
-        np.testing.assert_allclose(H.matrix, 2.0 * np.eye(2))
+        np.testing.assert_allclose(applied(H), 2.0 * np.eye(2))
 
     def test_zero_law_freezes_operators(self):
         cfg = dict(self.CFG, c={"c0": 0.0, "law": "zero"})
         sched = schedule_from_dict(cfg, (4, 3, 2))
-        np.testing.assert_array_equal(sched.realize(0)[0].matrix, sched.realize(9)[0].matrix)
+        np.testing.assert_array_equal(applied(sched.realize(0)[0]), applied(sched.realize(9)[0]))
 
     def test_zero_family_is_the_scaled_zero_operator(self):
         # R = S = 0 under drift: (anchor 0, a = 0, s = 1), as scaled_identity
@@ -236,8 +244,8 @@ class TestJsonConfig:
         assert len({zero.factor(k) for k in range(zero.k_max + 1)}) == zero.k_max + 1
         for k in range(zero.k_max + 1):
             _, R, S = zero.realize(k)
-            assert not R.matrix.any() and not S.matrix.any()
-            np.testing.assert_array_equal(S.matrix, scaled.realize(k)[2].matrix)
+            assert not applied(R).any() and not applied(S).any()
+            np.testing.assert_array_equal(applied(S), applied(scaled.realize(k)[2]))
 
     def test_zero_families_validate_fast_at_full_horizon(self):
         from vmpadmm.schedule import K_MAX_LIMIT
@@ -409,7 +417,6 @@ class TestAnalyticValidate:
     def test_broken_factors_detected(self, seed, monkeypatch):
         sched, cfg, A = self.random_schedule(seed)
         sched._factors[5] *= 1.0 + 2.0 * float(sched.c_seq[4]) + 0.01  # jump past (1 + c_4)
-        sched._last = None
         expected = self.oracle(sched, cfg, A)
         assert expected == [(4, "H"), (4, "R"), (4, "S"), (5, "H"), (5, "R"), (5, "S")]
         assert self.validate_without_decompositions(sched, monkeypatch) == expected
