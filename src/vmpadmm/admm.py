@@ -130,8 +130,6 @@ def compute_sigma_theta(theta: float, margin: float = 1e-3) -> ThetaParams:
     sigma = hi + margin
     if sigma >= 1.0:
         raise RuntimeError(f"minimal sigma {hi} plus margin {margin} leaves (0, 1)")
-    if not sigma_feasible(theta, sigma):
-        raise RuntimeError(f"internal error: sigma={sigma} infeasible after refinement")
     return ThetaParams(theta=theta, sigma=sigma, tau=tau_theta(theta, sigma), margin=margin)
 
 
@@ -400,25 +398,15 @@ class KktResidualCertificate:
     dual_max = AdmmIterate.dual_max
 
 
-def compute_d0_admm(
-    problem: ProblemSpec,
-    z_star: tuple[np.ndarray, np.ndarray, np.ndarray],
-    M0: BlockDiagOperator,
-    x0=None,
-    y0=None,
-    gamma0=None,
-) -> float:
-    """Distance in the metric M_0 (see :func:`assemble_Mk`) from the initial
-    point to one solution.
+def compute_d0_admm(z_star: np.ndarray, M0: BlockDiagOperator, z0: np.ndarray) -> float:
+    """||z0 - z_star||_{M_0}: the distance in the metric M_0 (see
+    :func:`assemble_Mk`) from the start point z0 to one solution z_star, both
+    product-space vectors (x, y, gamma).
 
     Upper-bounds the infimum over the whole solution set; every rate bound
     is increasing in this quantity, so the bounds stay valid.
     """
-    n_x, n_y, m = problem.dims
-    x0 = np.zeros(n_x) if x0 is None else np.asarray(x0, float)
-    y0 = np.zeros(n_y) if y0 is None else np.asarray(y0, float)
-    gamma0 = np.zeros(m) if gamma0 is None else np.asarray(gamma0, float)
-    return M0.seminorm(np.concatenate([x0, y0, gamma0]) - np.concatenate(z_star))
+    return M0.seminorm(z0 - z_star)
 
 
 def _membership(name: str, k: int, lhs: float, rhs: float, scale: float) -> BoundCheck:
@@ -485,10 +473,6 @@ class CertifiedBlock:
         iteration of the block."""
         return all(np.all(c.ok) for group in self.checks.values() for c in group)
 
-    def head(self, n: int) -> "CertifiedBlock":
-        """The block's first n iterations."""
-        return row_of(self, slice(0, n))
-
 
 class VmPadmmRun:
     """One solve: sequential state, embedding driver, running certificates."""
@@ -511,6 +495,7 @@ class VmPadmmRun:
         self.y = np.zeros(n_y) if y0 is None else np.asarray(y0, float).copy()
         self.gamma = np.zeros(m) if gamma0 is None else np.asarray(gamma0, float).copy()
         self._By = problem.B @ self.y  # B y_{k-1}, which step k reuses
+        z0 = np.concatenate([self.x, self.y, self.gamma])  # z_0, shared by the HPE state and d0
 
         schedule.validate()  # every k at once; raises ScheduleError before the reference solve
         self.reference = ref = reference if reference is not None else reference_solve(problem)
@@ -521,20 +506,10 @@ class VmPadmmRun:
         except ValueError as exc:
             msg = f"schedule H_0 gives no metric M_0, which holds H_0^-1 / theta: {exc}"
             raise ScheduleError(msg) from exc
-        self.d0 = compute_d0_admm(
-            problem,
-            (ref.x, ref.y, ref.gamma),
-            self.M0,
-            x0=self.x,
-            y0=self.y,
-            gamma0=self.gamma,
-        )
+        self.d0 = compute_d0_admm(self.z_star, self.M0, z0)
         self.eta0 = theta_params.tau * self.d0**2
         # the one run state: z~ and r sums, Fejer sum, sigma, eta_0 and bounds
-        self.hpe = HpeState(
-            np.concatenate([self.x, self.y, self.gamma]),
-            RateBounds(self.d0, theta_params.sigma, schedule.C_S, schedule.C_P, eta0=self.eta0),
-        )
+        self.hpe = HpeState(z0, RateBounds(self.d0, theta_params.sigma, schedule.C_S, schedule.C_P, eta0=self.eta0))
         self.k = 0
         self._systems = None  # (x, y) BlockSystem, built on the first step
         # running pointwise best, the first iterate achieving the min max-residual:
@@ -703,7 +678,7 @@ class VmPadmmRun:
             + _SQRT2 * (p.sigma + p.theta - 1.0) / p.theta * S_rows.seminorm(dz[1]) ** 2
         )
         rows = AdmmIterate(ks, *M.split(Z), M.split(Zt)[2], *dz, *rz, M, eta, *duals)
-        hpe_check = self.hpe.add_iterate(HpeIterate(k0, Z, Zt, R, P, eta, M))
+        hpe_check = self.hpe.add_iterate(HpeIterate(ks, Z, Zt, R, P, eta, M))
 
         s_x = rows.r_x + rows.gamma_tilde @ problem.A  # the subgradients the memberships test
         s_y = rows.r_y + rows.gamma_tilde @ problem.B
@@ -748,7 +723,7 @@ class VmPadmmRun:
             self.k = int(ks[i])
             self.x, self.y, self.gamma = (v[i].copy() for v in M.split(Z))
             self._By = problem.B @ self.y
-        return blk if end == n else blk.head(end)
+        return blk if end == n else row_of(blk, slice(0, end))
 
     # -- certificates at the current iteration k ---------------------------
     # They come from running accumulators; no per-iteration history is kept.
@@ -758,7 +733,7 @@ class VmPadmmRun:
     def pointwise_kkt_certificate(self) -> KktResidualCertificate:
         """Best single iterate up to k against the O(1/sqrt(k)) bound."""
         self.hpe.require_iterate()
-        k, (z_tilde, r, table) = self.hpe.last.ks, self._best
+        k, (z_tilde, r, table) = self.hpe.last.k, self._best
         k_best, dual_x, dual_y, dual_g, dist_x, scale_x, dist_y, scale_y = table.T
         bound, index = self.bounds.pointwise_rhs(k), k_best.astype(int)
         cert = KktResidualCertificate(
@@ -779,7 +754,7 @@ class VmPadmmRun:
         Fenchel--Young gap at most eps (``eps_subdiff_*``) with s^a (x^a for
         a box) in the domain of that closed form (``eps_domain_*``)."""
         zt_a, r_a, eps_full = self.hpe.ergodic_point()
-        k, M_k = self.hpe.last.ks, self.hpe.last.M
+        k, M_k = self.hpe.last.k, self.hpe.last.M
         A, B = self.problem.A, self.problem.B
         x_a, y_a, gt_a = M_k.split(zt_a)
         rx_a, ry_a, rg_a = M_k.split(r_a)

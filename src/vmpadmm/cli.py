@@ -58,6 +58,11 @@ def parse_generator_spec(spec: str, seed_override: int | None = None) -> Problem
         raise ConfigError(str(exc)) from exc
 
 
+def _reason(exc: Exception) -> str:
+    """A loader's error as one line: a ``KeyError`` names the missing field."""
+    return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 def _load_problem_arg(arg: str, seed_override: int | None) -> ProblemSpec:
     if arg.startswith("gen:"):
         return parse_generator_spec(arg, seed_override)
@@ -66,7 +71,7 @@ def _load_problem_arg(arg: str, seed_override: int | None) -> ProblemSpec:
     try:
         return load_problem(arg)
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise ConfigError(f"malformed problem file {arg}: {exc}") from exc
+        raise ConfigError(f"malformed problem file {arg}: {_reason(exc)}") from exc
 
 
 def run_solve(args) -> int:
@@ -84,7 +89,7 @@ def run_solve(args) -> int:
     try:
         schedule = load_schedule(args.schedule, problem.dims, A=problem.A)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise ConfigError(f"malformed schedule file {args.schedule}: {exc}") from exc
+        raise ConfigError(f"malformed schedule file {args.schedule}: {_reason(exc)}") from exc
     try:
         params = compute_sigma_theta(args.theta, margin=args.sigma_margin)
     except (ValueError, RuntimeError) as exc:
@@ -194,20 +199,11 @@ def _write_csv(path, columns):
         w.writerows(zip(*(columns[c] for c in CSV_COLUMNS)))
 
 
-def _json_default(o):
-    if isinstance(o, (np.bool_,)):
-        return bool(o)
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    raise TypeError(f"not JSON serializable: {type(o).__name__}")
-
-
 def _write_json(path, doc):
-    """One line of compact JSON with sorted keys.  ``json.dumps`` without
-    ``indent`` runs the C encoder; ``json.dump`` never does."""
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_default)
+    """One line of compact JSON with sorted keys; every value is a Python
+    scalar, list or dict.  ``json.dumps`` without ``indent`` runs the C
+    encoder; ``json.dump`` never does."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
         fh.write(text)
         fh.write("\n")
@@ -289,10 +285,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return run_solve(args)
         return run_batch(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -33,17 +33,17 @@ _ERROR_TOL = 1e-8
 
 @dataclass(frozen=True, slots=True)
 class HpeIterate:
-    """Accepted iterations k, k + 1, ...: points, residuals with tracked
+    """Accepted consecutive iterations: points, residuals with tracked
     preimages, slacks.
 
-    The four vectors are stacked rows of M's dimension, one per iteration,
-    eta a column and M a stack of views acting on row i by M_{k+i}.
-    ``preimage`` is z_{k-1} - z_k, so the residual is r_k = M_k(preimage)
-    and its dual seminorm equals the seminorm of the preimage.  One iteration
-    is a block of one row.
+    ``k`` is the column of the iterations, the four vectors are stacked rows
+    of M's dimension, one per iteration, eta a column and M a stack of views
+    acting on row i by M_{k[i]}.  ``preimage`` is z_{k-1} - z_k, so the
+    residual is r_k = M_k(preimage) and its dual seminorm equals the seminorm
+    of the preimage.  One iteration is a block of one row.
     """
 
-    k: int
+    k: np.ndarray
     z: np.ndarray
     z_tilde: np.ndarray
     r: np.ndarray
@@ -58,15 +58,12 @@ class HpeIterate:
             and len(shape) == 2 and shape[1] == self.M.dim and np.shape(self.eta) == shape[:1]
         ):
             raise ValueError(f"iterate vectors must be stacked rows of shape (rows, {self.M.dim}), got {shape}")
+        if np.shape(self.k) != shape[:1]:
+            raise ValueError(f"iterate index k must be a column of shape {shape[:1]}, got {np.shape(self.k)}")
 
     @property
     def z_prev(self) -> np.ndarray:
         return self.z + self.preimage
-
-    @property
-    def ks(self) -> np.ndarray:
-        """The column of the iterations."""
-        return self.k + np.arange(len(self.z))
 
 
 @dataclass(slots=True)
@@ -95,9 +92,10 @@ def row_of(record, i):
     """Row i (or the rows of a slice) of a block's record: of a column or a
     stack of rows, of each value of a dict or each field of a dataclass, and
     the operator that acts on that row of a stacked operator.  A value shared
-    by every row is itself."""
+    by every row is itself.  Every row is a copy, so the cut keeps none of
+    the block's arrays alive: the one way a block's rows are kept."""
     if isinstance(record, np.ndarray):
-        return record[i]
+        return record[i].copy()
     if isinstance(record, dict):
         return {name: row_of(v, i) for name, v in record.items()}
     if hasattr(record, "row"):
@@ -165,7 +163,7 @@ def check_error_condition(it: HpeIterate, sigma: float, prev_eta: float) -> tupl
     """
     lhs = it.M.seminorm(it.z - it.z_tilde) ** 2 + it.eta
     gap = it.M.seminorm(it.z_prev - it.z_tilde) ** 2
-    check = BoundCheck("hpe", it.ks, lhs, sigma * gap + prev_eta, tol_abs=_ERROR_TOL, tol_rel=_ERROR_TOL)
+    check = BoundCheck("hpe", it.k, lhs, sigma * gap + prev_eta, tol_abs=_ERROR_TOL, tol_rel=_ERROR_TOL)
     return check, gap
 
 
@@ -207,8 +205,8 @@ class HpeState:
         Raises on structural defects (bad index, residual not matching its
         preimage); the relative error check itself is reported, not raised.
         """
-        if it.k != self.k + 1:
-            raise ValueError(f"iterate index {it.k} is not contiguous (expected {self.k + 1})")
+        if not np.array_equal(it.k, np.arange(self.k + 1, self.k + 1 + len(it.z))):
+            raise ValueError(f"iterate indices {it.k.tolist()} are not contiguous (expected from {self.k + 1})")
         if (np.asarray(it.eta) < 0.0).any():
             raise ValueError("eta must be nonnegative")
         miss = it.M.apply(it.preimage) - it.r  # M_k (z_{k-1} - z_k), formed independently of r
@@ -223,18 +221,17 @@ class HpeState:
             running_sums(s[-1], r) for s, r in zip(sums, rows)
         )
         self.last = it
-        self.k = it.k + len(it.z) - 1
+        self.k = int(it.k[-1])
         return check
 
     def keep(self, n: int):
         """Keep only the first n iterations of the latest block: the state
         becomes the one after its iteration n - 1, as if the rest had never
-        been added, with that iteration as a block of one row."""
-        it, i = self.last, slice(n - 1, n)
-        # with its own copy of the row: the block's arrays are not kept alive by it
-        rows = (v[i].copy() for v in (it.z, it.z_tilde, it.r, it.preimage, it.eta))
-        self.last = HpeIterate(it.k + n - 1, *rows, it.M.row(i))
-        self.k = self.last.k
+        been added, with that iteration as a block of one row.  The kept rows
+        are copies (:func:`row_of`), so the block's arrays are freed."""
+        i = slice(n - 1, n)
+        self.last = row_of(self.last, i)
+        self.k = int(self.last.k[0])
         self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum = (
             s[i].copy() for s in (self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum)
         )
@@ -248,7 +245,7 @@ class HpeState:
     def ergodic_point(self):
         """Ergodic averages (z~^a_k, r^a_k, eps^a_k) via the accumulators."""
         self.require_iterate()
-        k = self.last.ks
+        k = self.last.k
         kc = k[:, None]  # divides each row by its k
         zt_a = self._sum_ztilde / kc
         r_a = self._sum_r / kc
@@ -271,4 +268,4 @@ class HpeState:
             it_k.M.seminorm(np.asarray(z_star, dtype=float) - it_k.z) ** 2
             + it_k.eta + (1.0 - self.bounds.sigma) * self._fejer_sum
         )
-        return BoundCheck("fejer", it_k.ks, lhs, self.bounds.fejer_rhs(), tol_abs=1e-8, tol_rel=1e-6)
+        return BoundCheck("fejer", it_k.k, lhs, self.bounds.fejer_rhs(), tol_abs=1e-8, tol_rel=1e-6)

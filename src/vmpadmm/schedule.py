@@ -176,8 +176,9 @@ def assemble_Mk(
 
 # -- JSON configuration ------------------------------------------------------
 
-def _scaled_identity(scale: float, dim: int):
-    return PsdOperator(scale * np.eye(dim), definite=scale > 0), 0.0, 1.0
+def _scaled_identity(scale: float, dim: int, family: str):
+    # scale I as the family's (anchor, a, s): only H is flagged definite, as R and S need only be PSD
+    return PsdOperator(scale * np.eye(dim), definite=family == "H" and scale > 0), 0.0, 1.0
 
 
 def _family_from_descriptor(desc: dict, dim: int, family: str, H0=None, A=None):
@@ -187,9 +188,9 @@ def _family_from_descriptor(desc: dict, dim: int, family: str, H0=None, A=None):
         raise ValueError(f"{family} must be an object")
     kind = desc.get("type")
     if kind == "scaled_identity":
-        return _scaled_identity(float(finite_array(desc["scale"], f"{family} scale", 0)), dim)
+        return _scaled_identity(float(finite_array(desc["scale"], f"{family} scale", 0)), dim, family)
     if kind == "zero":
-        return _scaled_identity(0.0, dim)
+        return _scaled_identity(0.0, dim, family)
     if kind == "dense":
         matrix = finite_array(desc["matrix"], f"{family} matrix entries", 2)
         if matrix.shape != (dim, dim):
@@ -252,5 +253,6 @@ def constant_schedule(
 ) -> MetricSchedule:
     """Constant schedule H = h*I, R = r*I, S = s*I with c_k = 0."""
     n_x, n_y, m = dims
-    families = (_scaled_identity(h_scale, m), _scaled_identity(r_scale, n_x), _scaled_identity(s_scale, n_y))
+    families = (_scaled_identity(h_scale, m, "H"), _scaled_identity(r_scale, n_x, "R"),
+                _scaled_identity(s_scale, n_y, "S"))
     return MetricSchedule(families, k_max)

@@ -285,6 +285,22 @@ class TestFactoredSubproblems:
             assert run.k == run.hpe.k == 0  # no row certified: the run stands at z_0
             assert not any(v.any() for v in (run.x, run.y, run.gamma, run._By))
 
+    def test_l1_solve_without_curvature_raises(self):
+        # B = [[1, 0], [0, 0]] and S = 0: the l1 y-system B^T H_k B is diagonal,
+        # with no curvature on y_2 for the closed-form solve to divide by
+        f = FunctionDescriptor("quadratic", 2, Q=np.eye(2), q=np.ones(2))
+        p = ProblemSpec(f, FunctionDescriptor("l1", 2, lam=0.1), np.eye(2), np.diag([1.0, 0.0]), np.ones(2))
+        with pytest.raises(ValueError, match="separable prox step requires a positive diagonal"):
+            reference_solve(p)
+        run = VmPadmmRun(p, constant_schedule(p.dims, 3), compute_sigma_theta(1.0),
+                         reference=self.dummy_reference(p))
+        blocks = []
+        with pytest.raises(SubproblemError, match="^l1 subproblem needs positive diagonal curvature$"):
+            for blk in run.certified_blocks(3, rho=0.0, eps=0.0):
+                blocks.append(blk)
+        # the first step raised: nothing certified, the run stands at z_0
+        assert blocks == [] and run.k == run.hpe.k == 0
+
 
 class TestMultiplierUpdate:
     def test_hand_example(self):
@@ -1074,12 +1090,13 @@ class TestD0:
         p = generate("consensus_ls", (4, 3, 2), 1)
         ref = reference_solve(p)
         M0 = assemble_Mk(identity(2), zero_operator(4), zero_operator(3), p.B, 1.0)
-        d0 = compute_d0_admm(p, (ref.x, ref.y, ref.gamma), M0, x0=ref.x, y0=ref.y, gamma0=ref.gamma)
+        z_star = np.concatenate([ref.x, ref.y, ref.gamma])
+        d0 = compute_d0_admm(z_star, M0, z_star.copy())
         assert d0 == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_value(self):
         p = scalar_problem()
         # R=0, S=0, H=1, B=1, theta=1: d0^2 = (y0-y*)^2 * 1 + (g0-g*)^2
         M0 = assemble_Mk(identity(1), zero_operator(1), zero_operator(1), p.B, 1.0)
-        d0 = compute_d0_admm(p, (np.array([0.5]), np.array([0.5]), np.array([0.5])), M0)
+        d0 = compute_d0_admm(np.array([0.5, 0.5, 0.5]), M0, np.zeros(3))
         assert d0 == pytest.approx(np.sqrt(0.25 + 0.25))

@@ -110,8 +110,15 @@ class TestSolveCommand:
 
         report = json.loads(text, object_pairs_hook=sorted_keys)
         # the same document as the indented encoding writes it
-        indented = json.dumps(docs[0], indent=2, sort_keys=True, default=cli._json_default)
+        indented = json.dumps(docs[0], indent=2, sort_keys=True)
         assert json.dumps(report, sort_keys=True) == json.dumps(json.loads(indented), sort_keys=True)
+
+    def test_tiny_proximal_scales_run(self, tmp_path):
+        # R and S need only be PSD: a scale below the definite floor is accepted
+        tiny = {"type": "scaled_identity", "scale": 1e-13}
+        sched = write_json(tmp_path / "tiny.json", dict(CONSTANT_SCHEDULE, R=tiny, S=tiny))
+        assert main(solve_args(sched, tmp_path, problem="gen:lasso:10x5:1")) == 0
+        assert json.loads((tmp_path / "run.json").read_text())["all_pass"] is True
 
     def test_stopping_summary(self, schedule_file, tmp_path):
         main(solve_args(schedule_file, tmp_path, rho="1e-3", eps="1e-1", max_iters="200"))
@@ -272,6 +279,11 @@ class TestErrorPaths:
         ("problem", "f", {"f": 5}),
         ("problem", "problem", None),
         ("problem", "A", {"A": [1.0, 2.0]}),
+        ("schedule", "a schedule must be a JSON object", None),
+        ("problem", "A/B/b dimensions are inconsistent", {"b": [1.0, 2.0, 3.0]}),
+        # a missing nested key reads as a missing top-level one does
+        ("schedule", ": missing field 'scale'", {"H": {"type": "scaled_identity"}}),
+        ("problem", ": missing field 'lambda'", {"g": {"type": "l1"}}),
     ])
     def test_wrong_typed_value_is_one_line(self, tmp_path, capsys, kind, field, over):
         problem = generate("lasso", (2, 2), 1).to_dict()
@@ -288,6 +300,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"malformed {kind} file {paths[kind]}" in err and field in err
+
+    def test_unwritable_log_is_one_line(self, schedule_file, tmp_path, capsys):
+        args = solve_args(schedule_file, tmp_path)
+        args[args.index("--log") + 1] = str(tmp_path / "missing" / "run.csv")
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "No such file or directory" in err and "missing" in err
+
+    def test_non_diagonal_btb_reference_is_one_line(self, schedule_file, tmp_path, capsys):
+        # an l1 g whose B^T B is not diagonal: the reference ADMM has no separable prox step
+        doc = {"A": [[1.0]], "B": [[1.0, 1.0]], "b": [1.0],
+               "f": {"type": "quadratic", "Q": [[1.0]], "q": [0.0]}, "g": {"type": "l1", "lambda": 0.1}}
+        problem = write_json(tmp_path / "coupled.json", doc)
+        assert main(solve_args(schedule_file, tmp_path, problem=problem)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: reference solve: plain ADMM needs B^T B diagonal for l1/box g\n"
 
     def test_dense_matrix_of_wrong_size_rejected_at_load(self, tmp_path, capsys):
         # R acts on x, which has dimension 4 for gen:lasso:4x2
@@ -653,6 +682,25 @@ class TestBatchCommand:
         ])
         assert code == 1
         assert "empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "corpus file not found: "),
+        ("[not json", "malformed corpus file "),
+        ('["gen:lasso:8x4:1", 3]', "corpus file must hold a JSON list of problem entries"),
+        ('{"a": "gen:lasso:8x4:1"}', "corpus file must hold a JSON list of problem entries"),
+    ])
+    def test_bad_corpus_file_is_one_line(self, schedule_file, tmp_path, capsys, text, message):
+        corpus = tmp_path / "corpus.json"
+        if text is not None:
+            corpus.write_text(text)
+        code = main([
+            "batch", "--corpus", str(corpus), "--schedule", schedule_file,
+            "--theta", "1.0", "--out-dir", str(tmp_path / "b6"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "b6").exists()
 
 
 # -- malformed input: one field of a valid file replaced by a wrong-typed value

@@ -10,6 +10,7 @@ from vmpadmm.hpe import (
     HpeState,
     RateBounds,
     check_error_condition,
+    row_of,
 )
 from vmpadmm.linalg import PsdOperator
 
@@ -24,7 +25,7 @@ def affine_map(rng, dim):
 
 def one_row(k, z, z_tilde, r, preimage, eta, M):
     """The iterate k as a block of one row."""
-    return HpeIterate(k, *(np.asarray(v, dtype=float)[None] for v in (z, z_tilde, r, preimage, eta)), M)
+    return HpeIterate(np.array([k]), *(np.asarray(v, dtype=float)[None] for v in (z, z_tilde, r, preimage, eta)), M)
 
 
 def exact_prox_steps(G, c, M, z0, steps, sigma=0.0, bounds=None):
@@ -124,6 +125,12 @@ class TestStateValidation:
         with pytest.raises(ValueError, match=r"^iterate vectors must be stacked rows of shape \(rows, 2\)"):
             HpeIterate(1, -pre, np.zeros(2), self.M.apply(pre), pre, 0.0, self.M)
 
+    def test_scalar_index_rejected(self):
+        # k is the column of the iterations, one entry per row
+        it = self._iterate(1)
+        with pytest.raises(ValueError, match=r"^iterate index k must be a column of shape \(1,\), got \(\)$"):
+            dataclasses.replace(it, k=1)
+
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError, match="eta"):
             self.state.add_iterate(self._iterate(1, eta=-1e-3))
@@ -139,6 +146,39 @@ class TestStateValidation:
     def test_negative_eta0_rejected(self):
         with pytest.raises(ValueError, match="eta0"):
             RateBounds(d0=1.0, sigma=0.5, C_S=0.0, C_P=1.0, eta0=-1e-3)
+
+
+class TestRowOf:
+    """A block's rows are kept by ``row_of``: each a copy, k included."""
+
+    def block(self):
+        rng = np.random.default_rng(5)
+        z, z_tilde, pre = (rng.normal(size=(3, 2)) for _ in range(3))
+        M = identity(2).affine(0.0, np.array([1.0, 2.0, 0.5]))  # row i acted on by its own factor
+        return HpeIterate(np.array([1, 2, 3]), z, z_tilde, M.apply(pre), pre, np.array([0.1, 0.2, 0.3]), M)
+
+    def assert_row(self, row, blk, i):
+        rows = (v[i : i + 1] for v in (blk.z, blk.z_tilde, blk.r, blk.preimage, blk.eta))
+        by_hand = HpeIterate(np.array([blk.k[i]]), *rows, blk.M.row(slice(i, i + 1)))
+        for name in ("k", "z", "z_tilde", "r", "preimage", "eta"):
+            got, want = getattr(row, name), getattr(by_hand, name)
+            assert np.array_equal(got, want) and not np.shares_memory(got, getattr(blk, name))
+        assert np.array_equal(row.M.factors, by_hand.M.factors) and row.M.base is blk.M.base
+        assert not np.shares_memory(row.M.factors, blk.M.factors)
+
+    def test_row_of_a_block_is_the_row_built_by_hand(self):
+        blk = self.block()
+        row = row_of(blk, slice(1, 2))
+        assert row.k.tolist() == [2]
+        self.assert_row(row, blk, 1)
+
+    def test_keep_holds_the_row_alone(self):
+        blk = self.block()
+        state = HpeState(np.zeros(2), RateBounds(d0=1.0, sigma=0.5, C_S=0.0, C_P=1.0))
+        state.add_iterate(blk)
+        state.keep(2)
+        assert state.k == 2 and state.last.k.tolist() == [2]
+        self.assert_row(state.last, blk, 1)
 
 
 class TestProximalPointReduction:

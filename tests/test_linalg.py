@@ -123,6 +123,12 @@ class TestPsdOperator:
         with pytest.raises(ValueError, match="negative quadratic form"):
             M._seminorm_from(z, np.diag([2.0, -2.0]) @ z)  # a product with an indefinite matrix
         assert M._seminorm_from(z, np.array([0.0, -1e-12])) == 0.0  # roundoff-sized: clipped to 0
+        # a stacked view, rows acted on by 1 and 0.5 times M, keeps the guard row by row
+        views, Z = M.affine(0.0, np.array([1.0, 0.5])), np.array([z, z])
+        assert np.array_equal(views._seminorm_from(Z, views.apply(Z)), views.seminorm(Z))
+        with pytest.raises(ValueError, match="negative quadratic form"):
+            views._seminorm_from(Z, Z @ np.diag([2.0, -2.0]))
+        assert np.array_equal(views._seminorm_from(Z, np.array([[0.0, -1e-12], [0.0, 0.0]])), [0.0, 0.0])
 
 
 class TestDualNormIdentity:

@@ -246,6 +246,13 @@ class TestJsonConfig:
             _, R, S = zero.realize(k)
             assert not applied(R).any() and not applied(S).any()
             np.testing.assert_array_equal(applied(S), applied(scaled.realize(k)[2]))
+        # a tiny R or S scale is a PSD family too: only H is flagged definite
+        for scale in (1e-13, 1e-300):
+            tiny = {"type": "scaled_identity", "scale": scale}
+            sched = schedule_from_dict(dict(self.CFG, R=tiny, S=tiny), (4, 3, 2))
+            sched.validate()
+            _, R, S = sched.realize(1)
+            assert not R.definite and not S.definite
 
     def test_zero_families_validate_fast_at_full_horizon(self):
         from vmpadmm.schedule import K_MAX_LIMIT
@@ -285,6 +292,8 @@ class TestRuleValidation:
         for h in ({"type": "zero"}, {"type": "scaled_identity", "scale": 0.0}):
             with pytest.raises(ValueError, match="positive definite"):
                 schedule_from_dict(dict(self.CFG, H=h), (2, 2, 2))
+        with pytest.raises(ValueError, match="flagged definite but smallest eigenvalue is 1e-13"):
+            schedule_from_dict(dict(self.CFG, H={"type": "scaled_identity", "scale": 1e-13}), (2, 2, 2))
 
     def test_negative_c0_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
