@@ -152,15 +152,22 @@ class BlockSystem:
     W^T T_k W = diag(1 + (f_k - 1) a) for every f_k: the pencil (K, T_1) is
     diagonalized once per run, whatever C is.  A solve is two matrix-vector
     products and a division, and gives the minimum-norm solution when T_k is
-    singular.  An l1 or box block needs G_k diagonal and is solved in closed
-    form from diag(K).  A solve forms u alone; K and Q stay formed for
-    :meth:`residuals`, which multiplies a block's stacked solves by them,
-    never by the basis, when the block is certified.
+    singular.  A T_1 that is exactly diagonal (K and Q diagonal, or K = 0
+    under a linearized P) needs no basis: T_k's diagonal
+    d_k = f_k diag(K) + tau + diag(Q) divides the right-hand side, and the
+    entries of T_1's diagonal cut off as :meth:`_factor` cuts its spectrum
+    give u_i = 0, the minimum-norm solution.  An l1 or box block needs G_k
+    diagonal and is solved in closed form from the same d_k without Q.  A
+    solve forms u alone; K and Q stay formed for :meth:`residuals`, which
+    multiplies a block's stacked solves by them, never by the basis or the
+    diagonal, when the block is certified.
 
-    H_0's matrix ``H0``, the proximal family's (P_0, a, s) with
-    P_k = a I + s f_k P_0 (``P``, None when it is zero at every k) and
-    diag(K) are kept from construction, so a step builds no operator
-    (:func:`_solve_block`).
+    H_0 (``H0``), N and the proximal family's (P_0, a, s) with
+    P_k = a I + s f_k P_0 (``P``, None when it is zero at every k) are kept
+    from construction in their :func:`_compact` form, a number for h I and a
+    vector for a diagonal, and diag(K) with them, so a step builds no
+    operator and multiplies by a diagonal elementwise (:func:`_solve_block`).
+    ``N`` itself stays the dense matrix the system was built from.
     """
 
     def __init__(self, desc, N: np.ndarray, schedule: MetricSchedule, family: str):
@@ -170,12 +177,22 @@ class BlockSystem:
         if self.K is not None and not np.isfinite(self.K).all():
             block, M = ("x", "A") if family == "R" else ("y", "B")
             raise SubproblemError(f"{block}-subproblem system {M}^T H_0 {M} + {family}_0 overflows")
-        self.H0 = schedule.family("H")[0].matrix
+        self.H0 = _compact(schedule.family("H")[0].matrix)
+        self._N = _compact(N)  # what N u multiplies by; N^T u multiplies by _NT
+        self._NT = N.T if self._N.ndim == 2 else self._N
         P, a, s = schedule.family(family)
-        self.P = (P.matrix, a, s) if a or P.matrix.any() else None
+        self.P = (_compact(P.matrix), a, s) if a or P.matrix.any() else None
         self._basis = None  # (W, a), formed on the first solve
         self._diag = None if self.K is None else np.diag(self.K)
-        if desc.kind in ("l1", "box") and self.K is not None:
+        self._c = np.full(desc.dim, self.tau)  # the diagonal of C = tau I (+ Q)
+        self._range = None  # a diagonal T_1's entries above the cut, or None
+        if desc.kind == "quadratic":
+            Q = desc.Q
+            self._c += np.diag(Q)
+            if _is_diagonal(Q) and (self.K is None or _is_diagonal(self.K)):
+                t = self._curvature(1.0)  # diag(T_1)
+                self._range = t > _EPS * desc.dim * max(float(t.max(initial=0.0)), 0.0)
+        elif self.K is not None:
             K = self.K
             scale = max(1.0, float(np.abs(K).max(initial=0.0)))
             offdiag = np.abs(K - np.diag(self._diag)).max(initial=0.0)
@@ -184,6 +201,15 @@ class BlockSystem:
                     f"{desc.kind} subproblem needs a diagonal quadratic part; "
                     f"off-diagonal magnitude {offdiag} (choose a linearizing metric)"
                 )
+
+    def apply_N(self, u: np.ndarray) -> np.ndarray:
+        """N u, elementwise for a diagonal N."""
+        return _mul(self._N, u)
+
+    def _curvature(self, f: float) -> np.ndarray:
+        """diag(T_k) at f_k = f: f_k diag(K) + tau, plus diag(Q) for a
+        quadratic block."""
+        return self._c if self._diag is None else f * self._diag + self._c
 
     def metric_apply(self, f: np.ndarray, U: np.ndarray) -> np.ndarray:
         """G_k u for each row u of the stack U, at the column f of its f_k:
@@ -201,11 +227,13 @@ class BlockSystem:
         desc = self.desc
         if desc.kind == "quadratic":
             rhs = -(q_lin + desc.q)
+            if self._range is not None:  # T_k is diagonal: no division off T_1's range
+                return np.divide(rhs, self._curvature(f), out=np.zeros(len(rhs)), where=self._range)
             if self._basis is None:
                 self._basis = self._factor()
             W, a = self._basis
             return W @ ((W.T @ rhs) / (1.0 + (f - 1.0) * a))
-        d = np.full(len(q_lin), self.tau) if self.K is None else f * self._diag + self.tau
+        d = self._curvature(f)
         if (d <= 0).any():
             raise SubproblemError(f"{desc.kind} subproblem needs positive diagonal curvature")
         if desc.kind == "l1":
@@ -247,6 +275,27 @@ class BlockSystem:
         return W @ U, a
 
 
+def _compact(M: np.ndarray) -> np.ndarray:
+    """M as :func:`_mul` multiplies by it: the number h when M = h I, the
+    vector of its diagonal when M is square and diagonal, else M."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not _is_diagonal(M):
+        return M
+    d = np.diag(M)
+    return d[0] if (d == d[0]).all() else d
+
+
+def _is_diagonal(M: np.ndarray) -> bool:
+    """Every entry of the square M off its diagonal is zero."""
+    return np.count_nonzero(M) == np.count_nonzero(np.diag(M))
+
+
+def _mul(M, u: np.ndarray) -> np.ndarray:
+    """M u for M in its :func:`_compact` form: a diagonal one elementwise,
+    which for finite u rounds every entry as the matrix product does (its
+    other terms are exact zeros) apart from the sign of an exact zero."""
+    return M @ u if M.ndim == 2 else M * u
+
+
 def _solve_block(system: BlockSystem, k: int, shift, gamma_prev, prev):
     """argmin desc(u) - <gamma_prev, N u> + 0.5||N u + shift||^2_{H_k}
     + 0.5||u - prev||^2_{P_k} for the block ``system`` at iteration k, and
@@ -255,13 +304,14 @@ def _solve_block(system: BlockSystem, k: int, shift, gamma_prev, prev):
     (:meth:`BlockSystem.residuals`).  H_k u is formed as f_k (H_0 u), every
     P_k u as (s f_k) (P_0 u) + a u (s f_k is f_k for a scaled family) and a
     zero P_k u not at all: the products and roundings of the realized views,
-    from the system's run constants and f_k alone."""
+    from the system's run constants and f_k alone.  H_0, N and P_0 multiply
+    elementwise when they are diagonal (:func:`_mul`)."""
     f = system.schedule.factor(k)
-    N = system.N
-    q_lin = -N.T @ gamma_prev + N.T @ (f * (system.H0 @ shift))
+    NT = system._NT
+    q_lin = -_mul(NT, gamma_prev) + _mul(NT, f * _mul(system.H0, shift))
     if system.P is not None:
         P0, a, s = system.P
-        Pu = (s * f) * (P0 @ prev)
+        Pu = (s * f) * _mul(P0, prev)
         q_lin = q_lin - (Pu + a * prev if a else Pu)
     return system.solve(f, q_lin), q_lin
 
@@ -309,13 +359,14 @@ def solve_y_subproblem(problem, Ax_k, y_prev, gamma_prev, system: BlockSystem, k
 
 def update_multiplier(gamma_prev, H0, f, theta, primal, primal_t):
     """Over-relaxed multiplier update and the extragradient multiplier under
-    H_k = f_k H_0, given H_0's matrix ``H0`` and f = f_k, from the residuals
+    H_k = f_k H_0, given H_0 as a matrix or in its :func:`_compact` form
+    ``H0`` (a number for h I) and f = f_k, from the residuals
     ``primal`` = A x_k + B y_k - b and ``primal_t`` = A x_k + B y_{k-1} - b:
 
         gamma_k = gamma_{k-1} - theta H_k (A x_k + B y_k - b)
         gamma~_k = gamma_{k-1} - H_k (A x_k + B y_{k-1} - b)
     """
-    return gamma_prev - theta * (f * (H0 @ primal)), gamma_prev - f * (H0 @ primal_t)
+    return gamma_prev - theta * (f * _mul(H0, primal)), gamma_prev - f * _mul(H0, primal_t)
 
 
 @dataclass(slots=True)
@@ -547,22 +598,22 @@ class VmPadmmRun:
                 BlockSystem(problem.f, problem.A, schedule, "R"),
                 BlockSystem(problem.g, problem.B, schedule, "S"),
             )
-        A, B, b = problem.A, problem.B, problem.b
+        b, (x_system, y_system) = problem.b, self._systems
         x_prev, y_prev, gamma_prev, By_prev = self.x, self.y, self.gamma, self._By
 
-        # each product with A, B and H_k is formed once
-        x_k, q_x = solve_x_subproblem(problem, x_prev, By_prev, gamma_prev, self._systems[0], k)
-        Ax = A @ x_k
+        # each product with A, B and H_k is formed once, elementwise for a diagonal one
+        x_k, q_x = solve_x_subproblem(problem, x_prev, By_prev, gamma_prev, x_system, k)
+        Ax = x_system.apply_N(x_k)
         try:
-            y_k, q_y = solve_y_subproblem(problem, Ax, y_prev, gamma_prev, self._systems[1], k)
+            y_k, q_y = solve_y_subproblem(problem, Ax, y_prev, gamma_prev, y_system, k)
         except Exception:  # whatever it raises, the x-solve's checks come first in the step
-            for failed, error in _solve_checks(self._systems[0], "x", np.array([k]), x_k[None], q_x[None]):
+            for failed, error in _solve_checks(x_system, "x", np.array([k]), x_k[None], q_x[None]):
                 if failed[0]:
                     raise error(0) from None
             raise
-        By = B @ y_k
+        By = y_system.apply_N(y_k)
         primal = Ax + By - b
-        gamma_k, gamma_t = update_multiplier(gamma_prev, self._systems[0].H0, schedule.factor(k), self.params.theta,
+        gamma_k, gamma_t = update_multiplier(gamma_prev, x_system.H0, schedule.factor(k), self.params.theta,
                                              primal, Ax + By_prev - b)
         self.k = k
         self.x, self.y, self.gamma, self._By = x_k, y_k, gamma_k, By
@@ -722,7 +773,7 @@ class VmPadmmRun:
         if ks[i] != self.k:  # steps past it were taken: its state, and its B y_k again as its step formed it
             self.k = int(ks[i])
             self.x, self.y, self.gamma = (v[i].copy() for v in M.split(Z))
-            self._By = problem.B @ self.y
+            self._By = self._systems[1].apply_N(self.y)
         return blk if end == n else row_of(blk, slice(0, end))
 
     # -- certificates at the current iteration k ---------------------------

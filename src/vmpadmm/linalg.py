@@ -75,6 +75,11 @@ class PsdOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def row(self, i) -> "PsdOperator":
+        """The operator that acts on row i (or the rows of a slice) of a
+        stack: this one, which acts on every row alike."""
+        return self
+
     @property
     def _symmetric_part(self) -> np.ndarray:
         """0.5 (M + M^T), which the decompositions read: M itself when it is

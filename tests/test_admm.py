@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -271,6 +272,7 @@ class TestFactoredSubproblems:
         p = self.problem(f, np.array([[1.0, 0.0, 0.0]]))
         sched = constant_schedule(p.dims, 1)
         system = BlockSystem(p.f, p.A, sched, "R")
+        assert system._range.tolist() == [True, True, False]  # T_1 = diag(1, 1, 0): solved by division
         x, q_lin = solve_x_subproblem(p, np.zeros(3), p.B @ np.zeros(1), np.zeros(1), system, 1)
         _, (miss, tol) = system.residuals(np.array([1]), x[None], q_lin[None])
         assert miss[0] > tol[0]  # the solve misses its system; the block's pass raises for it
@@ -336,8 +338,14 @@ _SCALED_H = {"type": "scaled_identity", "scale": 1.3}
 _ZERO = {"type": "zero"}
 _INVERSE_SQUARE = {"c0": 0.5, "law": "inverse_square"}
 # (generator, dims, H, R, S) under inverse_square drift: dense and scaled H;
-# zero, scaled and linearized R; zero and scaled S
+# zero, scaled and linearized R; zero and scaled S; B = -I (lasso) and B = I
+# (box_qp), which a step multiplies by elementwise, as it does H = h I and a
+# diagonal H or R
 _STEP_CASES = {
+    "h_2_5_lasso": ("lasso", (10, 5), {"type": "scaled_identity", "scale": 2.5}, _ZERO, _ZERO),
+    "h_2_5_box_qp": ("box_qp", (12,), {"type": "scaled_identity", "scale": 2.5}, _ZERO, _ZERO),
+    "diagonal_h_diagonal_r": ("lasso", (10, 5), {"type": "dense", "matrix": np.diag(np.linspace(0.5, 2.0, 5)).tolist()},
+                              {"type": "dense", "matrix": np.diag(np.linspace(0.2, 0.6, 10)).tolist()}, _ZERO),
     "dense_h_scaled_r_scaled_s": ("consensus_ls", (6, 5, 4), _dense_h(4), {"type": "scaled_identity", "scale": 0.5},
                                   {"type": "dense", "matrix": (0.3 * np.eye(5)).tolist()}),
     "zero_r_zero_s": ("lasso", (10, 5), _SCALED_H, _ZERO, _ZERO),
@@ -419,6 +427,89 @@ class TestStepArithmetic:
             run.step()
             factors.add(run.schedule.factor(k))
         assert run.k == 40 and len(factors) > 2 and realized == []
+
+
+class TestDiagonalSystem:
+    """A quadratic block whose T_1 = K + tau I + Q is exactly diagonal is
+    solved by one division by T_k's diagonal, without the basis of
+    ``BlockSystem._factor``; every other diagonal operator of a step is kept
+    in its compact form and multiplied elementwise."""
+
+    @staticmethod
+    def diagonal_system(rng, n=6):
+        # K = A^T H_0 A + R_0 = diag(1.3 a^2 + 0.4) and Q diagonal: T_k is diagonal at every f_k
+        f = FunctionDescriptor("quadratic", n, Q=np.diag(rng.uniform(0.1, 10.0, n)), q=rng.normal(size=n))
+        p = ProblemSpec(f, FunctionDescriptor("zero", n), np.diag(rng.uniform(0.1, 3.0, n)), np.eye(n), np.zeros(n))
+        cfg = {"H": _SCALED_H, "R": {"type": "scaled_identity", "scale": 0.4}, "S": _ZERO, "c": _INVERSE_SQUARE,
+               "k_max": 8}
+        return BlockSystem(p.f, p.A, schedule_from_dict(cfg, p.dims, A=p.A), "R")
+
+    @staticmethod
+    def basis_solve(system, f, q_lin):
+        W, a = system._factor()
+        return W @ ((W.T @ -(q_lin + system.desc.q)) / (1.0 + (f - 1.0) * a))
+
+    def test_matches_the_basis_solve(self):
+        rng = np.random.default_rng(21)
+        run = _step_run("linearized_r")  # lasso: T_k = Q + tau I = (1 + tau) I under a linearized R
+        run.step()
+        for system in [self.diagonal_system(rng) for _ in range(5)] + [run._systems[0]]:
+            assert system._range is not None and system._range.all()
+            factors = {system.schedule.factor(k) for k in range(1, 9)}
+            assert len(factors) > 2
+            for f in factors:
+                q_lin = rng.normal(size=system.desc.dim)
+                np.testing.assert_allclose(system.solve(f, q_lin), self.basis_solve(system, f, q_lin), rtol=1e-13, atol=0)
+
+    def test_zero_diagonal_entry_gives_the_minimum_norm_zero(self):
+        # T_1 = diag(2.3, 0, 3): the consistent system leaves u_2 free, and
+        # lstsq's minimum-norm solution sets it to 0, with no division by 0
+        f = FunctionDescriptor("quadratic", 3, Q=np.diag([1.0, 0.0, 3.0]), q=np.array([1.0, 0.0, -2.0]))
+        p = ProblemSpec(f, FunctionDescriptor("zero", 1), np.array([[1.0, 0.0, 0.0]]), np.eye(1), np.zeros(1))
+        cfg = {"H": _SCALED_H, "R": _ZERO, "S": _ZERO, "c": _INVERSE_SQUARE, "k_max": 8}
+        system = BlockSystem(p.f, p.A, schedule_from_dict(cfg, p.dims, A=p.A), "R")
+        assert system._range.tolist() == [True, False, True]
+        rng = np.random.default_rng(22)
+        for k in range(1, 9):
+            f_k = system.schedule.factor(k)
+            x_prev, By_prev, gamma = rng.normal(size=3), rng.normal(size=1), rng.normal(size=1)
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                x, q_lin = solve_x_subproblem(p, x_prev, By_prev, gamma, system, k)
+            T = np.diag([1.3 * f_k + 1.0, 0.0, 3.0])
+            np.testing.assert_allclose(x, np.linalg.lstsq(T, -(q_lin + f.q), rcond=None)[0], rtol=1e-14, atol=0)
+            assert x[1] == 0.0
+            _, (miss, tol) = system.residuals(np.array([k]), x[None], q_lin[None])
+            assert miss[0] <= tol[0]  # the system test holds
+
+    def test_no_basis_for_a_diagonal_system(self, monkeypatch):
+        calls, factor = [], BlockSystem._factor
+        monkeypatch.setattr(BlockSystem, "_factor", lambda system: calls.append(system) or factor(system))
+        run = _step_run("linearized_r")  # lasso: T_k = (1 + tau) I
+        blocks = list(run.certified_blocks(40, rho=0.0, eps=0.0))
+        assert run.k == 40 and all(blk.ok for blk in blocks) and calls == []
+        run = _step_run("zero_r_zero_s")  # lasso with R = 0: T_1 = A^T H_0 A + I is dense
+        list(run.certified_blocks(40, rho=0.0, eps=0.0))
+        assert calls == [run._systems[0]]
+
+    def test_diagonal_operators_are_compact(self):
+        for case, (h, n_y) in (("h_2_5_lasso", (2.5, -1.0)), ("h_2_5_box_qp", (2.5, 1.0))):
+            run = _step_run(case)
+            run.step()
+            x_system, y_system = run._systems
+            assert x_system.H0.ndim == 0 and x_system.H0 == h
+            assert y_system._N.ndim == 0 and y_system._N == n_y
+            assert x_system._N is run.problem.A  # a dense N is multiplied as it is
+        run = _step_run("zero_r_scaled_s")
+        run.step()
+        assert run._systems[1].P[0].ndim == 0 and run._systems[1].P[0] == 0.4
+        run = _step_run("dense_h_scaled_r_scaled_s")
+        run.step()
+        assert run._systems[0].H0.ndim == 2 and run._systems[1].P[0].ndim == 0
+        run = _step_run("diagonal_h_diagonal_r")  # another diagonal is its vector
+        run.step()
+        np.testing.assert_array_equal(run._systems[0].H0, np.linspace(0.5, 2.0, 5))
+        np.testing.assert_array_equal(run._systems[0].P[0], np.linspace(0.2, 0.6, 10))
 
 
 class TestFixedPoint:

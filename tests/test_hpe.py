@@ -12,7 +12,7 @@ from vmpadmm.hpe import (
     check_error_condition,
     row_of,
 )
-from vmpadmm.linalg import PsdOperator
+from vmpadmm.linalg import PsdOperator, block_diag
 
 
 def affine_map(rng, dim):
@@ -171,6 +171,18 @@ class TestRowOf:
         row = row_of(blk, slice(1, 2))
         assert row.k.tolist() == [2]
         self.assert_row(row, blk, 1)
+
+    def test_a_shared_operator_is_itself(self):
+        op = PsdOperator(np.eye(2))
+        assert row_of(op, slice(0, 1)) is op and row_of(op, 1) is op
+
+    def test_block_diag_with_a_shared_block(self):
+        views = identity(2).affine(0.0, np.array([1.0, 2.0, 0.5]))
+        shared = PsdOperator(np.eye(3))
+        row = row_of(block_diag([views, shared]), slice(1, 2))
+        assert row.blocks[1] is shared and row.blocks[0].base is views.base
+        assert row.blocks[0].factors.tolist() == [2.0]
+        np.testing.assert_array_equal(row.apply(np.ones((1, 5))), [[2.0, 2.0, 1.0, 1.0, 1.0]])
 
     def test_keep_holds_the_row_alone(self):
         blk = self.block()
