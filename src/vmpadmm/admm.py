@@ -30,7 +30,6 @@ from .schedule import THETA_MAX, MetricSchedule, ScheduleError, assemble_Mk
 __all__ = [
     "ThetaParams",
     "AdmmStep",
-    "AdmmIterate",
     "KktResidualCertificate",
     "CertifiedBlock",
     "SubproblemError",
@@ -106,9 +105,9 @@ class ThetaParams:
 def compute_sigma_theta(theta: float, margin: float = 1e-3) -> ThetaParams:
     """Minimal admissible sigma for a given theta, plus a safety margin.
 
-    Scans a uniform grid over (0, 1) for the smallest feasible point, then
-    bisects the feasibility boundary below it to 1e-10 before shifting up
-    by ``margin``.
+    Scans a uniform grid over (0, 1) for the smallest feasible point (the
+    largest float below 1 when no grid point is), then bisects the
+    feasibility boundary below it to 1e-10 before shifting up by ``margin``.
     """
     if not (_THETA_EXCLUSION < theta < THETA_MAX - _THETA_EXCLUSION):
         raise ValueError(f"theta must lie strictly inside (0, {THETA_MAX}), got {theta}")
@@ -116,11 +115,12 @@ def compute_sigma_theta(theta: float, margin: float = 1e-3) -> ThetaParams:
         raise ValueError(f"sigma margin must be finite and >= 0, got {margin}")
     sigmas = np.arange(1, _SIGMA_GRID + 1) / (_SIGMA_GRID + 1.0)
     feasible = sigma_feasible(theta, sigmas)
-    if not feasible.any():
+    # for theta near 0 and near the golden ratio, sigma is admissible only above the grid
+    i = int(np.argmax(feasible)) if feasible.any() else _SIGMA_GRID
+    hi = float(sigmas[i]) if i < _SIGMA_GRID else float(np.nextafter(1.0, 0.0))
+    if not sigma_feasible(theta, hi):
         raise RuntimeError(f"no admissible sigma found for theta={theta}")
-    feasible_idx = int(np.argmax(feasible))
-    hi = float(sigmas[feasible_idx])
-    lo = float(sigmas[feasible_idx - 1]) if feasible_idx > 0 else 0.0
+    lo = float(sigmas[i - 1]) if i > 0 else 0.0
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if sigma_feasible(theta, mid):
@@ -143,10 +143,11 @@ class BlockSystem:
     run's schedule so that H_k, P_k and the drift factor f_k come from one
     place:
 
-        G_k = N^T H_k N + P_k = f_k K + tau I     (``MetricSchedule.system_base``)
+        G_k = N^T H_k N + P_k = f_k K + tau I     (K = N^T H_0 N + P_0 formed here)
         T_k = G_k + Q                            (Q of a quadratic f or g)
 
-    Write T_k = f_k K + C with C = tau I + Q.  K and C are PSD, so every T_k
+    Write T_k = f_k K + C with C = tau I + Q (tau = 0 for a scaled P, and
+    K = 0 for a linearized P_k = tau I - N^T H_k N).  K and C are PSD, so every T_k
     with f_k > 0 has the range of T_1 = K + C.  A basis W of that range with
     W^T T_1 W = I and W^T K W = diag(a), a in [0, 1], gives
     W^T T_k W = diag(1 + (f_k - 1) a) for every f_k: the pencil (K, T_1) is
@@ -172,15 +173,16 @@ class BlockSystem:
 
     def __init__(self, desc, N: np.ndarray, schedule: MetricSchedule, family: str):
         self.desc, self.N, self.schedule = desc, N, schedule
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.K, self.tau = schedule.system_base(N, family)
+        H0, (P, a, s) = schedule.family("H")[0].matrix, schedule.family(family)
+        with np.errstate(over="ignore", invalid="ignore"):  # K = None under a linearized P (s < 0)
+            K = N.T @ H0 @ N + P.matrix if s > 0 else None
+            self.K, self.tau = None if K is None else 0.5 * (K + K.T), a
         if self.K is not None and not np.isfinite(self.K).all():
             block, M = ("x", "A") if family == "R" else ("y", "B")
             raise SubproblemError(f"{block}-subproblem system {M}^T H_0 {M} + {family}_0 overflows")
-        self.H0 = _compact(schedule.family("H")[0].matrix)
+        self.H0 = _compact(H0)
         self._N = _compact(N)  # what N u multiplies by; N^T u multiplies by _NT
         self._NT = N.T if self._N.ndim == 2 else self._N
-        P, a, s = schedule.family(family)
         self.P = (_compact(P.matrix), a, s) if a or P.matrix.any() else None
         self._basis = None  # (W, a), formed on the first solve
         self._diag = None if self.K is None else np.diag(self.K)
@@ -386,38 +388,14 @@ class AdmmStep:
     primal: np.ndarray
 
 
-@dataclass(slots=True)
-class AdmmIterate:
-    """A block of iterations with their residual triples: every vector a
-    stack of rows, ``k`` the column of the iterations and ``M`` the stack of
-    their metrics, formed when the block is certified, with ``eta`` and the
-    dual seminorms ||d||_Q = sqrt(<d, r>) from the formed residuals r = Q d."""
-
-    k: int
-    x: np.ndarray
-    y: np.ndarray
-    gamma: np.ndarray
-    gamma_tilde: np.ndarray
-    dx: np.ndarray  # x_{k-1} - x_k, preimage of r_x under R_k
-    dy: np.ndarray
-    dgamma: np.ndarray
-    r_x: np.ndarray
-    r_y: np.ndarray
-    r_gamma: np.ndarray
-    M: object = None  # M_k, the product-space metric of this iteration
-    eta: float | None = None
-    dual_x: float | None = None
-    dual_y: float | None = None
-    dual_gamma: float | None = None
-
-    @property
-    def dual_max(self) -> float:
-        return np.maximum(np.maximum(self.dual_x, self.dual_y), self.dual_gamma)
-
-
 # the fields of a step that fill the blocks of z, of z~ (its x and y are z's) and of
 # (q_x, q_y, primal), the stacked rows of a block
 _STACKED = ("x", "y", "gamma", "gamma_tilde", "q_x", "q_y", "primal")
+
+
+def _dual_max(dual_x, dual_y, dual_gamma):
+    """The largest of the three dual seminorms, row by row."""
+    return np.maximum(np.maximum(dual_x, dual_y), dual_gamma)
 
 
 @dataclass
@@ -446,7 +424,7 @@ class KktResidualCertificate:
     checks: dict = field(default_factory=dict)  # rate bounds and identities
     memberships: dict = field(default_factory=dict)  # (eps-)subdifferential memberships
 
-    dual_max = AdmmIterate.dual_max
+    dual_max = property(lambda self: _dual_max(self.dual_x, self.dual_y, self.dual_gamma))
 
 
 def compute_d0_admm(z_star: np.ndarray, M0: BlockDiagOperator, z0: np.ndarray) -> float:
@@ -484,8 +462,10 @@ def eps_subdifferential_checks(desc, s, u, eps: float, k: int, block: str) -> di
 @dataclass
 class CertifiedBlock:
     """Consecutive iterations with every check of them and the stopping
-    state after the last: ``iterate`` their stacked rows and every check a
-    column, ``hpe_check`` the relative-error condition, ``memberships`` the
+    state after the last: ``iterate`` the :class:`HpeIterate` of their rows
+    and metrics M_k that the run's HPE state absorbed, ``dual_x``, ``dual_y``,
+    ``dual_gamma`` the dual seminorms of r's blocks and every check a column,
+    ``hpe_check`` the relative-error condition, ``memberships`` the
     inclusions of each iterate's subgradients s_x in df(x_k), s_y in dg(y_k),
     and ``fejer`` the Fejer bound against the reference solution.
     ``first_k_pointwise`` / ``first_k_ergodic`` are the first k at which the
@@ -493,7 +473,10 @@ class CertifiedBlock:
     Iteration i is ``row_of(blk, slice(i, i + 1))``, a block of one row.
     """
 
-    iterate: AdmmIterate
+    iterate: HpeIterate
+    dual_x: np.ndarray
+    dual_y: np.ndarray
+    dual_gamma: np.ndarray
     hpe_check: BoundCheck
     memberships: dict  # membership_x/_y of each iterate
     pointwise: KktResidualCertificate
@@ -504,6 +487,8 @@ class CertifiedBlock:
 
     def __len__(self) -> int:
         return len(self.iterate.k)
+
+    dual_max = KktResidualCertificate.dual_max
 
     @property
     def checks(self) -> dict[str, list[BoundCheck]]:
@@ -551,9 +536,9 @@ class VmPadmmRun:
         schedule.validate()  # every k at once; raises ScheduleError before the reference solve
         self.reference = ref = reference if reference is not None else reference_solve(problem)
         self.z_star = np.concatenate([ref.x, ref.y, ref.gamma])  # the Fejer check's solution
-        try:  # H_0 and S_0 are their (scaled) families' anchors, as f_0 = 1
-            H0, S0 = schedule.family("H")[0], schedule.family("S")[0]
-            self.M0 = assemble_Mk(H0, schedule.realize(0)[1], S0, problem.B, theta_params.theta)
+        try:  # H_0 and S_0 are their (scaled) families' anchors and R_0 the R triple, as f_0 = 1
+            (H0, _, _), (R, a, s), (S0, _, _) = map(schedule.family, "HRS")
+            self.M0 = assemble_Mk(H0, R.affine(a, s), S0, problem.B, theta_params.theta)
         except ValueError as exc:
             msg = f"schedule H_0 gives no metric M_0, which holds H_0^-1 / theta: {exc}"
             raise ScheduleError(msg) from exc
@@ -655,40 +640,46 @@ class VmPadmmRun:
                     n, row = i + 1, None
             except Exception as exc:  # raised below, once the steps before it are certified
                 error = exc
-            n, error = self._exact_steps(stacks[:, :n], np.concatenate(before[1:4]), error)
+            # the stepped rows' M_k, formed once: every family moves by f_k, so M_k is
+            # blkdiag(R_k, f_k mid_0, gam_0 / f_k) from M_0's blocks and the R triple
+            ks = np.arange(before[0] + 1, self.k + 1)
+            f, (R, a, s), (_, mid0, gam0) = self.schedule.factor(ks), self.schedule.family("R"), self.M0.blocks
+            M = block_diag([R.affine(a, s * f), mid0.affine(0.0, f), gam0.affine(0.0, 1.0 / f)])
+            n, error = self._exact_steps(ks, stacks[:, :n], M, np.concatenate(before[1:4]), error)
             left -= n
             if not n:  # no step of the block is certified: the run stands where it did before it
                 self.k, self.x, self.y, self.gamma, self._By = before
                 raise error
-            blk = self._certify(stacks[:, :n], rho, eps, *first)
+            if n < len(ks):  # a step failed inside the block: the metrics of the rows before it
+                ks, M = ks[:n], row_of(M, slice(0, n))
+            blk = self._certify(ks, stacks[:, :n], M, rho, eps, *first)
             first = (blk.first_k_pointwise, blk.first_k_ergodic)
             yield blk
             if None not in first:
                 return
             if error is not None:
                 raise error
-            del stacks, columns, blk  # the next block's arrays do not sit beside this one's
+            del stacks, columns, M, blk  # the next block's arrays do not sit beside this one's
 
-    def _exact_steps(self, stacks: np.ndarray, z_prev: np.ndarray, error):
-        """Form z_{k-1} - z_k and r_gamma of the stepped ``stacks`` of rows
-        (``z_prev`` is z before the first) and check that each step is exact,
-        in the order of a step: the x-solve's system test and optimality
-        oracle, the y-solve's (:func:`_solve_checks`, one product per block
-        for all rows), then the gamma residual identity
+    def _exact_steps(self, ks, stacks: np.ndarray, M: BlockDiagOperator, z_prev: np.ndarray, error):
+        """Form z_{k-1} - z_k and r_gamma of the ``stacks`` of rows stepped at
+        ks under their metrics M (``z_prev`` is z before the first) and check
+        that each step is exact, in the order of a step: the x-solve's system
+        test and optimality oracle, the y-solve's (:func:`_solve_checks`, one
+        product per block for all rows), then the gamma residual identity
         r_gamma = (theta H_k)^-1 (gamma_{k-1} - gamma_k) = A x_k + B y_k - b
         within 1e-12 (1 + ||A x_k + B y_k - b||) + 1e-13.  Returns the number
         of rows before the first failing one and its error, or of all rows
         and ``error``, the error of the step after them."""
         Z, _, P, R, L = stacks
-        n = len(Z)
+        n = len(ks)
         if not n:
             return 0, error
-        ks = np.arange(self.hpe.k + 1, self.hpe.k + 1 + n)
         P[0] = z_prev - Z[0]
         np.subtract(Z[:-1], Z[1:], out=P[1:])
-        (x, y, _), (q_x, q_y, primal) = self.M0.split(Z), self.M0.split(L)
-        dg, r_g = self.M0.split(P)[2], self.M0.split(R)[2]
-        r_g[...] = self.M0.blocks[2].affine(0.0, 1.0 / self.schedule.factor(ks)).apply(dg)  # gam_0 / f_k
+        (x, y, _), (q_x, q_y, primal) = M.split(Z), M.split(L)
+        dg, r_g = M.split(P)[2], M.split(R)[2]
+        r_g[...] = M.blocks[2].apply(dg)  # gam_0 / f_k
         miss = r_g - primal
         gap, tol = np.sqrt(row_dot(miss, miss)), 1e-12 * (1.0 + np.sqrt(row_dot(primal, primal))) + 1e-13
         checks = [
@@ -704,50 +695,48 @@ class VmPadmmRun:
         i, check = divmod(int(failed.argmax()), len(checks))  # the first row's first failing check
         return i, checks[check][1](i)
 
-    def _certify(self, stacks: np.ndarray, rho: float, eps: float, first_pw, first_erg) -> CertifiedBlock:
-        """Every check of the consecutive iterations after the last certified
-        one, just stepped and found exact, in one pass over their ``stacks``
-        of rows (z, z~, z_{k-1} - z_k, r and the steps' own residuals), and
-        the stopping rules on top of the first k at which each held so far;
-        commits the run's state through the last iteration, or through the
-        first k by which both rules held."""
+    def _certify(self, ks, stacks: np.ndarray, M, rho: float, eps: float, first_pw, first_erg) -> CertifiedBlock:
+        """Every check of the iterations ks after the last certified one,
+        just stepped and found exact, in one pass over their ``stacks`` of
+        rows (z, z~, z_{k-1} - z_k, r and the steps' own residuals) under
+        their metrics M, and the stopping rules on top of the first k at
+        which each held so far; commits the run's state through the last
+        iteration, or through the first k by which both rules held."""
         problem, p = self.problem, self.params
-        k0, n = self.hpe.k + 1, stacks.shape[1]
-        ks = np.arange(k0, k0 + n)
+        k0, n = int(ks[0]), len(ks)
         Z, Zt, P, R, _ = stacks
-        Zt[:, : self.M0.offsets[2]] = Z[:, : self.M0.offsets[2]]  # z~_k = (x_k, y_k, gamma~_k)
-        _, R_rows, S_rows = self.schedule.realize(ks)
-        # every family moves by f_k: M_k = blkdiag(R_k, f_k mid_0, gam_0 / f_k) from M_0
-        f, (_, mid0, gam0) = self.schedule.factor(ks), self.M0.blocks
-        M = block_diag([R_rows, mid0.affine(0.0, f), gam0.affine(0.0, 1.0 / f)])
+        Zt[:, : M.offsets[2]] = Z[:, : M.offsets[2]]  # z~_k = (x_k, y_k, gamma~_k)
         dz, rz = M.split(P), M.split(R)
         for Q, d, r in zip(M.blocks[:2], dz, rz):  # r_x and r_y; r_gamma is formed with the steps' checks
             r[...] = Q.apply(d)
         duals = [Q._seminorm_from(d, r) for Q, d, r in zip(M.blocks, dz, rz)]
+        S, a, s = self.schedule.family("S")
+        S_rows = S.affine(a, s * self.schedule.factor(ks))  # eta's S_k
         eta = (
             (p.sigma - (p.theta - 1.0) ** 2) / p.theta**2 * duals[2] ** 2
             + _SQRT2 * (p.sigma + p.theta - 1.0) / p.theta * S_rows.seminorm(dz[1]) ** 2
         )
-        rows = AdmmIterate(ks, *M.split(Z), M.split(Zt)[2], *dz, *rz, M, eta, *duals)
-        hpe_check = self.hpe.add_iterate(HpeIterate(ks, Z, Zt, R, P, eta, M))
+        it = HpeIterate(ks, Z, Zt, R, P, eta, M)
+        hpe_check = self.hpe.add_iterate(it)
 
-        s_x = rows.r_x + rows.gamma_tilde @ problem.A  # the subgradients the memberships test
-        s_y = rows.r_y + rows.gamma_tilde @ problem.B
+        (x, y, gamma_t), (r_x, r_y, _) = M.split(Zt), rz
+        s_x = r_x + gamma_t @ problem.A  # the subgradients the memberships test
+        s_y = r_y + gamma_t @ problem.B
         memberships, table = {}, [ks, *duals]
         for name, desc, s, u, r in (
-            ("membership_x", problem.f, s_x, rows.x, rows.r_x), ("membership_y", problem.g, s_y, rows.y, rows.r_y)
+            ("membership_x", problem.f, s_x, x, r_x), ("membership_y", problem.g, s_y, y, r_y)
         ):
             dist, scale = desc.membership_distance(s, u), 1.0 + np.sqrt(row_dot(r, r))
             memberships[name] = _membership(name, ks, dist, 0.0, scale)
             table += [dist, scale]
-        self._dot_s = [running_sums(tot, row_dot(s, u)) for tot, s, u in zip(self._dot_s, (s_x, s_y), (rows.x, rows.y))]
+        self._dot_s = [running_sums(tot, row_dot(s, u)) for tot, s, u in zip(self._dot_s, (s_x, s_y), (x, y))]
         del s_x, s_y, s  # s views one of them
 
         # the running pointwise best: at each k, the first iterate of least dual_max
         cands = (Zt, R, np.column_stack(table))
         none_yet = self._best is None
         before = np.inf if none_yet else self._best[2][0, 1:4].max()
-        dual_max = rows.dual_max
+        dual_max = _dual_max(*duals)
         better = dual_max < np.minimum.accumulate(np.concatenate(([before], dual_max)))[:-1]
         better[0] |= none_yet
         best = np.maximum.accumulate(np.where(better, np.arange(1, n + 1), 0))  # 0: the best before
@@ -763,7 +752,7 @@ class VmPadmmRun:
         if first_erg is None and held_erg.any():
             first_erg = int(ks[held_erg.argmax()])
         end = n if None in (first_pw, first_erg) else max(first_pw, first_erg) - k0 + 1
-        blk = CertifiedBlock(rows, hpe_check, memberships, pw, erg, fejer, first_pw, first_erg)
+        blk = CertifiedBlock(it, *duals, hpe_check, memberships, pw, erg, fejer, first_pw, first_erg)
 
         # commit the state after iteration end - 1 of the block, each kept row a copy
         i = end - 1

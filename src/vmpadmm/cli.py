@@ -168,7 +168,7 @@ def _drive(run: VmPadmmRun, iters: int, rho: float, eps: float, verify):
     for blk in run.certified_blocks(iters, rho, eps):
         it, pw, erg, hc = blk.iterate, blk.pointwise, blk.ergodic, blk.hpe_check
         values = (
-            it.k, it.dual_x, it.dual_y, it.dual_gamma, pw.dual_max, pw.bound_residual,
+            it.k, blk.dual_x, blk.dual_y, blk.dual_gamma, pw.dual_max, pw.bound_residual,
             erg.dual_max, erg.bound_residual, erg.eps_x, erg.eps_y, erg.eps_x + erg.eps_y, erg.bound_eps,
             it.eta, hc.lhs, hc.rhs, hc.slack,
         )

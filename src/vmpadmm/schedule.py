@@ -1,6 +1,6 @@
 """Variable-metric schedules {H_k}, {R_k}, {S_k} with drift bookkeeping.
 
-A schedule realizes, for every iteration k, a definite penalty metric H_k
+A schedule describes, for every iteration k, a definite penalty metric H_k
 and semidefinite proximal metrics R_k and S_k, together with a drift
 sequence {c_k} whose partial sums and products are capped by C_S and C_P.
 Successive operators of each family must satisfy the two-sided sandwich
@@ -13,15 +13,12 @@ scaled family (Q_k = f_k Q_0; a zero family is the scaled zero operator),
 and s = -1, a = tau with anchor G = A^T H_0 A for a linearized
 R_k = tau I - f_k G.  The factor moves by exactly the allowed
 (1+c_k)^{+-1}, alternating up and down, to stress the sandwich at its
-boundary; under the zero law f_k = 1.  Each
-anchor is decomposed once and every realized operator is a view of it
-(:meth:`PsdOperator.affine`), so realizing runs no decomposition: the
-operators of a block of k are one stack of views, and those of one k a single
-view.  The PSD-ness and the sandwich of every k are then affine in the
-anchor's eigenvalue and are decided at its two extremes, for all k at once.
-The same factor gives each subproblem system from one base
-(:meth:`MetricSchedule.system_base`), and the run derives the product-space
-metric M_k from M_0 (:func:`assemble_Mk`).
+boundary; under the zero law f_k = 1.  A schedule hands out only the
+triples, the factors and validation: the run forms Q_k as a view
+``anchor.affine(a, s f_k)`` (:meth:`PsdOperator.affine`), which runs no
+decomposition, so the operators of a block of k are one stack of views.
+The PSD-ness and the sandwich of every k are affine in the anchor's
+eigenvalue and are decided at its two extremes, for all k at once.
 """
 
 from __future__ import annotations
@@ -75,12 +72,8 @@ class ScheduleError(ValueError):
 
 
 class MetricSchedule:
-    """Operator sequences up to a horizon k_max, realized on demand from the
-    drift factors f_k and one (anchor, a, s) triple per family.
-
-    Deterministic: realizing the same k twice yields views with the same
-    factors.
-    """
+    """Operator sequences up to a horizon k_max, given by the drift factors
+    f_k and one (anchor, a, s) triple per family: Q_k = a I + s f_k anchor."""
 
     def __init__(self, families, k_max: int, c0: float = 0.0, law: str = "zero"):
         if not 1 <= k_max <= K_MAX_LIMIT:
@@ -94,38 +87,18 @@ class MetricSchedule:
         self.C_P = float(np.prod(1.0 + self.c_seq) * np.exp(tail))
         self._factors = _drift_factors(self.c_seq)
         self._families = tuple(families)  # (anchor, a, s) of H, R, S: Q_k = a I + s f_k anchor
-        self.realize(0)  # the anchor operators are checked at construction
+        for Q, a, s in self._families:  # each operator at f_0 = 1 is checked at construction
+            Q.affine(a, s)
 
     def factor(self, k: int) -> float:
         """The drift factor f_k shared by every family; for an array of k,
         the array of their factors."""
         return self._factors[k] if isinstance(k, np.ndarray) else float(self._factors[k])
 
-    def realize(self, k) -> tuple[PsdOperator, PsdOperator, PsdOperator]:
-        """Return (H_k, R_k, S_k), each a view of its family's anchor
-        (:meth:`PsdOperator.affine`): for an array of k, the stack of views
-        whose row i is the operator at k[i]; for one k, the view at k."""
-        k = np.asarray(k)
-        if k.min() < 0 or k.max() > self.k_max:
-            raise ValueError(f"iteration indices outside horizon [0, {self.k_max}]")
-        f = self._factors[k]
-        return tuple(Q.affine(a, s * f) for Q, a, s in self._families)
-
     def family(self, name: str) -> tuple[PsdOperator, float, float]:
         """The (anchor, a, s) triple of the family ``"H"``, ``"R"`` or ``"S"``:
         its operator at k is a I + s f_k anchor."""
         return self._families["HRS".index(name)]
-
-    def system_base(self, N: np.ndarray, family: str) -> tuple[np.ndarray | None, float]:
-        """(K, tau) with N^T H_k N + P_k = f_k K + tau I, where P is the
-        family ``"R"`` (N = A) or ``"S"`` (N = B): K = N^T H_0 N + P_0 and
-        tau = 0 for a scaled P, K = None for a linearized
-        P_k = tau I - N^T H_k N (s < 0, a = tau)."""
-        P, a, s = self.family(family)
-        if s < 0:
-            return None, a
-        K = N.T @ self.family("H")[0].matrix @ N + P.matrix
-        return 0.5 * (K + K.T), a
 
     def validate(self) -> None:
         """Check that every operator is PSD, the two-sided sandwich for every

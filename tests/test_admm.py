@@ -29,11 +29,10 @@ from vmpadmm.admm import (
     update_multiplier,
 )
 from vmpadmm.hpe import BoundCheck, row_of
-from vmpadmm.linalg import BlockDiagOperator, PsdOperator
+from vmpadmm.linalg import BlockDiagOperator, PsdOperator, _RowViews
 from vmpadmm.problems import FunctionDescriptor, ProblemSpec, generate, reference_solve
 from vmpadmm.schedule import (
     THETA_MAX,
-    MetricSchedule,
     ScheduleError,
     assemble_Mk,
     constant_schedule,
@@ -93,6 +92,18 @@ class TestSigmaTheta:
     def test_sigma_values_unchanged(self, theta, sigma):
         # recorded from the scalar grid scan that the vectorized one replaced
         assert compute_sigma_theta(theta).sigma == sigma
+
+    @pytest.mark.parametrize("theta", [1e-5, 1.618])
+    def test_admissible_sigma_above_the_grid(self, theta):
+        # no point of the 10,000-point grid is admissible, but sigmas in
+        # (10000/10001, 1) are: the scan bisects up to the largest float below 1
+        grid = np.arange(1, 10_001) / 10_001.0
+        assert not sigma_feasible(theta, grid).any() and sigma_feasible(theta, np.nextafter(1.0, 0.0))
+        params = compute_sigma_theta(theta, margin=0.0)
+        assert grid[-1] < params.sigma < 1.0 and sigma_feasible(theta, params.sigma)
+        assert not sigma_feasible(theta, params.sigma - 1e-9)  # minimal, to the bisection's 1e-10
+        with pytest.raises(RuntimeError, match=r"^minimal sigma .* plus margin 0.001 leaves \(0, 1\)$"):
+            compute_sigma_theta(theta)
 
     def test_tau_formula_example(self):
         # theta=1, sigma=0.501: tau = 8 * 0.501 * max(1, 1) / 1 = 4.008
@@ -416,17 +427,19 @@ class TestStepArithmetic:
     @pytest.mark.parametrize("case", [c for c in _STEP_CASES if "linearized" in c])
     def test_drifting_linearized_r_forms_no_matrix(self, case, monkeypatch):
         # R_k = tau I - f_k G is applied as tau u - f_k (G u) from the run's
-        # constants: a step realizes no operator, so it forms no n x n matrix
-        # for a new f_k
+        # constants: a step constructs no operator and no view, so it forms
+        # no n x n matrix for a new f_k
         run = _step_run(case)
         run.step()
-        realized, realize = [], MetricSchedule.realize
-        monkeypatch.setattr(MetricSchedule, "realize", lambda sched, k: realized.append(k) or realize(sched, k))
+        built = []
+        for cls in (PsdOperator, _RowViews):
+            init = cls.__init__
+            monkeypatch.setattr(cls, "__init__", lambda op, *a, _init=init, **kw: built.append(op) or _init(op, *a, **kw))
         factors = set()
         for k in range(2, 41):
             run.step()
             factors.add(run.schedule.factor(k))
-        assert run.k == 40 and len(factors) > 2 and realized == []
+        assert run.k == 40 and len(factors) > 2 and built == []
 
 
 class TestDiagonalSystem:
@@ -519,10 +532,11 @@ class TestFixedPoint:
         sched = constant_schedule(p.dims, 10, h_scale=1.0, r_scale=0.5, s_scale=0.5)
         params = compute_sigma_theta(1.0)
         run = VmPadmmRun(p, sched, params, x0=ref.x, y0=ref.y, gamma0=ref.gamma, reference=ref)
-        it = next(run.certified_blocks(1, rho=0.0, eps=0.0)).iterate
-        assert it.dual_max <= 1e-8
-        np.testing.assert_allclose(it.x[0], ref.x, atol=1e-8)
-        np.testing.assert_allclose(it.gamma[0], ref.gamma, atol=1e-8)
+        blk = next(run.certified_blocks(1, rho=0.0, eps=0.0))
+        x, _, gamma = blk.iterate.M.split(blk.iterate.z)
+        assert blk.dual_max <= 1e-8
+        np.testing.assert_allclose(x[0], ref.x, atol=1e-8)
+        np.testing.assert_allclose(gamma[0], ref.gamma, atol=1e-8)
 
 
 class TestStandardAdmmReduction:
@@ -560,8 +574,8 @@ class TestRunInternals:
             self.pointwise.append(step.pointwise)
             self.ergodic.append(step.ergodic)
             self.eps_full.append(step.ergodic.eps)
-            z_tildes.append(np.concatenate([it.x, it.y, it.gamma_tilde], axis=-1))
-            residuals.append(np.concatenate([it.r_x, it.r_y, it.r_gamma], axis=-1))
+            z_tildes.append(it.z_tilde)
+            residuals.append(it.r)
             zt_a = sum(z_tildes) / k
             self.hpe_eps_direct.append(sum(float(np.vdot(r, zt - zt_a)) for r, zt in zip(residuals, z_tildes)) / k)
 
@@ -569,23 +583,25 @@ class TestRunInternals:
         p = self.params
         for it in self.iterates[:10]:
             gam = it.M.blocks[2]
-            S_k = self.sched.realize(it.k)[2]
+            S_k = dense_realized(self.sched, int(it.k[0]))[2]
+            _, dy, dgamma = it.M.split(it.preimage)
             expected = (
-                (p.sigma - (p.theta - 1.0) ** 2) / p.theta**2 * gam.seminorm(it.dgamma) ** 2
-                + np.sqrt(2.0) * (p.sigma + p.theta - 1.0) / p.theta * S_k.seminorm(it.dy) ** 2
+                (p.sigma - (p.theta - 1.0) ** 2) / p.theta**2 * gam.seminorm(dgamma) ** 2
+                + np.sqrt(2.0) * (p.sigma + p.theta - 1.0) / p.theta * S_k.seminorm(dy) ** 2
             )
             assert it.eta == pytest.approx(expected, rel=1e-12)
 
     def test_gamma_residual_equals_primal_residual(self):
         for it in self.iterates:
-            primal = it.x @ self.p.A.T + it.y @ self.p.B.T - self.p.b
-            np.testing.assert_allclose(it.r_gamma, primal, atol=1e-12)
+            x, y, _ = it.M.split(it.z)
+            primal = x @ self.p.A.T + y @ self.p.B.T - self.p.b
+            np.testing.assert_allclose(it.M.split(it.r)[2], primal, atol=1e-12)
 
     def test_metric_seminorm_decomposes_over_blocks(self):
-        for it in self.iterates[:5]:
-            z = np.concatenate([it.dx, it.dy, it.dgamma], axis=-1)
-            total = it.M.seminorm(z) ** 2
-            parts = it.dual_x**2 + it.dual_y**2 + it.dual_gamma**2
+        for step in self.steps[:5]:
+            it = step.iterate
+            total = it.M.seminorm(it.preimage) ** 2
+            parts = step.dual_x**2 + step.dual_y**2 + step.dual_gamma**2
             assert total == pytest.approx(parts, rel=1e-10, abs=1e-14)
 
     def test_hpe_condition_holds_throughout(self):
@@ -595,7 +611,7 @@ class TestRunInternals:
         best = [self.pointwise[k - 1].dual_max for k in (1, 10, 30, 50)]
         assert all(b <= a + 1e-15 for a, b in zip(best, best[1:]))
         for k, cert in enumerate(self.pointwise, start=1):
-            duals = [it.dual_max for it in self.iterates[:k]]
+            duals = [step.dual_max for step in self.steps[:k]]
             assert cert.index == int(np.argmin(duals)) + 1
             assert cert.dual_max == min(duals)
         cert = self.pointwise[-1]
@@ -615,17 +631,19 @@ class TestRunInternals:
         A, B = self.p.A, self.p.B
         for k in range(1, 51):
             its = self.iterates[:k]
+            # each iterate's (x, y, gamma~) and (r_x, r_y, r_gamma), as its metric's blocks
+            (xs, ys, gts), (rxs, rys, rgs) = (list(zip(*(i.M.split(getattr(i, f)) for i in its))) for f in ("z_tilde", "r"))
             cert = self.ergodic[k - 1]
             x_a, y_a, gt_a = cert.x, cert.y, cert.gamma_tilde
             rx_a, ry_a, rg_a = cert.r_x, cert.r_y, cert.r_gamma
-            np.testing.assert_allclose(x_a, sum(i.x for i in its) / k, atol=1e-12)
-            np.testing.assert_allclose(y_a, sum(i.y for i in its) / k, atol=1e-12)
-            np.testing.assert_allclose(gt_a, sum(i.gamma_tilde for i in its) / k, atol=1e-12)
-            np.testing.assert_allclose(rx_a, sum(i.r_x for i in its) / k, atol=1e-12)
-            np.testing.assert_allclose(ry_a, sum(i.r_y for i in its) / k, atol=1e-12)
-            np.testing.assert_allclose(rg_a, sum(i.r_gamma for i in its) / k, atol=1e-12)
-            dsx = sum(float(np.vdot(i.r_x + i.gamma_tilde @ A, i.x)) for i in its) / k
-            dsy = sum(float(np.vdot(i.r_y + i.gamma_tilde @ B, i.y)) for i in its) / k
+            np.testing.assert_allclose(x_a, sum(xs) / k, atol=1e-12)
+            np.testing.assert_allclose(y_a, sum(ys) / k, atol=1e-12)
+            np.testing.assert_allclose(gt_a, sum(gts) / k, atol=1e-12)
+            np.testing.assert_allclose(rx_a, sum(rxs) / k, atol=1e-12)
+            np.testing.assert_allclose(ry_a, sum(rys) / k, atol=1e-12)
+            np.testing.assert_allclose(rg_a, sum(rgs) / k, atol=1e-12)
+            dsx = sum(float(np.vdot(r + g @ A, x)) for r, g, x in zip(rxs, gts, xs)) / k
+            dsy = sum(float(np.vdot(r + g @ B, y)) for r, g, y in zip(rys, gts, ys)) / k
             assert cert.eps_x == pytest.approx(dsx - float(np.vdot(rx_a + gt_a @ A, x_a)), abs=1e-12)
             assert cert.eps_y == pytest.approx(dsy - float(np.vdot(ry_a + gt_a @ B, y_a)), abs=1e-12)
 
@@ -736,15 +754,24 @@ class TestRunState:
         assert len(calls) <= 8
 
     def test_metrics_built_per_pass(self, monkeypatch):
-        # a step builds no M_k of its own: a pass builds its rows' stacked M_k,
-        # and its commit the M_k of the iteration it keeps
-        monkeypatch.setattr("vmpadmm.admm._BLOCK", 16)
-        calls = []
-        post_init = BlockDiagOperator.__post_init__
+        # a step builds no M_k of its own: a pass builds its rows' stacked M_k
+        # once, a view each of R_k, f_k mid_0 and gam_0 / f_k, and the view of
+        # S_k that eta reads; its commit the M_k of the iteration it keeps,
+        # one row of each of M_k's three views
+        calls, views = [], []
+        post_init, init = BlockDiagOperator.__post_init__, _RowViews.__init__
         monkeypatch.setattr(BlockDiagOperator, "__post_init__", lambda op: calls.append(op) or post_init(op))
+        monkeypatch.setattr(_RowViews, "__init__", lambda op, *a: views.append(op) or init(op, *a))
+        monkeypatch.setattr("vmpadmm.admm._BLOCK", 32)
+        run = VmPadmmRun(self.p, schedule_from_dict(dict(self.DRIFT, k_max=32), self.p.dims), self.params)
+        calls.clear(), views.clear()  # M_0's, built with the run
+        (blk,) = run.certified_blocks(32, rho=0.0, eps=0.0)
+        assert len(blk) == 32 and len(calls) <= 2 and len(views) <= 7
+        monkeypatch.setattr("vmpadmm.admm._BLOCK", 16)
+        calls.clear(), views.clear()
         blocks = list(self.run.certified_blocks(30, rho=0.0, eps=0.0))
         assert [len(blk) for blk in blocks] == [16, 14]
-        assert len(calls) <= 2 * len(blocks)
+        assert len(calls) <= 2 * len(blocks) and len(views) <= 7 * len(blocks)
 
     def test_duals_from_formed_residuals(self):
         # ||d||_Q = sqrt(<d, r>) from the residual r = Q d the step forms, bit
@@ -752,10 +779,11 @@ class TestRunState:
         for step in one_row_blocks(self.run.certified_blocks(10, rho=0.0, eps=0.0)):
             it = step.iterate
             R_k, mid_k, gam_k = it.M.blocks
+            dx, dy, dgamma = it.M.split(it.preimage)
             assert it.M is not self.run.M0
-            assert it.dual_x == R_k.seminorm(it.dx)
-            assert it.dual_y == mid_k.seminorm(it.dy)
-            assert it.dual_gamma == gam_k.seminorm(it.dgamma)
+            assert step.dual_x == R_k.seminorm(dx)
+            assert step.dual_y == mid_k.seminorm(dy)
+            assert step.dual_gamma == gam_k.seminorm(dgamma)
 
     @pytest.mark.parametrize("group,path", [
         ("hpe", ("hpe_check",)),
@@ -804,7 +832,7 @@ class TestBlockStop:
         assert one_k == 22 and len(one_first) == 22
         assert (one_first[-1].first_k_pointwise, one_first[-1].first_k_ergodic) == stop
         for got, want in zip(more, one_more):
-            for name in ("k", "x", "y", "gamma", "gamma_tilde"):  # the same steps from the same state
+            for name in ("k", "z", "z_tilde"):  # the same steps from the same state
                 assert np.array_equal(getattr(got.iterate, name), getattr(want.iterate, name)), name
             assert got.first_k_pointwise == want.first_k_pointwise
             assert got.first_k_ergodic == want.first_k_ergodic
@@ -1112,14 +1140,14 @@ class TestRunMetric:
         monkeypatch.setattr("vmpadmm.admm.assemble_Mk", lambda *a: calls.append(a) or assemble_Mk(*a))
         run = VmPadmmRun(p, sched, compute_sigma_theta(1.3))
         metrics = [run.M0]
-        # R_0 of M_0 is R_0 as the schedule realizes it
-        np.testing.assert_array_equal(applied(run.M0.blocks[0]), applied(sched.realize(0)[1]))
+        # R_0 of M_0 is the R family's a I + s f_0 anchor
+        np.testing.assert_array_equal(applied(run.M0.blocks[0]), applied(dense_realized(sched, 0)[1]))
         for step in one_row_blocks(run.certified_blocks(sched.k_max, rho=0.0, eps=0.0)):
             assert step.ok
             metrics.append(step.iterate.M)
-            # R_k of the certified record is R_k as the schedule realizes it
+            # R_k of the certified record is the R family's a I + s f_k anchor
             np.testing.assert_array_equal(applied(step.iterate.M.blocks[0]),
-                                          applied(sched.realize(int(step.iterate.k[0]))[1]))
+                                          applied(dense_realized(sched, int(step.iterate.k[0]))[1]))
         assert run.k == sched.k_max and len({sched.factor(k) for k in range(7)}) == 7  # f_k moves at every k
         for k, M in enumerate(metrics):
             # the oracle: M_k assembled from dense a I + s f_k anchor operators

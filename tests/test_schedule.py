@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from helpers import applied, dense_realized, identity, zero_operator
 
+from vmpadmm.admm import BlockSystem, VmPadmmRun, compute_sigma_theta
 from vmpadmm.linalg import PsdOperator, operator_leq
+from vmpadmm.problems import FunctionDescriptor, generate
 from vmpadmm.schedule import (
     THETA_MAX,
     ScheduleError,
@@ -42,24 +44,19 @@ class TestConstantSchedule:
         sched = constant_schedule((3, 2, 2), 10, h_scale=1.5)
         assert sched.C_S == 0.0
         assert sched.C_P == 1.0
-        H0, R0, S0 = sched.realize(0)
-        H5, R5, S5 = sched.realize(5)
+        H0, R0, S0 = dense_realized(sched, 0)
+        H5, R5, S5 = dense_realized(sched, 5)
         np.testing.assert_array_equal(applied(H0), applied(H5))
         np.testing.assert_array_equal(applied(R0), applied(R5))
         sched.validate()
-
-    def test_horizon_enforced(self):
-        sched = constant_schedule((2, 2, 2), 5)
-        with pytest.raises(ValueError, match="horizon"):
-            sched.realize(6)
 
 
 class TestDrift:
     def test_first_step_scales_by_one_plus_c0(self):
         # c_0 = 1 and an up-move at k=0: H_1 = (1+c_0) H_0 = 4 I for H_0 = 2 I
         sched = drift_schedule((2, 2, 3), 10, c0=1.0, h_scale=2.0)
-        H0 = sched.realize(0)[0]
-        H1 = sched.realize(1)[0]
+        H0 = dense_realized(sched, 0)[0]
+        H1 = dense_realized(sched, 1)[0]
         np.testing.assert_allclose(applied(H0), 2.0 * np.eye(3))
         np.testing.assert_allclose(applied(H1), 4.0 * np.eye(3))
 
@@ -108,7 +105,7 @@ class TestDrift:
         sched = drift_schedule((2, 2, 2), 30, c0=0.8)
         cp = sched.C_P
         for j, k in ((0, 7), (3, 20), (15, 4)):
-            Hj, Hk = sched.realize(j)[0], sched.realize(k)[0]
+            Hj, Hk = dense_realized(sched, j)[0], dense_realized(sched, k)[0]
             assert operator_leq(applied(Hj), cp * applied(Hk))
 
 
@@ -122,27 +119,31 @@ class TestLinearized:
             return schedule_from_dict(linearized_cfg(tau), (4, 4, 3), A=A)
 
         sched = build(lam_max * 1.01)
-        R = sched.realize(1)[1]
+        R = dense_realized(sched, 1)[1]
         assert np.linalg.eigvalsh(applied(R)).min() >= -1e-10
         with pytest.raises(ValueError, match="not PSD"):
             build(lam_max * 0.9)
 
     def test_zero_law_realizes_once(self, monkeypatch):
         # equal drift factors give views of one anchor with equal factors, so
-        # the eigendecomposition of a linearized R is computed once per run
-        A = np.random.default_rng(6).normal(size=(3, 4))
-        tau = 1.1 * float(np.linalg.eigvalsh(A.T @ A).max())
-        sched = schedule_from_dict(linearized_cfg(tau, k_max=25), (4, 2, 3), A=A)
-        first = sched.realize(0)
-        for Q in first:
-            Q.dual_seminorm_general(np.ones(Q.dim))  # each anchor's decomposition, once
+        # a run decomposes a linearized R (and every other operator) in its
+        # first block, and its later blocks run no eigh or eigvalsh
+        p = generate("consensus_ls", (4, 2, 3), 6)
+        tau = 1.1 * float(np.linalg.eigvalsh(p.A.T @ p.A).max())
+        sched = schedule_from_dict(linearized_cfg(tau, k_max=100), p.dims, A=p.A)
+        run = VmPadmmRun(p, sched, compute_sigma_theta(1.0))
+        blocks = run.certified_blocks(100, rho=0.0, eps=0.0)
+        first = next(blocks).iterate.M.blocks[0]
         calls = []
         for name in ("eigh", "eigvalsh"):
             fn = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
-        for Q0, Q in zip(first, sched.realize(sched.k_max)):
-            assert Q.base is Q0.base and (Q.shift, Q.factors) == (Q0.shift, Q0.factors)
-            Q.dual_seminorm_general(np.ones(Q.dim))
+        later = list(blocks)
+        assert [len(blk) for blk in later] == [32, 32, 4]
+        for blk in later:
+            R = blk.iterate.M.blocks[0]
+            assert R.base is first.base is sched.family("R")[0] and R.shift == first.shift == tau
+            assert (R.factors == -1.0).all() and (first.factors == -1.0).all()
         sched.validate()
         assert calls == []
 
@@ -175,8 +176,9 @@ class TestAssembleMk:
 
 
 class TestRunMetric:
-    """``system_base`` gives each subproblem system of a run from one base
-    and f_k; the system formed from the realized operators is the oracle."""
+    """``BlockSystem`` forms each subproblem system of a run from one base
+    and f_k; the system formed from the dense a I + s f_k anchor operators
+    is the oracle."""
 
     @staticmethod
     def schedule(r_desc, seed=0):
@@ -203,16 +205,20 @@ class TestRunMetric:
     @pytest.mark.parametrize("r_kind", sorted(R_DESCS))
     def test_system_base(self, r_kind):
         sched, A, B = self.schedule(self.R_DESCS[r_kind], seed=1)
-        bases = {"R": (A, sched.system_base(A, "R")), "S": (B, sched.system_base(B, "S"))}
+        systems = {
+            family: BlockSystem(FunctionDescriptor("quadratic", n, Q=np.zeros((n, n)), q=np.zeros(n)), N, sched, family)
+            for family, N, n in (("R", A, A.shape[1]), ("S", B, B.shape[1]))
+        }
         for k in range(sched.k_max + 1):
             H, R, S = dense_realized(sched, k)
             f = sched.factor(k)
             for family, P in (("R", R), ("S", S)):
-                N, (K, tau) = bases[family]
+                system = systems[family]
+                N, K, tau = system.N, system.K, system.tau
                 G = N.T @ H.matrix @ N + P.matrix
                 fK = 0.0 if K is None else f * K
                 np.testing.assert_allclose(fK + tau * np.eye(N.shape[1]), G, rtol=1e-12, atol=1e-12)
-        assert (bases["R"][1][0] is None) == (r_kind == "linearized")
+        assert (systems["R"].K is None) == (r_kind == "linearized")
 
 
 class TestJsonConfig:
@@ -226,14 +232,14 @@ class TestJsonConfig:
 
     def test_roundtrip_dimensions(self):
         sched = schedule_from_dict(self.CFG, (4, 3, 2))
-        H, R, S = sched.realize(0)
+        H, R, S = dense_realized(sched, 0)
         assert H.dim == 2 and R.dim == 4 and S.dim == 3
         np.testing.assert_allclose(applied(H), 2.0 * np.eye(2))
 
     def test_zero_law_freezes_operators(self):
         cfg = dict(self.CFG, c={"c0": 0.0, "law": "zero"})
         sched = schedule_from_dict(cfg, (4, 3, 2))
-        np.testing.assert_array_equal(applied(sched.realize(0)[0]), applied(sched.realize(9)[0]))
+        np.testing.assert_array_equal(applied(dense_realized(sched, 0)[0]), applied(dense_realized(sched, 9)[0]))
 
     def test_zero_family_is_the_scaled_zero_operator(self):
         # R = S = 0 under drift: (anchor 0, a = 0, s = 1), as scaled_identity
@@ -243,16 +249,17 @@ class TestJsonConfig:
         assert [(a, s) for _, a, s in zero._families] == [(0.0, 1.0)] * 3
         assert len({zero.factor(k) for k in range(zero.k_max + 1)}) == zero.k_max + 1
         for k in range(zero.k_max + 1):
-            _, R, S = zero.realize(k)
+            _, R, S = dense_realized(zero, k)
             assert not applied(R).any() and not applied(S).any()
-            np.testing.assert_array_equal(applied(S), applied(scaled.realize(k)[2]))
+            np.testing.assert_array_equal(applied(S), applied(dense_realized(scaled, k)[2]))
         # a tiny R or S scale is a PSD family too: only H is flagged definite
         for scale in (1e-13, 1e-300):
             tiny = {"type": "scaled_identity", "scale": scale}
             sched = schedule_from_dict(dict(self.CFG, R=tiny, S=tiny), (4, 3, 2))
             sched.validate()
-            _, R, S = sched.realize(1)
-            assert not R.definite and not S.definite
+            for name in "RS":  # as a run forms it at k = 1
+                Q, a, s = sched.family(name)
+                assert not Q.affine(a, s * sched.factor(1)).definite
 
     def test_zero_families_validate_fast_at_full_horizon(self):
         from vmpadmm.schedule import K_MAX_LIMIT
