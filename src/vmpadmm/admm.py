@@ -81,14 +81,15 @@ def tau_theta(theta: float, sigma: float) -> float:
 class ThetaParams:
     """Stepsize theta with its admissible error parameter and slack inflation.
 
-    sigma is the minimal feasible value plus a safety margin; tau feeds the
-    initial slack eta_0 = tau * d0^2.
+    sigma is the minimal feasible value plus a safety margin; tau, derived
+    from both by :func:`tau_theta`, feeds the initial slack eta_0 = tau * d0^2.
     """
 
     theta: float
     sigma: float
-    tau: float
     margin: float = 1e-3
+
+    tau = property(lambda self: tau_theta(self.theta, self.sigma))
 
     def __post_init__(self):
         if not (_THETA_EXCLUSION < self.theta < THETA_MAX - _THETA_EXCLUSION):
@@ -97,9 +98,6 @@ class ThetaParams:
             raise ValueError(f"sigma must lie in (0, 1), got {self.sigma}")
         if not sigma_feasible(self.theta, self.sigma):
             raise ValueError(f"sigma={self.sigma} violates the admissibility conditions")
-        expected = tau_theta(self.theta, self.sigma)
-        if abs(self.tau - expected) > 1e-10 * (1.0 + expected):
-            raise ValueError("tau does not match its defining formula")
 
 
 def compute_sigma_theta(theta: float, margin: float = 1e-3) -> ThetaParams:
@@ -130,7 +128,7 @@ def compute_sigma_theta(theta: float, margin: float = 1e-3) -> ThetaParams:
     sigma = hi + margin
     if sigma >= 1.0:
         raise RuntimeError(f"minimal sigma {hi} plus margin {margin} leaves (0, 1)")
-    return ThetaParams(theta=theta, sigma=sigma, tau=tau_theta(theta, sigma), margin=margin)
+    return ThetaParams(theta=theta, sigma=sigma, margin=margin)
 
 
 # -- subproblem machinery ------------------------------------------------------
@@ -158,10 +156,12 @@ class BlockSystem:
     d_k = f_k diag(K) + tau + diag(Q) divides the right-hand side, and the
     entries of T_1's diagonal cut off as :meth:`_factor` cuts its spectrum
     give u_i = 0, the minimum-norm solution.  An l1 or box block needs G_k
-    diagonal and is solved in closed form from the same d_k without Q.  A
-    solve forms u alone; K and Q stay formed for :meth:`residuals`, which
-    multiplies a block's stacked solves by them, never by the basis or the
-    diagonal, when the block is certified.
+    diagonal and is solved in closed form from the same d_k without Q, which
+    construction refuses unless d_1 > 0: d_k is f_k diag(K) for a scaled P
+    and tau for a linearized one, with f_k > 0.  A solve forms u alone; K
+    and Q stay formed for :meth:`residuals`, which multiplies a block's
+    stacked solves by them, never by the basis or the diagonal, when the
+    block is certified.
 
     H_0 (``H0``), N and the proximal family's (P_0, a, s) with
     P_k = a I + s f_k P_0 (``P``, None when it is zero at every k) are kept
@@ -199,10 +199,13 @@ class BlockSystem:
             scale = max(1.0, float(np.abs(K).max(initial=0.0)))
             offdiag = np.abs(K - np.diag(self._diag)).max(initial=0.0)
             if offdiag > 1e-10 * scale:
+                fix = "use a linearized R" if family == "R" else "B^T H_0 B + S_0 must be diagonal"
                 raise SubproblemError(
                     f"{desc.kind} subproblem needs a diagonal quadratic part; "
-                    f"off-diagonal magnitude {offdiag} (choose a linearizing metric)"
+                    f"off-diagonal magnitude {offdiag} ({fix})"
                 )
+        if desc.kind != "quadratic" and (self._curvature(1.0) <= 0).any():
+            raise SubproblemError(f"{desc.kind} subproblem needs positive diagonal curvature")
 
     def apply_N(self, u: np.ndarray) -> np.ndarray:
         """N u, elementwise for a diagonal N."""
@@ -224,8 +227,8 @@ class BlockSystem:
     def solve(self, f: float, q_lin: np.ndarray) -> np.ndarray:
         """argmin desc(u) + 0.5 u^T G_k u + q_lin^T u at f_k = f.  A
         quadratic solve is checked against its system by :meth:`residuals`
-        when its step is certified; an l1 or box solve raises here when a
-        diagonal curvature it divides by is not positive."""
+        when its step is certified; an l1 or box solve divides by a diagonal
+        curvature that construction found positive."""
         desc = self.desc
         if desc.kind == "quadratic":
             rhs = -(q_lin + desc.q)
@@ -236,8 +239,6 @@ class BlockSystem:
             W, a = self._basis
             return W @ ((W.T @ rhs) / (1.0 + (f - 1.0) * a))
         d = self._curvature(f)
-        if (d <= 0).any():
-            raise SubproblemError(f"{desc.kind} subproblem needs positive diagonal curvature")
         if desc.kind == "l1":
             t = -q_lin
             return np.sign(t) * np.maximum(np.abs(t) - desc.lam, 0.0) / d
@@ -570,10 +571,9 @@ class VmPadmmRun:
         test and optimality oracle and the gamma residual identity are checked
         in the pass of the block the step is certified in
         (:meth:`certified_blocks`), with every check against the paper's
-        guarantees.  A solve raises here only when it cannot be formed (an l1
-        or box curvature that is not positive); when the y-solve raises, the
-        x-solve's checks are made here first, on this step's row alone, since
-        they come first in the step."""
+        guarantees.  A step refuses nothing of its own: a block that no solve
+        could be formed for is refused once, when its system is built on the
+        first step (:class:`BlockSystem`)."""
         k = self.k + 1
         if k > self.schedule.k_max:
             raise ValueError(f"schedule horizon k_max={self.schedule.k_max} exhausted")
@@ -589,13 +589,7 @@ class VmPadmmRun:
         # each product with A, B and H_k is formed once, elementwise for a diagonal one
         x_k, q_x = solve_x_subproblem(problem, x_prev, By_prev, gamma_prev, x_system, k)
         Ax = x_system.apply_N(x_k)
-        try:
-            y_k, q_y = solve_y_subproblem(problem, Ax, y_prev, gamma_prev, y_system, k)
-        except Exception:  # whatever it raises, the x-solve's checks come first in the step
-            for failed, error in _solve_checks(x_system, "x", np.array([k]), x_k[None], q_x[None]):
-                if failed[0]:
-                    raise error(0) from None
-            raise
+        y_k, q_y = solve_y_subproblem(problem, Ax, y_prev, gamma_prev, y_system, k)
         By = y_system.apply_N(y_k)
         primal = Ax + By - b
         gamma_k, gamma_t = update_multiplier(gamma_prev, x_system.H0, schedule.factor(k), self.params.theta,
@@ -620,8 +614,12 @@ class VmPadmmRun:
         step that raises, or whose oracle or identity fails, does so after
         the steps before it are certified, and not at all when the rules held
         among those; the run's state is then the one after the last certified
-        step, and the steps taken past the failing one are discarded.
+        step, and the steps taken past the failing one are discarded.  Steps
+        taken by :meth:`step` outside this loop are not certified: it then
+        raises ``ValueError`` and leaves the run as it is.
         """
+        if self.k != self.hpe.k:
+            raise ValueError(f"steps k = {self.hpe.k + 1}..{self.k} were taken by step() and are not certified")
         first = (None, None)
         left = min(max_iters, self.schedule.k_max - self.k)
         while left > 0:

@@ -45,24 +45,25 @@ class PsdOperator:
 
     Immutable; the eigendecomposition and the inverse are computed lazily
     and cached.  :meth:`affine` gives a I + b times the operator as a view
-    that shares them.
+    that shares them.  ``matrix`` is exactly symmetric: a matrix given
+    symmetric only within tolerance is kept as 0.5 (M + M^T), which is both
+    applied and decomposed; an exactly symmetric one is kept as it is.
     """
 
     matrix: np.ndarray
     definite: bool = False
     _zero = False  # the matrix is all zeros (set at construction; a view applies through its base)
-    _symmetric = False  # the matrix equals its transpose exactly (set at construction)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
+        if not (m == m.T).all():
+            if np.abs(m - m.T).max() > _SYMMETRY_TOL * max(1.0, float(np.abs(m).max())):
+                raise ValueError("operator matrix is not symmetric within tolerance")
+            m = 0.5 * (m + m.T)  # m_ij + m_ji is m_ji + m_ij: exactly symmetric
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_zero", not m.any())
-        object.__setattr__(self, "_symmetric", bool((m == m.T).all()))
-        scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-        if not self._symmetric and np.abs(m - m.T).max(initial=0.0) > _SYMMETRY_TOL * scale:
-            raise ValueError("operator matrix is not symmetric within tolerance")
         lo, hi = self._eig_extremes
         if lo < -_PSD_TOL * max(1.0, hi):
             raise ValueError(f"operator is not PSD: smallest eigenvalue {lo}")
@@ -80,23 +81,16 @@ class PsdOperator:
         stack: this one, which acts on every row alike."""
         return self
 
-    @property
-    def _symmetric_part(self) -> np.ndarray:
-        """0.5 (M + M^T), which the decompositions read: M itself when it is
-        exactly symmetric, since then that sum and halving are exact."""
-        m = self.matrix
-        return m if self._symmetric else 0.5 * (m + m.T)
-
     @cached_property
     def _eig(self):
-        w, v = np.linalg.eigh(self._symmetric_part)
+        w, v = np.linalg.eigh(self.matrix)
         return w, v
 
     @cached_property
     def _eig_extremes(self):
         if self._zero:  # eigvalsh of zeros gives +0.0 too
             return 0.0, 0.0
-        w = np.linalg.eigvalsh(self._symmetric_part)
+        w = np.linalg.eigvalsh(self.matrix)
         return float(w[0]), float(w[-1])
 
     @cached_property
@@ -111,15 +105,7 @@ class PsdOperator:
         length (except for an all-zero M)."""
         if self._zero:
             return np.zeros(z.shape)
-        return self.matrix @ z if z.ndim == 1 else z @ self._rows_matrix
-
-    @cached_property
-    def _rows_matrix(self) -> np.ndarray:
-        """M^T in C order, by which a stack of rows is multiplied: M itself
-        when it is exactly symmetric (numpy multiplies by a transposed view
-        at a slower pace)."""
-        m = self.matrix
-        return m if self._symmetric else np.ascontiguousarray(m.T)
+        return self.matrix @ z if z.ndim == 1 else z @ self.matrix
 
     def seminorm(self, z: np.ndarray) -> float:
         """``sqrt(<Mz, z>)``, row by row for a stack; raises if a quadratic

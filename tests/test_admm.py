@@ -116,9 +116,9 @@ class TestSigmaTheta:
 
     def test_params_validation(self):
         with pytest.raises(ValueError, match="admissibility"):
-            ThetaParams(theta=1.0, sigma=0.3, tau=tau_theta(1.0, 0.3))
-        with pytest.raises(ValueError, match="tau"):
-            ThetaParams(theta=1.0, sigma=0.6, tau=99.0)
+            ThetaParams(theta=1.0, sigma=0.3)
+        # tau is derived from theta and sigma, with the bits of the report's tau_theta
+        assert ThetaParams(theta=1.0, sigma=0.6).tau == tau_theta(1.0, 0.6)
 
     def test_margin_too_large_rejected(self):
         with pytest.raises(RuntimeError, match="leaves"):
@@ -146,11 +146,21 @@ class TestSubproblems:
             np.zeros(4),
         )
         sched = constant_schedule(dense.dims, 1)
-        with pytest.raises(SubproblemError, match="diagonal"):
+        with pytest.raises(SubproblemError, match=r"diagonal.* \(use a linearized R\)$"):
             solve_x_subproblem(
                 dense, np.zeros(4), dense.B @ np.zeros(4), np.zeros(4),
                 BlockSystem(dense.f, dense.A, sched, "R"), 1,
             )
+
+    def test_nondiagonal_quadratic_part_rejected_for_l1_y(self):
+        # the y-block has no linearized S: the refusal names the condition on its system
+        rng = np.random.default_rng(0)
+        dense = ProblemSpec(
+            FunctionDescriptor("zero", 4), FunctionDescriptor("l1", 4, lam=0.1), np.eye(4), rng.normal(size=(4, 4)),
+            np.zeros(4),
+        )
+        with pytest.raises(SubproblemError, match=r"diagonal.* \(B\^T H_0 B \+ S_0 must be diagonal\)$"):
+            BlockSystem(dense.g, dense.B, constant_schedule(dense.dims, 1), "S")
 
     def test_quadratic_solve_is_optimal(self):
         p = scalar_problem()
@@ -313,6 +323,19 @@ class TestFactoredSubproblems:
                 blocks.append(blk)
         # the first step raised: nothing certified, the run stands at z_0
         assert blocks == [] and run.k == run.hpe.k == 0
+
+    @pytest.mark.parametrize("g", [
+        FunctionDescriptor("l1", 2, lam=0.1), FunctionDescriptor("box", 2, lower=-np.ones(2), upper=np.ones(2)),
+    ], ids=["l1", "box"])
+    def test_curvature_refused_when_the_system_is_built(self, g):
+        # the same y-system as above: its constructor refuses it, before any solve,
+        # since every f_k > 0 gives d_k the sign pattern of d_1
+        p = ProblemSpec(FunctionDescriptor("zero", 2), g, np.eye(2), np.diag([1.0, 0.0]), np.ones(2))
+        cfg = {"H": {"type": "scaled_identity", "scale": 1.0}, "R": {"type": "zero"},
+               "S": {"type": "zero"}, "c": self.DRIFT, "k_max": 3}
+        sched = schedule_from_dict(cfg, p.dims)
+        with pytest.raises(SubproblemError, match=f"^{g.kind} subproblem needs positive diagonal curvature$"):
+            BlockSystem(p.g, p.B, sched, "S")
 
 
 class TestMultiplierUpdate:
@@ -694,6 +717,17 @@ class TestRunInternals:
         assert len(block_ks(run.certified_blocks(2, rho=0.0, eps=0.0))) == 2
         assert block_ks(run.certified_blocks(50, rho=0.0, eps=0.0)) == [3, 4, 5]
 
+    def test_uncertified_steps_refused(self):
+        # a step taken by step() alone is never certified: the loop refuses to
+        # start after it and leaves the run as it stands
+        run = VmPadmmRun(self.p, constant_schedule(self.p.dims, 60, h_scale=1.0), self.params)
+        run.step()
+        x, y, gamma = run.x.copy(), run.y.copy(), run.gamma.copy()
+        with pytest.raises(ValueError, match=r"^steps k = 1\.\.1 were taken by step\(\) and are not certified$"):
+            next(run.certified_blocks(5, rho=0.0, eps=0.0))
+        assert run.k == 1 and run.hpe.k == 0
+        assert all(np.array_equal(a, b) for a, b in ((run.x, x), (run.y, y), (run.gamma, gamma)))
+
     def test_certificates_need_an_iterate(self):
         run = VmPadmmRun(self.p, self.sched, self.params)
         with pytest.raises(ValueError, match="no iterate"):
@@ -1020,15 +1054,14 @@ class TestFailFast:
         head = f"x-subproblem quadratic part is singular at k = {at}: residual "
         assert str(error).startswith(head) and str(one_error).startswith(head)
 
-    def test_x_oracle_before_a_raising_y_solve(self, monkeypatch):
-        # in one step the x oracle comes before the y-solve: when both fail,
-        # the oracle's error is raised, and the y-solve's one without it
+    def test_raising_y_solve_after_the_rows_before_it(self, monkeypatch):
+        # a solve that raises inside a step (as numpy may, under np.errstate(all="raise"))
+        # does so after the rows before it are certified, and the run stands after them
         p = generate("lasso", (10, 5), 3)
-        for x_at, want in ((7, "x-subproblem optimality violated at k = 7: "), (None, "y-solve raised at k = 7")):
-            self.sabotage(monkeypatch, p, "x", x_at, y_raises_at=7)
-            ks, error, (k, *_) = self.drive(self.run(p))
-            assert type(error) is SubproblemError and str(error).startswith(want)
-            assert ks == list(range(1, 7)) and k == 6
+        self.sabotage(monkeypatch, p, y_raises_at=7)
+        ks, error, (k, *_) = self.drive(self.run(p))
+        assert type(error) is SubproblemError and str(error) == "y-solve raised at k = 7"
+        assert ks == list(range(1, 7)) and k == 6
 
 
 class TestFactorOnce:

@@ -363,7 +363,7 @@ class TestErrorPaths:
         assert main(solve_args(sched, tmp_path, problem="gen:box_qp:10:2")) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "subproblem" in err and "diagonal" in err
+        assert "subproblem" in err and "B^T H_0 B + S_0 must be diagonal" in err
 
 
     @pytest.mark.parametrize("spec,form", [

@@ -78,20 +78,34 @@ class TestPsdOperator:
         assert calls == [(100, 100)]
 
     def test_decompositions_read_the_symmetric_part(self):
-        # an exactly symmetric matrix is decomposed as it is, since 0.5 (M + M^T) is M
-        # bit for bit; a matrix symmetric only within tolerance through 0.5 (M + M^T)
+        # an exactly symmetric matrix is kept as it is, the same object, since
+        # 0.5 (M + M^T) is M bit for bit; a matrix symmetric only within
+        # tolerance is kept as 0.5 (M + M^T), which is decomposed
         rng = np.random.default_rng(3)
         L = rng.normal(size=(6, 6))
         sym = L @ L.T
         for m in (sym, sym + np.triu(np.full((6, 6), 1e-14), 1)):
             op, part = PsdOperator(m), 0.5 * (m + m.T)
-            assert op._symmetric == (m == m.T).all()
+            assert (op.matrix is m) == (m == m.T).all()
+            assert op.matrix.tobytes() == part.tobytes() and (op.matrix == op.matrix.T).all()
             w, v = np.linalg.eigh(part)
             assert op._eig[0].tobytes() == w.tobytes() and op._eig[1].tobytes() == v.tobytes()
             w = np.linalg.eigvalsh(part)
             assert np.array(op._eig_extremes).tobytes() == w[[0, -1]].tobytes()
         with pytest.raises(ValueError, match="not symmetric"):
             PsdOperator(sym + np.triu(np.full((6, 6), 1e-6), 1))
+
+    def test_applies_the_symmetric_part(self):
+        # a matrix symmetric only within tolerance is applied as the 0.5 (M + M^T)
+        # that is decomposed, to a vector and to a stack, bit for bit
+        rng = np.random.default_rng(3)
+        L = rng.normal(size=(6, 6))
+        m = L @ L.T + np.triu(np.full((6, 6), 1e-14), 1)
+        part, op = 0.5 * (m + m.T), PsdOperator(m)
+        z, Z = rng.normal(size=6), rng.normal(size=(4, 6))
+        for got, want in ((op.apply(z), part @ z), (op.apply(Z), Z @ part)):
+            assert got.tobytes() == want.tobytes()
+        assert op.apply(z).tobytes() != (m @ z).tobytes()  # the raw M would give other bits
 
     def test_inverse(self):
         rng = np.random.default_rng(0)
