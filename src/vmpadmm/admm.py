@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hpe import BoundCheck, HpeIterate, HpeState, RateBounds, row_of, running_sums
-from .linalg import BlockDiagOperator, block_diag, row_dot
+from .linalg import BlockDiagOperator, _compact, _is_diagonal, _mul, block_diag, congruence, row_dot
 from .problems import ProblemSpec, ReferenceSolution, reference_solve
 from .schedule import THETA_MAX, MetricSchedule, ScheduleError, assemble_Mk
 
@@ -173,14 +173,13 @@ class BlockSystem:
 
     def __init__(self, desc, N: np.ndarray, schedule: MetricSchedule, family: str):
         self.desc, self.N, self.schedule = desc, N, schedule
-        H0, (P, a, s) = schedule.family("H")[0].matrix, schedule.family(family)
+        self.H0, (P, a, s) = _compact(schedule.family("H")[0].matrix), schedule.family(family)
         with np.errstate(over="ignore", invalid="ignore"):  # K = None under a linearized P (s < 0)
-            K = N.T @ H0 @ N + P.matrix if s > 0 else None
+            K = congruence(self.H0, N) + P.matrix if s > 0 else None
             self.K, self.tau = None if K is None else 0.5 * (K + K.T), a
         if self.K is not None and not np.isfinite(self.K).all():
             block, M = ("x", "A") if family == "R" else ("y", "B")
             raise SubproblemError(f"{block}-subproblem system {M}^T H_0 {M} + {family}_0 overflows")
-        self.H0 = _compact(H0)
         self._N = _compact(N)  # what N u multiplies by; N^T u multiplies by _NT
         self._NT = N.T if self._N.ndim == 2 else self._N
         self.P = (_compact(P.matrix), a, s) if a or P.matrix.any() else None
@@ -276,27 +275,6 @@ class BlockSystem:
             return W, np.zeros(n - i)
         a, U = np.linalg.eigh(W.T @ self.K @ W)
         return W @ U, a
-
-
-def _compact(M: np.ndarray) -> np.ndarray:
-    """M as :func:`_mul` multiplies by it: the number h when M = h I, the
-    vector of its diagonal when M is square and diagonal, else M."""
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or not _is_diagonal(M):
-        return M
-    d = np.diag(M)
-    return d[0] if (d == d[0]).all() else d
-
-
-def _is_diagonal(M: np.ndarray) -> bool:
-    """Every entry of the square M off its diagonal is zero."""
-    return np.count_nonzero(M) == np.count_nonzero(np.diag(M))
-
-
-def _mul(M, u: np.ndarray) -> np.ndarray:
-    """M u for M in its :func:`_compact` form: a diagonal one elementwise,
-    which for finite u rounds every entry as the matrix product does (its
-    other terms are exact zeros) apart from the sign of an exact zero."""
-    return M @ u if M.ndim == 2 else M * u
 
 
 def _solve_block(system: BlockSystem, k: int, shift, gamma_prev, prev):

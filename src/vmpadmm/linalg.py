@@ -5,7 +5,10 @@ finite-dimensional spaces.  A PSD operator M induces the seminorm
 ``||z||_M = sqrt(<Mz, z>)`` and an extended dual seminorm that is finite
 exactly on the range of M, where ``||M w||*_M = ||w||_M``.  Views
 a I + b M share M's eigendecomposition, and two of them are ordered
-(``affine_leq``) at M's two extreme eigenvalues.
+(``affine_leq``) at M's two extreme eigenvalues.  A diagonal M (no nonzero
+entry off its diagonal, :func:`_is_diagonal`) is decomposed by sorting its
+diagonal, without LAPACK, and is multiplied by elementwise in its
+:func:`_compact` form (:func:`_mul`, :func:`congruence`).
 
 Every operator acts along the last axis: a vector is one point, and a
 ``(L, n)`` array is a stack of L points whose seminorms, dual seminorms and
@@ -28,6 +31,7 @@ __all__ = [
     "operator_leq",
     "affine_leq",
     "block_diag",
+    "congruence",
     "finite_array",
     "row_dot",
 ]
@@ -82,7 +86,18 @@ class PsdOperator:
         return self
 
     @cached_property
+    def _diagonal(self) -> np.ndarray | None:
+        """The diagonal of a matrix with no nonzero entry off it, else None."""
+        return np.diag(self.matrix) if _is_diagonal(self.matrix) else None
+
+    @cached_property
     def _eig(self):
+        d = self._diagonal
+        if d is not None:  # the diagonal sorted, with the identity's columns in that order
+            order = np.argsort(d, kind="stable")
+            v = np.zeros((self.dim, self.dim))  # row-major, as eigh returns it
+            v[order, np.arange(self.dim)] = 1.0
+            return d[order], v
         w, v = np.linalg.eigh(self.matrix)
         return w, v
 
@@ -90,6 +105,9 @@ class PsdOperator:
     def _eig_extremes(self):
         if self._zero:  # eigvalsh of zeros gives +0.0 too
             return 0.0, 0.0
+        d = self._diagonal
+        if d is not None:  # what eigvalsh gives for a diagonal, bit for bit
+            return float(d.min()), float(d.max())
         w = np.linalg.eigvalsh(self.matrix)
         return float(w[0]), float(w[-1])
 
@@ -313,6 +331,36 @@ def row_dot(a: np.ndarray, b: np.ndarray):
     for two stacks, each by the same BLAS dot as ``a @ b`` (``np.vecdot``,
     numpy >= 2)."""
     return a @ b if a.ndim == 1 else np.vecdot(a, b)
+
+
+def _is_diagonal(M: np.ndarray) -> bool:
+    """Every entry of the square M off its diagonal is zero."""
+    return np.count_nonzero(M) == np.count_nonzero(np.diag(M))
+
+
+def _compact(M: np.ndarray) -> np.ndarray:
+    """M as :func:`_mul` multiplies by it: the number h when M = h I, the
+    vector of its diagonal when M is square and diagonal, else M."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not _is_diagonal(M):
+        return M
+    d = np.diag(M)
+    return d[0] if (d == d[0]).all() else d
+
+
+def _mul(M, u: np.ndarray) -> np.ndarray:
+    """M u for M in its :func:`_compact` form: a diagonal one elementwise,
+    which for finite u rounds every entry as the matrix product does (its
+    other terms are exact zeros) apart from the sign of an exact zero."""
+    return M @ u if M.ndim == 2 else M * u
+
+
+def congruence(H, N: np.ndarray) -> np.ndarray:
+    """``N^T H N`` for H given as a matrix or in its :func:`_compact` form,
+    formed as ``(N^T H) N`` with a diagonal H applied to the columns of N^T
+    elementwise: the bits of the matrix product, whose other terms are exact
+    zeros, without it."""
+    h = _compact(H)  # H itself when it is given in that form
+    return (N.T @ h if h.ndim == 2 else N.T * h) @ N
 
 
 def operator_leq(M: np.ndarray, N: np.ndarray) -> bool:

@@ -7,10 +7,15 @@ iterates were produced.
 The reference solver shares no code with the main solver.  When both blocks
 are quadratic it solves the KKT system directly, by LU (least squares on the
 same matrix when that system is singular).  Otherwise it runs a standalone
-textbook ADMM and, for an l1 or box g, polishes its tail: once y's active set
-has held for a few iterates, the reduced KKT system of that set is solved by
-LU and its point kept if its KKT residual meets the accuracy (the solution
-polishing of OSQP, Stellato et al., Math. Prog. Comp. 2020).
+textbook ADMM, after a least-squares check that Ax + By = b has a solution
+(skipped when B has m orthogonal nonzero columns, which reach every b), and,
+for an l1 or box g, polishes its tail: once y's active set has held for a
+few iterates, the KKT system of that set, with the pinned coordinates moved
+into its right-hand side, is solved by LU and its point kept if its KKT
+residual meets the accuracy (the solution polishing of OSQP, Stellato et
+al., Math. Prog. Comp. 2020).  A point that misses it corrects the set by a
+primal-dual active-set step (Hintermueller, Ito and Kunisch, SIAM J. Optim.
+2002), which is solved in turn.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from itertools import islice
 
 import numpy as np
 
-from .linalg import PsdOperator, finite_array, row_dot
+from .linalg import _RANGE_TOL, PsdOperator, _is_diagonal, _range_split, finite_array, row_dot
 
 __all__ = [
     "FunctionDescriptor",
@@ -368,20 +373,38 @@ def _prox_step(desc: FunctionDescriptor, G_diag: np.ndarray, q_lin: np.ndarray) 
     raise ValueError(f"no separable prox for kind {desc.kind!r}")
 
 
-def _factored_solver(M: np.ndarray, name: str):
+def _factored_solver(M: np.ndarray, name: str, block: tuple | None = None):
     """x -> M^{-1} x for a nonsingular M, factored once: the inverse from
     one LU solve, then one step of iterative refinement against M per call.
-    An exactly singular M raises ``ValueError`` naming the system ``name``."""
+    An exactly singular M raises ``ValueError`` naming the system ``name``
+    and, for the system Q + beta N^T N of a block ``(fn, N, q)`` whose
+    function fn has the linear term q, its cause (:func:`_null_cause`)."""
     try:
         M_inv = np.linalg.solve(M, np.eye(M.shape[0]))
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"plain ADMM {name} is singular") from exc
+        cause = "" if block is None else f": {_null_cause(M, *block)}"
+        raise ValueError(f"plain ADMM {name} is singular{cause}") from exc
 
     def solve(r: np.ndarray) -> np.ndarray:
         x = M_inv @ r
         return x + M_inv @ (r - M @ x)
 
     return solve
+
+
+def _null_cause(M: np.ndarray, fn: str, N: str, q: np.ndarray) -> str:
+    """Why the singular system M = Q + beta N^T N of fn(u) = 0.5 u^T Q u + q^T u
+    has no unique solution: a direction d in its null space has Q d = 0 and
+    N d = 0, so moving u along d keeps N u and changes fn by q^T d.  fn is
+    unbounded below when q has a part in that null space above
+    ``_RANGE_TOL`` ||q||, and its minimizer is not unique otherwise."""
+    w, V = np.linalg.eigh(M)
+    off = _range_split(w, V, len(w))[2]
+    null = V[:, off] if off is not None else V[:, :1]  # the smallest eigenvector when none is cut off
+    along = q @ null
+    if np.sqrt(along @ along) > _RANGE_TOL * np.sqrt(q @ q):
+        return f"{fn} is unbounded below along a direction d with Q_{fn} d = 0, {N} d = 0 and q_{fn}^T d != 0"
+    return f"the minimizer of {fn} is not unique along a direction d with Q_{fn} d = 0, {N} d = 0 and q_{fn}^T d = 0"
 
 
 def _active_set(g: FunctionDescriptor, y: np.ndarray) -> np.ndarray:
@@ -395,43 +418,49 @@ def _active_set(g: FunctionDescriptor, y: np.ndarray) -> np.ndarray:
 def _kkt_solve(
     problem: ProblemSpec, active: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, ReferenceSolution | None]:
-    """The KKT system K w = rhs of ``problem`` in w = (x, y, gamma), formed
-    once and solved by LU: (K, rhs, point), where point is the
-    :class:`ReferenceSolution` of the solution, or None when LU finds K
-    singular.
+    """The KKT system K w = rhs of ``problem``, formed once and solved by
+    LU: (K, rhs, point), where point is the :class:`ReferenceSolution` of
+    the solution, or None when LU finds K singular.
 
     f's rows are Q_f x - A^T gamma = -q_f and the constraint rows
-    Ax + By = b.  A quadratic g's rows are Q_g y - B^T gamma = -q_g.  For an
-    l1 or box g the rows come from an ``active`` set (:func:`_active_set`):
-    a coordinate at 0 (l1) or at a bound (box) is pinned there, and every
-    other one has (B^T gamma)_i = lam sign(y_i) (l1) or 0 (box).  That is
-    the solution polishing of OSQP (Stellato et al., Math. Prog. Comp.
-    2020), and the caller accepts the point only on its KKT residual.
+    Ax + By = b.  With a quadratic g, w = (x, y, gamma) and g's rows are
+    Q_g y - B^T gamma = -q_g.  For an l1 or box g the rows come from an
+    ``active`` set (:func:`_active_set`): a coordinate at 0 (l1) or at a
+    bound (box) is pinned there, and every other one, free, has
+    (B^T gamma)_i = lam sign(y_i) (l1) or 0 (box).  The pinned coordinates
+    are moved into the constraint's right-hand side, b - B y_pinned, so
+    that w = (x, y_free, gamma) has n_x + n_free + m entries.  That is the
+    solution polishing of OSQP (Stellato et al., Math. Prog. Comp. 2020),
+    and the caller accepts the point only on its KKT residual.
     """
     f, g = problem.f, problem.g
-    A, B, b = problem.A, problem.B, problem.b
+    A, B = problem.A, problem.B
     n_x, n_y, m = problem.dims
-    K = np.zeros((n_x + n_y + m,) * 2)
-    xs, ys, gs = slice(0, n_x), slice(n_x, n_x + n_y), slice(n_x + n_y, None)
-    K[xs, xs], K[xs, gs] = f.Q, -A.T
-    K[gs, xs], K[gs, ys] = A, B
-    rhs = np.concatenate([-f.q, np.zeros(n_y), b])
+    y = np.zeros(n_y)  # at the pinned coordinates: 0 (l1) or the bound (box)
     if g.kind == "quadratic":
-        K[ys, ys], K[ys, gs], rhs[ys] = g.Q, -B.T, -g.q
+        free, rhs_y = np.ones(n_y, dtype=bool), -g.q
+    elif g.kind == "l1":
+        free = active != 0
+        rhs_y = -g.lam * active[free]
     else:
-        pinned = active == 0 if g.kind == "l1" else active != 0
-        rows = np.arange(n_x, n_x + n_y)
-        K[rows[pinned], rows[pinned]] = 1.0
-        K[rows[~pinned], gs] = -B.T[~pinned]
-        if g.kind == "l1":
-            rhs[ys] = -g.lam * active
-        else:
-            rhs[ys] = np.where(active < 0, g.lower, g.upper) * pinned
+        free = active == 0
+        y[~free] = np.where(active < 0, g.lower, g.upper)[~free]
+        rhs_y = np.zeros(np.count_nonzero(free))
+    B_free = B[:, free]
+    n_free = B_free.shape[1]
+    K = np.zeros((n_x + n_free + m,) * 2)
+    xs, ys, gs = slice(0, n_x), slice(n_x, n_x + n_free), slice(n_x + n_free, None)
+    K[xs, xs], K[xs, gs] = f.Q, -A.T
+    K[gs, xs], K[gs, ys], K[ys, gs] = A, B_free, -B_free.T
+    if g.kind == "quadratic":
+        K[ys, ys] = g.Q
+    rhs = np.concatenate([-f.q, rhs_y, problem.b - B @ y])
     try:
         w = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:
         return K, rhs, None
-    return K, rhs, _kkt_point(problem, w)
+    y[free] = w[ys]
+    return K, rhs, _kkt_point(problem, np.concatenate([w[xs], y, w[gs]]))
 
 
 def _kkt_point(problem: ProblemSpec, w: np.ndarray) -> ReferenceSolution:
@@ -459,13 +488,13 @@ def plain_admm_iterates(problem: ProblemSpec, beta: float = 1.0):
         G_diag = beta * np.diag(BtB)
         if np.abs(BtB - np.diag(np.diag(BtB))).max(initial=0.0) > 1e-12:
             raise ValueError("plain ADMM needs B^T B diagonal for l1/box g")
-    solve_x = _factored_solver(beta * (A.T @ A) + f.Q, "x-system Q_f + beta A^T A")
+    solve_x = _factored_solver(beta * (A.T @ A) + f.Q, "x-system Q_f + beta A^T A", ("f", "A", f.q))
     if g.kind == "quadratic":
-        solve_y = _factored_solver(beta * BtB + g.Q, "y-system Q_g + beta B^T B")
+        solve_y = _factored_solver(beta * BtB + g.Q, "y-system Q_g + beta B^T B", ("g", "B", g.q))
     y, gamma = np.zeros(g.dim), np.zeros(len(b))
     while True:
-        x = solve_x(A.T @ gamma - beta * A.T @ (B @ y - b) - f.q)
-        q_lin = -B.T @ gamma + beta * B.T @ (A @ x - b)
+        x = solve_x(A.T @ gamma - beta * (A.T @ (B @ y - b)) - f.q)
+        q_lin = -B.T @ gamma + beta * (B.T @ (A @ x - b))
         y = _prox_step(g, G_diag, q_lin) if g.kind in ("l1", "box") else solve_y(-q_lin - g.q)
         gamma = gamma - beta * (A @ x + B @ y - b)
         yield x, y, gamma
@@ -487,9 +516,10 @@ def plain_admm(
     For an l1 or box g the loop also polishes: once y's active set
     (:func:`_active_set`) has held for ``_POLISH_STREAK`` consecutive
     iterates and was not tried before, it solves the reduced KKT system of
-    that set directly (:func:`_kkt_solve`, the solution polishing of OSQP)
-    and returns the polished point if its KKT residual is at most
-    ``accuracy``.  A wrong guess fails that test and the loop goes on."""
+    that set directly (:func:`_kkt_solve`, the solution polishing of OSQP),
+    and of its corrections (:func:`_polish`), and returns the polished point
+    if its KKT residual is at most ``accuracy``.  A wrong guess fails that
+    test and the loop goes on."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     polish = problem.g.kind in ("l1", "box")
@@ -504,11 +534,50 @@ def plain_admm(
         held = held + 1 if np.array_equal(active, previous) else 1
         previous, key = active, active.tobytes()
         if held >= _POLISH_STREAK and key not in tried:
-            tried.add(key)
-            point = _kkt_solve(problem, active)[2]
-            if point is not None and point.kkt_residual <= accuracy:
+            point = _polish(problem, active, tried, accuracy)
+            if point is not None:
                 return point.x, point.y, point.gamma, point.kkt_residual
     return x, y, gamma, best
+
+
+def _polish(problem: ProblemSpec, active: np.ndarray, tried: set, accuracy: float) -> ReferenceSolution | None:
+    """The point of the KKT system of the active set ``active``
+    (:func:`_kkt_solve`), or of the first set that its corrections
+    (:func:`_corrected_active_set`) lead to, whose KKT residual is at most
+    ``accuracy``; None when a system is singular or a correction leads back
+    to a set in ``tried``, to which each set solved here is added."""
+    while True:
+        tried.add(active.tobytes())
+        point = _kkt_solve(problem, active)[2]
+        if point is None or point.kkt_residual <= accuracy:
+            return point
+        active = _corrected_active_set(problem, active, point)
+        if active.tobytes() in tried:
+            return None
+
+
+def _corrected_active_set(problem: ProblemSpec, active: np.ndarray, point: ReferenceSolution) -> np.ndarray:
+    """The active set of an l1 or box g that the polished ``point`` of the
+    guess ``active`` shows, a primal-dual active-set step (Hintermueller,
+    Ito and Kunisch, SIAM J. Optim. 2002): a pinned coordinate whose
+    multiplier s = (B^T gamma)_i leaves the normal cone, |s| > lam (l1) or
+    s of the wrong sign at a bound of a box with l_i < u_i, is freed (with
+    the sign of s, l1); a free coordinate whose y_i has the wrong sign (l1)
+    or has left [l_i, u_i] (box) is pinned, at 0 or at the bound it
+    crossed."""
+    g, s, y = problem.g, problem.B.T @ point.gamma, point.y
+    corrected = active.copy()
+    if g.kind == "l1":
+        leaves = (active == 0) & (np.abs(s) > g.lam)
+        corrected[leaves] = np.sign(s[leaves])
+        corrected[(active != 0) & (active * y < 0)] = 0
+        return corrected
+    width = g.lower < g.upper  # at l_i = u_i the normal cone is the whole line
+    corrected[width & (((active < 0) & (s > 0)) | ((active > 0) & (s < 0)))] = 0
+    free = active == 0
+    corrected[free & (y < g.lower)] = -1
+    corrected[free & (y > g.upper)] = 1
+    return corrected
 
 
 def reference_solve(problem: ProblemSpec, accuracy: float = 1e-10) -> ReferenceSolution:
@@ -519,8 +588,10 @@ def reference_solve(problem: ProblemSpec, accuracy: float = 1e-10) -> ReferenceS
     singular.  Otherwise, or when that point misses the accuracy: plain
     ADMM (:func:`plain_admm`), whose l1/box tail is polished by a direct
     solve of the reduced KKT system of y's active set, as in OSQP
-    (Stellato et al., Math. Prog. Comp. 2020).  Only a point whose KKT
-    residual meets the accuracy is returned."""
+    (Stellato et al., Math. Prog. Comp. 2020).  Plain ADMM runs after a
+    least-squares check that b is in range([A B]), which a B with B^T B
+    diagonal and m nonzero entries on it passes without the solve.  Only a
+    point whose KKT residual meets the accuracy is returned."""
     if accuracy < 1e-12:
         raise ValueError("requested accuracy below 1e-12 is not supported")
     f, g = problem.f, problem.g
@@ -532,12 +603,16 @@ def reference_solve(problem: ProblemSpec, accuracy: float = 1e-10) -> ReferenceS
         if point.kkt_residual <= accuracy:
             return point
         # still singular; fall through to the iterative path
-    # plain ADMM cannot converge when the constraint has no solution
-    AB = np.hstack([A, B])
-    miss = AB @ np.linalg.lstsq(AB, b, rcond=None)[0] - b
-    gap = float(np.sqrt(miss @ miss))
-    if gap > _FEASIBILITY_TOL * (1.0 + float(np.sqrt(b @ b))):
-        raise ValueError(f"Ax + By = b is infeasible: b is not in range([A B]) (residual {gap})")
+    # plain ADMM cannot converge when the constraint has no solution; a B
+    # whose B^T B is diagonal with m nonzero entries has m orthogonal nonzero
+    # columns, which reach every b
+    BtB = B.T @ B
+    if not (_is_diagonal(BtB) and np.count_nonzero(np.diag(BtB)) == len(b)):
+        AB = np.hstack([A, B])
+        miss = AB @ np.linalg.lstsq(AB, b, rcond=None)[0] - b
+        gap = float(np.sqrt(miss @ miss))
+        if gap > _FEASIBILITY_TOL * (1.0 + float(np.sqrt(b @ b))):
+            raise ValueError(f"Ax + By = b is infeasible: b is not in range([A B]) (residual {gap})")
     x, y, gamma, res = plain_admm(problem, beta=1.0, accuracy=accuracy)
     if res > accuracy:
         raise RuntimeError(

@@ -28,7 +28,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .linalg import BlockDiagOperator, PsdOperator, affine_leq, block_diag, finite_array
+from .linalg import BlockDiagOperator, PsdOperator, affine_leq, block_diag, congruence, finite_array
 
 __all__ = [
     "MetricSchedule",
@@ -142,7 +142,7 @@ def assemble_Mk(
     if not (0.0 < theta < THETA_MAX):
         raise ValueError(f"theta must lie in (0, {THETA_MAX}), got {theta}")
     B = np.asarray(B, dtype=float)
-    mid = B.T @ H_k.matrix @ B + S_k.matrix
+    mid = congruence(H_k.matrix, B) + S_k.matrix
     mid_op = PsdOperator(0.5 * (mid + mid.T))
     return block_diag([R_k, mid_op, H_k.inverse().affine(0.0, 1.0 / theta)])
 
@@ -178,7 +178,7 @@ def _family_from_descriptor(desc: dict, dim: int, family: str, H0=None, A=None):
         if A is None:
             raise ValueError("linearized R rule requires the constraint matrix A")
         A = np.asarray(A, dtype=float)
-        G = A.T @ H0.matrix @ A  # R_k = tau I - f_k G
+        G = congruence(H0.matrix, A)  # R_k = tau I - f_k G
         return PsdOperator(0.5 * (G + G.T)), tau, -1.0
     raise ValueError(f"unknown operator descriptor type {kind!r}")
 

@@ -1093,7 +1093,8 @@ class TestFactorOnce:
 
     @pytest.mark.parametrize("kind,dims", [("lasso", (10, 5)), ("box_qp", (12,)), ("consensus_ls", (6, 5, 4))])
     def test_one_eigvalsh_per_quadratic_q(self, kind, dims, monkeypatch):
-        # the descriptor's PSD verdict and the Fenchel-Young gap read one decomposed Q
+        # the descriptor's PSD verdict and the Fenchel-Young gap read one
+        # decomposed Q: a dense Q is decomposed once, lasso's Q = I by sorting
         args, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *r, **k: args.append(np.array(a)) or eigvalsh(a, *r, **k))
         p = generate(kind, dims, 1)
@@ -1103,7 +1104,9 @@ class TestFactorOnce:
         assert quadratics and all(d.Q.any() for d in quadratics)
         for d in quadratics:
             forms = (d.Q, 0.5 * (d.Q + d.Q.T))
-            assert sum(any(a.shape == Q.shape and (a == Q).all() for Q in forms) for a in args) == 1
+            dense = np.count_nonzero(d.Q - np.diag(np.diag(d.Q))) > 0
+            assert dense == (kind != "lasso")
+            assert sum(any(a.shape == Q.shape and (a == Q).all() for Q in forms) for a in args) == int(dense)
 
     def test_zero_law_linearized(self, monkeypatch):
         A = generate("lasso", (10, 5), 7).A

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from vmpadmm.linalg import (
     block_diag,
     operator_leq,
 )
-from vmpadmm.schedule import constant_schedule
+from vmpadmm.schedule import constant_schedule, schedule_from_dict
 
 
 def random_psd(rng, dim, rank=None):
@@ -67,7 +69,8 @@ class TestPsdOperator:
 
     def test_zero_matrix_runs_no_eigvalsh(self, monkeypatch):
         # an all-zero anchor (a zero R or S) has the extremes eigvalsh gives,
-        # +0.0 bit for bit, without the decomposition; H's anchor still runs it
+        # +0.0 bit for bit, without the decomposition; so does a diagonal H
+        # anchor, and a dense one still runs it
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
@@ -75,7 +78,45 @@ class TestPsdOperator:
         assert np.array(PsdOperator(np.zeros((200, 200)))._eig_extremes).tobytes() == w[[0, -1]].tobytes()
         assert calls == []
         constant_schedule((200, 100, 100), 10).validate()  # H = I, R = S = 0
+        assert calls == []
+        dense = np.eye(100) + np.diag(np.full(99, 0.1), 1) + np.diag(np.full(99, 0.1), -1)
+        cfg = {"H": {"type": "dense", "matrix": dense.tolist()}, "R": {"type": "zero"}, "S": {"type": "zero"}, "k_max": 10}
+        schedule_from_dict(cfg, (200, 100, 100)).validate()
         assert calls == [(100, 100)]
+
+    @pytest.mark.parametrize("diagonal", [
+        np.ones(200), np.full(7, 2.5), np.full(30, 1.0 / 1.3),
+        np.array([0.5, 0.5, 3.0, 0.5, 2.0, 0.5]),  # ties at the smallest entry
+        np.r_[np.zeros(10), np.random.default_rng(2).uniform(0.1, 5.0, 40)][np.random.default_rng(3).permutation(50)],
+        np.random.default_rng(4).uniform(0.1, 5.0, 200),
+    ], ids=["I", "hI", "I/1.3", "ties", "zeros", "random"])
+    def test_diagonal_is_decomposed_by_sorting(self, diagonal, monkeypatch):
+        # a diagonal matrix is decomposed without LAPACK, into the bits that
+        # eigh and eigvalsh give for it
+        matrix = np.diag(diagonal)
+        w, v = np.linalg.eigh(matrix)
+        extremes = np.linalg.eigvalsh(matrix)[[0, -1]]
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, None)
+        op = PsdOperator(matrix)
+        assert op._eig[0].tobytes() == w.tobytes() and op._eig[1].tobytes() == v.tobytes()
+        assert np.array(op._eig_extremes).tobytes() == extremes.tobytes()
+
+    def test_diagonal_ties_above_the_smallest_entry(self):
+        # LAPACK's selection sort may order the eigenvectors of a tie above
+        # the smallest eigenvalue otherwise; the sorted diagonal gives the
+        # same eigenvalues and an eigenbasis of the same identity columns
+        diagonal = np.array([2.0, 2.0, 1.0, 3.0, 2.0])
+        w, v = PsdOperator(np.diag(diagonal))._eig
+        assert w.tobytes() == np.linalg.eigvalsh(np.diag(diagonal)).tobytes()
+        np.testing.assert_array_equal(v, np.eye(5)[:, [2, 0, 1, 4, 3]])
+
+    def test_negative_diagonal_is_refused_as_before(self):
+        # the refusal names the smallest eigenvalue that eigvalsh gives
+        matrix = np.diag([1.0, -0.25, 3.0])
+        lo = float(np.linalg.eigvalsh(matrix)[0])
+        with pytest.raises(ValueError, match=f"^operator is not PSD: smallest eigenvalue {re.escape(str(lo))}$"):
+            PsdOperator(matrix)
 
     def test_decompositions_read_the_symmetric_part(self):
         # an exactly symmetric matrix is kept as it is, the same object, since

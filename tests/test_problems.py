@@ -117,15 +117,40 @@ class TestReferenceSolve:
         with pytest.raises(ValueError, match="accuracy"):
             reference_solve(p, accuracy=1e-13)
 
-    def test_infeasible_constraint_rejected(self):
-        # A = B = 0, b = 1: no (x, y) satisfies Ax + By = b
+    def test_infeasible_constraint_rejected(self, monkeypatch):
+        # A = B = 0, b = 1: no (x, y) satisfies Ax + By = b; after least
+        # squares on the singular KKT system, the feasibility check runs on [A B]
         p = problem_from_dict({
             "A": [[0.0]], "B": [[0.0]], "b": [1.0],
             "f": {"type": "quadratic", "Q": [[1.0]], "q": [0.0]},
             "g": {"type": "quadratic", "Q": [[1.0]], "q": [0.0]},
         })
+        lstsq, shapes = np.linalg.lstsq, []
+        monkeypatch.setattr(np.linalg, "lstsq", lambda M, *a, **k: shapes.append(M.shape) or lstsq(M, *a, **k))
         with pytest.raises(ValueError, match="infeasible"):
             reference_solve(p)
+        assert shapes == [(3, 3), (1, 2)]
+
+    @pytest.mark.parametrize("B,svd", [
+        (np.eye(3), False),
+        (-np.eye(3), False),
+        (np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 2.0]]), False),  # orthogonal columns
+        (np.array([[2.0, 0.0, 0.0], [0.0, 0.0, -3.0], [0.0, 0.5, 0.0]]), False),  # a scaled permutation
+        (np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), True),  # orthogonal columns that span a plane
+    ], ids=["I", "-I", "orthogonal", "permutation", "plane"])
+    def test_feasibility_svd_runs_unless_b_spans(self, B, svd, monkeypatch):
+        # B^T B diagonal with m nonzero entries: B reaches every b, and the
+        # least-squares feasibility check on [A B] is skipped
+        rng = np.random.default_rng(6)
+        m, n_y = B.shape
+        A = rng.normal(size=(m, 5))
+        f = FunctionDescriptor("quadratic", 5, Q=np.eye(5), q=rng.normal(size=5))
+        g = FunctionDescriptor("box", n_y, lower=-np.ones(n_y), upper=np.ones(n_y))
+        p = ProblemSpec(f, g, A, B, A @ rng.normal(size=5) + B @ rng.uniform(-1.0, 1.0, n_y))
+        lstsq, shapes = np.linalg.lstsq, []
+        monkeypatch.setattr(np.linalg, "lstsq", lambda M, *a, **k: shapes.append(M.shape) or lstsq(M, *a, **k))
+        assert reference_solve(p).kkt_residual <= 1e-10
+        assert shapes == ([(m, 5 + n_y)] if svd else [])
 
     def test_deterministic(self):
         p = generate("box_qp", 10, 5)
@@ -388,25 +413,44 @@ class TestPlainAdmm:
             x = _factored_solver(M, "M")(r)
             assert np.linalg.norm(r - M @ x) <= 1e-15 * np.linalg.norm(M, 2) * np.linalg.norm(x)
 
+    @staticmethod
+    def singular_block(block, q):
+        """One block's function is 0.5 Q u^2 + q u with Q = 0 and its column
+        of [A B] is zero, so its system Q + beta N^T N is singular."""
+        flat = FunctionDescriptor("quadratic", 1, Q=np.zeros((1, 1)), q=np.full(1, q))
+        strong = FunctionDescriptor("quadratic", 1, Q=np.eye(1), q=np.ones(1))
+        zero, one, b = np.zeros((1, 1)), np.ones((1, 1)), np.zeros(1)
+        return ProblemSpec(flat, strong, zero, one, b) if block == "x" else ProblemSpec(strong, flat, one, zero, b)
+
     @pytest.mark.parametrize("block,system", [
         ("x", "x-system Q_f + beta A^T A"), ("y", "y-system Q_g + beta B^T B"),
     ])
     def test_singular_system_is_named(self, block, system):
-        # one block's function is linear and its column of [A B] is zero
-        linear = FunctionDescriptor("quadratic", 1, Q=np.zeros((1, 1)), q=np.ones(1))
-        strong = FunctionDescriptor("quadratic", 1, Q=np.eye(1), q=np.ones(1))
-        zero, one, b = np.zeros((1, 1)), np.ones((1, 1)), np.zeros(1)
-        p = ProblemSpec(linear, strong, zero, one, b) if block == "x" else ProblemSpec(strong, linear, one, zero, b)
-        with pytest.raises(ValueError, match=f"^plain ADMM {re.escape(system)} is singular$"):
-            next(plain_admm_iterates(p))
+        # a linear function (q = 1) is unbounded below along the zero column
+        fn, N = ("f", "A") if block == "x" else ("g", "B")
+        cause = f"{fn} is unbounded below along a direction d with Q_{fn} d = 0, {N} d = 0 and q_{fn}^T d != 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'plain ADMM {system} is singular: {cause}')}$"):
+            next(plain_admm_iterates(self.singular_block(block, 1.0)))
+
+    @pytest.mark.parametrize("block,system", [
+        ("x", "x-system Q_f + beta A^T A"), ("y", "y-system Q_g + beta B^T B"),
+    ])
+    def test_singular_system_names_a_minimizer_that_is_not_unique(self, block, system):
+        # a zero function (q = 0) is constant along the zero column
+        fn, N = ("f", "A") if block == "x" else ("g", "B")
+        cause = f"the minimizer of {fn} is not unique along a direction d with Q_{fn} d = 0, {N} d = 0 and q_{fn}^T d = 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'plain ADMM {system} is singular: {cause}')}$"):
+            next(plain_admm_iterates(self.singular_block(block, 0.0)))
 
     @pytest.mark.parametrize("name,systems", [("lasso", 1), ("box_qp", 1), ("quadratic_g_singular_kkt", 2)])
     def test_each_block_system_factored_once(self, name, systems, monkeypatch):
         """One LU solve per block system before the first iterate, then no
-        LAPACK call in the loop; the reference solve of a lasso or box QP
-        makes the least-squares feasibility check, factors its x-system once
-        and solves one KKT system per polished active set (three active
-        sets are tried on this lasso, the first one held on this box QP)."""
+        LAPACK call in the loop; the reference solve of a lasso or box QP,
+        whose B = -I or I reaches every b, makes no least-squares
+        feasibility check, factors its x-system once and solves one KKT
+        system per polished active set (on this lasso, the set held at
+        k = 5 and two corrections of it; on this box QP, the first set
+        held)."""
         p, calls = self.problems()[name], []
         for fn_name in ("solve", "lstsq", "eigh", "eigvalsh", "inv"):
             fn = getattr(np.linalg, fn_name)
@@ -423,7 +467,7 @@ class TestPlainAdmm:
         if name != "quadratic_g_singular_kkt":  # a direct KKT solve handles quadratic g
             reference_solve(p)
             polishes = {"lasso": 3, "box_qp": 1}[name]
-            assert calls == ["lstsq", "solve"] + ["solve"] * polishes
+            assert calls == ["solve"] + ["solve"] * polishes
 
 
 def unpolished_stop(problem, accuracy=1e-10):
@@ -434,18 +478,47 @@ def unpolished_stop(problem, accuracy=1e-10):
             return x, y, gamma
 
 
+def full_kkt_point(problem, active):
+    """The polished point of ``active`` from the KKT system in (x, y, gamma)
+    that keeps an identity row per pinned y coordinate: the reference the
+    reduced system of :func:`_kkt_solve` is tested against."""
+    g, A, B = problem.g, problem.A, problem.B
+    n_x, n_y, m = problem.dims
+    K = np.zeros((n_x + n_y + m,) * 2)
+    xs, ys, gs = slice(0, n_x), slice(n_x, n_x + n_y), slice(n_x + n_y, None)
+    K[xs, xs], K[xs, gs], K[gs, xs], K[gs, ys] = problem.f.Q, -A.T, A, B
+    pinned = active == 0 if g.kind == "l1" else active != 0
+    rows = np.arange(n_x, n_x + n_y)
+    K[rows[pinned], rows[pinned]] = 1.0
+    K[rows[~pinned], gs] = -B.T[~pinned]
+    y_rhs = -g.lam * active if g.kind == "l1" else np.where(active < 0, g.lower, g.upper) * pinned
+    return _kkt_point(problem, np.linalg.solve(K, np.concatenate([-problem.f.q, y_rhs, problem.b])))
+
+
+POLISH_SEEDS = pytest.mark.parametrize("seed", [*range(8), 7919])
+POLISH_SHAPES = pytest.mark.parametrize("kind,dims", [
+    ("lasso", (10, 5)), ("box_qp", 40), ("lasso", (200, 100)), ("box_qp", 200),
+], ids=["lasso10x5", "box_qp40", "lasso200x100", "box_qp200"])
+# KKT solves per reference at seeds 0-7 and 7919 when a failed polish was not
+# corrected: on these shapes a correction saves iterates and costs no solve
+UNCORRECTED_SOLVES = {
+    "lasso": {(10, 5): (2, 1, 2, 2, 2, 1, 1, 1, 1), (200, 100): (1, 3, 2, 1, 1, 2, 1, 1, 2)},
+    "box_qp": {40: (1, 2, 1, 1, 1, 1, 1, 1, 1), 200: (1, 1, 2, 1, 1, 2, 1, 2, 2)},
+}
+
+
 class TestPolish:
     """The direct KKT solves of the reference: the polished tail of an l1 or
     box g, and the LU solve of a quadratic/quadratic problem."""
 
-    @pytest.mark.parametrize("seed", [*range(8), 7919])
-    @pytest.mark.parametrize("kind,dims", [
-        ("lasso", (10, 5)), ("box_qp", 40), ("lasso", (200, 100)), ("box_qp", 200),
-    ], ids=["lasso10x5", "box_qp40", "lasso200x100", "box_qp200"])
-    def test_polished_reference_is_the_admm_point(self, kind, dims, seed):
-        p = generate(kind, dims, seed)
+    @POLISH_SEEDS
+    @POLISH_SHAPES
+    def test_polished_reference_is_the_admm_point(self, kind, dims, seed, monkeypatch):
+        p, solves = generate(kind, dims, seed), []
+        monkeypatch.setattr(vmpadmm.problems, "_kkt_solve", lambda *a, _s=_kkt_solve: solves.append(1) or _s(*a))
         ref = reference_solve(p)
         assert ref.kkt_residual == max(kkt_residual(p, ref.x, ref.y, ref.gamma)) <= 1e-10
+        assert len(solves) <= UNCORRECTED_SOLVES[kind][dims][min(seed, 8)]
         for ours, admm in zip((ref.x, ref.y, ref.gamma), unpolished_stop(p)):
             np.testing.assert_allclose(ours, admm, rtol=0.0, atol=1e-8)
 
@@ -473,6 +546,51 @@ class TestPolish:
         assert len(tried) > 1 and all(pt is None or pt.kkt_residual > 1e-10 for pt in tried)
         for ours, admm in zip((got.x, got.y, got.gamma), unpolished_stop(p)):
             np.testing.assert_array_equal(ours, admm)
+
+    @POLISH_SEEDS
+    @POLISH_SHAPES
+    def test_reduced_system_gives_the_full_systems_point(self, kind, dims, seed):
+        # pinned coordinates moved into the right-hand side, not kept as rows
+        p = generate(kind, dims, seed)
+        active = _active_set(p.g, reference_solve(p).y)
+        K, rhs, reduced = _kkt_solve(p, active)
+        n_pinned = np.count_nonzero(active == 0 if kind == "lasso" else active != 0)
+        assert K.shape == (sum(p.dims) - n_pinned,) * 2 == (len(rhs),) * 2
+        full = full_kkt_point(p, active)
+        for u, v in zip((reduced.x, reduced.y, reduced.gamma), (full.x, full.y, full.gamma)):
+            np.testing.assert_allclose(u, v, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind,dims,seed", [("lasso", (10, 5), 0), ("box_qp", 40, 1)], ids=["lasso10x5", "box_qp40"])
+    def test_wrong_correction_is_rejected(self, kind, dims, seed, monkeypatch):
+        """Each correction with one more coordinate set wrong (the one with
+        the largest multiplier, as in :meth:`test_wrong_guess_is_rejected`):
+        the KKT check rejects its point, and the reference still meets the
+        accuracy, at a set that ADMM held or at the ADMM point."""
+        p = generate(kind, dims, seed)
+        ref = reference_solve(p)
+        truth = _active_set(p.g, ref.y)
+        at = int(np.argmax(np.where(truth != 0, np.abs(p.B.T @ ref.gamma), -1.0)))
+        assert truth[at] != 0
+        sabotaged, points, correct, solve = [], [], vmpadmm.problems._corrected_active_set, _kkt_solve
+
+        def wrong_correction(problem, active, point):
+            guess = correct(problem, active, point)
+            guess[at] = -truth[at] if kind == "lasso" else 0
+            sabotaged.append(guess.tobytes())
+            return guess
+
+        def recorded_solve(problem, active):
+            points.append((active.tobytes(), solve(problem, active)[2]))
+            return None, None, points[-1][1]
+
+        monkeypatch.setattr(vmpadmm.problems, "_corrected_active_set", wrong_correction)
+        monkeypatch.setattr(vmpadmm.problems, "_kkt_solve", recorded_solve)
+        got = reference_solve(p)
+        wrong = [pt for key, pt in points if key in sabotaged]
+        assert wrong and all(pt is None or pt.kkt_residual > 1e-10 for pt in wrong)
+        assert got.kkt_residual <= 1e-10
+        for ours, want in zip((got.x, got.y, got.gamma), (ref.x, ref.y, ref.gamma)):
+            np.testing.assert_allclose(ours, want, rtol=0.0, atol=1e-8)
 
     @pytest.mark.parametrize("dims", [(6, 5, 4), (20, 15, 10), (200, 150, 100)])
     def test_lu_point_is_the_lstsq_point(self, dims):
