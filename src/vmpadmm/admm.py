@@ -175,8 +175,7 @@ class BlockSystem:
         self.desc, self.N, self.schedule = desc, N, schedule
         self.H0, (P, a, s) = _compact(schedule.family("H")[0].matrix), schedule.family(family)
         with np.errstate(over="ignore", invalid="ignore"):  # K = None under a linearized P (s < 0)
-            K = congruence(self.H0, N) + P.matrix if s > 0 else None
-            self.K, self.tau = None if K is None else 0.5 * (K + K.T), a
+            self.K, self.tau = congruence(self.H0, N) + P.matrix if s > 0 else None, a
         if self.K is not None and not np.isfinite(self.K).all():
             block, M = ("x", "A") if family == "R" else ("y", "B")
             raise SubproblemError(f"{block}-subproblem system {M}^T H_0 {M} + {family}_0 overflows")
@@ -381,7 +380,8 @@ def _dual_max(dual_x, dual_y, dual_gamma):
 class KktResidualCertificate:
     """A pointwise or ergodic KKT residual certificate at each iteration k of
     a block, every value a column or a stack of rows.  ``eps`` is the ergodic
-    eps^a_k of the HPE accumulators, which ``eps_x + eps_y`` decomposes."""
+    eps^a_k of the HPE accumulators, which ``eps_x + eps_y`` decomposes;
+    ``memberships`` are the ergodic eps-memberships, none for a pointwise one."""
 
     mode: str
     k: int
@@ -445,8 +445,8 @@ class CertifiedBlock:
     and metrics M_k that the run's HPE state absorbed, ``dual_x``, ``dual_y``,
     ``dual_gamma`` the dual seminorms of r's blocks and every check a column,
     ``hpe_check`` the relative-error condition, ``memberships`` the
-    inclusions of each iterate's subgradients s_x in df(x_k), s_y in dg(y_k),
-    and ``fejer`` the Fejer bound against the reference solution.
+    inclusions of iterate k's own subgradients s_x in df(x_k), s_y in dg(y_k)
+    at each k, and ``fejer`` the Fejer bound against the reference solution.
     ``first_k_pointwise`` / ``first_k_ergodic`` are the first k at which the
     pointwise / ergodic stopping rule held, or None while it has not.
     Iteration i is ``row_of(blk, slice(i, i + 1))``, a block of one row.
@@ -471,14 +471,14 @@ class CertifiedBlock:
 
     @property
     def checks(self) -> dict[str, list[BoundCheck]]:
-        """Every check of the block, grouped and ordered as the report's
-        ``checks``: ``hpe``, ``bounds``, ``memberships`` (those of the
-        pointwise best and the ergodic eps-memberships) and ``fejer``."""
+        """Every check of the block once, grouped and ordered as the report's
+        ``checks``: ``hpe``, ``bounds``, ``memberships`` (each iterate's own
+        and the ergodic eps-memberships) and ``fejer``."""
         pw, erg = self.pointwise, self.ergodic
         return {
             "hpe": [self.hpe_check],
             "bounds": [*pw.checks.values(), *erg.checks.values()],
-            "memberships": [*pw.memberships.values(), *erg.memberships.values()],
+            "memberships": [*self.memberships.values(), *erg.memberships.values()],
             "fejer": [self.fejer],
         }
 
@@ -528,9 +528,8 @@ class VmPadmmRun:
         self.k = 0
         self._systems = None  # (x, y) BlockSystem, built on the first step
         # running pointwise best, the first iterate achieving the min max-residual:
-        # its z~ and r and its table row (k, the three dual seminorms and the
-        # distance and scale of membership_x and membership_y), one row of each
-        # per iteration of the latest block
+        # its z~ and r and its table row (k and the three dual seminorms), one row
+        # of each per iteration of the latest block
         self._best = None
         # block-wise eps sums, kept apart from the HPE accumulators so the eps
         # decomposition can be cross-checked against the full-space value:
@@ -698,18 +697,17 @@ class VmPadmmRun:
         (x, y, gamma_t), (r_x, r_y, _) = M.split(Zt), rz
         s_x = r_x + gamma_t @ problem.A  # the subgradients the memberships test
         s_y = r_y + gamma_t @ problem.B
-        memberships, table = {}, [ks, *duals]
-        for name, desc, s, u, r in (
-            ("membership_x", problem.f, s_x, x, r_x), ("membership_y", problem.g, s_y, y, r_y)
-        ):
-            dist, scale = desc.membership_distance(s, u), 1.0 + np.sqrt(row_dot(r, r))
-            memberships[name] = _membership(name, ks, dist, 0.0, scale)
-            table += [dist, scale]
+        memberships = {
+            name: _membership(name, ks, desc.membership_distance(s, u), 0.0, 1.0 + np.sqrt(row_dot(r, r)))
+            for name, desc, s, u, r in (
+                ("membership_x", problem.f, s_x, x, r_x), ("membership_y", problem.g, s_y, y, r_y)
+            )
+        }
         self._dot_s = [running_sums(tot, row_dot(s, u)) for tot, s, u in zip(self._dot_s, (s_x, s_y), (x, y))]
-        del s_x, s_y, s  # s views one of them
+        del s_x, s_y
 
         # the running pointwise best: at each k, the first iterate of least dual_max
-        cands = (Zt, R, np.column_stack(table))
+        cands = (Zt, R, np.column_stack([ks, *duals]))
         none_yet = self._best is None
         before = np.inf if none_yet else self._best[2][0, 1:4].max()
         dual_max = _dual_max(*duals)
@@ -750,15 +748,11 @@ class VmPadmmRun:
         """Best single iterate up to k against the O(1/sqrt(k)) bound."""
         self.hpe.require_iterate()
         k, (z_tilde, r, table) = self.hpe.last.k, self._best
-        k_best, dual_x, dual_y, dual_g, dist_x, scale_x, dist_y, scale_y = table.T
-        bound, index = self.bounds.pointwise_rhs(k), k_best.astype(int)
+        k_best, dual_x, dual_y, dual_g = table.T
+        bound = self.bounds.pointwise_rhs(k)
         cert = KktResidualCertificate(
-            "pointwise", k, index, *self.M0.split(z_tilde), *self.M0.split(r),
+            "pointwise", k, k_best.astype(int), *self.M0.split(z_tilde), *self.M0.split(r),
             dual_x=dual_x, dual_y=dual_y, dual_gamma=dual_g, bound_residual=bound,
-            memberships={  # the best iterate's own
-                "membership_x": _membership("membership_x", index, dist_x, 0.0, scale_x),
-                "membership_y": _membership("membership_y", index, dist_y, 0.0, scale_y),
-            },
         )
         cert.checks["pointwise_res"] = BoundCheck("pointwise_res", k, cert.dual_max, bound)
         return cert

@@ -356,11 +356,13 @@ def _mul(M, u: np.ndarray) -> np.ndarray:
 
 def congruence(H, N: np.ndarray) -> np.ndarray:
     """``N^T H N`` for H given as a matrix or in its :func:`_compact` form,
-    formed as ``(N^T H) N`` with a diagonal H applied to the columns of N^T
-    elementwise: the bits of the matrix product, whose other terms are exact
-    zeros, without it."""
+    formed as C = ``(N^T H) N`` with a diagonal H applied to the columns of
+    N^T elementwise (the bits of the matrix product, whose other terms are
+    exact zeros, without it) and returned as the exactly symmetric
+    0.5 (C + C^T), so that its sum with an exactly symmetric anchor is too."""
     h = _compact(H)  # H itself when it is given in that form
-    return (N.T @ h if h.ndim == 2 else N.T * h) @ N
+    C = (N.T @ h if h.ndim == 2 else N.T * h) @ N
+    return 0.5 * (C + C.T)  # c_ij + c_ji is c_ji + c_ij
 
 
 def operator_leq(M: np.ndarray, N: np.ndarray) -> bool:

@@ -138,13 +138,12 @@ def assemble_Mk(
     theta: float,
 ) -> BlockDiagOperator:
     """Product-space metric blkdiag(R_k, B^T H_k B + S_k, theta^{-1} H_k^{-1}),
-    from H_k and S_k given by their matrices; R_k may be a view."""
+    from H_k and S_k given by their matrices; R_k may be a view.  The middle
+    block is exactly symmetric, as :func:`congruence` and S_k are."""
     if not (0.0 < theta < THETA_MAX):
         raise ValueError(f"theta must lie in (0, {THETA_MAX}), got {theta}")
-    B = np.asarray(B, dtype=float)
-    mid = congruence(H_k.matrix, B) + S_k.matrix
-    mid_op = PsdOperator(0.5 * (mid + mid.T))
-    return block_diag([R_k, mid_op, H_k.inverse().affine(0.0, 1.0 / theta)])
+    mid = congruence(H_k.matrix, np.asarray(B, dtype=float)) + S_k.matrix
+    return block_diag([R_k, PsdOperator(mid), H_k.inverse().affine(0.0, 1.0 / theta)])
 
 
 # -- JSON configuration ------------------------------------------------------
@@ -177,9 +176,8 @@ def _family_from_descriptor(desc: dict, dim: int, family: str, H0=None, A=None):
         tau = float(finite_array(desc["tau"], "R tau", 0))
         if A is None:
             raise ValueError("linearized R rule requires the constraint matrix A")
-        A = np.asarray(A, dtype=float)
-        G = congruence(H0.matrix, A)  # R_k = tau I - f_k G
-        return PsdOperator(0.5 * (G + G.T)), tau, -1.0
+        G = congruence(H0.matrix, np.asarray(A, dtype=float))  # R_k = tau I - f_k G
+        return PsdOperator(G), tau, -1.0
     raise ValueError(f"unknown operator descriptor type {kind!r}")
 
 

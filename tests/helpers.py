@@ -10,6 +10,8 @@ unfactored and unvectorized forms of the reference ADMM and the sigma scan.
 formula, ``dense_realized`` the operators of a schedule at k as dense
 matrices, and ``applied`` the matrix an operator or a view applies.
 ``ZERO_F_PROBLEM`` is a problem JSON with a zero f and n_x > m.
+``break_second_stacked_call`` falsifies one row of one certificate's
+membership distance.
 """
 
 import math
@@ -18,6 +20,7 @@ import numpy as np
 
 from vmpadmm.admm import AdmmStep
 from vmpadmm.linalg import PsdOperator
+from vmpadmm.problems import FunctionDescriptor
 
 SAMPLES = 200
 TOL = 1e-8
@@ -157,3 +160,24 @@ def applied(op):
     """The matrix that an operator or a single view applies (its transpose,
     row by row, which is the matrix itself for a symmetric one)."""
     return op.apply(np.eye(op.dim))
+
+
+def break_second_stacked_call(monkeypatch, kind, row, by=1.0):
+    """Wrap ``FunctionDescriptor.membership_distance`` so that its second call
+    on a stack of rows for a descriptor of ``kind`` adds ``by`` to the
+    distance of ``row``.  A block's first such call is its solve's oracle and
+    the second its iterates' membership, which the certificate reads; calls
+    on a single point (the reference solve's check) are left alone."""
+    distance, calls = FunctionDescriptor.membership_distance, []
+
+    def wrapped(desc, v, x):
+        dist = distance(desc, v, x)
+        if desc.kind == kind and np.ndim(v) == 2:
+            calls.append(len(v))
+            if len(calls) == 2:
+                dist = dist.copy()
+                dist[row] += by
+        return dist
+
+    monkeypatch.setattr(FunctionDescriptor, "membership_distance", wrapped)
+    return calls

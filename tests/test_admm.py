@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import (
     applied,
+    break_second_stacked_call,
     dense_realized,
     identity,
     realized_step,
@@ -13,11 +14,13 @@ from helpers import (
     sigma_feasible_scalar,
     zero_operator,
 )
+from test_acceptance import INSTANCES, make_schedule
 
 from vmpadmm import admm
 from vmpadmm.admm import (
     AdmmStep,
     BlockSystem,
+    KktResidualCertificate,
     SubproblemError,
     ThetaParams,
     VmPadmmRun,
@@ -639,9 +642,13 @@ class TestRunInternals:
             assert cert.dual_max == min(duals)
         cert = self.pointwise[-1]
         assert cert.dual_max <= cert.bound_residual
-        assert list(cert.memberships) == ["membership_x", "membership_y"]
-        assert all(c.ok for c in cert.memberships.values())
-        assert cert.memberships == self.steps[int(cert.index[0]) - 1].memberships
+        # the certificate carries no memberships of its own: the best iterate's
+        # are its row's, which hold inside that step's verdict
+        assert cert.memberships == {}
+        best = self.steps[int(cert.index[0]) - 1]
+        assert list(best.memberships) == ["membership_x", "membership_y"]
+        for c in best.memberships.values():
+            assert sum(c is d for d in best.checks["memberships"]) == 1 and c.ok
 
     def test_ergodic_eps_decomposition(self):
         for k in range(1, 51):
@@ -823,7 +830,7 @@ class TestRunState:
         ("hpe", ("hpe_check",)),
         ("bounds", ("pointwise", "checks", "pointwise_res")),
         ("bounds", ("ergodic", "checks", "eps_decomposition")),
-        ("memberships", ("pointwise", "memberships", "membership_y")),
+        ("memberships", ("memberships", "membership_y")),
         ("memberships", ("ergodic", "memberships", "eps_domain_x")),
         ("fejer", ("fejer",)),
     ])
@@ -837,6 +844,52 @@ class TestRunState:
         assert bad in broken.checks[group]
         assert not broken.ok
         assert step.ok  # the original step is untouched
+
+
+def held_checks(record):
+    """Every :class:`BoundCheck` that a block or a certificate holds: its
+    fields, the values of its dict fields, and those of its certificates."""
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        for v in value.values() if isinstance(value, dict) else (value,):
+            if isinstance(v, BoundCheck):
+                yield v
+            elif isinstance(v, KktResidualCertificate):
+                yield from held_checks(v)
+
+
+class TestEveryRecordInTheVerdict:
+    """Every check a certified block holds enters its one verdict once: each
+    iterate's memberships at its own k, whether or not it is ever the
+    pointwise best."""
+
+    def test_failing_membership_of_an_iterate_never_the_best(self, monkeypatch):
+        # lasso 10x5 seed 1 at theta = 1.5: iterate 2 is never the pointwise best
+        p = generate("lasso", (10, 5), 1)
+        run = VmPadmmRun(p, constant_schedule(p.dims, 32, h_scale=1.0), compute_sigma_theta(1.5))
+        calls = break_second_stacked_call(monkeypatch, "l1", row=1)  # the certificate's, at k = 2
+        (blk,) = run.certified_blocks(32, rho=0.0, eps=0.0)
+        assert calls == [32, 32] and len(blk) == 32  # the y-solve oracle's call, left intact, then it
+        assert not (blk.pointwise.index == 2).any()
+        assert blk.memberships["membership_x"].ok.all()
+        assert blk.iterate.k[~blk.memberships["membership_y"].ok].tolist() == [2]
+        verdict = np.logical_and.reduce([c.ok for group in blk.checks.values() for c in group])
+        assert blk.iterate.k[~verdict].tolist() == [2]
+        assert not blk.ok
+
+    @pytest.mark.parametrize("decaying", [False, True], ids=["zero", "inverse_square"])
+    def test_every_held_check_is_in_the_verdict_once(self, decaying):
+        # two blocks on each acceptance shape: no check is formed and then left out
+        for kind, dims, seed in INSTANCES:
+            p = generate(kind, dims, seed)
+            run = VmPadmmRun(p, make_schedule(p.dims, p.A, decaying), compute_sigma_theta(1.0))
+            for blk in run.certified_blocks(40, rho=0.0, eps=0.0):
+                held = list(held_checks(blk))
+                verdict = [c for group in blk.checks.values() for c in group]
+                assert len(held) == len(verdict) == 15
+                for c in held:
+                    assert sum(c is d for d in verdict) == 1, (p.name, c.name)
+                assert blk.pointwise.memberships == {}
 
 
 class TestBlockStop:

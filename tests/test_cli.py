@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import ZERO_F_PROBLEM
+from helpers import ZERO_F_PROBLEM, break_second_stacked_call
 
 from vmpadmm.admm import VmPadmmRun, compute_sigma_theta
 from vmpadmm.cli import CSV_COLUMNS, main, parse_generator_spec
@@ -139,12 +139,22 @@ class TestSolveCommand:
     def test_every_check_row_is_k_ok_slack(self, schedule_file, tmp_path):
         assert main(solve_args(schedule_file, tmp_path, problem="gen:box_qp:10:2", max_iters="20")) == 0
         report = json.loads((tmp_path / "run.json").read_text())
-        # memberships: membership_x/_y of the pointwise best, eps_subdiff and
+        # memberships: each iterate's own membership_x/_y, eps_subdiff and
         # eps_domain of both ergodic blocks
         assert len(report["checks"]["memberships"]) == 6 * 20
         for name, rows in report["checks"].items():
             for k, ok, slack in rows:
                 assert isinstance(k, int) and ok is True and isinstance(slack, float), (name, k)
+
+    def test_failing_membership_of_an_iterate_never_the_best(self, schedule_file, tmp_path, monkeypatch):
+        # iterate 2 of lasso 10x5 seed 1 at theta = 1.5 is never the pointwise
+        # best; its membership_y, failed in its certificate's distance, fails the run
+        calls = break_second_stacked_call(monkeypatch, "l1", row=1)
+        args = solve_args(schedule_file, tmp_path, problem="gen:lasso:10x5:1", theta="1.5", max_iters="32")
+        assert main(args) == 2 and calls == [32, 32]
+        report = json.loads((tmp_path / "run.json").read_text())
+        assert report["all_pass"] is False
+        assert {group: ks for group, ks in report["failures"].items() if ks} == {"memberships": [2]}
 
     def test_report_rows_are_step_checks(self, tmp_path):
         # a drift solve: the report's checks are, group by group and at every

@@ -6,14 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import identity, zero_operator
 
+from vmpadmm.admm import BlockSystem
 from vmpadmm.linalg import (
     BlockDiagOperator,
     PsdOperator,
+    _compact,
     affine_leq,
     block_diag,
+    congruence,
     operator_leq,
 )
-from vmpadmm.schedule import constant_schedule, schedule_from_dict
+from vmpadmm.problems import FunctionDescriptor
+from vmpadmm.schedule import assemble_Mk, constant_schedule, schedule_from_dict
 
 
 def random_psd(rng, dim, rank=None):
@@ -418,3 +422,43 @@ class TestScaledView:
             identity(2).affine(0.0, -1.0)
         zero = identity(2).affine(0.0, 0.0)
         assert not zero.definite and zero.seminorm(np.ones(2)) == 0.0
+
+
+class TestCongruence:
+    """N^T H N is symmetrized once, where it is formed: every operator built
+    from it adds an exactly symmetric anchor and symmetrizes nothing again."""
+
+    @staticmethod
+    def dense_spd(rng, dim):
+        G = rng.normal(size=(dim, dim))
+        return G @ G.T + 0.1 * np.eye(dim)
+
+    def test_exactly_symmetric(self):
+        rng = np.random.default_rng(5)
+        N = rng.normal(size=(7, 4))  # not square
+        for H in (self.dense_spd(rng, 7), np.diag(rng.uniform(0.5, 2.0, size=7)), 1.7 * np.eye(7)):
+            C = congruence(H, N)
+            assert C.shape == (4, 4) and (C == C.T).all()
+            np.testing.assert_allclose(C, N.T @ H @ N, rtol=1e-13, atol=1e-13)
+            assert congruence(_compact(H), N).tobytes() == C.tobytes()  # H in its compact form
+
+    def test_operators_add_an_anchor_to_it(self):
+        # dense H, R_0 and S_0: the middle block of M_0, each block system's K
+        # and a linearized R's anchor G are the congruence plus the anchor, bit for bit
+        rng = np.random.default_rng(6)
+        (n_x, n_y, m) = dims = (4, 3, 5)
+        A, B = rng.normal(size=(m, n_x)), rng.normal(size=(m, n_y))
+        cfg = {"H": {"type": "dense", "matrix": self.dense_spd(rng, m).tolist()},
+               "R": {"type": "dense", "matrix": self.dense_spd(rng, n_x).tolist()},
+               "S": {"type": "dense", "matrix": self.dense_spd(rng, n_y).tolist()}, "k_max": 3}
+        sched = schedule_from_dict(cfg, dims, A=A)
+        (H0, _, _), (R0, _, _), (S0, _, _) = map(sched.family, "HRS")
+        formed = [(assemble_Mk(H0, R0, S0, B, 1.0).blocks[1].matrix, congruence(H0.matrix, B) + S0.matrix)]
+        for N, family, P0 in ((A, "R", R0), (B, "S", S0)):
+            desc = FunctionDescriptor("quadratic", N.shape[1], Q=np.eye(N.shape[1]), q=np.zeros(N.shape[1]))
+            formed.append((BlockSystem(desc, N, sched, family).K, congruence(H0.matrix, N) + P0.matrix))
+        G = congruence(H0.matrix, A)
+        linearized = dict(cfg, R={"type": "linearized", "tau": 2.0 * float(np.linalg.eigvalsh(G)[-1])})
+        formed.append((schedule_from_dict(linearized, dims, A=A).family("R")[0].matrix, G))
+        for got, want in formed:
+            assert got.tobytes() == want.tobytes() and (got == got.T).all()
