@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hpe import BoundCheck, HpeIterate, HpeState, RateBounds, row_of, running_sums
-from .linalg import BlockDiagOperator, _compact, _is_diagonal, _mul, block_diag, congruence, row_dot
+from .linalg import BlockDiagOperator, _compact, _is_diagonal, _mul, block_diag, congruence
 from .problems import ProblemSpec, ReferenceSolution, reference_solve
 from .schedule import THETA_MAX, MetricSchedule, ScheduleError, assemble_Mk
 
@@ -103,8 +103,9 @@ class ThetaParams:
 def compute_sigma_theta(theta: float, margin: float = 1e-3) -> ThetaParams:
     """Minimal admissible sigma for a given theta, plus a safety margin.
 
-    Scans a uniform grid over (0, 1) for the smallest feasible point (the
-    largest float below 1 when no grid point is), then bisects the
+    Scans a uniform grid over (0, 1) for the smallest feasible point (when no
+    grid point is, the largest float below 1, feasible for every theta in
+    range as sigma = 1 is below the golden ratio), then bisects the
     feasibility boundary below it to 1e-10 before shifting up by ``margin``.
     """
     if not (_THETA_EXCLUSION < theta < THETA_MAX - _THETA_EXCLUSION):
@@ -116,8 +117,6 @@ def compute_sigma_theta(theta: float, margin: float = 1e-3) -> ThetaParams:
     # for theta near 0 and near the golden ratio, sigma is admissible only above the grid
     i = int(np.argmax(feasible)) if feasible.any() else _SIGMA_GRID
     hi = float(sigmas[i]) if i < _SIGMA_GRID else float(np.nextafter(1.0, 0.0))
-    if not sigma_feasible(theta, hi):
-        raise RuntimeError(f"no admissible sigma found for theta={theta}")
     lo = float(sigmas[i - 1]) if i > 0 else 0.0
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
@@ -258,7 +257,7 @@ class BlockSystem:
             return V, None
         rhs = -(Q_lin + desc.q)
         miss = GU + U @ desc.Q.T - rhs
-        return V, (np.sqrt(row_dot(miss, miss)), 1e-8 * (1.0 + np.sqrt(row_dot(rhs, rhs))))
+        return V, (np.sqrt(np.vecdot(miss, miss)), 1e-8 * (1.0 + np.sqrt(np.vecdot(rhs, rhs))))
 
     def _factor(self) -> tuple[np.ndarray, np.ndarray]:
         """(W, a): W whitens T_1 = K + tau I + Q on its numerical range, cut
@@ -301,7 +300,7 @@ def _oracle(desc, v, u):
     v from d desc(u), and whether it exceeds ``_MEMBERSHIP_TOL`` (1 + ||v||);
     row by row for stacks."""
     dist = desc.membership_distance(v, u)
-    return dist, dist > _MEMBERSHIP_TOL * (1.0 + np.sqrt(row_dot(v, v)))
+    return dist, dist > _MEMBERSHIP_TOL * (1.0 + np.sqrt(np.vecdot(v, v)))
 
 
 def _solve_checks(system: BlockSystem, block: str, ks: np.ndarray, U: np.ndarray, Q_lin: np.ndarray) -> list:
@@ -349,7 +348,7 @@ def update_multiplier(gamma_prev, H0, f, theta, primal, primal_t):
     return gamma_prev - theta * (f * _mul(H0, primal)), gamma_prev - f * _mul(H0, primal_t)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class AdmmStep:
     """What step k hands to its block: z_k = (x_k, y_k, gamma_k), gamma~_k,
     each solve's linear term q_lin and the primal residual A x_k + B y_k - b,
@@ -376,7 +375,7 @@ def _dual_max(dual_x, dual_y, dual_gamma):
     return np.maximum(np.maximum(dual_x, dual_y), dual_gamma)
 
 
-@dataclass
+@dataclass(eq=False)
 class KktResidualCertificate:
     """A pointwise or ergodic KKT residual certificate at each iteration k of
     a block, every value a column or a stack of rows.  ``eps`` is the ergodic
@@ -430,15 +429,15 @@ def eps_subdifferential_checks(desc, s, u, eps: float, k: int, block: str) -> di
     gap, off = desc.fenchel_young(s, u)
     return {
         f"eps_subdiff_{block}": _membership(
-            f"eps_subdiff_{block}", k, gap, eps, 1.0 + np.abs(eps) + np.abs(row_dot(s, u))
+            f"eps_subdiff_{block}", k, gap, eps, 1.0 + np.abs(eps) + np.abs(np.vecdot(s, u))
         ),
         f"eps_domain_{block}": _membership(
-            f"eps_domain_{block}", k, off, 0.0, 1.0 + np.sqrt(row_dot(s, s)) + np.sqrt(row_dot(u, u))
+            f"eps_domain_{block}", k, off, 0.0, 1.0 + np.sqrt(np.vecdot(s, s)) + np.sqrt(np.vecdot(u, u))
         ),
     }
 
 
-@dataclass
+@dataclass(eq=False)
 class CertifiedBlock:
     """Consecutive iterations with every check of them and the stopping
     state after the last: ``iterate`` the :class:`HpeIterate` of their rows
@@ -529,8 +528,8 @@ class VmPadmmRun:
         self._systems = None  # (x, y) BlockSystem, built on the first step
         # running pointwise best, the first iterate achieving the min max-residual:
         # its z~ and r and its table row (k and the three dual seminorms), one row
-        # of each per iteration of the latest block
-        self._best = None
+        # of each per iteration of the latest block; before it, k = 0 at +inf duals
+        self._best = (*np.zeros((2, 1, self.M0.dim)), np.array([[0.0, np.inf, np.inf, np.inf]]))
         # block-wise eps sums, kept apart from the HPE accumulators so the eps
         # decomposition can be cross-checked against the full-space value:
         # sum_i <r_{i,x} + A^T gamma~_i, x_i> and the same for y
@@ -656,7 +655,7 @@ class VmPadmmRun:
         dg, r_g = M.split(P)[2], M.split(R)[2]
         r_g[...] = M.blocks[2].apply(dg)  # gam_0 / f_k
         miss = r_g - primal
-        gap, tol = np.sqrt(row_dot(miss, miss)), 1e-12 * (1.0 + np.sqrt(row_dot(primal, primal))) + 1e-13
+        gap, tol = np.sqrt(np.vecdot(miss, miss)), 1e-12 * (1.0 + np.sqrt(np.vecdot(primal, primal))) + 1e-13
         checks = [
             *_solve_checks(self._systems[0], "x", ks, x, q_x),
             *_solve_checks(self._systems[1], "y", ks, y, q_y),
@@ -698,24 +697,21 @@ class VmPadmmRun:
         s_x = r_x + gamma_t @ problem.A  # the subgradients the memberships test
         s_y = r_y + gamma_t @ problem.B
         memberships = {
-            name: _membership(name, ks, desc.membership_distance(s, u), 0.0, 1.0 + np.sqrt(row_dot(r, r)))
+            name: _membership(name, ks, desc.membership_distance(s, u), 0.0, 1.0 + np.sqrt(np.vecdot(r, r)))
             for name, desc, s, u, r in (
                 ("membership_x", problem.f, s_x, x, r_x), ("membership_y", problem.g, s_y, y, r_y)
             )
         }
-        self._dot_s = [running_sums(tot, row_dot(s, u)) for tot, s, u in zip(self._dot_s, (s_x, s_y), (x, y))]
+        self._dot_s = [running_sums(tot, np.vecdot(s, u)) for tot, s, u in zip(self._dot_s, (s_x, s_y), (x, y))]
         del s_x, s_y
 
         # the running pointwise best: at each k, the first iterate of least dual_max
         cands = (Zt, R, np.column_stack([ks, *duals]))
-        none_yet = self._best is None
-        before = np.inf if none_yet else self._best[2][0, 1:4].max()
         dual_max = _dual_max(*duals)
+        before = self._best[2][0, 1:4].max()
         better = dual_max < np.minimum.accumulate(np.concatenate(([before], dual_max)))[:-1]
-        better[0] |= none_yet
         best = np.maximum.accumulate(np.where(better, np.arange(1, n + 1), 0))  # 0: the best before
-        prev = [c[:1] for c in cands] if none_yet else self._best  # never picked when none_yet
-        self._best = tuple(np.concatenate((b, c))[best] for b, c in zip(prev, cands))
+        self._best = tuple(np.concatenate((b, c))[best] for b, c in zip(self._best, cands))
 
         pw, erg = self.pointwise_kkt_certificate(), self.ergodic_kkt_certificate()
         fejer = self.hpe.fejer_check(self.z_star)
@@ -771,8 +767,8 @@ class VmPadmmRun:
         # block-wise eps from the dot sums kept apart from the HPE accumulators:
         # eps = (1/k) sum <s_i, x_i> - <mean s, mean x>, s_i = r_{i,x} + A^T gamma~_i
         s_a = (rx_a + gt_a @ A, ry_a + gt_a @ B)
-        eps_x = self._dot_s[0] / k - row_dot(s_a[0], x_a)
-        eps_y = self._dot_s[1] / k - row_dot(s_a[1], y_a)
+        eps_x = self._dot_s[0] / k - np.vecdot(s_a[0], x_a)
+        eps_y = self._dot_s[1] / k - np.vecdot(s_a[1], y_a)
         R_k, mid_k, gam_k = M_k.blocks
         dual_x = R_k.dual_seminorm_general(rx_a)
         dual_y = mid_k.dual_seminorm_general(ry_a)
@@ -804,7 +800,7 @@ class VmPadmmRun:
             ),
             "primal_avg_identity": BoundCheck(
                 "primal_avg_identity", k,
-                np.sqrt(row_dot(miss, miss)), 1e-10 * (1.0 + np.sqrt(row_dot(rg_a, rg_a))), tol_rel=0.0,
+                np.sqrt(np.vecdot(miss, miss)), 1e-10 * (1.0 + np.sqrt(np.vecdot(rg_a, rg_a))), tol_rel=0.0,
             ),
         })
         return cert

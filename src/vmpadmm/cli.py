@@ -3,8 +3,8 @@
 ``solve`` runs one instance with per-iteration verification and writes a CSV
 iteration log plus a JSON verification report; ``batch`` sweeps a corpus of
 instances and writes an aggregate report.  Exit codes: 0 all enabled
-verifications pass, 2 verification failure, 1 I/O or configuration error or
-an input the solver does not support.
+verifications pass, 2 verification failure, 1 I/O, flag or configuration
+error or an input the solver does not support.
 """
 
 from __future__ import annotations
@@ -262,6 +262,14 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help="overrides the seed of every gen: spec")
 
 
+def _refuse(message: str):
+    """A parser's flag error as :class:`ConfigError` (exit 1), in place of
+    argparse's usage block and exit 2; ``-h`` still exits 0.  On Python 3.10
+    and 3.11 ``exit_on_error=False`` leaves missing and unrecognized
+    arguments to this method."""
+    raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vmpadmm")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -276,12 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON list file or comma-separated gen: specs")
     _add_common(batch)
     batch.add_argument("--out-dir", default="vmpadmm-batch", dest="out_dir")
+    for p in (parser, solve, batch):
+        p.error = _refuse
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "solve":
             return run_solve(args)
         return run_batch(args)

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import row_dot
-
 __all__ = [
     "HpeIterate",
     "HpeState",
@@ -31,7 +29,7 @@ _RECON_TOL = 1e-10
 _ERROR_TOL = 1e-8
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class HpeIterate:
     """Accepted consecutive iterations: points, residuals with tracked
     preimages, slacks.
@@ -66,7 +64,7 @@ class HpeIterate:
         return self.z + self.preimage
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class BoundCheck:
     """``lhs <= rhs`` up to ``tol_abs + tol_rel |rhs|``; ``slack`` and the
     verdict ``ok`` are fixed when the check is made.  For a block of
@@ -210,11 +208,11 @@ class HpeState:
         if (np.asarray(it.eta) < 0.0).any():
             raise ValueError("eta must be nonnegative")
         miss = it.M.apply(it.preimage) - it.r  # M_k (z_{k-1} - z_k), formed independently of r
-        if (np.sqrt(row_dot(miss, miss)) > _RECON_TOL * (1.0 + np.sqrt(row_dot(it.r, it.r)))).any():
+        if (np.sqrt(np.vecdot(miss, miss)) > _RECON_TOL * (1.0 + np.sqrt(np.vecdot(it.r, it.r)))).any():
             raise ValueError("residual does not equal M_k(z_{k-1} - z_k) within tolerance")
         prev_eta = np.concatenate(([self.bounds.eta0] if self.last is None else self.last.eta[-1:], it.eta[:-1]))
         check, gap = check_error_condition(it, self.bounds.sigma, prev_eta)
-        rows = (it.z_tilde, it.r, row_dot(it.r, it.z_tilde), gap)
+        rows = (it.z_tilde, it.r, np.vecdot(it.r, it.z_tilde), gap)
         sums = (self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum)
         # from the totals after the previous block
         self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum = (
@@ -249,7 +247,7 @@ class HpeState:
         kc = k[:, None]  # divides each row by its k
         zt_a = self._sum_ztilde / kc
         r_a = self._sum_r / kc
-        eps_a = self._sum_r_dot_ztilde / k - row_dot(r_a, zt_a)
+        eps_a = self._sum_r_dot_ztilde / k - np.vecdot(r_a, zt_a)
         return zt_a, r_a, eps_a
 
     def fejer_check(self, z_star: np.ndarray) -> BoundCheck:

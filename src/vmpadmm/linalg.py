@@ -12,10 +12,11 @@ diagonal, without LAPACK, and is multiplied by elementwise in its
 
 Every operator acts along the last axis: a vector is one point, and a
 ``(L, n)`` array is a stack of L points whose seminorms, dual seminorms and
-products come out row by row.  ``M.affine(a, b)`` with a column of factors b
-is a stack of views, row i acted on by a I + b_i M, so that one product with M
-serves a whole block of iterations whose metrics differ only in their factor;
-with a number b it is the one view a I + b M.
+products (inner ones by ``np.vecdot``) come out row by row.
+``M.affine(a, b)`` with a column of factors b is a stack of views, row i
+acted on by a I + b_i M, so that one product with M serves a whole block of
+iterations whose metrics differ only in their factor; with a number b it is
+the one view a I + b M.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "block_diag",
     "congruence",
     "finite_array",
-    "row_dot",
 ]
 
 _SYMMETRY_TOL = 1e-12
@@ -43,7 +43,7 @@ _RANGE_TOL = 1e-8
 _COND_CAP = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsdOperator:
     """A selfadjoint positive (semi)definite operator given by a dense matrix.
 
@@ -103,10 +103,8 @@ class PsdOperator:
 
     @cached_property
     def _eig_extremes(self):
-        if self._zero:  # eigvalsh of zeros gives +0.0 too
-            return 0.0, 0.0
         d = self._diagonal
-        if d is not None:  # what eigvalsh gives for a diagonal, bit for bit
+        if d is not None:  # what eigvalsh gives for a diagonal, bit for bit up to the sign of a zero
             return float(d.min()), float(d.max())
         w = np.linalg.eigvalsh(self.matrix)
         return float(w[0]), float(w[-1])
@@ -134,8 +132,8 @@ class PsdOperator:
     def _seminorm_from(self, z: np.ndarray, Mz: np.ndarray) -> float:
         """:meth:`seminorm` of z from the product ``Mz = self.apply(z)``
         formed by the caller, with the same negative-form guard."""
-        q = row_dot(z, Mz)
-        if (q < 0.0).any() and (q < -self._psd_scale * row_dot(z, z)).any():
+        q = np.vecdot(z, Mz)
+        if (q < 0.0).any() and (q < -self._psd_scale * np.vecdot(z, z)).any():
             raise ValueError(f"negative quadratic form {np.min(q)}: operator is not PSD")
         return np.sqrt(np.maximum(q, 0.0))
 
@@ -150,7 +148,7 @@ class PsdOperator:
         if not r.any():  # zero without the eigenbasis (M = 0 gives r = 0 on the solver's path)
             return np.zeros(r.shape[:-1])[()]
         dual, off = self.range_parts(r)
-        return np.where(off > _RANGE_TOL * np.sqrt(row_dot(r, r)), np.inf, dual)[()]
+        return np.where(off > _RANGE_TOL * np.sqrt(np.vecdot(r, r)), np.inf, dual)[()]
 
     @cached_property
     def _range_split(self):
@@ -210,6 +208,9 @@ class _RowViews(PsdOperator):
     def dim(self) -> int:
         return self.base.dim
 
+    def __repr__(self) -> str:  # a view holds no matrix of its own
+        return f"{self.base!r}.affine({self.shift!r}, {self.factors!r})"
+
     def row(self, i) -> PsdOperator:  # with a slice, the stack of its rows, with their own factors
         return self.base.affine(self.shift, self.factors[i].copy())
 
@@ -235,7 +236,7 @@ class _RowViews(PsdOperator):
         return self.base.affine(a + b * self.shift if self.shift else a, b * self.factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockDiagOperator:
     """Block-diagonal PSD operator on a product space.
 
@@ -246,7 +247,7 @@ class BlockDiagOperator:
     blocks: tuple[PsdOperator, ...]
     offsets: tuple[int, ...] = field(init=False)
     dim: int = field(init=False)
-    _parts: tuple[tuple[PsdOperator, slice], ...] = field(init=False, repr=False, compare=False)
+    _parts: tuple[tuple[PsdOperator, slice], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.blocks:
@@ -324,13 +325,6 @@ def _check_dim(z: np.ndarray, dim: int) -> np.ndarray:
     if z.ndim not in (1, 2) or z.shape[-1] != dim:
         raise ValueError(f"vector of shape {z.shape} vs operator dim {dim}")
     return z
-
-
-def row_dot(a: np.ndarray, b: np.ndarray):
-    """``<a, b>`` along the last axis: one number for two vectors, a column
-    for two stacks, each by the same BLAS dot as ``a @ b`` (``np.vecdot``,
-    numpy >= 2)."""
-    return a @ b if a.ndim == 1 else np.vecdot(a, b)
 
 
 def _is_diagonal(M: np.ndarray) -> bool:

@@ -27,7 +27,7 @@ from itertools import islice
 
 import numpy as np
 
-from .linalg import _RANGE_TOL, PsdOperator, _is_diagonal, _range_split, finite_array, row_dot
+from .linalg import _RANGE_TOL, PsdOperator, _is_diagonal, _range_split, finite_array
 
 __all__ = [
     "FunctionDescriptor",
@@ -46,7 +46,7 @@ _KINDS = ("quadratic", "l1", "box")
 _FEASIBILITY_TOL = 1e-8  # relative residual of the least-squares solve of [A B] w = b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionDescriptor:
     """A proper closed convex function of one of three structured kinds.
 
@@ -66,7 +66,7 @@ class FunctionDescriptor:
     upper: np.ndarray | None = None
     # Q as a PsdOperator, decomposed once: its extremes give the PSD verdict at
     # construction and its eigenbasis the Fenchel--Young gap
-    _Q_operator: PsdOperator | None = field(default=None, init=False, repr=False, compare=False)
+    _Q_operator: PsdOperator | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -131,7 +131,7 @@ class FunctionDescriptor:
         x = np.asarray(x, dtype=float)
         if self.kind == "quadratic":
             d = v - (x @ self.Q.T + self.q)
-            return np.sqrt(row_dot(d, d))
+            return np.sqrt(np.vecdot(d, d))
         if self.kind == "l1":
             tol = 1e-12 * (1.0 + np.abs(x).max(axis=-1, initial=0.0))[..., None]
             d = np.where(
@@ -139,7 +139,7 @@ class FunctionDescriptor:
                 np.abs(v - self.lam),
                 np.where(x < -tol, np.abs(v + self.lam), np.maximum(np.abs(v) - self.lam, 0.0)),
             )
-            return np.sqrt(row_dot(d, d))
+            return np.sqrt(np.vecdot(d, d))
         # box: normal cone of [l, u]
         below, above, low, high = self._box_bands
         at_lo, at_hi = x <= low, x >= high
@@ -149,7 +149,7 @@ class FunctionDescriptor:
             np.where(at_lo, np.maximum(v, 0.0), np.where(at_hi, np.maximum(-v, 0.0), np.abs(v))),
         )
         outside = ((x < below) | (x > above)).any(axis=-1)
-        return np.where(outside, np.inf, np.sqrt(row_dot(d, d)))[()]
+        return np.where(outside, np.inf, np.sqrt(np.vecdot(d, d)))[()]
 
     @cached_property
     def _box_bands(self):
@@ -171,12 +171,12 @@ class FunctionDescriptor:
             dual, off = self._Q_operator.range_parts(x @ self.Q.T + self.q - s)
             return 0.5 * dual**2, off
         if self.kind == "l1":  # f*(s) = 0 when ||s||_inf <= lam
-            gap = self.lam * np.abs(x).sum(axis=-1) - row_dot(s, x)
+            gap = self.lam * np.abs(x).sum(axis=-1) - np.vecdot(s, x)
             return gap, np.maximum(np.abs(s).max(axis=-1, initial=0.0) - self.lam, 0.0)
         # box: f(x) = 0 when x is in [l, u], f*(s) = sum_i max(l_i s_i, u_i s_i)
-        gap = np.maximum(self.lower * s, self.upper * s).sum(axis=-1) - row_dot(s, x)
+        gap = np.maximum(self.lower * s, self.upper * s).sum(axis=-1) - np.vecdot(s, x)
         out = x - np.clip(x, self.lower, self.upper)
-        return gap, np.sqrt(row_dot(out, out))
+        return gap, np.sqrt(np.vecdot(out, out))
 
     def sample_domain(self, count: int, around: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Sample points in dom f near ``around`` (rows of the result); a
@@ -218,7 +218,7 @@ def descriptor_from_dict(desc: dict, dim: int, name: str) -> FunctionDescriptor:
     raise ValueError(f"unknown function descriptor type {kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """One instance of the linearly constrained two-block problem."""
 
@@ -279,7 +279,7 @@ def load_problem(path) -> ProblemSpec:
         return problem_from_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceSolution:
     x: np.ndarray
     y: np.ndarray

@@ -73,7 +73,8 @@ class ScheduleError(ValueError):
 
 class MetricSchedule:
     """Operator sequences up to a horizon k_max, given by the drift factors
-    f_k and one (anchor, a, s) triple per family: Q_k = a I + s f_k anchor."""
+    f_k and one (anchor, a, s) triple per family: Q_k = a I + s f_k anchor.
+    Construction checks no PSD-ness; :meth:`validate` does, k = 0 included."""
 
     def __init__(self, families, k_max: int, c0: float = 0.0, law: str = "zero"):
         if not 1 <= k_max <= K_MAX_LIMIT:
@@ -87,8 +88,6 @@ class MetricSchedule:
         self.C_P = float(np.prod(1.0 + self.c_seq) * np.exp(tail))
         self._factors = _drift_factors(self.c_seq)
         self._families = tuple(families)  # (anchor, a, s) of H, R, S: Q_k = a I + s f_k anchor
-        for Q, a, s in self._families:  # each operator at f_0 = 1 is checked at construction
-            Q.affine(a, s)
 
     def factor(self, k: int) -> float:
         """The drift factor f_k shared by every family; for an array of k,

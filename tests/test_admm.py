@@ -4,6 +4,8 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from helpers import (
     applied,
     break_second_stacked_call,
@@ -18,6 +20,7 @@ from test_acceptance import INSTANCES, make_schedule
 
 from vmpadmm import admm
 from vmpadmm.admm import (
+    _THETA_EXCLUSION,
     AdmmStep,
     BlockSystem,
     KktResidualCertificate,
@@ -107,6 +110,16 @@ class TestSigmaTheta:
         assert not sigma_feasible(theta, params.sigma - 1e-9)  # minimal, to the bisection's 1e-10
         with pytest.raises(RuntimeError, match=r"^minimal sigma .* plus margin 0.001 leaves \(0, 1\)$"):
             compute_sigma_theta(theta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(_THETA_EXCLUSION, THETA_MAX - _THETA_EXCLUSION))
+    @example(_THETA_EXCLUSION)
+    @example(THETA_MAX - _THETA_EXCLUSION)
+    def test_largest_float_below_one_is_admissible(self, theta):
+        # the scan's fallback when no grid point is admissible: at sigma = 1 the
+        # four conditions hold for every theta below the golden ratio, with
+        # margins far above the step from 1 to this float
+        assert sigma_feasible(theta, np.nextafter(1.0, 0.0))
 
     def test_tau_formula_example(self):
         # theta=1, sigma=0.501: tau = 8 * 0.501 * max(1, 1) / 1 = 4.008
@@ -632,6 +645,23 @@ class TestRunInternals:
 
     def test_hpe_condition_holds_throughout(self):
         assert all(step.hpe_check.ok for step in self.steps)
+
+    def test_records_print(self):
+        # a block and the run's last iterate hold stacks of metric views, which
+        # print as their base's affine map; records compare by identity
+        run = VmPadmmRun(self.p, self.sched, self.params)
+        blk = next(iter(run.certified_blocks(5, rho=0.0, eps=0.0)))
+        for record in (blk, run.hpe.last, self.steps[-1]):
+            assert repr(record).startswith(f"{type(record).__name__}(") and ".affine(" in repr(record)
+        assert blk == blk and blk != row_of(blk, slice(0, len(blk.iterate.k)))
+
+    def test_no_pointwise_certificate_before_the_first_iterate(self):
+        # the running best starts as a row at k = 0 with +inf duals, which no
+        # certificate reads: the first iterate beats it
+        run = VmPadmmRun(self.p, self.sched, self.params)
+        with pytest.raises(ValueError, match="no iterate yet"):
+            run.pointwise_kkt_certificate()
+        assert self.pointwise[0].index == 1 and np.isfinite(self.pointwise[0].dual_max)
 
     def test_pointwise_certificate_monotone_best(self):
         best = [self.pointwise[k - 1].dual_max for k in (1, 10, 30, 50)]

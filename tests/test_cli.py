@@ -460,6 +460,40 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not PSD" in err
 
+    def test_linearized_r_indefinite_at_k0_fails_validation(self, tmp_path, capsys, monkeypatch):
+        # a well-formed file whose R_0 = tau I - A^T A is indefinite loads, and
+        # validation refuses it at k = 0 before any reference solve
+        def no_reference(problem):
+            raise AssertionError("reference_solve called on a schedule that fails validation")
+
+        monkeypatch.setattr("vmpadmm.admm.reference_solve", no_reference)
+        A = generate("lasso", (10, 5), 1).A
+        tau = 0.9 * float(np.linalg.eigvalsh(A.T @ A)[-1])
+        sched = write_json(tmp_path / "indefinite.json", dict(CONSTANT_SCHEDULE, R={"type": "linearized", "tau": tau}))
+        assert main(solve_args(sched, tmp_path, problem="gen:lasso:10x5:1")) == 1
+        assert capsys.readouterr().err == "error: schedule validation failed: R_k is not PSD, first at k = 0\n"
+
+    @pytest.mark.parametrize("case", ["bad_theta", "unknown_flag", "missing_problem", "no_command"])
+    def test_malformed_flag_is_one_line(self, schedule_file, tmp_path, capsys, case):
+        # exit 2 is a verification failure: a flag error is a configuration error
+        args = solve_args(schedule_file, tmp_path)
+        argv = {
+            "bad_theta": solve_args(schedule_file, tmp_path, theta="abc"),
+            "unknown_flag": args + ["--bogus", "1"],
+            "missing_problem": args[:1] + args[3:],
+            "no_command": [],
+        }[case]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["-h"], ["solve", "-h"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and "usage: vmpadmm" in capsys.readouterr().out
+
     def test_linearized_sandwich_failure_at_full_horizon_is_fast(self, tmp_path, capsys):
         # tau = 2 lambda_max(A^T A) keeps every R_k PSD but breaks the sandwich
         # at k = 0; the verdict over 10^6 steps takes no walk over k

@@ -48,6 +48,16 @@ class TestPsdOperator:
         with pytest.raises(ValueError, match="definite"):
             PsdOperator(np.diag([1.0, 0.0]), definite=True)
 
+    def test_identity_equality_hash_and_repr(self):
+        # an operator is equal only to itself and hashes by identity, and a
+        # view, which holds no matrix, prints as its base's affine map
+        M, N = PsdOperator(np.eye(2)), PsdOperator(np.eye(2))
+        assert M == M and M != N and len({M, N, M}) == 2
+        assert block_diag([M]) != block_diag([M]) and hash(block_diag([M])) is not None
+        views = M.affine(1.0, np.array([2.0, 3.0]))
+        assert repr(views) == f"{M!r}.affine(1.0, {np.array([2.0, 3.0])!r})"
+        assert repr(block_diag([views, M.affine(0.0, 2.0)])).startswith("BlockDiagOperator(blocks=(PsdOperator(")
+
     def test_seminorm_identity(self):
         M = identity(3, 2.0)
         z = np.array([1.0, 2.0, 2.0])
@@ -72,9 +82,9 @@ class TestPsdOperator:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_zero_matrix_runs_no_eigvalsh(self, monkeypatch):
-        # an all-zero anchor (a zero R or S) has the extremes eigvalsh gives,
-        # +0.0 bit for bit, without the decomposition; so does a diagonal H
-        # anchor, and a dense one still runs it
+        # an all-zero anchor (a zero R or S) is diagonal: it has the extremes
+        # eigvalsh gives, +0.0 bit for bit, without the decomposition; so does
+        # a diagonal H anchor, and a dense one still runs it
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))

@@ -121,8 +121,9 @@ class TestLinearized:
         sched = build(lam_max * 1.01)
         R = dense_realized(sched, 1)[1]
         assert np.linalg.eigvalsh(applied(R)).min() >= -1e-10
-        with pytest.raises(ValueError, match="not PSD"):
-            build(lam_max * 0.9)
+        indefinite = build(lam_max * 0.9)  # construction checks no operator: validate decides k = 0
+        with pytest.raises(ScheduleError, match="R_k is not PSD, first at k = 0"):
+            indefinite.validate()
 
     def test_zero_law_realizes_once(self, monkeypatch):
         # equal drift factors give views of one anchor with equal factors, so
