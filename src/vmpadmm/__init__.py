@@ -1,69 +1,10 @@
-"""Variable-metric proximal ADMM with runtime convergence certification."""
+"""Variable-metric proximal ADMM with runtime convergence certification.
 
-from .admm import (
-    CertifiedBlock,
-    KktResidualCertificate,
-    SubproblemError,
-    ThetaParams,
-    VmPadmmRun,
-    compute_d0_admm,
-    compute_sigma_theta,
-    sigma_feasible,
-    tau_theta,
-)
-from .hpe import HpeIterate, HpeState, RateBounds, check_error_condition
-from .linalg import BlockDiagOperator, PsdOperator, block_diag
-from .problems import (
-    FunctionDescriptor,
-    ProblemSpec,
-    ReferenceSolution,
-    generate,
-    kkt_residual,
-    load_problem,
-    reference_solve,
-)
-from .schedule import (
-    THETA_MAX,
-    MetricSchedule,
-    ScheduleError,
-    assemble_Mk,
-    constant_schedule,
-    load_schedule,
-    schedule_from_dict,
-)
+The top level holds what the library quick start in README uses; every other
+name lives in its module (``vmpadmm.admm``, ``vmpadmm.schedule``, ...)."""
 
-__version__ = "0.1.0"
+from .admm import VmPadmmRun, compute_sigma_theta
+from .problems import generate
+from .schedule import ScheduleError, constant_schedule
 
-__all__ = [
-    "BlockDiagOperator",
-    "CertifiedBlock",
-    "FunctionDescriptor",
-    "HpeIterate",
-    "HpeState",
-    "KktResidualCertificate",
-    "MetricSchedule",
-    "ProblemSpec",
-    "PsdOperator",
-    "RateBounds",
-    "ReferenceSolution",
-    "ScheduleError",
-    "SubproblemError",
-    "THETA_MAX",
-    "ThetaParams",
-    "VmPadmmRun",
-    "assemble_Mk",
-    "block_diag",
-    "check_error_condition",
-    "compute_d0_admm",
-    "compute_sigma_theta",
-    "constant_schedule",
-    "generate",
-    "kkt_residual",
-    "load_problem",
-    "load_schedule",
-    "reference_solve",
-    "schedule_from_dict",
-    "sigma_feasible",
-    "tau_theta",
-    "__version__",
-]
+__all__ = ["ScheduleError", "VmPadmmRun", "compute_sigma_theta", "constant_schedule", "generate"]

@@ -192,7 +192,7 @@ class _RowViews(PsdOperator):
     acted on by the i-th: the metrics of a block of iterations that differ
     only in their drift factor.  A 0-d array of factors is one view.  Each
     product is one product of the whole stack with the base, and the range
-    split is the base's, row-wise."""
+    split is made row-wise from the base's eigenbasis."""
 
     def __init__(self, base: PsdOperator, shift: float, factors: np.ndarray):
         object.__setattr__(self, "base", base)
@@ -225,12 +225,8 @@ class _RowViews(PsdOperator):
 
     @cached_property
     def _range_split(self):
-        f = self.factors[..., None]
-        if not self.shift and (f > 0.0).all():  # every row has the base's range
-            v, w, off = self.base._range_split
-            return v, f * w, off
         w, v = self.base._eig
-        return _range_split(self.shift + f * w, v, self.dim)
+        return _range_split(self.shift + self.factors[..., None] * w, v, self.dim)
 
     def affine(self, a: float, b) -> PsdOperator:  # a view of the base, not of this view
         return self.base.affine(a + b * self.shift if self.shift else a, b * self.factors)

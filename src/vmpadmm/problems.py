@@ -91,7 +91,7 @@ class FunctionDescriptor:
                 Q_op = None
             if Q_op is None or Q_op._eig_extremes[0] < -1e-10 * max(1.0, np.abs(Q).max()):
                 raise ValueError("quadratic Q must be PSD")
-            object.__setattr__(self, "Q", Q)
+            object.__setattr__(self, "Q", Q_op.matrix)  # one Q for every reader: the symmetrized one
             object.__setattr__(self, "_Q_operator", Q_op)
             object.__setattr__(self, "q", q)
         elif self.kind == "l1":

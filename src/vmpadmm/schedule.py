@@ -221,8 +221,11 @@ def constant_schedule(
     r_scale: float = 0.0,
     s_scale: float = 0.0,
 ) -> MetricSchedule:
-    """Constant schedule H = h*I, R = r*I, S = s*I with c_k = 0."""
+    """Constant schedule H = h*I, R = r*I, S = s*I with c_k = 0, built as
+    the ``scaled_identity`` descriptors of the JSON format are."""
     n_x, n_y, m = dims
-    families = (_scaled_identity(h_scale, m, "H"), _scaled_identity(r_scale, n_x, "R"),
-                _scaled_identity(s_scale, n_y, "S"))
+    families = [
+        _family_from_descriptor({"type": "scaled_identity", "scale": scale}, dim, family)
+        for family, scale, dim in (("H", h_scale, m), ("R", r_scale, n_x), ("S", s_scale, n_y))
+    ]
     return MetricSchedule(families, k_max)

@@ -747,6 +747,50 @@ class TestBatchCommand:
         assert not (tmp_path / "b6").exists()
 
 
+LARGE_PENALTY = dict(CONSTANT_SCHEDULE, H={"type": "scaled_identity", "scale": 1e6}, k_max=300)
+LARGE_PENALTY_PROBLEM = "gen:box_qp:40:2"  # under H = 1e6 I it fails membership_x at 292 of 300 k
+
+
+class TestVerifyOnlyTrimsTheReport:
+    """``--verify`` names the groups whose per-k rows the report's ``checks``
+    lists; ``all_pass``, ``failures``, ``worst_slack`` and the exit code cover
+    every group.  The run used fails only ``memberships``."""
+
+    @pytest.fixture(scope="class")
+    def full(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("full")
+        sched = write_json(tmp / "h6.json", LARGE_PENALTY)
+        assert main(solve_args(sched, tmp, problem=LARGE_PENALTY_PROBLEM, max_iters="300")) == 2
+        return sched, json.loads((tmp / "run.json").read_text()), (tmp / "run.csv").read_bytes()
+
+    @pytest.mark.parametrize("verify", ["hpe,bounds,fejer", "hpe"])
+    def test_unreported_group_still_fails_the_run(self, full, tmp_path, verify):
+        sched, report, log = full
+        assert len(report["failures"]["memberships"]) == 292 and report["all_pass"] is False
+        args = solve_args(sched, tmp_path, problem=LARGE_PENALTY_PROBLEM, max_iters="300", verify=verify)
+        assert main(args) == 2
+        sub = json.loads((tmp_path / "run.json").read_text())
+        assert sub["all_pass"] is False and sub["failures"] == report["failures"]
+        groups = verify.split(",")
+        assert sub["verify"] == groups and sub["checks"] == {g: report["checks"][g] for g in groups}
+        assert (tmp_path / "run.csv").read_bytes() == log
+        drop = ("checks", "verify")
+        assert {k: v for k, v in sub.items() if k not in drop} == {k: v for k, v in report.items() if k not in drop}
+
+    def test_batch_verdict_covers_every_group(self, full, tmp_path):
+        sched = full[0]
+        code = main([
+            "batch", "--corpus", LARGE_PENALTY_PROBLEM, "--schedule", sched, "--theta", "1.0",
+            "--max-iters", "300", "--verify", "hpe,bounds,fejer", "--out-dir", str(tmp_path / "b"),
+        ])
+        assert code == 2
+        agg = json.loads((tmp_path / "b" / "aggregate.json").read_text())
+        assert agg["all_pass"] is False
+        (inst,) = agg["instances"]
+        assert inst["exit"] == 2 and inst["all_pass"] is False
+        assert inst["worst_slack"]["membership_x"][1] < 0.0 and "eps_subdiff_y" in inst["worst_slack"]
+
+
 # -- malformed input: one field of a valid file replaced by a wrong-typed value
 
 VALID_PROBLEMS = {

@@ -336,6 +336,17 @@ class TestDescriptorValues:
             with pytest.raises(ValueError, match="^quadratic Q must be PSD$"):
                 FunctionDescriptor("quadratic", 2, Q=Q, q=np.zeros(2))
 
+    def test_nearly_symmetric_q_is_held_once_symmetrized(self):
+        # a Q symmetric only within 1e-10 is stored as the operator's 0.5 (Q + Q^T), so
+        # memberships, the system test, the reference and the Fenchel-Young gap read one Q
+        Q = [[2.0, 1.0], [1.0 + 1e-11, 3.0]]
+        desc = FunctionDescriptor("quadratic", 2, Q=Q, q=np.zeros(2))
+        assert desc.Q is desc._Q_operator.matrix and (desc.Q == desc.Q.T).all()
+        np.testing.assert_array_equal(desc.Q, 0.5 * (np.array(Q) + np.array(Q).T))
+        # an exactly symmetric Q, as every generator's, is kept as the same object
+        for fn in (generate("box_qp", 6, 9).f, generate("consensus_ls", (5, 4, 3), 2).g):
+            assert fn.kind == "quadratic" and fn.Q is fn._Q_operator.matrix
+
 
 class TestPlainAdmm:
     def test_converges_on_lasso(self):

@@ -50,6 +50,12 @@ class TestConstantSchedule:
         np.testing.assert_array_equal(applied(R0), applied(R5))
         sched.validate()
 
+    @pytest.mark.parametrize("family,scale", [("H", np.inf), ("R", np.nan), ("S", np.inf), ("H", -np.inf)])
+    def test_non_finite_scale_is_named(self, family, scale):
+        # built as the JSON format's scaled_identity descriptors are, with their finiteness check
+        with pytest.raises(ValueError, match=f"^{family} scale must be finite"):
+            constant_schedule((3, 2, 2), 10, **{f"{family.lower()}_scale": scale})
+
 
 class TestDrift:
     def test_first_step_scales_by_one_plus_c0(self):
