@@ -511,21 +511,23 @@ class VmPadmmRun:
         self._By = problem.B @ self.y  # B y_{k-1}, which step k reuses
         z0 = np.concatenate([self.x, self.y, self.gamma])  # z_0, shared by the HPE state and d0
 
-        schedule.validate()  # every k at once; raises ScheduleError before the reference solve
-        self.reference = ref = reference if reference is not None else reference_solve(problem)
-        self.z_star = np.concatenate([ref.x, ref.y, ref.gamma])  # the Fejer check's solution
+        # every refusal that needs no reference comes first: validation at every k,
+        # M_0, then each block's system (SubproblemError)
+        schedule.validate()
         try:  # H_0 and S_0 are their (scaled) families' anchors and R_0 the R triple, as f_0 = 1
             (H0, _, _), (R, a, s), (S0, _, _) = map(schedule.family, "HRS")
             self.M0 = assemble_Mk(H0, R.affine(a, s), S0, problem.B, theta_params.theta)
         except ValueError as exc:
             msg = f"schedule H_0 gives no metric M_0, which holds H_0^-1 / theta: {exc}"
             raise ScheduleError(msg) from exc
+        self._systems = BlockSystem(problem.f, problem.A, schedule, "R"), BlockSystem(problem.g, problem.B, schedule, "S")
+        self.reference = ref = reference if reference is not None else reference_solve(problem)
+        self.z_star = np.concatenate([ref.x, ref.y, ref.gamma])  # the Fejer check's solution
         self.d0 = compute_d0_admm(self.z_star, self.M0, z0)
         self.eta0 = theta_params.tau * self.d0**2
         # the one run state: z~ and r sums, Fejer sum, sigma, eta_0 and bounds
         self.hpe = HpeState(z0, RateBounds(self.d0, theta_params.sigma, schedule.C_S, schedule.C_P, eta0=self.eta0))
         self.k = 0
-        self._systems = None  # (x, y) BlockSystem, built on the first step
         # running pointwise best, the first iterate achieving the min max-residual:
         # its z~ and r and its table row (k and the three dual seminorms), one row
         # of each per iteration of the latest block; before it, k = 0 at +inf duals
@@ -548,17 +550,12 @@ class VmPadmmRun:
         in the pass of the block the step is certified in
         (:meth:`certified_blocks`), with every check against the paper's
         guarantees.  A step refuses nothing of its own: a block that no solve
-        could be formed for is refused once, when its system is built on the
-        first step (:class:`BlockSystem`)."""
+        could be formed for is refused once, when the run builds its system
+        (:class:`BlockSystem`)."""
         k = self.k + 1
         if k > self.schedule.k_max:
             raise ValueError(f"schedule horizon k_max={self.schedule.k_max} exhausted")
         problem, schedule = self.problem, self.schedule
-        if self._systems is None:
-            self._systems = (
-                BlockSystem(problem.f, problem.A, schedule, "R"),
-                BlockSystem(problem.g, problem.B, schedule, "S"),
-            )
         b, (x_system, y_system) = problem.b, self._systems
         x_prev, y_prev, gamma_prev, By_prev = self.x, self.y, self.gamma, self._By
 

@@ -6,6 +6,8 @@ instances and writes an aggregate report.  Exit codes: 0 every verification
 passes, 2 verification failure, 1 I/O, flag or configuration error or an
 input the solver does not support.  ``--verify`` only selects which check
 groups' per-k rows the report lists; the verdict covers every group.
+What every solve of a command shares (the flags, the schedule path and
+sigma(theta)) is decided once, before the first solve.
 """
 
 from __future__ import annotations
@@ -48,11 +50,10 @@ def parse_generator_spec(spec: str, seed_override: int | None = None) -> Problem
         seed = int(seed_s)
     except ValueError as exc:
         raise ConfigError(f"bad dims/seed in generator spec {spec!r}: {exc}") from exc
-    if seed_override is not None:
+    if seed_override is not None:  # main refuses a negative --seed
         seed = seed_override
-    if seed < 0:
-        where = "--seed" if seed_override is not None else f"generator spec {spec!r}"
-        raise ConfigError(f"seed must be >= 0, got {seed} from {where}")
+    elif seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed} from generator spec {spec!r}")
     try:
         return generate(kind, dims, seed)
     except ValueError as exc:
@@ -75,30 +76,43 @@ def _load_problem_arg(arg: str, seed_override: int | None) -> ProblemSpec:
         raise ConfigError(f"malformed problem file {arg}: {_reason(exc)}") from exc
 
 
-def run_solve(args) -> int:
-    """Run one certified solve; writes the CSV log and JSON report."""
-    verify = [f.strip() for f in args.verify.split(",") if f.strip()]
-    if not verify:
+def _decide_run_flags(args) -> None:
+    """Decide once per command what every solve of it shares: the ``--verify``
+    groups (``args.groups``), the stopping flags, ``--seed``, that the
+    schedule file exists, and sigma(theta) (``args.params``)."""
+    args.groups = [f.strip() for f in args.verify.split(",") if f.strip()]
+    if not args.groups:
         raise ConfigError(f"--verify names no check group; choose from {VERIFY_FLAGS}")
-    for f in verify:
+    for f in args.groups:
         if f not in VERIFY_FLAGS:
             raise ConfigError(f"unknown verify flag {f!r}; choose from {VERIFY_FLAGS}")
     if not (args.rho > 0 and args.eps > 0) or args.max_iters < 1:
         raise ConfigError("rho and eps must be positive and max_iters >= 1")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed} from --seed")
+    if not os.path.exists(args.schedule):
+        raise ConfigError(f"schedule file not found: {args.schedule}")
+    try:
+        args.params = compute_sigma_theta(args.theta, margin=args.sigma_margin)
+    except (ValueError, RuntimeError) as exc:
+        raise ConfigError(str(exc)) from exc
 
+
+def run_solve(args) -> int:
+    """Run one certified solve under the flags ``main`` decided; writes the
+    CSV log and JSON report."""
+    verify, params = args.groups, args.params
     problem = _load_problem_arg(args.problem, args.seed)
     try:
         schedule = load_schedule(args.schedule, problem.dims, A=problem.A)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ConfigError(f"malformed schedule file {args.schedule}: {_reason(exc)}") from exc
     try:
-        params = compute_sigma_theta(args.theta, margin=args.sigma_margin)
-    except (ValueError, RuntimeError) as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        run = VmPadmmRun(problem, schedule, params)  # validates the schedule first
+        run = VmPadmmRun(problem, schedule, params)  # refuses what it can before the reference solve
     except ScheduleError as exc:  # a failed validation, or H_0 gives no M_0
         raise ConfigError(str(exc)) from exc
+    except SubproblemError as exc:  # a block's system cannot be built
+        raise ConfigError(f"subproblem: {exc}") from exc
     except (ValueError, RuntimeError) as exc:  # reference solve rejected the problem or hit its cap
         raise ConfigError(f"reference solve: {exc}") from exc
     if args.max_iters > schedule.k_max:
@@ -294,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _decide_run_flags(args)
         if args.command == "solve":
             return run_solve(args)
         return run_batch(args)

@@ -188,13 +188,6 @@ class FunctionDescriptor:
             X = np.clip(X, self.lower, self.upper)
         return X
 
-    def to_dict(self) -> dict:
-        if self.kind == "quadratic":
-            return {"type": "quadratic", "Q": self.Q.tolist(), "q": self.q.tolist()}
-        if self.kind == "l1":
-            return {"type": "l1", "lambda": self.lam}
-        return {"type": "box", "l": self.lower.tolist(), "u": self.upper.tolist()}
-
 
 def descriptor_from_dict(desc: dict, dim: int, name: str) -> FunctionDescriptor:
     """The descriptor of the JSON object ``desc`` for the block ``name``."""
@@ -228,7 +221,6 @@ class ProblemSpec:
     B: np.ndarray
     b: np.ndarray
     name: str = ""
-    seed: int | None = None
 
     def __post_init__(self):
         A = finite_array(self.A, "A")
@@ -244,16 +236,6 @@ class ProblemSpec:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.f.dim, self.g.dim, self.b.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
-            "b": self.b.tolist(),
-            "f": self.f.to_dict(),
-            "g": self.g.to_dict(),
-        }
 
 
 def problem_from_dict(data: dict) -> ProblemSpec:
@@ -309,7 +291,7 @@ def generate(kind: str, dims, seed: int) -> ProblemSpec:
         c = rng.normal(size=n)
         f = FunctionDescriptor("quadratic", n, Q=np.eye(n), q=-c)
         g = FunctionDescriptor("l1", m, lam=0.1)
-        return ProblemSpec(f, g, A, -np.eye(m), np.zeros(m), name=f"lasso-{n}x{m}-s{seed}", seed=seed)
+        return ProblemSpec(f, g, A, -np.eye(m), np.zeros(m), name=f"lasso-{n}x{m}-s{seed}")
     if kind == "box_qp":
         (n,) = dims
         m = max(1, n // 2)
@@ -324,7 +306,7 @@ def generate(kind: str, dims, seed: int) -> ProblemSpec:
         A = rng.normal(size=(m, n)) / np.sqrt(n)
         y_hat = np.clip(rng.normal(size=m), lo, hi)
         b = A @ rng.normal(size=n) + y_hat
-        return ProblemSpec(f, g, A, np.eye(m), b, name=f"box_qp-{n}-s{seed}", seed=seed)
+        return ProblemSpec(f, g, A, np.eye(m), b, name=f"box_qp-{n}-s{seed}")
     n_x, n_y, m = dims  # consensus_ls
     _check_dims(n_x, m)
     _check_dims(n_y, m)
@@ -335,7 +317,7 @@ def generate(kind: str, dims, seed: int) -> ProblemSpec:
     A = rng.normal(size=(m, n_x)) / np.sqrt(n_x)
     B = rng.normal(size=(m, n_y)) / np.sqrt(n_y)
     b = A @ rng.normal(size=n_x) + B @ rng.normal(size=n_y)
-    return ProblemSpec(f, g, A, B, b, name=f"consensus_ls-{n_x}x{n_y}x{m}-s{seed}", seed=seed)
+    return ProblemSpec(f, g, A, B, b, name=f"consensus_ls-{n_x}x{n_y}x{m}-s{seed}")
 
 
 def _check_dims(n: int, m: int):

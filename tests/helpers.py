@@ -9,7 +9,8 @@ unfactored and unvectorized forms of the reference ADMM and the sigma scan.
 ``realized_step`` forms a solver step from each family's (anchor, a, s)
 formula, ``dense_realized`` the operators of a schedule at k as dense
 matrices, and ``applied`` the matrix an operator or a view applies.
-``ZERO_F_PROBLEM`` is a problem JSON with a zero f and n_x > m.
+``ZERO_F_PROBLEM`` is a problem JSON with a zero f and n_x > m, and
+``problem_to_dict`` writes a problem as such a JSON object.
 ``break_second_stacked_call`` falsifies one row of one certificate's
 membership distance.
 """
@@ -30,6 +31,19 @@ ZERO_F_PROBLEM = {  # n_x > m: a singular x-system, and a singular KKT system
     "A": [[1.0, 0.5, 0.0, 0.2], [0.0, 1.0, 0.3, 0.4]], "B": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, -1.0],
     "f": {"type": "zero"}, "g": {"type": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.5, -0.5]},
 }
+
+
+def problem_to_dict(p) -> dict:
+    """The JSON object of a ``ProblemSpec``, or of one ``FunctionDescriptor``,
+    that ``problem_from_dict`` reads back."""
+    if isinstance(p, FunctionDescriptor):
+        if p.kind == "quadratic":
+            return {"type": "quadratic", "Q": p.Q.tolist(), "q": p.q.tolist()}
+        if p.kind == "l1":
+            return {"type": "l1", "lambda": p.lam}
+        return {"type": "box", "l": p.lower.tolist(), "u": p.upper.tolist()}
+    return {"name": p.name, "A": p.A.tolist(), "B": p.B.tolist(), "b": p.b.tolist(),
+            "f": problem_to_dict(p.f), "g": problem_to_dict(p.g)}
 
 
 def identity(dim, scale=1.0):

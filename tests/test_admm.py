@@ -331,14 +331,9 @@ class TestFactoredSubproblems:
         p = ProblemSpec(f, FunctionDescriptor("l1", 2, lam=0.1), np.eye(2), np.diag([1.0, 0.0]), np.ones(2))
         with pytest.raises(ValueError, match="separable prox step requires a positive diagonal"):
             reference_solve(p)
-        run = VmPadmmRun(p, constant_schedule(p.dims, 3), compute_sigma_theta(1.0),
-                         reference=self.dummy_reference(p))
-        blocks = []
+        # the run refuses the block when it builds the block's system, before the reference solve
         with pytest.raises(SubproblemError, match="^l1 subproblem needs positive diagonal curvature$"):
-            for blk in run.certified_blocks(3, rho=0.0, eps=0.0):
-                blocks.append(blk)
-        # the first step raised: nothing certified, the run stands at z_0
-        assert blocks == [] and run.k == run.hpe.k == 0
+            VmPadmmRun(p, constant_schedule(p.dims, 3), compute_sigma_theta(1.0))
 
     @pytest.mark.parametrize("g", [
         FunctionDescriptor("l1", 2, lam=0.1), FunctionDescriptor("box", 2, lower=-np.ones(2), upper=np.ones(2)),
@@ -436,12 +431,21 @@ class TestStepArithmetic:
     @pytest.mark.parametrize("case", [c for c in _STEP_CASES if "linearized" not in c])
     def test_no_operator_per_step(self, case, monkeypatch):
         run = _step_run(case)
-        run.step()  # the first step builds the block systems
         views, affine = [], PsdOperator.affine
         monkeypatch.setattr(PsdOperator, "affine", lambda self, a, b: views.append(b) or affine(self, a, b))
-        for _ in range(2, 41):
+        for _ in range(40):
             run.step()
         assert run.k == 40 and views == []
+
+    def test_step_builds_no_block_system(self, monkeypatch):
+        # the run builds both block systems when it is constructed; a step only forms the iterate
+        built, init = [], BlockSystem.__init__
+        monkeypatch.setattr(BlockSystem, "__init__", lambda system, *a: built.append(a[-1]) or init(system, *a))
+        run = _step_run("dense_h_scaled_r_scaled_s")
+        assert built == ["R", "S"]
+        for _ in range(40):
+            run.step()
+        assert run.k == 40 and built == ["R", "S"]
 
     @pytest.mark.parametrize("case", list(_STEP_CASES))
     def test_no_residual_work_per_step(self, case, monkeypatch):
@@ -453,8 +457,7 @@ class TestStepArithmetic:
             monkeypatch.setattr(BlockSystem, name, lambda system, *a, _n=name, _fn=fn: calls.append(
                 (_n, system)) or _fn(system, *a))
         run = _step_run(case)
-        run.step()  # the first step builds the block systems
-        for _ in range(2, 41):
+        for _ in range(40):
             run.step()
         assert run.k == 40 and calls == []
         run = _step_run(case)

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import ZERO_F_PROBLEM, break_second_stacked_call
+from helpers import ZERO_F_PROBLEM, break_second_stacked_call, problem_to_dict
 
-from vmpadmm.admm import VmPadmmRun, compute_sigma_theta
+from vmpadmm.admm import SubproblemError, VmPadmmRun, compute_sigma_theta
 from vmpadmm.cli import CSV_COLUMNS, main, parse_generator_spec
-from vmpadmm.problems import generate
-from vmpadmm.schedule import schedule_from_dict
+from vmpadmm.problems import generate, problem_from_dict
+from vmpadmm.schedule import ScheduleError, schedule_from_dict
 
 CONSTANT_SCHEDULE = {
     "H": {"type": "scaled_identity", "scale": 1.0},
@@ -179,7 +179,7 @@ class TestSolveCommand:
 
     def test_json_problem_report_ignores_seed(self, schedule_file, tmp_path):
         # --seed only overrides gen: seeds; certification draws no random numbers
-        problem = write_json(tmp_path / "box.json", generate("box_qp", 10, 3).to_dict())
+        problem = write_json(tmp_path / "box.json", problem_to_dict(generate("box_qp", 10, 3)))
         for seed in ("1", "2"):
             assert main(solve_args(schedule_file, tmp_path, tag=f"s{seed}", problem=problem, seed=seed)) == 0
         assert (tmp_path / "s1.json").read_bytes() == (tmp_path / "s2.json").read_bytes()
@@ -247,6 +247,42 @@ def linearized_schedule(tmp_path):
     return write_json(tmp_path / "linearized.json", cfg)
 
 
+# A = 0, B = I, b = (5, 5), f = 0.5 ||x||^2 and y in [-1, 1]^2: no feasible point
+INFEASIBLE_BOX = {
+    "A": [[0.0, 0.0], [0.0, 0.0]], "B": [[1.0, 0.0], [0.0, 1.0]], "b": [5.0, 5.0],
+    "f": {"type": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0]},
+    "g": {"type": "box", "l": [-1.0, -1.0], "u": [1.0, 1.0]},
+}
+# the curvature-less y-block: B = diag(1, 0) and S = 0 leave y_2 without curvature
+NO_CURVATURE = {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 0.0]], "b": [1.0, 1.0], "f": {"type": "zero"}}
+# case: (problem, schedule, the library's error, the start of the CLI's line)
+SETUP_REFUSALS = {
+    "dense_s_box_g": (
+        problem_to_dict(generate("box_qp", 10, 2)),
+        dict(CONSTANT_SCHEDULE, S={"type": "dense", "matrix": [[1.0 if i == j else 0.1 for j in range(5)] for i in range(5)]}),
+        SubproblemError, "error: subproblem: box subproblem needs a diagonal quadratic part",
+    ),
+    "l1_without_curvature": (
+        dict(NO_CURVATURE, g={"type": "l1", "lambda": 0.1}), CONSTANT_SCHEDULE,
+        SubproblemError, "error: subproblem: l1 subproblem needs positive diagonal curvature",
+    ),
+    "box_without_curvature": (
+        dict(NO_CURVATURE, g={"type": "box", "l": [-1.0, -1.0], "u": [1.0, 1.0]}), CONSTANT_SCHEDULE,
+        SubproblemError, "error: subproblem: box subproblem needs positive diagonal curvature",
+    ),
+    "overflowing_system": (
+        {"A": [[1e200, 1.0]], "B": [[1.0]], "b": [1.0],
+         "f": {"type": "quadratic", "Q": [[1e200, 0.0], [0.0, 1.0]], "q": [0.0, 0.0]}, "g": {"type": "zero"}},
+        dict(CONSTANT_SCHEDULE, c={"c0": 0.5, "law": "inverse_square"}),
+        SubproblemError, "error: subproblem: x-subproblem system A^T H_0 A + R_0 overflows",
+    ),
+    "no_m0": (
+        problem_to_dict(generate("lasso", (10, 5), 1)), dict(CONSTANT_SCHEDULE, H={"type": "scaled_identity", "scale": 2e12}),
+        ScheduleError, "error: schedule H_0 gives no metric M_0",
+    ),
+}
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize("key,value", [
         ("A", [[float("nan"), 0.0], [0.0, 1.0]]),
@@ -296,7 +332,7 @@ class TestErrorPaths:
         ("problem", ": missing field 'lambda'", {"g": {"type": "l1"}}),
     ])
     def test_wrong_typed_value_is_one_line(self, tmp_path, capsys, kind, field, over):
-        problem = generate("lasso", (2, 2), 1).to_dict()
+        problem = problem_to_dict(generate("lasso", (2, 2), 1))
         schedule = dict(CONSTANT_SCHEDULE)
         doc = problem if kind == "problem" else schedule
         if over is None:
@@ -319,12 +355,15 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "No such file or directory" in err and "missing" in err
 
-    def test_non_diagonal_btb_reference_is_one_line(self, schedule_file, tmp_path, capsys):
-        # an l1 g whose B^T B is not diagonal: the reference ADMM has no separable prox step
+    def test_non_diagonal_btb_reference_is_one_line(self, tmp_path, capsys):
+        # an l1 g whose B^T B is not diagonal: the reference ADMM has no separable prox step;
+        # S_0 = [[1, -1], [-1, 1]] makes the solver's own y-system B^T H_0 B + S_0 = 2 I diagonal
         doc = {"A": [[1.0]], "B": [[1.0, 1.0]], "b": [1.0],
                "f": {"type": "quadratic", "Q": [[1.0]], "q": [0.0]}, "g": {"type": "l1", "lambda": 0.1}}
         problem = write_json(tmp_path / "coupled.json", doc)
-        assert main(solve_args(schedule_file, tmp_path, problem=problem)) == 1
+        sched = write_json(tmp_path / "coupling_s.json",
+                           dict(CONSTANT_SCHEDULE, S={"type": "dense", "matrix": [[1.0, -1.0], [-1.0, 1.0]]}))
+        assert main(solve_args(sched, tmp_path, problem=problem)) == 1
         err = capsys.readouterr().err
         assert err == "error: reference solve: plain ADMM needs B^T B diagonal for l1/box g\n"
 
@@ -558,6 +597,40 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err == "error: subproblem: x-subproblem system A^T H_0 A + R_0 overflows\n"
 
+    @pytest.mark.filterwarnings("error")  # no RuntimeWarning on the way to the error line
+    @pytest.mark.parametrize("case", list(SETUP_REFUSALS))
+    def test_setup_refusal_needs_no_reference(self, case, tmp_path, capsys, monkeypatch):
+        # validation, M_0 and both block systems come before the reference solve
+        def no_reference(problem):
+            raise AssertionError("reference_solve called on a run that set-up refuses")
+
+        monkeypatch.setattr("vmpadmm.admm.reference_solve", no_reference)
+        doc, sched_doc, error, line = SETUP_REFUSALS[case]
+        problem = problem_from_dict(doc)
+        with pytest.raises(error) as exc:
+            VmPadmmRun(problem, schedule_from_dict(sched_doc, problem.dims, A=problem.A), compute_sigma_theta(1.0))
+        problem_path = write_json(tmp_path / "problem.json", doc)
+        assert main(solve_args(write_json(tmp_path / "schedule.json", sched_doc), tmp_path, problem=problem_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(line) and err.count("\n") == 1
+        assert str(exc.value) in err
+
+    @pytest.mark.parametrize("over", [
+        {"S": {"type": "dense", "matrix": [[1.0, 0.1], [0.1, 1.0]]}},
+        {"H": {"type": "scaled_identity", "scale": 1e13}},
+    ], ids=["dense_s", "h_1e13"])
+    def test_refusal_does_not_wait_for_a_reference_that_cannot_finish(self, over, tmp_path, capsys):
+        # b = (5, 5) lies outside B y for y in [-1, 1]^2 while A = 0: the reference
+        # runs toward its iteration cap, and the schedule is refused before it starts
+        problem = write_json(tmp_path / "infeasible_box.json", INFEASIBLE_BOX)
+        sched = write_json(tmp_path / "refused.json", dict(CONSTANT_SCHEDULE, **over))
+        t0 = time.perf_counter()
+        assert main(solve_args(sched, tmp_path, problem=problem)) == 1
+        assert time.perf_counter() - t0 < 2.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("B^T H_0 B + S_0 must be diagonal" if "S" in over else "schedule H_0 gives no metric M_0") in err
+
     def test_huge_horizon_fails_fast(self, tmp_path, capsys):
         sched = write_json(tmp_path / "huge.json", dict(CONSTANT_SCHEDULE, k_max=10**12))
         t0 = time.perf_counter()
@@ -726,6 +799,36 @@ class TestBatchCommand:
         ])
         assert code == 1
         assert "empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("theta", "7"), ("verify", "bogus"), ("verify", ","), ("rho", "-1"), ("max-iters", "0"),
+        ("sigma-margin", "nan"), ("seed", "-1"), ("schedule", None),
+    ])
+    def test_bad_run_flag_is_refused_once(self, schedule_file, tmp_path, capsys, flag, value):
+        # a flag every instance shares is decided before the first solve: solve's
+        # line, exit 1 and no output directory, not an error per instance and exit 2
+        value = str(tmp_path / "missing.json") if value is None else value
+        assert main(solve_args(schedule_file, tmp_path, **{flag: value})) == 1
+        line = capsys.readouterr().err
+        assert line.startswith("error: ") and line.count("\n") == 1
+        argv = ["batch", "--corpus", "gen:lasso:8x4:1,gen:box_qp:10:2", "--schedule", schedule_file,
+                "--theta", "1.0", "--max-iters", "30", "--out-dir", str(tmp_path / "b7"), f"--{flag}", value]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == line and captured.out == ""
+        assert not (tmp_path / "b7").exists()
+
+    def test_sigma_theta_is_computed_once_per_batch(self, schedule_file, tmp_path, monkeypatch):
+        import vmpadmm.cli
+
+        calls = []
+        monkeypatch.setattr(vmpadmm.cli, "compute_sigma_theta",
+                            lambda *a, **k: calls.append(a) or compute_sigma_theta(*a, **k))
+        assert main([
+            "batch", "--corpus", "gen:lasso:8x4:1,gen:lasso:8x4:2,gen:box_qp:10:2", "--schedule", schedule_file,
+            "--theta", "1.0", "--max-iters", "30", "--out-dir", str(tmp_path / "b8"),
+        ]) == 0
+        assert calls == [(1.0,)]
 
     @pytest.mark.parametrize("text,message", [
         (None, "corpus file not found: "),

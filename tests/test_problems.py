@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import ZERO_F_PROBLEM, plain_admm_per_iteration_solve, sampled_eps_check, subgradient
+from helpers import ZERO_F_PROBLEM, plain_admm_per_iteration_solve, problem_to_dict, sampled_eps_check, subgradient
 
 import vmpadmm.problems
 from vmpadmm.admm import eps_subdifferential_checks
@@ -60,7 +60,7 @@ class TestGenerators:
         pinned = FunctionDescriptor(
             "box", p.g.dim, lower=np.zeros(p.g.dim), upper=np.zeros(p.g.dim)
         )
-        q = problem_from_dict(dict(p.to_dict(), g=pinned.to_dict()))
+        q = problem_from_dict(dict(problem_to_dict(p), g=problem_to_dict(pinned)))
         # keep feasibility: y = 0 needs b in range(A), which holds (A is wide)
         ref = reference_solve(q, accuracy=1e-9)
         np.testing.assert_allclose(ref.y, np.zeros(p.g.dim), atol=1e-8)
@@ -303,7 +303,7 @@ class TestDescriptorValues:
 
     def test_roundtrip_serialization(self):
         p = generate("box_qp", 6, 9)
-        q = problem_from_dict(p.to_dict())
+        q = problem_from_dict(problem_to_dict(p))
         np.testing.assert_array_equal(p.A, q.A)
         np.testing.assert_array_equal(p.g.lower, q.g.lower)
         assert q.f.kind == "quadratic"
@@ -313,7 +313,7 @@ class TestDescriptorValues:
         assert desc.kind == "quadratic"
         np.testing.assert_array_equal(desc.Q, np.zeros((3, 3)))
         np.testing.assert_array_equal(desc.q, np.zeros(3))
-        assert desc.to_dict() == {"type": "quadratic", "Q": np.zeros((3, 3)).tolist(), "q": [0.0] * 3}
+        assert problem_to_dict(desc) == {"type": "quadratic", "Q": np.zeros((3, 3)).tolist(), "q": [0.0] * 3}
         with pytest.raises(ValueError, match="dim"):
             FunctionDescriptor("zero", 0)
 
