@@ -7,9 +7,11 @@ proximal-point driver (:mod:`vmpadmm.hpe`): the embedding constants
 (sigma, tau, eta_k) are computed here, and the pointwise / ergodic KKT
 residual certificates with their theoretical rate bounds are exposed at the
 current k.  :meth:`VmPadmmRun.certified_blocks` is the one solve loop: it
-steps, certifies each block of up to ``_BLOCK`` steps in one pass over its
-stacked rows at every dimension, and applies the stopping rules; one
-iteration is a block of one row, and so is the state after a run.  A
+steps, certifies each block of steps in one pass over its stacked rows at
+every dimension, and applies the stopping rules; one iteration is a block of
+one row, and so is the state after a run.  A block is sized by memory
+(:func:`_block_rows`): ``_BLOCK`` = 32 steps from product-space dimension
+64 up, and about ``_BLOCK_FLOATS`` floats per stacked row array below it.  A
 step forms only the next iterate, keeping each solve's linear term; the pass
 checks first that each step of the block is exact (each solve's system test
 and optimality oracle, by one product per block for all its rows, and the
@@ -47,9 +49,24 @@ _MEMBERSHIP_TOL = 1e-8
 _THETA_EXCLUSION = 1e-12
 _SIGMA_GRID = 10_000  # points of the uniform scan in compute_sigma_theta
 # Steps taken before they are certified, all of them in one pass at every
-# dimension.  Blocks of 64 rows raised the benchmark's peak RSS by 6.6% at
-# n = 400 (lasso 200x100), because the allocator keeps the heap they grow.
+# dimension: _block_rows(dim) of them.  At least _BLOCK: blocks of 64 rows
+# raised the benchmark's peak RSS by 6.6% at n = 400 (lasso 200x100),
+# because the allocator keeps the heap they grow.  Below dimension 64 a block
+# holds about _BLOCK_FLOATS floats per stacked row array (102 rows at
+# dimension 20, 45 at 45), because there a pass's fixed cost outweighs its
+# rows' arithmetic: small_sweep's wall_s fell by 14.5%.  Budgets of 3072 and
+# 4096 floats were faster (-18% to -22%, -23%) but read the benchmark's peak
+# RSS 7% higher: the benchmark keeps about 0.17 MB per pass, so a faster pass
+# reads as a higher peak, while at a matched pass count the 4096 budget
+# moved it by 0.3-0.4 MB.
 _BLOCK = 32
+_BLOCK_FLOATS = 2048
+
+
+def _block_rows(dim: int) -> int:
+    """Steps per certification block at product-space dimension ``dim``
+    (n_x + n_y + m); the one place the block length is decided."""
+    return max(_BLOCK, _BLOCK_FLOATS // dim)
 
 
 class SubproblemError(RuntimeError):
@@ -573,10 +590,11 @@ class VmPadmmRun:
 
     def certified_blocks(self, max_iters: int, rho: float, eps: float):
         """Step up to ``max_iters`` times, but not past the schedule horizon
-        k_max, and certify the steps ``_BLOCK`` at a time: the checks that
-        each step is exact (its solves' system tests and optimality oracles
-        and its gamma residual identity) and every check of the paper's
-        guarantees are made
+        k_max, and certify the steps a block at a time, ``_block_rows(dim)``
+        of them at product-space dimension dim (32 from dim = 64 up,
+        2048 // dim below: 102 at dim = 20): the checks that each step is
+        exact (its solves' system tests and optimality oracles and its gamma
+        residual identity) and every check of the paper's guarantees are made
         in one pass over the block's stacked rows.  Yields a
         :class:`CertifiedBlock` per block.
 
@@ -593,14 +611,14 @@ class VmPadmmRun:
         """
         if self.k != self.hpe.k:
             raise ValueError(f"steps k = {self.hpe.k + 1}..{self.k} were taken by step() and are not certified")
-        first = (None, None)
+        first, rows = (None, None), _block_rows(self.M0.dim)
         left = min(max_iters, self.schedule.k_max - self.k)
         while left > 0:
             n, error = 0, None
             # z_k, z~_k, z_{k-1} - z_k, r_k and (q_x, q_y, A x_k + B y_k - b) of each
             # step as a row; a step's vectors are copied in here as it is taken
             # and not kept elsewhere
-            stacks = np.empty((5, min(_BLOCK, left), self.M0.dim))
+            stacks = np.empty((5, min(rows, left), self.M0.dim))
             columns = [*self.M0.split(stacks[0]), self.M0.split(stacks[1])[2], *self.M0.split(stacks[4])]
             before = (self.k, self.x, self.y, self.gamma, self._By)
             try:

@@ -13,7 +13,6 @@ sigma(theta)) is decided once, before the first solve.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -80,7 +79,7 @@ def _decide_run_flags(args) -> None:
     """Decide once per command what every solve of it shares: the ``--verify``
     groups (``args.groups``), the stopping flags, ``--seed``, that the
     schedule file exists, and sigma(theta) (``args.params``)."""
-    args.groups = [f.strip() for f in args.verify.split(",") if f.strip()]
+    args.groups = list(dict.fromkeys(f.strip() for f in args.verify.split(",") if f.strip()))
     if not args.groups:
         raise ConfigError(f"--verify names no check group; choose from {VERIFY_FLAGS}")
     for f in args.groups:
@@ -122,7 +121,7 @@ def run_solve(args) -> int:
             file=sys.stderr,
         )
     try:
-        columns, checks, worst, (first_pw, first_erg) = _drive(run, args.max_iters, args.rho, args.eps)
+        lines, checks, worst, (first_pw, first_erg) = _drive(run, args.max_iters, args.rho, args.eps)
     except SubproblemError as exc:
         raise ConfigError(f"subproblem: {exc}") from exc
     except FloatingPointError as exc:  # the gamma residual identity fails beyond roundoff
@@ -147,7 +146,7 @@ def run_solve(args) -> int:
             "d0_upper_bound": run.d0,
             "eta0": run.eta0,
         },
-        "iterations": len(columns["k"]),
+        "iterations": len(lines),
         "max_iters": args.max_iters,
         "checks": {group: checks[group] for group in verify},
         "failures": failures,
@@ -159,7 +158,7 @@ def run_solve(args) -> int:
             "first_k_ergodic": _first_k(first_erg),
         },
     }
-    _write_csv(args.log, columns)
+    _write_csv(args.log, lines)
     _write_json(args.report, doc)
     args.worst_slack = worst  # read by run_batch, which calls this per instance
     return 0 if all_pass else 2
@@ -170,13 +169,15 @@ def _first_k(k):
 
 
 def _drive(run: VmPadmmRun, iters: int, rho: float, eps: float):
-    """Consume the solver's certified blocks, collecting the CSV columns and,
-    for every group of ``block.checks``, per-k outcomes as
-    ``[k, ok, slack]`` rows; returns (columns, checks, worst, first_k),
-    where ``worst`` maps each check name to the ``[k, slack]`` of its
-    smallest slack (the first such k) and ``first_k`` is the pair of first k
-    at which the pointwise and the ergodic stopping rule held (or None)."""
-    columns: dict[str, list] = {c: [] for c in CSV_COLUMNS}
+    """Consume the solver's certified blocks, turning each block's columns
+    into output in whole-column operations: its CSV lines, and for every
+    group of ``block.checks`` its per-k outcomes as ``(k, ok, slack)`` rows,
+    k by k and within a k in the group's order.  Returns (lines, checks,
+    worst, first_k), where ``worst`` maps each check name to the
+    ``[k, slack]`` of its smallest slack (the first such k) and ``first_k``
+    is the pair of first k at which the pointwise and the ergodic stopping
+    rule held (or None)."""
+    lines: list[str] = []
     checks: dict[str, list] = {f: [] for f in VERIFY_FLAGS}
     worst: dict[str, list] = {}
     first_k = (None, None)
@@ -187,37 +188,39 @@ def _drive(run: VmPadmmRun, iters: int, rho: float, eps: float):
             erg.dual_max, erg.bound_residual, erg.eps_x, erg.eps_y, erg.eps_x + erg.eps_y, erg.bound_eps,
             it.eta, hc.lhs, hc.rhs, hc.slack,
         )
-        for name, column in zip(CSV_COLUMNS, values):
-            columns[name] += column.tolist()
-        ks = it.k.tolist()
+        lines += _csv_lines(values)
         block_checks = blk.checks
         for group, out in checks.items():
             group_checks = block_checks[group]
-            oks = [c.ok.tolist() for c in group_checks]
-            slacks = [c.slack.tolist() for c in group_checks]
-            for i, k in enumerate(ks):
-                out += ([k, ok[i], slack[i]] for ok, slack in zip(oks, slacks))
-            for c, slack in zip(group_checks, slacks):
-                i = int(np.argmin(c.slack))
-                if c.name not in worst or slack[i] < worst[c.name][1]:
-                    worst[c.name] = [ks[i], slack[i]]
+            ok = np.column_stack([c.ok for c in group_checks])  # a row per k, a column per check
+            slack = np.column_stack([c.slack for c in group_checks])
+            out += zip(np.repeat(it.k, len(group_checks)).tolist(), ok.ravel().tolist(), slack.ravel().tolist())
+            for c, i, least in zip(group_checks, slack.argmin(axis=0).tolist(), slack.min(axis=0).tolist()):
+                if c.name not in worst or least < worst[c.name][1]:
+                    worst[c.name] = [int(it.k[i]), least]
         first_k = (blk.first_k_pointwise, blk.first_k_ergodic)
         del blk  # not kept while the next block is certified
-    return columns, checks, worst, first_k
+    return lines, checks, worst, first_k
 
 
-def _write_csv(path, columns):
-    """One row per iteration; each float as its shortest round-trip repr."""
+def _csv_lines(columns) -> list[str]:
+    """One CSV line per row of the equal-length array ``columns``: the
+    ``repr`` of each value joined by commas, the bytes ``csv.writer`` writes
+    for ints and floats, each float as its shortest round-trip repr."""
+    return list(map(",".join, zip(*(map(repr, column.tolist()) for column in columns))))
+
+
+def _write_csv(path, lines):
+    """The header and then ``lines``, one per iteration, each ended by
+    ``csv.writer``'s "\\r\\n"."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        w.writerows(zip(*(columns[c] for c in CSV_COLUMNS)))
+        fh.write("\r\n".join([",".join(CSV_COLUMNS), *lines, ""]))
 
 
 def _write_json(path, doc):
     """One line of compact JSON with sorted keys; every value is a Python
-    scalar, list or dict.  ``json.dumps`` without ``indent`` runs the C
-    encoder; ``json.dump`` never does."""
+    scalar, list, tuple (written as an array) or dict.  ``json.dumps``
+    without ``indent`` runs the C encoder; ``json.dump`` never does."""
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
         fh.write(text)

@@ -12,7 +12,8 @@ matrices, and ``applied`` the matrix an operator or a view applies.
 ``ZERO_F_PROBLEM`` is a problem JSON with a zero f and n_x > m, and
 ``problem_to_dict`` writes a problem as such a JSON object.
 ``break_second_stacked_call`` falsifies one row of one certificate's
-membership distance.
+membership distance.  ``force_block_rows`` certifies in blocks of a given
+length at every dimension.
 """
 
 import math
@@ -195,3 +196,9 @@ def break_second_stacked_call(monkeypatch, kind, row, by=1.0):
 
     monkeypatch.setattr(FunctionDescriptor, "membership_distance", wrapped)
     return calls
+
+
+def force_block_rows(monkeypatch, rows):
+    """Certify every run in blocks of ``rows`` steps, whatever its dimension:
+    patches ``admm._block_rows``, the one place the block length is decided."""
+    monkeypatch.setattr("vmpadmm.admm._block_rows", lambda dim: rows)

@@ -10,6 +10,7 @@ from helpers import (
     applied,
     break_second_stacked_call,
     dense_realized,
+    force_block_rows,
     identity,
     realized_step,
     sampled_eps_check,
@@ -18,7 +19,6 @@ from helpers import (
 )
 from test_acceptance import INSTANCES, make_schedule
 
-from vmpadmm import admm
 from vmpadmm.admm import (
     _THETA_EXCLUSION,
     AdmmStep,
@@ -315,8 +315,8 @@ class TestFactoredSubproblems:
         assert miss[0] > tol[0]  # the solve misses its system; the block's pass raises for it
         cfg = {"H": {"type": "scaled_identity", "scale": 1.0}, "R": {"type": "zero"},
                "S": {"type": "zero"}, "c": self.DRIFT}
-        for size in (admm._BLOCK, 1):
-            monkeypatch.setattr("vmpadmm.admm._BLOCK", size)
+        for rows in (32, 1):
+            force_block_rows(monkeypatch, rows)
             run = VmPadmmRun(p, schedule_from_dict(dict(cfg, k_max=3), p.dims), compute_sigma_theta(1.0),
                              reference=self.dummy_reference(p))
             with pytest.raises(SubproblemError, match="^x-subproblem quadratic part is singular at k = 1: residual "):
@@ -461,6 +461,7 @@ class TestStepArithmetic:
             run.step()
         assert run.k == 40 and calls == []
         run = _step_run(case)
+        force_block_rows(monkeypatch, 32)
         blocks = list(run.certified_blocks(40, rho=0.0, eps=0.0))
         assert [len(blk) for blk in blocks] == [32, 8]
         per_pass = [(name, system) for system in run._systems for name in ("residuals", "metric_apply")]
@@ -808,7 +809,7 @@ class TestRunState:
         assert ks == list(range(1, 21))  # a Fejer check at every k
 
     def test_seminorm_calls_per_iteration(self, monkeypatch):
-        monkeypatch.setattr("vmpadmm.admm._BLOCK", 16)
+        force_block_rows(monkeypatch, 16)
         blocks = self.run.certified_blocks(30, rho=0.0, eps=0.0)
         next(blocks)
         calls = []
@@ -836,12 +837,12 @@ class TestRunState:
         post_init, init = BlockDiagOperator.__post_init__, _RowViews.__init__
         monkeypatch.setattr(BlockDiagOperator, "__post_init__", lambda op: calls.append(op) or post_init(op))
         monkeypatch.setattr(_RowViews, "__init__", lambda op, *a: views.append(op) or init(op, *a))
-        monkeypatch.setattr("vmpadmm.admm._BLOCK", 32)
+        force_block_rows(monkeypatch, 32)
         run = VmPadmmRun(self.p, schedule_from_dict(dict(self.DRIFT, k_max=32), self.p.dims), self.params)
         calls.clear(), views.clear()  # M_0's, built with the run
         (blk,) = run.certified_blocks(32, rho=0.0, eps=0.0)
         assert len(blk) == 32 and len(calls) <= 2 and len(views) <= 7
-        monkeypatch.setattr("vmpadmm.admm._BLOCK", 16)
+        force_block_rows(monkeypatch, 16)
         calls.clear(), views.clear()
         blocks = list(self.run.certified_blocks(30, rho=0.0, eps=0.0))
         assert [len(blk) for blk in blocks] == [16, 14]
@@ -936,10 +937,12 @@ class TestBlockStop:
         k = run.k
         return first, k, one_row_blocks(run.certified_blocks(5, rho=0.0, eps=0.0))
 
-    @pytest.mark.parametrize("block", [admm._BLOCK, 2], ids=["one_pass", "passes_of_two"])
+    @pytest.mark.parametrize("block", [None, 32, 2], ids=["one_pass", "passes_of_32", "passes_of_two"])
     def test_stop_inside_a_block(self, block, monkeypatch):
-        # k = 22 lies inside the first default block, and ends a block of two
-        monkeypatch.setattr("vmpadmm.admm._BLOCK", block)
+        # k = 22 lies inside the first block of the dimension's length (102
+        # rows at dimension 20) and of 32 rows, and ends a block of two
+        if block:
+            force_block_rows(monkeypatch, block)
         p = generate("lasso", (10, 5), 3)
         sched = constant_schedule(p.dims, 40, h_scale=1.0)
         first, k, more = self.two_calls(p, sched)
@@ -947,7 +950,7 @@ class TestBlockStop:
         stop = (first[-1].first_k_pointwise, first[-1].first_k_ergodic)
         assert max(stop) == 22
         assert [int(s.iterate.k[0]) for s in more] == [23, 24, 25, 26, 27]
-        monkeypatch.setattr("vmpadmm.admm._BLOCK", 1)
+        force_block_rows(monkeypatch, 1)
         one_first, one_k, one_more = self.two_calls(p, sched)
         assert one_k == 22 and len(one_first) == 22
         assert (one_first[-1].first_k_pointwise, one_first[-1].first_k_ergodic) == stop
@@ -997,7 +1000,7 @@ class TestBlockStop:
             return (last.pointwise, last.ergodic), (run.pointwise_kkt_certificate(), run.ergodic_kkt_certificate())
 
         yielded, read = stop_and_read()
-        monkeypatch.setattr("vmpadmm.admm._BLOCK", 1)
+        force_block_rows(monkeypatch, 1)
         one_yielded, one_read = stop_and_read()
         for got, want, one, one_want in zip(read, yielded, one_read, one_yielded):
             self.assert_same_certificate(got, want)
@@ -1094,8 +1097,8 @@ class TestFailFast:
     def test_sabotaged_solve_as_one_step_at_a_time(self, block, at, rho, last, monkeypatch):
         p = generate("lasso", (10, 5), 3)
         results = []
-        for size in (admm._BLOCK, 1):
-            monkeypatch.setattr("vmpadmm.admm._BLOCK", size)
+        for rows in (32, 1):
+            force_block_rows(monkeypatch, rows)
             self.sabotage(monkeypatch, p, block, at)
             results.append(self.drive(self.run(p), rho=rho))
         (ks, error, state), (one_ks, one_error, one_state) = results
@@ -1117,8 +1120,8 @@ class TestFailFast:
         # test, which comes before the oracle, raises there
         p = generate("lasso", (10, 5), 3)
         results = []
-        for size in (admm._BLOCK, 1):
-            monkeypatch.setattr("vmpadmm.admm._BLOCK", size)
+        for rows in (32, 1):
+            force_block_rows(monkeypatch, rows)
             calls = {"x": 0}
 
             def solve(system, f, q_lin):
@@ -1160,7 +1163,7 @@ class TestFactorOnce:
     def count_decompositions(self, cfg, monkeypatch, p=None):
         # blocks of two: the iterations after the first block are stepped and
         # certified while the decompositions are counted
-        monkeypatch.setattr("vmpadmm.admm._BLOCK", 2)
+        force_block_rows(monkeypatch, 2)
         p = p or generate("lasso", (10, 5), 7)
         sched = schedule_from_dict(cfg, p.dims, A=p.A)
         run = VmPadmmRun(p, sched, compute_sigma_theta(1.0))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import ZERO_F_PROBLEM, break_second_stacked_call, problem_to_dict
+from helpers import ZERO_F_PROBLEM, break_second_stacked_call, force_block_rows, problem_to_dict
 
 from vmpadmm.admm import SubproblemError, VmPadmmRun, compute_sigma_theta
 from vmpadmm.cli import CSV_COLUMNS, main, parse_generator_spec
@@ -87,6 +87,20 @@ class TestSolveCommand:
                 assert float(row["res_max"]) <= float(row["bound_pointwise"])
                 assert float(row["erg_res_max"]) <= float(row["bound_erg_res"])
                 assert float(row["eps_sum"]) <= float(row["bound_erg_eps"])
+
+    def test_csv_is_csv_writer_bytes(self, tmp_path):
+        # the columnar lines are the bytes csv.writer writes row by row, for
+        # an int k and floats at the edges of repr
+        from vmpadmm.cli import _csv_lines, _write_csv
+
+        edge = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e-7, 0.1, 1.0 / 3.0, 123456789.0, 1e16]
+        columns = [np.arange(1, 13), *(np.roll(edge, j) for j in range(len(CSV_COLUMNS) - 1))]
+        _write_csv(tmp_path / "lines.csv", _csv_lines(columns))
+        with open(tmp_path / "writer.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(CSV_COLUMNS)
+            w.writerows(zip(*(c.tolist() for c in columns)))
+        assert (tmp_path / "lines.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
 
     def test_rerun_is_byte_identical(self, schedule_file, tmp_path):
         main(solve_args(schedule_file, tmp_path, tag="a"))
@@ -880,6 +894,15 @@ class TestVerifyOnlyTrimsTheReport:
         drop = ("checks", "verify")
         assert {k: v for k, v in sub.items() if k not in drop} == {k: v for k, v in report.items() if k not in drop}
 
+    @pytest.mark.parametrize("verify,groups", [("hpe,hpe", ["hpe"]), ("fejer,hpe,fejer", ["fejer", "hpe"])])
+    def test_repeated_group_is_named_once(self, full, tmp_path, verify, groups):
+        # a group named twice is reported once, where it is first named
+        sched, report, _ = full
+        args = solve_args(sched, tmp_path, problem=LARGE_PENALTY_PROBLEM, max_iters="300", verify=verify)
+        assert main(args) == 2
+        sub = json.loads((tmp_path / "run.json").read_text())
+        assert sub["verify"] == groups and sub["checks"] == {g: report["checks"][g] for g in groups}
+
     def test_batch_verdict_covers_every_group(self, full, tmp_path):
         sched = full[0]
         code = main([
@@ -987,7 +1010,7 @@ class TestBlockCertification:
 
         cfg = self.linearized_drift() if schedule == "linearized_drift" else SCHEDULES[schedule]
         rows, report = self.solve(tmp_path, "block", problem, cfg, rho)
-        monkeypatch.setattr("vmpadmm.admm._BLOCK", 1)
+        force_block_rows(monkeypatch, 1)
         self.assert_same_solve(rows, report, *self.solve(tmp_path, "one", problem, cfg, rho))
 
     def test_one_pass_per_block_above_dimension_128(self, tmp_path, monkeypatch):
@@ -1000,10 +1023,30 @@ class TestBlockCertification:
         cfg = dict(CONSTANT_SCHEDULE, c={"c0": 0.5, "law": "inverse_square"})
         rows, report = self.solve(tmp_path, "block", "gen:lasso:200x100:1", cfg, "1e-6", max_iters="45")
         assert lengths == [32, 13] and report["iterations"] == 45
-        monkeypatch.setattr("vmpadmm.admm._BLOCK", 1)
+        force_block_rows(monkeypatch, 1)
         self.assert_same_solve(rows, report, *self.solve(tmp_path, "one", "gen:lasso:200x100:1", cfg, "1e-6",
                                                           max_iters="45"))
         assert lengths[2:] == [1] * 45
+
+    @pytest.mark.parametrize("problem,lengths", [
+        ("gen:lasso:10x5:1", [102, 102, 96]),  # product-space dimension 20
+        ("gen:consensus_ls:20x15x10:1", [45] * 6 + [30]),  # dimension 45
+    ])
+    def test_blocks_sized_by_memory_below_dimension_64(self, problem, lengths, tmp_path, monkeypatch):
+        # below dimension 64 a block holds 2048 // dimension rows; the CSV
+        # and JSON bytes are those of the same solve in 32-row blocks
+        seen = []
+        blocks = VmPadmmRun.certified_blocks
+        monkeypatch.setattr(VmPadmmRun, "certified_blocks",
+                            lambda run, *a: (seen.append(len(b)) or b for b in blocks(run, *a)))
+        cfg = dict(CONSTANT_SCHEDULE, c={"c0": 0.5, "law": "inverse_square"}, k_max=300)
+        _, report = self.solve(tmp_path, "block", problem, cfg, "1e-12", max_iters="300")
+        assert seen == lengths and report["iterations"] == 300
+        force_block_rows(monkeypatch, 32)
+        self.solve(tmp_path, "rows32", problem, cfg, "1e-12", max_iters="300")
+        assert seen[len(lengths):] == [32] * 9 + [12]
+        for ext in ("csv", "json"):
+            assert (tmp_path / f"block.{ext}").read_bytes() == (tmp_path / f"rows32.{ext}").read_bytes(), ext
 
     @staticmethod
     def assert_same_solve(rows, report, one_rows, one):

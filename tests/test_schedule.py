@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import applied, dense_realized, identity, zero_operator
+from helpers import applied, dense_realized, force_block_rows, identity, zero_operator
 
 from vmpadmm.admm import BlockSystem, VmPadmmRun, compute_sigma_theta
 from vmpadmm.linalg import PsdOperator, operator_leq
@@ -139,6 +139,7 @@ class TestLinearized:
         tau = 1.1 * float(np.linalg.eigvalsh(p.A.T @ p.A).max())
         sched = schedule_from_dict(linearized_cfg(tau, k_max=100), p.dims, A=p.A)
         run = VmPadmmRun(p, sched, compute_sigma_theta(1.0))
+        force_block_rows(monkeypatch, 32)
         blocks = run.certified_blocks(100, rho=0.0, eps=0.0)
         first = next(blocks).iterate.M.blocks[0]
         calls = []
