@@ -150,6 +150,15 @@ def compute_sigma_theta(theta: float, margin: float = 1e-3) -> ThetaParams:
 # -- subproblem machinery ------------------------------------------------------
 
 _EPS = np.finfo(float).eps
+# A quadratic block whitens its pencil by C = tau I + Q when
+# lambda_min(C) > _GATE (lambda_max(C) + tr K): then cond(C) < 1/_GATE and
+# ||Z^T K Z|| < 1/_GATE, so the reduction loses little (Golub & Van Loan,
+# Matrix Computations, 8.7).  Over cond(C) = 1 to 900 with tr K at 0.99 of
+# the edge (n = 30), the system test's residual, RMS over 8 instances, was
+# 1.0-2.1x T_1's (3.9x at worst for one instance).  At cond(C) = 1e12 (K =
+# A^T A, 4 instances) the C path missed that test by up to 5.4e2x its
+# tolerance, where T_1 passed.
+_GATE = 1e-3
 
 
 class BlockSystem:
@@ -165,7 +174,8 @@ class BlockSystem:
     with f_k > 0 has the range of T_1 = K + C.  A basis W of that range with
     W^T T_1 W = I and W^T K W = diag(a), a in [0, 1], gives
     W^T T_k W = diag(1 + (f_k - 1) a) for every f_k: the pencil (K, T_1) is
-    diagonalized once per run, whatever C is.  A solve is two matrix-vector
+    diagonalized once per run, whatever C is, by whitening C or else T_1
+    (:meth:`_factor`).  A solve is two matrix-vector
     products and a division, and gives the minimum-norm solution when T_k is
     singular.  A T_1 that is exactly diagonal (K and Q diagonal, or K = 0
     under a linearized P) needs no basis: T_k's diagonal
@@ -277,19 +287,22 @@ class BlockSystem:
         return V, (np.sqrt(np.vecdot(miss, miss)), 1e-8 * (1.0 + np.sqrt(np.vecdot(rhs, rhs))))
 
     def _factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """(W, a): W whitens T_1 = K + tau I + Q on its numerical range, cut
-        off as by ``lstsq``, and W^T K W = diag(a)."""
-        n = self.desc.dim
-        T = self.desc.Q if self.K is None else self.K + self.desc.Q
-        if self.tau:
-            T = T + self.tau * np.eye(n)
-        w, V = np.linalg.eigh(T)
+        """(W, a): W whitens T_1 = K + C on its numerical range, cut off as
+        by ``lstsq``, and W^T K W = diag(a).  A C = tau I + Q that passes
+        ``_GATE`` (always when K = 0) is whitened by Z from the Fenchel--Young
+        gap's eigendecomposition of Q, and (mu, U) = eigh(Z^T K Z) gives
+        W = Z U / sqrt(1 + mu), a = mu / (1 + mu): one ``eigh`` of the block's
+        own.  Any other whitens T_1 = K + Q (tau = 0 for a scaled P) by its own."""
+        n, Q = self.desc.dim, self.desc._Q_operator
+        lo, hi = Q._eig_extremes
+        by_c = self.K is None or lo > _GATE * (hi + float(self._diag.sum()))
+        w, V = (Q._eig[0] + self.tau, Q._eig[1]) if by_c else np.linalg.eigh(self.K + self.desc.Q)
         i = int(np.searchsorted(w, _EPS * n * max(float(w[-1]), 0.0), side="right"))
-        W = V[:, i:] / np.sqrt(w[i:])  # eigh sorts w ascending: the range is the trailing columns
+        W = V[:, i:] / np.sqrt(w[i:])  # w is sorted ascending: the range is the trailing columns
         if self.K is None:
             return W, np.zeros(n - i)
         a, U = np.linalg.eigh(W.T @ self.K @ W)
-        return W @ U, a
+        return ((W @ U) / np.sqrt(1.0 + a), a / (1.0 + a)) if by_c else (W @ U, a)
 
 
 def _solve_block(system: BlockSystem, k: int, shift, gamma_prev, prev):

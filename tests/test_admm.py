@@ -19,6 +19,7 @@ from helpers import (
 )
 from test_acceptance import INSTANCES, make_schedule
 
+from vmpadmm import admm
 from vmpadmm.admm import (
     _THETA_EXCLUSION,
     AdmmStep,
@@ -294,7 +295,8 @@ class TestFactoredSubproblems:
         self.check_run_solves(self.problem(f, rng.normal(size=(4, n_x))), cfg, monkeypatch)
 
     def test_ill_conditioned_c(self, monkeypatch):
-        # cond(C) = cond(Q) = 1e8: whitening by K + Q needs no cap on C's conditioning
+        # cond(C) = cond(Q) = 1e8: outside the gate, so the block whitens
+        # T_1 = K + Q, which needs no cap on C's conditioning
         rng = np.random.default_rng(6)
         U = np.linalg.qr(rng.normal(size=(6, 6)))[0]
         Q = (U * np.logspace(0, -8, 6)) @ U.T
@@ -347,6 +349,155 @@ class TestFactoredSubproblems:
         sched = schedule_from_dict(cfg, p.dims)
         with pytest.raises(SubproblemError, match=f"^{g.kind} subproblem needs positive diagonal curvature$"):
             BlockSystem(p.g, p.B, sched, "S")
+
+
+def whitened_by(system):
+    """What a quadratic block's basis whitens, "C" or "T1", told by the eigh
+    calls of its factoring once Q's eigendecomposition is cached: whitening
+    by C decomposes Z^T K Z alone (nothing when K = 0), whitening by T_1
+    decomposes K + Q first."""
+    system.desc._Q_operator._eig
+    calls, eigh = [], np.linalg.eigh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        system._factor()
+    return "T1" if len(calls) == 2 else "C"
+
+
+def gate_ratio(system):
+    """lambda_min(C) / (lambda_max(C) + tr K), which the gate compares with _GATE."""
+    lo, hi = system.desc._Q_operator._eig_extremes
+    return (lo + system.tau) / (hi + system.tau + (0.0 if system.K is None else np.trace(system.K)))
+
+
+_ILL_H = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
+
+
+class TestWhitenByC:
+    """A quadratic block whose C = tau I + Q carries T_1's conditioning alone
+    whitens its pencil by C, from the eigendecomposition of Q that the
+    Fenchel--Young gap reads: one eigh of the block's own, none under a
+    linearized R.  Any other C whitens T_1 = K + Q by its own eigh."""
+
+    DRIFT = {"c0": 0.5, "law": "inverse_square"}
+
+    def system(self, cond, seed, edge=None, n=30, m=20):
+        """The x-system of f = 0.5 x^T Q x with cond(Q) = cond and R = 0,
+        K = h A^T A: h = 1, or the fraction ``edge`` of the gate's edge."""
+        rng = np.random.default_rng(seed)
+        V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        f = FunctionDescriptor("quadratic", n, Q=(V * np.logspace(0, -np.log10(cond), n)) @ V.T, q=np.zeros(n))
+        A = rng.normal(size=(m, n))
+        lo, hi = f._Q_operator._eig_extremes
+        h = 1.0 if edge is None else edge * (lo / admm._GATE - hi) / float(np.vecdot(A, A).sum())
+        cfg = {"H": {"type": "scaled_identity", "scale": h}, "R": {"type": "zero"}, "S": {"type": "zero"},
+               "c": self.DRIFT, "k_max": 20}
+        return BlockSystem(f, A, schedule_from_dict(cfg, (n, m, m), A=A), "R")
+
+    @staticmethod
+    def misses(system, seed):
+        """miss / tol of the system test for 20 solves at k = 1..20, with
+        random linear terms; the basis is formed anew under the current gate."""
+        system._basis = None
+        ks = np.arange(1, 21)
+        Q_lin = np.random.default_rng(seed).normal(size=(len(ks), system.desc.dim))
+        U = np.array([system.solve(system.schedule.factor(int(k)), q) for k, q in zip(ks, Q_lin)])
+        _, (miss, tol) = system.residuals(ks, U, Q_lin)
+        return miss / tol
+
+    def test_first_solve_decomposes_q_for_the_certificate(self, monkeypatch):
+        # box_qp 40: the x-block's first solve caches Q's eigendecomposition,
+        # and the first certification pass runs no eigh of Q of its own
+        p = generate("box_qp", (40,), 1)
+        Q = p.f._Q_operator
+        events, eigh, solve = [], np.linalg.eigh, BlockSystem.solve
+
+        def spy_eigh(a, *r, **k):
+            events.append("eigh Q" if np.array_equal(a, Q.matrix) else "eigh")
+            return eigh(a, *r, **k)
+
+        def spy_solve(system, f, q_lin):
+            u = solve(system, f, q_lin)
+            events.append(f"solve cached={'_eig' in vars(Q)}")
+            return u
+
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        monkeypatch.setattr(BlockSystem, "solve", spy_solve)
+        run = VmPadmmRun(p, schedule_from_dict(TestRunState.DRIFT, p.dims, A=p.A), compute_sigma_theta(1.0))
+        assert next(run.certified_blocks(30, rho=0.0, eps=0.0)).ok
+        assert next(e for e in events if e.startswith("solve")) == "solve cached=True"
+        assert events.count("eigh Q") == 1 and events.count("eigh") == 1  # Q's, then Z^T K Z's
+
+    def test_linearized_r_runs_no_eigh_of_its_own(self, monkeypatch):
+        # K = 0: Z = V / sqrt(w + tau) from Q's eigendecomposition is the basis
+        p = generate("box_qp", (40,), 1)
+        tau = 3.0 * float(np.linalg.eigvalsh(p.A.T @ p.A).max())
+        cfg = dict(TestRunState.DRIFT, R={"type": "linearized", "tau": tau})
+        args, inside, eigh, factor = [], [], np.linalg.eigh, BlockSystem._factor
+
+        def spy_factor(system):
+            inside.append(1)
+            try:
+                return factor(system)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k: inside and args.append(np.array(a)) or eigh(a, *r, **k))
+        monkeypatch.setattr(BlockSystem, "_factor", spy_factor)
+        run = VmPadmmRun(p, schedule_from_dict(cfg, p.dims, A=p.A), compute_sigma_theta(1.0))
+        assert run._systems[0].K is None
+        assert next(run.certified_blocks(30, rho=0.0, eps=0.0)).ok
+        assert len(args) == 1 and np.array_equal(args[0], p.f.Q)  # Q's, which the certificate reads
+
+    @pytest.mark.parametrize("edge,path", [(0.99, "C"), (1.01, "T1")])
+    def test_gate_edge(self, edge, path):
+        # tr K just inside and just outside lambda_min(C) / _GATE - lambda_max(C)
+        system = self.system(100.0, 0, edge)
+        assert (gate_ratio(system) > admm._GATE) == (path == "C")
+        assert whitened_by(system) == path
+
+    @pytest.mark.parametrize("cond", [1.0, 10.0, 100.0, 300.0, 900.0])
+    def test_c_path_accuracy_inside_the_gate(self, cond, monkeypatch):
+        # K at 0.99 of the gate's edge: the C path's system residual, RMS over
+        # 8 instances of 20 solves, stays within 4x of the T_1 path's
+        systems = [self.system(cond, seed, 0.99) for seed in range(8)]
+        assert {whitened_by(s) for s in systems} == {"C"}
+        square = []
+        for gate in (admm._GATE, np.inf):  # np.inf sends every block with a K to T_1
+            monkeypatch.setattr(admm, "_GATE", gate)
+            square.append(sum(np.square(self.misses(s, seed)).sum() for seed, s in enumerate(systems)))
+        assert np.sqrt(square[0]) <= 4.0 * np.sqrt(square[1])
+
+    def test_c_path_fails_the_system_test_outside_the_gate(self, monkeypatch):
+        # cond(C) = 1e12 with K = A^T A: whitened by C (a gate of 0), solves
+        # miss their 1e-8 system test; the gate sends them to T_1, which passes
+        systems = [self.system(1e12, seed) for seed in range(4)]
+        assert {whitened_by(s) for s in systems} == {"T1"}
+        gated = max(self.misses(s, seed).max() for seed, s in enumerate(systems))
+        monkeypatch.setattr(admm, "_GATE", 0.0)
+        forced = max(self.misses(s, seed).max() for seed, s in enumerate(systems))
+        assert gated <= 1.0 < 10.0 < forced
+
+    @pytest.mark.parametrize("kind,dims,seed,H", [
+        # the cond(H) = 1e5 gamma-identity failure (both blocks) and the
+        # H = 1e6 membership failures pinned by the CLI tests and CI
+        ("consensus_ls", (6, 5, 4), 1, {"type": "dense", "matrix": ((_ILL_H * np.logspace(0, 5, 4)) @ _ILL_H.T).tolist()}),
+        ("box_qp", (40,), 2, {"type": "scaled_identity", "scale": 1e6}),
+        # H = 1e8: the x-solve fails its oracle or its system test at k = 1
+        ("box_qp", (40,), 1, {"type": "scaled_identity", "scale": 1e8}),
+        ("consensus_ls", (20, 15, 10), 1, {"type": "scaled_identity", "scale": 1e8}),
+        ("lasso", (10, 5), 1, {"type": "scaled_identity", "scale": 1e8}),
+    ], ids=["ill_h_1e5", "box_qp_h_1e6", "box_qp_h_1e8", "consensus_ls_h_1e8", "lasso_h_1e8"])
+    def test_roundoff_pinned_inputs_whiten_t1(self, kind, dims, seed, H):
+        # the false failures these inputs pin stay bit for bit where they are
+        p = generate(kind, dims, seed)
+        cfg = {"H": H, "R": {"type": "zero"}, "S": {"type": "zero"}, "k_max": 50}
+        sched = schedule_from_dict(cfg, p.dims, A=p.A)
+        for desc, N, family in ((p.f, p.A, "R"), (p.g, p.B, "S")):
+            if desc.kind == "quadratic":
+                system = BlockSystem(desc, N, sched, family)
+                assert gate_ratio(system) < admm._GATE
+                assert whitened_by(system) == "T1"
 
 
 class TestMultiplierUpdate:

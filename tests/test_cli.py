@@ -102,6 +102,19 @@ class TestSolveCommand:
             w.writerows(zip(*(c.tolist() for c in columns)))
         assert (tmp_path / "lines.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
 
+    @pytest.mark.parametrize("spec,eighs", [
+        ("gen:lasso:10x5:1", 1), ("gen:box_qp:40:1", 2), ("gen:consensus_ls:20x15x10:1", 5),
+    ])
+    def test_eigh_per_run(self, spec, eighs, schedule_file, tmp_path, monkeypatch):
+        # each dense quadratic block whitens its pencil by C from the eigh of
+        # Q that the eps-certificate reads, then decomposes Z^T K Z: lasso's
+        # Q = I is sorted, box_qp's one block takes two, consensus_ls's two
+        # blocks four and its reference solve one
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        assert main(solve_args(schedule_file, tmp_path, problem=spec)) == 0
+        assert len(calls) == eighs
+
     def test_rerun_is_byte_identical(self, schedule_file, tmp_path):
         main(solve_args(schedule_file, tmp_path, tag="a"))
         main(solve_args(schedule_file, tmp_path, tag="b"))
