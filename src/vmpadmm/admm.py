@@ -134,7 +134,7 @@ def compute_sigma_theta(theta: float, margin: float = 1e-3) -> ThetaParams:
     # for theta near 0 and near the golden ratio, sigma is admissible only above the grid
     i = int(np.argmax(feasible)) if feasible.any() else _SIGMA_GRID
     hi = float(sigmas[i]) if i < _SIGMA_GRID else float(np.nextafter(1.0, 0.0))
-    lo = float(sigmas[i - 1]) if i > 0 else 0.0
+    lo = float(sigmas[i - 1])  # i >= 1: sigma > 1/(1 + theta) > 0.38 excludes the first point
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if sigma_feasible(theta, mid):
@@ -217,7 +217,7 @@ class BlockSystem:
             self._c += np.diag(Q)
             if _is_diagonal(Q) and (self.K is None or _is_diagonal(self.K)):
                 t = self._curvature(1.0)  # diag(T_1)
-                self._range = t > _EPS * desc.dim * max(float(t.max(initial=0.0)), 0.0)
+                self._range = t > _EPS * desc.dim * float(t.max(initial=0.0))
         elif self.K is not None:
             K = self.K
             scale = max(1.0, float(np.abs(K).max(initial=0.0)))
@@ -242,11 +242,8 @@ class BlockSystem:
 
     def metric_apply(self, f: np.ndarray, U: np.ndarray) -> np.ndarray:
         """G_k u for each row u of the stack U, at the column f of its f_k:
-        f_k (u K) + tau u."""
-        if self.K is None:
-            return self.tau * U
-        GU = f * (U @ self.K)
-        return GU + self.tau * U if self.tau else GU
+        f_k (u K), or tau u when K is None (tau = 0 for a scaled P)."""
+        return self.tau * U if self.K is None else f * (U @ self.K)
 
     def solve(self, f: float, q_lin: np.ndarray) -> np.ndarray:
         """argmin desc(u) + 0.5 u^T G_k u + q_lin^T u at f_k = f.  A
@@ -409,7 +406,7 @@ def _dual_max(dual_x, dual_y, dual_gamma):
 class KktResidualCertificate:
     """A pointwise or ergodic KKT residual certificate at each iteration k of
     a block, every value a column or a stack of rows.  ``eps`` is the ergodic
-    eps^a_k of the HPE accumulators, which ``eps_x + eps_y`` decomposes;
+    eps^a_k of the HPE running sums, which ``eps_x + eps_y`` decomposes;
     ``memberships`` are the ergodic eps-memberships, none for a pointwise one."""
 
     mode: str
@@ -558,14 +555,15 @@ class VmPadmmRun:
         # the one run state: z~ and r sums, Fejer sum, sigma, eta_0 and bounds
         self.hpe = HpeState(z0, RateBounds(self.d0, theta_params.sigma, schedule.C_S, schedule.C_P, eta0=self.eta0))
         self.k = 0
-        # running pointwise best, the first iterate achieving the min max-residual:
-        # its z~ and r and its table row (k and the three dual seminorms), one row
-        # of each per iteration of the latest block; before it, k = 0 at +inf duals
-        self._best = (*np.zeros((2, 1, self.M0.dim)), np.array([[0.0, np.inf, np.inf, np.inf]]))
-        # block-wise eps sums, kept apart from the HPE accumulators so the eps
-        # decomposition can be cross-checked against the full-space value:
-        # sum_i <r_{i,x} + A^T gamma~_i, x_i> and the same for y
-        self._dot_s = [0.0, 0.0]
+        # running pointwise best, the first iterate achieving the min max-residual,
+        # one row per iteration of the latest block: z~ | r | k | dual_x | dual_y |
+        # dual_gamma; before it, k = 0 at +inf duals
+        self._best = np.zeros((1, 2 * self.M0.dim + 4))
+        self._best[0, -3:] = np.inf
+        # block-wise eps sums, kept apart from the HPE running sums so the eps
+        # decomposition can be cross-checked against the full-space value, one row
+        # per iteration of the latest block: sum_i <r_{i,x} + A^T gamma~_i, x_i> | the same for y
+        self._dot_s = np.zeros((1, 2))
 
     @property
     def bounds(self) -> RateBounds:
@@ -730,16 +728,15 @@ class VmPadmmRun:
                 ("membership_x", problem.f, s_x, x, r_x), ("membership_y", problem.g, s_y, y, r_y)
             )
         }
-        self._dot_s = [running_sums(tot, np.vecdot(s, u)) for tot, s, u in zip(self._dot_s, (s_x, s_y), (x, y))]
+        self._dot_s = running_sums(self._dot_s[-1], np.column_stack((np.vecdot(s_x, x), np.vecdot(s_y, y))))
         del s_x, s_y
 
         # the running pointwise best: at each k, the first iterate of least dual_max
-        cands = (Zt, R, np.column_stack([ks, *duals]))
         dual_max = _dual_max(*duals)
-        before = self._best[2][0, 1:4].max()
+        before = self._best[0, -3:].max()
         better = dual_max < np.minimum.accumulate(np.concatenate(([before], dual_max)))[:-1]
         best = np.maximum.accumulate(np.where(better, np.arange(1, n + 1), 0))  # 0: the best before
-        self._best = tuple(np.concatenate((b, c))[best] for b, c in zip(self._best, cands))
+        self._best = np.concatenate((self._best, np.column_stack((Zt, R, ks, *duals))))[best]
 
         pw, erg = self.pointwise_kkt_certificate(), self.ergodic_kkt_certificate()
         fejer = self.hpe.fejer_check(self.z_star)
@@ -755,8 +752,7 @@ class VmPadmmRun:
         # commit the state after iteration end - 1 of the block, each kept row a copy
         i = end - 1
         self.hpe.keep(end)
-        self._dot_s = [d[i] for d in self._dot_s]
-        self._best = tuple(b[i : i + 1].copy() for b in self._best)
+        self._dot_s, self._best = self._dot_s[i : i + 1].copy(), self._best[i : i + 1].copy()
         if ks[i] != self.k:  # steps past it were taken: its state, and its B y_k again as its step formed it
             self.k = int(ks[i])
             self.x, self.y, self.gamma = (v[i].copy() for v in M.split(Z))
@@ -764,15 +760,15 @@ class VmPadmmRun:
         return blk if end == n else row_of(blk, slice(0, end))
 
     # -- certificates at the current iteration k ---------------------------
-    # They come from running accumulators; no per-iteration history is kept.
+    # They come from running sums and the running best; no per-iteration history is kept.
     # Each is a column over the iterations of the latest block: while a block
     # is certified, its rows; after it, the one row the run stands at.
 
     def pointwise_kkt_certificate(self) -> KktResidualCertificate:
         """Best single iterate up to k against the O(1/sqrt(k)) bound."""
         self.hpe.require_iterate()
-        k, (z_tilde, r, table) = self.hpe.last.k, self._best
-        k_best, dual_x, dual_y, dual_g = table.T
+        k, d, best = self.hpe.last.k, self.M0.dim, self._best
+        z_tilde, r, (k_best, dual_x, dual_y, dual_g) = best[:, :d], best[:, d : 2 * d], best[:, 2 * d :].T
         bound = self.bounds.pointwise_rhs(k)
         cert = KktResidualCertificate(
             "pointwise", k, k_best.astype(int), *self.M0.split(z_tilde), *self.M0.split(r),
@@ -783,7 +779,7 @@ class VmPadmmRun:
 
     def ergodic_kkt_certificate(self) -> KktResidualCertificate:
         """Ergodic triple at k with ergodic bounds, eps decomposition against
-        the full-space accumulator, and the exact eps-subdifferential
+        the full-space running sum, and the exact eps-subdifferential
         memberships s^a_x in d_{eps_x} f(x^a), s^a_y in d_{eps_y} g(y^a): a
         Fenchel--Young gap at most eps (``eps_subdiff_*``) with s^a (x^a for
         a box) in the domain of that closed form (``eps_domain_*``)."""
@@ -792,11 +788,11 @@ class VmPadmmRun:
         A, B = self.problem.A, self.problem.B
         x_a, y_a, gt_a = M_k.split(zt_a)
         rx_a, ry_a, rg_a = M_k.split(r_a)
-        # block-wise eps from the dot sums kept apart from the HPE accumulators:
+        # block-wise eps from the dot sums kept apart from the HPE running sums:
         # eps = (1/k) sum <s_i, x_i> - <mean s, mean x>, s_i = r_{i,x} + A^T gamma~_i
         s_a = (rx_a + gt_a @ A, ry_a + gt_a @ B)
-        eps_x = self._dot_s[0] / k - np.vecdot(s_a[0], x_a)
-        eps_y = self._dot_s[1] / k - np.vecdot(s_a[1], y_a)
+        eps_x = self._dot_s[:, 0] / k - np.vecdot(s_a[0], x_a)
+        eps_y = self._dot_s[:, 1] / k - np.vecdot(s_a[1], y_a)
         R_k, mid_k, gam_k = M_k.blocks
         dual_x = R_k.dual_seminorm_general(rx_a)
         dual_y = mid_k.dual_seminorm_general(ry_a)

@@ -4,7 +4,7 @@ This module does not compute steps for a monotone operator T: it certifies
 iteration triples handed to it by an instance (the proximal ADMM solver, or
 a test double).  For each accepted triple it checks the relative error
 condition in the iteration's seminorm, and it keeps the running ergodic and
-Fejer accumulators of the run; the rate bounds come from :class:`RateBounds`.
+Fejer sums of the run; the rate bounds come from :class:`RateBounds`.
 A block of consecutive iterations is handed over as stacked rows and checked
 in one pass; one iteration is the block of one row.
 """
@@ -176,11 +176,14 @@ def running_sums(total, rows):
 
 class HpeState:
     """A single run: start point, rate bounds (which carry sigma and eta_0),
-    the latest block of iterates and the running accumulators.
+    the latest block of iterates and the running sums of the run.
 
-    The ergodic point and the Fejer check describe the iterations of the
-    latest :meth:`add_iterate` only, from the accumulators, so no history is
-    kept: the memory a run holds is bounded by one block, not by k.
+    The running sums are one array, a row per iteration of the latest block
+    and a column each for the sums of z~ and of r, the sum of <r, z~> and the
+    Fejer sum: one :func:`running_sums` call advances it and one slice cuts
+    it.  The ergodic point and the Fejer check describe the iterations of the
+    latest :meth:`add_iterate` only, from those sums, so no history is kept:
+    the memory a run holds is bounded by one block, not by k.
     """
 
     def __init__(self, z0: np.ndarray, bounds: RateBounds):
@@ -188,13 +191,10 @@ class HpeState:
         self.bounds = bounds
         self.k = 0
         self.last: HpeIterate | None = None
-        # the accumulators, one row of them per iterate of the latest block
-        # (one row of zeros before the first); ergodic accumulators
-        self._sum_ztilde = np.zeros((1, *self.z0.shape))
-        self._sum_r = np.zeros((1, *self.z0.shape))
-        self._sum_r_dot_ztilde = np.zeros(1)
-        # Fejer accumulator: sum of ||z_{i-1} - z~_i||^2_{M_i}
-        self._fejer_sum = np.zeros(1)
+        # the running sums, one row per iterate of the latest block (one row of
+        # zeros before the first): sum z~_i | sum r_i | sum <r_i, z~_i> | the
+        # Fejer sum of ||z_{i-1} - z~_i||^2_{M_i}
+        self._sums = np.zeros((1, 2 * len(self.z0) + 2))
 
     def add_iterate(self, it: HpeIterate) -> BoundCheck:
         """Validate and absorb a block of iterations; returns the column of
@@ -212,12 +212,8 @@ class HpeState:
             raise ValueError("residual does not equal M_k(z_{k-1} - z_k) within tolerance")
         prev_eta = np.concatenate(([self.bounds.eta0] if self.last is None else self.last.eta[-1:], it.eta[:-1]))
         check, gap = check_error_condition(it, self.bounds.sigma, prev_eta)
-        rows = (it.z_tilde, it.r, np.vecdot(it.r, it.z_tilde), gap)
-        sums = (self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum)
-        # from the totals after the previous block
-        self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum = (
-            running_sums(s[-1], r) for s, r in zip(sums, rows)
-        )
+        rows = np.column_stack((it.z_tilde, it.r, np.vecdot(it.r, it.z_tilde), gap))
+        self._sums = running_sums(self._sums[-1], rows)  # from the totals after the previous block
         self.last = it
         self.k = int(it.k[-1])
         return check
@@ -230,9 +226,7 @@ class HpeState:
         i = slice(n - 1, n)
         self.last = row_of(self.last, i)
         self.k = int(self.last.k[0])
-        self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum = (
-            s[i].copy() for s in (self._sum_ztilde, self._sum_r, self._sum_r_dot_ztilde, self._fejer_sum)
-        )
+        self._sums = self._sums[i].copy()
 
     # -- at the current iteration k (each iteration of the latest block) ------
 
@@ -241,13 +235,12 @@ class HpeState:
             raise ValueError("no iterate yet: certificates start at k = 1")
 
     def ergodic_point(self):
-        """Ergodic averages (z~^a_k, r^a_k, eps^a_k) via the accumulators."""
+        """Ergodic averages (z~^a_k, r^a_k, eps^a_k) from the running sums."""
         self.require_iterate()
-        k = self.last.k
+        k, d, sums = self.last.k, len(self.z0), self._sums
         kc = k[:, None]  # divides each row by its k
-        zt_a = self._sum_ztilde / kc
-        r_a = self._sum_r / kc
-        eps_a = self._sum_r_dot_ztilde / k - np.vecdot(r_a, zt_a)
+        zt_a, r_a = sums[:, :d] / kc, sums[:, d : 2 * d] / kc
+        eps_a = sums[:, 2 * d] / k - np.vecdot(r_a, zt_a)
         return zt_a, r_a, eps_a
 
     def fejer_check(self, z_star: np.ndarray) -> BoundCheck:
@@ -264,6 +257,6 @@ class HpeState:
         it_k = self.last
         lhs = (
             it_k.M.seminorm(np.asarray(z_star, dtype=float) - it_k.z) ** 2
-            + it_k.eta + (1.0 - self.bounds.sigma) * self._fejer_sum
+            + it_k.eta + (1.0 - self.bounds.sigma) * self._sums[:, -1]
         )
         return BoundCheck("fejer", it_k.k, lhs, self.bounds.fejer_rhs(), tol_abs=1e-8, tol_rel=1e-6)

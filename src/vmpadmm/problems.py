@@ -350,9 +350,7 @@ def _prox_step(desc: FunctionDescriptor, G_diag: np.ndarray, q_lin: np.ndarray) 
     if desc.kind == "l1":
         t = -q_lin
         return np.sign(t) * np.maximum(np.abs(t) - desc.lam, 0.0) / G_diag
-    if desc.kind == "box":
-        return np.clip(-q_lin / G_diag, desc.lower, desc.upper)
-    raise ValueError(f"no separable prox for kind {desc.kind!r}")
+    return np.clip(-q_lin / G_diag, desc.lower, desc.upper)  # a box: its caller passes l1 or box
 
 
 def _factored_solver(M: np.ndarray, name: str, block: tuple | None = None):

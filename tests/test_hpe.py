@@ -192,6 +192,26 @@ class TestRowOf:
         assert state.k == 2 and state.last.k.tolist() == [2]
         self.assert_row(state.last, blk, 1)
 
+    def test_keep_cuts_the_running_sums(self):
+        """After keep(2) the certificates are those of a state that absorbed
+        rows 1-2 only, bit for bit, and no array the state holds shares
+        memory with one it held for the whole block."""
+        blk = self.block()
+        bounds = RateBounds(d0=1.0, sigma=0.5, C_S=0.0, C_P=1.0)
+        state, fresh = HpeState(np.zeros(2), bounds), HpeState(np.zeros(2), bounds)
+        state.add_iterate(blk)
+        held = [v for name, v in vars(state).items() if isinstance(v, np.ndarray) and name != "z0"]
+        state.keep(2)
+        fresh.add_iterate(row_of(blk, slice(0, 2)))
+        z = np.random.default_rng(11).normal(size=2)
+        for got, want in zip(state.ergodic_point(), fresh.ergodic_point()):
+            assert np.array_equal(got, want[-1:])
+        got, want = state.fejer_check(z), fresh.fejer_check(z)
+        assert np.array_equal(got.lhs, want.lhs[-1:]) and np.array_equal(got.ok, want.ok[-1:])
+        kept = [v for name, v in vars(state).items() if isinstance(v, np.ndarray) and name != "z0"]
+        assert held and kept
+        assert not any(np.shares_memory(a, b) for a in kept for b in held)
+
 
 class TestProximalPointReduction:
     def test_distances_nonincreasing_and_certificates_hold(self):
